@@ -2984,8 +2984,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.detect.as_ref().map_or((0, 0, 0, 0), |d| d.census());
         let sample = EngineSample {
             procs: &self.procs,
-            queue_near: self.queue.near_depth(),
-            queue_far: self.queue.far_depth(),
+            queue_len: self.queue.len(),
             transport_in_flight: self.transport.as_ref().map_or(0, |t| t.in_flight_count()),
             peers_alive,
             peers_degraded,

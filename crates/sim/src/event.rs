@@ -7,19 +7,15 @@
 //! and timer/guard firings precede fresh releases. The insertion sequence
 //! makes every run bit-for-bit reproducible.
 //!
-//! # Two-tier structure
+//! # One packed-key heap
 //!
-//! [`EventQueue`] is a *timer wheel with a heap overflow*, not a plain
-//! binary heap. Simulation traffic is overwhelmingly near-future (the next
-//! completion, the next signal hop, the next timer), so events within
-//! `WHEEL_SPAN` ticks of the queue's cursor go into a bucketed wheel —
-//! one bucket per tick, O(1) insert, amortized-O(1) extraction (the cursor
-//! sweeps each bucket once per wrap, guided by an occupancy bitmap).
-//! Events farther out land in a conventional binary heap and migrate into
-//! the wheel as the cursor approaches them. The pop order is *exactly* the
-//! `(time, rank, seq)` total order of the original heap-only queue —
-//! [`ReferenceEventQueue`] keeps that implementation alive as the ordering
-//! oracle for differential tests.
+//! [`EventQueue`] is a single binary heap whose order is one `u128` key:
+//! time with its sign bit flipped in the top 64 bits, the kind rank in the
+//! next 8, the insertion sequence in the low 56. A sift step is one integer
+//! compare, with no rank lookup. Simulation traffic is sparse in time (§5.1
+//! source periods span 10⁵–10⁷ ticks), so a plain heap beats bucketing
+//! by tick. [`ReferenceEventQueue`] keeps the tuple-comparator heap as the
+//! ordering oracle for differential tests.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -377,46 +373,64 @@ impl PartialOrd for Event {
     }
 }
 
-/// Width of the near-future wheel in ticks. Must be a multiple of 64
-/// (the occupancy bitmap is scanned a word at a time). At the default
-/// 1000 ticks per paper time unit this covers ≈33 units — every
-/// completion/signal/timer delta of the evaluation workloads, and most
-/// source periods.
-const WHEEL_SPAN: usize = 32_768;
-const WHEEL_WORDS: usize = WHEEL_SPAN / 64;
+/// Bits of the packed key that hold the insertion sequence.
+const SEQ_BITS: u32 = 56;
 
-/// A deterministic min-queue of [`Event`]s (see the module docs for the
-/// two-tier wheel + overflow-heap structure).
+/// A queued event: the packed `(time, rank, seq)` order key plus the
+/// payload. The key is unique (the sequence is), so ordering by it alone
+/// is a total order consistent with equality.
 #[derive(Debug)]
-pub struct EventQueue {
-    /// One bucket per tick in `[cursor, cursor + WHEEL_SPAN)`, indexed by
-    /// `time mod WHEEL_SPAN`. Within the window each bucket holds events
-    /// of exactly one instant; ties resolve by `(rank, seq)` at pop time.
-    buckets: Vec<Vec<Event>>,
-    /// One bit per bucket: non-empty buckets, for fast cursor sweeps.
-    occupied: Vec<u64>,
-    /// The earliest tick the wheel can still hold (nothing pending is
-    /// earlier, except transiently inside `push`, which re-anchors).
-    cursor: i64,
-    /// Events in the wheel.
-    near_len: usize,
-    /// Events at `time >= cursor + WHEEL_SPAN`, migrated into the wheel
-    /// as the cursor approaches them.
-    far: BinaryHeap<Event>,
-    next_seq: u64,
+struct Entry {
+    key: u128,
+    kind: EventKind,
 }
 
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue {
-            buckets: vec![Vec::new(); WHEEL_SPAN],
-            occupied: vec![0; WHEEL_WORDS],
-            cursor: 0,
-            near_len: 0,
-            far: BinaryHeap::new(),
-            next_seq: 0,
-        }
+impl Entry {
+    /// Packs the order key: time with its sign bit flipped (so signed tick
+    /// order becomes unsigned key order) in the top 64 bits, then the kind
+    /// rank in 8 bits, then the insertion sequence in the low 56 bits.
+    fn new(time: Time, kind: EventKind, seq: u64) -> Entry {
+        debug_assert!(
+            seq < 1 << SEQ_BITS,
+            "insertion sequence overflows the packed key"
+        );
+        let time_bits = ((time.ticks() as u64) ^ (1 << 63)) as u128;
+        let key = (time_bits << 64) | ((kind.rank() as u128) << SEQ_BITS) | seq as u128;
+        Entry { key, kind }
     }
+
+    fn time(&self) -> Time {
+        Time::from_ticks((((self.key >> 64) as u64) ^ (1 << 63)) as i64)
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Entry) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the smallest key wins.
+        other.key.cmp(&self.key)
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Entry) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+/// A deterministic min-queue of [`Event`]s: one binary heap ordered by a
+/// packed `u128` key (see the module docs).
+#[derive(Default, Debug)]
+pub struct EventQueue {
+    heap: BinaryHeap<Entry>,
+    next_seq: u64,
 }
 
 impl EventQueue {
@@ -429,162 +443,31 @@ impl EventQueue {
     pub fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = Event { time, kind, seq };
-        let t = time.ticks();
-        if self.is_empty() {
-            // Re-anchor an empty wheel at the incoming event: seed events
-            // arrive in arbitrary time order before the first pop.
-            self.cursor = t;
-        } else if t < self.cursor {
-            // An event behind the cursor (possible only before the first
-            // pop, or under out-of-order use the engine never exhibits):
-            // rebuild the wheel anchored at the new minimum. O(pending),
-            // but off the steady-state path — the engine only schedules
-            // at or after the instant it is processing.
-            self.rebuild_at(t);
-        }
-        if (t as i128) < self.cursor as i128 + WHEEL_SPAN as i128 {
-            self.insert_near(event);
-        } else {
-            self.far.push(event);
-        }
+        self.heap.push(Entry::new(time, kind, seq));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.is_empty() {
-            return None;
-        }
-        if self.near_len == 0 {
-            // The window is dry: jump the cursor straight to the overflow
-            // heap's minimum (no empty-bucket crawl) and pull its window.
-            self.cursor = self.far.peek().expect("non-empty queue").time.ticks();
-            self.refill();
-        }
-        let (slot, t) = self.next_occupied();
-        self.cursor = t;
-        let bucket = &mut self.buckets[slot];
-        // Same-instant ties: the bucket is one instant's worth of events,
-        // so the minimum by (rank, seq) is the global minimum. Buckets are
-        // small (one instant), so a linear scan beats heap bookkeeping.
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            debug_assert_eq!(bucket[i].time, bucket[best].time, "mixed-time bucket");
-            let (r, s) = (bucket[i].kind.rank(), bucket[i].seq);
-            if (r, s) < (bucket[best].kind.rank(), bucket[best].seq) {
-                best = i;
-            }
-        }
-        let event = bucket.swap_remove(best);
-        if bucket.is_empty() {
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        }
-        self.near_len -= 1;
-        // The window slid forward with the cursor: migrate overflow events
-        // that now fall inside it, so near and far never hold the same
-        // instant simultaneously.
-        self.refill();
-        Some(event)
+        self.heap.pop().map(|e| Event {
+            time: e.time(),
+            kind: e.kind,
+            seq: (e.key as u64) & ((1 << SEQ_BITS) - 1),
+        })
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.is_empty() {
-            return None;
-        }
-        if self.near_len == 0 {
-            return self.far.peek().map(|e| e.time);
-        }
-        let (_, t) = self.next_occupied();
-        Some(Time::from_ticks(t))
+        self.heap.peek().map(Entry::time)
     }
 
-    /// Number of pending events.
+    /// Number of pending events (the telemetry layer's queue gauge).
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.near_len == 0 && self.far.is_empty()
-    }
-
-    /// Events currently parked in the near wheel (within `WHEEL_SPAN`
-    /// ticks of the anchor). The telemetry layer's occupancy gauge.
-    pub fn near_depth(&self) -> usize {
-        self.near_len
-    }
-
-    /// Events parked in the far-future overflow heap (beyond the wheel's
-    /// span). A persistently deep far heap means event times outrun the
-    /// wheel and every refill pays heap churn.
-    pub fn far_depth(&self) -> usize {
-        self.far.len()
-    }
-
-    fn insert_near(&mut self, event: Event) {
-        let slot = event.time.ticks().rem_euclid(WHEEL_SPAN as i64) as usize;
-        debug_assert!(
-            self.buckets[slot].is_empty() || self.buckets[slot][0].time == event.time,
-            "bucket collision across window generations"
-        );
-        self.buckets[slot].push(event);
-        self.occupied[slot / 64] |= 1u64 << (slot % 64);
-        self.near_len += 1;
-    }
-
-    /// Migrates every overflow event now inside the window into the wheel.
-    fn refill(&mut self) {
-        let limit = self.cursor as i128 + WHEEL_SPAN as i128;
-        while self
-            .far
-            .peek()
-            .is_some_and(|e| (e.time.ticks() as i128) < limit)
-        {
-            let event = self.far.pop().expect("peeked event present");
-            self.insert_near(event);
-        }
-    }
-
-    /// Drains the wheel into the overflow heap and re-anchors the cursor
-    /// at `new_cursor` (a backwards push — see `push`).
-    fn rebuild_at(&mut self, new_cursor: i64) {
-        if self.near_len > 0 {
-            for slot in 0..WHEEL_SPAN {
-                self.far.append(&mut BinaryHeap::from(std::mem::take(
-                    &mut self.buckets[slot],
-                )));
-            }
-            self.occupied.fill(0);
-            self.near_len = 0;
-        }
-        self.cursor = new_cursor;
-        self.refill();
-    }
-
-    /// The first non-empty bucket at or after the cursor, as
-    /// `(slot, time)`. Amortized O(1): each bucket is crossed once per
-    /// window wrap, 64 at a time through the occupancy bitmap.
-    ///
-    /// Requires `near_len > 0`.
-    fn next_occupied(&self) -> (usize, i64) {
-        debug_assert!(self.near_len > 0, "scan of an empty wheel");
-        let mut slot = self.cursor.rem_euclid(WHEEL_SPAN as i64) as usize;
-        let mut travelled = 0usize;
-        loop {
-            let mask = self.occupied[slot / 64] >> (slot % 64);
-            if mask != 0 {
-                let ahead = mask.trailing_zeros() as usize;
-                return (slot + ahead, self.cursor + (travelled + ahead) as i64);
-            }
-            let step = 64 - slot % 64;
-            travelled += step;
-            slot += step;
-            if slot == WHEEL_SPAN {
-                slot = 0;
-            }
-            debug_assert!(travelled <= WHEEL_SPAN, "wheel scan wrapped twice");
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -869,17 +752,22 @@ mod tests {
 
     #[test]
     fn insertion_order_breaks_remaining_ties() {
-        let mut q = EventQueue::new();
-        q.push(t(2), source(0, 0));
-        q.push(t(2), source(1, 0));
-        q.push(t(2), source(2, 0));
-        let tasks: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::SourceRelease { task, .. } => task.index(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tasks, vec![0, 1, 2]);
+        // Same time and rank: only the packed sequence separates them, at
+        // both ends of the time range too, and it round-trips through the
+        // key.
+        for x in [i64::MIN, 2, Time::MAX.ticks()] {
+            let mut q = EventQueue::new();
+            q.push(t(x), source(0, 0));
+            q.push(t(x), source(1, 0));
+            q.push(t(x), source(2, 0));
+            let popped: Vec<(usize, u64)> = std::iter::from_fn(|| q.pop())
+                .map(|e| match e.kind {
+                    EventKind::SourceRelease { task, .. } => (task.index(), e.seq),
+                    _ => unreachable!(),
+                })
+                .collect();
+            assert_eq!(popped, vec![(0, 0), (1, 1), (2, 2)]);
+        }
     }
 
     #[test]
@@ -897,65 +785,52 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_overflow_and_come_back() {
-        // Events past the wheel window live in the overflow heap and
-        // migrate back as the cursor approaches; order is unaffected.
-        let span = WHEEL_SPAN as i64;
+    fn times_order_across_the_sign_bit() {
+        // The key flips the time's sign bit: a wrong flip would sort
+        // negative ticks after positive ones or `Time::MAX` first.
+        let times = [Time::MAX.ticks(), 0, -1, i64::MIN, 1, -5, i64::MAX - 1];
         let mut q = EventQueue::new();
-        q.push(t(3 * span + 7), source(0, 0));
-        q.push(t(5), source(1, 0));
-        q.push(t(span + 1), source(2, 0));
-        q.push(t(10 * span), source(3, 0));
+        for (i, &x) in times.iter().enumerate() {
+            q.push(t(x), source(i, 0));
+        }
+        assert_eq!(q.peek_time(), Some(t(i64::MIN)));
         let order: Vec<i64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.ticks())
             .collect();
-        assert_eq!(order, vec![5, span + 1, 3 * span + 7, 10 * span]);
+        assert_eq!(order, vec![i64::MIN, -5, -1, 0, 1, i64::MAX - 1, i64::MAX]);
     }
 
     #[test]
-    fn same_instant_ranks_hold_across_the_overflow_boundary() {
-        // Two same-instant events, one landing via the overflow heap, one
-        // pushed directly once the window reaches the instant: rank and
-        // insertion order still decide.
-        let span = WHEEL_SPAN as i64;
-        let far = 2 * span;
-        let mut q = EventQueue::new();
-        q.push(t(far), source(0, 0)); // overflow (rank 7, seq 0)
-        q.push(t(0), source(9, 9)); // anchors the window at 0
-        let first = q.pop().unwrap();
-        assert_eq!(first.time, t(0));
-        // The window now covers `far` eventually; push a same-instant
-        // completion (rank 2) after the source release was already queued.
-        q.push(t(far), completion(0, 0));
-        let second = q.pop().unwrap();
-        assert!(matches!(second.kind, EventKind::Completion { .. }));
-        let third = q.pop().unwrap();
-        assert!(matches!(third.kind, EventKind::SourceRelease { .. }));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn seed_pushes_behind_the_anchor_rebuild_the_wheel() {
-        // Before the first pop the engine seeds events in arbitrary time
-        // order; a push earlier than the current anchor must re-anchor.
-        let mut q = EventQueue::new();
-        q.push(t(100), source(0, 0));
-        q.push(t(5), source(1, 0)); // behind the anchor at 100
-        q.push(t(WHEEL_SPAN as i64 * 2), source(2, 0));
-        q.push(t(0), source(3, 0)); // behind again
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::SourceRelease { task, .. } => task.index(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![3, 1, 0, 2]);
+    fn lowest_and_highest_rank_stay_inside_their_instant() {
+        // Rank 26 then rank 0 at one instant: the rank field decides. A
+        // highest-rank event must still precede a lowest-rank one a tick
+        // later, at both ends of the time range.
+        let retry = EventKind::SyncRetry {
+            from: ProcessorId::new(0),
+            to: ProcessorId::new(1),
+            t1: t(0),
+            respond: true,
+            attempt: 3,
+        };
+        let crash = EventKind::Crash {
+            proc: ProcessorId::new(0),
+        };
+        for base in [i64::MIN, -1, Time::MAX.ticks() - 1] {
+            let mut q = EventQueue::new();
+            q.push(t(base + 1), crash);
+            q.push(t(base), retry);
+            q.push(t(base), crash);
+            let got: Vec<(i64, u8)> = std::iter::from_fn(|| q.pop())
+                .map(|e| (e.time.ticks(), e.kind.rank()))
+                .collect();
+            assert_eq!(got, vec![(base, 0), (base, 26), (base + 1, 0)]);
+        }
     }
 
     #[test]
     fn interleaved_push_pop_at_the_current_instant() {
         // The engine pushes same-instant follow-ups (e.g. SignalSend at
-        // `now`) between pops; they must slot into the current bucket.
+        // `now`) between pops; they must slot in by rank at that instant.
         let mut q = EventQueue::new();
         q.push(t(4), completion(0, 0));
         q.push(t(4), source(0, 0));
@@ -967,7 +842,7 @@ mod tests {
                 job: JobId::new(SubtaskId::new(TaskId::new(0), 1), 0),
             },
         );
-        // SignalSend (rank 4) precedes the SourceRelease (rank 7).
+        // SignalSend (rank 12) precedes the SourceRelease (rank 15).
         assert!(matches!(
             q.pop().unwrap().kind,
             EventKind::SignalSend { .. }
@@ -981,13 +856,13 @@ mod tests {
 
     #[test]
     fn reference_queue_matches_on_a_mixed_load() {
-        let span = WHEEL_SPAN as i64;
         let mut q = EventQueue::new();
         let mut r = ReferenceEventQueue::new();
         let loads = [
             (7, source(0, 0)),
             (7, completion(0, 1)),
-            (span + 3, source(1, 0)),
+            (i64::MAX, source(1, 0)),
+            (-3, source(2, 0)),
             (0, completion(1, 0)),
             (7, EventKind::AckDeliver { seq: 4 }),
             (7, EventKind::RetransmitTimer { seq: 4, attempt: 1 }),
@@ -998,7 +873,10 @@ mod tests {
         }
         loop {
             let (a, b) = (q.pop(), r.pop());
-            assert_eq!(a.map(|e| (e.time, e.kind)), b.map(|e| (e.time, e.kind)));
+            assert_eq!(
+                a.map(|e| (e.time, e.kind, e.seq)),
+                b.map(|e| (e.time, e.kind, e.seq))
+            );
             if a.is_none() {
                 break;
             }

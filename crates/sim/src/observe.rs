@@ -63,10 +63,8 @@ pub struct EngineSample<'a> {
     /// The processors, for per-processor ready-queue backlog
     /// ([`Processor::backlog`]) and idle state.
     pub procs: &'a [Processor],
-    /// Events parked in the event queue's near wheel.
-    pub queue_near: usize,
-    /// Events parked in the far-future overflow heap.
-    pub queue_far: usize,
+    /// Events pending in the event queue.
+    pub queue_len: usize,
     /// Unacked frames across all transport sender windows (0 when the
     /// endpoint transport is off).
     pub transport_in_flight: usize,

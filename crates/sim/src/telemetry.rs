@@ -3,13 +3,13 @@
 //!
 //! [`TelemetryObserver`] slices simulated time into fixed-width windows
 //! and aggregates, per window: per-processor ready-queue backlog, event
-//! queue occupancy (near wheel + far overflow heap), channel traffic
-//! broken down by purpose (protocol signals vs sync frames vs
-//! heartbeats), the transport's in-flight window and retransmit count,
-//! the failure detector's state census, the sync layer's uncertainty
-//! bound, and running EER quantiles (each window's EER samples are
-//! [merged](crate::histogram::EerHistogram::merge) into a running
-//! histogram, so the quantile series shows convergence over the run).
+//! queue length, channel traffic broken down by purpose (protocol signals
+//! vs sync frames vs heartbeats), the transport's in-flight window and
+//! retransmit count, the failure detector's state census, the sync
+//! layer's uncertainty bound, and running EER quantiles (each window's
+//! EER samples are [merged](crate::histogram::EerHistogram::merge) into a
+//! running histogram, so the quantile series shows convergence over the
+//! run).
 //!
 //! The recorder is an ordinary observer: the engine stays monomorphized,
 //! and with telemetry off the `wants_samples` gate keeps the hot path
@@ -53,12 +53,10 @@ pub struct TelemetryWindow {
     pub backlog_max: Vec<u64>,
     /// Mean ready-queue backlog per processor over the window's samples.
     pub backlog_mean: Vec<f64>,
-    /// Largest near-wheel occupancy of the event queue.
-    pub queue_near_max: u64,
-    /// Mean near-wheel occupancy over the window's samples.
-    pub queue_near_mean: f64,
-    /// Largest far-future overflow-heap depth.
-    pub queue_far_max: u64,
+    /// Mean event-queue length (pending events) over the window's samples.
+    pub queue_len_mean: f64,
+    /// Largest event-queue length seen in the window.
+    pub queue_len_max: u64,
     /// Largest transport in-flight window (unacked frames).
     pub inflight_max: u64,
     /// Transport frames sent in the window (originals + retransmissions).
@@ -118,9 +116,8 @@ struct Accum {
     samples: u64,
     backlog_sum: Vec<u64>,
     backlog_max: Vec<u64>,
-    queue_near_sum: u64,
-    queue_near_max: u64,
-    queue_far_max: u64,
+    queue_len_sum: u64,
+    queue_len_max: u64,
     inflight_max: u64,
     transport_sends: u64,
     retransmits: u64,
@@ -153,9 +150,8 @@ impl Accum {
         self.backlog_sum.resize(num_procs, 0);
         self.backlog_max.clear();
         self.backlog_max.resize(num_procs, 0);
-        self.queue_near_sum = 0;
-        self.queue_near_max = 0;
-        self.queue_far_max = 0;
+        self.queue_len_sum = 0;
+        self.queue_len_max = 0;
         self.inflight_max = 0;
         self.transport_sends = 0;
         self.retransmits = 0;
@@ -310,9 +306,8 @@ impl TelemetryObserver {
             samples: a.samples,
             backlog_max: a.backlog_max.clone(),
             backlog_mean: a.backlog_sum.iter().map(|&s| s as f64 / n).collect(),
-            queue_near_max: a.queue_near_max,
-            queue_near_mean: a.queue_near_sum as f64 / n,
-            queue_far_max: a.queue_far_max,
+            queue_len_mean: a.queue_len_sum as f64 / n,
+            queue_len_max: a.queue_len_max,
             inflight_max: a.inflight_max,
             transport_sends: a.transport_sends,
             retransmits: a.retransmits,
@@ -373,9 +368,8 @@ impl Observer for TelemetryObserver {
             a.backlog_sum[p] += backlog;
             a.backlog_max[p] = a.backlog_max[p].max(backlog);
         }
-        a.queue_near_sum += sample.queue_near as u64;
-        a.queue_near_max = a.queue_near_max.max(sample.queue_near as u64);
-        a.queue_far_max = a.queue_far_max.max(sample.queue_far as u64);
+        a.queue_len_sum += sample.queue_len as u64;
+        a.queue_len_max = a.queue_len_max.max(sample.queue_len as u64);
         a.inflight_max = a.inflight_max.max(sample.transport_in_flight as u64);
         a.peers_alive = sample.peers_alive;
         a.peers_degraded = sample.peers_degraded;
@@ -515,8 +509,8 @@ impl TelemetryReport {
             let _ = write!(out, ",backlog_max_p{p},backlog_mean_p{p}");
         }
         out.push_str(
-            ",queue_near_mean,queue_near_max,queue_far_max,inflight_max,transport_sends,\
-             retransmits,traffic_protocol,traffic_sync,traffic_heartbeat,peers_alive,\
+            ",queue_len_mean,queue_len_max,inflight_max,transport_sends,retransmits,\
+             traffic_protocol,traffic_sync,traffic_heartbeat,peers_alive,\
              peers_degraded,peers_suspect,peers_dead,sync_uncertainty,completions,eer_p50,\
              eer_p95,eer_p99,crashes,recoveries,slowdowns,stalls,link_degrades,\
              partition_open,sync_corrupted\n",
@@ -535,10 +529,9 @@ impl TelemetryReport {
             }
             let _ = writeln!(
                 out,
-                ",{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                w.queue_near_mean,
-                w.queue_near_max,
-                w.queue_far_max,
+                ",{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                w.queue_len_mean,
+                w.queue_len_max,
                 w.inflight_max,
                 w.transport_sends,
                 w.retransmits,
@@ -578,7 +571,7 @@ impl TelemetryReport {
                 out,
                 "{{\"window\":{},\"start\":{},\"end\":{},\"samples\":{},\
                  \"backlog_max\":[{}],\"backlog_mean\":[{}],\
-                 \"queue_near_mean\":{:.3},\"queue_near_max\":{},\"queue_far_max\":{},\
+                 \"queue_len_mean\":{:.3},\"queue_len_max\":{},\
                  \"inflight_max\":{},\"transport_sends\":{},\"retransmits\":{},\
                  \"traffic\":{{\"protocol\":{},\"sync\":{},\"heartbeat\":{}}},\
                  \"peers\":{{\"alive\":{},\"degraded\":{},\"suspect\":{},\"dead\":{}}},\
@@ -593,9 +586,8 @@ impl TelemetryReport {
                 w.samples,
                 backlog_max.join(","),
                 backlog_mean.join(","),
-                w.queue_near_mean,
-                w.queue_near_max,
-                w.queue_far_max,
+                w.queue_len_mean,
+                w.queue_len_max,
                 w.inflight_max,
                 w.transport_sends,
                 w.retransmits,
@@ -654,8 +646,8 @@ impl TelemetryReport {
             ));
             ev.push(format!(
                 "{{\"name\":\"event queue\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
-                 \"args\":{{\"near\":{},\"far\":{}}}}}",
-                w.queue_near_max, w.queue_far_max
+                 \"args\":{{\"mean\":{:.3},\"max\":{}}}}}",
+                w.queue_len_mean, w.queue_len_max
             ));
             ev.push(format!(
                 "{{\"name\":\"traffic\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\
@@ -717,8 +709,8 @@ impl TelemetryReport {
                 col(&|w| w.backlog_max[p] as f64),
             ));
         }
-        out.push(("queue_near_mean".into(), col(&|w| w.queue_near_mean)));
-        out.push(("queue_far_max".into(), col(&|w| w.queue_far_max as f64)));
+        out.push(("queue_len_mean".into(), col(&|w| w.queue_len_mean)));
+        out.push(("queue_len_max".into(), col(&|w| w.queue_len_max as f64)));
         out.push((
             "traffic_protocol".into(),
             col(&|w| w.traffic_protocol as f64),

@@ -213,47 +213,61 @@ proptest! {
         }
     }
 
-    /// Differential oracle: the two-tier wheel queue pops the exact same
-    /// `(time, kind)` sequence as [`ReferenceEventQueue`] — the plain
-    /// binary-heap implementation it replaced — under random push/pop
-    /// interleavings. The time mapping deliberately stacks three regimes:
-    /// dense same-instant ties (exercising kind-rank and insertion-order
-    /// arbitration, including the adjacent AckDeliver/RetransmitTimer
-    /// ranks), times straddling the wheel horizon (near/far migration),
-    /// and scattered far-future times (overflow-heap refills).
+    /// Differential oracle: the packed-key heap pops the exact same
+    /// `(time, kind)` sequence as [`ReferenceEventQueue`] — the
+    /// tuple-comparator heap — under random push/pop interleavings. The
+    /// time mapping stacks four regimes: dense same-instant ties (kind-rank
+    /// and insertion-order arbitration, including the adjacent
+    /// AckDeliver/RetransmitTimer ranks), negative ticks, ticks near
+    /// `i64::MIN` and `i64::MAX` (a wrong sign-bit flip in the key would
+    /// reorder them), and scattered times. The kinds cover every rank band — liveness
+    /// prologue, protocol, transport/detector, sync — so the packed rank
+    /// field is exercised from 0 to 26.
     #[test]
-    fn wheel_queue_matches_the_reference_heap(
+    fn event_queue_matches_the_reference_heap(
         ops in prop::collection::vec(
-            (prop::bool::ANY, 0i64..200_000, 0u8..4), 1..200),
+            (prop::bool::ANY, 0i64..200_000, 0u8..8), 1..200),
     ) {
         let kind_of = |sel: u8, i: usize| match sel {
-            0 => EventKind::Completion { proc: ProcessorId::new(0), gen: i as u64 },
-            1 => EventKind::SourceRelease { task: TaskId::new(i), instance: 0 },
+            0 => EventKind::Crash { proc: ProcessorId::new(0) },
+            1 => EventKind::LinkDegradeEnd { idx: 0 },
+            2 => EventKind::Completion { proc: ProcessorId::new(0), gen: i as u64 },
+            3 => EventKind::SourceRelease { task: TaskId::new(i), instance: 0 },
             // Fixed seqs so same-instant ack/retransmit pairs differ only
             // by kind rank and insertion order.
-            2 => EventKind::AckDeliver { seq: 7 },
-            _ => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
+            4 => EventKind::AckDeliver { seq: 7 },
+            5 => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
+            6 => EventKind::SyncRound { proc: ProcessorId::new(1) },
+            _ => EventKind::SyncRetry {
+                from: ProcessorId::new(0),
+                to: ProcessorId::new(1),
+                t1: Time::ZERO,
+                respond: false,
+                attempt: 1,
+            },
         };
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut reference = ReferenceEventQueue::new();
         for (i, &(is_pop, raw_t, sel)) in ops.iter().enumerate() {
             if is_pop {
-                let got = wheel.pop().map(|e| (e.time, e.kind));
+                let got = queue.pop().map(|e| (e.time, e.kind));
                 let want = reference.pop().map(|e| (e.time, e.kind));
                 prop_assert_eq!(got, want, "diverged at op {}", i);
             } else {
                 let t = Time::from_ticks(match raw_t % 10 {
-                    0..=5 => raw_t % 16,             // dense ties
-                    6 | 7 => 32_700 + raw_t % 140,   // wheel-horizon straddle
-                    _ => raw_t,                      // far future
+                    0..=4 => raw_t % 16,           // dense ties
+                    5 | 6 => -(raw_t % 40),        // negative, ties at 0
+                    7 => i64::MIN + raw_t % 8,     // bottom of the range
+                    8 => i64::MAX - raw_t % 8,     // top of the range
+                    _ => raw_t,                    // scattered
                 });
-                wheel.push(t, kind_of(sel, i));
+                queue.push(t, kind_of(sel, i));
                 reference.push(t, kind_of(sel, i));
             }
         }
-        prop_assert_eq!(wheel.len(), reference.len());
+        prop_assert_eq!(queue.len(), reference.len());
         loop {
-            let got = wheel.pop().map(|e| (e.time, e.kind));
+            let got = queue.pop().map(|e| (e.time, e.kind));
             let want = reference.pop().map(|e| (e.time, e.kind));
             prop_assert_eq!(got, want, "diverged during the final drain");
             if got.is_none() {
