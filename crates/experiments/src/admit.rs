@@ -27,10 +27,9 @@
 //! Timings are wall-clock and machine-dependent; the recorded CSVs are
 //! a snapshot, the agreement counters are invariants.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::campaign::run_grid;
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -316,41 +315,18 @@ pub fn run_admit_study(cfg: &AdmitStudyConfig) -> AdmitOutcome {
         .iter()
         .flat_map(|&(n, u)| cfg.modes.iter().map(move |&mode| (n, u, mode)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.systems_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<AdmitVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                // Same shape + run index → same system seed, so every
-                // mode (and both arms) sees identical systems.
-                let (n, u, _) = cells[c];
-                let shape_index = cfg
-                    .shapes
-                    .iter()
-                    .position(|&s| s == (n, u))
-                    .expect("own shape");
-                let system_seed = job_seed(cfg.seed, shape_index, r);
-                let verdict = evaluate_run(cells[c], r, system_seed, cfg.churn_rounds);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
+    let verdicts = run_grid(cells.len(), cfg.systems_per_cell, cfg.threads, |c, r| {
+        // Same shape + run index → same system seed, so every mode (and
+        // both arms) sees identical systems.
+        let (n, u, _) = cells[c];
+        let shape_index = cfg
+            .shapes
+            .iter()
+            .position(|&s| s == (n, u))
+            .expect("own shape");
+        let system_seed = job_seed(cfg.seed, shape_index, r);
+        evaluate_run(cells[c], r, system_seed, cfg.churn_rounds)
     });
-    let verdicts: Vec<AdmitVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
 
     let cells = cells
         .iter()

@@ -30,18 +30,14 @@
 //! parallel over runs and bit-for-bit deterministic for a given seed
 //! regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, mean_inflation, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
-use rtsync_sim::nonideal::{
-    eer_inflation, ChannelModel, ClockModel, LinkAsymmetry, NonidealConfig,
-};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, LinkAsymmetry, NonidealConfig};
 use rtsync_sim::{
     DetectorConfig, FaultConfig, InvariantKind, InvariantObserver, InvariantViolation,
     PartitionSchedule, PartitionWindow, Persona, SyncConfig, TransportConfig,
@@ -424,16 +420,6 @@ fn evaluate_run(
         simulate_observed(&set, &sim, &mut obs).expect("paper systems are analyzable under SA/PM");
     obs.check_outcome(&out);
 
-    let mut inflation_sum = 0.0;
-    let mut inflation_count = 0u64;
-    for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-        .into_iter()
-        .flatten()
-    {
-        inflation_sum += ratio;
-        inflation_count += 1;
-    }
-
     AdversaryVerdict {
         protocol,
         liars: cell.liars,
@@ -459,11 +445,7 @@ fn evaluate_run(
         severed_heartbeats: out.fault_stats.severed_heartbeats,
         partition_false_suspects: out.detect_stats.partition_false_suspects,
         partition_false_deads: out.detect_stats.partition_false_deads,
-        mean_inflation: if inflation_count == 0 {
-            f64::NAN
-        } else {
-            inflation_sum / inflation_count as f64
-        },
+        mean_inflation: mean_inflation(&baseline, &out),
         stalled: !out.reached_target,
         violations: obs.violations().to_vec(),
     }
@@ -488,34 +470,11 @@ pub fn run_adversary(cfg: &AdversaryConfig) -> AdversaryOutcome {
             })
         })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<AdversaryVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let cond_seed = job_seed(cfg.seed, c + 1, r);
-                let verdict = evaluate_run(cfg, cells[c], r, system_seed, cond_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
+    let verdicts = run_grid(cells.len(), cfg.runs_per_cell, cfg.threads, |c, r| {
+        let system_seed = job_seed(cfg.seed, 0, r);
+        let cond_seed = job_seed(cfg.seed, c + 1, r);
+        evaluate_run(cfg, cells[c], r, system_seed, cond_seed)
     });
-    let verdicts: Vec<AdversaryVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
 
     let cells = cells
         .iter()
@@ -542,7 +501,7 @@ pub fn run_adversary(cfg: &AdversaryConfig) -> AdversaryOutcome {
                 stalls: 0,
                 invariant_violations: 0,
             };
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
+            let mut inflation = InflTally::default();
             for v in runs {
                 cell.bracket_samples += v.bracket_samples;
                 cell.bracket_misses += v.bracket_misses;
@@ -556,14 +515,9 @@ pub fn run_adversary(cfg: &AdversaryConfig) -> AdversaryOutcome {
                 cell.max_true_error = cell.max_true_error.max(v.max_true_error);
                 cell.stalls += usize::from(v.stalled);
                 cell.invariant_violations += v.violations.len();
-                if v.mean_inflation.is_finite() {
-                    infl_sum += v.mean_inflation;
-                    infl_n += 1;
-                }
+                inflation.absorb_mean(v.mean_inflation);
             }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
+            cell.mean_inflation = inflation.mean();
             cell
         })
         .collect();
@@ -695,14 +649,6 @@ pub fn render(outcome: &AdversaryOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

@@ -27,9 +27,7 @@
 //! embarrassingly parallel over runs and bit-for-bit deterministic for a
 //! given seed regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, mean_inflation, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +35,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{
     CrashWindow, DetectorConfig, EventLogObserver, FaultConfig, InvariantObserver,
     InvariantViolation, OverloadPolicy, Tee, TelemetryObserver, TelemetryReport, TransportConfig,
@@ -324,15 +322,6 @@ fn evaluate_run(
     let baseline = simulate(&set, &sim).expect("chaos systems are analyzable under SA/PM");
     let (out, violations) = checked_run(&set, &sim, faults.clone());
 
-    let mut inflation_sum = 0.0;
-    let mut inflation_count = 0u64;
-    for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-        .into_iter()
-        .flatten()
-    {
-        inflation_sum += ratio;
-        inflation_count += 1;
-    }
     let (mut missed, mut measured) = (0, 0);
     for t in out.metrics.tasks() {
         missed += t.deadline_misses();
@@ -353,11 +342,7 @@ fn evaluate_run(
         lost: out.metrics.total_lost(),
         missed,
         measured,
-        mean_inflation: if inflation_count == 0 {
-            f64::NAN
-        } else {
-            inflation_sum / inflation_count as f64
-        },
+        mean_inflation: mean_inflation(&baseline, &out),
         downtime_ticks: downtime_before(&resolved, out.end_time),
         span_ticks: out.end_time.since_origin().ticks() * set.num_processors() as i64,
         stalled: !out.reached_target,
@@ -439,36 +424,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         .iter()
         .flat_map(|&p| cfg.mean_uptimes.iter().map(move |&u| (p, u)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    type JobResult = (RunVerdict, Option<ChaosFailure>);
-    let results: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let (protocol, uptime) = cells[c];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let fault_seed = job_seed(cfg.seed, c + 1, r);
-                let result = evaluate_run(cfg, protocol, uptime, r, system_seed, fault_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(result);
-            });
-        }
+    let results = run_grid(cells.len(), cfg.runs_per_cell, cfg.threads, |c, r| {
+        let (protocol, uptime) = cells[c];
+        let system_seed = job_seed(cfg.seed, 0, r);
+        let fault_seed = job_seed(cfg.seed, c + 1, r);
+        evaluate_run(cfg, protocol, uptime, r, system_seed, fault_seed)
     });
-    let results: Vec<JobResult> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
 
     let mut verdicts = Vec::with_capacity(results.len());
     let mut failures = Vec::new();
@@ -496,7 +457,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 invariant_violations: 0,
             };
             let (mut missed, mut measured) = (0u64, 0u64);
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
+            let mut inflation = InflTally::default();
             let (mut down, mut span) = (0i64, 0i64);
             for v in runs {
                 cell.crashes += v.crashes;
@@ -506,10 +467,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 cell.invariant_violations += v.violations.len();
                 missed += v.missed;
                 measured += v.measured;
-                if v.mean_inflation.is_finite() {
-                    infl_sum += v.mean_inflation;
-                    infl_n += 1;
-                }
+                inflation.absorb_mean(v.mean_inflation);
                 down += v.downtime_ticks;
                 span += v.span_ticks;
             }
@@ -517,9 +475,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 cell.miss_or_loss_ratio =
                     (missed + cell.lost) as f64 / (measured + cell.lost) as f64;
             }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
+            cell.mean_inflation = inflation.mean();
             if span > 0 {
                 cell.availability = 1.0 - down as f64 / span as f64;
             }
@@ -746,14 +702,6 @@ pub fn render(outcome: &ChaosOutcome) -> String {
         outcome.failures.len()
     ));
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

@@ -34,16 +34,14 @@
 //! the campaign is embarrassingly parallel over runs and bit-for-bit
 //! deterministic for a given seed regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, mean_inflation, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{
     DetectorConfig, FaultConfig, GrayConfig, InvariantKind, InvariantObserver, InvariantViolation,
     LinkSchedule, PhiConfig, SlowSchedule, StallSchedule, TransportConfig,
@@ -434,15 +432,6 @@ fn evaluate_run(
         let out = simulate_observed(&set, &sim, &mut obs)
             .expect("paper systems are analyzable under SA/PM");
         obs.check_outcome(&out);
-        let mut inflation_sum = 0.0;
-        let mut inflation_count = 0u64;
-        for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-            .into_iter()
-            .flatten()
-        {
-            inflation_sum += ratio;
-            inflation_count += 1;
-        }
         let dt = &out.detect_stats;
         let stats = ArmStats {
             suspects: dt.suspects,
@@ -456,11 +445,7 @@ fn evaluate_run(
             revivals: dt.revivals,
             forced_releases: dt.forced_releases,
             watchdog_trips: dt.watchdog_trips,
-            mean_inflation: if inflation_count == 0 {
-                f64::NAN
-            } else {
-                inflation_sum / inflation_count as f64
-            },
+            mean_inflation: mean_inflation(&baseline, &out),
             stalled: !out.reached_target,
         };
         (stats, out, obs.violations().to_vec())
@@ -508,34 +493,11 @@ pub fn run_gray(cfg: &GrayStudyConfig) -> GrayOutcome {
             })
         })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<GrayVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let cond_seed = job_seed(cfg.seed, c + 1, r);
-                let verdict = evaluate_run(cfg, cells[c], r, system_seed, cond_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
+    let verdicts = run_grid(cells.len(), cfg.runs_per_cell, cfg.threads, |c, r| {
+        let system_seed = job_seed(cfg.seed, 0, r);
+        let cond_seed = job_seed(cfg.seed, c + 1, r);
+        evaluate_run(cfg, cells[c], r, system_seed, cond_seed)
     });
-    let verdicts: Vec<GrayVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
 
     let cells = cells
         .iter()
@@ -568,7 +530,7 @@ pub fn run_gray(cfg: &GrayStudyConfig) -> GrayOutcome {
                 stalled_runs: 0,
                 invariant_violations: 0,
             };
-            let (mut fx_sum, mut fx_n, mut ad_sum, mut ad_n) = (0.0, 0u64, 0.0, 0u64);
+            let (mut fixed, mut adaptive) = (InflTally::default(), InflTally::default());
             for v in runs {
                 cell.fixed_false_deads += v.fixed.false_deads;
                 cell.fixed_false_dead_gray += v.fixed.false_dead_gray;
@@ -587,21 +549,11 @@ pub fn run_gray(cfg: &GrayStudyConfig) -> GrayOutcome {
                 cell.link_degrades += v.link_degrades;
                 cell.stalled_runs += usize::from(v.fixed.stalled || v.adaptive.stalled);
                 cell.invariant_violations += v.fixed_violations.len() + v.adaptive_violations.len();
-                if v.fixed.mean_inflation.is_finite() {
-                    fx_sum += v.fixed.mean_inflation;
-                    fx_n += 1;
-                }
-                if v.adaptive.mean_inflation.is_finite() {
-                    ad_sum += v.adaptive.mean_inflation;
-                    ad_n += 1;
-                }
+                fixed.absorb_mean(v.fixed.mean_inflation);
+                adaptive.absorb_mean(v.adaptive.mean_inflation);
             }
-            if fx_n > 0 {
-                cell.fixed_inflation = fx_sum / fx_n as f64;
-            }
-            if ad_n > 0 {
-                cell.adaptive_inflation = ad_sum / ad_n as f64;
-            }
+            cell.fixed_inflation = fixed.mean();
+            cell.adaptive_inflation = adaptive.mean();
             cell
         })
         .collect();
@@ -760,14 +712,6 @@ pub fn render(outcome: &GrayOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

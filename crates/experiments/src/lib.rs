@@ -16,7 +16,9 @@
 //! * [`sync`] — the clock-synchronization study: PM's EER inflation
 //!   over drift × latency × sync-period, the achieved clock error, and
 //!   the sync-accuracy threshold at which PM beats MPM/RG again;
-//! * [`grid`] — `(N, U)` result grids with CSV/ASCII rendering.
+//! * [`grid`] — `(N, U)` result grids with CSV/ASCII rendering;
+//! * [`campaign`] — the one thread pool every study runs its
+//!   `(cell, run)` jobs on, deterministic in the thread count.
 //!
 //! The `reproduce` binary drives all of it:
 //!
@@ -44,6 +46,7 @@
 pub mod ablation;
 pub mod admit;
 pub mod adversary;
+pub mod campaign;
 pub mod chaos;
 pub mod compare;
 pub mod convergence;

@@ -18,9 +18,7 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +27,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel, ClockModel, NonidealConfig};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::ViolationKind;
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -109,8 +107,7 @@ pub struct RobustnessCell {
 /// Per-system, per-protocol raw numbers (summed into the cell aggregate).
 #[derive(Clone, Copy, Default)]
 struct Tally {
-    inflation_sum: f64,
-    inflation_count: u64,
+    inflation: InflTally,
     missed: u64,
     measured: u64,
     precedence_violations: u64,
@@ -118,7 +115,7 @@ struct Tally {
 }
 
 /// The nonideal conditions of one grid cell.
-fn cell_conditions(
+pub(crate) fn cell_conditions(
     cfg: &RobustnessConfig,
     drift_ppm: i64,
     latency: i64,
@@ -163,13 +160,7 @@ fn evaluate_system(
             )
             .expect("same system, same analysis");
             let mut tally = Tally::default();
-            for ratio in eer_inflation(&ideal.metrics, &observed.metrics)
-                .into_iter()
-                .flatten()
-            {
-                tally.inflation_sum += ratio;
-                tally.inflation_count += 1;
-            }
+            tally.inflation.absorb(&ideal, &observed);
             for t in observed.metrics.tasks() {
                 tally.missed += t.deadline_misses();
                 tally.measured += t.measured();
@@ -198,42 +189,19 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
         .map(|i| job_seed(cfg.seed, 0, i))
         .collect();
 
-    // Flat job list: (cell index, system index), deterministic seeds.
+    // One job per (cell, system), deterministic seeds.
     let cells: Vec<(i64, i64)> = cfg
         .drift_ppm_values
         .iter()
         .flat_map(|&eps| cfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<Vec<Tally>>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = cells[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let conditions = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
-                let tallies = evaluate_system(&set, cfg, &conditions);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tallies);
-            });
-        }
+    let results = run_grid(cells.len(), cfg.systems_per_config, cfg.threads, |c, s| {
+        let (eps, latency) = cells[c];
+        let mut rng = StdRng::seed_from_u64(system_seeds[s]);
+        let set = generate(&spec, &mut rng).expect("paper spec always generates");
+        let conditions = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
+        evaluate_system(&set, cfg, &conditions)
     });
-    let results: Vec<Vec<Tally>> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
 
     cells
         .iter()
@@ -242,8 +210,7 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
             let mut sums = vec![Tally::default(); Protocol::ALL.len()];
             for s in 0..cfg.systems_per_config {
                 for (p, t) in results[c * cfg.systems_per_config + s].iter().enumerate() {
-                    sums[p].inflation_sum += t.inflation_sum;
-                    sums[p].inflation_count += t.inflation_count;
+                    sums[p].inflation.merge(&t.inflation);
                     sums[p].missed += t.missed;
                     sums[p].measured += t.measured;
                     sums[p].precedence_violations += t.precedence_violations;
@@ -258,11 +225,7 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
                     .zip(&sums)
                     .map(|(&protocol, t)| ProtocolRobustness {
                         protocol,
-                        mean_inflation: if t.inflation_count == 0 {
-                            f64::NAN
-                        } else {
-                            t.inflation_sum / t.inflation_count as f64
-                        },
+                        mean_inflation: t.inflation.mean(),
                         miss_rate: if t.measured == 0 {
                             f64::NAN
                         } else {
@@ -358,14 +321,6 @@ pub fn render(cells: &[RobustnessCell]) -> String {
         }
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

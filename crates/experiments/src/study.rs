@@ -2,9 +2,7 @@
 //! configuration, under every protocol, collecting everything Figures
 //! 12–16 need in one pass per system.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::run_grid;
 use crate::seeding::system_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,29 +214,11 @@ fn evaluate_many(n: usize, u: f64, cfg: &StudyConfig) -> Vec<SystemEval> {
     let seeds: Vec<u64> = (0..cfg.systems_per_config)
         .map(|i| system_seed(cfg.seed, n, u, i))
         .collect();
-    let results: Mutex<Vec<Option<SystemEval>>> = Mutex::new(vec![None; cfg.systems_per_config]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, cfg.systems_per_config.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let mut rng = StdRng::seed_from_u64(seeds[i]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let eval = evaluate_system(&set, cfg);
-                results.lock().expect("no panics while holding the lock")[i] = Some(eval);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|e| e.expect("every index was evaluated"))
-        .collect()
+    run_grid(1, seeds.len(), cfg.threads, |_, i| {
+        let mut rng = StdRng::seed_from_u64(seeds[i]);
+        let set = generate(&spec, &mut rng).expect("paper spec always generates");
+        evaluate_system(&set, cfg)
+    })
 }
 
 fn aggregate(n: usize, u: f64, evals: &[SystemEval]) -> ConfigOutcome {

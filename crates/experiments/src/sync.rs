@@ -29,9 +29,7 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +38,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel, ClockModel, NonidealConfig};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::{SyncConfig, SyncPolicy, SyncStats, ViolationKind};
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -117,33 +115,6 @@ impl SyncStudyConfig {
             * self.latency_values.len()
             * self.systems_per_config
             * (6 + self.sync_periods.len())
-    }
-}
-
-/// Mean-inflation accumulator.
-#[derive(Clone, Copy, Default)]
-struct InflTally {
-    sum: f64,
-    count: u64,
-}
-
-impl InflTally {
-    fn absorb(&mut self, ideal: &SimOutcome, observed: &SimOutcome) {
-        for ratio in eer_inflation(&ideal.metrics, &observed.metrics)
-            .into_iter()
-            .flatten()
-        {
-            self.sum += ratio;
-            self.count += 1;
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -323,36 +294,18 @@ pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
         .iter()
         .flat_map(|&eps| cfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..conditions.len())
-        .flat_map(|c| (0..cfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<SystemTally>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = conditions[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let cell = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
-                let tally = evaluate_system(&set, cfg, &cell);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tally);
-            });
-        }
-    });
-    let results: Vec<SystemTally> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
+    let results = run_grid(
+        conditions.len(),
+        cfg.systems_per_config,
+        cfg.threads,
+        |c, s| {
+            let (eps, latency) = conditions[c];
+            let mut rng = StdRng::seed_from_u64(system_seeds[s]);
+            let set = generate(&spec, &mut rng).expect("paper spec always generates");
+            let cell = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
+            evaluate_system(&set, cfg, &cell)
+        },
+    );
 
     let mut cells = Vec::new();
     let mut summaries = Vec::new();
@@ -363,12 +316,9 @@ pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
         let mut rg = InflTally::default();
         let mut pm_unsynced_precedence = 0;
         for t in systems {
-            pm_unsynced.sum += t.pm_unsynced.sum;
-            pm_unsynced.count += t.pm_unsynced.count;
-            mpm.sum += t.mpm.sum;
-            mpm.count += t.mpm.count;
-            rg.sum += t.rg.sum;
-            rg.count += t.rg.count;
+            pm_unsynced.merge(&t.pm_unsynced);
+            mpm.merge(&t.mpm);
+            rg.merge(&t.rg);
             pm_unsynced_precedence += t.pm_unsynced_precedence;
         }
 
@@ -378,8 +328,7 @@ pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
             let mut agg = PeriodTally::default();
             for t in systems {
                 let pt = &t.per_period[pi];
-                infl.sum += pt.inflation.sum;
-                infl.count += pt.inflation.count;
+                infl.merge(&pt.inflation);
                 agg.precedence_violations += pt.precedence_violations;
                 agg.sync_error_sum += pt.sync_error_sum;
                 agg.sync_error_samples += pt.sync_error_samples;
@@ -545,63 +494,38 @@ pub fn robustness_pm_synced_csv(
         .iter()
         .flat_map(|&eps| rcfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..rcfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<InflTally>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = rcfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = cells[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                // Identical conditions to the unsynced robustness grid
-                // (same derived seeds), plus the sync layer.
-                let mut ni = NonidealConfig::default();
-                let seed = job_seed(rcfg.seed, c + 1, s);
-                if eps > 0 {
-                    ni = ni.with_clocks(ClockModel::Random {
-                        max_offset: Dur::from_ticks(rcfg.max_offset),
-                        max_drift_ppm: eps,
-                        seed,
-                    });
-                }
-                if latency > 0 {
-                    ni = ni.with_channel(
-                        ChannelModel::uniform(Dur::ZERO, Dur::from_ticks(latency))
-                            .with_seed(seed ^ 0x5ca1_ab1e),
-                    );
-                }
-                let base = SimConfig::new(Protocol::PhaseModification)
-                    .with_instances(rcfg.instances_per_task);
-                let ideal = simulate(&set, &base).expect("study systems are analyzable");
-                let synced = simulate(
-                    &set,
-                    &base.clone().with_nonideal(ni).with_sync(
-                        SyncConfig::new(Dur::from_ticks(sync_period)).with_policy(policy),
-                    ),
-                )
-                .expect("same system, same analysis");
-                let mut tally = InflTally::default();
-                tally.absorb(&ideal, &synced);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tally);
-            });
-        }
-    });
-    let results: Vec<InflTally> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
+    let results = run_grid(
+        cells.len(),
+        rcfg.systems_per_config,
+        rcfg.threads,
+        |c, s| {
+            let (eps, latency) = cells[c];
+            let mut rng = StdRng::seed_from_u64(system_seeds[s]);
+            let set = generate(&spec, &mut rng).expect("paper spec always generates");
+            // The unsynced robustness grid's own conditions (same derived
+            // seeds), plus the sync layer.
+            let ni = crate::robustness::cell_conditions(
+                rcfg,
+                eps,
+                latency,
+                job_seed(rcfg.seed, c + 1, s),
+            );
+            let base =
+                SimConfig::new(Protocol::PhaseModification).with_instances(rcfg.instances_per_task);
+            let ideal = simulate(&set, &base).expect("study systems are analyzable");
+            let synced = simulate(
+                &set,
+                &base
+                    .clone()
+                    .with_nonideal(ni)
+                    .with_sync(SyncConfig::new(Dur::from_ticks(sync_period)).with_policy(policy)),
+            )
+            .expect("same system, same analysis");
+            let mut tally = InflTally::default();
+            tally.absorb(&ideal, &synced);
+            tally
+        },
+    );
 
     let mut out = String::from("drift_ppm");
     for l in &rcfg.latency_values {
@@ -613,10 +537,8 @@ pub fn robustness_pm_synced_csv(
         for l in 0..rcfg.latency_values.len() {
             let c = d * rcfg.latency_values.len() + l;
             let mut cell = InflTally::default();
-            for s in 0..rcfg.systems_per_config {
-                let t = &results[c * rcfg.systems_per_config + s];
-                cell.sum += t.sum;
-                cell.count += t.count;
+            for t in &results[c * rcfg.systems_per_config..(c + 1) * rcfg.systems_per_config] {
+                cell.merge(t);
             }
             let v = cell.mean();
             if v.is_finite() {
@@ -628,14 +550,6 @@ pub fn robustness_pm_synced_csv(
         out.push('\n');
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]
@@ -720,5 +634,20 @@ mod tests {
         let ideal = lines.next().unwrap();
         assert!(ideal.starts_with("0,1.0000,"), "{ideal}");
         assert_eq!(csv.lines().count(), 1 + 2);
+    }
+
+    #[test]
+    fn pm_synced_matrix_is_deterministic_across_thread_counts() {
+        let mut rcfg = crate::robustness::RobustnessConfig {
+            drift_ppm_values: vec![0, 50_000],
+            latency_values: vec![0, 20_000],
+            systems_per_config: 2,
+            instances_per_task: 4,
+            threads: 1,
+            ..crate::robustness::RobustnessConfig::default()
+        };
+        let a = robustness_pm_synced_csv(&rcfg, 20_000, SyncPolicy::Step);
+        rcfg.threads = 4;
+        assert_eq!(a, robustness_pm_synced_csv(&rcfg, 20_000, SyncPolicy::Step));
     }
 }

@@ -29,16 +29,14 @@
 //! over runs and bit-for-bit deterministic for a given seed regardless
 //! of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{fmt_f64, mean_inflation, run_grid, InflTally};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{DetectorConfig, FaultConfig, TransportConfig, ViolationKind};
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -265,14 +263,6 @@ fn evaluate_grid_run(
     let baseline = simulate(&set, &grid_sim(cfg, &twin_cell, system_seed))
         .expect("study systems are analyzable under SA/PM");
 
-    let (mut infl_sum, mut infl_n) = (0.0, 0u64);
-    for ratio in eer_inflation(&baseline.metrics, &lossy.metrics)
-        .into_iter()
-        .flatten()
-    {
-        infl_sum += ratio;
-        infl_n += 1;
-    }
     let (missed, measured) = miss_and_measured(&lossy);
     let ts = &lossy.transport_stats;
     GridRun {
@@ -283,11 +273,7 @@ fn evaluate_grid_run(
         lost: lossy.metrics.total_lost(),
         missed,
         measured,
-        inflation: if infl_n == 0 {
-            f64::NAN
-        } else {
-            infl_sum / infl_n as f64
-        },
+        inflation: mean_inflation(&baseline, &lossy),
         stalled: !lossy.reached_target,
     }
 }
@@ -356,32 +342,6 @@ fn evaluate_detector_run(
     }
 }
 
-/// Runs worker threads over `jobs`, filling one slot per job; the result
-/// is deterministic for a given job list regardless of the thread count.
-fn run_jobs<T: Send, F: Fn(usize) -> T + Sync>(count: usize, threads: usize, f: F) -> Vec<T> {
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let threads = threads.clamp(1, count.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= count {
-                    break;
-                }
-                let result = f(j);
-                results.lock().expect("no panics while holding the lock")[j] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
-}
-
 /// Runs the whole study: the drop × timeout × backoff grid (unbounded
 /// retry budget) and the detector leg (random crashes, heartbeat
 /// detection). Bit-for-bit deterministic for a given config regardless
@@ -399,26 +359,23 @@ pub fn run_transport_study(cfg: &TransportStudyConfig) -> TransportOutcome {
         })
         .collect();
 
-    let grid_jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-    let grid_results = run_jobs(grid_jobs.len(), cfg.threads, |j| {
-        let (c, r) = grid_jobs[j];
+    let grid_results = run_grid(cells.len(), cfg.runs_per_cell, cfg.threads, |c, r| {
         evaluate_grid_run(cfg, &cells[c], job_seed(cfg.seed, 0, r))
     });
 
-    let det_jobs: Vec<(usize, usize)> = (0..cfg.protocols.len())
-        .flat_map(|p| (0..cfg.detector_runs).map(move |r| (p, r)))
-        .collect();
-    let det_results = run_jobs(det_jobs.len(), cfg.threads, |j| {
-        let (p, r) = det_jobs[j];
-        evaluate_detector_run(
-            cfg,
-            cfg.protocols[p],
-            job_seed(cfg.seed, 0, r),
-            job_seed(cfg.seed, p + 1, r),
-        )
-    });
+    let det_results = run_grid(
+        cfg.protocols.len(),
+        cfg.detector_runs,
+        cfg.threads,
+        |p, r| {
+            evaluate_detector_run(
+                cfg,
+                cfg.protocols[p],
+                job_seed(cfg.seed, 0, r),
+                job_seed(cfg.seed, p + 1, r),
+            )
+        },
+    );
 
     let cells = cells
         .iter()
@@ -441,7 +398,7 @@ pub fn run_transport_study(cfg: &TransportStudyConfig) -> TransportOutcome {
                 stalls: 0,
             };
             let (mut missed, mut measured) = (0u64, 0u64);
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
+            let mut inflation = InflTally::default();
             for r in runs {
                 cell.sent += r.sent;
                 cell.retransmissions += r.retransmissions;
@@ -451,18 +408,13 @@ pub fn run_transport_study(cfg: &TransportStudyConfig) -> TransportOutcome {
                 cell.stalls += usize::from(r.stalled);
                 missed += r.missed;
                 measured += r.measured;
-                if r.inflation.is_finite() {
-                    infl_sum += r.inflation;
-                    infl_n += 1;
-                }
+                inflation.absorb_mean(r.inflation);
             }
             if measured + cell.lost > 0 {
                 cell.miss_or_loss_ratio =
                     (missed + cell.lost) as f64 / (measured + cell.lost) as f64;
             }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
+            cell.mean_inflation = inflation.mean();
             cell
         })
         .collect();
@@ -611,14 +563,6 @@ pub fn render(outcome: &TransportOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

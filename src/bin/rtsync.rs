@@ -54,12 +54,7 @@ fn run() -> Result<(), String> {
         "simulate" => cmd_simulate(&args[1..]),
         "report" => cmd_report(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "adversary-study" => cmd_adversary_study(&args[1..]),
-        "gray-study" => cmd_gray_study(&args[1..]),
-        "transport-study" => cmd_transport_study(&args[1..]),
-        "sync-study" => cmd_sync_study(&args[1..]),
-        "admit-study" => cmd_admit_study(&args[1..]),
+        "study" => cmd_study(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -92,13 +87,10 @@ fn usage() -> String {
      rtsync trace <file|-> --protocol ds|pm|mpm|rg [--instances N] \
      [--format perfetto|jsonl|gantt] [--counters] [--telemetry] [--window TICKS] \
      [--out FILE] [--sporadic MAX_EXTRA] [--seed S]\n  \
-     rtsync chaos [--runs N] [--smoke] [--adversarial] [--gray] [--transport] [--seed S] \
-     [--threads T] [--out DIR] [--telemetry FILE] [--window TICKS]\n  \
-     rtsync adversary-study [--smoke] [--runs N] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync gray-study [--smoke] [--runs N] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync transport-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync sync-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync admit-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
+     rtsync study <chaos|adversary|gray|transport|sync|admit> [--smoke] [--runs N] \
+     [--seed S] [--threads T] [--out DIR]\n    \
+     (--runs: chaos, adversary and gray only; chaos also takes [--transport] \
+     [--telemetry FILE] [--window TICKS])\n  \
      rtsync bench [--json] [--smoke] [--out FILE] [--profile] \
      [--compare BASELINE] [--tolerance FRAC|scenario=FRAC]"
         .to_string()
@@ -1338,455 +1330,292 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::adversary::AdversaryConfig;
-    use rtsync::experiments::chaos::{
-        render, repro_bundle, run_chaos, runs_csv, to_csv, worst_case_telemetry, ChaosConfig,
+/// The campaigns `rtsync study <name>` runs.
+const STUDIES: [&str; 6] = ["chaos", "adversary", "gray", "transport", "sync", "admit"];
+
+/// Parses a flag value that must be a positive integer.
+fn positive<T>(flag: &str, text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialOrd,
+    T::Err: std::fmt::Display,
+{
+    let value: T = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if value <= T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(value)
+}
+
+/// `rtsync study <name>`: runs one campaign, prints it, writes its CSVs
+/// under `--out`, and fails on a failed verdict.
+fn cmd_study(args: &[String]) -> Result<(), String> {
+    use rtsync::experiments::{admit, adversary, chaos, gray, sync, transport};
+    let name = match args.first() {
+        Some(name) if STUDIES.contains(&name.as_str()) => name.as_str(),
+        Some(other) => return Err(format!("unknown study `{other}`\n{}", usage())),
+        None => return Err(format!("study needs a name\n{}", usage())),
     };
-    let mut runs: Option<usize> = None;
     let mut smoke = false;
-    let mut adversarial = false;
-    let mut gray = false;
-    let mut transport = false;
+    let mut runs: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut out_dir: Option<String> = None;
+    let mut with_transport = false;
     let mut telemetry_out: Option<String> = None;
     let mut window: Option<i64> = None;
-    let mut it = args.iter();
+    let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                )
-            }
             "--smoke" => smoke = true,
-            "--adversarial" => adversarial = true,
-            "--gray" => gray = true,
-            "--transport" => transport = true,
+            "--runs" if matches!(name, "transport" | "sync" | "admit") => {
+                return Err(format!("--runs: study {name} has no runs-per-cell axis"));
+            }
+            "--runs" => runs = Some(positive("--runs", value("--runs")?)?),
             "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
+                let text = value("--seed")?;
+                seed = Some(text.parse().map_err(|e| format!("--seed: {e}"))?);
             }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
+            "--threads" => threads = Some(positive("--threads", value("--threads")?)?),
+            "--out" => out_dir = Some(value("--out")?.clone()),
+            "--transport" if name == "chaos" => with_transport = true,
+            "--telemetry" if name == "chaos" => telemetry_out = Some(value("--telemetry")?.clone()),
+            "--window" if name == "chaos" => {
+                window = Some(positive("--window", value("--window")?)?)
             }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            "--telemetry" => telemetry_out = Some(grab("--telemetry")?.clone()),
-            "--window" => {
-                window = Some(
-                    grab("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}` for study {name}")),
         }
     }
-    if window.is_some_and(|w| w <= 0) {
-        return Err("--window must be positive".to_string());
-    }
-    if adversarial {
-        // Route to the adversarial-time campaign, smoke-sized: chaos is
-        // the exploratory entry point, `adversary-study` runs the full
-        // grid. Transport/telemetry flags apply to crash chaos only.
-        let mut acfg = AdversaryConfig::smoke(runs.unwrap_or(24));
-        if let Some(s) = seed {
-            acfg.seed = s;
-        }
-        if let Some(t) = threads {
-            acfg.threads = t.max(1);
-        }
-        return run_adversary_campaign(&acfg, out_dir.as_deref());
-    }
-    if gray {
-        // Route to the gray-failure campaign, smoke-sized: `gray-study`
-        // runs the full slowdown x stall x link grid.
-        let mut gcfg = rtsync::experiments::gray::GrayStudyConfig::smoke(runs.unwrap_or(16));
-        if let Some(s) = seed {
-            gcfg.seed = s;
-        }
-        if let Some(t) = threads {
-            gcfg.threads = t.max(1);
-        }
-        return run_gray_campaign(&gcfg, out_dir.as_deref());
-    }
-    let mut cfg = if smoke {
-        ChaosConfig::smoke(runs.unwrap_or(25))
-    } else {
-        let mut cfg = ChaosConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.protocols.len() * cfg.mean_uptimes.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
-        }
-        cfg
-    };
-    cfg.transport = transport;
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "chaos campaign: {} runs ({} protocols x {} crash rates x {} runs/cell), seed {:#x}{}",
-        cfg.total_runs(),
-        cfg.protocols.len(),
-        cfg.mean_uptimes.len(),
-        cfg.runs_per_cell,
-        cfg.seed,
-        if cfg.transport {
-            ", endpoint transport + failure detector attached"
-        } else {
-            ""
-        }
-    );
-    let outcome = run_chaos(&cfg);
-    print!("{}", render(&outcome));
-
+    // A full-size `--runs N` keeps the grid and spreads N runs over its
+    // cells (`total_runs / runs_per_cell` of them), rounding up.
+    let full_runs = runs.filter(|_| !smoke);
+    // Create `--out` first: a bad path fails before the campaign runs, and
+    // chaos may write its telemetry capture and repro bundles there.
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let summary = format!("{dir}/chaos_summary.csv");
-        std::fs::write(&summary, to_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        let per_run = format!("{dir}/chaos_runs.csv");
-        std::fs::write(&per_run, runs_csv(&outcome))
-            .map_err(|e| format!("writing {per_run}: {e}"))?;
-        eprintln!("wrote {summary} and {per_run}");
     }
 
-    if let Some(path) = &telemetry_out {
-        match worst_case_telemetry(&cfg, &outcome, window.map(Dur::from_ticks)) {
-            Some((v, report)) => {
-                std::fs::write(path, report.to_csv())
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!(
-                    "wrote {path}: worst run replayed under telemetry ({} windows x {} ticks; \
-                     {} {:?}, system seed {:#x}, fault seed {:#x}: {} missed, {} lost, {} crashes)",
-                    report.windows.len(),
-                    report.width.ticks(),
-                    v.protocol.tag(),
-                    v.policy,
-                    v.system_seed,
-                    v.fault_seed,
-                    v.missed,
-                    v.lost,
-                    v.crashes
-                );
+    // Each arm runs and prints its campaign, then hands back the CSVs to
+    // write and the failed verdict, if any.
+    let (csvs, failure): ([(&str, String); 2], Option<String>) = match name {
+        "chaos" => {
+            let mut cfg = if smoke {
+                chaos::ChaosConfig::smoke(runs.unwrap_or(25))
+            } else {
+                chaos::ChaosConfig::default()
+            };
+            if let Some(total) = full_runs {
+                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
             }
-            None => eprintln!("no chaos runs to capture telemetry from"),
-        }
-    }
-
-    if !outcome.is_clean() {
-        let dir = out_dir.unwrap_or_else(|| ".".to_string());
-        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        for (i, failure) in outcome.failures.iter().enumerate() {
-            let bundle = repro_bundle(&cfg, failure);
-            for (ext, body) in [
-                ("txt", &bundle.summary),
-                ("jsonl", &bundle.jsonl),
-                ("perfetto.json", &bundle.perfetto_json),
-            ] {
-                let path = format!("{dir}/chaos_repro_{i}.{ext}");
-                std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
+            cfg.transport = with_transport;
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "chaos study: {} runs, seed {:#x}",
+                cfg.total_runs(),
+                cfg.seed
+            );
+            let outcome = chaos::run_chaos(&cfg);
+            print!("{}", chaos::render(&outcome));
+            if let Some(path) = &telemetry_out {
+                let width = window.map(Dur::from_ticks);
+                match chaos::worst_case_telemetry(&cfg, &outcome, width) {
+                    Some((v, report)) => {
+                        std::fs::write(path, report.to_csv())
+                            .map_err(|e| format!("writing {path}: {e}"))?;
+                        eprintln!(
+                            "wrote {path}: worst run replayed under telemetry ({} windows x {} \
+                             ticks; {} {:?}, system seed {:#x}, fault seed {:#x}: {} missed, \
+                             {} lost, {} crashes)",
+                            report.windows.len(),
+                            report.width.ticks(),
+                            v.protocol.tag(),
+                            v.policy,
+                            v.system_seed,
+                            v.fault_seed,
+                            v.missed,
+                            v.lost,
+                            v.crashes
+                        );
+                    }
+                    None => eprintln!("no chaos runs to capture telemetry from"),
+                }
             }
-            eprint!("{}", bundle.summary);
-        }
-        return Err(format!(
-            "{} of {} chaos runs violated invariants; repro bundles written to {dir}/",
-            outcome.failures.len(),
-            outcome.verdicts.len()
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_adversary_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::adversary::AdversaryConfig;
-    let mut smoke = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
+            let dir = out_dir.as_deref().unwrap_or(".");
+            for (i, failure) in outcome.failures.iter().enumerate() {
+                let bundle = chaos::repro_bundle(&cfg, failure);
+                for (ext, body) in [
+                    ("txt", &bundle.summary),
+                    ("jsonl", &bundle.jsonl),
+                    ("perfetto.json", &bundle.perfetto_json),
+                ] {
+                    let path = format!("{dir}/chaos_repro_{i}.{ext}");
+                    std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
+                }
+                eprint!("{}", bundle.summary);
+            }
+            let failure = (!outcome.is_clean()).then(|| {
+                format!(
+                    "{} of {} chaos runs violated invariants; repro bundles written to {dir}/",
+                    outcome.failures.len(),
+                    outcome.verdicts.len()
                 )
-            }
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
+            });
+            let csvs = [
+                ("chaos_summary.csv", chaos::to_csv(&outcome)),
+                ("chaos_runs.csv", chaos::runs_csv(&outcome)),
+            ];
+            (csvs, failure)
         }
-    }
-    let mut cfg = if smoke {
-        AdversaryConfig::smoke(runs.unwrap_or(24))
-    } else {
-        let mut cfg = AdversaryConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.liar_counts.len() * cfg.partition_spans.len() * cfg.asym_biases.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
+        "adversary" => {
+            let mut cfg = if smoke {
+                adversary::AdversaryConfig::smoke(runs.unwrap_or(24))
+            } else {
+                adversary::AdversaryConfig::default()
+            };
+            if let Some(total) = full_runs {
+                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
+            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "adversary study: {} runs, seed {:#x}",
+                cfg.total_runs(),
+                cfg.seed
+            );
+            let outcome = adversary::run_adversary(&cfg);
+            print!("{}", adversary::render(&outcome));
+            let failure = (!outcome.is_clean()).then(|| {
+                format!(
+                    "{} of {} adversarial runs violated an armed invariant or stalled",
+                    outcome.failures().len(),
+                    outcome.verdicts.len()
+                )
+            });
+            let csvs = [
+                ("adversary_grid.csv", adversary::grid_csv(&outcome)),
+                ("adversary_summary.csv", adversary::summary_csv(&outcome)),
+            ];
+            (csvs, failure)
         }
-        cfg
+        "gray" => {
+            let mut cfg = if smoke {
+                gray::GrayStudyConfig::smoke(runs.unwrap_or(16))
+            } else {
+                gray::GrayStudyConfig::default()
+            };
+            if let Some(total) = full_runs {
+                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
+            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "gray study: {} runs, seed {:#x}",
+                cfg.total_runs(),
+                cfg.seed
+            );
+            let outcome = gray::run_gray(&cfg);
+            print!("{}", gray::render(&outcome));
+            let failure = if !outcome.is_clean() {
+                Some(format!(
+                    "{} of {} gray runs violated a clock-independent safety invariant",
+                    outcome.failures().len(),
+                    outcome.verdicts.len()
+                ))
+            } else {
+                (!outcome.adaptive_dominates()).then(|| {
+                    "the adaptive detector failed to dominate the fixed cliff on false deads \
+                     in a slowdown-only cell"
+                        .to_string()
+                })
+            };
+            let csvs = [
+                ("gray_grid.csv", gray::grid_csv(&outcome)),
+                ("gray_summary.csv", gray::summary_csv(&outcome)),
+            ];
+            (csvs, failure)
+        }
+        "transport" => {
+            let mut cfg = if smoke {
+                transport::TransportStudyConfig::smoke()
+            } else {
+                transport::TransportStudyConfig::default()
+            };
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "transport study: {} grid runs + {} detector runs, seed {:#x}",
+                cfg.total_grid_runs(),
+                cfg.protocols.len() * cfg.detector_runs,
+                cfg.seed
+            );
+            let outcome = transport::run_transport_study(&cfg);
+            print!("{}", transport::render(&outcome));
+            let failure = (!outcome.is_clean()).then(|| {
+                "transport study saw abandoned frames, lost signals, or stalled runs".to_string()
+            });
+            let csvs = [
+                ("transport_grid.csv", transport::grid_csv(&outcome)),
+                ("transport_summary.csv", transport::summary_csv(&outcome)),
+            ];
+            (csvs, failure)
+        }
+        "sync" => {
+            let mut cfg = if smoke {
+                sync::SyncStudyConfig::smoke()
+            } else {
+                sync::SyncStudyConfig::default()
+            };
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "sync study: {} runs, seed {:#x}",
+                cfg.total_runs(),
+                cfg.seed
+            );
+            let outcome = sync::run_sync_study(&cfg);
+            print!("{}", sync::render(&outcome));
+            let csvs = [
+                ("sync_grid.csv", sync::grid_csv(&outcome)),
+                ("sync_summary.csv", sync::summary_csv(&outcome)),
+            ];
+            (csvs, None)
+        }
+        _ => {
+            let mut cfg = if smoke {
+                admit::AdmitStudyConfig::smoke()
+            } else {
+                admit::AdmitStudyConfig::default()
+            };
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            cfg.threads = threads.unwrap_or(cfg.threads);
+            eprintln!(
+                "admit study: {} runs, seed {:#x}",
+                cfg.total_runs(),
+                cfg.seed
+            );
+            let outcome = admit::run_admit_study(&cfg);
+            print!("{}", admit::render(&outcome));
+            let failure = (!outcome.is_clean()).then(|| {
+                "memoized and from-scratch admission verdicts disagreed on some operation"
+                    .to_string()
+            });
+            let csvs = [
+                ("admit_grid.csv", admit::grid_csv(&outcome)),
+                ("admit_summary.csv", admit::summary_csv(&outcome)),
+            ];
+            (csvs, failure)
+        }
     };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-    run_adversary_campaign(&cfg, out_dir.as_deref())
-}
-
-/// Shared driver of `adversary-study` and `chaos --adversarial`: run
-/// the grid, render it, optionally persist the CSVs, and fail the
-/// process if any armed invariant broke.
-fn run_adversary_campaign(
-    cfg: &rtsync::experiments::adversary::AdversaryConfig,
-    out_dir: Option<&str>,
-) -> Result<(), String> {
-    use rtsync::experiments::adversary::{grid_csv, render, run_adversary, summary_csv};
-    eprintln!(
-        "adversary campaign: {} runs ({} liar levels x {} partition spans x \
-         {} asymmetry biases x {} runs/cell), seed {:#x}",
-        cfg.total_runs(),
-        cfg.liar_counts.len(),
-        cfg.partition_spans.len(),
-        cfg.asym_biases.len(),
-        cfg.runs_per_cell,
-        cfg.seed
-    );
-    let outcome = run_adversary(cfg);
-    print!("{}", render(&outcome));
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/adversary_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/adversary_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
-    if !outcome.is_clean() {
-        return Err(format!(
-            "{} of {} adversarial runs violated an armed invariant or stalled",
-            outcome.failures().len(),
-            outcome.verdicts.len()
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_gray_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::gray::GrayStudyConfig;
-    let mut smoke = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        GrayStudyConfig::smoke(runs.unwrap_or(16))
-    } else {
-        let mut cfg = GrayStudyConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.slow_factors.len() * cfg.stall_spans.len() * cfg.link_drops.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
-        }
-        cfg
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-    run_gray_campaign(&cfg, out_dir.as_deref())
-}
-
-/// Shared driver of `gray-study` and `chaos --gray`: run the grid,
-/// render it, optionally persist the CSVs, and fail the process if any
-/// clock-independent safety invariant broke.
-fn run_gray_campaign(
-    cfg: &rtsync::experiments::gray::GrayStudyConfig,
-    out_dir: Option<&str>,
-) -> Result<(), String> {
-    use rtsync::experiments::gray::{grid_csv, render, run_gray, summary_csv};
-    eprintln!(
-        "gray campaign: {} runs ({} slow factors x {} stall spans x \
-         {} link drops x {} runs/cell), seed {:#x}",
-        cfg.total_runs(),
-        cfg.slow_factors.len(),
-        cfg.stall_spans.len(),
-        cfg.link_drops.len(),
-        cfg.runs_per_cell,
-        cfg.seed
-    );
-    let outcome = run_gray(cfg);
-    print!("{}", render(&outcome));
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/gray_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/gray_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
-    if !outcome.is_clean() {
-        return Err(format!(
-            "{} of {} gray runs violated a clock-independent safety invariant",
-            outcome.failures().len(),
-            outcome.verdicts.len()
-        ));
-    }
-    if !outcome.adaptive_dominates() {
-        return Err(
-            "the adaptive detector failed to dominate the fixed cliff on false deads \
-             in a slowdown-only cell"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
-fn cmd_admit_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::admit::{
-        grid_csv, render, run_admit_study, summary_csv, AdmitStudyConfig,
-    };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        AdmitStudyConfig::smoke()
-    } else {
-        AdmitStudyConfig::default()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "admission study: {} runs over {} shape x mode cells, seed {:#x}",
-        cfg.total_runs(),
-        cfg.shapes.len() * cfg.modes.len(),
-        cfg.seed
-    );
-    let outcome = run_admit_study(&cfg);
-    print!("{}", render(&outcome));
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/admit_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/admit_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
+        for (file, body) in &csvs {
+            let path = format!("{dir}/{file}");
+            std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        eprintln!("wrote {} and {} to {dir}/", csvs[0].0, csvs[1].0);
     }
-
-    if !outcome.is_clean() {
-        return Err(
-            "memoized and from-scratch admission verdicts disagreed on some operation".to_string(),
-        );
-    }
-    Ok(())
+    failure.map_or(Ok(()), Err)
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
@@ -1898,144 +1727,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 cmp.regressions().count()
             ));
         }
-    }
-    Ok(())
-}
-
-fn cmd_transport_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::transport::{
-        grid_csv, render, run_transport_study, summary_csv, TransportStudyConfig,
-    };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        TransportStudyConfig::smoke()
-    } else {
-        TransportStudyConfig::default()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "transport study: {} grid runs + {} detector runs, seed {:#x}",
-        cfg.total_grid_runs(),
-        cfg.protocols.len() * cfg.detector_runs,
-        cfg.seed
-    );
-    let outcome = run_transport_study(&cfg);
-    print!("{}", render(&outcome));
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/transport_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/transport_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
-
-    if !outcome.is_clean() {
-        return Err(
-            "transport study saw abandoned frames, lost signals, or stalled runs".to_string(),
-        );
-    }
-    Ok(())
-}
-
-fn cmd_sync_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::sync::{
-        grid_csv, render, run_sync_study, summary_csv, SyncStudyConfig,
-    };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        SyncStudyConfig::smoke()
-    } else {
-        SyncStudyConfig::default()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "sync study: {} runs over {} drift x latency cells, seed {:#x}",
-        cfg.total_runs(),
-        cfg.drift_ppm_values.len() * cfg.latency_values.len(),
-        cfg.seed
-    );
-    let outcome = run_sync_study(&cfg);
-    print!("{}", render(&outcome));
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/sync_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/sync_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
     }
     Ok(())
 }

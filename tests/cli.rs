@@ -125,6 +125,35 @@ fn unknown_command_fails_with_usage() {
     assert!(stderr(&out).contains("usage"));
 }
 
+/// Asserts a malformed invocation exits 1 with an error (never a panic)
+/// whose text contains `needle`.
+fn fails_with(args: &[&str], needle: &str) {
+    let out = run(args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?}: {err}");
+}
+
+#[test]
+fn malformed_study_flags_fail_loudly() {
+    fails_with(&["study"], "usage");
+    fails_with(&["study", "bogus"], "usage");
+    fails_with(&["study", "--smoke"], "unknown study `--smoke`");
+    fails_with(&["study", "chaos", "--runs", "0"], "--runs");
+    fails_with(&["study", "adversary", "--runs", "0"], "--runs");
+    fails_with(&["study", "gray", "--threads", "0"], "--threads");
+    fails_with(
+        &["study", "chaos", "--smoke", "--threads", "0"],
+        "--threads",
+    );
+    for name in ["transport", "sync", "admit"] {
+        fails_with(&["study", name, "--runs", "5"], "--runs");
+    }
+    // Chaos-only flags stay chaos-only.
+    fails_with(&["study", "gray", "--transport"], "--transport");
+}
+
 #[test]
 fn missing_protocol_for_simulate() {
     let out = run(&["example", "1"]);
@@ -219,6 +248,7 @@ fn chaos_smoke_runs_clean_and_writes_csvs() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let out = run(&[
+        "study",
         "chaos",
         "--smoke",
         "--runs",
