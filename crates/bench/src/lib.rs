@@ -23,7 +23,12 @@
 //! "events" are admit/retire decisions served against the same §5.1
 //! workload (fill + churn), so `events_per_sec` reads as decisions per
 //! second there. DS cells run the engine in SA/DS mode; PM, MPM and RG
-//! share the SA/PM analysis and measure the PM-family mode.
+//! share the SA/PM analysis and measure the PM-family mode. An eighth
+//! `sa_ds` tier, on the DS row only, measures the SA/DS kernel itself:
+//! Algorithm SA/DS over a fixed population of one §5.1 system per cell of
+//! the figure-study grid (N = 2..8 × U = 50..90%, failing systems
+//! included) generated at the bench seed, with IEERT subtask evaluations
+//! as its events.
 //! Numbers are machine-dependent: compare trajectories on one machine,
 //! not absolute values across machines — which is exactly what the
 //! [`compare`] sentry automates: per-iteration timings make a
@@ -47,6 +52,9 @@ use rand::SeedableRng;
 use rtsync_core::analysis::admission::{
     AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
 };
+use rtsync_core::analysis::sa_ds::{analyze_ds, analyze_ds_traced, DsBounds, SweepOrder};
+use rtsync_core::analysis::AnalysisConfig;
+use rtsync_core::error::AnalyzeError;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
@@ -56,7 +64,7 @@ use rtsync_sim::{
     DetectorConfig, EngineProfile, FaultConfig, GrayConfig, LinkSchedule, PartitionSchedule,
     PhiConfig, SlowSchedule, StallSchedule, SyncConfig, TransportConfig,
 };
-use rtsync_workload::{generate, WorkloadSpec};
+use rtsync_workload::{generate, generate_seeded, WorkloadSpec};
 
 /// Workload seed shared with the criterion benches, so both harnesses
 /// measure the same task set.
@@ -160,7 +168,7 @@ pub struct BenchResult {
     /// Protocol tag (`DS`, `PM`, `MPM`, `RG`).
     pub protocol: &'static str,
     /// Scenario tag (`ideal`, `nonideal`, `sync`, `partition`,
-    /// `faults_transport`, `gray`, `admit`).
+    /// `faults_transport`, `gray`, `admit`, `sa_ds`).
     pub scenario: &'static str,
     /// Timed iterations (after one untimed warmup).
     pub iterations: u32,
@@ -246,8 +254,9 @@ impl BenchReport {
 }
 
 /// The six simulator condition tiers in escalating order, plus the
-/// `admit` tier driving the admission-control engine.
-const SCENARIOS: [&str; 7] = [
+/// `admit` tier driving the admission-control engine and the DS-only
+/// `sa_ds` analysis tier.
+const SCENARIOS: [&str; 8] = [
     "ideal",
     "nonideal",
     "sync",
@@ -255,6 +264,7 @@ const SCENARIOS: [&str; 7] = [
     "faults_transport",
     "gray",
     "admit",
+    "sa_ds",
 ];
 
 /// Builds the `SimConfig` of one cell. Seeds are fixed so every
@@ -410,6 +420,76 @@ fn admit_ops(set: &TaskSet, mode: AdmissionMode, churn: usize) -> u64 {
     stats.decisions + stats.retired
 }
 
+/// The `sa_ds` tier's population: one §5.1 system per `(N, U)` cell of
+/// the figure-study grid, generated at the bench seed.
+fn sa_ds_population() -> Vec<TaskSet> {
+    (2..=8)
+        .flat_map(|n| {
+            [0.5, 0.6, 0.7, 0.8, 0.9].map(|u| {
+                generate_seeded(&WorkloadSpec::paper(n, u), WORKLOAD_SEED)
+                    .expect("paper spec generates")
+            })
+        })
+        .collect()
+}
+
+/// IEERT subtask evaluations behind one SA/DS outcome: every subtask of
+/// each completed sweep, plus a failing sweep up to the subtask it failed
+/// at.
+fn ieert_evaluations(set: &TaskSet, outcome: &Result<DsBounds, AnalyzeError>) -> u64 {
+    let per_sweep = set.num_subtasks() as u64;
+    match outcome {
+        Ok(bounds) => bounds.sweeps() * per_sweep,
+        Err(e) => {
+            let cfg = AnalysisConfig::default();
+            let (_, report) = analyze_ds_traced(set, &cfg, SweepOrder::Jacobi)
+                .expect("bench systems fail, never error");
+            let failed_at = set
+                .subtasks()
+                .position(|s| s.id() == e.subtask())
+                .expect("the error names a subtask of the set") as u64;
+            (report.sweeps - 1) * per_sweep + failed_at + 1
+        }
+    }
+}
+
+/// Times one cell: an untimed warmup run fixes the per-iteration event
+/// count, then `iterations` timed runs must each reproduce it.
+fn measure(
+    protocol: Protocol,
+    scenario: &'static str,
+    iterations: u32,
+    mut run: impl FnMut() -> u64,
+) -> BenchResult {
+    let events_per_iter = run();
+    let mut iter_secs = Vec::with_capacity(iterations as usize);
+    for _ in 0..iterations {
+        let start = Instant::now();
+        let events = run();
+        iter_secs.push(start.elapsed().as_secs_f64());
+        assert_eq!(
+            events,
+            events_per_iter,
+            "{}/{scenario} must be deterministic across iterations",
+            protocol.tag()
+        );
+    }
+    let elapsed_secs: f64 = iter_secs.iter().sum();
+    let best_secs = iter_secs.iter().cloned().fold(f64::INFINITY, f64::min);
+    let total_events = events_per_iter * u64::from(iterations);
+    BenchResult {
+        protocol: protocol.tag(),
+        scenario,
+        iterations,
+        events_per_iter,
+        elapsed_secs,
+        events_per_sec: total_events as f64 / elapsed_secs.max(1e-9),
+        iter_secs,
+        best_events_per_sec: events_per_iter as f64 / best_secs.max(1e-9),
+        profile: None,
+    }
+}
+
 /// The shared benchmark task set (§5.1 workload, random phases).
 pub fn bench_task_set() -> TaskSet {
     let mut rng = StdRng::seed_from_u64(WORKLOAD_SEED);
@@ -437,78 +517,55 @@ pub fn run_suite(smoke: bool) -> BenchReport {
 pub fn run_suite_opts(smoke: bool, profile: bool) -> BenchReport {
     let (instances, iterations) = if smoke { (8, 1) } else { (50, 5) };
     let set = bench_task_set();
+    let population = sa_ds_population();
     let mut results = Vec::new();
     for protocol in Protocol::ALL {
         for scenario in SCENARIOS {
-            if scenario == "admit" {
-                // The admission tier measures the engine, not the
-                // simulator: events are admit/retire decisions.
-                let mode = match protocol {
-                    Protocol::DirectSync => AdmissionMode::DirectSync,
-                    _ => AdmissionMode::PmFamily,
-                };
-                let churn = instances as usize * 10;
-                let events_per_iter = admit_ops(&set, mode, churn);
-                let mut iter_secs = Vec::with_capacity(iterations as usize);
-                for _ in 0..iterations {
-                    let start = Instant::now();
-                    let ops = admit_ops(&set, mode, churn);
-                    iter_secs.push(start.elapsed().as_secs_f64());
-                    assert_eq!(
-                        ops, events_per_iter,
-                        "admission engine must be deterministic across iterations"
-                    );
+            let result = match scenario {
+                "admit" => {
+                    // The admission tier measures the engine, not the
+                    // simulator: events are admit/retire decisions.
+                    let mode = match protocol {
+                        Protocol::DirectSync => AdmissionMode::DirectSync,
+                        _ => AdmissionMode::PmFamily,
+                    };
+                    let churn = instances as usize * 10;
+                    measure(protocol, scenario, iterations, || {
+                        admit_ops(&set, mode, churn)
+                    })
                 }
-                let elapsed_secs: f64 = iter_secs.iter().sum();
-                let best_secs = iter_secs.iter().cloned().fold(f64::INFINITY, f64::min);
-                let total_events = events_per_iter * u64::from(iterations);
-                results.push(BenchResult {
-                    protocol: protocol.tag(),
-                    scenario,
-                    iterations,
-                    events_per_iter,
-                    elapsed_secs,
-                    events_per_sec: total_events as f64 / elapsed_secs.max(1e-9),
-                    iter_secs,
-                    best_events_per_sec: events_per_iter as f64 / best_secs.max(1e-9),
-                    profile: None,
-                });
-                continue;
-            }
-            let cfg = cell_config(protocol, scenario, instances);
-            // Warmup: touches the page cache and verifies the cell runs.
-            let events_per_iter = simulate(&set, &cfg)
-                .expect("benchmark cell simulates")
-                .events;
-            let mut iter_secs = Vec::with_capacity(iterations as usize);
-            for _ in 0..iterations {
-                let start = Instant::now();
-                let out = simulate(&set, &cfg).expect("benchmark cell simulates");
-                iter_secs.push(start.elapsed().as_secs_f64());
-                assert_eq!(
-                    out.events, events_per_iter,
-                    "simulator must be deterministic across iterations"
-                );
-            }
-            let elapsed_secs: f64 = iter_secs.iter().sum();
-            let best_secs = iter_secs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let total_events = events_per_iter * u64::from(iterations);
-            let cell_profile = profile.then(|| {
-                simulate_profiled(&set, &cfg)
-                    .expect("benchmark cell simulates")
-                    .1
-            });
-            results.push(BenchResult {
-                protocol: protocol.tag(),
-                scenario,
-                iterations,
-                events_per_iter,
-                elapsed_secs,
-                events_per_sec: total_events as f64 / elapsed_secs.max(1e-9),
-                iter_secs,
-                best_events_per_sec: events_per_iter as f64 / best_secs.max(1e-9),
-                profile: cell_profile,
-            });
+                "sa_ds" if protocol == Protocol::DirectSync => {
+                    let cfg = AnalysisConfig::default();
+                    let expected: Vec<_> = population.iter().map(|s| analyze_ds(s, &cfg)).collect();
+                    let evaluations = population
+                        .iter()
+                        .zip(&expected)
+                        .map(|(s, outcome)| ieert_evaluations(s, outcome))
+                        .sum();
+                    measure(protocol, scenario, iterations, || {
+                        let outcomes: Vec<_> =
+                            population.iter().map(|s| analyze_ds(s, &cfg)).collect();
+                        assert!(outcomes == expected, "SA/DS must be deterministic");
+                        evaluations
+                    })
+                }
+                "sa_ds" => continue,
+                _ => {
+                    let cfg = cell_config(protocol, scenario, instances);
+                    let mut result = measure(protocol, scenario, iterations, || {
+                        simulate(&set, &cfg)
+                            .expect("benchmark cell simulates")
+                            .events
+                    });
+                    result.profile = profile.then(|| {
+                        simulate_profiled(&set, &cfg)
+                            .expect("benchmark cell simulates")
+                            .1
+                    });
+                    result
+                }
+            };
+            results.push(result);
         }
     }
     BenchReport {
@@ -526,7 +583,11 @@ mod tests {
     #[test]
     fn smoke_suite_runs_every_cell_and_serializes() {
         let report = run_suite(true);
-        assert_eq!(report.results.len(), Protocol::ALL.len() * SCENARIOS.len());
+        // Every protocol runs every tier but `sa_ds`, which is DS-only.
+        assert_eq!(
+            report.results.len(),
+            Protocol::ALL.len() * (SCENARIOS.len() - 1) + 1
+        );
         for r in &report.results {
             assert!(
                 r.events_per_iter > 0,
@@ -555,6 +616,14 @@ mod tests {
             .map(|r| r.events_per_iter)
             .collect();
         assert!(pm_family.windows(2).all(|w| w[0] == w[1]));
+        // The SA/DS tier runs on the DS row only.
+        let sa_ds: Vec<&BenchResult> = report
+            .results
+            .iter()
+            .filter(|r| r.scenario == "sa_ds")
+            .collect();
+        assert_eq!(sa_ds.len(), 1);
+        assert_eq!(sa_ds[0].protocol, "DS");
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"schema\": \"rtsync-bench-v2\""));
         assert!(json.contains("\"provenance\""));
@@ -569,6 +638,27 @@ mod tests {
             parsed.get("schema").unwrap().as_str(),
             Some("rtsync-bench-v2")
         );
+    }
+
+    #[test]
+    fn sa_ds_population_spans_the_grid_and_includes_failures() {
+        let cfg = AnalysisConfig::default();
+        let population = sa_ds_population();
+        assert_eq!(population.len(), 35);
+        let outcomes: Vec<_> = population.iter().map(|s| analyze_ds(s, &cfg)).collect();
+        assert!(outcomes.iter().any(Result::is_ok));
+        assert!(outcomes
+            .iter()
+            .any(|o| o.as_ref().is_err_and(AnalyzeError::is_failure)));
+        for (set, outcome) in population.iter().zip(&outcomes) {
+            let evaluations = ieert_evaluations(set, outcome);
+            let per_sweep = set.num_subtasks() as u64;
+            match outcome {
+                Ok(bounds) => assert_eq!(evaluations, bounds.sweeps() * per_sweep),
+                // A failing run stops inside its last sweep.
+                Err(_) => assert!(evaluations >= 1),
+            }
+        }
     }
 
     #[test]

@@ -170,10 +170,12 @@ pub fn fixed_point_counted(
 /// larger than the natural starting point `W(0⁺)`.
 ///
 /// The caller must guarantee `hint` does not exceed the least fixed point,
-/// or the result may be a larger fixed point. The analyses use the previous
-/// instance's completion time as the hint (`C(m−1) ≤ C(m)` for the
-/// monotone per-instance equations), which cuts the iteration count of the
-/// inner loops of SA/PM and IEERT roughly in half.
+/// or the result may be a larger fixed point. SA/PM hints each instance
+/// with the previous instance's completion time (`C(m−1) ≤ C(m)` for the
+/// monotone per-instance equations). The IEERT kernel also hints with the
+/// busy period and completions of the previous sweep, which are valid
+/// because the jitters only grow between sweeps; see
+/// [`crate::analysis::ieert`].
 pub fn fixed_point_with_hint(
     hint: Dur,
     offset: Dur,

@@ -19,10 +19,41 @@
 //! `R_{u,0}` (the "IEER of the predecessor of a first subtask") is zero.
 //!
 //! [`crate::analysis::sa_ds`] iterates sweeps to the least fixed point.
+//!
+//! # The kernel
+//!
+//! Every SA/DS run builds one `IeertKernel` and keeps it across its
+//! sweeps; [`ieert_pass`] and [`ieert_pass_gauss_seidel`] are one-sweep
+//! wrappers over a fresh one. The kernel computes each subtask's period,
+//! execution, blocking bound and interferer list once per run, and returns
+//! exactly what the literal algorithm above returns (the differential tests
+//! in `tests/ieert_kernel.rs` hold it to that) while doing less work:
+//!
+//! * **Warm hints.** It caches each subtask's last busy period `D` and
+//!   completions `C(m)`, and seeds the next evaluation's step 1 at `D` and
+//!   instance `m` at `max(C_this(m−1), C_prev(m))`. All demand is
+//!   monotone in the jitters, so raising jitters can only raise the least
+//!   fixed point of every equation: a solution found under jitters that
+//!   are all ≤ the current ones is a valid lower hint for
+//!   [`fixed_point_with_hint`]. Sweeps from a seed at or below the least
+//!   fixed point only raise the bounds — the monotone-growth contract
+//!   [`IeerBounds::seed_with`] relies on — and if some jitter ever drops
+//!   (a caller-supplied seed above a first-sweep value) the subtask's
+//!   cache is discarded before use.
+//! * **Exact early stop.** For `m ≤ M`, `D` is a post-fixed point of
+//!   instance `m`'s equation (its demand at `D` is at most the busy
+//!   period's), so `C(m) ≤ D` and hence
+//!   `C(m) ≤ D ⇒ R(m) ≤ D + J − (m−1)p`. That bound falls with `m`; once
+//!   it is `≤` the running maximum, no later instance can raise the
+//!   maximum or trip the failure cap, and the loop stops.
+//!
+//! Warm searches take no more iterations than cold ones, so the only
+//! conceivable difference is a cold search exhausting
+//! `max_fixed_point_iterations` (10⁶ by default, a backstop) where the
+//! warm one converges.
 
 use crate::analysis::busy_period::{
-    fixed_point, fixed_point_with_hint, utilization_ppm, DemandTerm, FixedPointFailure,
-    FixedPointLimits,
+    fixed_point_with_hint, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
 };
 use crate::analysis::sa_pm::map_failure;
 use crate::analysis::AnalysisConfig;
@@ -136,7 +167,8 @@ impl IeerBounds {
 }
 
 /// One Jacobi sweep: every new bound is computed from the *input* bounds,
-/// exactly as the pseudo-code of Figure 10 reads.
+/// exactly as the pseudo-code of Figure 10 reads. A one-sweep wrapper over
+/// a fresh (cold) IEERT kernel (see the module docs).
 ///
 /// # Errors
 ///
@@ -148,12 +180,7 @@ pub fn ieert_pass(
     cfg: &AnalysisConfig,
 ) -> Result<IeerBounds, AnalyzeError> {
     let mut next = current.clone();
-    for task in set.tasks() {
-        for sub in task.subtasks() {
-            let value = subtask_ieer(set, sub.id(), current, cfg)?;
-            next.set(sub.id(), value);
-        }
-    }
+    IeertKernel::new(set, cfg).jacobi(current, &mut next)?;
     Ok(next)
 }
 
@@ -167,101 +194,195 @@ pub fn ieert_pass_gauss_seidel(
     cfg: &AnalysisConfig,
 ) -> Result<IeerBounds, AnalyzeError> {
     let mut state = current.clone();
-    for task in set.tasks() {
-        for sub in task.subtasks() {
-            let value = subtask_ieer(set, sub.id(), &state, cfg)?;
-            state.set(sub.id(), value);
-        }
-    }
+    IeertKernel::new(set, cfg).gauss_seidel(&mut state)?;
     Ok(state)
 }
 
-/// Steps 1–4 of Figure 10 for one subtask.
-fn subtask_ieer(
-    set: &TaskSet,
+/// The IEERT sweep operator of one SA/DS run, built once and kept across
+/// its sweeps so every fixed point after the first starts warm (see the
+/// module docs for the hint contract and the early-stop lemma).
+pub(crate) struct IeertKernel {
+    cfg: AnalysisConfig,
+    subtasks: Vec<SubtaskKernel>,
+}
+
+/// Steps 1–4 of Figure 10 for one subtask: its constants, hoisted out of
+/// the sweeps, plus the fixed points its last evaluation found.
+struct SubtaskKernel {
     id: SubtaskId,
-    bounds: &IeerBounds,
-    cfg: &AnalysisConfig,
-) -> Result<Dur, AnalyzeError> {
-    let me = set.subtask(id);
-    let period = set.task(id.task()).period();
-    let own_jitter = bounds.predecessor_bound(id);
+    period: Dur,
+    execution: Dur,
+    /// Blocking by lower-priority non-preemptive work (zero in the paper's
+    /// fully preemptive base model).
+    blocking: Dur,
+    /// `failure_factor × period`.
+    cap: Dur,
+    /// Demand terms: the interferers in `H_{i,j}`, then the subtask's own
+    /// term last. Jitters are those of the last evaluation.
+    terms: Vec<DemandTerm>,
+    /// The subtask whose IEER bound is each term's jitter (the term's
+    /// predecessor; `None` for a first subtask).
+    jitter_sources: Vec<Option<SubtaskId>>,
+    /// The last busy-period length `D` (zero before the first evaluation).
+    busy: Dur,
+    /// The last per-instance completions: `completions[m − 1] = C(m)`.
+    completions: Vec<Dur>,
+}
 
-    let interference: Vec<DemandTerm> = set
-        .interference_set(id)
-        .into_iter()
-        .map(|sid| {
-            DemandTerm::jittered(
-                set.task(sid.task()).period(),
-                set.subtask(sid).execution(),
-                bounds.predecessor_bound(sid),
-            )
-        })
-        .collect();
-
-    // Blocking by lower-priority non-preemptive work (zero in the paper's
-    // fully preemptive base model).
-    let blocking = set.blocking_bound(id);
-
-    // Step 1: busy-period duration with jittered demand.
-    let mut with_self = interference.clone();
-    with_self.push(DemandTerm::jittered(period, me.execution(), own_jitter));
-    let busy_cap = busy_period_cap(&with_self, cfg);
-    let limits = FixedPointLimits::new(busy_cap, cfg.max_fixed_point_iterations);
-    let duration = fixed_point(blocking, &with_self, limits).map_err(|f| match f {
-        FixedPointFailure::ExceedsCap => {
-            if utilization_ppm(&with_self) >= 1_000_000 {
-                AnalyzeError::Overload {
-                    subtask: id,
-                    utilization_ppm: utilization_ppm(&with_self),
+impl IeertKernel {
+    pub(crate) fn new(set: &TaskSet, cfg: &AnalysisConfig) -> IeertKernel {
+        let subtasks = set
+            .subtasks()
+            .map(|sub| {
+                let id = sub.id();
+                let period = set.task(id.task()).period();
+                let (mut terms, mut jitter_sources): (Vec<_>, Vec<_>) = set
+                    .interference_set(id)
+                    .into_iter()
+                    .map(|sid| {
+                        let term = DemandTerm::periodic(
+                            set.task(sid.task()).period(),
+                            set.subtask(sid).execution(),
+                        );
+                        (term, sid.predecessor())
+                    })
+                    .unzip();
+                terms.push(DemandTerm::periodic(period, sub.execution()));
+                jitter_sources.push(id.predecessor());
+                SubtaskKernel {
+                    id,
+                    period,
+                    execution: sub.execution(),
+                    blocking: set.blocking_bound(id),
+                    cap: cfg.cap_for_period(period),
+                    terms,
+                    jitter_sources,
+                    busy: Dur::ZERO,
+                    completions: Vec::new(),
                 }
-            } else {
-                // Below capacity but the jitter terms alone exceed the cap:
-                // the bounds have blown up — a failure, not an overload.
-                AnalyzeError::BoundExceedsCap {
-                    subtask: id,
-                    cap: busy_cap,
-                }
-            }
-        }
-        other => map_failure(other, id, busy_cap),
-    })?;
-
-    // Step 2: instances to examine.
-    let instances = duration
-        .checked_add(own_jitter)
-        .ok_or(AnalyzeError::ArithmeticOverflow { subtask: id })?
-        .ceil_div(period)
-        .max(1);
-
-    // Step 3: per-instance completion and IEER times.
-    let limits = FixedPointLimits::new(duration, cfg.max_fixed_point_iterations);
-    let cap = cfg.cap_for_period(period);
-    let mut worst = Dur::ZERO;
-    let mut prev_completion = Dur::ZERO;
-    for m in 1..=instances {
-        let offset = me
-            .execution()
-            .checked_mul(m)
-            .and_then(|x| x.checked_add(blocking))
-            .ok_or(AnalyzeError::ArithmeticOverflow { subtask: id })?;
-        let completion = fixed_point_with_hint(prev_completion, offset, &interference, limits)
-            .map_err(|f| map_failure(f, id, duration))?;
-        prev_completion = completion;
-        let ieer = completion
-            .checked_add(own_jitter)
-            .ok_or(AnalyzeError::ArithmeticOverflow { subtask: id })?
-            - period * (m - 1);
-        worst = worst.max(ieer);
-        // Once the per-instance IEER already exceeds the failure cap there
-        // is no point examining further instances this sweep: the outer
-        // SA/DS loop will declare failure anyway.
-        if worst > cap {
-            return Err(AnalyzeError::BoundExceedsCap { subtask: id, cap });
+            })
+            .collect();
+        IeertKernel {
+            cfg: *cfg,
+            subtasks,
         }
     }
 
-    Ok(worst)
+    /// One Jacobi sweep: `next[s] = IEERT(current)[s]` for every subtask.
+    pub(crate) fn jacobi(
+        &mut self,
+        current: &IeerBounds,
+        next: &mut IeerBounds,
+    ) -> Result<(), AnalyzeError> {
+        for sub in &mut self.subtasks {
+            let value = sub.ieer(current, &self.cfg)?;
+            next.set(sub.id, value);
+        }
+        Ok(())
+    }
+
+    /// One Gauss–Seidel sweep, updating `state` in place.
+    pub(crate) fn gauss_seidel(&mut self, state: &mut IeerBounds) -> Result<(), AnalyzeError> {
+        for sub in &mut self.subtasks {
+            let value = sub.ieer(state, &self.cfg)?;
+            state.set(sub.id, value);
+        }
+        Ok(())
+    }
+}
+
+impl SubtaskKernel {
+    /// Steps 1–4 of Figure 10 under the jitters in `bounds`.
+    fn ieer(&mut self, bounds: &IeerBounds, cfg: &AnalysisConfig) -> Result<Dur, AnalyzeError> {
+        let id = self.id;
+        let overflow = || AnalyzeError::ArithmeticOverflow { subtask: id };
+
+        // Cached fixed points stay valid lower hints only while no jitter
+        // they were solved under has since dropped.
+        let mut warm = true;
+        for (term, source) in self.terms.iter_mut().zip(&self.jitter_sources) {
+            let jitter = source.map_or(Dur::ZERO, |p| bounds.get(p));
+            warm &= jitter >= term.jitter;
+            term.jitter = jitter;
+        }
+        if !warm {
+            self.busy = Dur::ZERO;
+            self.completions.clear();
+        }
+        let (own, interference) = self.terms.split_last().expect("own term is last");
+        let own_jitter = own.jitter;
+
+        // Step 1: busy-period duration with jittered demand.
+        let busy_cap = busy_period_cap(&self.terms, cfg);
+        let limits = FixedPointLimits::new(busy_cap, cfg.max_fixed_point_iterations);
+        let duration = fixed_point_with_hint(self.busy, self.blocking, &self.terms, limits)
+            .map_err(|f| match f {
+                FixedPointFailure::ExceedsCap => {
+                    let utilization_ppm = utilization_ppm(&self.terms);
+                    if utilization_ppm >= 1_000_000 {
+                        AnalyzeError::Overload {
+                            subtask: id,
+                            utilization_ppm,
+                        }
+                    } else {
+                        // Below capacity but the jitter terms alone exceed
+                        // the cap: the bounds have blown up — a failure,
+                        // not an overload.
+                        AnalyzeError::BoundExceedsCap {
+                            subtask: id,
+                            cap: busy_cap,
+                        }
+                    }
+                }
+                other => map_failure(other, id, busy_cap),
+            })?;
+        self.busy = duration;
+
+        // Step 2: instances to examine.
+        let reach = duration.checked_add(own_jitter).ok_or_else(overflow)?;
+        let instances = reach.ceil_div(self.period).max(1);
+
+        // Steps 3–4: per-instance completion and IEER times, maximized.
+        let limits = FixedPointLimits::new(duration, cfg.max_fixed_point_iterations);
+        let mut worst = Dur::ZERO;
+        let mut prev_completion = Dur::ZERO;
+        for m in 1..=instances {
+            let release = self.period * (m - 1);
+            // Early stop: C(m) ≤ D, so R(m) ≤ D + J − (m−1)p, which only
+            // falls with m. Once it is ≤ worst no later instance can raise
+            // the maximum or trip the cap.
+            if reach - release <= worst {
+                break;
+            }
+            let offset = self
+                .execution
+                .checked_mul(m)
+                .and_then(|x| x.checked_add(self.blocking))
+                .ok_or_else(overflow)?;
+            let slot = (m - 1) as usize;
+            let hint = prev_completion.max(self.completions.get(slot).copied().unwrap_or_default());
+            let completion = fixed_point_with_hint(hint, offset, interference, limits)
+                .map_err(|f| map_failure(f, id, duration))?;
+            match self.completions.get_mut(slot) {
+                Some(cached) => *cached = completion,
+                None => self.completions.push(completion),
+            }
+            prev_completion = completion;
+            let ieer = completion.checked_add(own_jitter).ok_or_else(overflow)? - release;
+            worst = worst.max(ieer);
+            // Once the per-instance IEER already exceeds the failure cap
+            // there is no point examining further instances this sweep:
+            // the outer SA/DS loop will declare failure anyway.
+            if worst > self.cap {
+                return Err(AnalyzeError::BoundExceedsCap {
+                    subtask: id,
+                    cap: self.cap,
+                });
+            }
+        }
+
+        Ok(worst)
+    }
 }
 
 /// Busy-period search limit: base periods scaled by the failure factor,

@@ -37,7 +37,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::analysis::ieert::{ieert_pass, ieert_pass_gauss_seidel, IeerBounds};
+use crate::analysis::ieert::{IeerBounds, IeertKernel};
 use crate::analysis::AnalysisConfig;
 use crate::error::AnalyzeError;
 use crate::task::{SubtaskId, TaskId, TaskSet};
@@ -52,7 +52,7 @@ pub enum SweepOrder {
     Jacobi,
     /// Bounds updated earlier in a sweep are visible later in the same
     /// sweep. Same least fixed point, fewer sweeps (ablation; see the
-    /// `gauss_seidel_agrees_with_jacobi` test and the Criterion bench).
+    /// `gauss_seidel_agrees_with_jacobi` test).
     GaussSeidel,
 }
 
@@ -147,19 +147,60 @@ pub fn analyze_ds_seeded(
     order: SweepOrder,
     seed: IeerBounds,
 ) -> Result<DsBounds, AnalyzeError> {
+    sweep_to_fixed_point(set, cfg, order, seed, None)
+}
+
+/// The SA/DS outer loop behind every entry point: IEERT sweeps of one
+/// [`IeertKernel`] from `seed` until the bounds repeat, recording each
+/// sweep into `trace` when one is given.
+fn sweep_to_fixed_point(
+    set: &TaskSet,
+    cfg: &AnalysisConfig,
+    order: SweepOrder,
+    seed: IeerBounds,
+    mut trace: Option<&mut IeertReport>,
+) -> Result<DsBounds, AnalyzeError> {
+    let task_bounds = |b: &IeerBounds| -> Vec<Dur> {
+        (0..set.num_tasks())
+            .map(|i| b.task_bound(TaskId::new(i)))
+            .collect()
+    };
+    let mut kernel = IeertKernel::new(set, cfg);
     let mut bounds = seed;
+    let mut next = bounds.clone();
+    if let Some(report) = trace.as_deref_mut() {
+        report.trajectory.push(task_bounds(&bounds));
+    }
     for sweep in 1..=cfg.max_outer_iterations {
-        let next = match order {
-            SweepOrder::Jacobi => ieert_pass(set, &bounds, cfg)?,
-            SweepOrder::GaussSeidel => ieert_pass_gauss_seidel(set, &bounds, cfg)?,
-        };
+        if let Some(report) = trace.as_deref_mut() {
+            report.sweeps = sweep;
+        }
+        match order {
+            SweepOrder::Jacobi => kernel.jacobi(&bounds, &mut next)?,
+            SweepOrder::GaussSeidel => {
+                next.clone_from(&bounds);
+                kernel.gauss_seidel(&mut next)?;
+            }
+        }
+        if let Some(report) = trace.as_deref_mut() {
+            let delta = set
+                .subtasks()
+                .map(|s| next.get(s.id()) - bounds.get(s.id()))
+                .max()
+                .unwrap_or(Dur::ZERO);
+            report.deltas.push(delta);
+            report.trajectory.push(task_bounds(&next));
+        }
         if next == bounds {
+            if let Some(report) = trace {
+                report.converged = true;
+            }
             return Ok(DsBounds {
                 bounds,
                 sweeps: sweep,
             });
         }
-        bounds = next;
+        std::mem::swap(&mut bounds, &mut next);
     }
     // Still growing after the sweep budget: treat as the failure outcome,
     // attributed to the subtask with the largest bound-to-period ratio.
@@ -257,54 +298,15 @@ pub fn analyze_ds_traced(
     cfg: &AnalysisConfig,
     order: SweepOrder,
 ) -> Result<(Option<DsBounds>, IeertReport), AnalyzeError> {
-    let task_bounds = |b: &IeerBounds| -> Vec<Dur> {
-        (0..set.num_tasks())
-            .map(|i| b.task_bound(TaskId::new(i)))
-            .collect()
-    };
-    let mut bounds = IeerBounds::seed(set);
-    let mut report = IeertReport {
-        sweeps: 0,
-        converged: false,
-        trajectory: vec![task_bounds(&bounds)],
-        deltas: Vec::new(),
-    };
-    for sweep in 1..=cfg.max_outer_iterations {
-        let next = match order {
-            SweepOrder::Jacobi => ieert_pass(set, &bounds, cfg),
-            SweepOrder::GaussSeidel => ieert_pass_gauss_seidel(set, &bounds, cfg),
-        };
-        let next = match next {
-            Ok(next) => next,
-            // The failure criterion fired mid-sweep: the bounds grew past
-            // `failure_factor × period` — record what we saw and stop.
-            Err(e) if e.is_failure() => {
-                report.sweeps = sweep;
-                return Ok((None, report));
-            }
-            Err(e) => return Err(e),
-        };
-        report.sweeps = sweep;
-        let delta = set
-            .subtasks()
-            .map(|s| next.get(s.id()) - bounds.get(s.id()))
-            .max()
-            .unwrap_or(Dur::ZERO);
-        report.deltas.push(delta);
-        report.trajectory.push(task_bounds(&next));
-        if next == bounds {
-            report.converged = true;
-            return Ok((
-                Some(DsBounds {
-                    bounds,
-                    sweeps: sweep,
-                }),
-                report,
-            ));
-        }
-        bounds = next;
+    let mut report = IeertReport::default();
+    match sweep_to_fixed_point(set, cfg, order, IeerBounds::seed(set), Some(&mut report)) {
+        Ok(bounds) => Ok((Some(bounds), report)),
+        // The failure criterion fired (the bounds grew past
+        // `failure_factor × period`) or the sweep budget ran out: the
+        // report holds what was seen up to that point.
+        Err(e) if e.is_failure() => Ok((None, report)),
+        Err(e) => Err(e),
     }
-    Ok((None, report))
 }
 
 fn worst_ratio_subtask(set: &TaskSet, bounds: &IeerBounds) -> SubtaskId {

@@ -1668,7 +1668,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 
     eprintln!(
         "bench suite: every protocol x {{ideal, nonideal, sync, partition, faults_transport, \
-         gray, admit}}{}",
+         gray, admit}}, plus DS x sa_ds{}",
         if smoke {
             " (smoke: reduced workload, numbers are a crash canary only)"
         } else {
