@@ -1,5 +1,5 @@
 //! One benchmark per evaluation figure: each measures the per-system
-//! kernel that the `reproduce` binary scales up to the paper's 35
+//! kernel that `rtsync study figures` scales up to the paper's 35
 //! configurations × 1000 systems (Figures 12–16).
 
 use std::hint::black_box;

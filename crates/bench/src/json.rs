@@ -1,11 +1,28 @@
 //! A minimal JSON reader for the regression sentry — just enough to
 //! parse `BENCH_sim.json` baselines (the workspace carries no serde,
 //! and every writer here hand-rolls its JSON; this is the matching
-//! hand-rolled reader).
+//! hand-rolled reader, plus the string escape the writers share).
 //!
 //! Full JSON value grammar: objects, arrays, strings with the standard
 //! escapes, numbers via `f64`, `true`/`false`/`null`. Errors carry a
 //! byte offset so a truncated or doctored baseline fails loudly.
+
+/// Escapes a string for embedding in a JSON document.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Objects preserve key order (harmless here and
 /// keeps the parser allocation-simple).

@@ -35,8 +35,7 @@
 //! noise-aware best-of-N comparison against the committed baseline, and
 //! `rtsync bench --compare` exits nonzero on regression. The
 //! `rtsync-bench-v2` JSON schema carries [`Provenance`] (git describe,
-//! seed, wall-clock timestamp, host) following the convention of
-//! `results/reproduce_run.txt`, plus an optional engine self-profile per
+//! seed, wall-clock timestamp, host), plus an optional engine self-profile per
 //! cell (`rtsync bench --profile`, see `rtsync_sim::perf`).
 
 #![forbid(unsafe_code)]
@@ -73,8 +72,7 @@ const WORKLOAD_TASKS: usize = 4;
 const WORKLOAD_UTILIZATION: f64 = 0.7;
 
 /// Where the measurement came from: enough context to judge whether two
-/// baselines are comparable, following the `results/reproduce_run.txt`
-/// convention (command, git, seed, config).
+/// baselines are comparable (command, git, seed, config).
 #[derive(Clone, Debug)]
 pub struct Provenance {
     /// `git describe --always --dirty` at measurement time (`unknown`
@@ -145,23 +143,6 @@ fn utc_string(secs: u64) -> String {
     format!("{y:04}-{m:02}-{d:02}T{hh:02}:{mm:02}:{ss:02}Z")
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One measured cell of the suite.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
@@ -214,10 +195,10 @@ impl BenchReport {
         let p = &self.provenance;
         out.push_str(&format!(
             "  \"provenance\": {{\"git\": \"{}\", \"timestamp_unix\": {}, \"timestamp_utc\": \"{}\", \"host\": \"{}\", \"parallelism\": {}, \"seed\": {}}},\n",
-            json_escape(&p.git),
+            json::escape(&p.git),
             p.timestamp_unix,
             p.timestamp_utc,
-            json_escape(&p.host),
+            json::escape(&p.host),
             p.parallelism,
             p.seed,
         ));

@@ -20,12 +20,13 @@
 //! * [`campaign`] — the one thread pool every study runs its
 //!   `(cell, run)` jobs on, deterministic in the thread count.
 //!
-//! The `reproduce` binary drives all of it:
+//! `rtsync study <name>` drives all of it from one table of studies, each
+//! at the configuration that wrote its committed record:
 //!
 //! ```text
-//! reproduce all --systems 1000 --out results/
-//! reproduce fig12 fig13
-//! reproduce fig7
+//! rtsync study figures --systems 1000 --out results/
+//! rtsync study traces
+//! rtsync study robustness --out results/
 //! ```
 //!
 //! ```

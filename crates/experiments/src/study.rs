@@ -16,7 +16,7 @@ use rtsync_workload::{generate, WorkloadSpec};
 
 /// Study parameters. Defaults mirror the paper's setup with a reduced
 /// system count (the paper used 1000 systems per configuration; pass
-/// `--systems 1000` to the `reproduce` binary for the full run).
+/// `--systems 1000` to `rtsync study figures` for the full run).
 #[derive(Clone, Debug)]
 pub struct StudyConfig {
     /// Subtask counts (paper: 2–8).

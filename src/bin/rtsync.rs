@@ -22,6 +22,7 @@ use rtsync::core::task::{ProcessorId, TaskSet};
 use rtsync::core::textfmt;
 use rtsync::core::time::{Dur, Time};
 use rtsync::core::{AnalysisConfig, Protocol};
+use rtsync::experiments::{ablation, RobustnessConfig, StudyConfig};
 use rtsync::sim::{
     render_dashboard, simulate, simulate_observed, ChannelModel, EventLogObserver, FaultConfig,
     GrayConfig, ProtocolCounters, SimConfig, SlowSchedule, SlowWindow, SourceModel, StallSchedule,
@@ -65,7 +66,12 @@ fn run() -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  \
+    let studies: String = STUDIES
+        .iter()
+        .map(|s| format!("\n    {:<14}{}", s.name, s.flags.join(" ")))
+        .collect();
+    format!(
+        "usage:\n  \
      rtsync example <1|2>\n  \
      rtsync check <file|->\n  \
      rtsync analyze <file|-> [--protocol ds|pm|mpm|rg|all] [--convergence]\n  \
@@ -87,13 +93,12 @@ fn usage() -> String {
      rtsync trace <file|-> --protocol ds|pm|mpm|rg [--instances N] \
      [--format perfetto|jsonl|gantt] [--counters] [--telemetry] [--window TICKS] \
      [--out FILE] [--sporadic MAX_EXTRA] [--seed S]\n  \
-     rtsync study <chaos|adversary|gray|transport|sync|admit> [--smoke] [--runs N] \
-     [--seed S] [--threads T] [--out DIR]\n    \
-     (--runs: chaos, adversary and gray only; chaos also takes [--transport] \
-     [--telemetry FILE] [--window TICKS])\n  \
+     rtsync study <name> [--smoke] [--runs N] [--systems N] [--instances I] [--seed S] \
+     [--threads T] [--transport] [--telemetry FILE] [--window TICKS] [--out DIR]\n    \
+     (each study takes the flags listed below, plus --out if it writes files):{studies}\n  \
      rtsync bench [--json] [--smoke] [--out FILE] [--profile] \
      [--compare BASELINE] [--tolerance FRAC|scenario=FRAC]"
-        .to_string()
+    )
 }
 
 fn cmd_example(args: &[String]) -> Result<(), String> {
@@ -107,17 +112,20 @@ fn cmd_example(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load(path: &str) -> Result<TaskSet, String> {
-    let text = if path == "-" {
+/// Reads a file, or stdin for `-`.
+fn read_input(path: &str) -> Result<String, String> {
+    if path == "-" {
         let mut buffer = String::new();
         std::io::stdin()
             .read_to_string(&mut buffer)
             .map_err(|e| format!("reading stdin: {e}"))?;
-        buffer
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    textfmt::parse(&text).map_err(|e| e.to_string())
+        return Ok(buffer);
+    }
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+fn load(path: &str) -> Result<TaskSet, String> {
+    textfmt::parse(&read_input(path)?).map_err(|e| e.to_string())
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
@@ -157,9 +165,7 @@ fn parse_sync_policy(tag: &str) -> Result<SyncPolicy, String> {
         "observe" => Ok(SyncPolicy::Observe),
         _ => match tag.strip_prefix("slew:") {
             Some(max) => {
-                let max: i64 = max
-                    .parse()
-                    .map_err(|e| format!("--sync-policy slew: {e}"))?;
+                let max: i64 = parsed("--sync-policy slew", max)?;
                 if max <= 0 {
                     return Err("--sync-policy slew:MAX needs a positive MAX".to_string());
                 }
@@ -263,11 +269,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             it.next().ok_or(format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--processors" => {
-                processors = grab("--processors")?
-                    .parse()
-                    .map_err(|e| format!("--processors: {e}"))?
-            }
+            "--processors" => processors = parsed(arg, grab(arg)?)?,
             "--mode" => {
                 mode = match grab("--mode")?.as_str() {
                     "pm" | "mpm" | "rg" => AdmissionMode::PmFamily,
@@ -346,15 +348,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
                 out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
             }
         } else {
-            let text = if path == "-" {
-                let mut buffer = String::new();
-                std::io::stdin()
-                    .read_to_string(&mut buffer)
-                    .map_err(|e| format!("reading stdin: {e}"))?;
-                buffer
-            } else {
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-            };
+            let text = read_input(path)?;
             let mut replies = Vec::with_capacity(text.len());
             for line in text.lines() {
                 serve(line, &mut replies)?;
@@ -470,7 +464,7 @@ fn admit_serve(
             if let Some(reject) = &decision.reject {
                 reply.push_str(&format!(
                     ",\"reject\":\"{}\"",
-                    admit_json_escape(&reject.to_string())
+                    json::escape(&reject.to_string())
                 ));
             }
             reply.push_str(&format!(
@@ -492,7 +486,7 @@ fn admit_serve(
                 Err(e) => format!(
                     "{{\"op\":\"retire\",\"id\":{id},\"ok\":false,\"error\":\"{}\",\
                      \"latency_us\":{latency_us:.1}}}",
-                    admit_json_escape(&e.to_string())
+                    json::escape(&e.to_string())
                 ),
             })
         }
@@ -518,23 +512,6 @@ fn admit_verdict_key(v: &rtsync::bench::json::Json) -> String {
     .filter_map(|key| v.get(key).map(|value| format!("{key}={value:?}")))
     .collect::<Vec<String>>()
     .join(",")
-}
-
-/// Escapes a string for embedding in a JSON reply.
-fn admit_json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn cmd_sensitivity(args: &[String]) -> Result<(), String> {
@@ -572,16 +549,8 @@ fn cmd_exact(args: &[String]) -> Result<(), String> {
             it.next().ok_or(format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--steps" => {
-                cfg.phase_steps = grab("--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?
-            }
-            "--instances" => {
-                cfg.instances_per_task = grab("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
-            }
+            "--steps" => cfg.phase_steps = parsed(arg, grab(arg)?)?,
+            "--instances" => cfg.instances_per_task = parsed(arg, grab(arg)?)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -597,21 +566,23 @@ fn cmd_exact(args: &[String]) -> Result<(), String> {
         },
         cfg.instances_per_task
     );
-    for protocol in [Protocol::DirectSync, Protocol::ReleaseGuard] {
+    for protocol in [
+        Protocol::DirectSync,
+        Protocol::ReleaseGuard,
+        Protocol::PhaseModification,
+    ] {
         let exact = exact_worst_case(&set, protocol, &cfg).map_err(|e| e.to_string())?;
         println!("  {}:", protocol.tag());
         for (i, w) in exact.iter().enumerate() {
             let bound = match protocol {
-                Protocol::DirectSync => ds
-                    .as_ref()
-                    .map(|b| b.task_bounds()[i].ticks().to_string())
-                    .unwrap_or_else(|| "infinite".into()),
-                _ => pm.task_bounds()[i].ticks().to_string(),
+                Protocol::DirectSync => ds.as_ref().map(|b| b.task_bounds()[i]),
+                _ => Some(pm.task_bounds()[i]),
             };
             println!(
-                "    T{i}: worst observed {} vs analyzed bound {}",
+                "    T{i}: worst observed {} vs analyzed bound {}{}",
                 w.ticks(),
-                bound
+                bound.map_or("infinite".into(), |b| b.ticks().to_string()),
+                if bound == Some(*w) { "  (tight)" } else { "" }
             );
         }
     }
@@ -627,11 +598,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--instances" => {
-                instances = it
-                    .next()
-                    .ok_or("--instances needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
+                instances = parsed(arg, it.next().ok_or("--instances needs a value")?)?
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -703,53 +670,15 @@ impl NonidealFlags {
             it.next().ok_or(format!("{name} needs a value"))
         };
         match arg {
-            "--sporadic" => {
-                self.sporadic = Some(
-                    grab("--sporadic")?
-                        .parse()
-                        .map_err(|e| format!("--sporadic: {e}"))?,
-                )
-            }
-            "--seed" => {
-                self.seed = grab("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--latency" => {
-                self.latency = grab("--latency")?
-                    .parse()
-                    .map_err(|e| format!("--latency: {e}"))?
-            }
-            "--drop" => {
-                self.drop = grab("--drop")?
-                    .parse()
-                    .map_err(|e| format!("--drop: {e}"))?
-            }
+            "--sporadic" => self.sporadic = Some(parsed(arg, grab(arg)?)?),
+            "--seed" => self.seed = parsed(arg, grab(arg)?)?,
+            "--latency" => self.latency = parsed(arg, grab(arg)?)?,
+            "--drop" => self.drop = parsed(arg, grab(arg)?)?,
             "--transport" => self.transport = true,
-            "--timeout" => {
-                self.timeout = Some(
-                    grab("--timeout")?
-                        .parse()
-                        .map_err(|e| format!("--timeout: {e}"))?,
-                )
-            }
-            "--drift" => {
-                self.drift_ppm = grab("--drift")?
-                    .parse()
-                    .map_err(|e| format!("--drift: {e}"))?
-            }
-            "--clock-offset" => {
-                self.clock_offset = grab("--clock-offset")?
-                    .parse()
-                    .map_err(|e| format!("--clock-offset: {e}"))?
-            }
-            "--sync-period" => {
-                self.sync_period = Some(
-                    grab("--sync-period")?
-                        .parse()
-                        .map_err(|e| format!("--sync-period: {e}"))?,
-                )
-            }
+            "--timeout" => self.timeout = Some(parsed(arg, grab(arg)?)?),
+            "--drift" => self.drift_ppm = parsed(arg, grab(arg)?)?,
+            "--clock-offset" => self.clock_offset = parsed(arg, grab(arg)?)?,
+            "--sync-period" => self.sync_period = Some(parsed(arg, grab(arg)?)?),
             "--sync-policy" => self.sync_policy = parse_sync_policy(grab("--sync-policy")?)?,
             "--slow" => {
                 let spec = grab("--slow")?;
@@ -758,10 +687,10 @@ impl NonidealFlags {
                     return Err(format!("--slow wants PROC:AT:SPAN:FACTOR, got `{spec}`"));
                 };
                 self.slow.push(SlowWindowSpec {
-                    proc: proc.parse().map_err(|e| format!("--slow PROC: {e}"))?,
-                    at: at.parse().map_err(|e| format!("--slow AT: {e}"))?,
-                    span: span.parse().map_err(|e| format!("--slow SPAN: {e}"))?,
-                    factor: factor.parse().map_err(|e| format!("--slow FACTOR: {e}"))?,
+                    proc: parsed("--slow PROC", proc)?,
+                    at: parsed("--slow AT", at)?,
+                    span: parsed("--slow SPAN", span)?,
+                    factor: parsed("--slow FACTOR", factor)?,
                 });
             }
             "--stall" => {
@@ -771,9 +700,9 @@ impl NonidealFlags {
                     return Err(format!("--stall wants PROC:AT:SPAN, got `{spec}`"));
                 };
                 self.stall.push(StallWindowSpec {
-                    proc: proc.parse().map_err(|e| format!("--stall PROC: {e}"))?,
-                    at: at.parse().map_err(|e| format!("--stall AT: {e}"))?,
-                    span: span.parse().map_err(|e| format!("--stall SPAN: {e}"))?,
+                    proc: parsed("--stall PROC", proc)?,
+                    at: parsed("--stall AT", at)?,
+                    span: parsed("--stall SPAN", span)?,
                 });
             }
             _ => return Ok(false),
@@ -889,28 +818,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => {
-                instances = grab("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
-            }
-            "--gantt" => {
-                gantt = Some(
-                    grab("--gantt")?
-                        .parse()
-                        .map_err(|e| format!("--gantt: {e}"))?,
-                )
-            }
+            "--instances" => instances = parsed(arg, grab(arg)?)?,
+            "--gantt" => gantt = Some(parsed(arg, grab(arg)?)?),
             "--no-rule2" => rule2 = false,
             "--trace-csv" => trace_csv = Some(grab("--trace-csv")?.clone()),
             "--telemetry" => telemetry_out = Some(grab("--telemetry")?.clone()),
-            "--window" => {
-                window = Some(
-                    grab("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
+            "--window" => window = Some(parsed(arg, grab(arg)?)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -1107,18 +1020,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => {
-                instances = grab("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
-            }
-            "--window" => {
-                window = Some(
-                    grab("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
+            "--instances" => instances = parsed(arg, grab(arg)?)?,
+            "--window" => window = Some(parsed(arg, grab(arg)?)?),
             "--out" => out = grab("--out")?.clone(),
             "--csv" => csv_out = Some(grab("--csv")?.clone()),
             "--jsonl" => jsonl_out = Some(grab("--jsonl")?.clone()),
@@ -1133,8 +1036,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             let (n, u) = spec
                 .split_once(':')
                 .ok_or("--paper needs N:U (e.g. 4:0.25)")?;
-            let n: usize = n.parse().map_err(|e| format!("--paper: {e}"))?;
-            let u: f64 = u.parse().map_err(|e| format!("--paper: {e}"))?;
+            let n: usize = parsed("--paper", n)?;
+            let u: f64 = parsed("--paper", u)?;
             if n == 0 || !(u > 0.0 && u <= 1.0) {
                 return Err("--paper needs N >= 1 and U in (0, 1]".to_string());
             }
@@ -1229,34 +1132,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => {
-                instances = grab("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
-            }
+            "--instances" => instances = parsed(arg, grab(arg)?)?,
             "--format" => format = grab("--format")?.clone(),
             "--counters" => counters = true,
             "--telemetry" => telemetry = true,
-            "--window" => {
-                window = Some(
-                    grab("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
+            "--window" => window = Some(parsed(arg, grab(arg)?)?),
             "--out" => out = Some(grab("--out")?.clone()),
-            "--sporadic" => {
-                sporadic = Some(
-                    grab("--sporadic")?
-                        .parse()
-                        .map_err(|e| format!("--sporadic: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = grab("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--sporadic" => sporadic = Some(parsed(arg, grab(arg)?)?),
+            "--seed" => seed = parsed(arg, grab(arg)?)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -1330,8 +1213,242 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The campaigns `rtsync study <name>` runs.
-const STUDIES: [&str; 6] = ["chaos", "adversary", "gray", "transport", "sync", "admit"];
+/// The seed of the §5 figure, ablation and tail-latency records.
+const PAPER_SEED: u64 = 20_260_707;
+/// The seed of the convergence, robustness and sync records.
+const GRID_SEED: u64 = 0xC0FF_EE00;
+
+const SIZED: &[&str] = &["--systems", "--instances", "--seed", "--threads"];
+const SYSTEMS: &[&str] = &["--systems", "--seed", "--threads"];
+const CAMPAIGN: &[&str] = &["--smoke", "--runs", "--seed", "--threads"];
+const FIXED: &[&str] = &["--smoke", "--seed", "--threads"];
+
+/// One study `rtsync study <name>` runs.
+struct Study {
+    name: &'static str,
+    /// The flags it takes, besides `--out DIR`, which every study that
+    /// writes files takes.
+    flags: &'static [&'static str],
+    /// The files it writes under `--out`, one per body its runner
+    /// returns, in order. Each file has exactly one writer.
+    writes: &'static [&'static str],
+    /// Runs and prints the study. Its defaults are the configuration
+    /// that wrote its committed record; the flags given override them.
+    run: fn(&StudyArgs) -> Result<Ran, String>,
+}
+
+/// Every study, in the order the usage lists them.
+const STUDIES: [Study; 16] = [
+    Study {
+        name: "figures",
+        flags: SIZED,
+        writes: &[
+            "fig12.csv",
+            "fig13.csv",
+            "fig14.csv",
+            "fig15.csv",
+            "fig16.csv",
+        ],
+        run: run_figures,
+    },
+    Study {
+        name: "traces",
+        flags: &[],
+        writes: &[],
+        run: |_| {
+            for fig in rtsync::experiments::traces::TraceFigure::ALL {
+                println!("{}", fig.render());
+            }
+            Ok(Ran("Figs. 3, 5, 6 and 7".to_string(), Vec::new(), None))
+        },
+    },
+    Study {
+        name: "tails",
+        flags: SIZED,
+        writes: &["tails_pm_ds_p99.csv", "tails_rg_ds_p99.csv"],
+        run: |a| {
+            sized(a, 8, 40, PAPER_SEED, |cfg| {
+                use rtsync::experiments::figures::custom_grid;
+                let outcomes = rtsync::experiments::run_study(cfg);
+                vec![
+                    shown(custom_grid("p99-EER ratio PM/DS", &outcomes, |o| {
+                        o.pm_ds_p99_mean
+                    })),
+                    shown(custom_grid("p99-EER ratio RG/DS", &outcomes, |o| {
+                        o.rg_ds_p99_mean
+                    })),
+                ]
+            })
+        },
+    },
+    Study {
+        name: "rule2",
+        flags: SIZED,
+        writes: &["ablation_rule2.csv"],
+        run: |a| {
+            sized(a, 12, 15, PAPER_SEED, |cfg| {
+                vec![shown(ablation::rule2_ablation(cfg))]
+            })
+        },
+    },
+    Study {
+        name: "distributions",
+        flags: SIZED,
+        writes: &[
+            "ablation_distribution_0.csv",
+            "ablation_distribution_1.csv",
+            "ablation_distribution_2.csv",
+        ],
+        run: |a| {
+            sized(a, 12, 15, PAPER_SEED, |cfg| {
+                ablation::distribution_ablation(cfg)
+                    .into_iter()
+                    .map(shown)
+                    .collect()
+            })
+        },
+    },
+    Study {
+        name: "tightness",
+        flags: SIZED,
+        writes: &[],
+        run: |a| {
+            sized(a, 12, 15, PAPER_SEED, |cfg| {
+                use rtsync::experiments::tightness::{render, tightness_config};
+                let mut rows = Vec::new();
+                for &n in &cfg.n_values {
+                    for &u in &cfg.u_values {
+                        rows.push(tightness_config(n, u, cfg));
+                    }
+                }
+                println!("{}", render(&rows));
+                Vec::new()
+            })
+        },
+    },
+    Study {
+        name: "contention",
+        flags: SYSTEMS,
+        writes: &["ablation_contention_0.csv", "ablation_contention_1.csv"],
+        run: |a| {
+            sized(a, 10, 20, PAPER_SEED, |cfg| {
+                let grids = ablation::contention_ablation(cfg, &[0.2, 0.5]);
+                grids.into_iter().map(shown).collect()
+            })
+        },
+    },
+    Study {
+        name: "policies",
+        flags: SYSTEMS,
+        writes: &[
+            "ablation_policy_0.csv",
+            "ablation_policy_1.csv",
+            "ablation_policy_2.csv",
+            "ablation_policy_3.csv",
+        ],
+        run: |a| {
+            sized(a, 10, 20, PAPER_SEED, |cfg| {
+                let grids = ablation::priority_policy_ablation(cfg);
+                grids.into_iter().map(shown).collect()
+            })
+        },
+    },
+    Study {
+        name: "convergence",
+        flags: SYSTEMS,
+        writes: &["convergence_obs.csv"],
+        run: run_convergence,
+    },
+    Study {
+        name: "robustness",
+        flags: SIZED,
+        writes: &[
+            "robustness.csv",
+            "robustness_inflation_ds.csv",
+            "robustness_inflation_pm.csv",
+            "robustness_inflation_mpm.csv",
+            "robustness_inflation_rg.csv",
+        ],
+        run: run_robustness,
+    },
+    Study {
+        name: "sync",
+        flags: FIXED,
+        writes: &[
+            "sync_grid.csv",
+            "sync_summary.csv",
+            "robustness_pm_synced.csv",
+        ],
+        run: run_sync,
+    },
+    Study {
+        name: "chaos",
+        flags: &[
+            "--smoke",
+            "--runs",
+            "--seed",
+            "--threads",
+            "--transport",
+            "--telemetry",
+            "--window",
+        ],
+        writes: &["chaos_summary.csv", "chaos_runs.csv"],
+        run: run_chaos,
+    },
+    Study {
+        name: "adversary",
+        flags: CAMPAIGN,
+        writes: &["adversary_grid.csv", "adversary_summary.csv"],
+        run: run_adversary,
+    },
+    Study {
+        name: "gray",
+        flags: CAMPAIGN,
+        writes: &["gray_grid.csv", "gray_summary.csv"],
+        run: run_gray,
+    },
+    Study {
+        name: "transport",
+        flags: FIXED,
+        writes: &["transport_grid.csv", "transport_summary.csv"],
+        run: run_transport,
+    },
+    Study {
+        name: "admit",
+        flags: FIXED,
+        writes: &["admit_grid.csv", "admit_summary.csv"],
+        run: run_admit,
+    },
+];
+
+/// The flags given to `rtsync study`; `None` keeps the study's default.
+#[derive(Default)]
+struct StudyArgs {
+    smoke: bool,
+    runs: Option<usize>,
+    systems: Option<usize>,
+    instances: Option<u64>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    out_dir: Option<String>,
+    transport: bool,
+    telemetry: Option<String>,
+    window: Option<i64>,
+}
+
+/// What a study hands back to [`cmd_study`]: its size and seed for the
+/// one stderr line per study, one body per file of [`Study::writes`], and
+/// the failed verdict, if any.
+struct Ran(String, Vec<String>, Option<String>);
+
+/// Parses the value of `flag`, naming the flag in the error.
+fn parsed<T>(flag: &str, text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 /// Parses a flag value that must be a positive integer.
 fn positive<T>(flag: &str, text: &str) -> Result<T, String>
@@ -1339,283 +1456,373 @@ where
     T: std::str::FromStr + Default + PartialOrd,
     T::Err: std::fmt::Display,
 {
-    let value: T = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    let value: T = parsed(flag, text)?;
     if value <= T::default() {
         return Err(format!("{flag} must be positive"));
     }
     Ok(value)
 }
 
-/// `rtsync study <name>`: runs one campaign, prints it, writes its CSVs
+/// `rtsync study <name>`: runs one study, prints it, writes its files
 /// under `--out`, and fails on a failed verdict.
 fn cmd_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::{admit, adversary, chaos, gray, sync, transport};
-    let name = match args.first() {
-        Some(name) if STUDIES.contains(&name.as_str()) => name.as_str(),
-        Some(other) => return Err(format!("unknown study `{other}`\n{}", usage())),
+    let study = match args.first() {
+        Some(name) => STUDIES
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown study `{name}`\n{}", usage()))?,
         None => return Err(format!("study needs a name\n{}", usage())),
     };
-    let mut smoke = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut with_transport = false;
-    let mut telemetry_out: Option<String> = None;
-    let mut window: Option<i64> = None;
+    let mut a = StudyArgs::default();
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" if matches!(name, "transport" | "sync" | "admit") => {
-                return Err(format!("--runs: study {name} has no runs-per-cell axis"));
-            }
-            "--runs" => runs = Some(positive("--runs", value("--runs")?)?),
-            "--seed" => {
-                let text = value("--seed")?;
-                seed = Some(text.parse().map_err(|e| format!("--seed: {e}"))?);
-            }
-            "--threads" => threads = Some(positive("--threads", value("--threads")?)?),
-            "--out" => out_dir = Some(value("--out")?.clone()),
-            "--transport" if name == "chaos" => with_transport = true,
-            "--telemetry" if name == "chaos" => telemetry_out = Some(value("--telemetry")?.clone()),
-            "--window" if name == "chaos" => {
-                window = Some(positive("--window", value("--window")?)?)
-            }
-            other => return Err(format!("unknown option `{other}` for study {name}")),
+        let flag = arg.as_str();
+        if !study.flags.contains(&flag) && (flag != "--out" || study.writes.is_empty()) {
+            return Err(format!("unknown option `{flag}` for study {}", study.name));
+        }
+        let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+        match flag {
+            "--smoke" => a.smoke = true,
+            "--transport" => a.transport = true,
+            "--runs" => a.runs = Some(positive(flag, value()?)?),
+            "--systems" => a.systems = Some(positive(flag, value()?)?),
+            "--instances" => a.instances = Some(positive(flag, value()?)?),
+            "--threads" => a.threads = Some(positive(flag, value()?)?),
+            "--window" => a.window = Some(positive(flag, value()?)?),
+            "--seed" => a.seed = Some(parsed(flag, value()?)?),
+            "--telemetry" => a.telemetry = Some(value()?.clone()),
+            "--out" => a.out_dir = Some(value()?.clone()),
+            other => unreachable!("study flag {other} has no parser"),
         }
     }
-    // A full-size `--runs N` keeps the grid and spreads N runs over its
-    // cells (`total_runs / runs_per_cell` of them), rounding up.
-    let full_runs = runs.filter(|_| !smoke);
-    // Create `--out` first: a bad path fails before the campaign runs, and
+    // Create `--out` first: a bad path fails before the study runs, and
     // chaos may write its telemetry capture and repro bundles there.
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = &a.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     }
-
-    // Each arm runs and prints its campaign, then hands back the CSVs to
-    // write and the failed verdict, if any.
-    let (csvs, failure): ([(&str, String); 2], Option<String>) = match name {
-        "chaos" => {
-            let mut cfg = if smoke {
-                chaos::ChaosConfig::smoke(runs.unwrap_or(25))
-            } else {
-                chaos::ChaosConfig::default()
-            };
-            if let Some(total) = full_runs {
-                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
-            }
-            cfg.transport = with_transport;
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "chaos study: {} runs, seed {:#x}",
-                cfg.total_runs(),
-                cfg.seed
-            );
-            let outcome = chaos::run_chaos(&cfg);
-            print!("{}", chaos::render(&outcome));
-            if let Some(path) = &telemetry_out {
-                let width = window.map(Dur::from_ticks);
-                match chaos::worst_case_telemetry(&cfg, &outcome, width) {
-                    Some((v, report)) => {
-                        std::fs::write(path, report.to_csv())
-                            .map_err(|e| format!("writing {path}: {e}"))?;
-                        eprintln!(
-                            "wrote {path}: worst run replayed under telemetry ({} windows x {} \
-                             ticks; {} {:?}, system seed {:#x}, fault seed {:#x}: {} missed, \
-                             {} lost, {} crashes)",
-                            report.windows.len(),
-                            report.width.ticks(),
-                            v.protocol.tag(),
-                            v.policy,
-                            v.system_seed,
-                            v.fault_seed,
-                            v.missed,
-                            v.lost,
-                            v.crashes
-                        );
-                    }
-                    None => eprintln!("no chaos runs to capture telemetry from"),
-                }
-            }
-            let dir = out_dir.as_deref().unwrap_or(".");
-            for (i, failure) in outcome.failures.iter().enumerate() {
-                let bundle = chaos::repro_bundle(&cfg, failure);
-                for (ext, body) in [
-                    ("txt", &bundle.summary),
-                    ("jsonl", &bundle.jsonl),
-                    ("perfetto.json", &bundle.perfetto_json),
-                ] {
-                    let path = format!("{dir}/chaos_repro_{i}.{ext}");
-                    std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
-                }
-                eprint!("{}", bundle.summary);
-            }
-            let failure = (!outcome.is_clean()).then(|| {
-                format!(
-                    "{} of {} chaos runs violated invariants; repro bundles written to {dir}/",
-                    outcome.failures.len(),
-                    outcome.verdicts.len()
-                )
-            });
-            let csvs = [
-                ("chaos_summary.csv", chaos::to_csv(&outcome)),
-                ("chaos_runs.csv", chaos::runs_csv(&outcome)),
-            ];
-            (csvs, failure)
-        }
-        "adversary" => {
-            let mut cfg = if smoke {
-                adversary::AdversaryConfig::smoke(runs.unwrap_or(24))
-            } else {
-                adversary::AdversaryConfig::default()
-            };
-            if let Some(total) = full_runs {
-                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
-            }
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "adversary study: {} runs, seed {:#x}",
-                cfg.total_runs(),
-                cfg.seed
-            );
-            let outcome = adversary::run_adversary(&cfg);
-            print!("{}", adversary::render(&outcome));
-            let failure = (!outcome.is_clean()).then(|| {
-                format!(
-                    "{} of {} adversarial runs violated an armed invariant or stalled",
-                    outcome.failures().len(),
-                    outcome.verdicts.len()
-                )
-            });
-            let csvs = [
-                ("adversary_grid.csv", adversary::grid_csv(&outcome)),
-                ("adversary_summary.csv", adversary::summary_csv(&outcome)),
-            ];
-            (csvs, failure)
-        }
-        "gray" => {
-            let mut cfg = if smoke {
-                gray::GrayStudyConfig::smoke(runs.unwrap_or(16))
-            } else {
-                gray::GrayStudyConfig::default()
-            };
-            if let Some(total) = full_runs {
-                cfg.runs_per_cell = total.div_ceil(cfg.total_runs() / cfg.runs_per_cell);
-            }
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "gray study: {} runs, seed {:#x}",
-                cfg.total_runs(),
-                cfg.seed
-            );
-            let outcome = gray::run_gray(&cfg);
-            print!("{}", gray::render(&outcome));
-            let failure = if !outcome.is_clean() {
-                Some(format!(
-                    "{} of {} gray runs violated a clock-independent safety invariant",
-                    outcome.failures().len(),
-                    outcome.verdicts.len()
-                ))
-            } else {
-                (!outcome.adaptive_dominates()).then(|| {
-                    "the adaptive detector failed to dominate the fixed cliff on false deads \
-                     in a slowdown-only cell"
-                        .to_string()
-                })
-            };
-            let csvs = [
-                ("gray_grid.csv", gray::grid_csv(&outcome)),
-                ("gray_summary.csv", gray::summary_csv(&outcome)),
-            ];
-            (csvs, failure)
-        }
-        "transport" => {
-            let mut cfg = if smoke {
-                transport::TransportStudyConfig::smoke()
-            } else {
-                transport::TransportStudyConfig::default()
-            };
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "transport study: {} grid runs + {} detector runs, seed {:#x}",
-                cfg.total_grid_runs(),
-                cfg.protocols.len() * cfg.detector_runs,
-                cfg.seed
-            );
-            let outcome = transport::run_transport_study(&cfg);
-            print!("{}", transport::render(&outcome));
-            let failure = (!outcome.is_clean()).then(|| {
-                "transport study saw abandoned frames, lost signals, or stalled runs".to_string()
-            });
-            let csvs = [
-                ("transport_grid.csv", transport::grid_csv(&outcome)),
-                ("transport_summary.csv", transport::summary_csv(&outcome)),
-            ];
-            (csvs, failure)
-        }
-        "sync" => {
-            let mut cfg = if smoke {
-                sync::SyncStudyConfig::smoke()
-            } else {
-                sync::SyncStudyConfig::default()
-            };
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "sync study: {} runs, seed {:#x}",
-                cfg.total_runs(),
-                cfg.seed
-            );
-            let outcome = sync::run_sync_study(&cfg);
-            print!("{}", sync::render(&outcome));
-            let csvs = [
-                ("sync_grid.csv", sync::grid_csv(&outcome)),
-                ("sync_summary.csv", sync::summary_csv(&outcome)),
-            ];
-            (csvs, None)
-        }
-        _ => {
-            let mut cfg = if smoke {
-                admit::AdmitStudyConfig::smoke()
-            } else {
-                admit::AdmitStudyConfig::default()
-            };
-            cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            eprintln!(
-                "admit study: {} runs, seed {:#x}",
-                cfg.total_runs(),
-                cfg.seed
-            );
-            let outcome = admit::run_admit_study(&cfg);
-            print!("{}", admit::render(&outcome));
-            let failure = (!outcome.is_clean()).then(|| {
-                "memoized and from-scratch admission verdicts disagreed on some operation"
-                    .to_string()
-            });
-            let csvs = [
-                ("admit_grid.csv", admit::grid_csv(&outcome)),
-                ("admit_summary.csv", admit::summary_csv(&outcome)),
-            ];
-            (csvs, failure)
-        }
-    };
-
-    if let Some(dir) = &out_dir {
-        for (file, body) in &csvs {
+    let started = std::time::Instant::now();
+    let Ran(summary, csvs, failure) = (study.run)(&a)?;
+    let secs = started.elapsed().as_secs_f64();
+    eprintln!("{} study: {summary}, {secs:.1} s", study.name);
+    assert_eq!(csvs.len(), study.writes.len(), "one body per file");
+    if let Some(dir) = &a.out_dir {
+        for (file, body) in study.writes.iter().zip(&csvs) {
             let path = format!("{dir}/{file}");
             std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
         }
-        eprintln!("wrote {} and {} to {dir}/", csvs[0].0, csvs[1].0);
+        eprintln!("wrote {} to {dir}/", study.writes.join(", "));
     }
     failure.map_or(Ok(()), Err)
+}
+
+/// Prints a result grid and returns its CSV.
+fn shown(grid: rtsync::experiments::grid::Grid) -> String {
+    println!("{grid}");
+    grid.to_csv()
+}
+
+/// Runs a study over §5.1 systems at its record's size and seed, or the
+/// ones given; `study` prints its results and returns its file bodies.
+fn sized(
+    a: &StudyArgs,
+    systems: usize,
+    instances: u64,
+    seed: u64,
+    study: impl FnOnce(&StudyConfig) -> Vec<String>,
+) -> Result<Ran, String> {
+    let defaults = StudyConfig::default();
+    let cfg = StudyConfig {
+        systems_per_config: a.systems.unwrap_or(systems),
+        instances_per_task: a.instances.unwrap_or(instances),
+        seed: a.seed.unwrap_or(seed),
+        threads: a.threads.unwrap_or(defaults.threads),
+        ..defaults
+    };
+    let csvs = study(&cfg);
+    let summary = format!(
+        "{} systems/config, {} instances/task, seed {}",
+        cfg.systems_per_config, cfg.instances_per_task, cfg.seed
+    );
+    Ok(Ran(summary, csvs, None))
+}
+
+/// The §5 simulation study: Figures 12–16.
+fn run_figures(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::figures::{figure_grid, Figure};
+    use rtsync::experiments::ConfigOutcome;
+    sized(a, 100, 20, PAPER_SEED, |cfg| {
+        let outcomes = rtsync::experiments::run_study(cfg);
+        // The paper: "the 90% confidence intervals are negligibly small".
+        let max_ci = |f: fn(&ConfigOutcome) -> f64| {
+            outcomes
+                .iter()
+                .map(f)
+                .filter(|v| v.is_finite())
+                .fold(0.0f64, f64::max)
+        };
+        println!(
+            "90% CI half-widths (max over the grid): PM/DS ±{:.3}, RG/DS ±{:.3}, \
+             bound ratio ±{:.3}\n",
+            max_ci(|o| o.pm_ds_ci90),
+            max_ci(|o| o.rg_ds_ci90),
+            max_ci(|o| o.bound_ratio_ci90),
+        );
+        Figure::ALL
+            .iter()
+            .map(|&fig| shown(figure_grid(fig, &outcomes)))
+            .collect()
+    })
+}
+
+/// How the ratio estimates move with the simulation horizon, and how
+/// hard the analyses work to reach their fixed points.
+fn run_convergence(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::convergence;
+    sized(a, 20, 20, GRID_SEED, |cfg| {
+        let mut rows = Vec::new();
+        for (n, u) in [(3usize, 0.6f64), (6, 0.8)] {
+            let horizon = convergence::convergence_study(n, u, cfg, &[5, 10, 20, 40, 80]);
+            println!("{}", convergence::render(n, u, &horizon));
+            let analysis = convergence::analysis_convergence_study(n, u, cfg);
+            print!("{}", convergence::render_analysis(&analysis));
+            rows.extend(analysis);
+        }
+        vec![convergence::analysis_convergence_csv(&rows)]
+    })
+}
+
+/// The nonideal-conditions grid: drift × latency.
+fn run_robustness(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::robustness;
+    let defaults = RobustnessConfig::default();
+    let cfg = RobustnessConfig {
+        systems_per_config: a.systems.unwrap_or(20),
+        instances_per_task: a.instances.unwrap_or(defaults.instances_per_task),
+        seed: a.seed.unwrap_or(GRID_SEED),
+        threads: a.threads.unwrap_or(defaults.threads),
+        ..defaults
+    };
+    let cells = robustness::run_robustness(&cfg);
+    println!("{}", robustness::render(&cells));
+    let mut csvs = vec![robustness::to_csv(&cells)];
+    csvs.extend(Protocol::ALL.map(|p| robustness::inflation_matrix_csv(&cells, p)));
+    let summary = format!("{} systems/cell, seed {}", cfg.systems_per_config, cfg.seed);
+    Ok(Ran(summary, csvs, None))
+}
+
+/// The clock-synchronization study, then the robustness grid's PM rows
+/// rerun with sync attached.
+fn run_sync(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::sync;
+    let base = if a.smoke {
+        sync::SyncStudyConfig::smoke()
+    } else {
+        sync::SyncStudyConfig::default()
+    };
+    let cfg = sync::SyncStudyConfig {
+        seed: a.seed.unwrap_or(GRID_SEED),
+        threads: a.threads.unwrap_or(base.threads),
+        ..base
+    };
+    let outcome = sync::run_sync_study(&cfg);
+    print!("{}", sync::render(&outcome));
+    // The PM-synced companion to robustness_inflation_pm.csv: the same
+    // drift × latency grid, PM synced at a feasible period (10k ticks: 5%
+    // drift accumulates only ~500 ticks of error between rounds, against
+    // task periods of 100k–10M ticks).
+    let rcfg = RobustnessConfig {
+        systems_per_config: cfg.systems_per_config,
+        seed: cfg.seed,
+        threads: cfg.threads,
+        ..RobustnessConfig::default()
+    };
+    let synced = sync::robustness_pm_synced_csv(&rcfg, 10_000, SyncPolicy::Step);
+    print!("PM inflation matrix, synced (period 10000, step policy):\n{synced}");
+    let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
+    let csvs = vec![
+        sync::grid_csv(&outcome),
+        sync::summary_csv(&outcome),
+        synced,
+    ];
+    Ok(Ran(summary, csvs, None))
+}
+
+/// Runs per cell under a full-size `--runs N`: the grid stays, and the N
+/// runs spread over its cells, rounding up.
+fn runs_per_cell(a: &StudyArgs, total_runs: usize, runs_per_cell: usize) -> usize {
+    match a.runs.filter(|_| !a.smoke) {
+        Some(total) => total.div_ceil(total_runs / runs_per_cell),
+        None => runs_per_cell,
+    }
+}
+
+/// The chaos campaign: crash faults under every protocol.
+fn run_chaos(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::chaos;
+    let mut cfg = if a.smoke {
+        chaos::ChaosConfig::smoke(a.runs.unwrap_or(25))
+    } else {
+        chaos::ChaosConfig::default()
+    };
+    cfg.runs_per_cell = runs_per_cell(a, cfg.total_runs(), cfg.runs_per_cell);
+    cfg.transport = a.transport;
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    let outcome = chaos::run_chaos(&cfg);
+    print!("{}", chaos::render(&outcome));
+    if let Some(path) = &a.telemetry {
+        let width = a.window.map(Dur::from_ticks);
+        match chaos::worst_case_telemetry(&cfg, &outcome, width) {
+            Some((v, report)) => {
+                std::fs::write(path, report.to_csv())
+                    .map_err(|e| format!("writing {path}: {e}"))?;
+                eprintln!(
+                    "wrote {path}: worst run replayed under telemetry ({} windows x {} \
+                     ticks; {} {:?}, system seed {:#x}, fault seed {:#x}: {} missed, \
+                     {} lost, {} crashes)",
+                    report.windows.len(),
+                    report.width.ticks(),
+                    v.protocol.tag(),
+                    v.policy,
+                    v.system_seed,
+                    v.fault_seed,
+                    v.missed,
+                    v.lost,
+                    v.crashes
+                );
+            }
+            None => eprintln!("no chaos runs to capture telemetry from"),
+        }
+    }
+    let dir = a.out_dir.as_deref().unwrap_or(".");
+    for (i, failure) in outcome.failures.iter().enumerate() {
+        let bundle = chaos::repro_bundle(&cfg, failure);
+        for (ext, body) in [
+            ("txt", &bundle.summary),
+            ("jsonl", &bundle.jsonl),
+            ("perfetto.json", &bundle.perfetto_json),
+        ] {
+            let path = format!("{dir}/chaos_repro_{i}.{ext}");
+            std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        eprint!("{}", bundle.summary);
+    }
+    let failure = (!outcome.is_clean()).then(|| {
+        format!(
+            "{} of {} chaos runs violated invariants; repro bundles written to {dir}/",
+            outcome.failures.len(),
+            outcome.verdicts.len()
+        )
+    });
+    let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
+    let csvs = vec![chaos::to_csv(&outcome), chaos::runs_csv(&outcome)];
+    Ok(Ran(summary, csvs, failure))
+}
+
+/// The adversarial-time campaign: lying and colluding clocks under sync.
+fn run_adversary(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::adversary;
+    let mut cfg = if a.smoke {
+        adversary::AdversaryConfig::smoke(a.runs.unwrap_or(24))
+    } else {
+        adversary::AdversaryConfig::default()
+    };
+    cfg.runs_per_cell = runs_per_cell(a, cfg.total_runs(), cfg.runs_per_cell);
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    let outcome = adversary::run_adversary(&cfg);
+    print!("{}", adversary::render(&outcome));
+    let failure = (!outcome.is_clean()).then(|| {
+        format!(
+            "{} of {} adversarial runs violated an armed invariant or stalled",
+            outcome.failures().len(),
+            outcome.verdicts.len()
+        )
+    });
+    let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
+    let csvs = vec![
+        adversary::grid_csv(&outcome),
+        adversary::summary_csv(&outcome),
+    ];
+    Ok(Ran(summary, csvs, failure))
+}
+
+/// The gray-failure campaign: slowdowns, stalls and degraded links.
+fn run_gray(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::gray;
+    let mut cfg = if a.smoke {
+        gray::GrayStudyConfig::smoke(a.runs.unwrap_or(16))
+    } else {
+        gray::GrayStudyConfig::default()
+    };
+    cfg.runs_per_cell = runs_per_cell(a, cfg.total_runs(), cfg.runs_per_cell);
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    let outcome = gray::run_gray(&cfg);
+    print!("{}", gray::render(&outcome));
+    let failure = if !outcome.is_clean() {
+        Some(format!(
+            "{} of {} gray runs violated a clock-independent safety invariant",
+            outcome.failures().len(),
+            outcome.verdicts.len()
+        ))
+    } else {
+        (!outcome.adaptive_dominates()).then(|| {
+            "the adaptive detector failed to dominate the fixed cliff on false deads \
+             in a slowdown-only cell"
+                .to_string()
+        })
+    };
+    let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
+    let csvs = vec![gray::grid_csv(&outcome), gray::summary_csv(&outcome)];
+    Ok(Ran(summary, csvs, failure))
+}
+
+/// The transport study: the ack/retransmit layer over lossy channels.
+fn run_transport(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::transport;
+    let mut cfg = if a.smoke {
+        transport::TransportStudyConfig::smoke()
+    } else {
+        transport::TransportStudyConfig::default()
+    };
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    let outcome = transport::run_transport_study(&cfg);
+    print!("{}", transport::render(&outcome));
+    let failure = (!outcome.is_clean())
+        .then(|| "transport study saw abandoned frames, lost signals, or stalled runs".to_string());
+    let summary = format!(
+        "{} grid runs + {} detector runs, seed {}",
+        cfg.total_grid_runs(),
+        cfg.protocols.len() * cfg.detector_runs,
+        cfg.seed
+    );
+    let csvs = vec![
+        transport::grid_csv(&outcome),
+        transport::summary_csv(&outcome),
+    ];
+    Ok(Ran(summary, csvs, failure))
+}
+
+/// The admission study: memoized against from-scratch verdicts.
+fn run_admit(a: &StudyArgs) -> Result<Ran, String> {
+    use rtsync::experiments::admit;
+    let mut cfg = if a.smoke {
+        admit::AdmitStudyConfig::smoke()
+    } else {
+        admit::AdmitStudyConfig::default()
+    };
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    let outcome = admit::run_admit_study(&cfg);
+    print!("{}", admit::render(&outcome));
+    let failure = (!outcome.is_clean()).then(|| {
+        "memoized and from-scratch admission verdicts disagreed on some operation".to_string()
+    });
+    let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
+    let csvs = vec![admit::grid_csv(&outcome), admit::summary_csv(&outcome)];
+    Ok(Ran(summary, csvs, failure))
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
@@ -1729,4 +1936,22 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::STUDIES;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn every_study_and_record_has_one_owner() {
+        let mut names = BTreeSet::new();
+        let mut files = BTreeSet::new();
+        for study in &STUDIES {
+            assert!(names.insert(study.name), "two studies named {}", study.name);
+            for file in study.writes {
+                assert!(files.insert(*file), "two studies write {file}");
+            }
+        }
+    }
 }

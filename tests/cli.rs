@@ -152,6 +152,29 @@ fn malformed_study_flags_fail_loudly() {
     }
     // Chaos-only flags stay chaos-only.
     fails_with(&["study", "gray", "--transport"], "--transport");
+    // Every study parses its sizes as positive counts and takes only the
+    // flags it uses.
+    fails_with(&["study", "figures", "--systems", "0"], "--systems");
+    fails_with(&["study", "tails", "--instances", "0"], "--instances");
+    fails_with(&["study", "robustness", "--threads", "0"], "--threads");
+    fails_with(&["study", "traces", "--runs", "5"], "--runs");
+    fails_with(&["study", "figures", "--smoke"], "--smoke");
+}
+
+#[test]
+fn studies_write_only_under_out() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = rtsync()
+        .args(["study", "traces"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("figure 7"), "{}", stdout(&out));
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "{left:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -209,6 +232,12 @@ fn exact_search_certifies_example2_bounds() {
     );
     assert!(
         text.contains("worst observed 5 vs analyzed bound 5"),
+        "{text}"
+    );
+    // Every analyzed bound of Example 2 is attained, PM's included.
+    let pm = text.split("  PM:\n").nth(1).expect("a PM row");
+    assert!(
+        pm.contains("T2: worst observed 5 vs analyzed bound 5  (tight)"),
         "{text}"
     );
 
