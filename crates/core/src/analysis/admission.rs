@@ -24,7 +24,7 @@
 //!   dirties the same set. Everything else keeps its memo untouched.
 //! * **Warm-started fixed points** — on admission, demand only grows, so
 //!   every memoized fixed point is ≤ its new value and seeds the re-run
-//!   via [`fixed_point_with_hint`]; on retirement demand shrinks, the
+//!   via [`fixed_point_with_hint_counted`]; on retirement demand shrinks, the
 //!   memos overshoot, and dirty subtasks are recomputed cold.
 //! * **Warm-seeded SA/DS** (DS mode) — the sweep is globally coupled, so
 //!   there is no per-processor dirty set; instead the previous converged
@@ -44,7 +44,7 @@
 //!
 //! [`analyze_pm`]: crate::analysis::sa_pm::analyze_pm
 //! [`analyze_ds`]: crate::analysis::sa_ds::analyze_ds
-//! [`fixed_point_with_hint`]: crate::analysis::busy_period::fixed_point_with_hint
+//! [`fixed_point_with_hint_counted`]: crate::analysis::busy_period::fixed_point_with_hint_counted
 
 use std::collections::HashMap;
 use std::fmt;
@@ -168,6 +168,26 @@ impl ChainRequest {
     fn uses_processor(&self, proc: usize) -> bool {
         self.subtasks.iter().any(|&(p, _)| p == proc)
     }
+}
+
+/// A task set as admission requests: one chain per task, id = task
+/// index, ranked shortest-period-first (the deadline-monotonic order the
+/// §5.1 workload generator assigns priorities in).
+pub fn requests_of(set: &TaskSet) -> Vec<ChainRequest> {
+    set.tasks()
+        .iter()
+        .enumerate()
+        .map(|(i, task)| {
+            let subtasks = task
+                .subtasks()
+                .iter()
+                .map(|sub| (sub.processor().index(), sub.execution()))
+                .collect();
+            ChainRequest::new(i as u64, task.period(), subtasks)
+                .with_deadline(task.deadline())
+                .with_rank(task.period().ticks().min(i64::from(u32::MAX)) as u32)
+        })
+        .collect()
 }
 
 /// Why an admission request was turned away.

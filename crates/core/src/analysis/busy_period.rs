@@ -15,7 +15,7 @@
 //! The demand on the right-hand side is a monotone non-decreasing step
 //! function of `t`, so the iteration `t ← offset + W(t)` starting from
 //! `W(0⁺)` either converges to the **least** fixed point or grows past any
-//! cap; [`fixed_point`] reports which.
+//! cap; [`fixed_point_with_hint_counted`] reports which.
 //!
 //! # Examples
 //!
@@ -107,12 +107,36 @@ pub enum FixedPointFailure {
     Overflow,
 }
 
-/// Solves `t = offset + Σ_k ⌈(t + J_k)/p_k⌉·c_k` for the least `t > 0`.
+/// Solves `t = offset + Σ_k ⌈(t + J_k)/p_k⌉·c_k` for the least `t > 0`,
+/// starting cold: [`fixed_point_with_hint_counted`] with a zero hint and
+/// the iteration count dropped.
 ///
-/// Starts from `t₀ = offset + W(0⁺)` (every term contributes
-/// `⌊J/p⌋ + 1` instances at `0⁺`) and iterates `t ← offset + W(t)`;
-/// monotone convergence to the least fixed point is guaranteed when one
-/// exists below the cap.
+/// # Errors
+///
+/// Identical to [`fixed_point_with_hint_counted`].
+pub fn fixed_point(
+    offset: Dur,
+    terms: &[DemandTerm],
+    limits: FixedPointLimits,
+) -> Result<Dur, FixedPointFailure> {
+    fixed_point_with_hint_counted(Dur::ZERO, offset, terms, limits).map(|(t, _)| t)
+}
+
+/// Solves `t = offset + Σ_k ⌈(t + J_k)/p_k⌉·c_k` for the least `t > 0`,
+/// starting from `hint` when that is larger than the natural starting
+/// point, and returns the fixed point with the number of iterations the
+/// search took.
+///
+/// The natural start is `t₀ = offset + W(0⁺)` (every term contributes
+/// `⌊J/p⌋ + 1` instances at `0⁺`); the search iterates `t ← offset + W(t)`
+/// from `max(t₀, hint)`. Monotone convergence to the least fixed point is
+/// guaranteed when one exists below the cap and `hint` does not exceed it
+/// (a zero hint always qualifies). A larger hint may return a larger
+/// fixed point. SA/PM hints each instance with the previous instance's
+/// completion time (`C(m−1) ≤ C(m)` for the monotone per-instance
+/// equations). The IEERT kernel also hints with the busy period and
+/// completions of the previous sweep, which are valid because the
+/// jitters only grow between sweeps; see [`crate::analysis::ieert`].
 ///
 /// # Errors
 ///
@@ -124,22 +148,8 @@ pub enum FixedPointFailure {
 ///
 /// Panics (via [`Dur::ceil_div`]) if any term has a non-positive period;
 /// the [`crate::task::TaskSet`] invariants rule that out.
-pub fn fixed_point(
-    offset: Dur,
-    terms: &[DemandTerm],
-    limits: FixedPointLimits,
-) -> Result<Dur, FixedPointFailure> {
-    fixed_point_counted(offset, terms, limits).map(|(t, _)| t)
-}
-
-/// Like [`fixed_point`], but also returns how many iterations the search
-/// took (the convergence-instrumentation variant; see
-/// [`crate::analysis::sa_pm::BusyPeriodReport`]).
-///
-/// # Errors
-///
-/// Identical to [`fixed_point`].
-pub fn fixed_point_counted(
+pub fn fixed_point_with_hint_counted(
+    hint: Dur,
     offset: Dur,
     terms: &[DemandTerm],
     limits: FixedPointLimits,
@@ -147,59 +157,10 @@ pub fn fixed_point_counted(
     debug_assert!(offset.is_positive() || !terms.is_empty());
     // W(0⁺): evaluating the ceilings at t = 1 tick yields exactly
     // ⌊J/p⌋ + 1 per term, the demand of an instant after the origin.
-    let mut t = demand_at(offset, terms, Dur::from_ticks(1))?;
-    if t <= Dur::from_ticks(1) {
-        // offset + first instances fit in one tick: t is its own fixed point.
-        return Ok((t, 0));
-    }
-    for i in 0..limits.max_iterations {
-        if t > limits.cap {
-            return Err(FixedPointFailure::ExceedsCap);
-        }
-        let next = demand_at(offset, terms, t)?;
-        debug_assert!(next >= t, "demand iteration must be monotone");
-        if next == t {
-            return Ok((t, i + 1));
-        }
-        t = next;
-    }
-    Err(FixedPointFailure::IterationLimit)
-}
-
-/// Like [`fixed_point`], but starts iterating from `hint` when that is
-/// larger than the natural starting point `W(0⁺)`.
-///
-/// The caller must guarantee `hint` does not exceed the least fixed point,
-/// or the result may be a larger fixed point. SA/PM hints each instance
-/// with the previous instance's completion time (`C(m−1) ≤ C(m)` for the
-/// monotone per-instance equations). The IEERT kernel also hints with the
-/// busy period and completions of the previous sweep, which are valid
-/// because the jitters only grow between sweeps; see
-/// [`crate::analysis::ieert`].
-pub fn fixed_point_with_hint(
-    hint: Dur,
-    offset: Dur,
-    terms: &[DemandTerm],
-    limits: FixedPointLimits,
-) -> Result<Dur, FixedPointFailure> {
-    fixed_point_with_hint_counted(hint, offset, terms, limits).map(|(t, _)| t)
-}
-
-/// Like [`fixed_point_with_hint`], but also returns the iteration count
-/// (the convergence-instrumentation variant).
-///
-/// # Errors
-///
-/// Identical to [`fixed_point_with_hint`].
-pub fn fixed_point_with_hint_counted(
-    hint: Dur,
-    offset: Dur,
-    terms: &[DemandTerm],
-    limits: FixedPointLimits,
-) -> Result<(Dur, u64), FixedPointFailure> {
     let start = demand_at(offset, terms, Dur::from_ticks(1))?;
     let mut t = start.max(hint);
     if t <= Dur::from_ticks(1) {
+        // offset + first instances fit in one tick: t is its own fixed point.
         return Ok((t, 0));
     }
     for i in 0..limits.max_iterations {

@@ -35,7 +35,7 @@
 //!   monotone in the jitters, so raising jitters can only raise the least
 //!   fixed point of every equation: a solution found under jitters that
 //!   are all ≤ the current ones is a valid lower hint for
-//!   [`fixed_point_with_hint`]. Sweeps from a seed at or below the least
+//!   [`fixed_point_with_hint_counted`]. Sweeps from a seed at or below the least
 //!   fixed point only raise the bounds — the monotone-growth contract
 //!   [`IeerBounds::seed_with`] relies on — and if some jitter ever drops
 //!   (a caller-supplied seed above a first-sweep value) the subtask's
@@ -53,7 +53,7 @@
 //! warm one converges.
 
 use crate::analysis::busy_period::{
-    fixed_point_with_hint, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
+    fixed_point_with_hint_counted, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
 };
 use crate::analysis::sa_pm::map_failure;
 use crate::analysis::AnalysisConfig;
@@ -315,27 +315,29 @@ impl SubtaskKernel {
         // Step 1: busy-period duration with jittered demand.
         let busy_cap = busy_period_cap(&self.terms, cfg);
         let limits = FixedPointLimits::new(busy_cap, cfg.max_fixed_point_iterations);
-        let duration = fixed_point_with_hint(self.busy, self.blocking, &self.terms, limits)
-            .map_err(|f| match f {
-                FixedPointFailure::ExceedsCap => {
-                    let utilization_ppm = utilization_ppm(&self.terms);
-                    if utilization_ppm >= 1_000_000 {
-                        AnalyzeError::Overload {
-                            subtask: id,
-                            utilization_ppm,
-                        }
-                    } else {
-                        // Below capacity but the jitter terms alone exceed
-                        // the cap: the bounds have blown up — a failure,
-                        // not an overload.
-                        AnalyzeError::BoundExceedsCap {
-                            subtask: id,
-                            cap: busy_cap,
+        let (duration, _) =
+            fixed_point_with_hint_counted(self.busy, self.blocking, &self.terms, limits).map_err(
+                |f| match f {
+                    FixedPointFailure::ExceedsCap => {
+                        let utilization_ppm = utilization_ppm(&self.terms);
+                        if utilization_ppm >= 1_000_000 {
+                            AnalyzeError::Overload {
+                                subtask: id,
+                                utilization_ppm,
+                            }
+                        } else {
+                            // Below capacity but the jitter terms alone exceed
+                            // the cap: the bounds have blown up — a failure,
+                            // not an overload.
+                            AnalyzeError::BoundExceedsCap {
+                                subtask: id,
+                                cap: busy_cap,
+                            }
                         }
                     }
-                }
-                other => map_failure(other, id, busy_cap),
-            })?;
+                    other => map_failure(other, id, busy_cap),
+                },
+            )?;
         self.busy = duration;
 
         // Step 2: instances to examine.
@@ -361,7 +363,7 @@ impl SubtaskKernel {
                 .ok_or_else(overflow)?;
             let slot = (m - 1) as usize;
             let hint = prev_completion.max(self.completions.get(slot).copied().unwrap_or_default());
-            let completion = fixed_point_with_hint(hint, offset, interference, limits)
+            let (completion, _) = fixed_point_with_hint_counted(hint, offset, interference, limits)
                 .map_err(|f| map_failure(f, id, duration))?;
             match self.completions.get_mut(slot) {
                 Some(cached) => *cached = completion,

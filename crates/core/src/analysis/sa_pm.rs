@@ -36,8 +36,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::analysis::busy_period::{
-    fixed_point, fixed_point_with_hint_counted, utilization_ppm, DemandTerm, FixedPointFailure,
-    FixedPointLimits,
+    fixed_point_with_hint_counted, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
 };
 use crate::analysis::AnalysisConfig;
 use crate::error::AnalyzeError;
@@ -112,7 +111,7 @@ pub fn analyze_pm(set: &TaskSet, cfg: &AnalysisConfig) -> Result<PmBounds, Analy
     for task in set.tasks() {
         let mut row = Vec::with_capacity(task.chain_len());
         for sub in task.subtasks() {
-            row.push(subtask_response(set, sub.id(), cfg)?);
+            row.push(subtask_response_memo(set, sub.id(), cfg, None)?.response);
         }
         responses.push(row);
     }
@@ -205,45 +204,19 @@ pub fn analyze_pm_traced(
     for task in set.tasks() {
         let mut row = Vec::with_capacity(task.chain_len());
         for sub in task.subtasks() {
-            let conv = subtask_response_traced(set, sub.id(), cfg)?;
-            row.push(conv.response);
-            rows.push(conv);
+            let memo = subtask_response_memo(set, sub.id(), cfg, None)?;
+            row.push(memo.response);
+            rows.push(SubtaskConvergence {
+                subtask: sub.id(),
+                busy_period: memo.busy_period,
+                instances: memo.instances,
+                iterations: memo.iterations,
+                response: memo.response,
+            });
         }
         responses.push(row);
     }
     Ok((PmBounds { responses }, BusyPeriodReport { rows }))
-}
-
-/// Steps 1–4 of SA/PM for one subtask.
-///
-/// # Errors
-///
-/// Same failure modes as [`analyze_pm`].
-pub fn subtask_response(
-    set: &TaskSet,
-    id: SubtaskId,
-    cfg: &AnalysisConfig,
-) -> Result<Dur, AnalyzeError> {
-    subtask_response_traced(set, id, cfg).map(|c| c.response)
-}
-
-/// Steps 1–4 of SA/PM for one subtask, with convergence instrumentation.
-///
-/// # Errors
-///
-/// Same failure modes as [`analyze_pm`].
-pub fn subtask_response_traced(
-    set: &TaskSet,
-    id: SubtaskId,
-    cfg: &AnalysisConfig,
-) -> Result<SubtaskConvergence, AnalyzeError> {
-    subtask_response_memo(set, id, cfg, None).map(|m| SubtaskConvergence {
-        subtask: id,
-        busy_period: m.busy_period,
-        instances: m.instances,
-        iterations: m.iterations,
-        response: m.response,
-    })
 }
 
 /// Memoized convergence state of one SA/PM subtask analysis: every
@@ -251,16 +224,14 @@ pub fn subtask_response_traced(
 /// *grown* system can seed its searches from them via
 /// [`fixed_point_with_hint_counted`].
 ///
-/// The hint contract (see [`fixed_point_with_hint`]): a memo taken on
-/// system `S` is a valid warm start for the same subtask on system `S′`
-/// whenever `S′`'s demand dominates `S`'s — i.e. `S′` only *adds*
+/// The hint contract (see [`fixed_point_with_hint_counted`]): a memo
+/// taken on system `S` is a valid warm start for the same subtask on
+/// system `S′` whenever `S′`'s demand dominates `S`'s — i.e. `S′` only *adds*
 /// interference (admission) and leaves this subtask's own period,
 /// execution and blocking unchanged. Demand growth moves every least
 /// fixed point up, so each memoized value is ≤ its new counterpart.
 /// After *removing* interference (retirement) the memo may overshoot and
 /// must be discarded.
-///
-/// [`fixed_point_with_hint`]: crate::analysis::busy_period::fixed_point_with_hint
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SubtaskMemo {
     /// `D_{i,j}`: the converged level busy-period duration (step 1).
@@ -279,12 +250,12 @@ pub struct SubtaskMemo {
 /// Steps 1–4 of SA/PM for one subtask, warm-started from a previous
 /// run's [`SubtaskMemo`] when one is given.
 ///
-/// With `warm = None` this is exactly [`subtask_response_traced`] plus
-/// the recorded completions. With a memo, the step-1 busy-period search
-/// starts from the memoized duration and each step-3 instance search
-/// from the memoized completion — valid only under the monotone-growth
-/// contract documented on [`SubtaskMemo`]; the result is bit-identical
-/// either way, only the iteration count changes.
+/// With `warm = None` the searches start cold; this is the per-subtask
+/// body of [`analyze_pm`] and [`analyze_pm_traced`]. With a memo, the
+/// step-1 busy-period search starts from the memoized duration and each
+/// step-3 instance search from the memoized completion — valid only
+/// under the monotone-growth contract documented on [`SubtaskMemo`]; the
+/// result is bit-identical either way, only the iteration count changes.
 ///
 /// # Errors
 ///
@@ -372,48 +343,6 @@ pub fn subtask_response_memo(
     })
 }
 
-/// The **naive, unsound** variant that examines only the first instance of
-/// each busy period (`m = 1`), i.e. the classic Joseph–Pandya equation
-/// without Lehoczky's multi-instance correction.
-///
-/// For `D ≤ p` workloads it coincides with [`subtask_response`]; when a
-/// busy period spans several instances it can **underestimate** — see the
-/// `first_instance_only_underestimates` test for a concrete case (118 vs
-/// 114). Exposed only for the DESIGN.md ablation and the corresponding
-/// Criterion bench; never use it for schedulability verdicts.
-///
-/// # Errors
-///
-/// Same failure modes as [`subtask_response`].
-pub fn subtask_response_first_instance_only(
-    set: &TaskSet,
-    id: SubtaskId,
-    cfg: &AnalysisConfig,
-) -> Result<Dur, AnalyzeError> {
-    let me = set.subtask(id);
-    let interference: Vec<DemandTerm> = set
-        .interference_set(id)
-        .into_iter()
-        .map(|sid| {
-            DemandTerm::periodic(set.task(sid.task()).period(), set.subtask(sid).execution())
-        })
-        .collect();
-    let blocking = set.blocking_bound(id);
-    let cap = cfg.cap_for_period(set.task(id.task()).period());
-    let limits = FixedPointLimits::new(cap, cfg.max_fixed_point_iterations);
-    let offset = me
-        .execution()
-        .checked_add(blocking)
-        .ok_or(AnalyzeError::ArithmeticOverflow { subtask: id })?;
-    fixed_point(offset, &interference, limits).map_err(|f| match f {
-        FixedPointFailure::ExceedsCap => AnalyzeError::Overload {
-            subtask: id,
-            utilization_ppm: utilization_ppm(&interference),
-        },
-        other => map_failure(other, id, cap),
-    })
-}
-
 /// A generous upper limit for busy-period searches: exceeding it means the
 /// level demand cannot drain (utilization ≥ 1 up to rounding).
 fn busy_period_cap(terms: &[DemandTerm], cfg: &AnalysisConfig) -> Dur {
@@ -435,6 +364,7 @@ pub(crate) fn map_failure(f: FixedPointFailure, id: SubtaskId, cap: Dur) -> Anal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::busy_period::fixed_point;
     use crate::examples::example2;
     use crate::task::{Priority, TaskSet};
     use crate::time::{Dur, Time};
@@ -510,6 +440,41 @@ mod tests {
         // Worst = R(5) = 118 — strictly larger than R(1)=114: naive
         // first-instance analysis would be unsound here.
         assert_eq!(b.response(sid(1, 0)), d(118));
+    }
+
+    /// The **naive, unsound** variant that examines only the first instance of
+    /// each busy period (`m = 1`), i.e. the classic Joseph–Pandya equation
+    /// without Lehoczky's multi-instance correction.
+    ///
+    /// For `D ≤ p` workloads it coincides with SA/PM; when a busy period
+    /// spans several instances it can **underestimate** (118 vs 114 below).
+    fn subtask_response_first_instance_only(
+        set: &TaskSet,
+        id: SubtaskId,
+        cfg: &AnalysisConfig,
+    ) -> Result<Dur, AnalyzeError> {
+        let me = set.subtask(id);
+        let interference: Vec<DemandTerm> = set
+            .interference_set(id)
+            .into_iter()
+            .map(|sid| {
+                DemandTerm::periodic(set.task(sid.task()).period(), set.subtask(sid).execution())
+            })
+            .collect();
+        let blocking = set.blocking_bound(id);
+        let cap = cfg.cap_for_period(set.task(id.task()).period());
+        let limits = FixedPointLimits::new(cap, cfg.max_fixed_point_iterations);
+        let offset = me
+            .execution()
+            .checked_add(blocking)
+            .ok_or(AnalyzeError::ArithmeticOverflow { subtask: id })?;
+        fixed_point(offset, &interference, limits).map_err(|f| match f {
+            FixedPointFailure::ExceedsCap => AnalyzeError::Overload {
+                subtask: id,
+                utilization_ppm: utilization_ppm(&interference),
+            },
+            other => map_failure(other, id, cap),
+        })
     }
 
     #[test]
@@ -699,16 +664,16 @@ mod tests {
     #[test]
     fn memo_matches_traced_convergence() {
         let set = example2();
-        for task in set.tasks() {
-            for sub in task.subtasks() {
-                let traced = subtask_response_traced(&set, sub.id(), &cfg()).unwrap();
-                let memo = subtask_response_memo(&set, sub.id(), &cfg(), None).unwrap();
-                assert_eq!(memo.response, traced.response);
-                assert_eq!(memo.busy_period, traced.busy_period);
-                assert_eq!(memo.instances, traced.instances);
-                assert_eq!(memo.iterations, traced.iterations);
-                assert_eq!(memo.completions.len(), memo.instances as usize);
-            }
+        let (_, report) = analyze_pm_traced(&set, &cfg()).unwrap();
+        assert_eq!(report.rows.len(), set.num_subtasks());
+        for (traced, sub) in report.rows.iter().zip(set.subtasks()) {
+            let memo = subtask_response_memo(&set, sub.id(), &cfg(), None).unwrap();
+            assert_eq!(traced.subtask, sub.id());
+            assert_eq!(memo.response, traced.response);
+            assert_eq!(memo.busy_period, traced.busy_period);
+            assert_eq!(memo.instances, traced.instances);
+            assert_eq!(memo.iterations, traced.iterations);
+            assert_eq!(memo.completions.len(), memo.instances as usize);
         }
     }
 

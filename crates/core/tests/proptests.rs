@@ -7,7 +7,7 @@ use rtsync_core::analysis::admission::{
     AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
 };
 use rtsync_core::analysis::busy_period::{
-    fixed_point, fixed_point_with_hint, DemandTerm, FixedPointLimits,
+    fixed_point, fixed_point_with_hint_counted, DemandTerm, FixedPointLimits,
 };
 use rtsync_core::analysis::sa_pm::analyze_pm;
 use rtsync_core::analysis::AnalysisConfig;
@@ -99,16 +99,17 @@ proptest! {
             return Ok(());
         };
         let hint = Dur::from_ticks((t.ticks() as f64 * hint_frac) as i64);
-        let hinted = fixed_point_with_hint(hint, Dur::from_ticks(offset), &terms, limits).unwrap();
-        prop_assert_eq!(hinted, t);
+        let hint_at = |hint| {
+            fixed_point_with_hint_counted(hint, Dur::from_ticks(offset), &terms, limits)
+                .unwrap()
+                .0
+        };
+        prop_assert_eq!(hint_at(hint), t);
         // Near-lfp hints drive the "demand does not grow past the
         // iterate" early return: a hint of exactly the least fixed point
         // (and one tick under it) must still land on the same answer.
-        let at_lfp = fixed_point_with_hint(t, Dur::from_ticks(offset), &terms, limits).unwrap();
-        prop_assert_eq!(at_lfp, t);
-        let near = Dur::from_ticks((t.ticks() - 1).max(0));
-        let near_lfp = fixed_point_with_hint(near, Dur::from_ticks(offset), &terms, limits).unwrap();
-        prop_assert_eq!(near_lfp, t);
+        prop_assert_eq!(hint_at(t), t);
+        prop_assert_eq!(hint_at(Dur::from_ticks((t.ticks() - 1).max(0))), t);
     }
 
     /// PriorityKey's exact rational order agrees with cross-multiplication

@@ -1,6 +1,6 @@
-//! The admission-control throughput study: how many online admit/retire
-//! decisions per second the incremental engine sustains on §5.1
-//! synthetic workloads, and what the memoization actually buys.
+//! The admission-control study: whether the incremental engine's
+//! memoized verdicts match a from-scratch oracle on §5.1 synthetic
+//! workloads, and how much analysis work the memoization saves.
 //!
 //! Each run draws a seeded §5.1 system (4 processors), converts its task
 //! chains into [`ChainRequest`]s ranked shortest-period-first, and
@@ -17,24 +17,22 @@
 //! resident (cycling over the admitted ids) and re-admits it. That is
 //! the online steady state the engine exists for — membership changes
 //! one chain at a time against a warm resident set. Per `(N, U, mode)`
-//! cell the study reports decisions/s for both arms, the warm/cold
-//! speedup, the subtask re-analyses each arm actually ran, and a
-//! verdict-agreement count: any admit/retire whose outcome differs
-//! between the arms is a correctness failure
-//! ([`AdmitOutcome::is_clean`]), since memoization is exactness-
-//! preserving by construction.
+//! cell the study reports the verdicts, the subtask re-analyses each arm
+//! actually ran and the ones memoization skipped, and a verdict-agreement
+//! count: any admit/retire whose outcome differs between the arms is a
+//! correctness failure ([`AdmitOutcome::is_clean`]), since memoization is
+//! exactness-preserving by construction.
 //!
-//! Timings are wall-clock and machine-dependent; the recorded CSVs are
-//! a snapshot, the agreement counters are invariants.
-
-use std::time::Instant;
+//! Every reported number is a count, so the records regenerate byte for
+//! byte. Decision latency and throughput are measured by `rtsync bench`
+//! (the `admit` tier) instead.
 
 use crate::campaign::run_grid;
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::analysis::admission::{
-    AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
+    requests_of, AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
 };
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -99,18 +97,15 @@ pub struct AdmitArm {
     pub reanalyzed: u64,
     /// Subtask analyses skipped by memoization.
     pub skipped: u64,
-    /// Wall-clock seconds spent inside the engine.
-    pub seconds: f64,
 }
 
 impl AdmitArm {
-    /// Decisions per second (admits + retires over engine time).
-    pub fn rate(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.ops as f64 / self.seconds
-        } else {
-            0.0
-        }
+    fn add(&mut self, other: &AdmitArm) {
+        self.ops += other.ops;
+        self.admitted += other.admitted;
+        self.rejected += other.rejected;
+        self.reanalyzed += other.reanalyzed;
+        self.skipped += other.skipped;
     }
 }
 
@@ -154,18 +149,6 @@ pub struct AdmitCell {
     pub disagreements: u64,
 }
 
-impl AdmitCell {
-    /// Warm-over-cold throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        let cold = self.cold.rate();
-        if cold > 0.0 {
-            self.warm.rate() / cold
-        } else {
-            f64::NAN
-        }
-    }
-}
-
 /// The whole study's outcome.
 #[derive(Clone, Debug)]
 pub struct AdmitOutcome {
@@ -181,43 +164,6 @@ impl AdmitOutcome {
     pub fn is_clean(&self) -> bool {
         self.verdicts.iter().all(|v| v.disagreements == 0)
     }
-
-    /// Decisions/s of the memoizing arm across all runs.
-    pub fn overall_warm_rate(&self) -> f64 {
-        let (ops, secs) = self.verdicts.iter().fold((0u64, 0.0), |(o, s), v| {
-            (o + v.warm.ops, s + v.warm.seconds)
-        });
-        if secs > 0.0 {
-            ops as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The §5.1 system of one run, as admission requests: one chain per
-/// task, id = task index, ranked shortest-period-first (the deadline-
-/// monotonic order the workload generator assigns priorities in).
-fn requests_of(system_seed: u64, n: usize, u: f64) -> (usize, Vec<ChainRequest>) {
-    let spec = WorkloadSpec::paper(n, u);
-    let set = generate(&spec, &mut StdRng::seed_from_u64(system_seed))
-        .expect("paper spec always generates");
-    let requests = set
-        .tasks()
-        .iter()
-        .enumerate()
-        .map(|(i, task)| {
-            let subtasks = task
-                .subtasks()
-                .iter()
-                .map(|sub| (sub.processor().index(), sub.execution()))
-                .collect();
-            ChainRequest::new(i as u64, task.period(), subtasks)
-                .with_deadline(task.deadline())
-                .with_rank(task.period().ticks().min(i64::from(u32::MAX)) as u32)
-        })
-        .collect();
-    (set.num_processors(), requests)
 }
 
 /// Drives one arm through the full sequence: admit every chain, then
@@ -233,8 +179,6 @@ fn drive(
 ) -> (AdmitArm, Vec<bool>) {
     let mut state = AdmissionState::new(processors, cfg);
     let mut outcomes = Vec::with_capacity(requests.len() + 2 * churn_rounds);
-    let mut arm = AdmitArm::default();
-    let started = Instant::now();
     let mut resident_ids: Vec<u64> = Vec::new();
     for req in requests {
         let decision = state.admit(req.clone());
@@ -260,13 +204,14 @@ fn drive(
             resident_ids.retain(|&r| r != id);
         }
     }
-    arm.seconds = started.elapsed().as_secs_f64();
     let stats = state.stats();
-    arm.ops = stats.decisions + stats.retired;
-    arm.admitted = stats.admitted;
-    arm.rejected = stats.rejected;
-    arm.reanalyzed = stats.subtasks_reanalyzed;
-    arm.skipped = stats.subtasks_skipped;
+    let arm = AdmitArm {
+        ops: stats.decisions + stats.retired,
+        admitted: stats.admitted,
+        rejected: stats.rejected,
+        reanalyzed: stats.subtasks_reanalyzed,
+        skipped: stats.subtasks_skipped,
+    };
     (arm, outcomes)
 }
 
@@ -278,7 +223,12 @@ fn evaluate_run(
     churn_rounds: usize,
 ) -> AdmitVerdict {
     let (n, u, mode) = cell;
-    let (processors, requests) = requests_of(system_seed, n, u);
+    let set = generate(
+        &WorkloadSpec::paper(n, u),
+        &mut StdRng::seed_from_u64(system_seed),
+    )
+    .expect("paper spec always generates");
+    let (processors, requests) = (set.num_processors(), requests_of(&set));
     let base = AdmissionConfig::new(mode);
     let (warm, warm_outcomes) = drive(processors, &requests, churn_rounds, base);
     let (cold, cold_outcomes) = drive(
@@ -307,8 +257,8 @@ fn evaluate_run(
 
 /// Runs the whole study: `shapes × modes × systems_per_cell` seeded
 /// runs, two arms each. Cells come back shapes-outer, modes-inner;
-/// verdicts in (cell, run) order. Outcome *verdicts* are deterministic
-/// for a given config; the timings are wall-clock.
+/// verdicts in (cell, run) order. The outcome is deterministic for a
+/// given config, whatever the thread count.
 pub fn run_admit_study(cfg: &AdmitStudyConfig) -> AdmitOutcome {
     let cells: Vec<(usize, f64, AdmissionMode)> = cfg
         .shapes
@@ -333,31 +283,31 @@ pub fn run_admit_study(cfg: &AdmitStudyConfig) -> AdmitOutcome {
         .enumerate()
         .map(|(c, &(n, u, mode))| {
             let runs = &verdicts[c * cfg.systems_per_cell..(c + 1) * cfg.systems_per_cell];
-            let mut cell = AdmitCell {
+            let (warm, cold, disagreements) = totals(runs);
+            AdmitCell {
                 n,
                 u,
                 mode,
                 runs: runs.len(),
-                warm: AdmitArm::default(),
-                cold: AdmitArm::default(),
-                disagreements: 0,
-            };
-            for v in runs {
-                for (total, arm) in [(&mut cell.warm, &v.warm), (&mut cell.cold, &v.cold)] {
-                    total.ops += arm.ops;
-                    total.admitted += arm.admitted;
-                    total.rejected += arm.rejected;
-                    total.reanalyzed += arm.reanalyzed;
-                    total.skipped += arm.skipped;
-                    total.seconds += arm.seconds;
-                }
-                cell.disagreements += v.disagreements;
+                warm,
+                cold,
+                disagreements,
             }
-            cell
         })
         .collect();
 
     AdmitOutcome { cells, verdicts }
+}
+
+/// Warm-arm totals, cold-arm totals and disagreements over `runs`.
+fn totals<'a>(runs: impl IntoIterator<Item = &'a AdmitVerdict>) -> (AdmitArm, AdmitArm, u64) {
+    let (mut warm, mut cold, mut disagreements) = (AdmitArm::default(), AdmitArm::default(), 0);
+    for v in runs {
+        warm.add(&v.warm);
+        cold.add(&v.cold);
+        disagreements += v.disagreements;
+    }
+    (warm, cold, disagreements)
 }
 
 /// The mode's CSV/column tag.
@@ -368,73 +318,57 @@ fn mode_tag(mode: AdmissionMode) -> &'static str {
     }
 }
 
+/// The work columns shared by the grid and summary CSVs.
+const WORK_COLUMNS: &str =
+    "ops,admitted,rejected,warm_reanalyzed,warm_skipped,cold_reanalyzed,disagreements";
+
+/// One row's work columns, in [`WORK_COLUMNS`] order.
+fn work_row(warm: &AdmitArm, cold: &AdmitArm, disagreements: u64) -> String {
+    format!(
+        "{},{},{},{},{},{},{}",
+        warm.ops,
+        warm.admitted,
+        warm.rejected,
+        warm.reanalyzed,
+        warm.skipped,
+        cold.reanalyzed,
+        disagreements,
+    )
+}
+
 /// Cell-level CSV: one row per `(N, U, mode)` coordinate.
 pub fn grid_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = String::from(
-        "n,u,mode,runs,ops,admitted,rejected,\
-         warm_decisions_per_sec,cold_decisions_per_sec,speedup,\
-         warm_reanalyzed,warm_skipped,cold_reanalyzed,disagreements\n",
-    );
+    let mut out = format!("n,u,mode,runs,{WORK_COLUMNS}\n");
     for c in &outcome.cells {
         out.push_str(&format!(
-            "{},{:.2},{},{},{},{},{},{:.0},{:.0},{:.2},{},{},{},{}\n",
+            "{},{:.2},{},{},{}\n",
             c.n,
             c.u,
             mode_tag(c.mode),
             c.runs,
-            c.warm.ops,
-            c.warm.admitted,
-            c.warm.rejected,
-            c.warm.rate(),
-            c.cold.rate(),
-            c.speedup(),
-            c.warm.reanalyzed,
-            c.warm.skipped,
-            c.cold.reanalyzed,
-            c.disagreements,
+            work_row(&c.warm, &c.cold, c.disagreements),
         ));
     }
     out
 }
 
-/// Headline CSV: one row per mode plus the overall line the acceptance
-/// gate reads (`mode=all`).
+/// Headline CSV: one row per mode plus the overall line (`mode=all`).
 pub fn summary_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = String::from(
-        "mode,runs,ops,warm_decisions_per_sec,cold_decisions_per_sec,\
-         speedup,disagreements\n",
-    );
-    let mut rows: Vec<(String, Vec<&AdmitVerdict>)> = Vec::new();
+    let mut out = format!("mode,runs,{WORK_COLUMNS}\n");
+    let mut rows: Vec<(&str, Vec<&AdmitVerdict>)> = Vec::new();
     for mode in [AdmissionMode::PmFamily, AdmissionMode::DirectSync] {
         let runs: Vec<&AdmitVerdict> = outcome.verdicts.iter().filter(|v| v.mode == mode).collect();
         if !runs.is_empty() {
-            rows.push((mode_tag(mode).to_string(), runs));
+            rows.push((mode_tag(mode), runs));
         }
     }
-    rows.push(("all".to_string(), outcome.verdicts.iter().collect()));
+    rows.push(("all", outcome.verdicts.iter().collect()));
     for (tag, runs) in rows {
-        let mut warm = (0u64, 0.0f64);
-        let mut cold = (0u64, 0.0f64);
-        let mut disagreements = 0u64;
-        for v in &runs {
-            warm = (warm.0 + v.warm.ops, warm.1 + v.warm.seconds);
-            cold = (cold.0 + v.cold.ops, cold.1 + v.cold.seconds);
-            disagreements += v.disagreements;
-        }
-        let rate = |(ops, secs): (u64, f64)| if secs > 0.0 { ops as f64 / secs } else { 0.0 };
+        let (warm, cold, disagreements) = totals(runs.iter().copied());
         out.push_str(&format!(
-            "{},{},{},{:.0},{:.0},{:.2},{}\n",
-            tag,
+            "{tag},{},{}\n",
             runs.len(),
-            warm.0,
-            rate(warm),
-            rate(cold),
-            if rate(cold) > 0.0 {
-                rate(warm) / rate(cold)
-            } else {
-                f64::NAN
-            },
-            disagreements,
+            work_row(&warm, &cold, disagreements),
         ));
     }
     out
@@ -443,29 +377,43 @@ pub fn summary_csv(outcome: &AdmitOutcome) -> String {
 /// ASCII rendering of the grid.
 pub fn render(outcome: &AdmitOutcome) -> String {
     let mut out =
-        String::from("admission throughput (decisions/s, warm = memoized, cold = from-scratch)\n");
+        String::from("admission verdicts and work (warm = memoized, cold = from-scratch)\n");
     out.push_str(&format!(
-        "{:<4}{:<6}{:<6}{:>10}{:>14}{:>14}{:>10}{:>14}{:>12}\n",
-        "N", "U", "mode", "ops", "warm dec/s", "cold dec/s", "speedup", "reanalyzed", "disagree"
+        "{:<4}{:<6}{:<6}{:>10}{:>10}{:>10}{:>16}{:>14}{:>16}{:>10}\n",
+        "N",
+        "U",
+        "mode",
+        "ops",
+        "admitted",
+        "rejected",
+        "warm reanalyzed",
+        "warm skipped",
+        "cold reanalyzed",
+        "disagree"
     ));
     for c in &outcome.cells {
         out.push_str(&format!(
-            "{:<4}{:<6.2}{:<6}{:>10}{:>14.0}{:>14.0}{:>10.2}{:>14}{:>12}\n",
+            "{:<4}{:<6.2}{:<6}{:>10}{:>10}{:>10}{:>16}{:>14}{:>16}{:>10}\n",
             c.n,
             c.u,
             mode_tag(c.mode),
             c.warm.ops,
-            c.warm.rate(),
-            c.cold.rate(),
-            c.speedup(),
+            c.warm.admitted,
+            c.warm.rejected,
             c.warm.reanalyzed,
+            c.warm.skipped,
+            c.cold.reanalyzed,
             c.disagreements,
         ));
     }
+    let (warm, cold, disagreements) = totals(&outcome.verdicts);
     out.push_str(&format!(
-        "overall warm throughput: {:.0} decisions/s over {} runs\n",
-        outcome.overall_warm_rate(),
+        "overall: {} ops over {} runs, memoization skipped {} of {} subtask analyses, \
+         {disagreements} disagreements\n",
+        warm.ops,
         outcome.verdicts.len(),
+        warm.skipped,
+        cold.reanalyzed,
     ));
     out
 }
@@ -511,11 +459,10 @@ mod tests {
         let b = run_admit_study(&cfg4);
         for (x, y) in a.verdicts.iter().zip(&b.verdicts) {
             assert_eq!(x.system_seed, y.system_seed);
-            assert_eq!(x.warm.admitted, y.warm.admitted);
-            assert_eq!(x.warm.rejected, y.warm.rejected);
-            assert_eq!(x.warm.reanalyzed, y.warm.reanalyzed);
-            assert_eq!(x.disagreements, y.disagreements);
         }
+        // Every column is a count, so the records match byte for byte.
+        assert_eq!(grid_csv(&a), grid_csv(&b));
+        assert_eq!(summary_csv(&a), summary_csv(&b));
     }
 
     #[test]
@@ -532,6 +479,6 @@ mod tests {
         let summary = summary_csv(&outcome);
         // pm + ds + all.
         assert_eq!(summary.lines().count(), 1 + 3);
-        assert!(render(&outcome).contains("overall warm throughput"));
+        assert!(render(&outcome).contains("overall: "));
     }
 }

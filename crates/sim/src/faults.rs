@@ -529,17 +529,7 @@ impl FaultConfig {
                 out.resize(num_procs, Vec::new());
                 out.truncate(num_procs);
                 for per_proc in &mut out {
-                    per_proc.sort_by_key(|w| w.at);
-                    let mut prev_end: Option<Time> = None;
-                    per_proc.retain(|w| {
-                        let keep = w.at >= Time::ZERO
-                            && w.at <= horizon
-                            && prev_end.is_none_or(|end| w.at > end);
-                        if keep {
-                            prev_end = Some(w.recovers_at());
-                        }
-                        keep
-                    });
+                    deoverlap(per_proc, horizon);
                 }
                 out
             }
@@ -547,30 +537,19 @@ impl FaultConfig {
                 mean_uptime,
                 restart_delay,
                 seed,
-            } => {
-                let mean = mean_uptime.ticks().max(1) as f64;
-                (0..num_procs)
-                    .map(|p| {
-                        let mut rng = StdRng::seed_from_u64(mix(*seed, p as u64));
-                        let mut windows = Vec::new();
-                        let mut t = Time::ZERO;
-                        while windows.len() < MAX_WINDOWS_PER_PROC {
-                            let gap = exponential_ticks(&mut rng, mean);
-                            let at = t.saturating_add(gap);
-                            if at > horizon {
-                                break;
-                            }
-                            let w = CrashWindow {
+            } => (0..num_procs)
+                .map(|p| {
+                    renewal(mix(*seed, p as u64), *mean_uptime, horizon, |_, at, out| {
+                        push(
+                            out,
+                            CrashWindow {
                                 at,
                                 restart_delay: *restart_delay,
-                            };
-                            t = w.recovers_at();
-                            windows.push(w);
-                        }
-                        windows
+                            },
+                        )
                     })
-                    .collect()
-            }
+                })
+                .collect(),
         };
         // Flapping personas become ordinary crash windows merged into the
         // base schedule, so every cycle goes through the full
@@ -583,17 +562,7 @@ impl FaultConfig {
                     continue;
                 }
                 per_proc.extend(extra);
-                per_proc.sort_by_key(|w| w.at);
-                let mut prev_end: Option<Time> = None;
-                per_proc.retain(|w| {
-                    let keep = w.at >= Time::ZERO
-                        && w.at <= horizon
-                        && prev_end.is_none_or(|end| w.at > end);
-                    if keep {
-                        prev_end = Some(w.recovers_at());
-                    }
-                    keep
-                });
+                deoverlap(per_proc, horizon);
             }
         }
         out
@@ -613,17 +582,7 @@ impl FaultConfig {
                 out.truncate(num_procs);
                 for per_proc in &mut out {
                     per_proc.retain(|w| w.factor >= 2 && w.span.is_positive());
-                    per_proc.sort_by_key(|w| w.at);
-                    let mut prev_end: Option<Time> = None;
-                    per_proc.retain(|w| {
-                        let keep = w.at >= Time::ZERO
-                            && w.at <= horizon
-                            && prev_end.is_none_or(|end| w.at > end);
-                        if keep {
-                            prev_end = Some(w.ends_at());
-                        }
-                        keep
-                    });
+                    deoverlap(per_proc, horizon);
                 }
                 out
             }
@@ -636,27 +595,19 @@ impl FaultConfig {
                 if *factor < 2 || !span.is_positive() {
                     return vec![Vec::new(); num_procs];
                 }
-                let mean = mean_healthy.ticks().max(1) as f64;
                 (0..num_procs)
                     .map(|p| {
-                        let mut rng = StdRng::seed_from_u64(mix(*seed, SLOW_SALT ^ p as u64));
-                        let mut windows = Vec::new();
-                        let mut t = Time::ZERO;
-                        while windows.len() < MAX_WINDOWS_PER_PROC {
-                            let gap = exponential_ticks(&mut rng, mean);
-                            let at = t.saturating_add(gap);
-                            if at > horizon {
-                                break;
-                            }
-                            let w = SlowWindow {
-                                at,
-                                span: *span,
-                                factor: *factor,
-                            };
-                            t = w.ends_at();
-                            windows.push(w);
-                        }
-                        windows
+                        let seed = mix(*seed, SLOW_SALT ^ p as u64);
+                        renewal(seed, *mean_healthy, horizon, |_, at, out| {
+                            push(
+                                out,
+                                SlowWindow {
+                                    at,
+                                    span: *span,
+                                    factor: *factor,
+                                },
+                            )
+                        })
                     })
                     .collect()
             }
@@ -676,17 +627,7 @@ impl FaultConfig {
                 out.truncate(num_procs);
                 for per_proc in &mut out {
                     per_proc.retain(|w| w.span.is_positive());
-                    per_proc.sort_by_key(|w| w.at);
-                    let mut prev_end: Option<Time> = None;
-                    per_proc.retain(|w| {
-                        let keep = w.at >= Time::ZERO
-                            && w.at <= horizon
-                            && prev_end.is_none_or(|end| w.at > end);
-                        if keep {
-                            prev_end = Some(w.ends_at());
-                        }
-                        keep
-                    });
+                    deoverlap(per_proc, horizon);
                 }
                 out
             }
@@ -698,23 +639,12 @@ impl FaultConfig {
                 if !span.is_positive() {
                     return vec![Vec::new(); num_procs];
                 }
-                let mean = mean_healthy.ticks().max(1) as f64;
                 (0..num_procs)
                     .map(|p| {
-                        let mut rng = StdRng::seed_from_u64(mix(*seed, STALL_SALT ^ p as u64));
-                        let mut windows = Vec::new();
-                        let mut t = Time::ZERO;
-                        while windows.len() < MAX_WINDOWS_PER_PROC {
-                            let gap = exponential_ticks(&mut rng, mean);
-                            let at = t.saturating_add(gap);
-                            if at > horizon {
-                                break;
-                            }
-                            let w = StallWindow { at, span: *span };
-                            t = w.ends_at();
-                            windows.push(w);
-                        }
-                        windows
+                        let seed = mix(*seed, STALL_SALT ^ p as u64);
+                        renewal(seed, *mean_healthy, horizon, |_, at, out| {
+                            push(out, StallWindow { at, span: *span })
+                        })
                     })
                     .collect()
             }
@@ -774,34 +704,30 @@ impl FaultConfig {
                 if num_procs < 2 || !span.is_positive() {
                     return Vec::new();
                 }
-                let mean = mean_healthy.ticks().max(1) as f64;
-                let mut rng = StdRng::seed_from_u64(mix(*seed, LINK_SALT));
-                let mut out = Vec::new();
-                let mut t = Time::ZERO;
-                while out.len() < MAX_WINDOWS_PER_PROC {
-                    let gap = exponential_ticks(&mut rng, mean);
-                    let at = t.saturating_add(gap);
-                    if at > horizon {
-                        break;
-                    }
-                    let from = rng.random_range(0..num_procs as u64) as usize;
-                    let mut to = rng.random_range(0..(num_procs - 1) as u64) as usize;
-                    if to >= from {
-                        to += 1;
-                    }
-                    let w = LinkDegradeWindow {
-                        at,
-                        span: *span,
-                        from,
-                        to,
-                        extra_latency: *extra_latency,
-                        jitter: *jitter,
-                        drop_permille: (*drop_permille).min(1000),
-                    };
-                    t = w.ends_at();
-                    out.push(w);
-                }
-                out
+                renewal(
+                    mix(*seed, LINK_SALT),
+                    *mean_healthy,
+                    horizon,
+                    |rng, at, out| {
+                        let from = rng.random_range(0..num_procs as u64) as usize;
+                        let mut to = rng.random_range(0..(num_procs - 1) as u64) as usize;
+                        if to >= from {
+                            to += 1;
+                        }
+                        push(
+                            out,
+                            LinkDegradeWindow {
+                                at,
+                                span: *span,
+                                from,
+                                to,
+                                extra_latency: *extra_latency,
+                                jitter: *jitter,
+                                drop_permille: (*drop_permille).min(1000),
+                            },
+                        )
+                    },
+                )
             }
         }
     }
@@ -832,17 +758,7 @@ impl FaultConfig {
                         )
                     })
                     .collect();
-                out.sort_by_key(|w| w.at);
-                let mut prev_end: Option<Time> = None;
-                out.retain(|w| {
-                    let keep = w.at >= Time::ZERO
-                        && w.at <= horizon
-                        && prev_end.is_none_or(|end| w.at > end);
-                    if keep {
-                        prev_end = Some(w.heals_at());
-                    }
-                    keep
-                });
+                deoverlap(&mut out, horizon);
                 out
             }
             PartitionSchedule::Random {
@@ -853,34 +769,30 @@ impl FaultConfig {
                 if num_procs < 2 {
                     return Vec::new(); // one node cannot split
                 }
-                let mean = mean_connected.ticks().max(1) as f64;
-                let mut rng = StdRng::seed_from_u64(mix(*seed, 0x9a27));
-                let mut out = Vec::new();
-                let mut t = Time::ZERO;
                 // Mask draws need a nonempty proper subset; 2^k - 2 of
                 // them exist over k bits. Cap at 16 bits so the range
                 // stays sane for wide systems (processors past the 16th
                 // simply stay on the mainland side).
                 let bits = num_procs.min(16) as u32;
-                while out.len() < MAX_WINDOWS_PER_PROC {
-                    let gap = exponential_ticks(&mut rng, mean);
-                    let at = t.saturating_add(gap);
-                    if at > horizon {
-                        break;
-                    }
-                    let mask: u64 = rng.random_range(1..(1u64 << bits) - 1);
-                    let island = (0..num_procs.min(16))
-                        .filter(|p| mask & (1 << p) != 0)
-                        .collect();
-                    let w = PartitionWindow {
-                        at,
-                        heal_delay: *heal_delay,
-                        island,
-                    };
-                    t = w.heals_at();
-                    out.push(w);
-                }
-                out
+                renewal(
+                    mix(*seed, 0x9a27),
+                    *mean_connected,
+                    horizon,
+                    |rng, at, out| {
+                        let mask: u64 = rng.random_range(1..(1u64 << bits) - 1);
+                        let island = (0..num_procs.min(16))
+                            .filter(|p| mask & (1 << p) != 0)
+                            .collect();
+                        push(
+                            out,
+                            PartitionWindow {
+                                at,
+                                heal_delay: *heal_delay,
+                                island,
+                            },
+                        )
+                    },
+                )
             }
         }
     }
@@ -937,35 +849,24 @@ fn resolve_flaps(
             down,
             up,
             seed,
-        } => {
-            let mean = mean_stable.ticks().max(1) as f64;
-            (0..num_procs)
-                .map(|p| {
-                    let mut rng = StdRng::seed_from_u64(mix(*seed, FLAP_SALT ^ p as u64));
-                    let mut out = Vec::new();
-                    let mut t = Time::ZERO;
-                    while out.len() < MAX_WINDOWS_PER_PROC {
-                        let gap = exponential_ticks(&mut rng, mean);
-                        let at = t.saturating_add(gap);
-                        if at > horizon {
-                            break;
-                        }
-                        let burst = FlapBurst {
-                            at,
-                            cycles: *cycles,
-                            down: *down,
-                            up: *up,
-                        };
-                        expand(&burst, &mut out);
-                        let stride = down.saturating_add(*up).max(Dur::from_ticks(1));
-                        t = at.saturating_add(Dur::from_ticks(
-                            stride.ticks().saturating_mul(*cycles as i64),
-                        ));
-                    }
-                    out
+        } => (0..num_procs)
+            .map(|p| {
+                let seed = mix(*seed, FLAP_SALT ^ p as u64);
+                renewal(seed, *mean_stable, horizon, |_, at, out| {
+                    let burst = FlapBurst {
+                        at,
+                        cycles: *cycles,
+                        down: *down,
+                        up: *up,
+                    };
+                    expand(&burst, out);
+                    let stride = down.saturating_add(*up).max(Dur::from_ticks(1));
+                    at.saturating_add(Dur::from_ticks(
+                        stride.ticks().saturating_mul(*cycles as i64),
+                    ))
                 })
-                .collect()
-        }
+            })
+            .collect(),
     }
 }
 
@@ -984,6 +885,91 @@ fn exponential_ticks(rng: &mut StdRng, mean: f64) -> Dur {
     let u: f64 = rng.random_range(0.0..1.0);
     let gap = -(1.0 - u).ln() * mean;
     Dur::from_ticks((gap.round() as i64).max(1))
+}
+
+/// A resolved fault window.
+trait FaultWindow {
+    /// The instants the window opens and closes.
+    fn bounds(&self) -> (Time, Time);
+}
+
+impl FaultWindow for CrashWindow {
+    fn bounds(&self) -> (Time, Time) {
+        (self.at, self.recovers_at())
+    }
+}
+
+impl FaultWindow for SlowWindow {
+    fn bounds(&self) -> (Time, Time) {
+        (self.at, self.ends_at())
+    }
+}
+
+impl FaultWindow for StallWindow {
+    fn bounds(&self) -> (Time, Time) {
+        (self.at, self.ends_at())
+    }
+}
+
+impl FaultWindow for LinkDegradeWindow {
+    fn bounds(&self) -> (Time, Time) {
+        (self.at, self.ends_at())
+    }
+}
+
+impl FaultWindow for PartitionWindow {
+    fn bounds(&self) -> (Time, Time) {
+        (self.at, self.heals_at())
+    }
+}
+
+/// Appends `window` to `out` and returns the instant it closes.
+fn push<W: FaultWindow>(out: &mut Vec<W>, window: W) -> Time {
+    let (_, end) = window.bounds();
+    out.push(window);
+    end
+}
+
+/// A seeded renewal schedule over `[0, horizon]`: healthy gaps drawn
+/// exponentially with mean `mean` from the stream of `seed`, each
+/// followed by the window(s) `open` appends at the gap's end. `open`
+/// may draw more from the same stream and returns the instant the next
+/// healthy gap starts. Stops at the first window past the horizon or at
+/// [`MAX_WINDOWS_PER_PROC`] windows.
+fn renewal<W>(
+    seed: u64,
+    mean: Dur,
+    horizon: Time,
+    mut open: impl FnMut(&mut StdRng, Time, &mut Vec<W>) -> Time,
+) -> Vec<W> {
+    let mean = mean.ticks().max(1) as f64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    let mut t = Time::ZERO;
+    while out.len() < MAX_WINDOWS_PER_PROC {
+        let at = t.saturating_add(exponential_ticks(&mut rng, mean));
+        if at > horizon {
+            break;
+        }
+        t = open(&mut rng, at, &mut out);
+    }
+    out
+}
+
+/// Sorts `windows` by start (stably) and keeps each window that starts
+/// inside `[0, horizon]` after the last kept window closed.
+fn deoverlap<W: FaultWindow>(windows: &mut Vec<W>, horizon: Time) {
+    windows.sort_by_key(|w| w.bounds().0);
+    let mut prev_end: Option<Time> = None;
+    windows.retain(|w| {
+        let (start, end) = w.bounds();
+        let keep =
+            start >= Time::ZERO && start <= horizon && prev_end.is_none_or(|prev| start > prev);
+        if keep {
+            prev_end = Some(end);
+        }
+        keep
+    });
 }
 
 /// What the fault domain did during one run (part of

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for protocol in Protocol::ALL {
         let mut counters = ProtocolCounters::default();
         let cfg = SimConfig::new(protocol).with_instances(100);
-        simulate_observed(&system, &cfg, &mut counters)?;
-        tallies.push(counters);
+        let outcome = simulate_observed(&system, &cfg, &mut counters)?;
+        tallies.push((counters, outcome));
     }
 
     // Side-by-side comparison: the protocols trade blocking for churn.
@@ -49,12 +49,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let row = |name: &str, f: &dyn Fn(&ProtocolCounters) -> u64| {
         print!("{name:<28}");
-        for c in &tallies {
+        for (c, _) in &tallies {
             print!("{:>10}", f(c));
         }
         println!();
     };
-    row("events", &|c| c.events);
+    print!("{:<28}", "events");
+    for (_, outcome) in &tallies {
+        print!("{:>10}", outcome.events);
+    }
+    println!();
     row("sync interrupts", &|c| c.total_sync_interrupts());
     row("guard blocks", &|c| c.total_guard_blocks());
     row("guard delay (ticks)", &|c| {
@@ -63,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     row("preemptions", &|c| c.total_preemptions());
     row("context switches", &|c| c.total_context_switches());
 
-    let rg = &tallies[3];
-    let ds = &tallies[0];
+    let rg = &tallies[3].0;
+    let ds = &tallies[0].0;
     let mean_delay = if rg.total_guard_blocks() > 0 {
         rg.total_guard_delay().as_f64() / rg.total_guard_blocks() as f64
     } else {
@@ -82,12 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The full per-task breakdown for the protocol with the most guard
     // activity, straight from the observer's renderer.
-    let busiest = tallies
+    let (busiest, outcome) = tallies
         .iter()
-        .max_by_key(|c| c.total_guard_delay())
+        .max_by_key(|(c, _)| c.total_guard_delay())
         .expect("four tallies");
     if busiest.total_guard_delay() > Dur::ZERO {
-        println!("\n{busiest}");
+        println!("\n{}", busiest.render(outcome));
     }
     Ok(())
 }

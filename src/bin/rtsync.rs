@@ -1202,7 +1202,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         None => print!("{rendered}"),
     }
     if counters {
-        let report = tally.render();
+        let report = tally.render(&outcome);
         if out.is_none() && format != "gantt" {
             // Keep stdout machine-readable; the report goes to stderr.
             eprint!("{report}");
@@ -1875,7 +1875,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 
     eprintln!(
         "bench suite: every protocol x {{ideal, nonideal, sync, partition, faults_transport, \
-         gray, admit}}, plus DS x sa_ds{}",
+         gray, admit}}, plus DS x sa_ds and PM x sa_pm{}",
         if smoke {
             " (smoke: reduced workload, numbers are a crash canary only)"
         } else {
