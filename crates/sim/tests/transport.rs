@@ -7,10 +7,11 @@ use proptest::prelude::*;
 use rtsync_core::examples::{example1, example2};
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::{Dur, Time};
-use rtsync_sim::engine::{simulate, SimConfig};
+use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
 use rtsync_sim::nonideal::{ChannelModel, NonidealConfig};
 use rtsync_sim::{
-    CrashWindow, Degradation, DetectorConfig, FaultConfig, TransportConfig, ViolationKind,
+    CrashWindow, Degradation, DetectorConfig, FaultConfig, JobId, Observer, ProtocolCounters, Tee,
+    TransportConfig, ViolationKind,
 };
 
 fn d(x: i64) -> Dur {
@@ -68,8 +69,38 @@ fn perfect_transport_reproduces_ideal_schedule() {
     }
 }
 
+/// Counts the transport and detector observer hooks, to check that each
+/// fires once per frame, ack and heartbeat the layers record.
+#[derive(Default)]
+struct TransportHooks {
+    sends: u64,
+    retransmits: u64,
+    acks: u64,
+    dup_acks: u64,
+    heartbeats: u64,
+}
+
+impl Observer for TransportHooks {
+    fn on_transport_send(&mut self, _now: Time, _job: JobId, _seq: u64, retransmit: bool) {
+        self.sends += 1;
+        self.retransmits += u64::from(retransmit);
+    }
+
+    fn on_transport_ack(&mut self, _now: Time, _seq: u64, _rtt: Option<Dur>, dup: bool) {
+        self.acks += 1;
+        self.dup_acks += u64::from(dup);
+    }
+
+    fn on_heartbeat(&mut self, _now: Time, _from: usize, _to: usize) {
+        self.heartbeats += 1;
+    }
+}
+
 /// Transport runs are seeded end to end: identical configs (lossy
-/// channel, crashes, detector) give bit-identical outcomes.
+/// channel, crashes, detector) give bit-identical outcomes, observed or
+/// not. The transport and detector hooks fire once per frame, ack
+/// (duplicates included) and heartbeat the layer stats hold, and the
+/// counters' transport line prints every ack a sender received.
 #[test]
 fn transport_runs_are_deterministic() {
     let set = example2();
@@ -93,13 +124,31 @@ fn transport_runs_are_deterministic() {
                 .with_detector(DetectorConfig::new(d(10))),
         );
     let a = simulate(&set, &cfg).unwrap();
-    let b = simulate(&set, &cfg).unwrap();
+    let mut counters = ProtocolCounters::default();
+    let mut hooks = TransportHooks::default();
+    let b = simulate_observed(&set, &cfg, &mut Tee(&mut counters, &mut hooks)).unwrap();
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.events, b.events);
     assert_eq!(a.transport_stats, b.transport_stats);
     assert_eq!(a.detect_stats, b.detect_stats);
     assert_eq!(a.degradations, b.degradations);
     assert_eq!(a.violations, b.violations);
+
+    let ts = &b.transport_stats;
+    assert!(ts.retransmissions > 0);
+    assert!(ts.dup_acks > 0, "the channel duplicates frames: {ts:?}");
+    assert_eq!(hooks.sends, ts.sent + ts.retransmissions);
+    assert_eq!(hooks.retransmits, ts.retransmissions);
+    assert_eq!(hooks.acks, ts.acks + ts.dup_acks);
+    assert_eq!(hooks.dup_acks, ts.dup_acks);
+    assert!(hooks.heartbeats > 0);
+    assert_eq!(hooks.heartbeats, b.detect_stats.heartbeats_delivered);
+    let rendered = counters.render(&b);
+    let line = format!(
+        "transport: {} frames ({} retx), {} acks ({} dup), {} heartbeats",
+        hooks.sends, hooks.retransmits, hooks.acks, hooks.dup_acks, hooks.heartbeats
+    );
+    assert!(rendered.contains(&line), "want {line:?} in\n{rendered}");
 }
 
 /// With an unbounded retry budget, heavy random loss (drops on both the
