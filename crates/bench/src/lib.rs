@@ -49,7 +49,7 @@ use rand::SeedableRng;
 use rtsync_core::analysis::admission::{
     requests_of, AdmissionConfig, AdmissionMode, AdmissionState,
 };
-use rtsync_core::analysis::sa_ds::{analyze_ds, analyze_ds_traced, DsBounds, SweepOrder};
+use rtsync_core::analysis::sa_ds::{analyze_ds, analyze_ds_traced, DsBounds};
 use rtsync_core::analysis::sa_pm::{analyze_pm, analyze_pm_traced};
 use rtsync_core::analysis::AnalysisConfig;
 use rtsync_core::error::AnalyzeError;
@@ -403,8 +403,8 @@ fn ieert_evaluations(set: &TaskSet, outcome: &Result<DsBounds, AnalyzeError>) ->
         Ok(bounds) => bounds.sweeps() * per_sweep,
         Err(e) => {
             let cfg = AnalysisConfig::default();
-            let (_, report) = analyze_ds_traced(set, &cfg, SweepOrder::Jacobi)
-                .expect("bench systems fail, never error");
+            let (_, report) =
+                analyze_ds_traced(set, &cfg).expect("bench systems fail, never error");
             let failed_at = set
                 .subtasks()
                 .position(|s| s.id() == e.subtask())
@@ -442,26 +442,43 @@ fn analysis_tier<T: PartialEq>(
     })
 }
 
-/// Times one cell: an untimed warmup run fixes the per-iteration event
-/// count, then `iterations` timed runs must each reproduce it.
+/// Runs of the cell body per timed iteration. One run of these tiers
+/// takes 2–8 ms, too short for a best-of-N to settle, so an iteration
+/// repeats it to last about as long as the 60–140 ms tiers.
+fn runs_per_iteration(scenario: &str) -> u32 {
+    match scenario {
+        "ideal" | "nonideal" => 20,
+        "admit" => 16,
+        "sa_pm" => 32,
+        _ => 1,
+    }
+}
+
+/// Times one cell: an untimed warmup run fixes the per-run event count,
+/// then `iterations` timed iterations of [`runs_per_iteration`] runs each
+/// must reproduce it on every run.
 fn measure(
     protocol: Protocol,
     scenario: &'static str,
     iterations: u32,
     mut run: impl FnMut() -> u64,
 ) -> BenchResult {
-    let events_per_iter = run();
+    let events_per_run = run();
+    let runs = runs_per_iteration(scenario);
+    let events_per_iter = events_per_run * u64::from(runs);
     let mut iter_secs = Vec::with_capacity(iterations as usize);
     for _ in 0..iterations {
         let start = Instant::now();
-        let events = run();
+        for _ in 0..runs {
+            let events = run();
+            assert_eq!(
+                events,
+                events_per_run,
+                "{}/{scenario} must be deterministic across iterations",
+                protocol.tag()
+            );
+        }
         iter_secs.push(start.elapsed().as_secs_f64());
-        assert_eq!(
-            events,
-            events_per_iter,
-            "{}/{scenario} must be deterministic across iterations",
-            protocol.tag()
-        );
     }
     let elapsed_secs: f64 = iter_secs.iter().sum();
     let best_secs = iter_secs.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::analysis::ieert::IeerBounds;
-use crate::analysis::sa_ds::{analyze_ds_seeded, SweepOrder};
+use crate::analysis::sa_ds::analyze_ds_seeded;
 use crate::analysis::sa_pm::{subtask_response_memo, SubtaskMemo};
 use crate::analysis::AnalysisConfig;
 use crate::error::{AnalyzeError, ValidateTaskSetError};
@@ -590,7 +590,15 @@ impl AdmissionState {
             IeerBounds::seed(set)
         };
         let reanalyzed = set.num_subtasks();
-        let ds = match analyze_ds_seeded(set, &self.cfg.analysis, SweepOrder::Jacobi, seed) {
+        let mut ds = analyze_ds_seeded(set, &self.cfg.analysis, seed);
+        if ds.is_err() && self.cfg.memoization {
+            // A diverging run trips a cap at a sweep that depends on the
+            // seed, and the busy-period cap includes the jitters of that
+            // sweep, so a warm failure's payload can differ from a cold
+            // one's. Report the cold run's error.
+            ds = analyze_ds_seeded(set, &self.cfg.analysis, IeerBounds::seed(set));
+        }
+        let ds = match ds {
             Ok(ds) => ds,
             Err(e) => return self.reject(RejectReason::Analysis(e), reanalyzed, 0),
         };
@@ -733,13 +741,8 @@ impl AdmissionState {
     fn retire_ds(&mut self, set: &TaskSet) -> Result<(usize, usize), RetireError> {
         // Shrinking demand lowers the least fixed point, so the stored
         // bounds overshoot it and cannot seed the sweep: run cold.
-        let ds = analyze_ds_seeded(
-            set,
-            &self.cfg.analysis,
-            SweepOrder::Jacobi,
-            IeerBounds::seed(set),
-        )
-        .map_err(RetireError::Analysis)?;
+        let ds = analyze_ds_seeded(set, &self.cfg.analysis, IeerBounds::seed(set))
+            .map_err(RetireError::Analysis)?;
         let order = self.order.clone();
         for (pos, &cid) in order.iter().enumerate() {
             let tid = TaskId::new(pos);

@@ -23,9 +23,9 @@
 //! # The kernel
 //!
 //! Every SA/DS run builds one `IeertKernel` and keeps it across its
-//! sweeps; [`ieert_pass`] and [`ieert_pass_gauss_seidel`] are one-sweep
-//! wrappers over a fresh one. The kernel computes each subtask's period,
-//! execution, blocking bound and interferer list once per run, and returns
+//! sweeps; [`ieert_pass`] is a one-sweep wrapper over a fresh one. The
+//! kernel computes each subtask's period, execution, blocking bound and
+//! interferer list once per run, and returns
 //! exactly what the literal algorithm above returns (the differential tests
 //! in `tests/ieert_kernel.rs` hold it to that) while doing less work:
 //!
@@ -184,20 +184,6 @@ pub fn ieert_pass(
     Ok(next)
 }
 
-/// One Gauss–Seidel sweep (ablation): bounds computed earlier in the sweep
-/// are used immediately by later subtasks. Converges to the same least
-/// fixed point as [`ieert_pass`] in fewer sweeps (both iterations are
-/// monotone from the same seed; see the `sa_ds` tests).
-pub fn ieert_pass_gauss_seidel(
-    set: &TaskSet,
-    current: &IeerBounds,
-    cfg: &AnalysisConfig,
-) -> Result<IeerBounds, AnalyzeError> {
-    let mut state = current.clone();
-    IeertKernel::new(set, cfg).gauss_seidel(&mut state)?;
-    Ok(state)
-}
-
 /// The IEERT sweep operator of one SA/DS run, built once and kept across
 /// its sweeps so every fixed point after the first starts warm (see the
 /// module docs for the hint contract and the early-stop lemma).
@@ -277,15 +263,6 @@ impl IeertKernel {
         for sub in &mut self.subtasks {
             let value = sub.ieer(current, &self.cfg)?;
             next.set(sub.id, value);
-        }
-        Ok(())
-    }
-
-    /// One Gauss–Seidel sweep, updating `state` in place.
-    pub(crate) fn gauss_seidel(&mut self, state: &mut IeerBounds) -> Result<(), AnalyzeError> {
-        for sub in &mut self.subtasks {
-            let value = sub.ieer(state, &self.cfg)?;
-            state.set(sub.id, value);
         }
         Ok(())
     }
@@ -470,25 +447,6 @@ mod tests {
         // T2.0 is interfered by the *second* subtask T1.1, whose release
         // jitter inflates the IEERT bound beyond SA/PM's.
         assert!(pass1.get(sid(2, 0)) > pm.response(sid(2, 0)));
-    }
-
-    #[test]
-    fn gauss_seidel_single_sweep_dominates_jacobi() {
-        // GS propagates within the sweep, so after one sweep every GS bound
-        // is ≥ the Jacobi bound (both below the common fixed point).
-        let set = example2();
-        let cfg = AnalysisConfig::default();
-        let seed = IeerBounds::seed(&set);
-        let j = ieert_pass(&set, &seed, &cfg).unwrap();
-        let gs = ieert_pass_gauss_seidel(&set, &seed, &cfg).unwrap();
-        for task in set.tasks() {
-            for sub in task.subtasks() {
-                assert!(gs.get(sub.id()) >= j.get(sub.id()));
-            }
-        }
-        // And on this example GS already reaches the fixed point.
-        assert_eq!(gs.get(sid(1, 1)), d(7));
-        assert_eq!(gs.get(sid(2, 0)), d(8));
     }
 
     #[test]

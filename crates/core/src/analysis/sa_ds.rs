@@ -43,19 +43,6 @@ use crate::error::AnalyzeError;
 use crate::task::{SubtaskId, TaskId, TaskSet};
 use crate::time::Dur;
 
-/// Which sweep discipline the outer loop uses.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub enum SweepOrder {
-    /// Every sweep reads only the previous sweep's bounds — the literal
-    /// reading of Figure 11 (`R = IEERT(T, R′)`).
-    #[default]
-    Jacobi,
-    /// Bounds updated earlier in a sweep are visible later in the same
-    /// sweep. Same least fixed point, fewer sweeps (ablation; see the
-    /// `gauss_seidel_agrees_with_jacobi` test).
-    GaussSeidel,
-}
-
 /// The result of Algorithm SA/DS: converged IEER bounds plus iteration
 /// accounting.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -112,20 +99,7 @@ impl DsBounds {
 /// *failure* outcome — no finite bound below the cap. Other errors indicate
 /// pathological inputs (overflow).
 pub fn analyze_ds(set: &TaskSet, cfg: &AnalysisConfig) -> Result<DsBounds, AnalyzeError> {
-    analyze_ds_with(set, cfg, SweepOrder::Jacobi)
-}
-
-/// Runs Algorithm SA/DS with a chosen sweep discipline.
-///
-/// # Errors
-///
-/// See [`analyze_ds`].
-pub fn analyze_ds_with(
-    set: &TaskSet,
-    cfg: &AnalysisConfig,
-    order: SweepOrder,
-) -> Result<DsBounds, AnalyzeError> {
-    analyze_ds_seeded(set, cfg, order, IeerBounds::seed(set))
+    analyze_ds_seeded(set, cfg, IeerBounds::seed(set))
 }
 
 /// Runs Algorithm SA/DS from a caller-supplied seed instead of the
@@ -144,19 +118,17 @@ pub fn analyze_ds_with(
 pub fn analyze_ds_seeded(
     set: &TaskSet,
     cfg: &AnalysisConfig,
-    order: SweepOrder,
     seed: IeerBounds,
 ) -> Result<DsBounds, AnalyzeError> {
-    sweep_to_fixed_point(set, cfg, order, seed, None)
+    sweep_to_fixed_point(set, cfg, seed, None)
 }
 
-/// The SA/DS outer loop behind every entry point: IEERT sweeps of one
-/// [`IeertKernel`] from `seed` until the bounds repeat, recording each
+/// The SA/DS outer loop behind every entry point: Jacobi IEERT sweeps of
+/// one [`IeertKernel`] from `seed` until the bounds repeat, recording each
 /// sweep into `trace` when one is given.
 fn sweep_to_fixed_point(
     set: &TaskSet,
     cfg: &AnalysisConfig,
-    order: SweepOrder,
     seed: IeerBounds,
     mut trace: Option<&mut IeertReport>,
 ) -> Result<DsBounds, AnalyzeError> {
@@ -175,13 +147,7 @@ fn sweep_to_fixed_point(
         if let Some(report) = trace.as_deref_mut() {
             report.sweeps = sweep;
         }
-        match order {
-            SweepOrder::Jacobi => kernel.jacobi(&bounds, &mut next)?,
-            SweepOrder::GaussSeidel => {
-                next.clone_from(&bounds);
-                kernel.gauss_seidel(&mut next)?;
-            }
-        }
+        kernel.jacobi(&bounds, &mut next)?;
         if let Some(report) = trace.as_deref_mut() {
             let delta = set
                 .subtasks()
@@ -283,7 +249,7 @@ impl fmt::Display for IeertReport {
     }
 }
 
-/// [`analyze_ds_with`] plus convergence instrumentation.
+/// [`analyze_ds`] plus convergence instrumentation.
 ///
 /// Unlike [`analyze_ds`], the paper's *failure* outcome (bounds growing
 /// past the cap, or the sweep budget running out) is not an error here:
@@ -296,10 +262,9 @@ impl fmt::Display for IeertReport {
 pub fn analyze_ds_traced(
     set: &TaskSet,
     cfg: &AnalysisConfig,
-    order: SweepOrder,
 ) -> Result<(Option<DsBounds>, IeertReport), AnalyzeError> {
     let mut report = IeertReport::default();
-    match sweep_to_fixed_point(set, cfg, order, IeerBounds::seed(set), Some(&mut report)) {
+    match sweep_to_fixed_point(set, cfg, IeerBounds::seed(set), Some(&mut report)) {
         Ok(bounds) => Ok((Some(bounds), report)),
         // The failure criterion fired (the bounds grew past
         // `failure_factor × period`) or the sweep budget ran out: the
@@ -404,15 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_agrees_with_jacobi() {
-        let set = example2();
-        let j = analyze_ds_with(&set, &cfg(), SweepOrder::Jacobi).unwrap();
-        let gs = analyze_ds_with(&set, &cfg(), SweepOrder::GaussSeidel).unwrap();
-        assert_eq!(j.bounds(), gs.bounds());
-        assert!(gs.sweeps() <= j.sweeps());
-    }
-
-    #[test]
     fn seeded_run_matches_cold_run() {
         // Seeding from the converged bounds of a *smaller* system (valid:
         // growth only raises the least fixed point) reaches the same
@@ -423,7 +379,6 @@ mod tests {
         let warm = analyze_ds_seeded(
             &set,
             &cfg(),
-            SweepOrder::Jacobi,
             IeerBounds::seed_with(&set, |id| Some(cold.ieer(id))),
         )
         .unwrap();
@@ -433,7 +388,6 @@ mod tests {
         let partial = analyze_ds_seeded(
             &set,
             &cfg(),
-            SweepOrder::Jacobi,
             IeerBounds::seed_with(&set, |id| {
                 (id.task() == TaskId::new(1)).then(|| cold.ieer(id))
             }),
@@ -471,15 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn default_sweep_order_is_jacobi() {
-        assert_eq!(SweepOrder::default(), SweepOrder::Jacobi);
-    }
-
-    #[test]
     fn traced_run_matches_untraced_and_records_trajectory() {
         let set = example2();
         let plain = analyze_ds(&set, &cfg()).unwrap();
-        let (bounds, report) = analyze_ds_traced(&set, &cfg(), SweepOrder::Jacobi).unwrap();
+        let (bounds, report) = analyze_ds_traced(&set, &cfg()).unwrap();
         let bounds = bounds.expect("example 2 converges");
         assert_eq!(bounds.bounds(), plain.bounds());
         assert_eq!(bounds.sweeps(), plain.sweeps());
@@ -517,7 +466,7 @@ mod tests {
             .finish_task()
             .build()
             .unwrap();
-        let (bounds, report) = analyze_ds_traced(&set, &cfg(), SweepOrder::Jacobi).unwrap();
+        let (bounds, report) = analyze_ds_traced(&set, &cfg()).unwrap();
         assert!(bounds.is_none());
         assert!(!report.converged);
         assert!(report.sweeps >= 1);
@@ -527,7 +476,7 @@ mod tests {
     #[test]
     fn task_trajectory_projects_one_task() {
         let set = example2();
-        let (_, report) = analyze_ds_traced(&set, &cfg(), SweepOrder::Jacobi).unwrap();
+        let (_, report) = analyze_ds_traced(&set, &cfg()).unwrap();
         let t3 = report.task_trajectory(TaskId::new(2));
         assert_eq!(t3.len(), report.trajectory.len());
         assert_eq!(*t3.last().unwrap(), d(8));

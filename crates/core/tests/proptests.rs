@@ -4,13 +4,14 @@
 
 use proptest::prelude::*;
 use rtsync_core::analysis::admission::{
-    AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
+    AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest, RejectReason,
 };
 use rtsync_core::analysis::busy_period::{
     fixed_point, fixed_point_with_hint_counted, DemandTerm, FixedPointLimits,
 };
 use rtsync_core::analysis::sa_pm::analyze_pm;
 use rtsync_core::analysis::AnalysisConfig;
+use rtsync_core::error::AnalyzeError;
 use rtsync_core::priority::{
     build_with_policy, ChainSpec, PriorityKey, ProportionalDeadlineMonotonic,
 };
@@ -240,9 +241,16 @@ proptest! {
     /// to a from-scratch batch re-analysis (memoization off) across
     /// arbitrary admit/retire sequences, in both analysis modes: same
     /// verdicts, same bounds, same reject reasons, same resident state.
+    /// With the utilization gate off, overloaded candidates reach SA/PM
+    /// and SA/DS, so the overload verdict is compared too. A failure
+    /// factor of 1..=5 (0 keeps the default 300) makes both kernel caps
+    /// (busy period and per-instance) trip, so their payloads are
+    /// compared as well.
     #[test]
     fn incremental_admission_matches_batch(
         direct_sync in prop::bool::ANY,
+        quick_gate in prop::bool::ANY,
+        tight_cap in 0i64..6,
         ops in prop::collection::vec(
             (
                 0u8..4,                                       // 0 = retire, else admit
@@ -259,37 +267,85 @@ proptest! {
         } else {
             AdmissionMode::PmFamily
         };
-        let cfg = AdmissionConfig::new(mode);
-        let mut warm = AdmissionState::new(2, cfg);
-        let mut cold = AdmissionState::new(2, cfg.with_memoization(false));
-        for (i, (op, period, dfac, rank, subs)) in ops.into_iter().enumerate() {
-            // A small id space so retires hit residents and duplicate
-            // admits genuinely occur.
-            let id = (i % 5) as u64;
-            if op == 0 {
-                // The reanalyzed/skipped work counters legitimately differ
-                // between the two configurations; the verdicts must not.
-                let a = warm.retire(id);
-                let b = cold.retire(id);
-                prop_assert_eq!(a.is_ok(), b.is_ok());
-                prop_assert_eq!(a.err(), b.err());
-            } else {
-                let subtasks = subs
-                    .into_iter()
-                    .map(|(proc, c)| (proc, Dur::from_ticks(c)))
-                    .collect();
-                let req = ChainRequest::new(id, Dur::from_ticks(period), subtasks)
-                    .with_deadline(Dur::from_ticks(period * dfac))
-                    .with_rank(rank);
-                let a = warm.admit(req.clone());
-                let b = cold.admit(req);
-                prop_assert_eq!(a.admitted, b.admitted);
-                prop_assert_eq!(a.bound, b.bound);
-                prop_assert_eq!(a.reject, b.reject);
-                prop_assert_eq!(a.residents, b.residents);
-            }
-            prop_assert_eq!(warm.resident_bounds(), cold.resident_bounds());
-            prop_assert_eq!(warm.residents(), cold.residents());
+        let mut cfg = AdmissionConfig::new(mode).with_quick_gate(quick_gate);
+        if tight_cap > 0 {
+            cfg.analysis.failure_factor = tight_cap;
         }
+        replay_warm_and_cold(cfg, ops)?;
     }
+}
+
+/// One admission-control step: `(op, period, deadline factor, rank,
+/// subtasks)`, where op 0 retires and anything else admits.
+type AdmissionOp = (u8, i64, i64, u32, Vec<(usize, i64)>);
+
+/// Replays `ops` on a memoized and a from-scratch admission state over two
+/// processors and checks that every verdict and the resident state agree.
+/// Returns the from-scratch reject reason of each step (`None` for admits
+/// and retires).
+fn replay_warm_and_cold(
+    cfg: AdmissionConfig,
+    ops: Vec<AdmissionOp>,
+) -> Result<Vec<Option<RejectReason>>, TestCaseError> {
+    let mut warm = AdmissionState::new(2, cfg);
+    let mut cold = AdmissionState::new(2, cfg.with_memoization(false));
+    let mut rejects = Vec::new();
+    for (i, (op, period, dfac, rank, subs)) in ops.into_iter().enumerate() {
+        // A small id space so retires hit residents and duplicate
+        // admits genuinely occur.
+        let id = (i % 5) as u64;
+        if op == 0 {
+            // The reanalyzed/skipped work counters legitimately differ
+            // between the two configurations; the verdicts must not.
+            let a = warm.retire(id);
+            let b = cold.retire(id);
+            prop_assert_eq!(a.is_ok(), b.is_ok());
+            prop_assert_eq!(a.err(), b.err());
+            rejects.push(None);
+        } else {
+            let subtasks = subs
+                .into_iter()
+                .map(|(proc, c)| (proc, Dur::from_ticks(c)))
+                .collect();
+            let req = ChainRequest::new(id, Dur::from_ticks(period), subtasks)
+                .with_deadline(Dur::from_ticks(period * dfac))
+                .with_rank(rank);
+            let a = warm.admit(req.clone());
+            let b = cold.admit(req);
+            prop_assert_eq!(a.admitted, b.admitted);
+            prop_assert_eq!(a.bound, b.bound);
+            prop_assert_eq!(a.reject, b.reject);
+            prop_assert_eq!(a.residents, b.residents);
+            rejects.push(b.reject);
+        }
+        prop_assert_eq!(warm.resident_bounds(), cold.resident_bounds());
+        prop_assert_eq!(warm.residents(), cold.residents());
+    }
+    Ok(rejects)
+}
+
+/// A DS admission whose sweeps diverge under a failure factor of 2 trips
+/// the busy-period cap, which includes the jitters of the failing sweep.
+/// Warm-seeded, the sweep trips at 57 ticks where the cold run trips at
+/// 55; the memoized path must still report the cold run's cap.
+#[test]
+fn warm_ds_divergence_reports_the_cold_cap() {
+    let mut cfg = AdmissionConfig::new(AdmissionMode::DirectSync);
+    cfg.analysis.failure_factor = 2;
+    let ops: Vec<AdmissionOp> = vec![
+        (0, 28, 1, 2, vec![(1, 3)]),
+        (1, 32, 2, 2, vec![(1, 2)]),
+        (2, 32, 2, 1, vec![(1, 2), (1, 2)]),
+        (3, 8, 2, 2, vec![(1, 1), (0, 2)]),
+        (1, 6, 3, 3, vec![(0, 3), (1, 1)]),
+        (3, 13, 3, 1, vec![(0, 3), (1, 3)]),
+    ];
+    let rejects = replay_warm_and_cold(cfg, ops).unwrap_or_else(|e| panic!("{e:?}"));
+    assert!(
+        matches!(
+            rejects[5],
+            Some(RejectReason::Analysis(AnalyzeError::BoundExceedsCap { .. }))
+        ),
+        "{rejects:?}"
+    );
 }

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rtsync_core::analysis::sa_ds::{analyze_ds_traced, SweepOrder};
+use rtsync_core::analysis::sa_ds::analyze_ds_traced;
 use rtsync_core::analysis::sa_pm::analyze_pm_traced;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
@@ -133,7 +133,7 @@ pub fn analysis_convergence_study(
                 Err(_) => (false, 0),
             };
             let (ds_converged, ds_sweeps, ds_peak_delta) =
-                match analyze_ds_traced(&set, &cfg.analysis, SweepOrder::default()) {
+                match analyze_ds_traced(&set, &cfg.analysis) {
                     Ok((bounds, report)) => (
                         bounds.is_some(),
                         report.sweeps,

@@ -72,26 +72,23 @@ pub struct PhiConfig {
     /// Consecutive on-time heartbeats required before a peer under
     /// suspicion is demoted back to [`PeerState::Alive`].
     pub hysteresis: u32,
-    /// RG response while a predecessor's host is Degraded: the guard
-    /// expiry is pushed out by this much slack (late signals from a slow
-    /// node then land before the guard, avoiding a spurious forced
-    /// cadence).
-    pub rg_guard_slack: Dur,
-    /// MPM response while Degraded: the degraded re-arm cadence marches
-    /// at `period · (1000 + stretch) / 1000` instead of one period.
-    pub mpm_stretch_permille: u32,
-    /// Deadline-watchdog response: while any peer pair is Degraded the
-    /// consecutive-miss budget is scaled by this permille (≥ 1000), so a
-    /// known-slow system gets a slowdown-aware budget instead of
-    /// tripping on the inevitable misses.
-    pub watchdog_scale_permille: u32,
 }
+
+/// MPM response while a peer is Degraded under φ-accrual: the degraded
+/// re-arm cadence marches at `period · (1000 + stretch) / 1000` instead
+/// of one period.
+pub(crate) const MPM_STRETCH_PERMILLE: i64 = 250;
+
+/// Deadline-watchdog response under φ-accrual: while any peer pair is
+/// Degraded the consecutive-miss budget is scaled by this permille, so a
+/// known-slow system gets a slowdown-aware budget instead of tripping on
+/// the inevitable misses.
+const WATCHDOG_SCALE_PERMILLE: u64 = 2000;
 
 impl PhiConfig {
     /// Defaults: 16-sample window, 3-sample warmup, φ thresholds
     /// 1 / 2 / 4 (suspicion at 90%, 99%, 99.99% confidence), hysteresis
-    /// of 2 on-time beats, no RG slack, +25% MPM stretch, 2× watchdog
-    /// budget.
+    /// of 2 on-time beats.
     pub fn new() -> PhiConfig {
         PhiConfig {
             window: 16,
@@ -100,9 +97,6 @@ impl PhiConfig {
             suspect_phi: 2.0,
             dead_phi: 4.0,
             hysteresis: 2,
-            rg_guard_slack: Dur::ZERO,
-            mpm_stretch_permille: 250,
-            watchdog_scale_permille: 2000,
         }
     }
 
@@ -134,25 +128,6 @@ impl PhiConfig {
         self
     }
 
-    /// Sets the RG degraded-mode guard slack.
-    pub fn with_rg_guard_slack(mut self, slack: Dur) -> PhiConfig {
-        self.rg_guard_slack = slack;
-        self
-    }
-
-    /// Sets the MPM degraded-cadence stretch in permille.
-    pub fn with_mpm_stretch_permille(mut self, stretch: u32) -> PhiConfig {
-        self.mpm_stretch_permille = stretch;
-        self
-    }
-
-    /// Sets the degraded-mode watchdog budget scale in permille (≥ 1000).
-    pub fn with_watchdog_scale_permille(mut self, scale: u32) -> PhiConfig {
-        assert!(scale >= 1000, "watchdog scale must not shrink the budget");
-        self.watchdog_scale_permille = scale;
-        self
-    }
-
     /// The silence after which φ crosses `phi`, for a given inter-arrival
     /// mean: `⌈φ · mean · ln 10⌉` ticks, at least 1.
     fn deadline(&self, phi: f64, mean_ticks: f64) -> Dur {
@@ -175,8 +150,6 @@ impl Default for PhiConfig {
 pub struct DetectorConfig {
     /// Heartbeat broadcast period.
     pub period: Dur,
-    /// One-way heartbeat latency.
-    pub latency: Dur,
     /// Silence after the last heartbeat before a peer turns
     /// [`PeerState::Suspect`].
     pub suspect_after: Dur,
@@ -196,26 +169,18 @@ pub struct DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// A detector with the given heartbeat period: zero latency,
-    /// suspicion at 3 periods of silence, death at 6, degradation on,
-    /// watchdog off.
+    /// A detector with the given heartbeat period: suspicion at 3
+    /// periods of silence, death at 6, degradation on, watchdog off.
     pub fn new(period: Dur) -> DetectorConfig {
         assert!(period.is_positive(), "heartbeat period must be positive");
         DetectorConfig {
             period,
-            latency: Dur::ZERO,
             suspect_after: Dur::from_ticks(period.ticks().saturating_mul(3)),
             dead_after: Dur::from_ticks(period.ticks().saturating_mul(6)),
             degradation: true,
             watchdog_misses: None,
             phi: None,
         }
-    }
-
-    /// Sets the one-way heartbeat latency.
-    pub fn with_latency(mut self, latency: Dur) -> DetectorConfig {
-        self.latency = latency;
-        self
     }
 
     /// Sets the suspicion and death thresholds (silence since the last
@@ -296,9 +261,9 @@ pub enum PeerState {
     /// Heartbeats are fresh.
     Alive,
     /// φ crossed [`PhiConfig::degraded_phi`]: the peer looks slow but
-    /// alive. Per-protocol degraded responses (RG guard slack, MPM
-    /// cadence stretch, watchdog budget scale) apply; forced releases do
-    /// not. Only the φ-accrual mode ever enters this state.
+    /// alive. The degraded responses (MPM cadence stretch, watchdog
+    /// budget scale) apply; forced releases do not. Only the φ-accrual
+    /// mode ever enters this state.
     Degraded,
     /// Silence exceeded [`DetectorConfig::suspect_after`] (or φ crossed
     /// [`PhiConfig::suspect_phi`]).
@@ -736,16 +701,15 @@ impl DetectState {
     }
 
     /// The effective consecutive-miss watchdog budget: the configured
-    /// threshold, scaled by [`PhiConfig::watchdog_scale_permille`] while
-    /// any peer pair is Degraded.
+    /// threshold, scaled by [`WATCHDOG_SCALE_PERMILLE`] while any peer
+    /// pair is Degraded under φ-accrual.
     pub(crate) fn watchdog_budget(&self) -> Option<u32> {
         let base = self.cfg.watchdog_misses?;
-        match &self.cfg.phi {
-            Some(phi) if self.any_degraded() => {
-                let scaled = (u64::from(base) * u64::from(phi.watchdog_scale_permille)) / 1000;
-                Some((scaled as u32).max(base))
-            }
-            _ => Some(base),
+        if self.cfg.phi.is_some() && self.any_degraded() {
+            let scaled = (u64::from(base) * WATCHDOG_SCALE_PERMILLE) / 1000;
+            Some((scaled as u32).max(base))
+        } else {
+            Some(base)
         }
     }
 
@@ -913,7 +877,6 @@ mod tests {
         // with a zero Suspect->Dead residue.
         let cfg = DetectorConfig {
             period: d(10),
-            latency: Dur::ZERO,
             suspect_after: d(30),
             dead_after: d(20), // out of order on purpose
             degradation: true,
@@ -1117,7 +1080,7 @@ mod tests {
     fn watchdog_budget_scales_while_any_pair_is_degraded() {
         let cfg = DetectorConfig::new(d(10))
             .with_watchdog(3)
-            .with_phi(PhiConfig::new().with_watchdog_scale_permille(2000));
+            .with_phi(PhiConfig::new());
         let mut st = DetectState::new(cfg, 2, 1);
         assert_eq!(st.watchdog_budget(), Some(3));
         st.advance_suspicion(0, 1, false, true); // -> Degraded

@@ -36,7 +36,9 @@ use rtsync_core::task::{ProcessorId, SubtaskId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
 use crate::controller::{CompletionDirective, Controller, FlatIndex};
-use crate::detect::{Degradation, DegradationEvent, DetectState, DetectStats, PeerState};
+use crate::detect::{
+    Degradation, DegradationEvent, DetectState, DetectStats, PeerState, MPM_STRETCH_PERMILLE,
+};
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{
     BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, OverloadPolicy,
@@ -1105,25 +1107,6 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         match self.controller.on_predecessor_complete(succ_job, self.now) {
             CompletionDirective::ReleaseSuccessor => self.release(succ_job),
             CompletionDirective::ScheduleExpiry { due, gen } => {
-                // φ-mode RG response to a *Degraded* predecessor host:
-                // widen the guard by the configured slack. The signal
-                // from a slow peer is late but coming — a little extra
-                // rope preserves rule-1 spacing against its real
-                // completion instead of releasing into a near-collision.
-                let due = match (&self.detect, succ_job.predecessor()) {
-                    (Some(dt), Some(pred)) if dt.cfg.phi.is_some() => {
-                        let succ_proc = self.set.subtask(succ).processor().index();
-                        let pred_proc = self.set.subtask(pred.subtask()).processor().index();
-                        if dt.peer_state(succ_proc, pred_proc) == PeerState::Degraded {
-                            due.saturating_add(
-                                dt.cfg.phi.as_ref().expect("checked above").rg_guard_slack,
-                            )
-                        } else {
-                            due
-                        }
-                    }
-                    _ => due,
-                };
                 self.obs.on_guard_block(self.now, succ_job, due);
                 // Rule 2 applies at *every* idle instant (§3.2), not
                 // only at completion instants: a signal deferred
@@ -1300,11 +1283,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         let tr = self.transport.as_mut().expect("transport attached");
         let fresh = tr.on_deliver(seq);
-        let ack_dropped = tr.ack_dropped();
-        let ack_latency = tr.cfg.ack_latency;
-        if !ack_dropped {
-            self.queue
-                .push(self.now + ack_latency, EventKind::AckDeliver { seq });
+        if !tr.ack_dropped() {
+            self.queue.push(self.now, EventKind::AckDeliver { seq });
         }
         if !fresh {
             return;
@@ -1453,10 +1433,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let up = !self.faults.as_ref().is_some_and(|fs| fs.down[p]);
         let stalled = self.faults.as_ref().is_some_and(|fs| fs.stalled[p]);
         let rate = self.faults.as_ref().map_or(1, |fs| fs.rate[p]).max(1);
-        let (period, latency) = {
-            let dt = self.detect.as_ref().expect("detector attached");
-            (dt.cfg.period, dt.cfg.latency)
-        };
+        let period = self.detect.as_ref().expect("detector attached").cfg.period;
         // A stalled node's heartbeat daemon is as frozen as everything
         // else on it: the beat is skipped (this is exactly what makes a
         // stall look like a death from outside), but the chain keeps its
@@ -1487,7 +1464,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // drop accounting is visible in the send/deliver gap.
                 if let Some(extra) = self.gray_penalty(p, q, GrayFamily::Heartbeat) {
                     self.queue.push(
-                        self.now + latency + extra,
+                        self.now + extra,
                         EventKind::HeartbeatDeliver {
                             from: proc,
                             to: ProcessorId::new(q),
@@ -1742,7 +1719,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
 
     /// The re-arm cadence of a degraded-release chain. Under MPM with
     /// the φ detector attached, any Degraded peer stretches the march by
-    /// the configured permille — force-released instances back off while
+    /// [`MPM_STRETCH_PERMILLE`] — force-released instances back off while
     /// a peer might merely be slow, trading a little lateness against
     /// double-release pressure when the real signal catches up. RG keeps
     /// the true period: its guard machinery owns the spacing.
@@ -1753,15 +1730,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let Some(dt) = &self.detect else {
             return period;
         };
-        let Some(phi) = &dt.cfg.phi else {
-            return period;
-        };
-        if !dt.any_degraded() {
+        if dt.cfg.phi.is_none() || !dt.any_degraded() {
             return period;
         }
         let t = period.ticks();
-        let stretched =
-            t.saturating_add(t.saturating_mul(i64::from(phi.mpm_stretch_permille)) / 1000);
+        let stretched = t.saturating_add(t.saturating_mul(MPM_STRETCH_PERMILLE) / 1000);
         Dur::from_ticks(stretched.max(1))
     }
 

@@ -348,44 +348,6 @@ pub enum LinkSchedule {
     },
 }
 
-/// One flapping burst: starting at `at`, the processor crash/recover
-/// cycles `cycles` times (down for `down`, up for `up`). Resolved into
-/// ordinary crash windows and merged with the base crash schedule, so
-/// the whole crash machinery (kill, backlog, recovery reconciliation)
-/// applies to every cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlapBurst {
-    /// When the first crash of the burst hits.
-    pub at: Time,
-    /// Crash/recover cycles in the burst.
-    pub cycles: u32,
-    /// Downtime of each cycle.
-    pub down: Dur,
-    /// Uptime between consecutive cycles.
-    pub up: Dur,
-}
-
-/// When processors flap (mirrors [`CrashSchedule`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FlapSchedule {
-    /// Explicit per-processor burst lists (outer index = processor).
-    Explicit(Vec<Vec<FlapBurst>>),
-    /// Seeded random schedule: exponentially distributed stable time
-    /// between bursts of fixed shape.
-    Random {
-        /// Mean stable time between consecutive bursts.
-        mean_stable: Dur,
-        /// Cycles per burst.
-        cycles: u32,
-        /// Downtime of each cycle.
-        down: Dur,
-        /// Uptime between consecutive cycles.
-        up: Dur,
-        /// Master seed; each processor derives an independent stream.
-        seed: u64,
-    },
-}
-
 /// The gray-failure personas of one run: everything here degrades
 /// without fail-stopping. `None` everywhere (the default) keeps every
 /// gray code path inert and the simulation bit-identical to the
@@ -398,8 +360,6 @@ pub struct GrayConfig {
     pub stalls: Option<StallSchedule>,
     /// When links degrade.
     pub links: Option<LinkSchedule>,
-    /// When processors flap (crash/recover cycles).
-    pub flaps: Option<FlapSchedule>,
     /// Seed of the per-frame jitter/drop stream used inside degraded
     /// link windows (independent of every schedule stream and of the
     /// nonideal channel's RNG).
@@ -430,12 +390,6 @@ impl GrayConfig {
         self
     }
 
-    /// Sets the flapping schedule.
-    pub fn with_flaps(mut self, flaps: FlapSchedule) -> GrayConfig {
-        self.flaps = Some(flaps);
-        self
-    }
-
     /// Sets the per-frame jitter/drop stream seed.
     pub fn with_frame_seed(mut self, seed: u64) -> GrayConfig {
         self.frame_seed = seed;
@@ -444,7 +398,7 @@ impl GrayConfig {
 
     /// `true` when every persona is inert.
     pub fn is_inert(&self) -> bool {
-        self.slow.is_none() && self.stalls.is_none() && self.links.is_none() && self.flaps.is_none()
+        self.slow.is_none() && self.stalls.is_none() && self.links.is_none()
     }
 }
 
@@ -523,7 +477,7 @@ impl FaultConfig {
     /// schedule of processor `p` does not depend on how many processors
     /// exist before it.
     pub fn resolve(&self, num_procs: usize, horizon: Time) -> Vec<Vec<CrashWindow>> {
-        let mut out = match &self.schedule {
+        match &self.schedule {
             CrashSchedule::Explicit(windows) => {
                 let mut out = windows.clone();
                 out.resize(num_procs, Vec::new());
@@ -550,22 +504,7 @@ impl FaultConfig {
                     })
                 })
                 .collect(),
-        };
-        // Flapping personas become ordinary crash windows merged into the
-        // base schedule, so every cycle goes through the full
-        // kill/backlog/recovery machinery. With no flap schedule the base
-        // windows pass through untouched (bit-identity).
-        if let Some(flaps) = self.gray.as_ref().and_then(|g| g.flaps.as_ref()) {
-            let bursts = resolve_flaps(flaps, num_procs, horizon);
-            for (per_proc, extra) in out.iter_mut().zip(bursts) {
-                if extra.is_empty() {
-                    continue;
-                }
-                per_proc.extend(extra);
-                deoverlap(per_proc, horizon);
-            }
         }
-        out
     }
 
     /// Resolves the slowdown schedule into sorted, non-overlapping
@@ -803,72 +742,6 @@ impl FaultConfig {
 const SLOW_SALT: u64 = 0x510_3d0c;
 const STALL_SALT: u64 = 0x57a_11ed;
 const LINK_SALT: u64 = 0x11_4bad;
-const FLAP_SALT: u64 = 0xf1a_99ed;
-
-/// Expands a flap schedule into per-processor crash windows (one per
-/// cycle), bounded like every other resolution.
-fn resolve_flaps(
-    schedule: &FlapSchedule,
-    num_procs: usize,
-    horizon: Time,
-) -> Vec<Vec<CrashWindow>> {
-    let expand = |burst: &FlapBurst, out: &mut Vec<CrashWindow>| {
-        let stride = burst.down.saturating_add(burst.up).max(Dur::from_ticks(1));
-        for c in 0..burst.cycles.min(MAX_WINDOWS_PER_PROC as u32) {
-            let at = burst
-                .at
-                .saturating_add(Dur::from_ticks(stride.ticks().saturating_mul(c as i64)));
-            if at > horizon || out.len() >= MAX_WINDOWS_PER_PROC {
-                break;
-            }
-            out.push(CrashWindow {
-                at,
-                restart_delay: burst.down,
-            });
-        }
-    };
-    match schedule {
-        FlapSchedule::Explicit(bursts) => {
-            let mut padded = bursts.clone();
-            padded.resize(num_procs, Vec::new());
-            padded.truncate(num_procs);
-            padded
-                .iter()
-                .map(|per_proc| {
-                    let mut out = Vec::new();
-                    for burst in per_proc {
-                        expand(burst, &mut out);
-                    }
-                    out
-                })
-                .collect()
-        }
-        FlapSchedule::Random {
-            mean_stable,
-            cycles,
-            down,
-            up,
-            seed,
-        } => (0..num_procs)
-            .map(|p| {
-                let seed = mix(*seed, FLAP_SALT ^ p as u64);
-                renewal(seed, *mean_stable, horizon, |_, at, out| {
-                    let burst = FlapBurst {
-                        at,
-                        cycles: *cycles,
-                        down: *down,
-                        up: *up,
-                    };
-                    expand(&burst, out);
-                    let stride = down.saturating_add(*up).max(Dur::from_ticks(1));
-                    at.saturating_add(Dur::from_ticks(
-                        stride.ticks().saturating_mul(*cycles as i64),
-                    ))
-                })
-            })
-            .collect(),
-    }
-}
 
 /// SplitMix64 finalizer over `seed ^ f(salt)`: decorrelates per-processor
 /// streams drawn from one master seed.

@@ -70,10 +70,9 @@ pub use engine::{
     Violation, ViolationKind,
 };
 pub use faults::{
-    CrashSchedule, CrashWindow, FaultConfig, FaultStats, FlapBurst, FlapSchedule, GrayConfig,
-    InvariantKind, InvariantObserver, InvariantViolation, LinkDegradeWindow, LinkSchedule,
-    OverloadPolicy, PartitionSchedule, PartitionWindow, SlowSchedule, SlowWindow, StallSchedule,
-    StallWindow,
+    CrashSchedule, CrashWindow, FaultConfig, FaultStats, GrayConfig, InvariantKind,
+    InvariantObserver, InvariantViolation, LinkDegradeWindow, LinkSchedule, OverloadPolicy,
+    PartitionSchedule, PartitionWindow, SlowSchedule, SlowWindow, StallSchedule, StallWindow,
 };
 pub use job::JobId;
 pub use metrics::{Metrics, TaskStats};

@@ -33,30 +33,6 @@ pub enum LatencyModel {
         /// Largest latency.
         hi: Dur,
     },
-    /// Exponential with the given mean, truncated at `cap` (so the tail is
-    /// bounded and horizons stay finite).
-    TruncatedExp {
-        /// Mean of the untruncated exponential.
-        mean: Dur,
-        /// Hard upper bound on any single draw.
-        cap: Dur,
-    },
-}
-
-/// Smallest latency any draw can produce, in ticks. Draws below this are
-/// clamped up: a negative latency would deliver a signal before it was
-/// sent.
-pub const MIN_LATENCY_TICKS: i64 = 0;
-
-/// Inverse-CDF draw of an `Exp(mean)` latency from uniform `u ∈ [0, 1)`,
-/// rounded to ticks and clamped to `[MIN_LATENCY_TICKS, cap]`. Pure so the
-/// edge cases are unit-testable: `u → 1.0` sends `-ln(1 − u)` to infinity
-/// and the saturating cast plus clamp pin the draw at `cap`; `mean = 0`
-/// turns the product into `NaN` at `u = 1.0` (and `0` elsewhere), and the
-/// `NaN → 0` cast plus clamp pin the draw at `MIN_LATENCY_TICKS`.
-fn truncated_exp_ticks(u: f64, mean: Dur, cap: Dur) -> Dur {
-    let ticks = (-(1.0_f64 - u).ln() * mean.ticks() as f64).round() as i64;
-    Dur::from_ticks(ticks.clamp(MIN_LATENCY_TICKS, cap.ticks()))
 }
 
 impl LatencyModel {
@@ -71,10 +47,6 @@ impl LatencyModel {
                     Dur::from_ticks(rng.random_range(lo.ticks()..=hi.ticks()))
                 }
             }
-            LatencyModel::TruncatedExp { mean, cap } => {
-                let u: f64 = rng.random_range(0.0..1.0);
-                truncated_exp_ticks(u, mean, cap)
-            }
         }
     }
 
@@ -83,7 +55,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { hi, .. } => hi,
-            LatencyModel::TruncatedExp { cap, .. } => cap,
         }
     }
 }
@@ -143,15 +114,6 @@ impl ChannelModel {
         assert!(lo <= hi, "uniform latency needs lo <= hi");
         ChannelModel {
             latency: LatencyModel::Uniform { lo, hi },
-            faults: FaultPlan::default(),
-            seed: 0,
-        }
-    }
-
-    /// A fault-free channel with truncated-exponential latency.
-    pub fn truncated_exp(mean: Dur, cap: Dur) -> ChannelModel {
-        ChannelModel {
-            latency: LatencyModel::TruncatedExp { mean, cap },
             faults: FaultPlan::default(),
             seed: 0,
         }
@@ -407,44 +369,6 @@ mod tests {
             for delay in pa.deliveries() {
                 assert!((d(2)..=d(9)).contains(delay), "{delay:?}");
             }
-        }
-    }
-
-    #[test]
-    fn truncated_exp_is_capped() {
-        let model = ChannelModel::truncated_exp(d(10), d(25)).with_seed(1);
-        let mut st = ChannelState::new(model, 1);
-        let mut saw_positive = false;
-        for _ in 0..500 {
-            let delay = st.send().deliveries()[0];
-            assert!(delay >= Dur::ZERO && delay <= d(25), "{delay:?}");
-            saw_positive |= delay > Dur::ZERO;
-        }
-        assert!(saw_positive);
-        assert_eq!(model.max_delay_bound(), d(25));
-    }
-
-    #[test]
-    fn truncated_exp_draw_pins_u_near_one_to_the_cap() {
-        // u → 1.0 sends -ln(1 − u) to infinity; the saturating cast and
-        // the clamp must pin the draw at exactly the cap.
-        assert_eq!(truncated_exp_ticks(1.0, d(10), d(25)), d(25));
-        assert_eq!(truncated_exp_ticks(1.0 - f64::EPSILON, d(10), d(25)), d(25));
-        // And an ordinary draw stays within the clamp bounds.
-        let mid = truncated_exp_ticks(0.5, d(10), d(25));
-        assert!(mid >= Dur::from_ticks(MIN_LATENCY_TICKS) && mid <= d(25));
-    }
-
-    #[test]
-    fn truncated_exp_draw_pins_zero_mean_to_the_floor() {
-        // mean = 0: every draw collapses to the clamp floor, including the
-        // u = 1.0 corner where the product is NaN (∞ · 0).
-        for &u in &[0.0, 0.25, 0.999, 1.0] {
-            assert_eq!(
-                truncated_exp_ticks(u, Dur::ZERO, d(25)),
-                Dur::from_ticks(MIN_LATENCY_TICKS),
-                "u = {u}"
-            );
         }
     }
 

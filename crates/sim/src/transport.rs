@@ -58,8 +58,6 @@ pub struct TransportConfig {
     /// Retransmissions allowed per frame before the sender gives up;
     /// `None` retries forever (no signal is ever abandoned).
     pub retry_budget: Option<u32>,
-    /// Latency of an ack on its way back to the sender.
-    pub ack_latency: Dur,
     /// Probability that an ack is lost on the way back (the data frame's
     /// drop probability comes from the channel model).
     pub ack_drop_probability: f64,
@@ -81,7 +79,6 @@ impl TransportConfig {
             backoff: 2,
             max_timeout: Dur::from_ticks(timeout.ticks().saturating_mul(8)),
             retry_budget: None,
-            ack_latency: Dur::ZERO,
             ack_drop_probability: 0.0,
             seed: 0,
             detector: None,
@@ -101,12 +98,6 @@ impl TransportConfig {
     /// its chain instance lost — once the budget is spent).
     pub fn with_retry_budget(mut self, budget: u32) -> TransportConfig {
         self.retry_budget = Some(budget);
-        self
-    }
-
-    /// Sets the ack return latency.
-    pub fn with_ack_latency(mut self, latency: Dur) -> TransportConfig {
-        self.ack_latency = latency;
         self
     }
 
@@ -141,15 +132,10 @@ impl TransportConfig {
     }
 
     /// Horizon padding for the retransmission worst case: every round can
-    /// wait up to the capped timeout, plus the ack's return trip.
+    /// wait up to the capped timeout (acks return instantly).
     pub(crate) fn horizon_slack(&self) -> Dur {
         let rounds = self.retry_budget.unwrap_or(UNBOUNDED_SLACK_ROUNDS) as i64 + 1;
-        Dur::from_ticks(
-            self.max_timeout
-                .ticks()
-                .saturating_mul(rounds)
-                .saturating_add(self.ack_latency.ticks()),
-        )
+        Dur::from_ticks(self.max_timeout.ticks().saturating_mul(rounds))
     }
 }
 
@@ -402,7 +388,7 @@ mod tests {
     fn horizon_slack_covers_the_budget() {
         let bounded = TransportConfig::new(d(10)).with_retry_budget(3);
         assert_eq!(bounded.horizon_slack(), d(80 * 4));
-        let unbounded = TransportConfig::new(d(10)).with_ack_latency(d(5));
-        assert_eq!(unbounded.horizon_slack(), d(80 * 33 + 5));
+        let unbounded = TransportConfig::new(d(10));
+        assert_eq!(unbounded.horizon_slack(), d(80 * 33));
     }
 }

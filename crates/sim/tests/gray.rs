@@ -1,11 +1,11 @@
 //! Integration tests for the gray-failure machinery: slowdown windows
 //! stretch service without fail-stopping, stalls freeze a node without
 //! killing its in-flight work (unlike a crash), degraded links inflate
-//! latency and drop lossy frames while the wire stays live, flapping
-//! bursts resolve into ordinary crash/recover cycles — and the adaptive
-//! φ-accrual detector absorbs a merely-slow peer that a fixed-timeout
-//! cliff falsely declares dead. With every gray knob in its neutral
-//! position the engine is bit-identical to the pre-gray path.
+//! latency and drop lossy frames while the wire stays live — and the
+//! adaptive φ-accrual detector absorbs a merely-slow peer that a
+//! fixed-timeout cliff falsely declares dead. With every gray knob in
+//! its neutral position the engine is bit-identical to the pre-gray
+//! path.
 
 use proptest::prelude::*;
 use rtsync_core::examples::example2;
@@ -13,9 +13,8 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, SimConfig};
 use rtsync_sim::{
-    CrashWindow, DetectorConfig, FaultConfig, FlapBurst, FlapSchedule, GrayConfig,
-    LinkDegradeWindow, LinkSchedule, PhiConfig, SlowSchedule, SlowWindow, StallSchedule,
-    StallWindow, TransportConfig,
+    CrashWindow, DetectorConfig, FaultConfig, GrayConfig, LinkDegradeWindow, LinkSchedule,
+    PhiConfig, SlowSchedule, SlowWindow, StallSchedule, StallWindow, TransportConfig,
 };
 
 fn d(x: i64) -> Dur {
@@ -199,32 +198,6 @@ fn degraded_link_inflates_latency_and_drops_frames() {
     assert_eq!(a.detect_stats, b.detect_stats);
 }
 
-/// Flapping bursts resolve into ordinary crash/recover cycles: the full
-/// crash machinery (kill, backlog, recovery) applies to every cycle.
-#[test]
-fn flapping_resolves_into_crash_recover_cycles() {
-    let set = example2();
-    let out = simulate(
-        &set,
-        &SimConfig::new(Protocol::DirectSync)
-            .with_instances(40)
-            .with_faults(FaultConfig::gray_only(GrayConfig::new().with_flaps(
-                FlapSchedule::Explicit(vec![
-                    vec![FlapBurst {
-                        at: t(30),
-                        cycles: 3,
-                        down: d(10),
-                        up: d(40),
-                    }],
-                    Vec::new(),
-                ]),
-            ))),
-    )
-    .unwrap();
-    assert_eq!(out.fault_stats.crashes, 3, "{:?}", out.fault_stats);
-    assert_eq!(out.fault_stats.recoveries, 3, "{:?}", out.fault_stats);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -245,7 +218,6 @@ proptest! {
             .with_slow(SlowSchedule::Explicit(vec![Vec::new(); n]))
             .with_stalls(StallSchedule::Explicit(vec![Vec::new(); n]))
             .with_links(LinkSchedule::Explicit(Vec::new()))
-            .with_flaps(FlapSchedule::Explicit(vec![Vec::new(); n]))
             .with_frame_seed(frame_seed);
         prop_assert!(!neutral.is_inert(), "explicit empties are armed but neutral");
 

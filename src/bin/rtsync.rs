@@ -219,7 +219,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// points: SA/PM busy-period iterations and the SA/DS IEERT sweep
 /// trajectory.
 fn print_convergence(set: &TaskSet, cfg: &AnalysisConfig) -> Result<(), String> {
-    use rtsync::core::analysis::sa_ds::{analyze_ds_traced, SweepOrder};
+    use rtsync::core::analysis::sa_ds::analyze_ds_traced;
     use rtsync::core::analysis::sa_pm::analyze_pm_traced;
     match analyze_pm_traced(set, cfg) {
         Ok((_, report)) => println!("{report}"),
@@ -228,8 +228,7 @@ fn print_convergence(set: &TaskSet, cfg: &AnalysisConfig) -> Result<(), String> 
         }
         Err(e) => return Err(e.to_string()),
     }
-    let (_, report) =
-        analyze_ds_traced(set, cfg, SweepOrder::default()).map_err(|e| e.to_string())?;
+    let (_, report) = analyze_ds_traced(set, cfg).map_err(|e| e.to_string())?;
     println!("{report}");
     Ok(())
 }
@@ -710,7 +709,40 @@ impl NonidealFlags {
         Ok(true)
     }
 
-    fn apply(&self, mut cfg: SimConfig) -> Result<SimConfig, String> {
+    /// Rejects values the simulator cannot honour, naming the flag.
+    fn validate(&self, num_procs: usize) -> Result<(), String> {
+        let nonnegative = [
+            ("--latency", self.latency),
+            ("--drift", self.drift_ppm),
+            ("--clock-offset", self.clock_offset),
+            ("--sporadic", self.sporadic.unwrap_or(0)),
+        ];
+        if let Some((name, _)) = nonnegative.iter().find(|(_, v)| *v < 0) {
+            return Err(format!("{name} must not be negative"));
+        }
+        if !(0.0..=1.0).contains(&self.drop) {
+            return Err(format!("--drop must lie in [0, 1], got {}", self.drop));
+        }
+        if self.timeout.is_some_and(|t| t <= 0) {
+            return Err("--timeout must be positive".to_string());
+        }
+        let windows = self.slow.iter().map(|w| ("--slow", w.proc, w.at, w.span));
+        let windows = windows.chain(self.stall.iter().map(|w| ("--stall", w.proc, w.at, w.span)));
+        for (name, proc, at, span) in windows {
+            if proc >= num_procs {
+                return Err(format!(
+                    "{name} PROC {proc} is out of range: the set has {num_procs} processors"
+                ));
+            }
+            if at < 0 || span <= 0 {
+                return Err(format!("{name} needs AT >= 0 and SPAN > 0"));
+            }
+        }
+        Ok(())
+    }
+
+    fn apply(&self, mut cfg: SimConfig, num_procs: usize) -> Result<SimConfig, String> {
+        self.validate(num_procs)?;
         if self.drop > 0.0 && !self.transport {
             return Err("--drop loses signals for good without --transport".to_string());
         }
@@ -724,7 +756,9 @@ impl NonidealFlags {
         if self.transport {
             // Default RTO: four times the one-way latency, floored so a
             // zero-latency channel still gets a meaningful timer.
-            let rto = self.timeout.unwrap_or_else(|| (4 * self.latency).max(8));
+            let rto = self
+                .timeout
+                .unwrap_or_else(|| self.latency.saturating_mul(4).max(8));
             cfg = cfg.with_transport(
                 TransportConfig::new(Dur::from_ticks(rto)).with_seed(self.seed ^ 0xF00D),
             );
@@ -828,7 +862,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
     }
     let protocol = protocol.ok_or("simulate requires --protocol")?;
-    let mut cfg = flags.apply(SimConfig::new(protocol).with_instances(instances))?;
+    let mut cfg = flags.apply(
+        SimConfig::new(protocol).with_instances(instances),
+        set.num_processors(),
+    )?;
     if gantt.is_some() || trace_csv.is_some() {
         cfg = cfg.with_trace();
     }
@@ -1049,7 +1086,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         }
         None => load(first)?,
     };
-    let cfg = flags.apply(SimConfig::new(protocol).with_instances(instances))?;
+    let cfg = flags.apply(
+        SimConfig::new(protocol).with_instances(instances),
+        set.num_processors(),
+    )?;
     let mut tel = TelemetryObserver::new(telemetry_width(window, &set, &cfg)?);
     let outcome = simulate_observed(&set, &cfg, &mut tel).map_err(|e| e.to_string())?;
     let report = tel.into_report();
@@ -1144,6 +1184,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
     }
     let protocol = protocol.ok_or("trace requires --protocol")?;
+    if sporadic.is_some_and(|s| s < 0) {
+        return Err("--sporadic must not be negative".to_string());
+    }
     if !matches!(format.as_str(), "perfetto" | "jsonl" | "gantt") {
         return Err(format!(
             "unknown format `{format}` (perfetto, jsonl, gantt)"

@@ -162,6 +162,46 @@ fn malformed_study_flags_fail_loudly() {
 }
 
 #[test]
+fn malformed_nonideal_flags_fail_loudly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-ni-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ex2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+    let file = file.to_str().unwrap();
+
+    // Example 2 has two processors. Every case fails with exit code 1 and
+    // an error naming the flag, never a panic or a silent run.
+    let cases: [(&[&str], &str); 13] = [
+        (&["--transport", "--timeout", "0"], "--timeout"),
+        (&["--transport", "--timeout", "-3"], "--timeout"),
+        (&["--drop", "2", "--transport"], "--drop"),
+        (&["--drop", "-0.5", "--transport"], "--drop"),
+        (&["--drop", "NaN", "--transport"], "--drop"),
+        (&["--latency", "-5"], "--latency"),
+        (&["--drift", "-1"], "--drift"),
+        (&["--clock-offset", "-1"], "--clock-offset"),
+        (&["--sporadic", "-1"], "--sporadic"),
+        (&["--stall", "9:10:5"], "--stall PROC 9"),
+        (&["--slow", "9:10:5:4"], "--slow PROC 9"),
+        (&["--stall", "0:-1:5"], "--stall"),
+        (&["--slow", "1:10:0:4"], "--slow"),
+    ];
+    for command in ["simulate", "report"] {
+        for (flags, needle) in &cases {
+            let mut args = vec![command, file, "--protocol", "rg"];
+            args.extend_from_slice(flags);
+            fails_with(&args, needle);
+        }
+    }
+    fails_with(
+        &["trace", file, "--protocol", "rg", "--sporadic", "-1"],
+        "--sporadic",
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn studies_write_only_under_out() {
     let dir = std::env::temp_dir().join(format!("rtsync-cli-cwd-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

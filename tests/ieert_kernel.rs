@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use rtsync::core::analysis::busy_period::{
     fixed_point, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
 };
-use rtsync::core::analysis::ieert::{ieert_pass, ieert_pass_gauss_seidel, IeerBounds};
+use rtsync::core::analysis::ieert::{ieert_pass, IeerBounds};
 use rtsync::core::analysis::sa_ds::{
-    analyze_ds_seeded, analyze_ds_traced, analyze_ds_with, IeertReport, SweepOrder,
+    analyze_ds, analyze_ds_seeded, analyze_ds_traced, IeertReport,
 };
 use rtsync::core::error::AnalyzeError;
 use rtsync::core::examples::example2;
@@ -136,23 +136,16 @@ fn oracle_ieer(
     Ok(worst)
 }
 
-/// One oracle sweep in either discipline.
+/// One oracle Jacobi sweep.
 fn oracle_sweep(
     set: &TaskSet,
     current: &IeerBounds,
     cfg: &AnalysisConfig,
-    order: SweepOrder,
 ) -> Result<IeerBounds, AnalyzeError> {
     let mut next = current.as_slices().to_vec();
     for sub in set.subtasks() {
         let id = sub.id();
-        let value = match order {
-            SweepOrder::Jacobi => oracle_ieer(set, id, &|s| current.get(s), cfg)?,
-            SweepOrder::GaussSeidel => {
-                oracle_ieer(set, id, &|s| next[s.task().index()][s.index()], cfg)?
-            }
-        };
-        next[id.task().index()][id.index()] = value;
+        next[id.task().index()][id.index()] = oracle_ieer(set, id, &|s| current.get(s), cfg)?;
     }
     Ok(IeerBounds::from_raw(next))
 }
@@ -188,7 +181,6 @@ fn worst_ratio_subtask(set: &TaskSet, bounds: &IeerBounds) -> SubtaskId {
 fn oracle_ds(
     set: &TaskSet,
     cfg: &AnalysisConfig,
-    order: SweepOrder,
     seed: IeerBounds,
 ) -> (Result<(IeerBounds, u64), AnalyzeError>, IeertReport) {
     let mut report = IeertReport {
@@ -198,7 +190,7 @@ fn oracle_ds(
     let mut bounds = seed;
     for sweep in 1..=cfg.max_outer_iterations {
         report.sweeps = sweep;
-        let next = match oracle_sweep(set, &bounds, cfg, order) {
+        let next = match oracle_sweep(set, &bounds, cfg) {
             Ok(next) => next,
             Err(e) => return (Err(e), report),
         };
@@ -224,10 +216,10 @@ fn oracle_ds(
 
 /// Asserts that the kernel-driven SA/DS run from `seed` returns exactly
 /// what the oracle-driven loop returns.
-fn assert_matches_oracle(set: &TaskSet, cfg: &AnalysisConfig, order: SweepOrder, seed: IeerBounds) {
-    let (expected, _) = oracle_ds(set, cfg, order, seed.clone());
-    let got = analyze_ds_seeded(set, cfg, order, seed).map(|b| (b.bounds().clone(), b.sweeps()));
-    assert_eq!(got, expected, "{order:?} on\n{set:?}");
+fn assert_matches_oracle(set: &TaskSet, cfg: &AnalysisConfig, seed: IeerBounds) {
+    let (expected, _) = oracle_ds(set, cfg, seed.clone());
+    let got = analyze_ds_seeded(set, cfg, seed).map(|b| (b.bounds().clone(), b.sweeps()));
+    assert_eq!(got, expected, "on\n{set:?}");
 }
 
 /// The first `k` tasks of `set`, with their priorities unchanged.
@@ -254,10 +246,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// §5.1 systems across N = 2..8 × U = 0.5..0.9 (failing cells
-    /// included): cold Jacobi and Gauss–Seidel runs, a traced run, a run
-    /// whose sweep budget runs out, and a run warm-started from the
-    /// converged bounds of a prefix system (the admission path) all equal
-    /// the oracle-driven loop.
+    /// included): a cold run, a traced run, a run whose sweep budget runs
+    /// out, and a run warm-started from the converged bounds of a prefix
+    /// system (the admission path) all equal the oracle-driven loop.
     #[test]
     fn kernel_matches_the_figure_10_oracle(
         n in 2usize..=8,
@@ -273,11 +264,11 @@ proptest! {
         let set = generate_seeded(&spec, seed).expect("paper spec generates");
         let cfg = AnalysisConfig::default();
 
-        let (jacobi, report) = oracle_ds(&set, &cfg, SweepOrder::Jacobi, IeerBounds::seed(&set));
-        let got = analyze_ds_with(&set, &cfg, SweepOrder::Jacobi)
+        let (jacobi, report) = oracle_ds(&set, &cfg, IeerBounds::seed(&set));
+        let got = analyze_ds(&set, &cfg)
             .map(|b| (b.bounds().clone(), b.sweeps()));
         prop_assert_eq!(&got, &jacobi);
-        let traced = analyze_ds_traced(&set, &cfg, SweepOrder::Jacobi)
+        let traced = analyze_ds_traced(&set, &cfg)
             .map(|(b, r)| (b.map(|b| (b.bounds().clone(), b.sweeps())), r));
         let expected = match jacobi {
             Ok(b) => Ok((Some(b), report)),
@@ -286,15 +277,10 @@ proptest! {
         };
         prop_assert_eq!(traced, expected);
 
-        let (gs, _) = oracle_ds(&set, &cfg, SweepOrder::GaussSeidel, IeerBounds::seed(&set));
-        let got = analyze_ds_with(&set, &cfg, SweepOrder::GaussSeidel)
-            .map(|b| (b.bounds().clone(), b.sweeps()));
-        prop_assert_eq!(got, gs);
-
         // A sweep budget too small to converge: the IterationLimit payload
         // names the same subtask.
         let short = AnalysisConfig { max_outer_iterations: 2, ..cfg };
-        assert_matches_oracle(&set, &short, SweepOrder::Jacobi, IeerBounds::seed(&set));
+        assert_matches_oracle(&set, &short, IeerBounds::seed(&set));
 
         // Admission-style priors: the retained chains' converged bounds in
         // the smaller system seed the grown one.
@@ -302,13 +288,12 @@ proptest! {
         if k > 0 {
             let small = prefix(&set, k);
             if let (Ok((prior, _)), _) =
-                oracle_ds(&small, &cfg, SweepOrder::Jacobi, IeerBounds::seed(&small))
+                oracle_ds(&small, &cfg, IeerBounds::seed(&small))
             {
                 let seed = IeerBounds::seed_with(&set, |s| {
                     (s.task().index() < k).then(|| prior.get(s))
                 });
-                assert_matches_oracle(&set, &cfg, SweepOrder::Jacobi, seed.clone());
-                assert_matches_oracle(&set, &cfg, SweepOrder::GaussSeidel, seed);
+                assert_matches_oracle(&set, &cfg, seed);
             }
         }
     }
@@ -343,7 +328,7 @@ fn clumped_lehoczky_pair() -> TaskSet {
 fn early_stop_is_exact_when_the_worst_instance_is_late() {
     let set = clumped_lehoczky_pair();
     let cfg = AnalysisConfig::default();
-    let (expected, _) = oracle_ds(&set, &cfg, SweepOrder::Jacobi, IeerBounds::seed(&set));
+    let (expected, _) = oracle_ds(&set, &cfg, IeerBounds::seed(&set));
     let (fixed, _) = expected.clone().expect("the system converges");
 
     // At the fixed point T0.1's jitter spans several periods and its worst
@@ -360,12 +345,10 @@ fn early_stop_is_exact_when_the_worst_instance_is_late() {
     );
     assert!(worst > instances[0]);
 
-    // One kernel sweep from the fixed point and every SA/DS order agree
-    // with the oracle.
+    // One kernel sweep from the fixed point and the SA/DS run agree with
+    // the oracle.
     assert_eq!(ieert_pass(&set, &fixed, &cfg).unwrap(), fixed);
-    assert_eq!(ieert_pass_gauss_seidel(&set, &fixed, &cfg).unwrap(), fixed);
-    assert_matches_oracle(&set, &cfg, SweepOrder::Jacobi, IeerBounds::seed(&set));
-    assert_matches_oracle(&set, &cfg, SweepOrder::GaussSeidel, IeerBounds::seed(&set));
+    assert_matches_oracle(&set, &cfg, IeerBounds::seed(&set));
     assert_eq!(fixed.get(subject), worst);
 }
 
@@ -380,7 +363,6 @@ fn lowered_priors_still_match_the_oracle() {
     let cfg = AnalysisConfig::default();
     for prior in 5..=12 {
         let seed = IeerBounds::seed_with(&set, |s| (s == sid(1, 0)).then_some(d(prior)));
-        assert_matches_oracle(&set, &cfg, SweepOrder::Jacobi, seed.clone());
-        assert_matches_oracle(&set, &cfg, SweepOrder::GaussSeidel, seed);
+        assert_matches_oracle(&set, &cfg, seed);
     }
 }
