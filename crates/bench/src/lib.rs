@@ -235,7 +235,7 @@ impl BenchReport {
 /// The six simulator condition tiers in escalating order, plus the
 /// `admit` tier driving the admission-control engine, the DS-only
 /// `sa_ds` analysis tier and the PM-only `sa_pm` analysis tier.
-const SCENARIOS: [&str; 9] = [
+pub const SCENARIOS: [&str; 9] = [
     "ideal",
     "nonideal",
     "sync",

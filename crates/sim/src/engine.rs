@@ -48,7 +48,7 @@ use crate::metrics::Metrics;
 use crate::nonideal::{
     ChannelModel, ChannelState, ChannelStats, ClockModel, LocalClock, NonidealConfig,
 };
-use crate::observe::{EngineSample, NoopObserver, Observer};
+use crate::observe::{EngineSample, NoopObserver, Note, Observer};
 use crate::perf::{EngineProfile, NoopProfiler, PerfScope, Profiler, WallProfiler};
 use crate::priority_profile::PriorityProfile;
 use crate::processor::{Milestone, Processor, Resched};
@@ -783,7 +783,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.now = event.time;
             self.events += 1;
             self.prof.switch(PerfScope::Observer);
-            self.obs.on_event(self.now, &event.kind);
+            self.note(Note::Event(event.kind));
             self.prof.switch(PerfScope::of(&event.kind));
             match event.kind {
                 EventKind::Crash { proc } => self.on_crash(proc),
@@ -867,7 +867,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         }
 
-        self.obs.on_run_end(self.now, self.events);
+        self.note(Note::RunEnd {
+            events: self.events,
+        });
         Ok(SimOutcome {
             metrics: self.metrics,
             trace: self.trace,
@@ -920,7 +922,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         if let Some(tr) = &mut self.trace {
             tr.push_completion(job, self.now);
         }
-        self.obs.on_completion(self.now, job, proc.index());
+        self.note(Note::Completion {
+            job,
+            proc: proc.index(),
+        });
         let task = self.set.task(job.task());
         match task.successor_of(job.subtask()) {
             None => {
@@ -940,13 +945,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .task(job.task())
                     .first_release_time(job.instance())
                 {
-                    self.obs.on_task_completion(
-                        self.now,
-                        job.task(),
-                        job.instance(),
-                        self.now - released,
-                        verdict.is_some(),
-                    );
+                    self.note(Note::TaskCompletion {
+                        task: job.task(),
+                        instance: job.instance(),
+                        eer: self.now - released,
+                        measured: verdict.is_some(),
+                    });
                 }
             }
             Some(succ) => {
@@ -965,11 +969,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // same-instant completion) do not prevent the idle point.
         if self.procs[proc.index()].is_idle_point(self.now) {
             let now = self.now;
-            self.obs.on_idle_point(now, proc.index());
+            self.note(Note::IdlePoint { proc: proc.index() });
             let mut freed = std::mem::take(&mut self.rule2_scratch);
             self.controller.on_idle_point(proc, now, &mut freed);
             for &job in &freed {
-                self.obs.on_rule2_release(now, job);
+                self.note(Note::Rule2Release { job });
                 self.release(job);
             }
             freed.clear();
@@ -992,7 +996,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // The timer says job's response bound elapsed: signal the successor.
         let fi = self.flat.of(job.subtask());
         let overrun = self.completed[fi] <= job.instance();
-        self.obs.on_mpm_timer_fired(self.now, job, overrun);
+        self.note(Note::MpmTimerFired { job, overrun });
         if overrun {
             // Overrun: the bound was violated (can happen under sporadic
             // sources or modeling error); record and release anyway, as a
@@ -1023,8 +1027,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // nothing to price on the channel.
         let signalless = self.cfg.protocol == Protocol::PhaseModification;
         if succ_proc != from && !signalless {
-            self.obs
-                .on_sync_interrupt(self.now, from.index(), succ_proc.index(), succ_job);
+            self.note(Note::SyncInterrupt {
+                from: from.index(),
+                to: succ_proc.index(),
+                job: succ_job,
+            });
         }
         if self.transport.is_some() && succ_proc != from && !signalless {
             // Endpoint mode: the signal becomes a numbered, acked frame.
@@ -1107,7 +1114,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         match self.controller.on_predecessor_complete(succ_job, self.now) {
             CompletionDirective::ReleaseSuccessor => self.release(succ_job),
             CompletionDirective::ScheduleExpiry { due, gen } => {
-                self.obs.on_guard_block(self.now, succ_job, due);
+                self.note(Note::GuardBlock { job: succ_job, due });
                 // Rule 2 applies at *every* idle instant (§3.2), not
                 // only at completion instants: a signal deferred
                 // onto an already-idle processor is released right
@@ -1117,7 +1124,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 let succ_proc = self.set.subtask(succ).processor();
                 let mut freed = std::mem::take(&mut self.rule2_scratch);
                 if self.procs[succ_proc.index()].is_idle_point(self.now) {
-                    self.obs.on_idle_point(self.now, succ_proc.index());
+                    self.note(Note::IdlePoint {
+                        proc: succ_proc.index(),
+                    });
                     self.controller
                         .on_idle_point(succ_proc, self.now, &mut freed);
                 }
@@ -1128,7 +1137,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     );
                 } else {
                     for &job in &freed {
-                        self.obs.on_rule2_release(self.now, job);
+                        self.note(Note::Rule2Release { job });
                         self.release(job);
                     }
                 }
@@ -1147,7 +1156,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .as_mut()
             .expect("SignalSend only scheduled with a channel")
             .send();
-        self.obs.on_signal_send(self.now, job);
+        self.note(Note::SignalSend { job });
         if plan.dropped {
             self.push_violation(Violation {
                 kind: ViolationKind::SignalLost,
@@ -1186,7 +1195,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .deliver(fi, job.instance(), &mut applicable);
         for &instance in &applicable {
             let delivered = JobId::new(job.subtask(), instance);
-            self.obs.on_signal_deliver(self.now, delivered);
+            self.note(Note::SignalDeliver { job: delivered });
             self.apply_signal(delivered);
         }
         applicable.clear();
@@ -1210,8 +1219,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 (seq, 0)
             }
         };
-        self.obs
-            .on_transport_send(self.now, job, seq, resend.is_some());
+        self.note(Note::TransportSend {
+            job,
+            seq,
+            retransmit: resend.is_some(),
+        });
         let succ_proc = self.set.subtask(job.subtask()).processor().index();
         if self.cut(from, succ_proc) {
             // Severed at the cut: the frame never reaches the wire. The
@@ -1300,7 +1312,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .deliver(fi, job.instance(), &mut applicable);
         for &instance in &applicable {
             let delivered = JobId::new(job.subtask(), instance);
-            self.obs.on_signal_deliver(self.now, delivered);
+            self.note(Note::SignalDeliver { job: delivered });
             self.apply_signal(delivered);
         }
         applicable.clear();
@@ -1339,7 +1351,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .on_ack(seq, self.now, fi)
                     .expect("entry was in flight");
                 let rtt = self.now - closed.first_sent;
-                self.obs.on_transport_ack(self.now, seq, Some(rtt), false);
+                self.note(Note::TransportAck {
+                    seq,
+                    rtt: Some(rtt),
+                    dup: false,
+                });
             }
             None => {
                 // The frame was already closed (or abandoned): a dup-ack.
@@ -1347,7 +1363,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .as_mut()
                     .expect("transport attached")
                     .on_ack(seq, self.now, 0);
-                self.obs.on_transport_ack(self.now, seq, None, true);
+                self.note(Note::TransportAck {
+                    seq,
+                    rtt: None,
+                    dup: true,
+                });
             }
         }
     }
@@ -1503,7 +1523,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 .severed_heartbeats += 1;
             return;
         }
-        self.obs.on_heartbeat(self.now, from.index(), to.index());
+        self.note(Note::Heartbeat {
+            from: from.index(),
+            to: to.index(),
+        });
         let (gen, revived) = self.detect.as_mut().expect("detector attached").heard(
             to.index(),
             from.index(),
@@ -1808,7 +1831,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     match self.controller.on_predecessor_complete(job, self.now) {
                         CompletionDirective::ReleaseSuccessor => self.release(job),
                         CompletionDirective::ScheduleExpiry { due, gen } => {
-                            self.obs.on_guard_block(self.now, job, due);
+                            self.note(Note::GuardBlock { job, due });
                             self.queue
                                 .push(due.max(self.now), EventKind::GuardExpiry { subtask, gen });
                         }
@@ -1867,7 +1890,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .as_ref()
             .is_some_and(|fs| fs.down[p] || fs.stalled[p]);
         if up {
-            self.obs.on_sync_round(self.now, p);
+            self.note(Note::SyncRound { proc: p });
             self.sync.as_mut().expect("sync attached").stats.rounds += 1;
             // Partition-aware estimate aging: with a cut open, samples
             // gathered *before* it opened from peers now on the far side
@@ -1890,9 +1913,13 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             if let Some((offset, uncertainty, step)) =
                 self.sync.as_mut().expect("sync attached").settle(p)
             {
-                self.obs.on_sync_estimate(self.now, p, offset, uncertainty);
+                self.note(Note::SyncEstimate {
+                    proc: p,
+                    estimate: offset,
+                    uncertainty,
+                });
                 if step != Dur::ZERO {
-                    self.obs.on_sync_correction(self.now, p, step);
+                    self.note(Note::SyncCorrection { proc: p, step });
                 }
                 // Uncertainty honesty: did the advertised interval bracket
                 // the true offset? Recorded per settle; the invariant
@@ -1903,8 +1930,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .as_mut()
                     .expect("sync attached")
                     .record_bracket(hit);
-                self.obs
-                    .on_sync_bracket(self.now, p, offset, uncertainty, true_off);
+                self.note(Note::SyncBracket {
+                    proc: p,
+                    estimate: offset,
+                    uncertainty,
+                    true_offset: true_off,
+                });
             }
             // Oracle ground-truth error sample, taken *after* the round's
             // correction — this is what the experiments plot against EER.
@@ -2070,7 +2101,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             let lying = !sync.personas[to.index()].is_honest();
             let (t2, disp) = sync.corrupt_response(to.index(), self.now, honest_t2, honest_disp);
             if lying {
-                self.obs.on_sync_corrupted(self.now, to.index());
+                self.note(Note::SyncCorrupted {
+                    responder: to.index(),
+                });
             }
             (t2, disp)
         };
@@ -2221,14 +2254,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// Logs one structured degradation event (observer hook + outcome
     /// record).
     fn push_degradation(&mut self, kind: Degradation) {
-        self.obs.on_degradation(self.now, &kind);
+        self.note(Note::Degradation(kind));
         self.degradations
             .push(DegradationEvent { at: self.now, kind });
     }
 
     fn on_guard_expiry(&mut self, subtask: SubtaskId, gen: u64) {
         if let Some(job) = self.controller.on_guard_expiry(subtask, gen, self.now) {
-            self.obs.on_guard_expiry_release(self.now, job);
+            self.note(Note::GuardExpiryRelease { job });
             self.release(job);
         }
     }
@@ -2335,7 +2368,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.crashes += 1;
             fs.stats.killed_jobs += killed.len() as u64;
         }
-        self.obs.on_crash(self.now, p, &killed);
+        self.note(Note::Crash {
+            proc: p,
+            killed: killed.len(),
+        });
         for &job in &killed {
             self.cancel_instance(job, true);
         }
@@ -2409,7 +2445,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.backlog_released += released;
             fs.stats.backlog_dropped += dropped;
         }
-        self.obs.on_recovery(self.now, p, released, dropped);
+        self.note(Note::Recovery {
+            proc: p,
+            released,
+            dropped,
+        });
         for &(item, keep) in &decisions {
             if keep {
                 match item.kind {
@@ -2473,7 +2513,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.heals += 1;
             std::mem::take(&mut fs.partition_backlog)
         };
-        self.obs.on_partition_heal(self.now);
+        self.note(Note::PartitionHeal);
         self.faults
             .as_mut()
             .expect("checked above")
@@ -2503,7 +2543,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             factor
         };
         self.procs[p].set_rate(factor);
-        self.obs.on_slowdown(self.now, p, factor);
+        self.note(Note::Slowdown { proc: p, factor });
         self.mark_dirty(proc);
     }
 
@@ -2517,7 +2557,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .expect("SlowEnd only scheduled with faults")
             .rate[p] = 1;
         self.procs[p].set_rate(1);
-        self.obs.on_slowdown(self.now, p, 1);
+        self.note(Note::Slowdown { proc: p, factor: 1 });
         self.mark_dirty(proc);
     }
 
@@ -2544,7 +2584,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.stalls += 1;
         }
         self.procs[p].set_stalled(true);
-        self.obs.on_stall(self.now, p, true);
+        self.note(Note::Stall {
+            proc: p,
+            stalled: true,
+        });
         self.mark_dirty(proc);
     }
 
@@ -2559,7 +2602,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.advance_proc(proc);
         self.faults.as_mut().expect("checked above").stalled[p] = false;
         self.procs[p].set_stalled(false);
-        self.obs.on_stall(self.now, p, false);
+        self.note(Note::Stall {
+            proc: p,
+            stalled: false,
+        });
         self.mark_dirty(proc);
     }
 
@@ -2578,7 +2624,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.link_degrades += 1;
             (w.from, w.to)
         };
-        self.obs.on_link_degrade(self.now, from, to, true);
+        self.note(Note::LinkDegrade { from, to, on: true });
     }
 
     /// The link-degradation window closes. With overlapping windows on
@@ -2596,7 +2642,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
             (w.from, w.to)
         };
-        self.obs.on_link_degrade(self.now, from, to, false);
+        self.note(Note::LinkDegrade {
+            from,
+            to,
+            on: false,
+        });
     }
 
     /// Is the `a`↔`b` link currently severed by a partition?
@@ -2722,7 +2772,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 .note_cancelled(fi, job.instance(), &mut freed);
             for instance in freed {
                 let delivered = JobId::new(job.subtask(), instance);
-                self.obs.on_signal_deliver(self.now, delivered);
+                self.note(Note::SignalDeliver { job: delivered });
                 self.apply_signal(delivered);
             }
         }
@@ -2855,12 +2905,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         if let Some(tr) = &mut self.trace {
             tr.push_release(job, self.now);
         }
-        self.obs.on_release(self.now, job, sub.processor().index());
+        self.note(Note::Release {
+            job,
+            proc: sub.processor().index(),
+        });
         // RG's rule 1 updates the released subtask's own guard (guards
         // exist for every non-first subtask) as a side effect of
         // `Controller::on_release` below.
         if self.cfg.protocol == Protocol::ReleaseGuard && !job.subtask().is_first() {
-            self.obs.on_rule1_update(self.now, job.subtask());
+            self.note(Note::Rule1Update {
+                subtask: job.subtask(),
+            });
         }
         // Protocol hooks (RG rule 1, MPM timers). MPM timers measure a
         // duration on the host processor's clock: rescale it under drift
@@ -2875,7 +2930,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 _ => time,
             };
             if let EventKind::MpmTimer { job: timer_job } = &kind {
-                self.obs.on_mpm_timer_armed(self.now, *timer_job, time);
+                self.note(Note::MpmTimerArmed {
+                    job: *timer_job,
+                    fire_at: time,
+                });
                 // Fault domain: track armed timers per node so a crash can
                 // drain (and a stale firing can detect) the ones that died
                 // with it.
@@ -2901,8 +2959,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let slice = self.procs[proc.index()].advance(self.now);
         if let Some(slice) = slice {
             self.busy_ticks[proc.index()] += slice.end - slice.start;
-            self.obs
-                .on_slice(proc.index(), slice.job, slice.start, slice.end);
+            self.note(Note::Slice {
+                proc: proc.index(),
+                job: slice.job,
+                start: slice.start,
+                end: slice.end,
+            });
             if let Some(tr) = &mut self.trace {
                 tr.push_slice(proc, slice);
             }
@@ -2913,8 +2975,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.dirty[proc.index()] = true;
     }
 
+    /// Reports `note` to the observer at the current instant.
+    #[inline]
+    fn note(&mut self, note: Note) {
+        self.obs.on(self.now, note);
+    }
+
     fn push_violation(&mut self, violation: Violation) {
-        self.obs.on_violation(&violation);
+        self.note(Note::Violation(violation));
         self.violations.push(violation);
     }
 
@@ -2939,9 +3007,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             let after = self.procs[p].running_job();
             if let Some(to) = after {
                 if before != Some(to) {
-                    self.obs.on_context_switch(self.now, p, before, to);
+                    self.note(Note::ContextSwitch {
+                        proc: p,
+                        from: before,
+                        to,
+                    });
                     if let Some(preempted) = before {
-                        self.obs.on_preemption(self.now, p, preempted, to);
+                        self.note(Note::Preemption {
+                            proc: p,
+                            preempted,
+                            by: to,
+                        });
                     }
                 }
             }

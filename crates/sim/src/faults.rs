@@ -81,9 +81,10 @@ use rtsync_core::task::TaskSet;
 use rtsync_core::time::{Dur, Time};
 
 use crate::controller::FlatIndex;
+use crate::detect::Degradation;
 use crate::engine::SimOutcome;
 use crate::job::JobId;
-use crate::observe::Observer;
+use crate::observe::{Note, Observer};
 
 /// What a recovered processor does with the backlog of work (source
 /// releases and predecessor signals) that arrived while it was down.
@@ -1297,117 +1298,10 @@ impl InvariantObserver {
         let within = |t: Option<Time>| t.is_some_and(|t| t > prev && t <= now);
         within(self.last_idle[proc]) || within(self.last_recovery[proc])
     }
-}
 
-impl Observer for InvariantObserver {
-    fn on_run_start(&mut self, set: &TaskSet, protocol: Protocol) {
-        let flat = FlatIndex::new(set);
-        let n = flat.len();
-        let procs = set.num_processors();
-        self.protocol = Some(protocol);
-        self.proc_of = vec![0; n];
-        self.period_of = vec![Dur::ZERO; n];
-        self.is_first = vec![false; n];
-        self.pred_of = vec![None; n];
-        self.subtasks_on = vec![0; procs];
-        let mut min_period: Option<Dur> = None;
-        for task in set.tasks() {
-            min_period = Some(min_period.map_or(task.period(), |m| m.min(task.period())));
-            for (i, sub) in task.subtasks().iter().enumerate() {
-                let fi = flat.of(sub.id());
-                self.proc_of[fi] = sub.processor().index();
-                self.period_of[fi] = task.period();
-                self.is_first[fi] = i == 0;
-                self.pred_of[fi] = (i > 0).then(|| fi - 1);
-                self.subtasks_on[sub.processor().index()] += 1;
-            }
-        }
-        self.min_period = min_period.unwrap_or(Dur::from_ticks(1));
-        self.completed = vec![BTreeSet::new(); n];
-        self.last_release = vec![None; n];
-        self.last_idle = vec![None; procs];
-        self.last_recovery = vec![None; procs];
-        self.down = vec![false; procs];
-        self.down_since = vec![None; procs];
-        self.inflight = vec![0; procs];
-        // Steady-state bound: a schedulable chain keeps only a handful of
-        // instances of each subtask in flight; outages add an allowance in
-        // on_recovery proportional to the downtime.
-        self.backlog_limit = self.subtasks_on.iter().map(|&s| 8 * s + 8).collect();
-        self.delivers_seen = 0;
-        self.forced.clear();
-        self.side = vec![false; procs];
-        self.partitioned_since = None;
-        self.completed_when = vec![std::collections::BTreeMap::new(); n];
-        self.track_completion_times = false;
-        self.violations.clear();
-        self.flat = Some(flat);
-    }
-
-    fn on_partition_start(&mut self, now: Time, island: &[bool]) {
-        self.side.clear();
-        self.side.extend_from_slice(island);
-        self.partitioned_since = Some(now);
-        // Completion instants only matter once a cut exists; start
-        // recording at the first cut so partition-free runs pay nothing.
-        self.track_completion_times = true;
-    }
-
-    fn on_partition_heal(&mut self, _now: Time) {
-        self.partitioned_since = None;
-    }
-
-    fn on_heartbeat(&mut self, now: Time, from: usize, to: usize) {
-        if self.partitioned_since.is_some()
-            && from < self.side.len()
-            && to < self.side.len()
-            && self.side[from] != self.side[to]
-        {
-            self.fail(
-                InvariantKind::CrossPartitionDelivery,
-                now,
-                None,
-                format!("heartbeat P{from} -> P{to} applied across an active cut"),
-            );
-        }
-    }
-
-    fn on_sync_bracket(
-        &mut self,
-        now: Time,
-        proc: usize,
-        estimate: Dur,
-        uncertainty: Dur,
-        true_offset: Dur,
-    ) {
-        if self.uncertainty_disarmed {
-            return;
-        }
-        let err = Dur::from_ticks((estimate.ticks() - true_offset.ticks()).abs());
-        if err > uncertainty {
-            self.fail(
-                InvariantKind::UncertaintyDishonest,
-                now,
-                None,
-                format!(
-                    "P{proc} settled estimate {} +/- {} ticks but the true offset was {} \
-                     ({} ticks outside the bracket)",
-                    estimate.ticks(),
-                    uncertainty.ticks(),
-                    true_offset.ticks(),
-                    (err - uncertainty).ticks()
-                ),
-            );
-        }
-    }
-
-    fn on_degradation(&mut self, _now: Time, kind: &crate::detect::Degradation) {
-        if let crate::detect::Degradation::ForcedRelease { job, .. } = kind {
-            self.forced.insert(*job);
-        }
-    }
-
-    fn on_release(&mut self, now: Time, job: JobId, proc: usize) {
+    /// The release checks: down-processor activity, precedence order, RG
+    /// guard spacing, cross-partition leaks and backlog growth.
+    fn check_release(&mut self, now: Time, job: JobId, proc: usize) {
         if self.down[proc] {
             self.fail(
                 InvariantKind::DownProcessorActivity,
@@ -1506,66 +1400,163 @@ impl Observer for InvariantObserver {
             self.backlog_limit[proc] = i64::MAX;
         }
     }
+}
 
-    fn on_completion(&mut self, now: Time, job: JobId, proc: usize) {
-        if self.down[proc] {
-            self.fail(
-                InvariantKind::DownProcessorActivity,
-                now,
-                Some(job),
-                format!("completion on crashed processor P{proc}"),
-            );
+impl Observer for InvariantObserver {
+    fn on_run_start(&mut self, set: &TaskSet, protocol: Protocol) {
+        let flat = FlatIndex::new(set);
+        let n = flat.len();
+        let procs = set.num_processors();
+        self.protocol = Some(protocol);
+        self.proc_of = vec![0; n];
+        self.period_of = vec![Dur::ZERO; n];
+        self.is_first = vec![false; n];
+        self.pred_of = vec![None; n];
+        self.subtasks_on = vec![0; procs];
+        let mut min_period: Option<Dur> = None;
+        for task in set.tasks() {
+            min_period = Some(min_period.map_or(task.period(), |m| m.min(task.period())));
+            for (i, sub) in task.subtasks().iter().enumerate() {
+                let fi = flat.of(sub.id());
+                self.proc_of[fi] = sub.processor().index();
+                self.period_of[fi] = task.period();
+                self.is_first[fi] = i == 0;
+                self.pred_of[fi] = (i > 0).then(|| fi - 1);
+                self.subtasks_on[sub.processor().index()] += 1;
+            }
         }
-        let fi = self
-            .flat
-            .as_ref()
-            .expect("on_run_start ran")
-            .of(job.subtask());
-        self.completed[fi].insert(job.instance());
-        if self.track_completion_times {
-            self.completed_when[fi].insert(job.instance(), now);
-        }
-        self.inflight[proc] -= 1;
+        self.min_period = min_period.unwrap_or(Dur::from_ticks(1));
+        self.completed = vec![BTreeSet::new(); n];
+        self.last_release = vec![None; n];
+        self.last_idle = vec![None; procs];
+        self.last_recovery = vec![None; procs];
+        self.down = vec![false; procs];
+        self.down_since = vec![None; procs];
+        self.inflight = vec![0; procs];
+        // Steady-state bound: a schedulable chain keeps only a handful of
+        // instances of each subtask in flight; outages add an allowance
+        // at each recovery, proportional to the downtime.
+        self.backlog_limit = self.subtasks_on.iter().map(|&s| 8 * s + 8).collect();
+        self.delivers_seen = 0;
+        self.forced.clear();
+        self.side = vec![false; procs];
+        self.partitioned_since = None;
+        self.completed_when = vec![std::collections::BTreeMap::new(); n];
+        self.track_completion_times = false;
+        self.violations.clear();
+        self.flat = Some(flat);
     }
 
-    fn on_slice(&mut self, proc: usize, job: JobId, start: Time, end: Time) {
-        if self.down[proc] {
-            self.fail(
-                InvariantKind::DownProcessorActivity,
+    fn on_partition_start(&mut self, now: Time, island: &[bool]) {
+        self.side.clear();
+        self.side.extend_from_slice(island);
+        self.partitioned_since = Some(now);
+        // Completion instants only matter once a cut exists; start
+        // recording at the first cut so partition-free runs pay nothing.
+        self.track_completion_times = true;
+    }
+
+    #[inline]
+    fn on(&mut self, now: Time, note: Note) {
+        match note {
+            Note::PartitionHeal => self.partitioned_since = None,
+            Note::Heartbeat { from, to }
+                if self.partitioned_since.is_some()
+                    && from < self.side.len()
+                    && to < self.side.len()
+                    && self.side[from] != self.side[to] =>
+            {
+                self.fail(
+                    InvariantKind::CrossPartitionDelivery,
+                    now,
+                    None,
+                    format!("heartbeat P{from} -> P{to} applied across an active cut"),
+                );
+            }
+            Note::SyncBracket {
+                proc,
+                estimate,
+                uncertainty,
+                true_offset,
+            } => {
+                let err = Dur::from_ticks((estimate.ticks() - true_offset.ticks()).abs());
+                if !self.uncertainty_disarmed && err > uncertainty {
+                    self.fail(
+                        InvariantKind::UncertaintyDishonest,
+                        now,
+                        None,
+                        format!(
+                            "P{proc} settled estimate {} +/- {} ticks but the true offset was {} \
+                             ({} ticks outside the bracket)",
+                            estimate.ticks(),
+                            uncertainty.ticks(),
+                            true_offset.ticks(),
+                            (err - uncertainty).ticks()
+                        ),
+                    );
+                }
+            }
+            Note::Degradation(Degradation::ForcedRelease { job, .. }) => {
+                self.forced.insert(job);
+            }
+            Note::Release { job, proc } => self.check_release(now, job, proc),
+            Note::Completion { job, proc } => {
+                if self.down[proc] {
+                    self.fail(
+                        InvariantKind::DownProcessorActivity,
+                        now,
+                        Some(job),
+                        format!("completion on crashed processor P{proc}"),
+                    );
+                }
+                let fi = self
+                    .flat
+                    .as_ref()
+                    .expect("on_run_start ran")
+                    .of(job.subtask());
+                self.completed[fi].insert(job.instance());
+                if self.track_completion_times {
+                    self.completed_when[fi].insert(job.instance(), now);
+                }
+                self.inflight[proc] -= 1;
+            }
+            Note::Slice {
+                proc,
+                job,
                 start,
-                Some(job),
-                format!(
-                    "executed slice [{}, {}) on crashed processor P{proc}",
-                    start.ticks(),
-                    end.ticks()
-                ),
-            );
-        }
-    }
-
-    fn on_idle_point(&mut self, now: Time, proc: usize) {
-        self.last_idle[proc] = Some(now);
-    }
-
-    fn on_signal_deliver(&mut self, _now: Time, _job: JobId) {
-        self.delivers_seen += 1;
-    }
-
-    fn on_crash(&mut self, now: Time, proc: usize, killed: &[JobId]) {
-        self.down[proc] = true;
-        self.down_since[proc] = Some(now);
-        self.inflight[proc] -= killed.len() as i64;
-    }
-
-    fn on_recovery(&mut self, now: Time, proc: usize, _released: u64, _dropped: u64) {
-        self.down[proc] = false;
-        self.last_recovery[proc] = Some(now);
-        if let Some(since) = self.down_since[proc].take() {
-            // Allow the post-outage burst: roughly one instance per subtask
-            // per elapsed period, plus slack for boundary effects.
-            let periods = (now - since).ticks() / self.min_period.ticks().max(1) + 2;
-            self.backlog_limit[proc] =
-                self.backlog_limit[proc].saturating_add(periods * self.subtasks_on[proc]);
+                end,
+            } if self.down[proc] => {
+                self.fail(
+                    InvariantKind::DownProcessorActivity,
+                    start,
+                    Some(job),
+                    format!(
+                        "executed slice [{}, {}) on crashed processor P{proc}",
+                        start.ticks(),
+                        end.ticks()
+                    ),
+                );
+            }
+            Note::IdlePoint { proc } => self.last_idle[proc] = Some(now),
+            Note::SignalDeliver { .. } => self.delivers_seen += 1,
+            Note::Crash { proc, killed } => {
+                self.down[proc] = true;
+                self.down_since[proc] = Some(now);
+                self.inflight[proc] -= killed as i64;
+            }
+            Note::Recovery { proc, .. } => {
+                self.down[proc] = false;
+                self.last_recovery[proc] = Some(now);
+                if let Some(since) = self.down_since[proc].take() {
+                    // Allow the post-outage burst: roughly one instance per
+                    // subtask per elapsed period, plus slack for boundary
+                    // effects.
+                    let periods = (now - since).ticks() / self.min_period.ticks().max(1) + 2;
+                    self.backlog_limit[proc] =
+                        self.backlog_limit[proc].saturating_add(periods * self.subtasks_on[proc]);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -1581,6 +1572,37 @@ mod tests {
 
     fn d(x: i64) -> Dur {
         Dur::from_ticks(x)
+    }
+
+    fn release(job: JobId, proc: usize) -> Note {
+        Note::Release { job, proc }
+    }
+
+    fn completion(job: JobId, proc: usize) -> Note {
+        Note::Completion { job, proc }
+    }
+
+    fn crash(proc: usize, killed: usize) -> Note {
+        Note::Crash { proc, killed }
+    }
+
+    fn recovery(proc: usize) -> Note {
+        Note::Recovery {
+            proc,
+            released: 0,
+            dropped: 0,
+        }
+    }
+
+    /// A settled sync round on P0: `estimate ± uncertainty` against the
+    /// true offset.
+    fn bracket(estimate: i64, uncertainty: i64, true_offset: i64) -> Note {
+        Note::SyncBracket {
+            proc: 0,
+            estimate: d(estimate),
+            uncertainty: d(uncertainty),
+            true_offset: d(true_offset),
+        }
     }
 
     #[test]
@@ -1702,9 +1724,9 @@ mod tests {
         island[pred_proc] = true;
         obs.on_partition_start(t(10), &island);
         // Predecessor completes during the cut, successor releases: leak.
-        obs.on_release(t(11), JobId::new(pred, 0), pred_proc);
-        obs.on_completion(t(12), JobId::new(pred, 0), pred_proc);
-        obs.on_release(t(13), JobId::new(sub, 0), proc);
+        obs.on(t(11), release(JobId::new(pred, 0), pred_proc));
+        obs.on(t(12), completion(JobId::new(pred, 0), pred_proc));
+        obs.on(t(13), release(JobId::new(sub, 0), proc));
         assert!(
             obs.violations()
                 .iter()
@@ -1717,10 +1739,10 @@ mod tests {
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&set, Protocol::DirectSync);
         obs.on_partition_start(t(10), &island);
-        obs.on_partition_heal(t(12));
-        obs.on_release(t(13), JobId::new(pred, 1), pred_proc);
-        obs.on_completion(t(14), JobId::new(pred, 1), pred_proc);
-        obs.on_release(t(15), JobId::new(sub, 1), proc);
+        obs.on(t(12), Note::PartitionHeal);
+        obs.on(t(13), release(JobId::new(pred, 1), pred_proc));
+        obs.on(t(14), completion(JobId::new(pred, 1), pred_proc));
+        obs.on(t(15), release(JobId::new(sub, 1), proc));
         assert!(obs.is_clean(), "{:?}", obs.violations());
     }
 
@@ -1729,7 +1751,7 @@ mod tests {
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&example2(), Protocol::DirectSync);
         obs.on_partition_start(t(5), &[true, false]);
-        obs.on_heartbeat(t(6), 0, 1);
+        obs.on(t(6), Note::Heartbeat { from: 0, to: 1 });
         assert!(obs
             .violations()
             .iter()
@@ -1737,7 +1759,7 @@ mod tests {
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&example2(), Protocol::DirectSync);
         obs.on_partition_start(t(5), &[true, true]);
-        obs.on_heartbeat(t(6), 0, 1);
+        obs.on(t(6), Note::Heartbeat { from: 0, to: 1 });
         assert!(obs.is_clean(), "same side: no break");
     }
 
@@ -1745,7 +1767,7 @@ mod tests {
     fn dishonest_uncertainty_is_flagged_unless_disarmed() {
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on_sync_bracket(t(5), 0, d(100), d(10), d(50));
+        obs.on(t(5), bracket(100, 10, 50));
         assert!(obs
             .violations()
             .iter()
@@ -1753,12 +1775,12 @@ mod tests {
 
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on_sync_bracket(t(5), 0, d(100), d(60), d(50));
+        obs.on(t(5), bracket(100, 60, 50));
         assert!(obs.is_clean(), "true offset inside the bracket");
 
         let mut obs = InvariantObserver::default().with_uncertainty_check(false);
         obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on_sync_bracket(t(5), 0, d(100), d(10), d(50));
+        obs.on(t(5), bracket(100, 10, 50));
         assert!(obs.is_clean(), "disarmed: no break");
     }
 
@@ -1770,17 +1792,17 @@ mod tests {
         let set = example2();
         obs.on_run_start(&set, Protocol::DirectSync);
         let job = JobId::new(SubtaskId::new(TaskId::new(0), 0), 0);
-        obs.on_crash(t(10), 0, &[]);
-        obs.on_release(t(12), job, 0);
+        obs.on(t(10), crash(0, 0));
+        obs.on(t(12), release(job, 0));
         assert_eq!(obs.violations().len(), 1);
         assert!(obs
             .violations()
             .iter()
             .any(|v| v.kind == InvariantKind::DownProcessorActivity));
-        obs.on_recovery(t(20), 0, 0, 0);
+        obs.on(t(20), recovery(0));
         let next = JobId::new(SubtaskId::new(TaskId::new(0), 0), 1);
         let before = obs.violations().len();
-        obs.on_release(t(22), next, 0);
+        obs.on(t(22), release(next, 0));
         assert_eq!(obs.violations().len(), before, "up again: no new break");
     }
 
@@ -1803,17 +1825,17 @@ mod tests {
         // spacing rule is in play.
         let feed_preds = |obs: &mut InvariantObserver| {
             for m in 0..2 {
-                obs.on_release(t(0), JobId::new(pred, m), pred_proc);
-                obs.on_completion(t(0), JobId::new(pred, m), pred_proc);
+                obs.on(t(0), release(JobId::new(pred, m), pred_proc));
+                obs.on(t(0), completion(JobId::new(pred, m), pred_proc));
             }
         };
 
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&set, Protocol::ReleaseGuard);
         feed_preds(&mut obs);
-        obs.on_release(t(0), JobId::new(sub, 0), proc);
-        obs.on_completion(t(1), JobId::new(sub, 0), proc);
-        obs.on_release(t(2), JobId::new(sub, 1), proc);
+        obs.on(t(0), release(JobId::new(sub, 0), proc));
+        obs.on(t(1), completion(JobId::new(sub, 0), proc));
+        obs.on(t(2), release(JobId::new(sub, 1), proc));
         assert!(
             obs.violations()
                 .iter()
@@ -1824,11 +1846,11 @@ mod tests {
         let mut obs = InvariantObserver::default();
         obs.on_run_start(&set, Protocol::ReleaseGuard);
         feed_preds(&mut obs);
-        obs.on_release(t(0), JobId::new(sub, 0), proc);
-        obs.on_completion(t(1), JobId::new(sub, 0), proc);
-        obs.on_crash(t(1), proc, &[]);
-        obs.on_recovery(t(2), proc, 0, 0);
-        obs.on_release(t(2), JobId::new(sub, 1), proc);
+        obs.on(t(0), release(JobId::new(sub, 0), proc));
+        obs.on(t(1), completion(JobId::new(sub, 0), proc));
+        obs.on(t(1), crash(proc, 0));
+        obs.on(t(2), recovery(proc));
+        obs.on(t(2), release(JobId::new(sub, 1), proc));
         assert!(
             obs.is_clean(),
             "recovery re-initializes the guard: {:?}",
@@ -1844,9 +1866,9 @@ mod tests {
         let set = example2();
         obs.on_run_start(&set, Protocol::DirectSync);
         let job = JobId::new(SubtaskId::new(TaskId::new(0), 0), 0);
-        obs.on_release(t(0), job, 0);
-        obs.on_crash(t(1), 0, &[job]);
-        obs.on_recovery(t(5), 0, 0, 0);
+        obs.on(t(0), release(job, 0));
+        obs.on(t(1), crash(0, 1));
+        obs.on(t(5), recovery(0));
         assert_eq!(obs.inflight[0], 0, "killed jobs leave the backlog");
         assert!(obs.is_clean());
     }

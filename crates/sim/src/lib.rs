@@ -78,7 +78,7 @@ pub use job::JobId;
 pub use metrics::{Metrics, TaskStats};
 pub use nonideal::{ChannelModel, ClockModel, LinkAsymmetry, LocalClock, NonidealConfig};
 pub use observe::{
-    EngineSample, EventLogObserver, NoopObserver, Observer, ProcCounters, ProtocolCounters,
+    EngineSample, EventLogObserver, NoopObserver, Note, Observer, ProcCounters, ProtocolCounters,
     TaskCounters, Tee,
 };
 pub use perf::{EngineProfile, PerfScope};

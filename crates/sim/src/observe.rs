@@ -1,11 +1,14 @@
 //! Pluggable run-time observability for the simulation engine.
 //!
-//! The engine is generic over an [`Observer`] whose hooks fire at every
-//! interesting point of a run: event dispatch, releases, completions,
-//! executed slices, context switches and preemptions, idle-point
-//! detection, Release-Guard decisions (guard blocks, rule-1 updates,
-//! rule-2 releases), MPM timer arms/fires, and cross-processor
-//! synchronization signals.
+//! The engine is generic over an [`Observer`]. Everything a run reports
+//! is one [`Note`]: event dispatch, releases, completions, executed
+//! slices, context switches and preemptions, idle-point detection,
+//! Release-Guard decisions (guard blocks, rule-1 updates, rule-2
+//! releases), MPM timer arms/fires, cross-processor synchronization
+//! signals, transport, detector, clock-sync and fault transitions.
+//! Each note reaches [`Observer::on`] with the instant it happened at;
+//! the few hooks beside it lend borrowed state (the task set, a
+//! partition's island map, an end-of-instant [`EngineSample`]).
 //!
 //! Every hook has an empty `#[inline]` default, and the no-observer path
 //! ([`crate::engine::simulate`]) is statically monomorphized over
@@ -78,8 +81,273 @@ pub struct EngineSample<'a> {
     pub peers_dead: u32,
 }
 
-/// Engine instrumentation hooks. Every method has an empty default, so an
-/// implementation overrides only what it cares about. The engine is
+/// One thing the engine reports: a release-control decision, a
+/// scheduling step, a wire or clock-sync exchange, a fault transition.
+/// This enum is the whole vocabulary of a run; every observer, and the
+/// JSONL and Perfetto exporters, read the same variants. Each variant
+/// carries only plain values, and arrives through [`Observer::on`] with
+/// the instant it happened at.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Note {
+    /// An event was popped from the queue and is about to be dispatched.
+    Event(EventKind),
+    /// A job was released (became eligible to execute).
+    Release {
+        /// The released job.
+        job: JobId,
+        /// Its processor.
+        proc: usize,
+    },
+    /// A job finished executing.
+    Completion {
+        /// The finished job.
+        job: JobId,
+        /// Its processor.
+        proc: usize,
+    },
+    /// An instance completed end to end. Not sent for orphan
+    /// completions, whose first release was never recorded.
+    TaskCompletion {
+        /// The task.
+        task: TaskId,
+        /// The instance (0-based).
+        instance: u64,
+        /// EER time: last-subtask completion minus first-subtask release.
+        eer: Dur,
+        /// `false` for warm-up instances, which are excluded from the EER
+        /// statistics.
+        measured: bool,
+    },
+    /// A job occupied a processor over `[start, end)`. Slices are
+    /// maximal: consecutive ticks of the same job arrive merged.
+    Slice {
+        /// The processor.
+        proc: usize,
+        /// The job that ran.
+        job: JobId,
+        /// Slice start.
+        start: Time,
+        /// Slice end (exclusive).
+        end: Time,
+    },
+    /// A processor switched jobs. Sent for every dispatch, including
+    /// after a preemption.
+    ContextSwitch {
+        /// The processor.
+        proc: usize,
+        /// The job it ran before, `None` if it was idle.
+        from: Option<JobId>,
+        /// The job it runs now.
+        to: JobId,
+    },
+    /// A job was displaced mid-execution by a higher-priority one.
+    Preemption {
+        /// The processor.
+        proc: usize,
+        /// The displaced job.
+        preempted: JobId,
+        /// The job that displaced it.
+        by: JobId,
+    },
+    /// A processor reached an idle point (no job running, no ready job
+    /// with a release time at or before now): the trigger for Release
+    /// Guard's rule 2.
+    IdlePoint {
+        /// The processor.
+        proc: usize,
+    },
+    /// Release Guard deferred a release (rule 1 spacing).
+    GuardBlock {
+        /// The waiting job.
+        job: JobId,
+        /// The guard it waits for.
+        due: Time,
+    },
+    /// Release Guard's rule 1 updated a guard at a release.
+    Rule1Update {
+        /// The guarded subtask.
+        subtask: SubtaskId,
+    },
+    /// Release Guard's rule 2 released a guard-blocked job early at an
+    /// idle point.
+    Rule2Release {
+        /// The released job.
+        job: JobId,
+    },
+    /// A guard expired and its job was released (rule 1's deferred
+    /// release firing on time).
+    GuardExpiryRelease {
+        /// The released job.
+        job: JobId,
+    },
+    /// MPM armed a completion timer.
+    MpmTimerArmed {
+        /// The job the timer watches.
+        job: JobId,
+        /// When it fires.
+        fire_at: Time,
+    },
+    /// An MPM completion timer fired.
+    MpmTimerFired {
+        /// The job the timer watched.
+        job: JobId,
+        /// The job had not completed by then (the MPM overrun violation).
+        overrun: bool,
+    },
+    /// A completion signalled a successor on another processor: a
+    /// synchronization interrupt in the §3.3 sense (DS, MPM and RG only;
+    /// PM is signalless).
+    SyncInterrupt {
+        /// The signalling processor.
+        from: usize,
+        /// The successor's processor.
+        to: usize,
+        /// The signalled successor.
+        job: JobId,
+    },
+    /// A synchronization signal entered the (nonideal) channel.
+    SignalSend {
+        /// The job the signal releases.
+        job: JobId,
+    },
+    /// A synchronization signal left the (nonideal) channel and was
+    /// applied.
+    SignalDeliver {
+        /// The job the signal releases.
+        job: JobId,
+    },
+    /// The reliable transport (re)transmitted a signal frame.
+    TransportSend {
+        /// The job the signal releases.
+        job: JobId,
+        /// The frame's sequence number.
+        seq: u64,
+        /// `true` for every copy after the first.
+        retransmit: bool,
+    },
+    /// An acknowledgement reached the sender.
+    TransportAck {
+        /// The acked frame.
+        seq: u64,
+        /// First-transmission-to-ack round trip; `None` for a duplicate.
+        rtt: Option<Dur>,
+        /// A duplicate ack.
+        dup: bool,
+    },
+    /// A heartbeat reached a failure detector.
+    Heartbeat {
+        /// The sending processor.
+        from: usize,
+        /// The detecting processor.
+        to: usize,
+    },
+    /// The current network partition healed; severed signals are replayed
+    /// through the per-protocol recovery reconciliation. (The partition's
+    /// start lends its island map, so it has its own hook,
+    /// [`Observer::on_partition_start`].)
+    PartitionHeal,
+    /// A clock-synchronization round settled the previous round's samples
+    /// and sent a fresh batch of timestamped requests. Rounds on crashed
+    /// processors are skipped and not reported.
+    SyncRound {
+        /// The processor.
+        proc: usize,
+    },
+    /// Marzullo intersection produced an offset estimate.
+    SyncEstimate {
+        /// The processor.
+        proc: usize,
+        /// The offset (signed, encoded as a [`Dur`]).
+        estimate: Dur,
+        /// Its half-width: the achieved offset bound of the round.
+        uncertainty: Dur,
+    },
+    /// A processor corrected its clock. Sent only for nonzero
+    /// corrections.
+    SyncCorrection {
+        /// The processor.
+        proc: usize,
+        /// The step (signed; clamped by the slew policy when one is
+        /// configured).
+        step: Dur,
+    },
+    /// Oracle check of one settled sync round: the Marzullo
+    /// `estimate ± uncertainty` interval against the true offset. The
+    /// bracket is honest iff `|estimate - true_offset| <= uncertainty`.
+    SyncBracket {
+        /// The processor.
+        proc: usize,
+        /// The estimated offset (signed).
+        estimate: Dur,
+        /// The estimate's half-width.
+        uncertainty: Dur,
+        /// The processor's true offset (signed).
+        true_offset: Dur,
+    },
+    /// A timeserver persona corrupted the sync response it just sent
+    /// (adversarial mode only; the reference self-exchange is exempt).
+    SyncCorrupted {
+        /// The lying responder.
+        responder: usize,
+    },
+    /// A failure-detector transition or graceful-degradation action.
+    Degradation(Degradation),
+    /// A processor crashed (fail-stop).
+    Crash {
+        /// The processor.
+        proc: usize,
+        /// In-flight jobs (running or ready) that died with it.
+        killed: usize,
+    },
+    /// A processor recovered; its outage backlog was resolved under the
+    /// overload policy.
+    Recovery {
+        /// The processor.
+        proc: usize,
+        /// Backlogged releases made.
+        released: u64,
+        /// Backlogged releases dropped.
+        dropped: u64,
+    },
+    /// A processor changed execution rate.
+    Slowdown {
+        /// The processor.
+        proc: usize,
+        /// `> 1` opens a slowdown window (every tick of service takes
+        /// `factor` wall ticks); `1` restores full speed.
+        factor: u32,
+    },
+    /// A processor entered or left a GC-pause-style stall: a full stop
+    /// that, unlike a crash, keeps in-flight jobs and generation-stamped
+    /// state.
+    Stall {
+        /// The processor.
+        proc: usize,
+        /// `true` on entry, `false` on exit.
+        stalled: bool,
+    },
+    /// A directed link entered or left a degradation window (inflated
+    /// latency, jitter and drop rate on a live wire).
+    LinkDegrade {
+        /// The sending end.
+        from: usize,
+        /// The receiving end.
+        to: usize,
+        /// `true` on entry, `false` on exit.
+        on: bool,
+    },
+    /// A violation was recorded.
+    Violation(Violation),
+    /// The run ended.
+    RunEnd {
+        /// Events dispatched.
+        events: u64,
+    },
+}
+
+/// Engine instrumentation. Every [`Note`] arrives through [`Observer::on`];
+/// the other hooks carry borrowed state a `Copy` note cannot. Every
+/// method has an empty `#[inline]` default, and the engine is
 /// monomorphized over the concrete observer type: with [`NoopObserver`]
 /// every call site compiles to nothing.
 #[allow(unused_variables)]
@@ -89,34 +357,16 @@ pub trait Observer {
     #[inline]
     fn on_run_start(&mut self, set: &TaskSet, protocol: Protocol) {}
 
-    /// An event was popped from the queue and is about to be dispatched.
+    /// The engine reports `note` at `now`.
     #[inline]
-    fn on_event(&mut self, now: Time, kind: &EventKind) {}
+    fn on(&mut self, now: Time, note: Note) {}
 
-    /// `job` was released (became eligible to execute) on processor
-    /// `proc`.
+    /// A network partition opened: `island` marks, per processor, which
+    /// side of the cut it landed on (the two truth values are the two
+    /// islands). Cross-island traffic is severed until
+    /// [`Note::PartitionHeal`].
     #[inline]
-    fn on_release(&mut self, now: Time, job: JobId, proc: usize) {}
-
-    /// `job` finished executing on processor `proc`.
-    #[inline]
-    fn on_completion(&mut self, now: Time, job: JobId, proc: usize) {}
-
-    /// Instance `instance` of `task` completed end to end with EER time
-    /// `eer` (last-subtask completion minus first-subtask release).
-    /// `measured` is `false` for warm-up instances, which are excluded
-    /// from the EER statistics. Not called for orphan completions, whose
-    /// first release was never recorded.
-    #[inline]
-    fn on_task_completion(
-        &mut self,
-        now: Time,
-        task: TaskId,
-        instance: u64,
-        eer: Dur,
-        measured: bool,
-    ) {
-    }
+    fn on_partition_start(&mut self, now: Time, island: &[bool]) {}
 
     /// Whether the engine should assemble end-of-instant
     /// [`EngineSample`]s for [`Observer::on_sample`]. The default `false`
@@ -136,180 +386,6 @@ pub trait Observer {
     /// read-only: observers can record it but never perturb the schedule.
     #[inline]
     fn on_sample(&mut self, now: Time, sample: &EngineSample<'_>) {}
-
-    /// `job` occupied processor `proc` over `[start, end)`. Slices are
-    /// maximal: consecutive ticks of the same job arrive merged.
-    #[inline]
-    fn on_slice(&mut self, proc: usize, job: JobId, start: Time, end: Time) {}
-
-    /// Processor `proc` switched to `to` (from `from`, `None` if it was
-    /// idle). Fires for every dispatch, including after a preemption.
-    #[inline]
-    fn on_context_switch(&mut self, now: Time, proc: usize, from: Option<JobId>, to: JobId) {}
-
-    /// `preempted` was displaced mid-execution by the higher-priority
-    /// `by` on processor `proc`.
-    #[inline]
-    fn on_preemption(&mut self, now: Time, proc: usize, preempted: JobId, by: JobId) {}
-
-    /// Processor `proc` reached an idle point (no job running, no ready
-    /// job with a release time at or before `now`) — the trigger for
-    /// Release Guard's rule 2.
-    #[inline]
-    fn on_idle_point(&mut self, now: Time, proc: usize) {}
-
-    /// Release Guard deferred the release of `job`: its guard is set to
-    /// `due` and the job waits (rule 1 spacing).
-    #[inline]
-    fn on_guard_block(&mut self, now: Time, job: JobId, due: Time) {}
-
-    /// Release Guard's rule 1 updated the guard of `subtask` at a
-    /// release.
-    #[inline]
-    fn on_rule1_update(&mut self, now: Time, subtask: SubtaskId) {}
-
-    /// Release Guard's rule 2 released the guard-blocked `job` early at
-    /// an idle point.
-    #[inline]
-    fn on_rule2_release(&mut self, now: Time, job: JobId) {}
-
-    /// The guard of `job` expired and the job was released (rule 1's
-    /// deferred release firing on time).
-    #[inline]
-    fn on_guard_expiry_release(&mut self, now: Time, job: JobId) {}
-
-    /// MPM armed the completion timer of `job`, to fire at `fire_at`.
-    #[inline]
-    fn on_mpm_timer_armed(&mut self, now: Time, job: JobId, fire_at: Time) {}
-
-    /// MPM's timer for `job` fired; `overrun` is `true` if the job had
-    /// not completed by then (the MPM overrun violation).
-    #[inline]
-    fn on_mpm_timer_fired(&mut self, now: Time, job: JobId, overrun: bool) {}
-
-    /// A completion on processor `from` signalled the successor `job` on
-    /// a different processor `to` — a synchronization interrupt in the
-    /// §3.3 sense (DS, MPM and RG only; PM is signalless).
-    #[inline]
-    fn on_sync_interrupt(&mut self, now: Time, from: usize, to: usize, job: JobId) {}
-
-    /// A synchronization signal for `job` entered the (nonideal) channel.
-    #[inline]
-    fn on_signal_send(&mut self, now: Time, job: JobId) {}
-
-    /// A synchronization signal for `job` left the (nonideal) channel and
-    /// was applied.
-    #[inline]
-    fn on_signal_deliver(&mut self, now: Time, job: JobId) {}
-
-    /// The reliable transport (re)transmitted the frame carrying the
-    /// signal for `job` with sequence number `seq`; `retransmit` is `true`
-    /// for every copy after the first.
-    #[inline]
-    fn on_transport_send(&mut self, now: Time, job: JobId, seq: u64, retransmit: bool) {}
-
-    /// An acknowledgement for frame `seq` reached the sender. `rtt` is the
-    /// first-transmission-to-ack round trip for a fresh ack; a duplicate
-    /// ack (`dup: true`) carries no round trip.
-    #[inline]
-    fn on_transport_ack(&mut self, now: Time, seq: u64, rtt: Option<Dur>, dup: bool) {}
-
-    /// A heartbeat from processor `from` reached the failure detector on
-    /// processor `to`.
-    #[inline]
-    fn on_heartbeat(&mut self, now: Time, from: usize, to: usize) {}
-
-    /// A network partition opened: `island` marks, per processor, which
-    /// side of the cut it landed on (the two truth values are the two
-    /// islands). Cross-island traffic is severed until the heal.
-    #[inline]
-    fn on_partition_start(&mut self, now: Time, island: &[bool]) {}
-
-    /// The current network partition healed; severed signals are replayed
-    /// through the per-protocol recovery reconciliation.
-    #[inline]
-    fn on_partition_heal(&mut self, now: Time) {}
-
-    /// A clock-synchronization round ran on processor `proc`: it settled
-    /// the previous round's samples and sent a fresh batch of timestamped
-    /// requests. Rounds on crashed processors are skipped and not
-    /// reported.
-    #[inline]
-    fn on_sync_round(&mut self, now: Time, proc: usize) {}
-
-    /// Marzullo intersection on processor `proc` produced an offset
-    /// `estimate` (signed, encoded as a [`Dur`]) with half-width
-    /// `uncertainty` — the achieved offset bound of that round.
-    #[inline]
-    fn on_sync_estimate(&mut self, now: Time, proc: usize, estimate: Dur, uncertainty: Dur) {}
-
-    /// Processor `proc` corrected its clock by `step` (signed; clamped by
-    /// the slew policy when one is configured). Fires only for nonzero
-    /// corrections.
-    #[inline]
-    fn on_sync_correction(&mut self, now: Time, proc: usize, step: Dur) {}
-
-    /// Oracle check of one settled sync round on processor `proc`: the
-    /// Marzullo `estimate ± uncertainty` interval against the processor's
-    /// `true_offset` (both signed, encoded as [`Dur`]). The bracket is
-    /// honest iff `|estimate - true_offset| <= uncertainty`.
-    #[inline]
-    fn on_sync_bracket(
-        &mut self,
-        now: Time,
-        proc: usize,
-        estimate: Dur,
-        uncertainty: Dur,
-        true_offset: Dur,
-    ) {
-    }
-
-    /// A timeserver persona on `responder` corrupted the sync response it
-    /// just sent (adversarial mode only; the reference self-exchange is
-    /// exempt).
-    #[inline]
-    fn on_sync_corrupted(&mut self, now: Time, responder: usize) {}
-
-    /// A failure-detector transition or graceful-degradation action (see
-    /// [`Degradation`]).
-    #[inline]
-    fn on_degradation(&mut self, now: Time, kind: &Degradation) {}
-
-    /// Processor `proc` crashed (fail-stop); `killed` are the in-flight
-    /// jobs (running or ready) that died with it, in job-id order.
-    #[inline]
-    fn on_crash(&mut self, now: Time, proc: usize, killed: &[JobId]) {}
-
-    /// Processor `proc` recovered; its outage backlog was resolved into
-    /// `released` releases and `dropped` drops under the overload policy.
-    #[inline]
-    fn on_recovery(&mut self, now: Time, proc: usize, released: u64, dropped: u64) {}
-
-    /// Processor `proc` changed execution rate: `factor > 1` opens a
-    /// slowdown window (every tick of service takes `factor` wall ticks),
-    /// `factor == 1` restores full speed.
-    #[inline]
-    fn on_slowdown(&mut self, now: Time, proc: usize, factor: u32) {}
-
-    /// Processor `proc` entered (`stalled: true`) or left a GC-pause-style
-    /// stall: a full stop that, unlike a crash, keeps in-flight jobs and
-    /// generation-stamped state.
-    #[inline]
-    fn on_stall(&mut self, now: Time, proc: usize, stalled: bool) {}
-
-    /// The directed link `from → to` entered (`on: true`) or left a
-    /// degradation window (inflated latency, jitter and drop rate on a
-    /// live wire).
-    #[inline]
-    fn on_link_degrade(&mut self, now: Time, from: usize, to: usize, on: bool) {}
-
-    /// A violation was recorded.
-    #[inline]
-    fn on_violation(&mut self, violation: &Violation) {}
-
-    /// The run ended at `now` after dispatching `events` events.
-    #[inline]
-    fn on_run_end(&mut self, now: Time, events: u64) {}
 }
 
 /// The zero-sized do-nothing observer behind [`crate::engine::simulate`].
@@ -341,70 +417,42 @@ impl Observer for NoopObserver {}
 #[derive(Debug)]
 pub struct Tee<'a, A, B>(pub &'a mut A, pub &'a mut B);
 
-macro_rules! tee_hooks {
-    ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {
-        impl<A: Observer, B: Observer> Observer for Tee<'_, A, B> {
-            /// A tee wants samples as soon as either side does; a side
-            /// that did not ask still receives them (its `on_sample`
-            /// default is empty, so that costs nothing).
-            #[inline]
-            fn wants_samples(&self) -> bool {
-                self.0.wants_samples() || self.1.wants_samples()
-            }
+impl<A: Observer, B: Observer> Observer for Tee<'_, A, B> {
+    #[inline]
+    fn on_run_start(&mut self, set: &TaskSet, protocol: Protocol) {
+        self.0.on_run_start(set, protocol);
+        self.1.on_run_start(set, protocol);
+    }
 
-            $(
-                #[inline]
-                fn $hook(&mut self, $($arg: $ty),*) {
-                    self.0.$hook($($arg),*);
-                    self.1.$hook($($arg),*);
-                }
-            )*
-        }
-    };
-}
+    #[inline]
+    fn on(&mut self, now: Time, note: Note) {
+        self.0.on(now, note);
+        self.1.on(now, note);
+    }
 
-tee_hooks! {
-    on_run_start(set: &TaskSet, protocol: Protocol);
-    on_event(now: Time, kind: &EventKind);
-    on_release(now: Time, job: JobId, proc: usize);
-    on_completion(now: Time, job: JobId, proc: usize);
-    on_task_completion(now: Time, task: TaskId, instance: u64, eer: Dur, measured: bool);
-    on_sample(now: Time, sample: &EngineSample<'_>);
-    on_slice(proc: usize, job: JobId, start: Time, end: Time);
-    on_context_switch(now: Time, proc: usize, from: Option<JobId>, to: JobId);
-    on_preemption(now: Time, proc: usize, preempted: JobId, by: JobId);
-    on_idle_point(now: Time, proc: usize);
-    on_guard_block(now: Time, job: JobId, due: Time);
-    on_rule1_update(now: Time, subtask: SubtaskId);
-    on_rule2_release(now: Time, job: JobId);
-    on_guard_expiry_release(now: Time, job: JobId);
-    on_mpm_timer_armed(now: Time, job: JobId, fire_at: Time);
-    on_mpm_timer_fired(now: Time, job: JobId, overrun: bool);
-    on_sync_interrupt(now: Time, from: usize, to: usize, job: JobId);
-    on_signal_send(now: Time, job: JobId);
-    on_signal_deliver(now: Time, job: JobId);
-    on_transport_send(now: Time, job: JobId, seq: u64, retransmit: bool);
-    on_transport_ack(now: Time, seq: u64, rtt: Option<Dur>, dup: bool);
-    on_heartbeat(now: Time, from: usize, to: usize);
-    on_partition_start(now: Time, island: &[bool]);
-    on_partition_heal(now: Time);
-    on_sync_round(now: Time, proc: usize);
-    on_sync_estimate(now: Time, proc: usize, estimate: Dur, uncertainty: Dur);
-    on_sync_correction(now: Time, proc: usize, step: Dur);
-    on_sync_bracket(now: Time, proc: usize, estimate: Dur, uncertainty: Dur, true_offset: Dur);
-    on_sync_corrupted(now: Time, responder: usize);
-    on_degradation(now: Time, kind: &Degradation);
-    on_crash(now: Time, proc: usize, killed: &[JobId]);
-    on_recovery(now: Time, proc: usize, released: u64, dropped: u64);
-    on_slowdown(now: Time, proc: usize, factor: u32);
-    on_stall(now: Time, proc: usize, stalled: bool);
-    on_link_degrade(now: Time, from: usize, to: usize, on: bool);
-    on_violation(violation: &Violation);
-    on_run_end(now: Time, events: u64);
+    #[inline]
+    fn on_partition_start(&mut self, now: Time, island: &[bool]) {
+        self.0.on_partition_start(now, island);
+        self.1.on_partition_start(now, island);
+    }
+
+    /// A tee wants samples as soon as either side does; a side that did
+    /// not ask still receives them (its `on_sample` default is empty, so
+    /// that costs nothing).
+    #[inline]
+    fn wants_samples(&self) -> bool {
+        self.0.wants_samples() || self.1.wants_samples()
+    }
+
+    #[inline]
+    fn on_sample(&mut self, now: Time, sample: &EngineSample<'_>) {
+        self.0.on_sample(now, sample);
+        self.1.on_sample(now, sample);
+    }
 }
 
 /// Per-task tallies collected by [`ProtocolCounters`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaskCounters {
     /// Subtask releases (jobs made eligible).
     pub releases: u64,
@@ -430,25 +478,6 @@ pub struct TaskCounters {
     pub mpm_overruns: u64,
     /// Cross-processor synchronization interrupts targeting this task.
     pub sync_interrupts: u64,
-}
-
-impl Default for TaskCounters {
-    fn default() -> TaskCounters {
-        TaskCounters {
-            releases: 0,
-            completions: 0,
-            guard_blocks: 0,
-            guard_delay_total: Dur::ZERO,
-            guard_delay_max: Dur::ZERO,
-            rule1_updates: 0,
-            rule2_releases: 0,
-            guard_expiry_releases: 0,
-            mpm_timer_arms: 0,
-            mpm_timer_fires: 0,
-            mpm_overruns: 0,
-            sync_interrupts: 0,
-        }
-    }
 }
 
 /// Per-processor tallies collected by [`ProtocolCounters`].
@@ -673,183 +702,47 @@ impl Observer for ProtocolCounters {
         self.procs = vec![ProcCounters::default(); set.num_processors()];
     }
 
-    fn on_event(&mut self, _now: Time, kind: &EventKind) {
-        if matches!(
-            kind,
-            EventKind::SyncRequest { .. } | EventKind::SyncResponse { .. }
-        ) {
-            self.sync_frames += 1;
+    fn on(&mut self, now: Time, note: Note) {
+        let task = |job: JobId| job.task().index();
+        match note {
+            Note::Event(EventKind::SyncRequest { .. } | EventKind::SyncResponse { .. }) => {
+                self.sync_frames += 1;
+            }
+            Note::Release { job, .. } => self.tasks[task(job)].releases += 1,
+            Note::Completion { job, .. } => self.tasks[task(job)].completions += 1,
+            Note::ContextSwitch { proc, .. } => self.procs[proc].context_switches += 1,
+            Note::Preemption { proc, .. } => self.procs[proc].preemptions += 1,
+            Note::IdlePoint { proc } => self.procs[proc].idle_points += 1,
+            Note::GuardBlock { job, .. } => {
+                self.tasks[task(job)].guard_blocks += 1;
+                self.blocked_at.insert(job, now);
+            }
+            Note::Rule1Update { subtask } => {
+                self.tasks[subtask.task().index()].rule1_updates += 1;
+            }
+            Note::Rule2Release { job } => self.guard_released(now, job).rule2_releases += 1,
+            Note::GuardExpiryRelease { job } => {
+                self.guard_released(now, job).guard_expiry_releases += 1;
+            }
+            Note::MpmTimerArmed { job, .. } => self.tasks[task(job)].mpm_timer_arms += 1,
+            Note::MpmTimerFired { job, overrun } => {
+                let t = &mut self.tasks[task(job)];
+                t.mpm_timer_fires += 1;
+                t.mpm_overruns += u64::from(overrun);
+            }
+            Note::SyncInterrupt { job, .. } => self.tasks[task(job)].sync_interrupts += 1,
+            Note::SignalSend { .. } => {
+                self.signal_sends += 1;
+                self.signal_depth += 1;
+                self.signal_depth_hwm = self.signal_depth_hwm.max(self.signal_depth);
+            }
+            Note::SignalDeliver { .. } => {
+                self.signal_delivers += 1;
+                self.signal_depth = self.signal_depth.saturating_sub(1);
+            }
+            _ => {}
         }
     }
-
-    fn on_release(&mut self, _now: Time, job: JobId, _proc: usize) {
-        self.tasks[job.task().index()].releases += 1;
-    }
-
-    fn on_completion(&mut self, _now: Time, job: JobId, _proc: usize) {
-        self.tasks[job.task().index()].completions += 1;
-    }
-
-    fn on_context_switch(&mut self, _now: Time, proc: usize, _from: Option<JobId>, _to: JobId) {
-        self.procs[proc].context_switches += 1;
-    }
-
-    fn on_preemption(&mut self, _now: Time, proc: usize, _preempted: JobId, _by: JobId) {
-        self.procs[proc].preemptions += 1;
-    }
-
-    fn on_idle_point(&mut self, _now: Time, proc: usize) {
-        self.procs[proc].idle_points += 1;
-    }
-
-    fn on_guard_block(&mut self, now: Time, job: JobId, _due: Time) {
-        self.tasks[job.task().index()].guard_blocks += 1;
-        self.blocked_at.insert(job, now);
-    }
-
-    fn on_rule1_update(&mut self, _now: Time, subtask: SubtaskId) {
-        self.tasks[subtask.task().index()].rule1_updates += 1;
-    }
-
-    fn on_rule2_release(&mut self, now: Time, job: JobId) {
-        self.guard_released(now, job).rule2_releases += 1;
-    }
-
-    fn on_guard_expiry_release(&mut self, now: Time, job: JobId) {
-        self.guard_released(now, job).guard_expiry_releases += 1;
-    }
-
-    fn on_mpm_timer_armed(&mut self, _now: Time, job: JobId, _fire_at: Time) {
-        self.tasks[job.task().index()].mpm_timer_arms += 1;
-    }
-
-    fn on_mpm_timer_fired(&mut self, _now: Time, job: JobId, overrun: bool) {
-        let t = &mut self.tasks[job.task().index()];
-        t.mpm_timer_fires += 1;
-        if overrun {
-            t.mpm_overruns += 1;
-        }
-    }
-
-    fn on_sync_interrupt(&mut self, _now: Time, _from: usize, _to: usize, job: JobId) {
-        self.tasks[job.task().index()].sync_interrupts += 1;
-    }
-
-    fn on_signal_send(&mut self, _now: Time, _job: JobId) {
-        self.signal_sends += 1;
-        self.signal_depth += 1;
-        self.signal_depth_hwm = self.signal_depth_hwm.max(self.signal_depth);
-    }
-
-    fn on_signal_deliver(&mut self, _now: Time, _job: JobId) {
-        self.signal_delivers += 1;
-        self.signal_depth = self.signal_depth.saturating_sub(1);
-    }
-}
-
-#[derive(Clone, Debug)]
-enum LogRecord {
-    Release {
-        t: i64,
-        proc: usize,
-        job: JobId,
-    },
-    Completion {
-        t: i64,
-        proc: usize,
-        job: JobId,
-    },
-    Slice {
-        proc: usize,
-        job: JobId,
-        start: i64,
-        end: i64,
-    },
-    ContextSwitch {
-        t: i64,
-        proc: usize,
-        from: Option<JobId>,
-        to: JobId,
-    },
-    Preemption {
-        t: i64,
-        proc: usize,
-        preempted: JobId,
-        by: JobId,
-    },
-    IdlePoint {
-        t: i64,
-        proc: usize,
-    },
-    GuardBlock {
-        t: i64,
-        job: JobId,
-        due: i64,
-    },
-    GuardRelease {
-        t: i64,
-        job: JobId,
-        rule: &'static str,
-    },
-    MpmTimerArmed {
-        t: i64,
-        job: JobId,
-        fire_at: i64,
-    },
-    MpmTimerFired {
-        t: i64,
-        job: JobId,
-        overrun: bool,
-    },
-    SyncInterrupt {
-        t: i64,
-        from: usize,
-        to: usize,
-        job: JobId,
-    },
-    SignalSend {
-        t: i64,
-        job: JobId,
-    },
-    SignalDeliver {
-        t: i64,
-        job: JobId,
-    },
-    TransportSend {
-        t: i64,
-        job: JobId,
-        seq: u64,
-        retransmit: bool,
-    },
-    TransportAck {
-        t: i64,
-        seq: u64,
-        dup: bool,
-    },
-    Degradation {
-        t: i64,
-        kind: Degradation,
-    },
-    Violation {
-        t: i64,
-        kind: &'static str,
-        job: JobId,
-    },
-    Crash {
-        t: i64,
-        proc: usize,
-        killed: usize,
-    },
-    Recovery {
-        t: i64,
-        proc: usize,
-        released: u64,
-        dropped: u64,
-    },
-    RunEnd {
-        t: i64,
-        events: u64,
-    },
 }
 
 /// An [`Observer`] that records a structured event log and exports it as
@@ -860,7 +753,7 @@ pub struct EventLogObserver {
     num_procs: usize,
     num_tasks: usize,
     proc_of: HashMap<SubtaskId, usize>,
-    records: Vec<LogRecord>,
+    records: Vec<(Time, Note)>,
 }
 
 impl EventLogObserver {
@@ -885,8 +778,8 @@ impl EventLogObserver {
             "{{\"type\":\"run_start\",\"protocol\":\"{tag}\",\"processors\":{},\"tasks\":{}}}",
             self.num_procs, self.num_tasks
         );
-        for r in &self.records {
-            let _ = writeln!(out, "{}", jsonl_line(r));
+        for &(now, note) in &self.records {
+            let _ = writeln!(out, "{}", jsonl_line(now.ticks(), note));
         }
         out
     }
@@ -926,46 +819,48 @@ impl EventLogObserver {
         // delivery when one exists (nonideal runs); under an ideal channel
         // the signal is applied at the same instant it is raised.
         let mut deliveries: HashMap<JobId, std::collections::VecDeque<i64>> = HashMap::new();
-        for r in &self.records {
-            if let LogRecord::SignalDeliver { t, job } = r {
-                deliveries.entry(*job).or_default().push_back(*t);
+        for &(now, note) in &self.records {
+            if let Note::SignalDeliver { job } = note {
+                deliveries.entry(job).or_default().push_back(now.ticks());
             }
         }
 
         let mut flow_id = 0u64;
-        for r in &self.records {
-            match r {
-                LogRecord::Slice {
+        for &(now, note) in &self.records {
+            let t = now.ticks();
+            match note {
+                Note::Slice {
                     proc,
                     job,
                     start,
                     end,
                 } => ev.push(format!(
-                    "{{\"name\":\"{job}\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":{start},\
+                    "{{\"name\":\"{job}\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":{},\
                      \"dur\":{},\"pid\":0,\"tid\":{proc}}}",
-                    end - start
+                    start.ticks(),
+                    (end - start).ticks()
                 )),
-                LogRecord::Release { t, proc, job } => ev.push(format!(
+                Note::Release { proc, job } => ev.push(format!(
                     "{{\"name\":\"release {job}\",\"cat\":\"release\",\"ph\":\"i\",\"s\":\"t\",\
                      \"ts\":{t},\"pid\":0,\"tid\":{proc}}}"
                 )),
-                LogRecord::Completion { t, proc, job } => ev.push(format!(
+                Note::Completion { proc, job } => ev.push(format!(
                     "{{\"name\":\"done {job}\",\"cat\":\"completion\",\"ph\":\"i\",\"s\":\"t\",\
                      \"ts\":{t},\"pid\":0,\"tid\":{proc}}}"
                 )),
-                LogRecord::GuardBlock { t, job, due } => {
+                Note::GuardBlock { job, due } => {
                     let proc = self.proc_of.get(&job.subtask()).copied().unwrap_or(0);
                     ev.push(format!(
-                        "{{\"name\":\"guard {job} until {due}\",\"cat\":\"guard\",\"ph\":\"i\",\
-                         \"s\":\"t\",\"ts\":{t},\"pid\":0,\"tid\":{proc}}}"
+                        "{{\"name\":\"guard {job} until {}\",\"cat\":\"guard\",\"ph\":\"i\",\
+                         \"s\":\"t\",\"ts\":{t},\"pid\":0,\"tid\":{proc}}}",
+                        due.ticks()
                     ));
                 }
-                LogRecord::Crash { t, proc, killed } => ev.push(format!(
+                Note::Crash { proc, killed } => ev.push(format!(
                     "{{\"name\":\"CRASH ({killed} killed)\",\"cat\":\"fault\",\"ph\":\"i\",\
                      \"s\":\"t\",\"ts\":{t},\"pid\":0,\"tid\":{proc}}}"
                 )),
-                LogRecord::Recovery {
-                    t,
+                Note::Recovery {
                     proc,
                     released,
                     dropped,
@@ -973,15 +868,15 @@ impl EventLogObserver {
                     "{{\"name\":\"RECOVER (+{released}/-{dropped})\",\"cat\":\"fault\",\
                      \"ph\":\"i\",\"s\":\"t\",\"ts\":{t},\"pid\":0,\"tid\":{proc}}}"
                 )),
-                LogRecord::SyncInterrupt { t, from, to, job } => {
+                Note::SyncInterrupt { from, to, job } => {
                     flow_id += 1;
                     ev.push(format!(
                         "{{\"name\":\"signal {job}\",\"cat\":\"signal\",\"ph\":\"s\",\
                          \"id\":{flow_id},\"ts\":{t},\"pid\":0,\"tid\":{from}}}"
                     ));
-                    let (ft, ftid) = match deliveries.get_mut(job).and_then(|q| q.pop_front()) {
-                        Some(dt) => (dt, self.proc_of.get(&job.subtask()).copied().unwrap_or(*to)),
-                        None => (*t, *to),
+                    let (ft, ftid) = match deliveries.get_mut(&job).and_then(|q| q.pop_front()) {
+                        Some(dt) => (dt, self.proc_of.get(&job.subtask()).copied().unwrap_or(to)),
+                        None => (t, to),
                     };
                     ev.push(format!(
                         "{{\"name\":\"signal {job}\",\"cat\":\"signal\",\"ph\":\"f\",\
@@ -1056,101 +951,121 @@ fn degradation_json(t: i64, kind: &Degradation) -> String {
     }
 }
 
-fn jsonl_line(r: &LogRecord) -> String {
-    match r {
-        LogRecord::Release { t, proc, job } => {
-            format!("{{\"type\":\"release\",\"t\":{t},\"proc\":{proc},\"job\":\"{job}\"}}")
-        }
-        LogRecord::Completion { t, proc, job } => {
-            format!("{{\"type\":\"completion\",\"t\":{t},\"proc\":{proc},\"job\":\"{job}\"}}")
-        }
-        LogRecord::Slice {
+/// The notes the event log keeps. Heartbeats are deliberately left out:
+/// at one per processor pair per period they would dwarf every other
+/// record class. The other omitted notes have no record type.
+fn logged(note: &Note) -> bool {
+    !matches!(
+        note,
+        Note::Event(_)
+            | Note::TaskCompletion { .. }
+            | Note::Rule1Update { .. }
+            | Note::Heartbeat { .. }
+            | Note::PartitionHeal
+            | Note::SyncRound { .. }
+            | Note::SyncEstimate { .. }
+            | Note::SyncCorrection { .. }
+            | Note::SyncBracket { .. }
+            | Note::SyncCorrupted { .. }
+            | Note::Slowdown { .. }
+            | Note::Stall { .. }
+            | Note::LinkDegrade { .. }
+    )
+}
+
+fn jsonl_line(t: i64, note: Note) -> String {
+    let (ty, fields) = match note {
+        // Slices span an interval, so they carry no instant.
+        Note::Slice {
             proc,
             job,
             start,
             end,
-        } => format!(
-            "{{\"type\":\"slice\",\"proc\":{proc},\"job\":\"{job}\",\"start\":{start},\
-             \"end\":{end}}}"
-        ),
-        LogRecord::ContextSwitch { t, proc, from, to } => {
-            let from = match from {
-                Some(j) => format!("\"{j}\""),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"type\":\"context_switch\",\"t\":{t},\"proc\":{proc},\"from\":{from},\
-                 \"to\":\"{to}\"}}"
-            )
+        } => {
+            let (start, end) = (start.ticks(), end.ticks());
+            return format!(
+                "{{\"type\":\"slice\",\"proc\":{proc},\"job\":\"{job}\",\"start\":{start},\
+                 \"end\":{end}}}"
+            );
         }
-        LogRecord::Preemption {
-            t,
+        Note::Degradation(kind) => return degradation_json(t, &kind),
+        Note::Release { proc, job } => ("release", format!("\"proc\":{proc},\"job\":\"{job}\"")),
+        Note::Completion { proc, job } => {
+            ("completion", format!("\"proc\":{proc},\"job\":\"{job}\""))
+        }
+        Note::ContextSwitch { proc, from, to } => {
+            let from = from.map_or("null".to_string(), |j| format!("\"{j}\""));
+            let fields = format!("\"proc\":{proc},\"from\":{from},\"to\":\"{to}\"");
+            ("context_switch", fields)
+        }
+        Note::Preemption {
             proc,
             preempted,
             by,
-        } => format!(
-            "{{\"type\":\"preemption\",\"t\":{t},\"proc\":{proc},\"preempted\":\"{preempted}\",\
-             \"by\":\"{by}\"}}"
+        } => (
+            "preemption",
+            format!("\"proc\":{proc},\"preempted\":\"{preempted}\",\"by\":\"{by}\""),
         ),
-        LogRecord::IdlePoint { t, proc } => {
-            format!("{{\"type\":\"idle_point\",\"t\":{t},\"proc\":{proc}}}")
-        }
-        LogRecord::GuardBlock { t, job, due } => {
-            format!("{{\"type\":\"guard_block\",\"t\":{t},\"job\":\"{job}\",\"due\":{due}}}")
-        }
-        LogRecord::GuardRelease { t, job, rule } => {
-            format!(
-                "{{\"type\":\"guard_release\",\"t\":{t},\"job\":\"{job}\",\"rule\":\"{rule}\"}}"
-            )
-        }
-        LogRecord::MpmTimerArmed { t, job, fire_at } => format!(
-            "{{\"type\":\"mpm_timer_armed\",\"t\":{t},\"job\":\"{job}\",\"fire_at\":{fire_at}}}"
+        Note::IdlePoint { proc } => ("idle_point", format!("\"proc\":{proc}")),
+        Note::GuardBlock { job, due } => (
+            "guard_block",
+            format!("\"job\":\"{job}\",\"due\":{}", due.ticks()),
         ),
-        LogRecord::MpmTimerFired { t, job, overrun } => format!(
-            "{{\"type\":\"mpm_timer_fired\",\"t\":{t},\"job\":\"{job}\",\"overrun\":{overrun}}}"
+        Note::Rule2Release { job } => (
+            "guard_release",
+            format!("\"job\":\"{job}\",\"rule\":\"idle-point\""),
         ),
-        LogRecord::SyncInterrupt { t, from, to, job } => format!(
-            "{{\"type\":\"sync_interrupt\",\"t\":{t},\"from\":{from},\"to\":{to},\
-             \"job\":\"{job}\"}}"
+        Note::GuardExpiryRelease { job } => (
+            "guard_release",
+            format!("\"job\":\"{job}\",\"rule\":\"expiry\""),
         ),
-        LogRecord::SignalSend { t, job } => {
-            format!("{{\"type\":\"signal_send\",\"t\":{t},\"job\":\"{job}\"}}")
-        }
-        LogRecord::SignalDeliver { t, job } => {
-            format!("{{\"type\":\"signal_deliver\",\"t\":{t},\"job\":\"{job}\"}}")
-        }
-        LogRecord::TransportSend {
-            t,
+        Note::MpmTimerArmed { job, fire_at } => (
+            "mpm_timer_armed",
+            format!("\"job\":\"{job}\",\"fire_at\":{}", fire_at.ticks()),
+        ),
+        Note::MpmTimerFired { job, overrun } => (
+            "mpm_timer_fired",
+            format!("\"job\":\"{job}\",\"overrun\":{overrun}"),
+        ),
+        Note::SyncInterrupt { from, to, job } => (
+            "sync_interrupt",
+            format!("\"from\":{from},\"to\":{to},\"job\":\"{job}\""),
+        ),
+        Note::SignalSend { job } => ("signal_send", format!("\"job\":\"{job}\"")),
+        Note::SignalDeliver { job } => ("signal_deliver", format!("\"job\":\"{job}\"")),
+        Note::TransportSend {
             job,
             seq,
             retransmit,
-        } => format!(
-            "{{\"type\":\"transport_send\",\"t\":{t},\"job\":\"{job}\",\"seq\":{seq},\
-             \"retransmit\":{retransmit}}}"
+        } => (
+            "transport_send",
+            format!("\"job\":\"{job}\",\"seq\":{seq},\"retransmit\":{retransmit}"),
         ),
-        LogRecord::TransportAck { t, seq, dup } => {
-            format!("{{\"type\":\"transport_ack\",\"t\":{t},\"seq\":{seq},\"dup\":{dup}}}")
+        Note::TransportAck { seq, dup, .. } => {
+            ("transport_ack", format!("\"seq\":{seq},\"dup\":{dup}"))
         }
-        LogRecord::Degradation { t, kind } => degradation_json(*t, kind),
-        LogRecord::Violation { t, kind, job } => {
-            format!("{{\"type\":\"violation\",\"t\":{t},\"kind\":\"{kind}\",\"job\":\"{job}\"}}")
-        }
-        LogRecord::Crash { t, proc, killed } => {
-            format!("{{\"type\":\"crash\",\"t\":{t},\"proc\":{proc},\"killed\":{killed}}}")
-        }
-        LogRecord::Recovery {
-            t,
+        // The engine records every violation at the instant it happens.
+        Note::Violation(v) => (
+            "violation",
+            format!(
+                "\"kind\":\"{}\",\"job\":\"{}\"",
+                violation_tag(&v.kind),
+                v.job
+            ),
+        ),
+        Note::Crash { proc, killed } => ("crash", format!("\"proc\":{proc},\"killed\":{killed}")),
+        Note::Recovery {
             proc,
             released,
             dropped,
-        } => format!(
-            "{{\"type\":\"recovery\",\"t\":{t},\"proc\":{proc},\"released\":{released},\
-             \"dropped\":{dropped}}}"
+        } => (
+            "recovery",
+            format!("\"proc\":{proc},\"released\":{released},\"dropped\":{dropped}"),
         ),
-        LogRecord::RunEnd { t, events } => {
-            format!("{{\"type\":\"run_end\",\"t\":{t},\"events\":{events}}}")
-        }
-    }
+        Note::RunEnd { events } => ("run_end", format!("\"events\":{events}")),
+        _ => unreachable!("the event log keeps no {note:?}"),
+    };
+    format!("{{\"type\":\"{ty}\",\"t\":{t},{fields}}}")
 }
 
 impl Observer for EventLogObserver {
@@ -1165,176 +1080,10 @@ impl Observer for EventLogObserver {
         self.records.clear();
     }
 
-    fn on_release(&mut self, now: Time, job: JobId, proc: usize) {
-        self.records.push(LogRecord::Release {
-            t: now.ticks(),
-            proc,
-            job,
-        });
-    }
-
-    fn on_completion(&mut self, now: Time, job: JobId, proc: usize) {
-        self.records.push(LogRecord::Completion {
-            t: now.ticks(),
-            proc,
-            job,
-        });
-    }
-
-    fn on_slice(&mut self, proc: usize, job: JobId, start: Time, end: Time) {
-        self.records.push(LogRecord::Slice {
-            proc,
-            job,
-            start: start.ticks(),
-            end: end.ticks(),
-        });
-    }
-
-    fn on_context_switch(&mut self, now: Time, proc: usize, from: Option<JobId>, to: JobId) {
-        self.records.push(LogRecord::ContextSwitch {
-            t: now.ticks(),
-            proc,
-            from,
-            to,
-        });
-    }
-
-    fn on_preemption(&mut self, now: Time, proc: usize, preempted: JobId, by: JobId) {
-        self.records.push(LogRecord::Preemption {
-            t: now.ticks(),
-            proc,
-            preempted,
-            by,
-        });
-    }
-
-    fn on_idle_point(&mut self, now: Time, proc: usize) {
-        self.records.push(LogRecord::IdlePoint {
-            t: now.ticks(),
-            proc,
-        });
-    }
-
-    fn on_guard_block(&mut self, now: Time, job: JobId, due: Time) {
-        self.records.push(LogRecord::GuardBlock {
-            t: now.ticks(),
-            job,
-            due: due.ticks(),
-        });
-    }
-
-    fn on_rule2_release(&mut self, now: Time, job: JobId) {
-        self.records.push(LogRecord::GuardRelease {
-            t: now.ticks(),
-            job,
-            rule: "idle-point",
-        });
-    }
-
-    fn on_guard_expiry_release(&mut self, now: Time, job: JobId) {
-        self.records.push(LogRecord::GuardRelease {
-            t: now.ticks(),
-            job,
-            rule: "expiry",
-        });
-    }
-
-    fn on_mpm_timer_armed(&mut self, now: Time, job: JobId, fire_at: Time) {
-        self.records.push(LogRecord::MpmTimerArmed {
-            t: now.ticks(),
-            job,
-            fire_at: fire_at.ticks(),
-        });
-    }
-
-    fn on_mpm_timer_fired(&mut self, now: Time, job: JobId, overrun: bool) {
-        self.records.push(LogRecord::MpmTimerFired {
-            t: now.ticks(),
-            job,
-            overrun,
-        });
-    }
-
-    fn on_sync_interrupt(&mut self, now: Time, from: usize, to: usize, job: JobId) {
-        self.records.push(LogRecord::SyncInterrupt {
-            t: now.ticks(),
-            from,
-            to,
-            job,
-        });
-    }
-
-    fn on_signal_send(&mut self, now: Time, job: JobId) {
-        self.records.push(LogRecord::SignalSend {
-            t: now.ticks(),
-            job,
-        });
-    }
-
-    fn on_signal_deliver(&mut self, now: Time, job: JobId) {
-        self.records.push(LogRecord::SignalDeliver {
-            t: now.ticks(),
-            job,
-        });
-    }
-
-    fn on_transport_send(&mut self, now: Time, job: JobId, seq: u64, retransmit: bool) {
-        self.records.push(LogRecord::TransportSend {
-            t: now.ticks(),
-            job,
-            seq,
-            retransmit,
-        });
-    }
-
-    fn on_transport_ack(&mut self, now: Time, seq: u64, _rtt: Option<Dur>, dup: bool) {
-        self.records.push(LogRecord::TransportAck {
-            t: now.ticks(),
-            seq,
-            dup,
-        });
-    }
-
-    // Heartbeats are deliberately not logged: at one per processor pair
-    // per period they would dwarf every other record class.
-
-    fn on_degradation(&mut self, now: Time, kind: &Degradation) {
-        self.records.push(LogRecord::Degradation {
-            t: now.ticks(),
-            kind: *kind,
-        });
-    }
-
-    fn on_crash(&mut self, now: Time, proc: usize, killed: &[JobId]) {
-        self.records.push(LogRecord::Crash {
-            t: now.ticks(),
-            proc,
-            killed: killed.len(),
-        });
-    }
-
-    fn on_recovery(&mut self, now: Time, proc: usize, released: u64, dropped: u64) {
-        self.records.push(LogRecord::Recovery {
-            t: now.ticks(),
-            proc,
-            released,
-            dropped,
-        });
-    }
-
-    fn on_violation(&mut self, violation: &Violation) {
-        self.records.push(LogRecord::Violation {
-            t: violation.time.ticks(),
-            kind: violation_tag(&violation.kind),
-            job: violation.job,
-        });
-    }
-
-    fn on_run_end(&mut self, now: Time, events: u64) {
-        self.records.push(LogRecord::RunEnd {
-            t: now.ticks(),
-            events,
-        });
+    fn on(&mut self, now: Time, note: Note) {
+        if logged(&note) {
+            self.records.push((now, note));
+        }
     }
 }
 
@@ -1353,8 +1102,9 @@ mod tests {
         let set = rtsync_core::examples::example2();
         c.on_run_start(&set, Protocol::ReleaseGuard);
         let job = JobId::new(SubtaskId::new(TaskId::new(1), 1), 0);
-        c.on_guard_block(Time::from_ticks(4), job, Time::from_ticks(7));
-        c.on_guard_expiry_release(Time::from_ticks(7), job);
+        let due = Time::from_ticks(7);
+        c.on(Time::from_ticks(4), Note::GuardBlock { job, due });
+        c.on(due, Note::GuardExpiryRelease { job });
         let t = c.task(TaskId::new(1));
         assert_eq!(t.guard_blocks, 1);
         assert_eq!(t.guard_delay_total, Dur::from_ticks(3));
@@ -1369,10 +1119,10 @@ mod tests {
         let set = rtsync_core::examples::example2();
         c.on_run_start(&set, Protocol::DirectSync);
         let job = JobId::new(SubtaskId::new(TaskId::new(1), 1), 0);
-        c.on_signal_send(Time::from_ticks(1), job);
-        c.on_signal_send(Time::from_ticks(2), job);
-        c.on_signal_deliver(Time::from_ticks(3), job);
-        c.on_signal_send(Time::from_ticks(4), job);
+        c.on(Time::from_ticks(1), Note::SignalSend { job });
+        c.on(Time::from_ticks(2), Note::SignalSend { job });
+        c.on(Time::from_ticks(3), Note::SignalDeliver { job });
+        c.on(Time::from_ticks(4), Note::SignalSend { job });
         assert_eq!(c.signal_sends, 3);
         assert_eq!(c.signal_delivers, 1);
         assert_eq!(c.signal_depth_high_water(), 2);
@@ -1384,10 +1134,19 @@ mod tests {
         let set = rtsync_core::examples::example2();
         o.on_run_start(&set, Protocol::DirectSync);
         let job = JobId::new(SubtaskId::new(TaskId::new(0), 0), 0);
-        o.on_release(Time::from_ticks(0), job, 0);
-        o.on_slice(0, job, Time::from_ticks(0), Time::from_ticks(2));
-        o.on_completion(Time::from_ticks(2), job, 0);
-        o.on_run_end(Time::from_ticks(24), 10);
+        let (start, end) = (Time::from_ticks(0), Time::from_ticks(2));
+        o.on(start, Note::Release { job, proc: 0 });
+        o.on(
+            end,
+            Note::Slice {
+                proc: 0,
+                job,
+                start,
+                end,
+            },
+        );
+        o.on(end, Note::Completion { job, proc: 0 });
+        o.on(Time::from_ticks(24), Note::RunEnd { events: 10 });
         let jsonl = o.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 5);

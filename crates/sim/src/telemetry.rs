@@ -1,5 +1,5 @@
 //! Windowed sim-time telemetry: a time-series recorder built on the
-//! [`Observer`] hooks.
+//! engine's [`Note`]s and end-of-instant [`EngineSample`]s.
 //!
 //! [`TelemetryObserver`] slices simulated time into fixed-width windows
 //! and aggregates, per window: per-processor ready-queue backlog, event
@@ -11,10 +11,12 @@
 //! running histogram, so the quantile series shows convergence over the
 //! run).
 //!
-//! The recorder is an ordinary observer: the engine stays monomorphized,
-//! and with telemetry off the `wants_samples` gate keeps the hot path
-//! bit-for-bit identical to the unobserved engine (property-tested in
-//! `tests/telemetry.rs`). Windows export as CSV ([`TelemetryReport::to_csv`]),
+//! The recorder is an ordinary observer: one `match` over the notes in
+//! [`Observer::on`] counts traffic, retransmits, completions and fault
+//! windows into the open window, and [`Observer::on_sample`] reads the
+//! gauges. The engine stays monomorphized, and with telemetry off the
+//! `wants_samples` gate keeps the hot path bit-for-bit identical to the
+//! unobserved engine (property-tested in `tests/telemetry.rs`). Windows export as CSV ([`TelemetryReport::to_csv`]),
 //! JSONL ([`TelemetryReport::to_jsonl`]), Perfetto counter tracks
 //! ([`TelemetryReport::chrome_counter_events`]) that load alongside the
 //! existing flow-arrow trace, and a self-contained HTML dashboard with
@@ -23,13 +25,12 @@
 use std::fmt::Write as _;
 
 use rtsync_core::protocol::Protocol;
-use rtsync_core::task::{TaskId, TaskSet};
+use rtsync_core::task::TaskSet;
 use rtsync_core::time::{Dur, Time};
 
 use crate::event::EventKind;
 use crate::histogram::EerHistogram;
-use crate::job::JobId;
-use crate::observe::{EngineSample, Observer};
+use crate::observe::{EngineSample, Note, Observer};
 
 /// One closed telemetry window: aggregates over `[start, end)` sim time.
 ///
@@ -240,7 +241,7 @@ impl TelemetryObserver {
     }
 
     /// Closes the open window (if any) and returns the finished report.
-    /// Call after the run; [`Observer::on_run_end`] performs the final
+    /// Call after the run; [`Note::RunEnd`] performs the final
     /// flush, so no partial window is lost.
     pub fn into_report(mut self) -> TelemetryReport {
         if self.open {
@@ -378,104 +379,62 @@ impl Observer for TelemetryObserver {
         a.saw_census = true;
     }
 
-    fn on_event(&mut self, now: Time, kind: &EventKind) {
+    fn on(&mut self, now: Time, note: Note) {
+        if let Note::RunEnd { .. } = note {
+            // Make sure the instant of the last event has a window, then
+            // let `into_report` close it.
+            if self.open || now > Time::ZERO {
+                self.roll(now);
+            }
+            return;
+        }
+        // Every note falls at or after the run's first event, whose note
+        // opens the first window, so rolling on a note that records
+        // nothing only closes windows early, never differently.
         self.roll(now);
-        match kind {
-            EventKind::SignalSend { .. }
-            | EventKind::SignalDeliver { .. }
-            | EventKind::TransportDeliver { .. }
-            | EventKind::AckDeliver { .. } => self.cur.traffic_protocol += 1,
-            EventKind::SyncRequest { .. } | EventKind::SyncResponse { .. } => {
-                self.cur.traffic_sync += 1
+        let a = &mut self.cur;
+        match note {
+            Note::Event(kind) => match kind {
+                EventKind::SignalSend { .. }
+                | EventKind::SignalDeliver { .. }
+                | EventKind::TransportDeliver { .. }
+                | EventKind::AckDeliver { .. } => a.traffic_protocol += 1,
+                EventKind::SyncRequest { .. } | EventKind::SyncResponse { .. } => {
+                    a.traffic_sync += 1
+                }
+                EventKind::HeartbeatSend { .. } | EventKind::HeartbeatDeliver { .. } => {
+                    a.traffic_heartbeat += 1
+                }
+                _ => {}
+            },
+            Note::TransportSend { retransmit, .. } => {
+                a.transport_sends += 1;
+                a.retransmits += u64::from(retransmit);
             }
-            EventKind::HeartbeatSend { .. } | EventKind::HeartbeatDeliver { .. } => {
-                self.cur.traffic_heartbeat += 1
+            Note::SyncEstimate { uncertainty, .. } => {
+                let u = uncertainty.ticks();
+                a.uncertainty_max = Some(a.uncertainty_max.map_or(u, |m| m.max(u)));
             }
+            Note::TaskCompletion { eer, measured, .. } => {
+                a.completions += 1;
+                if measured {
+                    a.window_eer.record(eer);
+                }
+            }
+            Note::Crash { .. } => a.crashes += 1,
+            Note::Recovery { .. } => a.recoveries += 1,
+            Note::Slowdown { factor, .. } => a.slowdowns += u64::from(factor > 1),
+            Note::Stall { stalled, .. } => a.stalls += u64::from(stalled),
+            Note::LinkDegrade { on, .. } => a.link_degrades += u64::from(on),
+            Note::PartitionHeal => self.partition_open = false,
+            Note::SyncCorrupted { .. } => a.sync_corrupted += 1,
             _ => {}
-        }
-    }
-
-    fn on_transport_send(&mut self, now: Time, _job: JobId, _seq: u64, retransmit: bool) {
-        self.roll(now);
-        self.cur.transport_sends += 1;
-        if retransmit {
-            self.cur.retransmits += 1;
-        }
-    }
-
-    fn on_sync_estimate(&mut self, now: Time, _proc: usize, _estimate: Dur, uncertainty: Dur) {
-        self.roll(now);
-        let u = uncertainty.ticks();
-        self.cur.uncertainty_max = Some(self.cur.uncertainty_max.map_or(u, |m| m.max(u)));
-    }
-
-    fn on_task_completion(
-        &mut self,
-        now: Time,
-        _task: TaskId,
-        _instance: u64,
-        eer: Dur,
-        measured: bool,
-    ) {
-        self.roll(now);
-        self.cur.completions += 1;
-        if measured {
-            self.cur.window_eer.record(eer);
-        }
-    }
-
-    fn on_crash(&mut self, now: Time, _proc: usize, _killed: &[JobId]) {
-        self.roll(now);
-        self.cur.crashes += 1;
-    }
-
-    fn on_recovery(&mut self, now: Time, _proc: usize, _released: u64, _dropped: u64) {
-        self.roll(now);
-        self.cur.recoveries += 1;
-    }
-
-    fn on_slowdown(&mut self, now: Time, _proc: usize, factor: u32) {
-        self.roll(now);
-        if factor > 1 {
-            self.cur.slowdowns += 1;
-        }
-    }
-
-    fn on_stall(&mut self, now: Time, _proc: usize, stalled: bool) {
-        self.roll(now);
-        if stalled {
-            self.cur.stalls += 1;
-        }
-    }
-
-    fn on_link_degrade(&mut self, now: Time, _from: usize, _to: usize, on: bool) {
-        self.roll(now);
-        if on {
-            self.cur.link_degrades += 1;
         }
     }
 
     fn on_partition_start(&mut self, now: Time, _island: &[bool]) {
         self.roll(now);
         self.partition_open = true;
-    }
-
-    fn on_partition_heal(&mut self, now: Time) {
-        self.roll(now);
-        self.partition_open = false;
-    }
-
-    fn on_sync_corrupted(&mut self, now: Time, _responder: usize) {
-        self.roll(now);
-        self.cur.sync_corrupted += 1;
-    }
-
-    fn on_run_end(&mut self, now: Time, _events: u64) {
-        // Make sure the instant of the last event has a window, then let
-        // `into_report` close it.
-        if self.open || now > Time::ZERO {
-            self.roll(now);
-        }
     }
 }
 
@@ -871,6 +830,16 @@ mod tests {
         Time::from_ticks(x)
     }
 
+    /// The end-to-end completion of instance `instance` of task 0.
+    fn done(instance: u64, eer: Dur) -> Note {
+        Note::TaskCompletion {
+            task: rtsync_core::task::TaskId::new(0),
+            instance,
+            eer,
+            measured: true,
+        }
+    }
+
     #[test]
     fn windows_are_dense_and_aligned() {
         let mut tel = TelemetryObserver::new(d(10));
@@ -903,10 +872,17 @@ mod tests {
         // count nothing, and carry the census/uncertainty gauges.
         let mut tel = TelemetryObserver::new(d(10));
         tel.on_run_start(&example2(), Protocol::DirectSync);
-        tel.on_sync_estimate(t(5), 0, d(0), d(7));
-        tel.on_task_completion(t(5), TaskId::new(0), 0, d(4), true);
-        tel.on_task_completion(t(45), TaskId::new(0), 1, d(6), true);
-        tel.on_run_end(t(45), 2);
+        tel.on(
+            t(5),
+            Note::SyncEstimate {
+                proc: 0,
+                estimate: d(0),
+                uncertainty: d(7),
+            },
+        );
+        tel.on(t(5), done(0, d(4)));
+        tel.on(t(45), done(1, d(6)));
+        tel.on(t(45), Note::RunEnd { events: 2 });
         let report = tel.into_report();
         assert_eq!(report.windows.len(), 5, "windows 0..=4 all present");
         for w in &report.windows[1..4] {
@@ -922,8 +898,8 @@ mod tests {
     fn single_sample_window_is_exact() {
         let mut tel = TelemetryObserver::new(d(10));
         tel.on_run_start(&example2(), Protocol::DirectSync);
-        tel.on_task_completion(t(3), TaskId::new(0), 0, d(12), true);
-        tel.on_run_end(t(3), 1);
+        tel.on(t(3), done(0, d(12)));
+        tel.on(t(3), Note::RunEnd { events: 1 });
         let report = tel.into_report();
         assert_eq!(report.windows.len(), 1);
         let w = &report.windows[0];
@@ -941,9 +917,9 @@ mod tests {
         // window boundary intact.
         let mut tel = TelemetryObserver::new(d(10));
         tel.on_run_start(&example2(), Protocol::DirectSync);
-        tel.on_task_completion(t(2), TaskId::new(0), 0, Dur::MAX, true);
-        tel.on_task_completion(t(15), TaskId::new(0), 1, d(3), true);
-        tel.on_run_end(t(15), 2);
+        tel.on(t(2), done(0, Dur::MAX));
+        tel.on(t(15), done(1, d(3)));
+        tel.on(t(15), Note::RunEnd { events: 2 });
         let report = tel.into_report();
         assert_eq!(report.windows.len(), 2);
         assert_eq!(report.windows[0].eer_p99, Some(i64::MAX));

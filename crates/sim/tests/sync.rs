@@ -12,8 +12,8 @@ use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
 use rtsync_sim::nonideal::LinkAsymmetry;
 use rtsync_sim::nonideal::{eer_inflation, ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::{
-    FaultConfig, Observer, PartitionSchedule, Persona, ProtocolCounters, SyncConfig, SyncPolicy,
-    SyncStats, Tee,
+    FaultConfig, Note, Observer, PartitionSchedule, Persona, ProtocolCounters, SyncConfig,
+    SyncPolicy, SyncStats, Tee,
 };
 
 fn d(x: i64) -> Dur {
@@ -191,17 +191,16 @@ struct SyncHooks {
 }
 
 impl Observer for SyncHooks {
-    fn on_sync_round(&mut self, _now: Time, _proc: usize) {
-        self.rounds += 1;
-    }
-
-    fn on_sync_estimate(&mut self, _now: Time, _proc: usize, _estimate: Dur, uncertainty: Dur) {
-        self.estimates += 1;
-        self.max_uncertainty = self.max_uncertainty.max(uncertainty);
-    }
-
-    fn on_sync_correction(&mut self, _now: Time, _proc: usize, _step: Dur) {
-        self.corrections += 1;
+    fn on(&mut self, _now: Time, note: Note) {
+        match note {
+            Note::SyncRound { .. } => self.rounds += 1,
+            Note::SyncEstimate { uncertainty, .. } => {
+                self.estimates += 1;
+                self.max_uncertainty = self.max_uncertainty.max(uncertainty);
+            }
+            Note::SyncCorrection { .. } => self.corrections += 1,
+            _ => {}
+        }
     }
 }
 

@@ -10,7 +10,7 @@ use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
 use rtsync_sim::nonideal::{ChannelModel, NonidealConfig};
 use rtsync_sim::{
-    CrashWindow, Degradation, DetectorConfig, FaultConfig, JobId, Observer, ProtocolCounters, Tee,
+    CrashWindow, Degradation, DetectorConfig, FaultConfig, Note, Observer, ProtocolCounters, Tee,
     TransportConfig, ViolationKind,
 };
 
@@ -81,18 +81,19 @@ struct TransportHooks {
 }
 
 impl Observer for TransportHooks {
-    fn on_transport_send(&mut self, _now: Time, _job: JobId, _seq: u64, retransmit: bool) {
-        self.sends += 1;
-        self.retransmits += u64::from(retransmit);
-    }
-
-    fn on_transport_ack(&mut self, _now: Time, _seq: u64, _rtt: Option<Dur>, dup: bool) {
-        self.acks += 1;
-        self.dup_acks += u64::from(dup);
-    }
-
-    fn on_heartbeat(&mut self, _now: Time, _from: usize, _to: usize) {
-        self.heartbeats += 1;
+    fn on(&mut self, _now: Time, note: Note) {
+        match note {
+            Note::TransportSend { retransmit, .. } => {
+                self.sends += 1;
+                self.retransmits += u64::from(retransmit);
+            }
+            Note::TransportAck { dup, .. } => {
+                self.acks += 1;
+                self.dup_acks += u64::from(dup);
+            }
+            Note::Heartbeat { .. } => self.heartbeats += 1,
+            _ => {}
+        }
     }
 }
 

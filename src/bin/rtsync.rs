@@ -84,6 +84,7 @@ fn usage() -> String {
      [--gantt TICKS] [--sporadic MAX_EXTRA] [--seed S] [--no-rule2] \
      [--trace-csv FILE] [--latency TICKS] [--drop P] [--transport] \
      [--timeout TICKS] [--sync-period TICKS] [--sync-policy step|slew:MAX|observe] \
+     [--drift PPM] [--clock-offset TICKS] \
      [--slow PROC:AT:SPAN:FACTOR] [--stall PROC:AT:SPAN] \
      [--telemetry FILE] [--window TICKS]\n  \
      rtsync report <file|-|--paper N:U> --protocol ds|pm|mpm|rg [--instances N] \
@@ -853,7 +854,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
             "--instances" => instances = parsed(arg, grab(arg)?)?,
-            "--gantt" => gantt = Some(parsed(arg, grab(arg)?)?),
+            "--gantt" => {
+                let until: i64 = parsed(arg, grab(arg)?)?;
+                if until < 0 {
+                    return Err(format!("--gantt {until}: must be >= 0"));
+                }
+                gantt = Some(until);
+            }
             "--no-rule2" => rule2 = false,
             "--trace-csv" => trace_csv = Some(grab("--trace-csv")?.clone()),
             "--telemetry" => telemetry_out = Some(grab("--telemetry")?.clone()),
@@ -1870,7 +1877,7 @@ fn run_admit(a: &StudyArgs) -> Result<Ran, String> {
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     use rtsync::bench::compare::{compare, parse_baseline, Tolerances};
-    use rtsync::bench::run_suite_opts;
+    use rtsync::bench::{run_suite_opts, SCENARIOS};
     use rtsync::sim::EngineProfile;
     let mut json = false;
     let mut smoke = false;
@@ -1910,6 +1917,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
     for spec in tol_specs.iter().filter(|s| s.contains('=')) {
         let (scenario, frac) = spec.split_once('=').expect("filtered on '='");
+        if !SCENARIOS.contains(&scenario) {
+            return Err(format!(
+                "--tolerance {spec}: unknown scenario `{scenario}` ({})",
+                SCENARIOS.join(", ")
+            ));
+        }
         tol = tol.with_scenario(scenario, parse_frac(spec, frac)?);
     }
     if !tol_specs.is_empty() && baseline_path.is_none() {
@@ -1917,8 +1930,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 
     eprintln!(
-        "bench suite: every protocol x {{ideal, nonideal, sync, partition, faults_transport, \
-         gray, admit}}, plus DS x sa_ds and PM x sa_pm{}",
+        "bench suite: scenarios {} (every protocol; sa_ds DS only, sa_pm PM only){}",
+        SCENARIOS.join(", "),
         if smoke {
             " (smoke: reduced workload, numbers are a crash canary only)"
         } else {

@@ -202,6 +202,32 @@ fn malformed_nonideal_flags_fail_loudly() {
 }
 
 #[test]
+fn negative_gantt_and_unknown_tolerance_scenario_fail_loudly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-gantt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ex2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+    let file = file.to_str().unwrap();
+    fails_with(
+        &["simulate", file, "--protocol", "rg", "--gantt", "-5"],
+        "--gantt -5",
+    );
+    // Rejected while parsing, before the suite runs, with the scenarios
+    // that do exist.
+    fails_with(
+        &[
+            "bench",
+            "--compare",
+            "BENCH_sim.json",
+            "--tolerance",
+            "foo=0.1",
+        ],
+        "--tolerance foo=0.1: unknown scenario `foo` (ideal, nonideal, sync,",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn studies_write_only_under_out() {
     let dir = std::env::temp_dir().join(format!("rtsync-cli-cwd-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -8,11 +8,12 @@ use rtsync::core::examples::example2;
 use rtsync::core::task::TaskId;
 use rtsync::core::time::{Dur, Time};
 use rtsync::core::Protocol;
-use rtsync::sim::event::EventKind;
 use rtsync::sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync::sim::{
-    simulate, simulate_observed, EventLogObserver, NoopObserver, Observer, ProtocolCounters,
-    SimConfig, SimOutcome, SourceModel, Tee,
+    simulate, simulate_observed, CrashWindow, DetectorConfig, EventLogObserver, FaultConfig,
+    GrayConfig, LinkDegradeWindow, LinkSchedule, NoopObserver, Note, Observer, PartitionSchedule,
+    PartitionWindow, Persona, PhiConfig, ProtocolCounters, SimConfig, SimOutcome, SlowSchedule,
+    SlowWindow, SourceModel, StallSchedule, StallWindow, SyncConfig, Tee, TransportConfig,
 };
 
 fn nonideal() -> NonidealConfig {
@@ -61,7 +62,7 @@ fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, ctx: &str) {
     }
 }
 
-/// Counts `on_event` calls and keeps the event total `on_run_end` reports.
+/// Counts `Note::Event`s and keeps the event total `Note::RunEnd` reports.
 #[derive(Default)]
 struct EventHooks {
     events: u64,
@@ -69,12 +70,12 @@ struct EventHooks {
 }
 
 impl Observer for EventHooks {
-    fn on_event(&mut self, _now: Time, _kind: &EventKind) {
-        self.events += 1;
-    }
-
-    fn on_run_end(&mut self, _now: Time, events: u64) {
-        self.run_end_events = events;
+    fn on(&mut self, _now: Time, note: Note) {
+        match note {
+            Note::Event(_) => self.events += 1,
+            Note::RunEnd { events } => self.run_end_events = events,
+            _ => {}
+        }
     }
 }
 
@@ -99,11 +100,36 @@ fn observers_never_perturb_the_simulation() {
             let observed =
                 simulate_observed(&set, &cfg, &mut Tee(&mut counters, &mut inner)).unwrap();
             assert_outcomes_identical(&baseline, &observed, &ctx);
-            assert_eq!(hooks.events, baseline.events, "{ctx}: on_event calls");
-            assert_eq!(hooks.run_end_events, baseline.events, "{ctx}: on_run_end");
+            assert_eq!(hooks.events, baseline.events, "{ctx}: Note::Event count");
+            assert_eq!(hooks.run_end_events, baseline.events, "{ctx}: Note::RunEnd");
         }
     }
 }
+
+/// The JSONL record types: every `"type"` tag the event log writes.
+const RECORD_TYPES: [&str; 21] = [
+    "run_start",
+    "release",
+    "completion",
+    "slice",
+    "context_switch",
+    "preemption",
+    "idle_point",
+    "guard_block",
+    "guard_release",
+    "mpm_timer_armed",
+    "mpm_timer_fired",
+    "sync_interrupt",
+    "signal_send",
+    "signal_deliver",
+    "transport_send",
+    "transport_ack",
+    "degradation",
+    "violation",
+    "crash",
+    "recovery",
+    "run_end",
+];
 
 /// Pins the JSONL event schema: field names, field order, and value
 /// encodings are a stable export format. Update the golden lines
@@ -135,29 +161,14 @@ fn jsonl_schema_golden_snapshot() {
     }
     // Every line is a single-line JSON object with a type tag drawn from
     // the documented vocabulary.
-    let known = [
-        "run_start",
-        "release",
-        "completion",
-        "slice",
-        "context_switch",
-        "preemption",
-        "idle_point",
-        "guard_block",
-        "guard_release",
-        "mpm_timer_armed",
-        "mpm_timer_fired",
-        "sync_interrupt",
-        "signal_send",
-        "signal_deliver",
-        "violation",
-        "run_end",
-    ];
     for line in &lines {
         assert!(line.starts_with(r#"{"type":""#), "{line}");
         assert!(line.ends_with('}'), "{line}");
         let ty = &line[r#"{"type":""#.len()..line[9..].find('"').unwrap() + 9];
-        assert!(known.contains(&ty), "unknown record type {ty:?}: {line}");
+        assert!(
+            RECORD_TYPES.contains(&ty),
+            "unknown record type {ty:?}: {line}"
+        );
     }
     assert_eq!(
         lines.last().map(|l| &l[..16]),
@@ -377,4 +388,172 @@ fn rg_guard_delay_accounting_is_consistent() {
         counters.total_guard_blocks(),
         "every guard block resolves to a rule-2 or expiry release"
     );
+}
+
+/// Number of [`Note`] variants; [`note_slot`] maps each to one index.
+const NOTE_KINDS: usize = 34;
+
+/// The census slot of a note. The match is exhaustive on purpose: a
+/// variant added later does not compile until it has a slot here, and
+/// `every_note_reaches_the_exporters` then fails until a run fires it.
+fn note_slot(note: &Note) -> usize {
+    match note {
+        Note::Event(_) => 0,
+        Note::Release { .. } => 1,
+        Note::Completion { .. } => 2,
+        Note::TaskCompletion { .. } => 3,
+        Note::Slice { .. } => 4,
+        Note::ContextSwitch { .. } => 5,
+        Note::Preemption { .. } => 6,
+        Note::IdlePoint { .. } => 7,
+        Note::GuardBlock { .. } => 8,
+        Note::Rule1Update { .. } => 9,
+        Note::Rule2Release { .. } => 10,
+        Note::GuardExpiryRelease { .. } => 11,
+        Note::MpmTimerArmed { .. } => 12,
+        Note::MpmTimerFired { .. } => 13,
+        Note::SyncInterrupt { .. } => 14,
+        Note::SignalSend { .. } => 15,
+        Note::SignalDeliver { .. } => 16,
+        Note::TransportSend { .. } => 17,
+        Note::TransportAck { .. } => 18,
+        Note::Heartbeat { .. } => 19,
+        Note::PartitionHeal => 20,
+        Note::SyncRound { .. } => 21,
+        Note::SyncEstimate { .. } => 22,
+        Note::SyncCorrection { .. } => 23,
+        Note::SyncBracket { .. } => 24,
+        Note::SyncCorrupted { .. } => 25,
+        Note::Degradation(_) => 26,
+        Note::Crash { .. } => 27,
+        Note::Recovery { .. } => 28,
+        Note::Slowdown { .. } => 29,
+        Note::Stall { .. } => 30,
+        Note::LinkDegrade { .. } => 31,
+        Note::Violation(_) => 32,
+        Note::RunEnd { .. } => 33,
+    }
+}
+
+/// Counts the notes of a run by variant.
+struct NoteCensus([u64; NOTE_KINDS]);
+
+impl Observer for NoteCensus {
+    fn on(&mut self, _now: Time, note: Note) {
+        self.0[note_slot(&note)] += 1;
+    }
+}
+
+/// Every fault, wire and clock layer at once on example 2: a crash of
+/// P0, a cut isolating it, a slowdown of P1, a stall of P0 and a
+/// degraded P0 → P1 link, on drifting clocks kept by sync rounds that
+/// P1's timeserver lies to. With `transport` the signals ride the acked
+/// transport under a φ-accrual detector; without it they cross the
+/// plain nonideal channel.
+fn composed(protocol: Protocol, transport: bool) -> SimConfig {
+    let t = Time::from_ticks;
+    let d = Dur::from_ticks;
+    let gray = GrayConfig::new()
+        .with_slow(SlowSchedule::Explicit(vec![
+            Vec::new(),
+            vec![SlowWindow {
+                at: t(60),
+                span: d(40),
+                factor: 3,
+            }],
+        ]))
+        .with_stalls(StallSchedule::Explicit(vec![
+            vec![StallWindow {
+                at: t(150),
+                span: d(12),
+            }],
+            Vec::new(),
+        ]))
+        .with_links(LinkSchedule::Explicit(vec![LinkDegradeWindow {
+            at: t(20),
+            span: d(60),
+            from: 0,
+            to: 1,
+            extra_latency: d(3),
+            jitter: d(2),
+            drop_permille: 300,
+        }]));
+    let faults = FaultConfig::explicit(vec![
+        vec![CrashWindow {
+            at: t(100),
+            restart_delay: d(30),
+        }],
+        Vec::new(),
+    ])
+    .with_partitions(PartitionSchedule::Explicit(vec![PartitionWindow {
+        at: t(200),
+        heal_delay: d(25),
+        island: vec![0],
+    }]))
+    .with_gray(gray);
+    let cfg = SimConfig::new(protocol)
+        .with_instances(60)
+        .with_nonideal(
+            NonidealConfig::default()
+                .with_clocks(ClockModel::Random {
+                    max_offset: d(4),
+                    max_drift_ppm: 5_000,
+                    seed: 5,
+                })
+                .with_channel(ChannelModel::uniform(Dur::ZERO, d(2)).with_seed(9)),
+        )
+        .with_faults(faults)
+        .with_sync(
+            SyncConfig::new(d(20))
+                .with_personas(vec![Persona::Honest, Persona::FixedLiar { offset: d(30) }]),
+        );
+    if !transport {
+        return cfg;
+    }
+    cfg.with_transport(
+        TransportConfig::new(d(6))
+            .with_seed(3)
+            .with_detector(DetectorConfig::new(d(5)).with_phi(PhiConfig::new())),
+    )
+}
+
+/// Every [`Note`] variant fires in some run of every protocol on the
+/// composed configuration, and every JSONL record type and Perfetto
+/// category the exporters write appears in the logs of those runs.
+#[test]
+fn every_note_reaches_the_exporters() {
+    let set = example2();
+    let mut fired = [0u64; NOTE_KINDS];
+    let mut record_types = std::collections::BTreeSet::new();
+    let mut categories = std::collections::BTreeSet::new();
+    for protocol in Protocol::ALL {
+        for transport in [true, false] {
+            let mut census = NoteCensus([0; NOTE_KINDS]);
+            let mut log = EventLogObserver::default();
+            let cfg = composed(protocol, transport);
+            simulate_observed(&set, &cfg, &mut Tee(&mut census, &mut log)).unwrap();
+            for (all, n) in fired.iter_mut().zip(census.0) {
+                *all += n;
+            }
+            for line in log.to_jsonl().lines() {
+                let ty = line[r#"{"type":""#.len()..].split('"').next().unwrap();
+                record_types.insert(ty.to_string());
+            }
+            let trace = log.to_chrome_trace();
+            for cat in trace.split(r#""cat":""#).skip(1) {
+                categories.insert(cat.split('"').next().unwrap().to_string());
+            }
+        }
+    }
+    let silent: Vec<usize> = (0..NOTE_KINDS).filter(|&i| fired[i] == 0).collect();
+    assert!(silent.is_empty(), "note slots never fired: {silent:?}");
+    let want: std::collections::BTreeSet<String> =
+        RECORD_TYPES.iter().map(|s| s.to_string()).collect();
+    assert_eq!(record_types, want, "JSONL record types");
+    let want: std::collections::BTreeSet<String> =
+        ["completion", "exec", "fault", "guard", "release", "signal"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+    assert_eq!(categories, want, "Perfetto categories");
 }
