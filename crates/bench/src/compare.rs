@@ -2,18 +2,25 @@
 //! against a committed `BENCH_sim.json` baseline, cell by cell, with
 //! noise-aware deltas and per-scenario tolerances.
 //!
-//! Noise handling: both sides compare on **best-of-N** throughput (the
-//! iteration with the minimum wall time), which is far more stable than
-//! the mean under scheduler jitter — a cell regresses only when even its
-//! best iteration is more than the scenario's tolerance below the
+//! What is judged: **wall time per run** (`best_secs_per_run`) when both
+//! sides record it, and best-of-N events per second only against an
+//! older baseline that lacks it. Wall time per run is what a user waits
+//! for; events per second also moves when a change makes the same run
+//! pop fewer events, so a faster engine could read as a regression.
+//!
+//! Noise handling: both sides compare their **best-of-N** iteration (the
+//! one with the minimum wall time), which is far more stable than the
+//! mean under scheduler jitter — a cell regresses only when even its best
+//! iteration is more than the scenario's tolerance slower than the
 //! baseline's best. `rtsync bench --compare` exits nonzero when any cell
 //! regresses, which is what CI keys off.
 
 use crate::json::{self, Json};
 use crate::BenchReport;
 
-/// Relative tolerances for the sentry: a cell regresses when its best
-/// throughput falls below `baseline * (1 - tolerance)`.
+/// Relative tolerances for the sentry: a cell regresses when its speed
+/// (runs per second, or events per second for an old baseline) falls
+/// below `baseline * (1 - tolerance)`.
 #[derive(Clone, Debug)]
 pub struct Tolerances {
     /// Fallback tolerance for scenarios without an override.
@@ -68,6 +75,8 @@ pub struct BaselineCell {
     /// Best-of-N throughput; for a v1 baseline (no per-iteration data)
     /// this falls back to the recorded mean.
     pub best_events_per_sec: f64,
+    /// Wall seconds of the best run, when the baseline records it.
+    pub best_secs_per_run: Option<f64>,
 }
 
 /// A parsed baseline file.
@@ -115,10 +124,19 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             .or_else(|| cell.get("events_per_sec"))
             .and_then(Json::as_f64)
             .ok_or(format!("result {i} has no throughput field"))?;
+        let best_secs_per_run = match cell.get("best_secs_per_run") {
+            None => None,
+            Some(v) => Some(
+                v.as_f64()
+                    .filter(|s| *s > 0.0)
+                    .ok_or(format!("result {i} has a malformed \"best_secs_per_run\""))?,
+            ),
+        };
         cells.push(BaselineCell {
             protocol: field("protocol")?,
             scenario: field("scenario")?,
             best_events_per_sec: best,
+            best_secs_per_run,
         });
     }
     Ok(Baseline {
@@ -143,6 +161,16 @@ pub enum Verdict {
     NewCell,
 }
 
+/// The number a cell was judged on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Judged {
+    /// Wall seconds of the best run (lower is better).
+    SecsPerRun,
+    /// Best-of-N events per second (higher is better), against a
+    /// baseline that records no wall time per run.
+    EventsPerSec,
+}
+
 /// One compared cell.
 #[derive(Clone, Debug)]
 pub struct CompareRow {
@@ -150,11 +178,15 @@ pub struct CompareRow {
     pub protocol: String,
     /// Scenario tag.
     pub scenario: String,
-    /// Baseline best-of-N throughput (`None` for a new cell).
+    /// What `baseline` and `current` measure.
+    pub judged: Judged,
+    /// Baseline value (`None` for a new cell).
     pub baseline: Option<f64>,
-    /// Freshly measured best-of-N throughput.
+    /// Freshly measured value.
     pub current: f64,
-    /// Relative delta vs baseline (`current / baseline - 1`; 0 for new).
+    /// Relative speed change vs baseline: `baseline / current - 1` for
+    /// seconds per run, `current / baseline - 1` for events per second
+    /// (positive is faster; 0 for a new cell).
     pub delta_frac: f64,
     /// The tolerance this cell was judged against.
     pub tolerance: f64,
@@ -200,17 +232,22 @@ impl Comparison {
         }
         let _ = writeln!(
             out,
-            "{:<6}{:<18}{:>14}{:>14}{:>9}{:>7}  verdict",
-            "proto", "scenario", "base ev/s", "now ev/s", "delta", "tol"
+            "{:<6}{:<18}{:>14}{:>14}{:>9}{:>9}{:>7}  verdict",
+            "proto", "scenario", "base", "now", "unit", "speed", "tol"
         );
         for r in &self.rows {
+            let (fmt, unit): (fn(f64) -> String, &str) = match r.judged {
+                Judged::SecsPerRun => (|v| format!("{:.3}", v * 1e3), "ms/run"),
+                Judged::EventsPerSec => (|v| format!("{v:.0}"), "ev/s"),
+            };
             let _ = writeln!(
                 out,
-                "{:<6}{:<18}{:>14}{:>14.0}{:>8.1}%{:>6.0}%  {}",
+                "{:<6}{:<18}{:>14}{:>14}{:>9}{:>8.1}%{:>6.0}%  {}",
                 r.protocol,
                 r.scenario,
-                r.baseline.map_or("-".to_string(), |b| format!("{b:.0}")),
-                r.current,
+                r.baseline.map_or("-".to_string(), fmt),
+                fmt(r.current),
+                unit,
                 r.delta_frac * 100.0,
                 r.tolerance * 100.0,
                 match r.verdict {
@@ -242,15 +279,34 @@ pub fn compare(current: &BenchReport, baseline: &Baseline, tol: &Tolerances) -> 
         .iter()
         .map(|r| {
             let tolerance = tol.for_scenario(r.scenario);
-            let base = baseline
+            let cell = baseline
                 .cells
                 .iter()
-                .find(|c| c.protocol == r.protocol && c.scenario == r.scenario)
-                .map(|c| c.best_events_per_sec);
+                .find(|c| c.protocol == r.protocol && c.scenario == r.scenario);
+            // Judge wall time per run unless the baseline predates it.
+            let (judged, current, base) = match cell {
+                Some(BaselineCell {
+                    best_secs_per_run: None,
+                    best_events_per_sec,
+                    ..
+                }) => (
+                    Judged::EventsPerSec,
+                    r.best_events_per_sec,
+                    Some(*best_events_per_sec),
+                ),
+                _ => (
+                    Judged::SecsPerRun,
+                    r.best_secs_per_run,
+                    cell.and_then(|c| c.best_secs_per_run),
+                ),
+            };
             let (delta_frac, verdict) = match base {
                 None => (0.0, Verdict::NewCell),
                 Some(b) => {
-                    let delta = r.best_events_per_sec / b.max(f64::MIN_POSITIVE) - 1.0;
+                    let delta = match judged {
+                        Judged::SecsPerRun => b / current.max(f64::MIN_POSITIVE) - 1.0,
+                        Judged::EventsPerSec => current / b.max(f64::MIN_POSITIVE) - 1.0,
+                    };
                     let verdict = if delta < -tolerance {
                         Verdict::Regressed
                     } else if delta > tolerance {
@@ -264,8 +320,9 @@ pub fn compare(current: &BenchReport, baseline: &Baseline, tol: &Tolerances) -> 
             CompareRow {
                 protocol: r.protocol.to_string(),
                 scenario: r.scenario.to_string(),
+                judged,
                 baseline: base,
-                current: r.best_events_per_sec,
+                current,
                 delta_frac,
                 tolerance,
                 verdict,
@@ -294,11 +351,13 @@ mod tests {
                 protocol: "DS",
                 scenario: "ideal",
                 iterations: 2,
+                runs_per_iter: 4,
                 events_per_iter: 1000,
                 elapsed_secs: 2000.0 / best,
                 events_per_sec: best,
                 iter_secs: vec![1000.0 / best, 1100.0 / best],
                 best_events_per_sec: best,
+                best_secs_per_run: 250.0 / best,
                 profile: None,
             }],
         }
@@ -313,9 +372,11 @@ mod tests {
         assert_eq!(base.cells.len(), 1);
         assert_eq!(base.cells[0].protocol, "DS");
         assert!((base.cells[0].best_events_per_sec - 1_000_000.0).abs() < 1.0);
+        assert_eq!(base.cells[0].best_secs_per_run, Some(0.00025));
         let cmp = compare(&rep, &base, &Tolerances::default());
         assert!(cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Ok);
+        assert_eq!(cmp.rows[0].judged, Judged::SecsPerRun);
     }
 
     #[test]
@@ -328,15 +389,46 @@ mod tests {
         }"#;
         let base = parse_baseline(v1).unwrap();
         assert_eq!(base.cells[0].best_events_per_sec, 500000.0);
+        assert_eq!(base.cells[0].best_secs_per_run, None);
+    }
+
+    #[test]
+    fn wall_time_per_run_decides_when_both_sides_have_it() {
+        // The same run now pops fewer events: events/s halves while the
+        // run takes a third less time. Judged on wall time, that is an
+        // improvement, not a regression.
+        let mut rep = report(1_000_000.0);
+        let base = parse_baseline(&rep.to_json()).unwrap();
+        let r = &mut rep.results[0];
+        r.events_per_iter /= 3;
+        r.best_events_per_sec /= 2.0;
+        r.best_secs_per_run *= 2.0 / 3.0;
+        let cmp = compare(&rep, &base, &Tolerances::default());
+        assert_eq!(cmp.rows[0].judged, Judged::SecsPerRun);
+        assert_eq!(cmp.rows[0].verdict, Verdict::Improved);
+        assert!((cmp.rows[0].delta_frac - 0.5).abs() < 1e-9);
+        assert!(cmp.render().contains("ms/run"));
+
+        // Against a baseline without wall time per run, events/s decides.
+        let mut old = base.clone();
+        old.cells[0].best_secs_per_run = None;
+        let cmp = compare(&rep, &old, &Tolerances::default());
+        assert_eq!(cmp.rows[0].judged, Judged::EventsPerSec);
+        assert_eq!(cmp.rows[0].verdict, Verdict::Regressed);
     }
 
     #[test]
     fn synthetic_regression_trips_the_sentry() {
-        // Doctor the baseline to claim 10x the measured throughput: the
-        // fresh run must register as a regression at any sane tolerance.
+        // Doctor the baseline to claim a tenth of the measured wall time
+        // per run, as CI does: the fresh run must register as a
+        // regression at any sane tolerance.
         let rep = report(1_000_000.0);
-        let mut base = parse_baseline(&rep.to_json()).unwrap();
-        base.cells[0].best_events_per_sec *= 10.0;
+        let doctored = rep.to_json().replace(
+            "\"best_secs_per_run\": 0.000250000",
+            "\"best_secs_per_run\": 0.000250000e-1",
+        );
+        let base = parse_baseline(&doctored).unwrap();
+        assert!((base.cells[0].best_secs_per_run.unwrap() - 0.000025).abs() < 1e-12);
         let cmp = compare(&rep, &base, &Tolerances::default());
         assert!(!cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Regressed);
@@ -351,7 +443,7 @@ mod tests {
     fn improvements_and_new_cells_do_not_fail() {
         let rep = report(1_000_000.0);
         let mut base = parse_baseline(&rep.to_json()).unwrap();
-        base.cells[0].best_events_per_sec /= 10.0;
+        base.cells[0].best_secs_per_run = Some(0.0025);
         let cmp = compare(&rep, &base, &Tolerances::default());
         assert!(cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Improved);
@@ -369,6 +461,10 @@ mod tests {
         assert!(parse_baseline("{\"results\": []}").is_err());
         assert!(parse_baseline(
             "{\"schema\": \"rtsync-bench-v2\", \"results\": [{\"protocol\": \"DS\"}]}"
+        )
+        .is_err());
+        assert!(parse_baseline(
+            "{\"schema\": \"rtsync-bench-v2\", \"results\": [{\"protocol\": \"DS\", \"scenario\": \"ideal\", \"best_events_per_sec\": 1, \"best_secs_per_run\": \"fast\"}]}"
         )
         .is_err());
     }

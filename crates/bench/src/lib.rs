@@ -31,7 +31,10 @@
 //! not absolute values across machines — which is exactly what the
 //! [`compare`] sentry automates: per-iteration timings make a
 //! noise-aware best-of-N comparison against the committed baseline, and
-//! `rtsync bench --compare` exits nonzero on regression. The
+//! `rtsync bench --compare` exits nonzero on regression. The sentry
+//! judges wall time per run (`best_secs_per_run`), not events per
+//! second: a change that makes the same run pop fewer events is faster
+//! even though its events/s reads lower. The
 //! `rtsync-bench-v2` JSON schema carries [`Provenance`] (git describe,
 //! seed, wall-clock timestamp, host), plus an optional engine self-profile per
 //! cell (`rtsync bench --profile`, see `rtsync_sim::perf`).
@@ -151,6 +154,8 @@ pub struct BenchResult {
     pub scenario: &'static str,
     /// Timed iterations (after one untimed warmup).
     pub iterations: u32,
+    /// Runs of the cell body per timed iteration.
+    pub runs_per_iter: u32,
     /// Events dispatched per iteration (identical across iterations —
     /// the simulator is deterministic).
     pub events_per_iter: u64,
@@ -160,9 +165,11 @@ pub struct BenchResult {
     pub events_per_sec: f64,
     /// Wall-clock seconds of each timed iteration, in run order.
     pub iter_secs: Vec<f64>,
-    /// Best-of-N throughput (fastest iteration) — the noise-resistant
-    /// number the regression sentry compares.
+    /// Best-of-N throughput (fastest iteration).
     pub best_events_per_sec: f64,
+    /// Wall seconds of one run in the fastest iteration — the
+    /// noise-resistant number the regression sentry compares.
+    pub best_secs_per_run: f64,
     /// Engine self-profile of one extra run of this cell, when the suite
     /// ran with profiling on.
     pub profile: Option<EngineProfile>,
@@ -214,15 +221,17 @@ impl BenchReport {
                 .map(|p| format!(", \"profile\": {}", p.to_json()))
                 .unwrap_or_default();
             out.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"scenario\": \"{}\", \"iterations\": {}, \"events_per_iter\": {}, \"elapsed_secs\": {:.6}, \"events_per_sec\": {:.0}, \"iter_secs\": [{}], \"best_events_per_sec\": {:.0}{}}}{}\n",
+                "    {{\"protocol\": \"{}\", \"scenario\": \"{}\", \"iterations\": {}, \"runs_per_iter\": {}, \"events_per_iter\": {}, \"elapsed_secs\": {:.6}, \"events_per_sec\": {:.0}, \"iter_secs\": [{}], \"best_events_per_sec\": {:.0}, \"best_secs_per_run\": {:.9}{}}}{}\n",
                 r.protocol,
                 r.scenario,
                 r.iterations,
+                r.runs_per_iter,
                 r.events_per_iter,
                 r.elapsed_secs,
                 r.events_per_sec,
                 iter_secs.join(", "),
                 r.best_events_per_sec,
+                r.best_secs_per_run,
                 profile,
                 if i + 1 < self.results.len() { "," } else { "" },
             ));
@@ -487,11 +496,13 @@ fn measure(
         protocol: protocol.tag(),
         scenario,
         iterations,
+        runs_per_iter: runs,
         events_per_iter,
         elapsed_secs,
         events_per_sec: total_events as f64 / elapsed_secs.max(1e-9),
         iter_secs,
         best_events_per_sec: events_per_iter as f64 / best_secs.max(1e-9),
+        best_secs_per_run: best_secs / f64::from(runs),
         profile: None,
     }
 }
@@ -614,8 +625,13 @@ mod tests {
             );
             assert!(r.events_per_sec > 0.0);
             assert_eq!(r.iter_secs.len(), r.iterations as usize);
-            // Best-of-N throughput can't be slower than the mean.
+            // Best-of-N throughput can't be slower than the mean, and the
+            // best run is the best iteration split over its runs.
             assert!(r.best_events_per_sec >= r.events_per_sec * 0.999);
+            assert!(r.runs_per_iter >= 1);
+            let best_iter = r.iter_secs.iter().cloned().fold(f64::INFINITY, f64::min);
+            let per_run = best_iter / f64::from(r.runs_per_iter);
+            assert!((r.best_secs_per_run - per_run).abs() <= per_run * 1e-9);
             assert!(r.profile.is_none());
         }
         // The admit tier ran for every protocol, and the PM-family
@@ -653,6 +669,8 @@ mod tests {
         assert!(json.starts_with("{\n  \"schema\": \"rtsync-bench-v2\""));
         assert!(json.contains("\"provenance\""));
         assert!(json.contains("\"best_events_per_sec\""));
+        assert!(json.contains("\"best_secs_per_run\""));
+        assert!(json.contains("\"runs_per_iter\""));
         assert_eq!(json.matches("\"protocol\"").count(), report.results.len());
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -4,11 +4,16 @@
 //! `FaultState::down` directly, so every processor "knows" about a crash
 //! the instant it happens. This module replaces that oracle with an
 //! endpoint protocol: every processor broadcasts a heartbeat each
-//! [`DetectorConfig::period`]; each *observer* processor keeps a per-peer
-//! freshness timer and walks the peer through
+//! [`DetectorConfig::period`]; each *observer* processor keeps one
+//! suspicion deadline per peer and walks the peer through
 //! [`PeerState::Alive`] → [`PeerState::Suspect`] → [`PeerState::Dead`] as
-//! silence accumulates. Transitions are compared against the ground-truth
-//! crash schedule for false-positive accounting ([`DetectStats`]).
+//! silence accumulates. The engine keeps each deadline in the pair's
+//! keyed slot of the event queue ([`crate::event::EventQueue::arm`]):
+//! every heartbeat re-arms it from the arrival, each escalation re-arms
+//! it with the residue to the next step, so a deadline that fires always
+//! means a full silence and needs no freshness generation. Transitions
+//! are compared against the ground-truth crash schedule for
+//! false-positive accounting ([`DetectStats`]).
 //!
 //! When the detector declares a predecessor's processor dead (and
 //! [`DetectorConfig::degradation`] is on), the engine degrades gracefully
@@ -45,8 +50,8 @@ use crate::job::JobId;
 ///
 /// which inverts to a *deterministic threshold-crossing instant*
 /// `t* = ⌈φ* · mean · ln 10⌉` for each configured φ threshold — the
-/// engine schedules those instants as ordinary generation-stamped
-/// suspicion timers, so the adaptive detector costs no more events than
+/// engine arms those instants in the pair's suspicion slot, exactly like
+/// the fixed cliff, so the adaptive detector costs no more events than
 /// the fixed one. A peer that merely slows down stretches its observed
 /// inter-arrival mean, which pushes every threshold-crossing instant
 /// out proportionally: that is the adaptivity the fixed cliff lacks.
@@ -486,10 +491,6 @@ impl PhiState {
 pub(crate) struct DetectState {
     pub(crate) cfg: DetectorConfig,
     num_procs: usize,
-    /// Heartbeats heard, per `observer × subject` (freshness generation:
-    /// a suspicion timer armed at generation `g` is stale once another
-    /// heartbeat lands).
-    heard_count: Vec<u64>,
     /// Current belief, per `observer × subject`.
     state: Vec<PeerState>,
     /// φ-accrual state per `observer × subject`; empty in fixed mode.
@@ -511,7 +512,6 @@ impl DetectState {
         DetectState {
             cfg,
             num_procs,
-            heard_count: vec![0; num_procs * num_procs],
             state: vec![PeerState::Alive; num_procs * num_procs],
             phi,
             forced: vec![std::collections::BTreeSet::new(); flat_len],
@@ -579,17 +579,16 @@ impl DetectState {
         }
     }
 
-    /// A heartbeat from `subject` reached `observer` at `now`: refresh
-    /// the generation, record the inter-arrival sample (φ mode), and
-    /// revive the peer if it was under suspicion — immediately in fixed
-    /// mode, after [`PhiConfig::hysteresis`] consecutive on-time beats
-    /// in φ mode. Returns the new generation and whether this was a
-    /// revival.
-    pub(crate) fn heard(&mut self, observer: usize, subject: usize, now: Time) -> (u64, bool) {
+    /// A heartbeat from `subject` reached `observer` at `now`: record the
+    /// inter-arrival sample (φ mode) and revive the peer if it was under
+    /// suspicion — immediately in fixed mode, after
+    /// [`PhiConfig::hysteresis`] consecutive on-time beats in φ mode.
+    /// Returns whether this was a revival. The caller re-arms the pair's
+    /// suspicion deadline from [`DetectState::arm_budget`].
+    pub(crate) fn heard(&mut self, observer: usize, subject: usize, now: Time) -> bool {
         let slot = self.slot(observer, subject);
         self.stats.heartbeats_delivered += 1;
-        self.heard_count[slot] += 1;
-        let revived = match self.cfg.phi.clone() {
+        match self.cfg.phi.clone() {
             None => {
                 let revived = self.state[slot] != PeerState::Alive;
                 if revived {
@@ -629,13 +628,7 @@ impl DetectState {
                     }
                 }
             }
-        };
-        (self.heard_count[slot], revived)
-    }
-
-    /// The freshness generation a suspicion timer must match to fire.
-    pub(crate) fn generation(&self, observer: usize, subject: usize) -> u64 {
-        self.heard_count[self.slot(observer, subject)]
+        }
     }
 
     /// Current belief of `observer` about `subject`.
@@ -643,8 +636,7 @@ impl DetectState {
         self.state[self.slot(observer, subject)]
     }
 
-    /// A suspicion timer fired with a fresh generation: advance the
-    /// belief one step — Alive → Suspect → Dead on the fixed cliff,
+    /// The pair's suspicion deadline passed: advance the belief one step — Alive → Suspect → Dead on the fixed cliff,
     /// Alive → Degraded → Suspect → Dead under φ-accrual.
     /// `actually_down` / `actually_gray` are the ground truth at this
     /// instant. Returns the transition taken, if any.
@@ -805,17 +797,20 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_revive_and_bump_the_generation() {
+    fn heartbeats_revive_a_dead_peer() {
         let cfg = DetectorConfig::new(d(10));
         let mut st = DetectState::new(cfg, 2, 1);
-        assert_eq!(st.generation(0, 1), 0);
-        let (generation, revived) = st.heard(0, 1, Time::from_ticks(10));
-        assert_eq!((generation, revived), (1, false));
+        assert!(!st.heard(0, 1, Time::from_ticks(10)));
         st.advance_suspicion(0, 1, true, false);
         st.advance_suspicion(0, 1, true, false);
         assert_eq!(st.peer_state(0, 1), PeerState::Dead);
-        let (generation, revived) = st.heard(0, 1, Time::from_ticks(80));
-        assert_eq!((generation, revived), (2, true));
+        assert_eq!(st.arm_budget(0, 1), None, "a dead pair arms nothing");
+        assert!(st.heard(0, 1, Time::from_ticks(80)));
+        assert_eq!(
+            st.arm_budget(0, 1),
+            Some(d(30)),
+            "revived: the suspect cliff again"
+        );
         assert_eq!(st.peer_state(0, 1), PeerState::Alive);
         assert_eq!(st.stats.revivals, 1);
     }
@@ -1027,12 +1022,12 @@ mod tests {
         st.advance_suspicion(0, 1, false, true);
         assert_eq!(st.peer_state(0, 1), PeerState::Degraded);
         // First on-time beat: held by hysteresis (streak 1 < 2).
-        let (_, revived) = st.heard(0, 1, Time::from_ticks(50));
+        let revived = st.heard(0, 1, Time::from_ticks(50));
         assert!(!revived, "one on-time beat must not revive yet");
         assert_eq!(st.stats.hysteresis_holds, 1);
         assert_eq!(st.peer_state(0, 1), PeerState::Degraded);
         // Second consecutive on-time beat: revived.
-        let (_, revived) = st.heard(0, 1, Time::from_ticks(60));
+        let revived = st.heard(0, 1, Time::from_ticks(60));
         assert!(revived, "two consecutive on-time beats revive");
         assert_eq!(st.peer_state(0, 1), PeerState::Alive);
         assert_eq!(st.stats.revivals, 1);
@@ -1045,13 +1040,13 @@ mod tests {
             st.heard(0, 1, Time::from_ticks(10 * (k + 1)));
         }
         st.advance_suspicion(0, 1, false, true);
-        let (_, revived) = st.heard(0, 1, Time::from_ticks(50));
+        let revived = st.heard(0, 1, Time::from_ticks(50));
         assert!(!revived);
         // A very late beat resets the streak; the next on-time beat is
         // streak 1 again, still held.
-        let (_, revived) = st.heard(0, 1, Time::from_ticks(400));
+        let revived = st.heard(0, 1, Time::from_ticks(400));
         assert!(!revived, "late beat must not count toward demotion");
-        let (_, revived) = st.heard(0, 1, Time::from_ticks(410));
+        let revived = st.heard(0, 1, Time::from_ticks(410));
         assert!(!revived, "streak restarted after the late beat");
         assert_eq!(st.peer_state(0, 1), PeerState::Degraded);
     }

@@ -567,10 +567,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 None => state,
             }
         });
+        // One milestone slot per processor, then one suspicion slot per
+        // ordered detector pair (see `suspicion_slot`).
+        let procs = set.num_processors();
+        let slots = procs + if detect.is_some() { procs * procs } else { 0 };
         Ok(Engine {
             set,
             cfg,
-            queue: EventQueue::new(),
+            queue: EventQueue::with_slots(slots),
             procs: (0..set.num_processors())
                 .map(|i| Processor::new(ProcessorId::new(i)))
                 .collect(),
@@ -714,10 +718,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
 
         // Seed the failure detector: one heartbeat broadcast chain per
-        // processor, plus an initial suspicion timer per ordered pair so a
-        // processor that is down from t = 0 still gets detected (the first
-        // heartbeat lands well before `suspect_after`, refreshing the
-        // generation and staling the initial timer on healthy pairs).
+        // processor, plus an initial suspicion deadline per ordered pair so
+        // a processor that is down from t = 0 still gets detected (on
+        // healthy pairs the first heartbeat lands well before
+        // `suspect_after` and re-arms the deadline).
         if let Some(dt) = &self.detect {
             let period = dt.cfg.period;
             let procs = self.set.num_processors();
@@ -743,14 +747,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 );
             }
             for (o, s, budget) in arms {
-                self.queue.push(
-                    Time::ZERO + budget,
-                    EventKind::SuspectTimer {
-                        observer: ProcessorId::new(o),
-                        subject: ProcessorId::new(s),
-                        gen: 0,
-                    },
-                );
+                self.arm_suspicion(o, s, Time::ZERO + budget);
             }
         }
 
@@ -769,11 +766,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
 
         let mut reached_target = false;
-        // From here to loop exit every moment is attributed to a scope:
-        // Queue while popping/checking, Observer around hooks, the
-        // event's own family during dispatch, Flush for the
-        // end-of-instant reschedule. `switch` on NoopProfiler is an
-        // empty inline default, so the unprofiled loop is unchanged.
+        // Everything up to here was Setup. From here to loop exit every
+        // moment is attributed to a scope: Queue while popping/checking,
+        // Observer around hooks, the event's own family during dispatch,
+        // Flush for the end-of-instant reschedule. `switch` on
+        // NoopProfiler is an empty inline default, so the unprofiled loop
+        // is unchanged.
         self.prof.switch(PerfScope::Queue);
         while let Some(event) = self.queue.pop() {
             if event.time > self.horizon || self.events >= self.cfg.max_events {
@@ -796,7 +794,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 EventKind::StallEnd { proc } => self.on_stall_end(proc),
                 EventKind::LinkDegradeStart { idx } => self.on_link_degrade_start(idx),
                 EventKind::LinkDegradeEnd { idx } => self.on_link_degrade_end(idx),
-                EventKind::Completion { proc, gen } => self.on_completion(proc, gen),
+                EventKind::Completion { proc } => self.on_completion(proc),
                 EventKind::MpmTimer { job } => self.on_mpm_timer(job),
                 EventKind::SignalSend { job } => self.on_signal_send(job),
                 EventKind::SignalDeliver { job } => self.on_signal_deliver(job),
@@ -814,11 +812,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 }
                 EventKind::HeartbeatSend { proc } => self.on_heartbeat_send(proc),
                 EventKind::HeartbeatDeliver { from, to } => self.on_heartbeat_deliver(from, to),
-                EventKind::SuspectTimer {
-                    observer,
-                    subject,
-                    gen,
-                } => self.on_suspect_timer(observer, subject, gen),
+                EventKind::SuspectTimer { observer, subject } => {
+                    self.on_suspect_timer(observer, subject)
+                }
                 EventKind::DegradedRelease { subtask, instance } => {
                     self.on_degraded_release(subtask, instance)
                 }
@@ -887,17 +883,16 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         })
     }
 
-    fn on_completion(&mut self, proc: ProcessorId, gen: u64) {
+    fn on_completion(&mut self, proc: ProcessorId) {
         self.advance_proc(proc);
-        let job = match self.procs[proc.index()].take_milestone(gen) {
-            None => return, // stale tentative milestone
-            Some(Milestone::Boundary(_)) => {
+        let job = match self.procs[proc.index()].take_milestone() {
+            Milestone::Boundary(_) => {
                 // A critical-section boundary: the effective priority
                 // changed; re-arbitrate at the end of this instant.
                 self.mark_dirty(proc);
                 return;
             }
-            Some(Milestone::Completed(job)) => job,
+            Milestone::Completed(job) => job,
         };
         let fi = self.flat.of(job.subtask());
         // Crash-cancelled instances never complete: normalize the in-order
@@ -1505,9 +1500,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
     }
 
-    /// A heartbeat lands on an observer: refresh the pair's freshness
-    /// generation (staling any pending suspicion timer) and arm a new one.
-    /// A detector on a crashed node is frozen — it resumes with its
+    /// A heartbeat lands on an observer: re-arm the pair's suspicion
+    /// deadline from now (or clear it, for a pair that stays Dead). A
+    /// detector on a crashed node is frozen — it resumes with its
     /// pre-crash beliefs at recovery.
     fn on_heartbeat_deliver(&mut self, from: ProcessorId, to: ProcessorId) {
         if self.faults.as_ref().is_some_and(|fs| fs.down[to.index()]) {
@@ -1527,7 +1522,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             from: from.index(),
             to: to.index(),
         });
-        let (gen, revived) = self.detect.as_mut().expect("detector attached").heard(
+        let revived = self.detect.as_mut().expect("detector attached").heard(
             to.index(),
             from.index(),
             self.now,
@@ -1541,41 +1536,57 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Fixed mode: the legacy `suspect_after` cliff. φ mode: the
         // budget to the next escalation threshold, scaled by the pair's
         // observed inter-arrival mean — a slowed peer earns longer rope.
-        if let Some(budget) = self
+        match self
             .detect
             .as_ref()
             .expect("detector attached")
             .arm_budget(to.index(), from.index())
         {
-            self.queue.push(
-                self.now + budget,
-                EventKind::SuspectTimer {
-                    observer: to,
-                    subject: from,
-                    gen,
-                },
-            );
+            Some(budget) => self.arm_suspicion(to.index(), from.index(), self.now + budget),
+            None => {
+                let slot = self.suspicion_slot(to.index(), from.index());
+                self.queue.disarm(slot);
+            }
         }
     }
 
-    /// A pair's suspicion timer fired with a still-fresh generation: walk
-    /// the observer's belief one step (Alive → Suspect → Dead), judging it
-    /// against the ground-truth crash schedule, and start degraded
-    /// releases on a death.
-    fn on_suspect_timer(&mut self, observer: ProcessorId, subject: ProcessorId, gen: u64) {
+    /// The queue slot of `observer`'s suspicion deadline on `subject`:
+    /// after the per-processor milestone slots, one per ordered pair.
+    fn suspicion_slot(&self, observer: usize, subject: usize) -> usize {
+        let n = self.procs.len();
+        n + observer * n + subject
+    }
+
+    /// Arms (or moves) the pair's one suspicion deadline to `at`.
+    fn arm_suspicion(&mut self, observer: usize, subject: usize, at: Time) {
+        let slot = self.suspicion_slot(observer, subject);
+        self.queue.arm(
+            slot,
+            at,
+            EventKind::SuspectTimer {
+                observer: ProcessorId::new(observer),
+                subject: ProcessorId::new(subject),
+            },
+        );
+    }
+
+    /// A pair's suspicion deadline passed with no heartbeat since it was
+    /// armed: walk the observer's belief one step (Alive → Suspect →
+    /// Dead), judging it against the ground-truth crash schedule, and
+    /// start degraded releases on a death.
+    fn on_suspect_timer(&mut self, observer: ProcessorId, subject: ProcessorId) {
         let (o, s) = (observer.index(), subject.index());
         if self.faults.as_ref().is_some_and(|fs| fs.down[o]) {
             return; // frozen detector
         }
-        if self
-            .detect
-            .as_ref()
-            .expect("detector attached")
-            .generation(o, s)
-            != gen
-        {
-            return; // a fresher heartbeat superseded this timer
-        }
+        debug_assert_ne!(
+            self.detect
+                .as_ref()
+                .expect("detector attached")
+                .peer_state(o, s),
+            PeerState::Dead,
+            "a dead pair arms no suspicion deadline"
+        );
         let actually_down = self.faults.as_ref().is_some_and(|fs| fs.down[s]);
         // Gray ground truth: the subject is not down but *is* impaired —
         // stalled, slowed, or behind a degraded wire toward this
@@ -1606,14 +1617,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .expect("detector attached")
                     .residue_budget(o, s)
                 {
-                    self.queue.push(
-                        self.now + residue,
-                        EventKind::SuspectTimer {
-                            observer,
-                            subject,
-                            gen,
-                        },
-                    );
+                    self.arm_suspicion(o, s, self.now + residue);
                 }
             }
             Some(PeerState::Suspect) => {
@@ -1641,14 +1645,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .expect("detector attached")
                     .residue_budget(o, s)
                 {
-                    self.queue.push(
-                        self.now + residue,
-                        EventKind::SuspectTimer {
-                            observer,
-                            subject,
-                            gen,
-                        },
-                    );
+                    self.arm_suspicion(o, s, self.now + residue);
                 }
             }
             Some(PeerState::Dead) => {
@@ -2344,9 +2341,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
     }
 
-    /// Fail-stop crash of `proc`: kill every in-flight job, stale-drop the
-    /// node's pending timers, and cancel everything those deaths make
-    /// unreachable downstream.
+    /// Fail-stop crash of `proc`: kill every in-flight job with its
+    /// milestone, stale-drop the node's pending timers, and cancel
+    /// everything those deaths make unreachable downstream.
     fn on_crash(&mut self, proc: ProcessorId) {
         let p = proc.index();
         // Account the partial slice executed up to the crash instant: the
@@ -2354,6 +2351,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.advance_proc(proc);
         let mut killed = std::mem::take(&mut self.kill_scratch);
         self.procs[p].crash_into(&mut killed);
+        self.drop_stale_milestone(proc);
         {
             let fs = self
                 .faults
@@ -2543,6 +2541,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             factor
         };
         self.procs[p].set_rate(factor);
+        self.drop_stale_milestone(proc);
         self.note(Note::Slowdown { proc: p, factor });
         self.mark_dirty(proc);
     }
@@ -2557,14 +2556,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .expect("SlowEnd only scheduled with faults")
             .rate[p] = 1;
         self.procs[p].set_rate(1);
+        self.drop_stale_milestone(proc);
         self.note(Note::Slowdown { proc: p, factor: 1 });
         self.mark_dirty(proc);
     }
 
     /// A GC-pause-style stall opens: the processor stops executing
-    /// entirely but — unlike a crash — keeps its in-flight jobs, guards,
-    /// timers and generation stamps. A stall landing on a down (or
-    /// already-stalled) processor is absorbed by the outage.
+    /// entirely but — unlike a crash — keeps its in-flight jobs, guards
+    /// and timers; only its pending milestone is dropped. A stall landing
+    /// on a down (or already-stalled) processor is absorbed by the outage.
     fn on_stall_start(&mut self, proc: ProcessorId) {
         let p = proc.index();
         if self
@@ -2584,6 +2584,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             fs.stats.stalls += 1;
         }
         self.procs[p].set_stalled(true);
+        self.drop_stale_milestone(proc);
         self.note(Note::Stall {
             proc: p,
             stalled: true,
@@ -2602,6 +2603,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.advance_proc(proc);
         self.faults.as_mut().expect("checked above").stalled[p] = false;
         self.procs[p].set_stalled(false);
+        self.drop_stale_milestone(proc);
         self.note(Note::Stall {
             proc: p,
             stalled: false,
@@ -2971,6 +2973,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
     }
 
+    /// Clears `proc`'s milestone slot if the processor just invalidated
+    /// its milestone (crash, stall edge, rate change), so a superseded
+    /// milestone never fires.
+    fn drop_stale_milestone(&mut self, proc: ProcessorId) {
+        if !self.procs[proc.index()].has_milestone() {
+            self.queue.disarm(proc.index());
+        }
+    }
+
     fn mark_dirty(&mut self, proc: ProcessorId) {
         self.dirty[proc.index()] = true;
     }
@@ -2987,7 +2998,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     }
 
     /// End-of-instant dispatch: reschedules every processor touched during
-    /// the current instant and schedules the fresh completion events.
+    /// the current instant and arms each one's fresh milestone in its
+    /// slot (slot `p` is processor `p`'s).
     fn flush_dispatch(&mut self) {
         for p in 0..self.dirty.len() {
             if !std::mem::take(&mut self.dirty[p]) {
@@ -2999,10 +3011,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // `after` was displaced mid-execution: a preemption.
             let before = self.procs[p].running_job();
             match self.procs[p].reschedule(self.now) {
-                Resched::NewMilestone { at, gen } => {
-                    self.queue.push(at, EventKind::Completion { proc, gen });
+                Resched::NewMilestone { at } => {
+                    self.queue.arm(p, at, EventKind::Completion { proc });
                 }
-                Resched::Unchanged | Resched::Idle => {}
+                Resched::Idle => self.queue.disarm(p),
+                Resched::Unchanged => {}
             }
             let after = self.procs[p].running_job();
             if let Some(to) = after {

@@ -9,13 +9,30 @@
 //!
 //! # One packed-key heap
 //!
-//! [`EventQueue`] is a single binary heap whose order is one `u128` key:
-//! time with its sign bit flipped in the top 64 bits, the kind rank in the
-//! next 8, the insertion sequence in the low 56. A sift step is one integer
-//! compare, with no rank lookup. Simulation traffic is sparse in time (§5.1
-//! source periods span 10⁵–10⁷ ticks), so a plain heap beats bucketing
-//! by tick. [`ReferenceEventQueue`] keeps the tuple-comparator heap as the
-//! ordering oracle for differential tests.
+//! [`EventQueue`] orders everything by one `u128` key: time with its sign
+//! bit flipped in the top 64 bits, the kind rank in the next 8, the
+//! insertion sequence in the low 56. A sift step is one integer compare,
+//! with no rank lookup. Simulation traffic is sparse in time (§5.1 source
+//! periods span 10⁵–10⁷ ticks), so a plain heap beats bucketing by tick.
+//!
+//! # Keyed slots: one live deadline per component
+//!
+//! Most events fire exactly once. Two kinds are deadlines that their owner
+//! keeps changing its mind about: a processor's next milestone
+//! ([`EventKind::Completion`]) moves on every preemption, and a detector
+//! pair's suspicion deadline ([`EventKind::SuspectTimer`]) moves on every
+//! heartbeat. Pushing each new deadline into the heap would leave the old
+//! one behind as a superseded entry that the loop must pop and discard.
+//! Instead each such deadline lives in a *slot*: [`EventQueue::arm`]
+//! replaces the slot's pending entry and [`EventQueue::disarm`] clears it,
+//! so a slot holds at most one entry and nothing superseded is ever
+//! popped. Armed slots sit in a small indexed min-heap under the same
+//! packed key, and `arm` draws its sequence from the counter
+//! [`EventQueue::push`] uses, so [`EventQueue::pop`] — the smaller of the
+//! two heap tops — yields every live event in exactly the order a single
+//! heap would. [`ReferenceEventQueue`] keeps the tuple-comparator heap as
+//! the ordering oracle for differential tests; it models a slot the naive
+//! way, as a push plus a skip of superseded entries on pop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -77,9 +94,8 @@ pub enum EventKind {
     },
     /// A GC-pause-style stall begins (gray mode only): the processor
     /// stops executing and broadcasting entirely, but — unlike a crash —
-    /// keeps every in-flight job and all generation-stamped protocol
-    /// state. Work resumes where it left off at the matching
-    /// [`EventKind::StallEnd`].
+    /// keeps every in-flight job, guard and timer. Work resumes where it
+    /// left off at the matching [`EventKind::StallEnd`].
     StallStart {
         /// The stalling processor.
         proc: ProcessorId,
@@ -102,14 +118,12 @@ pub enum EventKind {
         /// Index into the resolved link-degradation schedule.
         idx: u32,
     },
-    /// A tentative completion of the job currently running on `proc`;
-    /// valid only if `gen` still matches the processor's completion
-    /// generation (stale completions are skipped).
+    /// The next milestone of the job running on `proc`: its completion or
+    /// a critical-section boundary. Lives in the processor's milestone
+    /// slot, so it is always the processor's current milestone.
     Completion {
-        /// The processor whose running job completes.
+        /// The processor whose running job reaches its milestone.
         proc: ProcessorId,
-        /// Generation stamp for lazy invalidation.
-        gen: u64,
     },
     /// An MPM per-release timer fired: `R_{i,j}` ticks after `job`'s
     /// release, signal the successor's processor.
@@ -188,24 +202,22 @@ pub enum EventKind {
         proc: ProcessorId,
     },
     /// A heartbeat from `from` reaches observer `to` (detector mode
-    /// only), refreshing the peer's freshness generation.
+    /// only), re-arming the pair's suspicion deadline.
     HeartbeatDeliver {
         /// The broadcaster.
         from: ProcessorId,
         /// The observing processor.
         to: ProcessorId,
     },
-    /// An observer's per-peer suspicion timer fired (detector mode only);
-    /// valid only if `gen` still matches the pair's freshness generation
-    /// (any later heartbeat invalidates it). Fires once to turn the peer
-    /// Suspect and once more to declare it Dead.
+    /// An observer's per-peer suspicion deadline passed (detector mode
+    /// only). Lives in the pair's suspicion slot, which every heartbeat
+    /// re-arms, so it fires only after a full silence. Fires once per
+    /// escalation step (Suspect, then Dead; Degraded first under φ).
     SuspectTimer {
         /// The observing processor.
         observer: ProcessorId,
         /// The peer under suspicion.
         subject: ProcessorId,
-        /// Freshness generation the timer was armed against.
-        gen: u64,
     },
     /// The graceful-degradation controller releases a successor instance
     /// from local information because its predecessor's processor was
@@ -356,6 +368,13 @@ pub struct Event {
     seq: u64,
 }
 
+impl Event {
+    /// The insertion sequence that breaks same-time, same-rank ties.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
 impl Ord for Event {
     fn cmp(&self, other: &Event) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event wins.
@@ -376,32 +395,39 @@ impl PartialOrd for Event {
 /// Bits of the packed key that hold the insertion sequence.
 const SEQ_BITS: u32 = 56;
 
-/// A queued event: the packed `(time, rank, seq)` order key plus the
-/// payload. The key is unique (the sequence is), so ordering by it alone
-/// is a total order consistent with equality.
+/// Packs the order key: time with its sign bit flipped (so signed tick
+/// order becomes unsigned key order) in the top 64 bits, then the kind
+/// rank in 8 bits, then the insertion sequence in the low 56 bits. The
+/// key is unique (the sequence is), so ordering by it alone is a total
+/// order consistent with equality.
+fn pack(time: Time, kind: &EventKind, seq: u64) -> u128 {
+    debug_assert!(
+        seq < 1 << SEQ_BITS,
+        "insertion sequence overflows the packed key"
+    );
+    let time_bits = ((time.ticks() as u64) ^ (1 << 63)) as u128;
+    (time_bits << 64) | ((kind.rank() as u128) << SEQ_BITS) | seq as u128
+}
+
+/// The time field of a packed key.
+fn time_of(key: u128) -> Time {
+    Time::from_ticks((((key >> 64) as u64) ^ (1 << 63)) as i64)
+}
+
+/// The event a packed key and its payload stand for.
+fn unpack(key: u128, kind: EventKind) -> Event {
+    Event {
+        time: time_of(key),
+        kind,
+        seq: (key as u64) & ((1 << SEQ_BITS) - 1),
+    }
+}
+
+/// A queued event: the packed order key plus the payload.
 #[derive(Debug)]
 struct Entry {
     key: u128,
     kind: EventKind,
-}
-
-impl Entry {
-    /// Packs the order key: time with its sign bit flipped (so signed tick
-    /// order becomes unsigned key order) in the top 64 bits, then the kind
-    /// rank in 8 bits, then the insertion sequence in the low 56 bits.
-    fn new(time: Time, kind: EventKind, seq: u64) -> Entry {
-        debug_assert!(
-            seq < 1 << SEQ_BITS,
-            "insertion sequence overflows the packed key"
-        );
-        let time_bits = ((time.ticks() as u64) ^ (1 << 63)) as u128;
-        let key = (time_bits << 64) | ((kind.rank() as u128) << SEQ_BITS) | seq as u128;
-        Entry { key, kind }
-    }
-
-    fn time(&self) -> Time {
-        Time::from_ticks((((self.key >> 64) as u64) ^ (1 << 63)) as i64)
-    }
 }
 
 impl Ord for Entry {
@@ -425,65 +451,218 @@ impl PartialEq for Entry {
 
 impl Eq for Entry {}
 
-/// A deterministic min-queue of [`Event`]s: one binary heap ordered by a
-/// packed `u128` key (see the module docs).
+/// One keyed slot: its pending event, if armed, and where its key sits
+/// in the armed-slot heap.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    kind: Option<EventKind>,
+    pos: u32,
+}
+
+/// A deterministic min-queue of [`Event`]s: one binary heap for one-shot
+/// events plus keyed slots for deadlines that get replaced (see the
+/// module docs). Both are ordered by the same packed `u128` key.
 #[derive(Default, Debug)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
+    slots: Vec<Slot>,
+    /// Indexed min-heap of the armed slots: `(key, slot)`, smallest key at
+    /// the root; `slots[slot].pos` is the entry's index here.
+    armed: Vec<(u128, u32)>,
     next_seq: u64,
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
+    /// Creates an empty queue without slots.
     pub fn new() -> EventQueue {
         EventQueue::default()
     }
 
-    /// Schedules `kind` at `time`.
-    pub fn push(&mut self, time: Time, kind: EventKind) {
+    /// Creates an empty queue with `slots` keyed slots, numbered from 0.
+    pub fn with_slots(slots: usize) -> EventQueue {
+        assert!(slots < u32::MAX as usize, "too many keyed slots");
+        EventQueue {
+            slots: vec![Slot { kind: None, pos: 0 }; slots],
+            ..EventQueue::default()
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry::new(time, kind, seq));
+        seq
+    }
+
+    /// Schedules `kind` at `time`.
+    pub fn push(&mut self, time: Time, kind: EventKind) {
+        let key = pack(time, &kind, self.next_seq());
+        self.heap.push(Entry { key, kind });
+    }
+
+    /// Schedules `kind` at `time` in `slot`, replacing the slot's pending
+    /// event if it has one. The event takes its sequence from the counter
+    /// [`EventQueue::push`] uses, so it orders exactly as a push made now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn arm(&mut self, slot: usize, time: Time, kind: EventKind) {
+        let key = pack(time, &kind, self.next_seq());
+        let was = self.slots[slot].kind.replace(kind);
+        if was.is_some() {
+            let pos = self.slots[slot].pos as usize;
+            let old = std::mem::replace(&mut self.armed[pos].0, key);
+            // A re-arm may move the deadline earlier or later.
+            if key < old {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
+        } else {
+            self.armed.push((key, slot as u32));
+            self.sift_up(self.armed.len() - 1);
+        }
+    }
+
+    /// Clears `slot`'s pending event, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn disarm(&mut self, slot: usize) {
+        if self.slots[slot].kind.take().is_some() {
+            self.remove_armed(self.slots[slot].pos as usize);
+        }
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|e| Event {
-            time: e.time(),
-            kind: e.kind,
-            seq: (e.key as u64) & ((1 << SEQ_BITS) - 1),
-        })
+        let slot_first = match (self.heap.peek(), self.armed.first()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(e), Some(&(key, _))) => key < e.key,
+        };
+        if slot_first {
+            let (key, slot) = self.armed[0];
+            let kind = self.slots[slot as usize]
+                .kind
+                .take()
+                .expect("an armed slot holds its event");
+            self.remove_armed(0);
+            Some(unpack(key, kind))
+        } else {
+            self.heap.pop().map(|e| unpack(e.key, e.kind))
+        }
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(Entry::time)
+        let heap = self.heap.peek().map(|e| e.key);
+        let slot = self.armed.first().map(|&(key, _)| key);
+        match (heap, slot) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+        .map(time_of)
     }
 
-    /// Number of pending events (the telemetry layer's queue gauge).
+    /// Number of pending events, heap and armed slots together (the
+    /// telemetry layer's queue gauge).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.armed.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// Deletes the armed-heap entry at `pos`, keeping the heap order.
+    fn remove_armed(&mut self, pos: usize) {
+        let last = self.armed.pop().expect("removing from an empty slot heap");
+        if pos < self.armed.len() {
+            let old = self.armed[pos].0;
+            self.armed[pos] = last;
+            self.slots[last.1 as usize].pos = pos as u32;
+            if last.0 < old {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
+        }
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let item = self.armed[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.armed[parent].0 <= item.0 {
+                break;
+            }
+            self.armed[pos] = self.armed[parent];
+            self.slots[self.armed[pos].1 as usize].pos = pos as u32;
+            pos = parent;
+        }
+        self.armed[pos] = item;
+        self.slots[item.1 as usize].pos = pos as u32;
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let item = self.armed[pos];
+        let len = self.armed.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.armed[right].0 < self.armed[left].0 {
+                right
+            } else {
+                left
+            };
+            if item.0 <= self.armed[child].0 {
+                break;
+            }
+            self.armed[pos] = self.armed[child];
+            self.slots[self.armed[pos].1 as usize].pos = pos as u32;
+            pos = child;
+        }
+        self.armed[pos] = item;
+        self.slots[item.1 as usize].pos = pos as u32;
     }
 }
 
-/// The original heap-only event queue, retained verbatim as the ordering
-/// oracle for differential tests of [`EventQueue`] (same push/pop API,
-/// same `(time, rank, seq)` contract, trivially-correct implementation).
+/// The original heap-only event queue, retained as the ordering oracle
+/// for differential tests of [`EventQueue`] (same API, same
+/// `(time, rank, seq)` contract, trivially-correct implementation). A
+/// slot is modelled the naive way: `arm` pushes, and the entries it or
+/// [`ReferenceEventQueue::disarm`] supersedes are skipped when they reach
+/// the top.
 #[derive(Default, Debug)]
 pub struct ReferenceEventQueue {
     heap: BinaryHeap<Event>,
     next_seq: u64,
+    /// The sequence of each slot's live entry.
+    live: Vec<Option<u64>>,
+    /// The slot of every slot entry still in the heap, by sequence.
+    slot_of: std::collections::HashMap<u64, usize>,
+    /// Superseded entries still in the heap.
+    superseded: usize,
 }
 
 impl ReferenceEventQueue {
-    /// Creates an empty queue.
+    /// Creates an empty queue without slots.
     pub fn new() -> ReferenceEventQueue {
         ReferenceEventQueue::default()
+    }
+
+    /// Creates an empty queue with `slots` keyed slots.
+    pub fn with_slots(slots: usize) -> ReferenceEventQueue {
+        ReferenceEventQueue {
+            live: vec![None; slots],
+            ..ReferenceEventQueue::default()
+        }
     }
 
     /// Schedules `kind` at `time`.
@@ -493,24 +672,61 @@ impl ReferenceEventQueue {
         self.heap.push(Event { time, kind, seq });
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+    /// Pushes `kind` at `time` as `slot`'s live entry, superseding the
+    /// previous one.
+    pub fn arm(&mut self, slot: usize, time: Time, kind: EventKind) {
+        self.disarm(slot);
+        let seq = self.next_seq;
+        self.push(time, kind);
+        self.live[slot] = Some(seq);
+        self.slot_of.insert(seq, slot);
     }
 
-    /// The time of the earliest pending event.
+    /// Supersedes `slot`'s live entry, if any.
+    pub fn disarm(&mut self, slot: usize) {
+        if self.live[slot].take().is_some() {
+            self.superseded += 1;
+            self.skip_superseded();
+        }
+    }
+
+    /// Drops superseded entries off the top, so the top is always live.
+    fn skip_superseded(&mut self) {
+        while let Some(top) = self.heap.peek() {
+            match self.slot_of.get(&top.seq) {
+                Some(&slot) if self.live[slot] != Some(top.seq) => {
+                    self.slot_of.remove(&top.seq);
+                    self.heap.pop();
+                    self.superseded -= 1;
+                }
+                _ => break,
+            }
+        }
+    }
+
+    /// Removes and returns the earliest live event.
+    pub fn pop(&mut self) -> Option<Event> {
+        let event = self.heap.pop()?;
+        if let Some(slot) = self.slot_of.remove(&event.seq) {
+            self.live[slot] = None;
+        }
+        self.skip_superseded();
+        Some(event)
+    }
+
+    /// The time of the earliest live event.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of pending events.
+    /// Number of live events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - self.superseded
     }
 
-    /// `true` if no events are pending.
+    /// `true` if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -522,10 +738,9 @@ mod tests {
         Time::from_ticks(x)
     }
 
-    fn completion(proc: usize, gen: u64) -> EventKind {
+    fn completion(proc: usize) -> EventKind {
         EventKind::Completion {
             proc: ProcessorId::new(proc),
-            gen,
         }
     }
 
@@ -552,7 +767,7 @@ mod tests {
     fn completions_fire_before_releases_at_same_instant() {
         let mut q = EventQueue::new();
         q.push(t(4), source(0, 1));
-        q.push(t(4), completion(0, 7));
+        q.push(t(4), completion(0));
         let first = q.pop().unwrap();
         assert!(matches!(first.kind, EventKind::Completion { .. }));
         let second = q.pop().unwrap();
@@ -575,7 +790,6 @@ mod tests {
             EventKind::SuspectTimer {
                 observer: ProcessorId::new(0),
                 subject: ProcessorId::new(1),
-                gen: 0,
             },
         );
         q.push(
@@ -633,7 +847,7 @@ mod tests {
                 job: JobId::new(sub, 0),
             },
         );
-        q.push(t(2), completion(1, 0));
+        q.push(t(2), completion(1));
         q.push(
             t(2),
             EventKind::Recover {
@@ -832,7 +1046,7 @@ mod tests {
         // The engine pushes same-instant follow-ups (e.g. SignalSend at
         // `now`) between pops; they must slot in by rank at that instant.
         let mut q = EventQueue::new();
-        q.push(t(4), completion(0, 0));
+        q.push(t(4), completion(0));
         q.push(t(4), source(0, 0));
         let first = q.pop().unwrap();
         assert!(matches!(first.kind, EventKind::Completion { .. }));
@@ -860,10 +1074,10 @@ mod tests {
         let mut r = ReferenceEventQueue::new();
         let loads = [
             (7, source(0, 0)),
-            (7, completion(0, 1)),
+            (7, completion(0)),
             (i64::MAX, source(1, 0)),
             (-3, source(2, 0)),
-            (0, completion(1, 0)),
+            (0, completion(1)),
             (7, EventKind::AckDeliver { seq: 4 }),
             (7, EventKind::RetransmitTimer { seq: 4, attempt: 1 }),
         ];
@@ -881,5 +1095,86 @@ mod tests {
                 break;
             }
         }
+    }
+
+    fn suspect(observer: usize, subject: usize) -> EventKind {
+        EventKind::SuspectTimer {
+            observer: ProcessorId::new(observer),
+            subject: ProcessorId::new(subject),
+        }
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<(i64, EventKind, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.ticks(), e.kind, e.seq))
+            .collect()
+    }
+
+    #[test]
+    fn rearming_a_slot_replaces_its_pending_event() {
+        let mut q = EventQueue::with_slots(2);
+        q.arm(0, t(10), completion(0));
+        q.push(t(5), source(0, 0));
+        q.arm(0, t(3), completion(0));
+        q.arm(1, t(7), suspect(0, 1));
+        q.arm(1, t(9), suspect(0, 1));
+        assert_eq!(q.len(), 3, "one pending event per slot");
+        assert_eq!(q.peek_time(), Some(t(3)));
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (3, completion(0), 2),
+                (5, source(0, 0), 1),
+                (9, suspect(0, 1), 4),
+            ]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn disarm_clears_only_its_own_slot() {
+        let mut q = EventQueue::with_slots(3);
+        q.arm(0, t(4), completion(0));
+        q.arm(1, t(2), completion(1));
+        q.arm(2, t(6), completion(2));
+        q.disarm(1);
+        q.disarm(1); // idempotent
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(4)));
+        let order: Vec<i64> = drain(&mut q).into_iter().map(|e| e.0).collect();
+        assert_eq!(order, vec![4, 6]);
+        // A popped slot is empty again and can be re-armed.
+        q.arm(0, t(8), completion(0));
+        assert_eq!(q.pop().map(|e| e.time), Some(t(8)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn slots_and_pushes_share_one_order() {
+        // Same instant, same rank: a slot entry and a pushed entry tie on
+        // time and rank, so the shared sequence counter decides.
+        let mut q = EventQueue::with_slots(1);
+        let mut r = ReferenceEventQueue::with_slots(1);
+        for (slot, ticks) in [(None, 1), (Some(0), 1), (None, 1), (Some(0), 1), (None, 0)] {
+            match slot {
+                Some(s) => {
+                    q.arm(s, t(ticks), completion(0));
+                    r.arm(s, t(ticks), completion(0));
+                }
+                None => {
+                    q.push(t(ticks), completion(1));
+                    r.push(t(ticks), completion(1));
+                }
+            }
+        }
+        assert_eq!(q.len(), r.len());
+        let want: Vec<(i64, EventKind, u64)> = std::iter::from_fn(|| r.pop())
+            .map(|e| (e.time.ticks(), e.kind, e.seq))
+            .collect();
+        assert_eq!(drain(&mut q), want);
+        assert_eq!(
+            want.iter().map(|e| e.2).collect::<Vec<_>>(),
+            vec![4, 0, 2, 3]
+        );
     }
 }

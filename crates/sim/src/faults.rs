@@ -5,9 +5,9 @@
 //! conditions of [`crate::nonideal`]:
 //!
 //! * **Crash** — the processor halts instantly. Every in-flight job
-//!   (running or ready) is killed, pending local timers (MPM completion
-//!   timers, RG guard expiries) are stale-dropped via the existing
-//!   generation stamps, and the node stops accepting work.
+//!   (running or ready) is killed along with its pending milestone,
+//!   pending local timers (MPM completion timers, RG guard expiries) are
+//!   stale-dropped, and the node stops accepting work.
 //! * **Recovery** — after a configurable restart delay the node rejoins.
 //!   Protocol release state is reconciled from what a restarted node can
 //!   actually know (see [`per-protocol recovery`](#per-protocol-recovery)),
@@ -259,8 +259,8 @@ pub enum SlowSchedule {
 
 /// One GC-pause-style stall: from `at` for `span` the processor freezes —
 /// no execution, no dispatch, no heartbeats — but unlike a crash every
-/// in-flight job survives with its partial execution intact and no
-/// generation state is lost.
+/// in-flight job survives with its partial execution intact, and so do
+/// its guards and timers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StallWindow {
     /// When the stall begins.

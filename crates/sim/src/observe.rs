@@ -42,7 +42,7 @@
 //! # Ok::<(), rtsync_sim::SimulateError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use rtsync_core::protocol::Protocol;
@@ -318,8 +318,7 @@ pub enum Note {
         factor: u32,
     },
     /// A processor entered or left a GC-pause-style stall: a full stop
-    /// that, unlike a crash, keeps in-flight jobs and generation-stamped
-    /// state.
+    /// that, unlike a crash, keeps in-flight jobs, guards and timers.
     Stall {
         /// The processor.
         proc: usize,
@@ -515,7 +514,9 @@ pub struct ProtocolCounters {
     pub sync_frames: u64,
     signal_depth: u64,
     signal_depth_hwm: u64,
-    blocked_at: HashMap<JobId, Time>,
+    /// Guard-blocked jobs and when they blocked. Ordered, so `{:?}` of
+    /// two identical runs prints the same text.
+    blocked_at: BTreeMap<JobId, Time>,
 }
 
 impl ProtocolCounters {

@@ -1,6 +1,7 @@
 //! Engine self-profiling: scoped wall-clock accounting of where engine
-//! time goes (queue maintenance, protocol dispatch, channel delivery,
-//! transport, detector, sync, end-of-instant flush, observer overhead).
+//! time goes (setup, queue maintenance, protocol dispatch, channel
+//! delivery, transport, detector, sync, end-of-instant flush, observer
+//! overhead).
 //!
 //! The profiler mirrors the observer design: the engine is generic over
 //! a [`Profiler`] whose only operation, [`Profiler::switch`], is an
@@ -22,8 +23,12 @@ use crate::event::EventKind;
 /// event family gets one bucket; see [`PerfScope::of`] for the mapping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PerfScope {
-    /// Event-queue maintenance: seeding, popping, stop checks — the
-    /// loop's connective tissue between handlers.
+    /// Everything before the first pop: engine state build (including
+    /// the SA/PM analysis PM and MPM need), the source, PM and fault
+    /// pre-pushes, and the detector and sync seeding.
+    Setup,
+    /// Event-queue maintenance: popping and stop checks — the loop's
+    /// connective tissue between handlers.
     Queue,
     /// Protocol dispatch: releases, completions, MPM timers, guard
     /// expiries — the scheduling decisions themselves.
@@ -46,10 +51,11 @@ pub enum PerfScope {
 
 impl PerfScope {
     /// Number of scopes (sizes the accumulator arrays).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 10;
 
     /// Every scope, in display order.
     pub const ALL: [PerfScope; PerfScope::COUNT] = [
+        PerfScope::Setup,
         PerfScope::Queue,
         PerfScope::Dispatch,
         PerfScope::Delivery,
@@ -64,6 +70,7 @@ impl PerfScope {
     /// Stable lowercase label (JSON keys, table rows).
     pub fn label(self) -> &'static str {
         match self {
+            PerfScope::Setup => "setup",
             PerfScope::Queue => "queue",
             PerfScope::Dispatch => "dispatch",
             PerfScope::Delivery => "delivery",
@@ -137,14 +144,15 @@ pub struct WallProfiler {
 }
 
 impl WallProfiler {
-    /// Starts the clock; time accrues to [`PerfScope::Queue`] until the
-    /// first switch.
+    /// Starts the clock; time accrues to [`PerfScope::Setup`] until the
+    /// first switch (the engine's switch to [`PerfScope::Queue`] right
+    /// before its first pop).
     pub fn new() -> WallProfiler {
         let now = Instant::now();
         WallProfiler {
             started: now,
             mark: now,
-            current: PerfScope::Queue,
+            current: PerfScope::Setup,
             acc: [Duration::ZERO; PerfScope::COUNT],
         }
     }
@@ -290,7 +298,7 @@ mod tests {
         sleep(Duration::from_millis(2));
         prof.switch(PerfScope::Observer);
         let profile = prof.finish(42);
-        assert!(profile.scope_time(PerfScope::Queue) >= Duration::from_millis(2));
+        assert!(profile.scope_time(PerfScope::Setup) >= Duration::from_millis(2));
         assert!(profile.scope_time(PerfScope::Dispatch) >= Duration::from_millis(2));
         assert!(profile.coverage() > 0.99 && profile.coverage() < 1.01);
         assert_eq!(profile.events, 42);
@@ -333,9 +341,11 @@ mod tests {
             "scopes cover {:.1}% of wall time",
             profile.coverage() * 100.0
         );
-        // The protocol machinery actually ran: dispatch got charged.
+        // The protocol machinery actually ran: dispatch got charged, and
+        // so did the setup before the first pop.
         assert!(profile.scope_time(PerfScope::Dispatch) > Duration::ZERO);
         assert!(profile.scope_time(PerfScope::Queue) > Duration::ZERO);
+        assert!(profile.scope_time(PerfScope::Setup) > Duration::ZERO);
     }
 
     #[test]
@@ -347,9 +357,9 @@ mod tests {
             p.switch(PerfScope::Sync);
             p.finish(5)
         };
-        let queue_before = a.scope_time(PerfScope::Queue);
+        let setup_before = a.scope_time(PerfScope::Setup);
         a.merge(&b);
         assert_eq!(a.events, 15);
-        assert!(a.scope_time(PerfScope::Queue) >= queue_before + Duration::from_millis(1));
+        assert!(a.scope_time(PerfScope::Setup) >= setup_before + Duration::from_millis(1));
     }
 }

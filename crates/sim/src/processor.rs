@@ -6,15 +6,19 @@
 //!   running job up to "now" (returns the executed slice for the trace);
 //! * [`Processor::release`] — enqueue a newly released job;
 //! * [`Processor::reschedule`] — (re)pick the job to run and learn whether
-//!   a new tentative *milestone* event must be scheduled.
+//!   a new *milestone* event must be scheduled.
 //!
 //! A milestone is the next instant the running job needs attention: its
 //! **completion**, or a **priority boundary** — the start or end of a
 //! critical section, where its Highest-Locker effective priority changes
-//! (see [`crate::priority_profile`]). Tentative milestones are invalidated lazily:
-//! every time the running slot (or its effective priority) changes, the
-//! milestone *generation* is bumped, and a stale event is skipped by the
-//! engine.
+//! (see [`crate::priority_profile`]). A processor has at most one live
+//! milestone. The engine keeps it in the processor's keyed slot of the
+//! event queue ([`crate::event::EventQueue::arm`]): a
+//! [`Resched::NewMilestone`] replaces the pending one, and whatever
+//! invalidates a milestone without arming a new one — a crash, a stall
+//! edge, a rate change — leaves [`Processor::has_milestone`] false, which
+//! tells the engine to disarm the slot. A milestone event that fires is
+//! therefore always the current one.
 //!
 //! Dispatch rules:
 //!
@@ -97,12 +101,10 @@ pub enum Resched {
     /// still valid.
     Unchanged,
     /// A job (re)started or crossed a boundary: schedule a milestone event
-    /// at `at` with generation `gen`.
+    /// at `at`, replacing any pending one.
     NewMilestone {
         /// Milestone instant (completion or next priority boundary).
         at: Time,
-        /// Generation to stamp on the event.
-        gen: u64,
     },
     /// Nothing to run.
     Idle,
@@ -126,7 +128,9 @@ pub struct Processor {
     ready: BinaryHeap<QueuedJob>,
     running: Option<QueuedJob>,
     last_advance: Time,
-    milestone_gen: u64,
+    /// A milestone event is pending for the running job: set by every
+    /// [`Resched::NewMilestone`], cleared when it fires or is invalidated.
+    milestone_armed: bool,
     /// The running job needs a fresh milestone event (set on dispatch and
     /// on boundary crossings).
     needs_milestone: bool,
@@ -158,7 +162,7 @@ impl Processor {
             ready: BinaryHeap::new(),
             running: None,
             last_advance: Time::ZERO,
-            milestone_gen: 0,
+            milestone_armed: false,
             needs_milestone: false,
             next_fifo: 0,
             fresh_ready: 0,
@@ -304,27 +308,38 @@ impl Processor {
         });
     }
 
-    /// Consumes a milestone event: `None` if `gen` is stale; otherwise
-    /// whether the job completed or crossed a priority boundary.
+    /// `true` while a milestone event is pending for the running job.
+    /// After a crash, stall edge or rate change it is `false` until the
+    /// next [`Resched::NewMilestone`]: the engine must then drop the
+    /// pending event.
+    pub fn has_milestone(&self) -> bool {
+        self.milestone_armed
+    }
+
+    /// Consumes the pending milestone event: whether the job completed or
+    /// crossed a priority boundary.
     ///
     /// # Panics
     ///
-    /// Panics if `gen` is current but there is no running job, or the job
-    /// is at neither its completion nor a boundary (engine bug:
-    /// [`Processor::advance`] must be called to `now` first).
-    pub fn take_milestone(&mut self, gen: u64) -> Option<Milestone> {
-        if gen != self.milestone_gen {
-            return None; // stale event, superseded
-        }
-        self.milestone_gen += 1;
+    /// Panics if there is no running job, or the job is at neither its
+    /// completion nor a boundary (engine bug: [`Processor::advance`] must
+    /// be called to `now` first). In debug builds, also if no milestone
+    /// is pending (the engine fired a superseded one).
+    pub fn take_milestone(&mut self) -> Milestone {
+        debug_assert!(
+            self.milestone_armed,
+            "superseded milestone fired on {}",
+            self.id
+        );
+        self.milestone_armed = false;
         let r = self
             .running
             .as_mut()
-            .expect("current-generation milestone with no running job");
+            .expect("milestone with no running job");
         if r.remaining().is_zero() {
             let job = r.job;
             self.running = None;
-            return Some(Milestone::Completed(job));
+            return Milestone::Completed(job);
         }
         // A boundary: the effective priority changes right here.
         debug_assert_eq!(
@@ -335,7 +350,7 @@ impl Processor {
         );
         r.effective = r.profile.at(r.executed);
         self.needs_milestone = true;
-        Some(Milestone::Boundary(r.job))
+        Milestone::Boundary(r.job)
     }
 
     /// Fail-stop crash: drops the running job and the whole ready queue
@@ -347,7 +362,7 @@ impl Processor {
     /// The processor itself stays usable — after the restart delay the
     /// engine simply releases work onto it again.
     pub fn crash_into(&mut self, killed: &mut Vec<JobId>) {
-        self.milestone_gen += 1;
+        self.milestone_armed = false;
         self.needs_milestone = false;
         killed.clear();
         killed.extend(self.ready.drain().map(|q| q.job));
@@ -393,7 +408,7 @@ impl Processor {
         self.rate = rate;
         // Restart the remainder at the new rate's tick edge.
         self.rate_rem = 0;
-        self.milestone_gen += 1;
+        self.milestone_armed = false;
         self.needs_milestone = self.running.is_some();
     }
 
@@ -406,7 +421,7 @@ impl Processor {
             return;
         }
         self.stalled = on;
-        self.milestone_gen += 1;
+        self.milestone_armed = false;
         self.needs_milestone = self.running.is_some();
     }
 
@@ -452,7 +467,7 @@ impl Processor {
         if self.needs_milestone {
             if let Some(run) = &self.running {
                 self.needs_milestone = false;
-                self.milestone_gen += 1;
+                self.milestone_armed = true;
                 let to_boundary = run
                     .profile
                     .next_change_after(run.executed)
@@ -468,10 +483,7 @@ impl Processor {
                 } else {
                     Dur::from_ticks(step.ticks() * i64::from(self.rate) - self.rate_rem)
                 };
-                return Resched::NewMilestone {
-                    at: now + wall,
-                    gen: self.milestone_gen,
-                };
+                return Resched::NewMilestone { at: now + wall };
             }
         }
         if self.running.is_some() {
@@ -479,14 +491,6 @@ impl Processor {
         } else {
             Resched::Idle
         }
-    }
-}
-
-#[cfg(test)]
-impl Processor {
-    /// Test helper: the current milestone generation.
-    pub(crate) fn current_gen(&self) -> u64 {
-        self.milestone_gen
     }
 }
 
@@ -542,46 +546,29 @@ mod tests {
         assert!(p.is_idle());
         rel(&mut p, job(0, 0, 0), 0, 3);
         let r = p.reschedule(t(0));
-        assert_eq!(r, Resched::NewMilestone { at: t(3), gen: 1 });
+        assert_eq!(r, Resched::NewMilestone { at: t(3) });
+        assert!(p.has_milestone());
         let slice = p.advance(t(3)).unwrap();
         assert_eq!(slice.job, job(0, 0, 0));
         assert_eq!((slice.start, slice.end), (t(0), t(3)));
-        assert_eq!(
-            p.take_milestone(1),
-            Some(Milestone::Completed(job(0, 0, 0)))
-        );
+        assert_eq!(p.take_milestone(), Milestone::Completed(job(0, 0, 0)));
+        assert!(!p.has_milestone());
         assert!(p.is_idle());
         assert_eq!(p.reschedule(t(3)), Resched::Idle);
     }
 
     #[test]
-    fn preemption_invalidates_old_milestone() {
+    fn preemption_replaces_the_old_milestone() {
         let mut p = proc();
         rel(&mut p, job(1, 0, 0), 1, 5);
-        let gen1 = match p.reschedule(t(0)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(5));
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
-        // A higher-priority job arrives at 2.
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(5) });
+        // A higher-priority job arrives at 2: a new milestone replaces the
+        // old one (same instant, different job).
         p.advance(t(2));
         rel(&mut p, job(0, 0, 0), 0, 3);
-        let gen2 = match p.reschedule(t(2)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(5));
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
-        assert!(gen2 > gen1);
+        assert_eq!(p.reschedule(t(2)), Resched::NewMilestone { at: t(5) });
         p.advance(t(5));
-        assert_eq!(p.take_milestone(gen1), None, "stale event skipped");
-        assert_eq!(
-            p.take_milestone(gen2),
-            Some(Milestone::Completed(job(0, 0, 0)))
-        );
+        assert_eq!(p.take_milestone(), Milestone::Completed(job(0, 0, 0)));
         // The preempted job resumes with 3 ticks left.
         match p.reschedule(t(5)) {
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(8)),
@@ -605,16 +592,10 @@ mod tests {
         let mut p = proc();
         rel(&mut p, job(0, 0, 0), 0, 2);
         rel(&mut p, job(0, 0, 1), 0, 2);
-        let gen = match p.reschedule(t(0)) {
-            Resched::NewMilestone { gen, .. } => gen,
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(2) });
         assert_eq!(p.running_job(), Some(job(0, 0, 0)));
         p.advance(t(2));
-        assert_eq!(
-            p.take_milestone(gen),
-            Some(Milestone::Completed(job(0, 0, 0)))
-        );
+        assert_eq!(p.take_milestone(), Milestone::Completed(job(0, 0, 0)));
         match p.reschedule(t(2)) {
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(4)),
             other => panic!("{other:?}"),
@@ -626,20 +607,12 @@ mod tests {
     fn finished_job_is_not_preempted_at_its_completion_instant() {
         let mut p = proc();
         rel(&mut p, job(1, 0, 0), 1, 3);
-        let gen = match p.reschedule(t(0)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(3));
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(3) });
         p.advance(t(3)); // remaining hits zero
         rel(&mut p, job(0, 0, 0), 0, 2);
         assert_eq!(p.reschedule(t(3)), Resched::Unchanged);
-        assert_eq!(
-            p.take_milestone(gen),
-            Some(Milestone::Completed(job(1, 0, 0)))
-        );
+        assert!(p.has_milestone(), "the pending completion stays live");
+        assert_eq!(p.take_milestone(), Milestone::Completed(job(1, 0, 0)));
         match p.reschedule(t(3)) {
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(5)),
             other => panic!("{other:?}"),
@@ -667,34 +640,24 @@ mod tests {
             vec![(d(1), Priority::new(0)), (d(3), Priority::new(2))],
         );
         p.release(job(1, 0, 0), profile, d(4), true);
-        let g1 = match p.reschedule(t(0)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(1), "first milestone at the section start");
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
-        p.advance(t(1));
         assert_eq!(
-            p.take_milestone(g1),
-            Some(Milestone::Boundary(job(1, 0, 0)))
+            p.reschedule(t(0)),
+            Resched::NewMilestone { at: t(1) },
+            "first milestone at the section start"
         );
+        p.advance(t(1));
+        assert_eq!(p.take_milestone(), Milestone::Boundary(job(1, 0, 0)));
         // Inside the section: a mid-priority arrival (1) cannot preempt
         // the ceiling (0).
         rel(&mut p, job(0, 0, 0), 1, 2);
-        let g2 = match p.reschedule(t(1)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(3), "next milestone at the section end");
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(
+            p.reschedule(t(1)),
+            Resched::NewMilestone { at: t(3) },
+            "next milestone at the section end"
+        );
         assert_eq!(p.running_job(), Some(job(1, 0, 0)));
         p.advance(t(3));
-        assert_eq!(
-            p.take_milestone(g2),
-            Some(Milestone::Boundary(job(1, 0, 0)))
-        );
+        assert_eq!(p.take_milestone(), Milestone::Boundary(job(1, 0, 0)));
         // Section over: the waiting mid-priority job preempts now.
         match p.reschedule(t(3)) {
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(5)),
@@ -703,10 +666,7 @@ mod tests {
         assert_eq!(p.running_job(), Some(job(0, 0, 0)));
         // …and the low job still holds its last tick for later.
         p.advance(t(5));
-        assert!(matches!(
-            p.take_milestone(p.current_gen()),
-            Some(Milestone::Completed(_))
-        ));
+        assert!(matches!(p.take_milestone(), Milestone::Completed(_)));
         match p.reschedule(t(5)) {
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(6)),
             other => panic!("{other:?}"),
@@ -744,7 +704,7 @@ mod tests {
         assert_eq!(p.running_job(), Some(job(0, 0, 0)));
         rel(&mut p, job(1, 0, 0), 2, 1); // fresh base-2 job
         p.advance(t(2));
-        let _ = p.take_milestone(p.current_gen());
+        let _ = p.take_milestone();
         p.reschedule(t(2));
         // The holder (effective 1 while holding) resumes ahead of base-2.
         assert_eq!(p.running_job(), Some(job(2, 0, 0)));
@@ -785,10 +745,7 @@ mod tests {
         rel(&mut p, job(1, 0, 0), 1, 5);
         rel(&mut p, job(0, 0, 0), 0, 3);
         rel(&mut p, job(0, 0, 1), 0, 3);
-        let gen = match p.reschedule(t(0)) {
-            Resched::NewMilestone { gen, .. } => gen,
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(3) });
         p.advance(t(2));
         let killed = p.crash();
         assert_eq!(
@@ -797,7 +754,7 @@ mod tests {
             "sorted by JobId, running included"
         );
         assert!(p.is_idle());
-        assert_eq!(p.take_milestone(gen), None, "pre-crash milestone stale");
+        assert!(!p.has_milestone(), "the crash invalidates the milestone");
         assert_eq!(p.reschedule(t(2)), Resched::Idle);
         // The node keeps scheduling normally after a restart.
         rel(&mut p, job(2, 0, 0), 0, 2);
@@ -843,7 +800,7 @@ mod tests {
         );
         p.reschedule(t(2));
         p.advance(t(5));
-        let _ = p.take_milestone(p.current_gen());
+        let _ = p.take_milestone();
         assert!(p.is_idle_point(t(5)), "idle again once the job completed");
     }
 
@@ -862,45 +819,35 @@ mod tests {
         let mut p = proc();
         rel(&mut p, job(0, 0, 0), 0, 3);
         p.set_rate(4);
-        let (at, gen) = match p.reschedule(t(0)) {
-            Resched::NewMilestone { at, gen } => (at, gen),
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(at, t(12), "3 work ticks at rate 4 = 12 wall ticks");
+        assert_eq!(
+            p.reschedule(t(0)),
+            Resched::NewMilestone { at: t(12) },
+            "3 work ticks at rate 4 = 12 wall ticks"
+        );
         // Partial advances accumulate the remainder correctly.
         let s = p.advance(t(5)).unwrap();
         assert_eq!((s.start, s.end), (t(0), t(5)), "slice spans wall time");
         p.advance(t(12));
-        assert_eq!(
-            p.take_milestone(gen),
-            Some(Milestone::Completed(job(0, 0, 0)))
-        );
+        assert_eq!(p.take_milestone(), Milestone::Completed(job(0, 0, 0)));
     }
 
     #[test]
     fn rate_change_midstream_rearms_from_retired_work() {
         let mut p = proc();
         rel(&mut p, job(0, 0, 0), 0, 4);
-        let gen1 = match p.reschedule(t(0)) {
-            Resched::NewMilestone { at, gen } => {
-                assert_eq!(at, t(4));
-                gen
-            }
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(4) });
         p.advance(t(2)); // 2 work ticks retired at nominal rate
+        p.set_rate(1);
+        assert!(p.has_milestone(), "an unchanged rate keeps the milestone");
         p.set_rate(3);
-        assert_eq!(p.take_milestone(gen1), None, "old milestone invalidated");
+        assert!(!p.has_milestone(), "old milestone invalidated");
         match p.reschedule(t(2)) {
             // 2 work ticks left at rate 3 = 6 wall ticks.
             Resched::NewMilestone { at, .. } => assert_eq!(at, t(8)),
             other => panic!("{other:?}"),
         }
         p.advance(t(8));
-        assert!(matches!(
-            p.take_milestone(p.current_gen()),
-            Some(Milestone::Completed(_))
-        ));
+        assert!(matches!(p.take_milestone(), Milestone::Completed(_)));
     }
 
     #[test]
@@ -921,16 +868,14 @@ mod tests {
     fn stall_freezes_execution_without_losing_jobs() {
         let mut p = proc();
         rel(&mut p, job(0, 0, 0), 0, 5);
-        let gen1 = match p.reschedule(t(0)) {
-            Resched::NewMilestone { gen, .. } => gen,
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(5) });
         p.advance(t(2)); // 2 ticks retired
         p.set_stalled(true);
         assert!(p.is_stalled());
-        assert_eq!(p.take_milestone(gen1), None, "milestone invalidated");
+        assert!(!p.has_milestone(), "milestone invalidated");
         assert_eq!(p.advance(t(10)), None, "no slice while stalled");
         assert_eq!(p.reschedule(t(10)), Resched::Unchanged);
+        assert!(!p.has_milestone(), "a frozen job arms nothing");
         assert_eq!(p.running_job(), Some(job(0, 0, 0)), "job survives");
         p.set_stalled(false);
         match p.reschedule(t(10)) {
@@ -939,10 +884,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         p.advance(t(13));
-        assert!(matches!(
-            p.take_milestone(p.current_gen()),
-            Some(Milestone::Completed(_))
-        ));
+        assert!(matches!(p.take_milestone(), Milestone::Completed(_)));
     }
 
     #[test]
@@ -988,7 +930,7 @@ mod tests {
         p.reschedule(t(0));
         assert_eq!(p.backlog(), 2);
         p.advance(t(2));
-        let _ = p.take_milestone(p.current_gen());
+        let _ = p.take_milestone();
         assert_eq!(p.backlog(), 1);
     }
 }

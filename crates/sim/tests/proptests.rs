@@ -89,10 +89,11 @@ fn oracle(jobs: &[JobSpec]) -> Vec<i64> {
 fn event_driven(jobs: &[JobSpec]) -> Vec<i64> {
     let mut completion = vec![0i64; jobs.len()];
     let mut p = Processor::new(ProcessorId::new(0));
-    // (time, kind): kind 0 = completion(gen), kind 1 = release(job index).
+    // (time, kind): the processor's one pending milestone, or a release
+    // (job index).
     #[derive(Clone, Copy)]
     enum Ev {
-        Completion(u64),
+        Completion,
         Release(usize),
     }
     let mut queue: Vec<(i64, usize, Ev)> = jobs
@@ -120,25 +121,26 @@ fn event_driven(jobs: &[JobSpec]) -> Vec<i64> {
                     j.preemptible,
                 );
             }
-            Ev::Completion(gen) => {
+            Ev::Completion => {
                 let _ = p.advance(now_t);
-                match p.take_milestone(gen) {
-                    Some(Milestone::Completed(job)) => {
+                match p.take_milestone() {
+                    Milestone::Completed(job) => {
                         completion[job.task().index()] = now;
                         done += 1;
                     }
-                    Some(Milestone::Boundary(_)) => {
+                    Milestone::Boundary(_) => {
                         unreachable!("flat profiles have no boundaries")
                     }
-                    None => {}
                 }
             }
         }
         // End-of-instant dispatch: only when no same-time event remains.
         let more_now = queue.iter().any(|&(t, _, _)| t == now);
         if !more_now {
-            if let Resched::NewMilestone { at, gen } = p.reschedule(now_t) {
-                queue.push((at.ticks(), seq, Ev::Completion(gen)));
+            if let Resched::NewMilestone { at } = p.reschedule(now_t) {
+                // A new milestone replaces the pending one.
+                queue.retain(|&(_, _, ev)| matches!(ev, Ev::Release(_)));
+                queue.push((at.ticks(), seq, Ev::Completion));
                 seq += 1;
             }
         }
@@ -170,6 +172,10 @@ fn arb_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
         )
 }
 
+/// Keyed slots in the queue differential test: few enough that arms
+/// often replace a pending entry.
+const SLOTS: usize = 4;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -190,7 +196,7 @@ proptest! {
         let mut q = EventQueue::new();
         for (i, &(t, k)) in entries.iter().enumerate() {
             let kind = if k == 0 {
-                EventKind::Completion { proc: ProcessorId::new(0), gen: i as u64 }
+                EventKind::Completion { proc: ProcessorId::new(i % 3) }
             } else {
                 EventKind::SourceRelease { task: TaskId::new(i), instance: 0 }
             };
@@ -213,31 +219,38 @@ proptest! {
         }
     }
 
-    /// Differential oracle: the packed-key heap pops the exact same
-    /// `(time, kind)` sequence as [`ReferenceEventQueue`] — the
-    /// tuple-comparator heap — under random push/pop interleavings. The
-    /// time mapping stacks four regimes: dense same-instant ties (kind-rank
-    /// and insertion-order arbitration, including the adjacent
-    /// AckDeliver/RetransmitTimer ranks), negative ticks, ticks near
+    /// Differential oracle: the packed-key heap with keyed slots pops the
+    /// exact same `(time, kind, seq)` sequence as [`ReferenceEventQueue`]
+    /// — the tuple-comparator heap, which models a slot as a push plus a
+    /// skip of superseded entries — under random push/arm/disarm/pop
+    /// interleavings, and both report the same number of live events
+    /// after every op. The time mapping stacks four regimes: dense
+    /// same-instant ties (kind-rank and insertion-order arbitration,
+    /// including the adjacent AckDeliver/RetransmitTimer ranks and ties
+    /// between slot and heap entries), negative ticks, ticks near
     /// `i64::MIN` and `i64::MAX` (a wrong sign-bit flip in the key would
-    /// reorder them), and scattered times. The kinds cover every rank band — liveness
-    /// prologue, protocol, transport/detector, sync — so the packed rank
-    /// field is exercised from 0 to 26.
+    /// reorder them), and scattered times. The kinds cover every rank
+    /// band — liveness prologue, protocol, transport/detector, sync — so
+    /// the packed rank field is exercised from 0 to 26.
     #[test]
     fn event_queue_matches_the_reference_heap(
         ops in prop::collection::vec(
-            (prop::bool::ANY, 0i64..200_000, 0u8..8), 1..200),
+            (0u8..6, 0i64..200_000, 0u8..9, 0usize..SLOTS), 1..200),
     ) {
         let kind_of = |sel: u8, i: usize| match sel {
             0 => EventKind::Crash { proc: ProcessorId::new(0) },
             1 => EventKind::LinkDegradeEnd { idx: 0 },
-            2 => EventKind::Completion { proc: ProcessorId::new(0), gen: i as u64 },
+            2 => EventKind::Completion { proc: ProcessorId::new(i % 3) },
             3 => EventKind::SourceRelease { task: TaskId::new(i), instance: 0 },
             // Fixed seqs so same-instant ack/retransmit pairs differ only
             // by kind rank and insertion order.
             4 => EventKind::AckDeliver { seq: 7 },
             5 => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
             6 => EventKind::SyncRound { proc: ProcessorId::new(1) },
+            7 => EventKind::SuspectTimer {
+                observer: ProcessorId::new(0),
+                subject: ProcessorId::new(i % 2 + 1),
+            },
             _ => EventKind::SyncRetry {
                 from: ProcessorId::new(0),
                 to: ProcessorId::new(1),
@@ -246,33 +259,46 @@ proptest! {
                 attempt: 1,
             },
         };
-        let mut queue = EventQueue::new();
-        let mut reference = ReferenceEventQueue::new();
-        for (i, &(is_pop, raw_t, sel)) in ops.iter().enumerate() {
-            if is_pop {
-                let got = queue.pop().map(|e| (e.time, e.kind));
-                let want = reference.pop().map(|e| (e.time, e.kind));
-                prop_assert_eq!(got, want, "diverged at op {}", i);
-            } else {
-                let t = Time::from_ticks(match raw_t % 10 {
-                    0..=4 => raw_t % 16,           // dense ties
-                    5 | 6 => -(raw_t % 40),        // negative, ties at 0
-                    7 => i64::MIN + raw_t % 8,     // bottom of the range
-                    8 => i64::MAX - raw_t % 8,     // top of the range
-                    _ => raw_t,                    // scattered
-                });
-                queue.push(t, kind_of(sel, i));
-                reference.push(t, kind_of(sel, i));
+        let time_of = |raw_t: i64| Time::from_ticks(match raw_t % 10 {
+            0..=4 => raw_t % 16,           // dense ties
+            5 | 6 => -(raw_t % 40),        // negative, ties at 0
+            7 => i64::MIN + raw_t % 8,     // bottom of the range
+            8 => i64::MAX - raw_t % 8,     // top of the range
+            _ => raw_t,                    // scattered
+        });
+        let mut queue = EventQueue::with_slots(SLOTS);
+        let mut reference = ReferenceEventQueue::with_slots(SLOTS);
+        for (i, &(op, raw_t, sel, slot)) in ops.iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    let got = queue.pop().map(|e| (e.time, e.kind, e.seq()));
+                    let want = reference.pop().map(|e| (e.time, e.kind, e.seq()));
+                    prop_assert_eq!(got, want, "diverged at op {}", i);
+                }
+                2 | 3 => {
+                    queue.push(time_of(raw_t), kind_of(sel, i));
+                    reference.push(time_of(raw_t), kind_of(sel, i));
+                }
+                4 => {
+                    queue.arm(slot, time_of(raw_t), kind_of(sel, i));
+                    reference.arm(slot, time_of(raw_t), kind_of(sel, i));
+                }
+                _ => {
+                    queue.disarm(slot);
+                    reference.disarm(slot);
+                }
             }
+            prop_assert_eq!(queue.len(), reference.len(), "live count at op {}", i);
+            prop_assert_eq!(queue.peek_time(), reference.peek_time(), "peek at op {}", i);
         }
-        prop_assert_eq!(queue.len(), reference.len());
         loop {
-            let got = queue.pop().map(|e| (e.time, e.kind));
-            let want = reference.pop().map(|e| (e.time, e.kind));
+            let got = queue.pop().map(|e| (e.time, e.kind, e.seq()));
+            let want = reference.pop().map(|e| (e.time, e.kind, e.seq()));
             prop_assert_eq!(got, want, "diverged during the final drain");
             if got.is_none() {
                 break;
             }
         }
+        prop_assert!(queue.is_empty() && reference.is_empty());
     }
 }

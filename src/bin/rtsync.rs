@@ -1946,18 +1946,19 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {path} ({} cells)", report.results.len());
     } else {
         println!(
-            "{:<6}{:<18}{:>14}{:>12}{:>14}{:>14}",
-            "proto", "scenario", "events/iter", "iters", "events/sec", "best ev/sec"
+            "{:<6}{:<18}{:>14}{:>12}{:>14}{:>14}{:>14}",
+            "proto", "scenario", "events/iter", "iters", "events/sec", "best ev/sec", "best ms/run"
         );
         for r in &report.results {
             println!(
-                "{:<6}{:<18}{:>14}{:>12}{:>14.0}{:>14.0}",
+                "{:<6}{:<18}{:>14}{:>12}{:>14.0}{:>14.0}{:>14.3}",
                 r.protocol,
                 r.scenario,
                 r.events_per_iter,
                 r.iterations,
                 r.events_per_sec,
-                r.best_events_per_sec
+                r.best_events_per_sec,
+                r.best_secs_per_run * 1e3
             );
         }
     }

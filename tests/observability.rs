@@ -361,6 +361,38 @@ fn counters_are_deterministic_across_repeated_seeded_runs() {
     }
 }
 
+/// `{:?}` of the counters of two identical runs prints the same text.
+/// The run leaves several guard-blocked jobs behind (crashes cancel
+/// them before their guards fire), so an unordered map inside the
+/// counters would print them in a different order each time.
+#[test]
+fn counters_debug_text_is_identical_across_identical_runs() {
+    let set = rtsync::workload::generate_seeded(
+        &rtsync::workload::WorkloadSpec::paper(6, 0.8).with_random_phases(),
+        11,
+    )
+    .unwrap();
+    let cfg = SimConfig::new(Protocol::ReleaseGuard)
+        .with_instances(30)
+        .with_faults(FaultConfig::random(
+            Dur::from_ticks(5_000_000),
+            Dur::from_ticks(400_000),
+            35,
+        ));
+    let run = || {
+        let mut counters = ProtocolCounters::default();
+        simulate_observed(&set, &cfg, &mut counters).unwrap();
+        format!("{counters:?}")
+    };
+    let first = run();
+    let blocked = &first[first.find("blocked_at: {").expect("the field prints")..];
+    assert!(
+        blocked.matches("JobId {").count() >= 2,
+        "the run must leave several blocked jobs to order: {blocked}"
+    );
+    assert_eq!(first, run());
+}
+
 #[test]
 fn rg_guard_delay_accounting_is_consistent() {
     // Guard-blocked jobs are eventually released by rule 2 or expiry, and
@@ -556,4 +588,194 @@ fn every_note_reaches_the_exporters() {
             .map(|s| s.to_string())
             .collect();
     assert_eq!(categories, want, "Perfetto categories");
+}
+
+/// What a popped deadline event must cause before the next pop.
+#[derive(Clone, Copy, Debug)]
+enum Due {
+    /// A `Completion` pop: the processor's job completes.
+    Completion(usize),
+    /// A `SuspectTimer` pop on a live observer: the pair's belief
+    /// escalates one step.
+    Verdict(usize, usize),
+}
+
+/// Audits every popped `Completion` and `SuspectTimer` against its
+/// visible effect. A live milestone completes its job (the audited
+/// systems hold no critical sections, so no milestone is a priority
+/// boundary), and a live suspicion deadline on an up observer escalates
+/// the pair. A superseded event — the milestone of a preempted, crashed,
+/// stalled or re-rated job, or a suspicion deadline a later heartbeat
+/// moved — changes nothing, so it shows up as a pop without its effect.
+/// Under the fixed cliff a live deadline also lies at least
+/// `suspect_after` past the pair's last heartbeat, which catches a
+/// superseded deadline even if the engine acted on it.
+#[derive(Default)]
+struct DeadlineAudit {
+    /// The fixed cliff's `suspect_after`; `None` under φ-accrual.
+    min_silence: Option<Dur>,
+    down: Vec<bool>,
+    /// Last heartbeat per `observer × subject` (time zero before any).
+    last_heard: Vec<Time>,
+    due: Option<Due>,
+    completion_pops: u64,
+    suspect_pops: u64,
+    superseded: Vec<(Time, Due)>,
+    /// Everything that moves or clears a deadline: preemptions, crashes,
+    /// stall and rate edges, heartbeats.
+    supersessions: u64,
+}
+
+impl DeadlineAudit {
+    fn settle(&mut self, now: Time) {
+        if let Some(due) = self.due.take() {
+            self.superseded.push((now, due));
+        }
+    }
+}
+
+impl Observer for DeadlineAudit {
+    fn on_run_start(&mut self, set: &rtsync::core::task::TaskSet, _protocol: Protocol) {
+        assert!(
+            set.subtasks().all(|s| s.critical_sections().is_empty()),
+            "the audit reads every live milestone as a completion"
+        );
+        let n = set.num_processors();
+        self.down = vec![false; n];
+        self.last_heard = vec![Time::ZERO; n * n];
+    }
+
+    fn on(&mut self, now: Time, note: Note) {
+        use rtsync::sim::event::EventKind;
+        use rtsync::sim::Degradation;
+        match note {
+            Note::Event(kind) => {
+                self.settle(now);
+                match kind {
+                    EventKind::Completion { proc } => {
+                        self.completion_pops += 1;
+                        self.due = Some(Due::Completion(proc.index()));
+                    }
+                    EventKind::SuspectTimer { observer, subject } => {
+                        self.suspect_pops += 1;
+                        let (o, s) = (observer.index(), subject.index());
+                        if !self.down[o] {
+                            let due = Due::Verdict(o, s);
+                            let silence = now - self.last_heard[o * self.down.len() + s];
+                            if self.min_silence.is_some_and(|min| silence < min) {
+                                self.superseded.push((now, due));
+                            } else {
+                                self.due = Some(due);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            Note::Completion { proc, .. } => {
+                if matches!(self.due, Some(Due::Completion(p)) if p == proc) {
+                    self.due = None;
+                }
+            }
+            Note::Degradation(
+                Degradation::PeerDegraded {
+                    observer, subject, ..
+                }
+                | Degradation::PeerSuspect {
+                    observer, subject, ..
+                }
+                | Degradation::PeerDead {
+                    observer, subject, ..
+                },
+            ) => {
+                if matches!(self.due, Some(Due::Verdict(o, s)) if (o, s) == (observer, subject)) {
+                    self.due = None;
+                }
+            }
+            Note::Crash { proc, .. } => {
+                self.down[proc] = true;
+                self.supersessions += 1;
+            }
+            Note::Recovery { proc, .. } => self.down[proc] = false,
+            Note::Heartbeat { from, to } => {
+                self.last_heard[to * self.down.len() + from] = now;
+                self.supersessions += 1;
+            }
+            Note::Preemption { .. } | Note::Stall { .. } | Note::Slowdown { .. } => {
+                self.supersessions += 1
+            }
+            Note::RunEnd { .. } => self.settle(now),
+            _ => {}
+        }
+    }
+}
+
+/// Runs `cfg` under the audit and returns it, failing on any superseded
+/// pop.
+fn audit(set: &rtsync::core::task::TaskSet, cfg: &SimConfig, ctx: &str) -> DeadlineAudit {
+    let detector = cfg.transport.as_ref().and_then(|t| t.detector.as_ref());
+    let mut audit = DeadlineAudit {
+        min_silence: detector
+            .filter(|d| d.phi.is_none())
+            .map(|d| d.suspect_after),
+        ..DeadlineAudit::default()
+    };
+    simulate_observed(set, cfg, &mut audit).unwrap();
+    assert!(
+        audit.superseded.is_empty(),
+        "{ctx}: popped {} superseded deadline(s), first {:?}",
+        audit.superseded.len(),
+        audit.superseded[0]
+    );
+    assert!(audit.completion_pops > 0, "{ctx}: no milestone fired");
+    audit
+}
+
+/// The engine never pops a superseded `Completion` or `SuspectTimer`:
+/// each processor's milestone and each detector pair's suspicion deadline
+/// is one slot that every change of plan re-arms or clears. Covered: the
+/// eight composed-fault runs of `every_note_reaches_the_exporters`
+/// (crash, partition, slowdown, stall, degraded link, lying timeserver,
+/// φ detector), and a §5.1 paper system under each protocol, both ideal
+/// and under random crashes with the acked transport and the fixed-cliff
+/// detector.
+#[test]
+fn no_superseded_deadline_is_ever_popped() {
+    let set = example2();
+    let mut composed_suspects = 0;
+    for protocol in Protocol::ALL {
+        for transport in [true, false] {
+            let ctx = format!("composed {} transport={transport}", protocol.tag());
+            let run = audit(&set, &composed(protocol, transport), &ctx);
+            assert!(run.supersessions > 0, "{ctx}: nothing to supersede");
+            composed_suspects += run.suspect_pops;
+        }
+    }
+    assert!(composed_suspects > 0, "the φ detector fired no deadline");
+
+    let paper = rtsync::workload::generate_seeded(
+        &rtsync::workload::WorkloadSpec::paper(4, 0.7).with_random_phases(),
+        11,
+    )
+    .unwrap();
+    for protocol in Protocol::ALL {
+        let ideal = SimConfig::new(protocol).with_instances(20);
+        let run = audit(&paper, &ideal, &format!("§5.1 {}", protocol.tag()));
+        assert!(run.supersessions > 0, "no preemption in the §5.1 run");
+        let faulted = ideal
+            .with_channel(ChannelModel::constant(Dur::from_ticks(1_000)).with_seed(33))
+            .with_transport(
+                TransportConfig::new(Dur::from_ticks(4_000))
+                    .with_seed(34)
+                    .with_detector(DetectorConfig::new(Dur::from_ticks(50_000))),
+            )
+            .with_faults(FaultConfig::random(
+                Dur::from_ticks(20_000_000),
+                Dur::from_ticks(400_000),
+                35,
+            ));
+        let ctx = format!("§5.1 {} with crashes and detector", protocol.tag());
+        let run = audit(&paper, &faulted, &ctx);
+        assert!(run.suspect_pops > 0, "{ctx}: no suspicion deadline fired");
+    }
 }
