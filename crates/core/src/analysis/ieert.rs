@@ -25,7 +25,8 @@
 //! Every SA/DS run builds one `IeertKernel` and keeps it across its
 //! sweeps; [`ieert_pass`] is a one-sweep wrapper over a fresh one. The
 //! kernel computes each subtask's period, execution, blocking bound and
-//! interferer list once per run, and returns
+//! interferer list once per run (read from the task set's priority
+//! index, not by a scan of the whole set), and returns
 //! exactly what the literal algorithm above returns (the differential tests
 //! in `tests/ieert_kernel.rs` hold it to that) while doing less work:
 //!
@@ -46,6 +47,19 @@
 //!   `C(m) ≤ D ⇒ R(m) ≤ D + J − (m−1)p`. That bound falls with `m`; once
 //!   it is `≤` the running maximum, no later instance can raise the
 //!   maximum or trip the failure cap, and the loop stops.
+//! * **Unchanged inputs.** A subtask's IEERT value depends on the bounds
+//!   only through the jitters of its demand terms (the predecessor bounds
+//!   of `H_{i,j}` and of itself); everything else is a constant of the
+//!   kernel. When every jitter equals the one the subtask's last
+//!   evaluation ran under and that evaluation succeeded, the kernel
+//!   returns the last value without running either fixed point. A
+//!   re-solve would return the same value and leave the same cached
+//!   `D` and `C(m)` (each hint is already the least fixed point), so
+//!   bounds, sweep counts and errors are those of the literal algorithm.
+//!   Only subtasks that read a bound that moved in the previous sweep
+//!   are solved again, which in a warm-seeded admission run is a minority.
+//!   [`IeertReport::solved`](crate::analysis::sa_ds::IeertReport::solved)
+//!   counts the evaluations that did run.
 //!
 //! Warm searches take no more iterations than cold ones, so the only
 //! conceivable difference is a cold search exhausting
@@ -213,6 +227,11 @@ struct SubtaskKernel {
     busy: Dur,
     /// The last per-instance completions: `completions[m − 1] = C(m)`.
     completions: Vec<Dur>,
+    /// The IEER bound the last evaluation returned, under the jitters in
+    /// `terms`; `None` before the first evaluation and after a failed one.
+    last: Option<Dur>,
+    /// Evaluations that ran the fixed points.
+    solved: u64,
 }
 
 impl IeertKernel {
@@ -224,13 +243,10 @@ impl IeertKernel {
                 let period = set.task(id.task()).period();
                 let (mut terms, mut jitter_sources): (Vec<_>, Vec<_>) = set
                     .interference_set(id)
-                    .into_iter()
-                    .map(|sid| {
-                        let term = DemandTerm::periodic(
-                            set.task(sid.task()).period(),
-                            set.subtask(sid).execution(),
-                        );
-                        (term, sid.predecessor())
+                    .map(|s| {
+                        let term =
+                            DemandTerm::periodic(set.task(s.id().task()).period(), s.execution());
+                        (term, s.id().predecessor())
                     })
                     .unzip();
                 terms.push(DemandTerm::periodic(period, sub.execution()));
@@ -245,6 +261,8 @@ impl IeertKernel {
                     jitter_sources,
                     busy: Dur::ZERO,
                     completions: Vec::new(),
+                    last: None,
+                    solved: 0,
                 }
             })
             .collect();
@@ -266,26 +284,48 @@ impl IeertKernel {
         }
         Ok(())
     }
+
+    /// Subtask evaluations so far that ran the fixed points rather than
+    /// returning the last value under unchanged jitters.
+    pub(crate) fn solved(&self) -> u64 {
+        self.subtasks.iter().map(|s| s.solved).sum()
+    }
 }
 
 impl SubtaskKernel {
     /// Steps 1–4 of Figure 10 under the jitters in `bounds`.
     fn ieer(&mut self, bounds: &IeerBounds, cfg: &AnalysisConfig) -> Result<Dur, AnalyzeError> {
-        let id = self.id;
-        let overflow = || AnalyzeError::ArithmeticOverflow { subtask: id };
-
         // Cached fixed points stay valid lower hints only while no jitter
         // they were solved under has since dropped.
         let mut warm = true;
+        let mut unchanged = true;
         for (term, source) in self.terms.iter_mut().zip(&self.jitter_sources) {
             let jitter = source.map_or(Dur::ZERO, |p| bounds.get(p));
             warm &= jitter >= term.jitter;
+            unchanged &= jitter == term.jitter;
             term.jitter = jitter;
+        }
+        // IEERT is a function of these jitters alone: the same inputs give
+        // the last evaluation's value.
+        if let (true, Some(value)) = (unchanged, self.last) {
+            return Ok(value);
         }
         if !warm {
             self.busy = Dur::ZERO;
             self.completions.clear();
         }
+        self.solved += 1;
+        self.last = None;
+        let value = self.solve(cfg)?;
+        self.last = Some(value);
+        Ok(value)
+    }
+
+    /// The fixed points of steps 1–4 under the jitters in `terms`,
+    /// warm-started from `busy` and `completions`.
+    fn solve(&mut self, cfg: &AnalysisConfig) -> Result<Dur, AnalyzeError> {
+        let id = self.id;
+        let overflow = || AnalyzeError::ArithmeticOverflow { subtask: id };
         let (own, interference) = self.terms.split_last().expect("own term is last");
         let own_jitter = own.jitter;
 
@@ -508,6 +548,28 @@ mod tests {
         // No priors at all: identical to the plain seed.
         let plain = IeerBounds::seed_with(&set, |_| None);
         assert_eq!(plain, IeerBounds::seed(&set));
+    }
+
+    #[test]
+    fn unchanged_jitters_reuse_only_a_value_solved_under_them() {
+        // Example 2's converged bounds A, and B with T1.0 lowered: T1.1 and
+        // T2.0 see T1.0's bound as a jitter, T0.0 and T1.0 see none. Each
+        // sweep of one long-lived kernel must equal a fresh kernel's, and
+        // only the evaluations whose jitters moved run the fixed points.
+        let set = example2();
+        let cfg = AnalysisConfig::default();
+        let a = IeerBounds::from_raw(vec![vec![d(2)], vec![d(4), d(7)], vec![d(8)]]);
+        let mut b = a.clone();
+        b.set(sid(1, 0), d(2));
+        let mut kernel = IeertKernel::new(&set, &cfg);
+        let mut solved = Vec::new();
+        for input in [&a, &b, &a, &a, &b] {
+            let mut next = input.clone();
+            kernel.jacobi(input, &mut next).unwrap();
+            assert_eq!(next, ieert_pass(&set, input, &cfg).unwrap());
+            solved.push(kernel.solved());
+        }
+        assert_eq!(solved, vec![4, 6, 8, 8, 10]);
     }
 
     #[test]

@@ -144,10 +144,12 @@ fn sweep_to_fixed_point(
         report.trajectory.push(task_bounds(&bounds));
     }
     for sweep in 1..=cfg.max_outer_iterations {
+        let swept = kernel.jacobi(&bounds, &mut next);
         if let Some(report) = trace.as_deref_mut() {
             report.sweeps = sweep;
+            report.solved = kernel.solved();
         }
-        kernel.jacobi(&bounds, &mut next)?;
+        swept?;
         if let Some(report) = trace.as_deref_mut() {
             let delta = set
                 .subtasks()
@@ -194,6 +196,11 @@ pub struct IeertReport {
     /// `deltas[s]`: the largest single-subtask bound growth during sweep
     /// `s + 1` (zero only on the verifying sweep).
     pub deltas: Vec<Dur>,
+    /// Subtask evaluations that ran IEERT's fixed points. The others
+    /// (at most `sweeps × subtasks` in all) saw exactly the jitters of the
+    /// subtask's previous evaluation and returned its value (see the
+    /// "unchanged inputs" rule in [`crate::analysis::ieert`]).
+    pub solved: u64,
 }
 
 impl IeertReport {
@@ -471,6 +478,18 @@ mod tests {
         assert!(!report.converged);
         assert!(report.sweeps >= 1);
         assert!(report.render().contains("FAILED"));
+    }
+
+    #[test]
+    fn a_run_from_converged_bounds_solves_each_subtask_once() {
+        let set = example2();
+        let cold = analyze_ds(&set, &cfg()).unwrap();
+        let mut report = IeertReport::default();
+        let seed = IeerBounds::seed_with(&set, |id| Some(cold.ieer(id)));
+        let warm = sweep_to_fixed_point(&set, &cfg(), seed, Some(&mut report)).unwrap();
+        assert_eq!(warm.bounds(), cold.bounds());
+        assert_eq!(report.sweeps, 1);
+        assert_eq!(report.solved, set.num_subtasks() as u64);
     }
 
     #[test]

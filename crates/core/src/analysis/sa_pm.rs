@@ -270,10 +270,7 @@ pub fn subtask_response_memo(
     let period = set.task(id.task()).period();
     let interference: Vec<DemandTerm> = set
         .interference_set(id)
-        .into_iter()
-        .map(|sid| {
-            DemandTerm::periodic(set.task(sid.task()).period(), set.subtask(sid).execution())
-        })
+        .map(|s| DemandTerm::periodic(set.task(s.id().task()).period(), s.execution()))
         .collect();
 
     // Blocking by lower-priority non-preemptive work (zero in the paper's
@@ -456,10 +453,7 @@ mod tests {
         let me = set.subtask(id);
         let interference: Vec<DemandTerm> = set
             .interference_set(id)
-            .into_iter()
-            .map(|sid| {
-                DemandTerm::periodic(set.task(sid.task()).period(), set.subtask(sid).execution())
-            })
+            .map(|s| DemandTerm::periodic(set.task(s.id().task()).period(), s.execution()))
             .collect();
         let blocking = set.blocking_bound(id);
         let cap = cfg.cap_for_period(set.task(id.task()).period());

@@ -397,10 +397,62 @@ impl Task {
 /// * every chain is non-empty, periods/deadlines/execution times positive;
 /// * consecutive subtasks sit on different processors;
 /// * per processor, priorities are unique.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// # The priority index
+///
+/// Validation sorts each processor's subtasks by priority to find
+/// duplicates; the set keeps those sorted lists, as 4-byte subtask
+/// numbers. Because priorities are unique per processor, the
+/// interference set `H_{i,j}` is exactly the part of its processor's list
+/// above `T_{i,j}` (found by binary search), and the lower-priority work
+/// behind a blocking bound is the part below it, so
+/// [`subtasks_on`](TaskSet::subtasks_on),
+/// [`interference_set`](TaskSet::interference_set) and
+/// [`blocking_bound`](TaskSet::blocking_bound) cost O(subtasks on the
+/// processor), not O(subtasks in the system). The set also records
+/// whether it is the paper's base model (no non-preemptive subtask, no
+/// critical section), where every blocking bound is zero without a scan.
+/// The index is a function of the tasks, so equality and `Debug` ignore
+/// it.
+#[derive(Clone)]
 pub struct TaskSet {
     num_processors: usize,
     tasks: Vec<Task>,
+    index: PriorityIndex,
+}
+
+/// The per-processor priority order of a validated [`TaskSet`]. Every
+/// subtask is named by its number: its position in
+/// [`TaskSet::subtasks`] order. Sets are held by the thousand (a study's
+/// inputs), so the index stays a few bytes per subtask.
+#[derive(Clone, Default)]
+struct PriorityIndex {
+    /// Subtask numbers grouped by processor, highest priority first within
+    /// a processor.
+    order: Box<[u32]>,
+    /// Processor `p`'s subtasks are `order[proc_start[p]..proc_start[p + 1]]`.
+    proc_start: Box<[u32]>,
+    /// The number of each task's first subtask, then the subtask count.
+    task_start: Box<[u32]>,
+    /// No subtask is non-preemptive or has a critical section.
+    base_model: bool,
+}
+
+impl PartialEq for TaskSet {
+    fn eq(&self, other: &TaskSet) -> bool {
+        self.num_processors == other.num_processors && self.tasks == other.tasks
+    }
+}
+
+impl Eq for TaskSet {}
+
+impl fmt::Debug for TaskSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskSet")
+            .field("num_processors", &self.num_processors)
+            .field("tasks", &self.tasks)
+            .finish()
+    }
 }
 
 impl TaskSet {
@@ -458,21 +510,54 @@ impl TaskSet {
         self.tasks.iter().map(Task::chain_len).sum()
     }
 
-    /// Iterates over the subtasks hosted on `proc`.
+    /// Iterates over the subtasks hosted on `proc`, highest priority
+    /// first (nothing for a processor outside the set).
     pub fn subtasks_on(&self, proc: ProcessorId) -> impl Iterator<Item = &Subtask> + '_ {
-        self.subtasks().filter(move |s| s.processor() == proc)
+        self.priority_order(proc)
+            .iter()
+            .map(move |&n| self.numbered(n))
+    }
+
+    /// The numbers of the subtasks on `proc`, highest priority first.
+    fn priority_order(&self, proc: ProcessorId) -> &[u32] {
+        let starts = &self.index.proc_start;
+        match (starts.get(proc.index()), starts.get(proc.index() + 1)) {
+            (Some(&from), Some(&to)) => &self.index.order[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// The subtask numbered `n`.
+    fn numbered(&self, n: u32) -> &Subtask {
+        let starts = &self.index.task_start;
+        let task = starts.partition_point(|&first| first <= n) - 1;
+        &self.tasks[task].subtasks[(n - starts[task]) as usize]
+    }
+
+    /// `id`'s processor list without `id`: the numbers of the subtasks
+    /// above it and of those below it.
+    fn split_at_priority(&self, id: SubtaskId) -> (&[u32], &[u32]) {
+        let me = self.subtask(id);
+        let order = self.priority_order(me.processor());
+        let rank =
+            order.partition_point(|&n| self.numbered(n).priority().is_higher_than(me.priority()));
+        (&order[..rank], &order[rank + 1..])
     }
 
     /// The interference set `H_{i,j}` of the paper: subtasks on the same
     /// processor as `id` whose priority is **equal to or higher than**
-    /// `id`'s, excluding `id` itself. (With unique per-processor priorities,
-    /// "equal" never fires, but the definition is kept faithful.)
-    pub fn interference_set(&self, id: SubtaskId) -> Vec<SubtaskId> {
-        let me = self.subtask(id);
-        self.subtasks_on(me.processor())
-            .filter(|s| s.id() != id && s.priority().is_at_least(me.priority()))
-            .map(Subtask::id)
-            .collect()
+    /// `id`'s, excluding `id` itself, highest priority first. Priorities
+    /// are unique per processor, so this is the part of the processor's
+    /// priority order above `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this set.
+    pub fn interference_set(&self, id: SubtaskId) -> impl Iterator<Item = &Subtask> + '_ {
+        self.split_at_priority(id)
+            .0
+            .iter()
+            .map(move |&n| self.numbered(n))
     }
 
     /// Number of distinct resources referenced by the system
@@ -512,22 +597,37 @@ impl TaskSet {
     ///   victim's release, so the full section length counts).
     ///
     /// Zero in the paper's fully preemptive, resource-free base model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this set.
     pub fn blocking_bound(&self, id: SubtaskId) -> Dur {
+        if self.index.base_model {
+            return Dur::ZERO;
+        }
         let me = self.subtask(id);
-        let np = self
-            .subtasks_on(me.processor())
-            .filter(|s| !s.is_preemptible() && me.priority().is_higher_than(s.priority()))
+        let (above, below) = self.split_at_priority(id);
+        let below = below.iter().map(|&n| self.numbered(n));
+        let np = below
+            .clone()
+            .filter(|s| !s.is_preemptible())
             .map(|s| (s.execution() - Dur::from_ticks(1)).max(Dur::ZERO))
             .max()
             .unwrap_or(Dur::ZERO);
-        let ceiling = self
-            .subtasks_on(me.processor())
-            .filter(|s| me.priority().is_higher_than(s.priority()))
-            .flat_map(|s| s.critical_sections())
-            .filter(|cs| {
-                self.resource_ceiling(cs.resource)
-                    .is_some_and(|c| c.is_at_least(me.priority()))
-            })
+        // Every user of a resource sits on one processor, so its ceiling is
+        // at least `id`'s priority iff a subtask at or above `id` uses it.
+        let guarded = |resource: ResourceId| {
+            std::iter::once(me)
+                .chain(above.iter().map(|&n| self.numbered(n)))
+                .any(|s| {
+                    s.critical_sections()
+                        .iter()
+                        .any(|cs| cs.resource == resource)
+                })
+        };
+        let ceiling = below
+            .flat_map(Subtask::critical_sections)
+            .filter(|cs| guarded(cs.resource))
             .map(|cs| cs.len)
             .max()
             .unwrap_or(Dur::ZERO);
@@ -611,11 +711,12 @@ impl TaskSetBuilder {
     ///
     /// Returns the first [`ValidateTaskSetError`] violated, if any.
     pub fn build(self) -> Result<TaskSet, ValidateTaskSetError> {
-        let set = TaskSet {
+        let mut set = TaskSet {
             num_processors: self.num_processors,
             tasks: self.tasks,
+            index: PriorityIndex::default(),
         };
-        validate(&set)?;
+        set.index = validate(&set)?;
         Ok(set)
     }
 }
@@ -707,7 +808,8 @@ impl TaskChainBuilder {
     }
 }
 
-fn validate(set: &TaskSet) -> Result<(), ValidateTaskSetError> {
+/// Checks every model invariant and returns the set's priority index.
+fn validate(set: &TaskSet) -> Result<PriorityIndex, ValidateTaskSetError> {
     if set.num_processors == 0 {
         return Err(ValidateTaskSetError::NoProcessors);
     }
@@ -788,14 +890,16 @@ fn validate(set: &TaskSet) -> Result<(), ValidateTaskSetError> {
         }
     }
 
-    // Unique priorities per processor.
-    for proc in 0..set.num_processors {
-        let proc = ProcessorId::new(proc);
-        let mut seen: Vec<(Priority, SubtaskId)> = set
-            .subtasks_on(proc)
-            .map(|s| (s.priority(), s.id()))
-            .collect();
-        seen.sort();
+    // Unique priorities per processor; the sorted lists are the index.
+    let number = |n: usize| u32::try_from(n).expect("a task set holds fewer than 2^32 subtasks");
+    let mut on: Vec<Vec<(Priority, SubtaskId, u32)>> = vec![Vec::new(); set.num_processors];
+    for (n, sub) in set.subtasks().enumerate() {
+        on[sub.processor.index()].push((sub.priority, sub.id, number(n)));
+    }
+    let mut order = Vec::with_capacity(set.num_subtasks());
+    let mut proc_start = vec![0];
+    for mut seen in on {
+        seen.sort_unstable();
         for pair in seen.windows(2) {
             if pair[0].0 == pair[1].0 {
                 return Err(ValidateTaskSetError::DuplicatePriority(
@@ -803,8 +907,24 @@ fn validate(set: &TaskSet) -> Result<(), ValidateTaskSetError> {
                 ));
             }
         }
+        order.extend(seen.iter().map(|&(_, _, n)| n));
+        proc_start.push(number(order.len()));
     }
-    Ok(())
+    let task_start = std::iter::once(0)
+        .chain(set.tasks.iter().scan(0, |n, t| {
+            *n += t.chain_len();
+            Some(*n)
+        }))
+        .map(number)
+        .collect();
+    Ok(PriorityIndex {
+        order: order.into(),
+        proc_start: proc_start.into(),
+        task_start,
+        base_model: set
+            .subtasks()
+            .all(|s| s.preemptible && s.critical_sections.is_empty()),
+    })
 }
 
 #[cfg(test)]
@@ -890,13 +1010,14 @@ mod tests {
         // On P0: T0.0 (prio 0) and T1.0 (prio 1).
         let t00 = SubtaskId::new(TaskId::new(0), 0);
         let t10 = SubtaskId::new(TaskId::new(1), 0);
-        assert_eq!(s.interference_set(t00), vec![]);
-        assert_eq!(s.interference_set(t10), vec![t00]);
+        let h = |id| s.interference_set(id).map(Subtask::id).collect::<Vec<_>>();
+        assert_eq!(h(t00), vec![]);
+        assert_eq!(h(t10), vec![t00]);
         // On P1: T1.1 (prio 0) and T2.0 (prio 1).
         let t11 = SubtaskId::new(TaskId::new(1), 1);
         let t20 = SubtaskId::new(TaskId::new(2), 0);
-        assert_eq!(s.interference_set(t11), vec![]);
-        assert_eq!(s.interference_set(t20), vec![t11]);
+        assert_eq!(h(t11), vec![]);
+        assert_eq!(h(t20), vec![t11]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the core primitives: tick arithmetic, the
 //! busy-period solver, priority keys, the release-guard machine, the text
-//! format, and basic analysis laws.
+//! format, the task set's priority index, and basic analysis laws.
 
 use proptest::prelude::*;
 use rtsync_core::analysis::admission::{
@@ -16,7 +16,7 @@ use rtsync_core::priority::{
     build_with_policy, ChainSpec, PriorityKey, ProportionalDeadlineMonotonic,
 };
 use rtsync_core::release_guard::{GuardDecision, ReleaseGuard};
-use rtsync_core::task::TaskSet;
+use rtsync_core::task::{Priority, ProcessorId, SubtaskId, TaskSet};
 use rtsync_core::textfmt;
 use rtsync_core::time::{Dur, Time};
 
@@ -272,6 +272,170 @@ proptest! {
             cfg.analysis.failure_factor = tight_cap;
         }
         replay_warm_and_cold(cfg, ops)?;
+    }
+}
+
+/// One drawn subtask: `(processor, execution, non-preemptive if 0,
+/// priority draw, (critical section if 0, start, length, resource slot))`.
+type SubtaskDraw = (usize, i64, u8, u32, (u8, i64, i64, usize));
+
+/// A valid task set from raw draws: consecutive subtasks move to the next
+/// processor when they would repeat one, priorities are made unique by a
+/// per-subtask tie-break, and resource `proc + procs·slot` is used only on
+/// processor `proc`, so every resource stays on one processor.
+fn drawn_set(procs: usize, chains: Vec<(i64, Vec<SubtaskDraw>)>) -> TaskSet {
+    let mut builder = TaskSet::builder(procs);
+    let mut serial = 0;
+    for (period, subtasks) in chains {
+        let mut chain = builder.task(Dur::from_ticks(period));
+        let mut prev = usize::MAX;
+        let len = if procs == 1 { 1 } else { subtasks.len() };
+        for (proc, exec, np, prio, (cs, start, cs_len, slot)) in subtasks.into_iter().take(len) {
+            let proc = if proc % procs == prev {
+                (prev + 1) % procs
+            } else {
+                proc % procs
+            };
+            prev = proc;
+            let prio = Priority::new(prio * 64 + serial);
+            serial += 1;
+            let exec = Dur::from_ticks(exec);
+            chain = if np == 0 {
+                chain.nonpreemptive_subtask(proc, exec, prio)
+            } else {
+                chain.subtask(proc, exec, prio)
+            };
+            if cs == 0 && start < exec.ticks() {
+                let cs_len = cs_len.min(exec.ticks() - start);
+                chain = chain.critical_section(
+                    proc + procs * slot,
+                    Dur::from_ticks(start),
+                    Dur::from_ticks(cs_len),
+                );
+            }
+        }
+        builder = chain.finish_task();
+    }
+    builder.build().expect("drawn sets are valid")
+}
+
+/// `set` rebuilt through the builder from its public parts.
+fn rebuilt(set: &TaskSet) -> TaskSet {
+    let mut builder = TaskSet::builder(set.num_processors());
+    for task in set.tasks() {
+        let mut chain = builder
+            .task(task.period())
+            .phase(task.phase())
+            .deadline(task.deadline());
+        for sub in task.subtasks() {
+            let (proc, exec, prio) = (sub.processor().index(), sub.execution(), sub.priority());
+            chain = if sub.is_preemptible() {
+                chain.subtask(proc, exec, prio)
+            } else {
+                chain.nonpreemptive_subtask(proc, exec, prio)
+            };
+            for cs in sub.critical_sections() {
+                chain = chain.critical_section(cs.resource.index(), cs.start, cs.len);
+            }
+        }
+        builder = chain.finish_task();
+    }
+    builder.build().expect("a valid set rebuilds")
+}
+
+/// `B_{i,j}` by a full scan: the longest non-preemptive execution less one
+/// tick, or the longest critical section on a resource whose ceiling
+/// reaches `id`'s priority, among lower-priority subtasks on `id`'s
+/// processor.
+fn scanned_blocking(set: &TaskSet, id: SubtaskId) -> Dur {
+    let me = set.subtask(id);
+    set.subtasks()
+        .filter(|s| s.processor() == me.processor() && me.priority().is_higher_than(s.priority()))
+        .flat_map(|s| {
+            let np =
+                (!s.is_preemptible()).then(|| (s.execution() - Dur::from_ticks(1)).max(Dur::ZERO));
+            let sections = s
+                .critical_sections()
+                .iter()
+                .filter(|cs| {
+                    set.subtasks()
+                        .filter(|u| {
+                            u.critical_sections()
+                                .iter()
+                                .any(|c| c.resource == cs.resource)
+                        })
+                        .any(|u| u.priority().is_at_least(me.priority()))
+                })
+                .map(|cs| cs.len);
+            np.into_iter().chain(sections)
+        })
+        .max()
+        .unwrap_or(Dur::ZERO)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The priority index answers what a scan over every subtask answers:
+    /// the subtasks on each processor (highest priority first), each
+    /// interference set `H_{i,j}`, and each blocking bound, over sets with
+    /// non-preemptive subtasks and critical sections. Equality and `Debug`
+    /// see only the processors and the tasks.
+    #[test]
+    fn priority_index_matches_a_full_scan(
+        procs in 1usize..4,
+        chains in prop::collection::vec(
+            (
+                2i64..200,
+                prop::collection::vec(
+                    (0usize..4, 1i64..12, 0u8..4, 0u32..40, (0u8..3, 0i64..12, 1i64..6, 0usize..2)),
+                    1..4,
+                ),
+            ),
+            1..7,
+        ),
+    ) {
+        let set = drawn_set(procs, chains);
+        let sorted = |mut ids: Vec<SubtaskId>| {
+            ids.sort();
+            ids
+        };
+        for p in 0..=procs {
+            let proc = ProcessorId::new(p);
+            let indexed: Vec<_> = set.subtasks_on(proc).collect();
+            prop_assert!(indexed.windows(2).all(|w| w[0].priority().is_higher_than(w[1].priority())));
+            let scanned: Vec<_> = set
+                .subtasks()
+                .filter(|s| s.processor() == proc)
+                .map(|s| s.id())
+                .collect();
+            prop_assert_eq!(sorted(indexed.iter().map(|s| s.id()).collect()), scanned);
+        }
+        for sub in set.subtasks() {
+            let id = sub.id();
+            let scanned: Vec<_> = set
+                .subtasks()
+                .filter(|s| {
+                    s.id() != id
+                        && s.processor() == sub.processor()
+                        && s.priority().is_at_least(sub.priority())
+                })
+                .map(|s| s.id())
+                .collect();
+            prop_assert_eq!(sorted(set.interference_set(id).map(|s| s.id()).collect()), scanned);
+            prop_assert_eq!(set.blocking_bound(id), scanned_blocking(&set, id));
+        }
+        prop_assert_eq!(
+            format!("{set:?}"),
+            format!(
+                "TaskSet {{ num_processors: {}, tasks: {:?} }}",
+                set.num_processors(),
+                set.tasks()
+            )
+        );
+        let copy = rebuilt(&set);
+        prop_assert_eq!(format!("{copy:?}"), format!("{set:?}"));
+        prop_assert_eq!(copy, set);
     }
 }
 
