@@ -23,10 +23,10 @@
 //! tiers measure the paper's kernels over one fixed population: one §5.1
 //! system per cell of the figure-study grid (N = 2..8 × U = 50..90%)
 //! generated at the bench seed. The `sa_ds` tier, on the DS row only,
-//! runs Algorithm SA/DS (failing systems included) with IEERT subtask
-//! evaluations as its events. The `sa_pm` tier, on the PM row only, runs
-//! Algorithm SA/PM with its busy-period fixed-point iterations as its
-//! events.
+//! runs Algorithm SA/DS (failing systems included) with the IEERT
+//! subtask evaluations that ran the fixed points as its events. The
+//! `sa_pm` tier, on the PM row only, runs Algorithm SA/PM with its
+//! busy-period fixed-point iterations as its events.
 //! Numbers are machine-dependent: compare trajectories on one machine,
 //! not absolute values across machines — which is exactly what the
 //! [`compare`] sentry automates: per-iteration timings make a
@@ -52,10 +52,9 @@ use rand::SeedableRng;
 use rtsync_core::analysis::admission::{
     requests_of, AdmissionConfig, AdmissionMode, AdmissionState,
 };
-use rtsync_core::analysis::sa_ds::{analyze_ds, analyze_ds_traced, DsBounds};
+use rtsync_core::analysis::sa_ds::{analyze_ds, analyze_ds_traced};
 use rtsync_core::analysis::sa_pm::{analyze_pm, analyze_pm_traced};
 use rtsync_core::analysis::AnalysisConfig;
-use rtsync_core::error::AnalyzeError;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
@@ -403,24 +402,16 @@ fn paper_population() -> Vec<TaskSet> {
         .collect()
 }
 
-/// IEERT subtask evaluations behind one SA/DS outcome: every subtask of
-/// each completed sweep, plus a failing sweep up to the subtask it failed
-/// at.
-fn ieert_evaluations(set: &TaskSet, outcome: &Result<DsBounds, AnalyzeError>) -> u64 {
-    let per_sweep = set.num_subtasks() as u64;
-    match outcome {
-        Ok(bounds) => bounds.sweeps() * per_sweep,
-        Err(e) => {
-            let cfg = AnalysisConfig::default();
-            let (_, report) =
-                analyze_ds_traced(set, &cfg).expect("bench systems fail, never error");
-            let failed_at = set
-                .subtasks()
-                .position(|s| s.id() == e.subtask())
-                .expect("the error names a subtask of the set") as u64;
-            (report.sweeps - 1) * per_sweep + failed_at + 1
-        }
-    }
+/// IEERT subtask evaluations that ran the fixed points in one SA/DS run
+/// ([`IeertReport::solved`], the failing evaluation of a failed run
+/// included). The other evaluations saw unchanged jitters and returned
+/// the subtask's last value without solving.
+///
+/// [`IeertReport::solved`]: rtsync_core::analysis::sa_ds::IeertReport::solved
+fn ieert_solves(set: &TaskSet) -> u64 {
+    let (_, report) = analyze_ds_traced(set, &AnalysisConfig::default())
+        .expect("bench systems fail, never error");
+    report.solved
 }
 
 /// Times one analysis tier: `analyze` over every system of `population`.
@@ -559,7 +550,7 @@ pub fn run_suite_opts(smoke: bool, profile: bool) -> BenchReport {
                         iterations,
                         &population,
                         |s| analyze_ds(s, &cfg),
-                        ieert_evaluations,
+                        |s, _| ieert_solves(s),
                     )
                 }
                 "sa_pm" if protocol == Protocol::PhaseModification => {
@@ -606,6 +597,7 @@ pub fn run_suite_opts(smoke: bool, profile: bool) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtsync_core::error::AnalyzeError;
 
     #[test]
     fn smoke_suite_runs_every_cell_and_serializes() {
@@ -693,15 +685,22 @@ mod tests {
         assert!(outcomes
             .iter()
             .any(|o| o.as_ref().is_err_and(AnalyzeError::is_failure)));
+        let mut skipped_some = false;
         for (set, outcome) in population.iter().zip(&outcomes) {
-            let evaluations = ieert_evaluations(set, outcome);
+            let solves = ieert_solves(set);
             let per_sweep = set.num_subtasks() as u64;
             match outcome {
-                Ok(bounds) => assert_eq!(evaluations, bounds.sweeps() * per_sweep),
+                // Every subtask is solved in the first sweep; later sweeps
+                // solve only those whose jitters moved.
+                Ok(bounds) => {
+                    assert!(solves >= per_sweep && solves <= bounds.sweeps() * per_sweep);
+                    skipped_some |= solves < bounds.sweeps() * per_sweep;
+                }
                 // A failing run stops inside its last sweep.
-                Err(_) => assert!(evaluations >= 1),
+                Err(_) => assert!(solves >= 1),
             }
         }
+        assert!(skipped_some, "events count solves, not evaluations");
         // SA/PM succeeds on every system, so the `sa_pm` tier times the
         // whole population.
         for set in &population {

@@ -26,11 +26,13 @@
 //!   every memoized fixed point is ≤ its new value and seeds the re-run
 //!   via [`fixed_point_with_hint_counted`]; on retirement demand shrinks, the
 //!   memos overshoot, and dirty subtasks are recomputed cold.
-//! * **Warm-seeded SA/DS** (DS mode) — the sweep is globally coupled, so
-//!   there is no per-processor dirty set; instead the previous converged
-//!   [`IeerBounds`] seed the new run ([`IeerBounds::seed_with`] /
-//!   [`analyze_ds_seeded`]), skipping the sweeps that would re-climb
-//!   established ground.
+//! * **Resident IEERT kernel** (DS mode) — the engine keeps the kernel of
+//!   its last committed SA/DS run at the converged bounds. An admit
+//!   derives the next run's kernel from it under the same dirty rule:
+//!   clean subtasks keep their cached values and are not solved again in
+//!   the first sweep, dirty ones keep their fixed points as warm hints,
+//!   and the converged bounds seed the run, skipping the sweeps that
+//!   would re-climb established ground (see [`crate::analysis::ieert`]).
 //!
 //! Every shortcut above is *exact*: with memoization disabled the engine
 //! recomputes everything from scratch, and the two modes produce
@@ -49,8 +51,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::analysis::ieert::IeerBounds;
-use crate::analysis::sa_ds::analyze_ds_seeded;
+use crate::analysis::ieert::{IeerBounds, IeertKernel};
+use crate::analysis::sa_ds::{sweep_to_fixed_point, DsBounds};
 use crate::analysis::sa_pm::{subtask_response_memo, SubtaskMemo};
 use crate::analysis::AnalysisConfig;
 use crate::error::{AnalyzeError, ValidateTaskSetError};
@@ -65,7 +67,7 @@ pub enum AdmissionMode {
     #[default]
     PmFamily,
     /// Algorithm SA/DS — the Direct Synchronization protocol. Globally
-    /// coupled sweeps, warm-seeded from the previous fixed point.
+    /// coupled sweeps on a kernel derived from the previous run's.
     DirectSync,
 }
 
@@ -321,8 +323,6 @@ struct Resident {
     spec: ChainRequest,
     /// PM family: per-subtask fixed-point memos.
     memos: Vec<SubtaskMemo>,
-    /// DS: per-subtask converged IEER bounds.
-    ieer: Vec<Dur>,
     /// End-to-end bound under the current resident system.
     bound: Dur,
 }
@@ -338,6 +338,14 @@ pub struct AdmissionState {
     order: Vec<u64>,
     /// The task set of the current residents (`None` when empty).
     set: Option<TaskSet>,
+    /// DS: the IEERT kernel of the last committed SA/DS run, at its
+    /// converged bounds. `None` when no run describes the residents (no
+    /// resident, or a failed retire); the next admit then runs cold.
+    kernel: Option<IeertKernel>,
+    /// DS: the kernel the next run builds or derives into. On commit it
+    /// becomes the resident kernel, and the old resident, arenas and all,
+    /// becomes the scratch kernel.
+    scratch: IeertKernel,
     stats: AdmissionStats,
 }
 
@@ -350,6 +358,8 @@ impl AdmissionState {
             residents: HashMap::new(),
             order: Vec::new(),
             set: None,
+            kernel: None,
+            scratch: IeertKernel::empty(&cfg.analysis),
             stats: AdmissionStats::default(),
         }
     }
@@ -476,8 +486,8 @@ impl AdmissionState {
             }
         }
         match self.cfg.mode {
-            AdmissionMode::PmFamily => self.admit_pm(req, pos_c, new_order, &set),
-            AdmissionMode::DirectSync => self.admit_ds(req, new_order, &set),
+            AdmissionMode::PmFamily => self.admit_pm(req, pos_c, new_order, set),
+            AdmissionMode::DirectSync => self.admit_ds(req, pos_c, new_order, set),
         }
     }
 
@@ -486,7 +496,7 @@ impl AdmissionState {
         req: ChainRequest,
         pos_c: usize,
         new_order: Vec<u64>,
-        set: &TaskSet,
+        set: TaskSet,
     ) -> Decision {
         let mut reanalyzed = 0usize;
         let mut skipped = 0usize;
@@ -515,7 +525,7 @@ impl AdmissionState {
                     // value, so the stale memo is a valid warm start.
                     let warm = (self.cfg.memoization && !is_candidate)
                         .then(|| &self.residents[&cid].memos[j]);
-                    match subtask_response_memo(set, sid, &self.cfg.analysis, warm) {
+                    match subtask_response_memo(&set, sid, &self.cfg.analysis, warm) {
                         Ok(m) => {
                             reanalyzed += 1;
                             memos.push(m);
@@ -556,7 +566,6 @@ impl AdmissionState {
                     Resident {
                         spec: req.clone(),
                         memos,
-                        ieer: Vec::new(),
                         bound,
                     },
                 );
@@ -566,7 +575,7 @@ impl AdmissionState {
                 r.bound = bound;
             }
         }
-        self.finish_admit(new_order, set.clone());
+        self.finish_admit(new_order, set);
         Decision {
             admitted: true,
             bound: Some(candidate_bound),
@@ -577,30 +586,37 @@ impl AdmissionState {
         }
     }
 
-    fn admit_ds(&mut self, req: ChainRequest, new_order: Vec<u64>, set: &TaskSet) -> Decision {
-        // The previous converged bounds of retained chains are ≤ their
-        // values at the grown system's least fixed point, so they are a
-        // valid warm seed; the candidate starts from the optimistic seed.
-        let seed = if self.cfg.memoization {
-            IeerBounds::seed_with(set, |sid| {
-                let cid = new_order[sid.task().index()];
-                (cid != req.id).then(|| self.residents[&cid].ieer[sid.index()])
-            })
-        } else {
-            IeerBounds::seed(set)
-        };
+    fn admit_ds(
+        &mut self,
+        req: ChainRequest,
+        pos_c: usize,
+        new_order: Vec<u64>,
+        set: TaskSet,
+    ) -> Decision {
         let reanalyzed = set.num_subtasks();
-        let mut ds = analyze_ds_seeded(set, &self.cfg.analysis, seed);
-        if ds.is_err() && self.cfg.memoization {
-            // A diverging run trips a cap at a sweep that depends on the
-            // seed, and the busy-period cap includes the jitters of that
-            // sweep, so a warm failure's payload can differ from a cold
-            // one's. Report the cold run's error.
-            ds = analyze_ds_seeded(set, &self.cfg.analysis, IeerBounds::seed(set));
-        }
-        let ds = match ds {
-            Ok(ds) => ds,
-            Err(e) => return self.reject(RejectReason::Analysis(e), reanalyzed, 0),
+        let warm = match (&self.kernel, self.cfg.memoization) {
+            (Some(resident), true) => {
+                // The resident kernel with the candidate spliced in: only
+                // the subtasks whose demand grew are solved again, and the
+                // retained subtasks' converged bounds seed the run (they
+                // are ≤ their values at the grown system's least fixed
+                // point).
+                let mut seed = IeerBounds::seed(&set);
+                self.scratch.derive(resident, &set, pos_c, &mut seed);
+                sweep_to_fixed_point(&mut self.scratch, &set, seed, None).ok()
+            }
+            _ => None,
+        };
+        // A diverging run trips a cap at a sweep that depends on the seed,
+        // and the busy-period cap includes the jitters of that sweep, so a
+        // warm failure's payload can differ from a cold one's. Report the
+        // cold run's error.
+        let ds = match warm {
+            Some(ds) => ds,
+            None => match self.run_cold(&set) {
+                Ok(ds) => ds,
+                Err(e) => return self.reject(RejectReason::Analysis(e), reanalyzed, 0),
+            },
         };
         for (pos, &cid) in new_order.iter().enumerate() {
             let spec = if cid == req.id {
@@ -622,31 +638,18 @@ impl AdmissionState {
             }
         }
         // Commit.
-        let mut candidate_bound = Dur::ZERO;
-        for (pos, &cid) in new_order.iter().enumerate() {
-            let tid = TaskId::new(pos);
-            let ieer: Vec<Dur> = (0..set.task(tid).chain_len())
-                .map(|j| ds.bounds().get(SubtaskId::new(tid, j)))
-                .collect();
-            let bound = ds.task_bound(tid);
-            if cid == req.id {
-                candidate_bound = bound;
-                self.residents.insert(
-                    req.id,
-                    Resident {
-                        spec: req.clone(),
-                        memos: Vec::new(),
-                        ieer,
-                        bound,
-                    },
-                );
-            } else {
-                let r = self.residents.get_mut(&cid).expect("resident");
-                r.ieer = ieer;
-                r.bound = bound;
-            }
-        }
-        self.finish_admit(new_order, set.clone());
+        self.keep_run();
+        let candidate_bound = ds.task_bound(TaskId::new(pos_c));
+        self.residents.insert(
+            req.id,
+            Resident {
+                spec: req,
+                memos: Vec::new(),
+                bound: candidate_bound,
+            },
+        );
+        self.finish_admit(new_order, set);
+        self.store_ds_bounds(&ds);
         Decision {
             admitted: true,
             bound: Some(candidate_bound),
@@ -654,6 +657,31 @@ impl AdmissionState {
             reanalyzed,
             skipped: 0,
             residents: self.order.len(),
+        }
+    }
+
+    /// SA/DS on `set` from the optimistic seed, in a cold kernel built in
+    /// the scratch arenas.
+    fn run_cold(&mut self, set: &TaskSet) -> Result<DsBounds, AnalyzeError> {
+        self.scratch.rebuild(set);
+        sweep_to_fixed_point(&mut self.scratch, set, IeerBounds::seed(set), None)
+    }
+
+    /// Makes the scratch kernel, whose run is being committed, the
+    /// resident one; the old resident's arenas become the next scratch.
+    fn keep_run(&mut self) {
+        let run = std::mem::replace(&mut self.scratch, IeertKernel::empty(&self.cfg.analysis));
+        if let Some(old) = self.kernel.replace(run) {
+            self.scratch = old;
+        }
+    }
+
+    /// Each resident's end-to-end bound under `ds`, a run on the
+    /// residents' task set.
+    fn store_ds_bounds(&mut self, ds: &DsBounds) {
+        for (pos, cid) in self.order.iter().enumerate() {
+            let r = self.residents.get_mut(cid).expect("resident");
+            r.bound = ds.task_bound(TaskId::new(pos));
         }
     }
 
@@ -672,6 +700,7 @@ impl AdmissionState {
         self.order.remove(old_pos);
         if self.order.is_empty() {
             self.set = None;
+            self.kernel = None;
             return Ok(RetireOutcome {
                 reanalyzed: 0,
                 skipped: 0,
@@ -739,20 +768,16 @@ impl AdmissionState {
     }
 
     fn retire_ds(&mut self, set: &TaskSet) -> Result<(usize, usize), RetireError> {
-        // Shrinking demand lowers the least fixed point, so the stored
-        // bounds overshoot it and cannot seed the sweep: run cold.
-        let ds = analyze_ds_seeded(set, &self.cfg.analysis, IeerBounds::seed(set))
-            .map_err(RetireError::Analysis)?;
-        let order = self.order.clone();
-        for (pos, &cid) in order.iter().enumerate() {
-            let tid = TaskId::new(pos);
-            let ieer: Vec<Dur> = (0..set.task(tid).chain_len())
-                .map(|j| ds.bounds().get(SubtaskId::new(tid, j)))
-                .collect();
-            let r = self.residents.get_mut(&cid).expect("resident");
-            r.ieer = ieer;
-            r.bound = ds.task_bound(tid);
-        }
+        // Shrinking demand lowers the least fixed point, so the resident
+        // kernel's bounds and hints overshoot it: run cold, and keep the
+        // cold run's kernel. A failed run leaves no kernel that describes
+        // the residents.
+        let ds = self.run_cold(set).map_err(|e| {
+            self.kernel = None;
+            RetireError::Analysis(e)
+        })?;
+        self.keep_run();
+        self.store_ds_bounds(&ds);
         Ok((set.num_subtasks(), 0))
     }
 }
@@ -1070,6 +1095,64 @@ mod tests {
         for (pos, (_, bound)) in warm.resident_bounds().into_iter().enumerate() {
             assert_eq!(bound, batch.task_bound(TaskId::new(pos)));
         }
+    }
+
+    #[test]
+    fn warm_ds_first_sweep_solves_only_dirty_and_candidate_subtasks() {
+        let mut st = AdmissionState::new(3, AdmissionConfig::new(AdmissionMode::DirectSync));
+        for req in [
+            ChainRequest::new(1, d(40), vec![(0, d(2)), (1, d(2))]).with_rank(0),
+            ChainRequest::new(2, d(60), vec![(1, d(3)), (2, d(2))]).with_rank(2),
+            ChainRequest::new(3, d(80), vec![(2, d(2)), (0, d(3))]).with_rank(4),
+            ChainRequest::new(4, d(100), vec![(1, d(2))]).with_rank(6),
+            ChainRequest::new(5, d(120), vec![(2, d(4))]).with_rank(6),
+        ] {
+            let dec = st.admit(req);
+            assert!(dec.admitted, "{:?}", dec.reject);
+        }
+        // Rank 3 lands between chains 2 and 3, on P0 and P1: only chain
+        // 3's P0 subtask and chain 4 sit below it on a processor it uses.
+        let req = ChainRequest::new(9, d(90), vec![(0, d(1)), (1, d(1))]).with_rank(3);
+        let pos_c = st.insertion_pos(&req);
+        assert_eq!(pos_c, 2);
+        let mut order = st.order.clone();
+        order.insert(pos_c, req.id);
+        let chains: Vec<&ChainRequest> = order
+            .iter()
+            .map(|id| {
+                if *id == req.id {
+                    &req
+                } else {
+                    &st.residents[id].spec
+                }
+            })
+            .collect();
+        let set = build_task_set(3, &chains).unwrap();
+        // The derivation admit_ds runs, stopped after one sweep.
+        let mut seed = IeerBounds::seed(&set);
+        let mut kernel = IeertKernel::empty(&AnalysisConfig::DEFAULT);
+        kernel.derive(st.kernel.as_ref().unwrap(), &set, pos_c, &mut seed);
+        let mut next = seed.clone();
+        kernel.jacobi(&seed, &mut next).unwrap();
+        assert_eq!(
+            kernel.solved(),
+            2 + 2,
+            "two dirty subtasks, two candidate subtasks"
+        );
+        // A cold kernel solves all ten subtasks from the same seed.
+        let mut cold = IeertKernel::new(&set, &AnalysisConfig::DEFAULT);
+        let mut cold_next = seed.clone();
+        cold.jacobi(&seed, &mut cold_next).unwrap();
+        assert_eq!(cold.solved(), set.num_subtasks() as u64);
+        assert_eq!(next, cold_next);
+        // The derived run converges to the batch bounds, and so does the
+        // engine's own admit.
+        let warm = sweep_to_fixed_point(&mut kernel, &set, next, None).unwrap();
+        let batch = analyze_ds(&set, &AnalysisConfig::DEFAULT).unwrap();
+        assert_eq!(warm.bounds(), batch.bounds());
+        assert!(st.admit(req).admitted);
+        let bounds: Vec<Dur> = st.resident_bounds().into_iter().map(|(_, b)| b).collect();
+        assert_eq!(bounds, batch.task_bounds());
     }
 
     #[test]

@@ -22,13 +22,16 @@
 //!
 //! # The kernel
 //!
-//! Every SA/DS run builds one `IeertKernel` and keeps it across its
-//! sweeps; [`ieert_pass`] is a one-sweep wrapper over a fresh one. The
-//! kernel computes each subtask's period, execution, blocking bound and
-//! interferer list once per run (read from the task set's priority
-//! index, not by a scan of the whole set), and returns
-//! exactly what the literal algorithm above returns (the differential tests
-//! in `tests/ieert_kernel.rs` hold it to that) while doing less work:
+//! Every SA/DS run sweeps one `IeertKernel`; [`ieert_pass`] is a
+//! one-sweep wrapper over a fresh one. A cold kernel computes each
+//! subtask's period, execution, blocking bound and interferer list once
+//! (read from the task set's priority index, not by a scan of the whole
+//! set). Every subtask's demand terms, jitter sources and completions lie
+//! in three flat arenas, one span per subtask, so a kernel is a handful
+//! of allocations however many subtasks it holds. The kernel returns
+//! exactly what the literal algorithm above returns (the differential
+//! tests in `tests/ieert_kernel.rs` hold it to that) while doing less
+//! work:
 //!
 //! * **Warm hints.** It caches each subtask's last busy period `D` and
 //!   completions `C(m)`, and seeds the next evaluation's step 1 at `D` and
@@ -65,6 +68,37 @@
 //! conceivable difference is a cold search exhausting
 //! `max_fixed_point_iterations` (10⁶ by default, a backstop) where the
 //! warm one converges.
+//!
+//! # The resident kernel
+//!
+//! The admission engine ([`crate::analysis::admission`], DS mode) keeps
+//! the kernel of its last committed run, converged, and derives the next
+//! run's kernel from it instead of building one cold. An admit inserts
+//! one chain at priority position `pos_c`, and only adds demand:
+//!
+//! * A resident subtask is **dirty** when the candidate has a subtask on
+//!   its processor above it (its interference set grows), or when its
+//!   blocking term changes (never, in the engine's preemptive base
+//!   model). The candidate's terms are spliced into its interference at
+//!   their priority, its cached value is dropped, and its busy period
+//!   and completions stay as warm hints: solved under less demand and
+//!   no larger jitters, they lie below the new least fixed points.
+//! * Every other resident subtask is **clean** and copied as it is,
+//!   with task indices past `pos_c` shifted by one. Its constants and
+//!   interference set are unchanged and the run is seeded at the
+//!   resident converged bounds, so the first sweep gives it exactly the
+//!   jitters its cached value was solved under, and the unchanged-inputs
+//!   rule returns that value. The value is exact: IEERT of a subtask is a
+//!   function of those jitters alone.
+//! * The candidate's own subtasks start cold.
+//!
+//! The first sweep so solves only the dirty subtasks and the
+//! candidate's. Every bound and sweep count is that of a fresh kernel run
+//! from the same seed, and so is every error, up to the iteration
+//! backstop noted above. The engine derives into a scratch
+//! kernel whose arenas it reuses, and swaps it in on commit. A rejected
+//! admit abandons the scratch kernel and never wrote to the resident
+//! one, so rollback costs nothing.
 
 use crate::analysis::busy_period::{
     fixed_point_with_hint_counted, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
@@ -72,7 +106,7 @@ use crate::analysis::busy_period::{
 use crate::analysis::sa_pm::map_failure;
 use crate::analysis::AnalysisConfig;
 use crate::error::AnalyzeError;
-use crate::task::{SubtaskId, TaskId, TaskSet};
+use crate::task::{ProcessorId, SubtaskId, Task, TaskId, TaskSet};
 use crate::time::Dur;
 
 /// A set of IEER bounds, one per subtask: `bounds[i][j]` bounds the time
@@ -107,7 +141,7 @@ impl IeerBounds {
     /// entries *raised* to a caller-supplied prior where one is available
     /// (`max(cumulative execution, prior)` per subtask).
     ///
-    /// This is the warm seed of the incremental admission engine: after a
+    /// This is the warm seed of an incremental analysis: after a
     /// system grows, the previously *converged* bounds of the retained
     /// subtasks are valid priors — demand growth moves the least fixed
     /// point of the IEERT sweep up, never down, so each old bound still
@@ -198,16 +232,49 @@ pub fn ieert_pass(
     Ok(next)
 }
 
-/// The IEERT sweep operator of one SA/DS run, built once and kept across
-/// its sweeps so every fixed point after the first starts warm (see the
-/// module docs for the hint contract and the early-stop lemma).
+/// The IEERT sweep operator of one SA/DS run, kept across its sweeps so
+/// every fixed point after the first starts warm (see the module docs for
+/// the hint contract, the early-stop lemma and the resident kernel).
+///
+/// Every subtask's demand terms and completions live in three flat
+/// arenas shared by the whole kernel; a [`SubtaskKernel`] holds only its
+/// constants, its spans into the arenas and its last fixed points.
+#[derive(Clone, Debug)]
 pub(crate) struct IeertKernel {
     cfg: AnalysisConfig,
     subtasks: Vec<SubtaskKernel>,
+    /// Demand terms, one span per subtask: the interferers in `H_{i,j}`
+    /// highest priority first, then the subtask's own term. Jitters are
+    /// those of the span owner's last evaluation.
+    terms: Vec<DemandTerm>,
+    /// The subtask behind each term; its predecessor's IEER bound is the
+    /// term's jitter (zero for a first subtask).
+    members: Vec<SubtaskId>,
+    /// Per-instance completions, one span per subtask:
+    /// `completions[span.start + m − 1] = C(m)`, zero where no instance
+    /// `m` was solved since the span was last cleared.
+    completions: Vec<Dur>,
+    /// Evaluations that ran the fixed points since the kernel was built
+    /// or derived.
+    solved: u64,
+}
+
+/// A run of arena slots owned by one subtask.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: usize,
+    len: usize,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 /// Steps 1–4 of Figure 10 for one subtask: its constants, hoisted out of
 /// the sweeps, plus the fixed points its last evaluation found.
+#[derive(Clone, Debug)]
 struct SubtaskKernel {
     id: SubtaskId,
     period: Dur,
@@ -217,59 +284,177 @@ struct SubtaskKernel {
     blocking: Dur,
     /// `failure_factor × period`.
     cap: Dur,
-    /// Demand terms: the interferers in `H_{i,j}`, then the subtask's own
-    /// term last. Jitters are those of the last evaluation.
-    terms: Vec<DemandTerm>,
-    /// The subtask whose IEER bound is each term's jitter (the term's
-    /// predecessor; `None` for a first subtask).
-    jitter_sources: Vec<Option<SubtaskId>>,
+    /// This subtask's demand terms in the kernel's `terms` and `members`.
+    terms: Span,
+    /// This subtask's slots in the kernel's `completions`.
+    completions: Span,
     /// The last busy-period length `D` (zero before the first evaluation).
     busy: Dur,
-    /// The last per-instance completions: `completions[m − 1] = C(m)`.
-    completions: Vec<Dur>,
     /// The IEER bound the last evaluation returned, under the jitters in
-    /// `terms`; `None` before the first evaluation and after a failed one.
+    /// its terms; `None` before the first evaluation and after a failed one.
     last: Option<Dur>,
-    /// Evaluations that ran the fixed points.
-    solved: u64,
 }
 
 impl IeertKernel {
+    /// A cold kernel for `set`: no fixed point solved yet.
     pub(crate) fn new(set: &TaskSet, cfg: &AnalysisConfig) -> IeertKernel {
-        let subtasks = set
-            .subtasks()
-            .map(|sub| {
-                let id = sub.id();
-                let period = set.task(id.task()).period();
-                let (mut terms, mut jitter_sources): (Vec<_>, Vec<_>) = set
-                    .interference_set(id)
-                    .map(|s| {
-                        let term =
-                            DemandTerm::periodic(set.task(s.id().task()).period(), s.execution());
-                        (term, s.id().predecessor())
-                    })
-                    .unzip();
-                terms.push(DemandTerm::periodic(period, sub.execution()));
-                jitter_sources.push(id.predecessor());
-                SubtaskKernel {
-                    id,
-                    period,
-                    execution: sub.execution(),
-                    blocking: set.blocking_bound(id),
-                    cap: cfg.cap_for_period(period),
-                    terms,
-                    jitter_sources,
-                    busy: Dur::ZERO,
-                    completions: Vec::new(),
-                    last: None,
-                    solved: 0,
-                }
-            })
-            .collect();
+        let mut kernel = IeertKernel::empty(cfg);
+        kernel.rebuild(set);
+        kernel
+    }
+
+    /// Rebuilds `self` as a cold kernel for `set`, reusing its arenas.
+    pub(crate) fn rebuild(&mut self, set: &TaskSet) {
+        self.clear();
+        for sub in set.subtasks() {
+            self.push_fresh(set, sub.id());
+        }
+    }
+
+    fn clear(&mut self) {
+        self.subtasks.clear();
+        self.terms.clear();
+        self.members.clear();
+        self.completions.clear();
+        self.solved = 0;
+    }
+
+    /// The kernel of a system without subtasks.
+    pub(crate) fn empty(cfg: &AnalysisConfig) -> IeertKernel {
         IeertKernel {
             cfg: *cfg,
-            subtasks,
+            subtasks: Vec::new(),
+            terms: Vec::new(),
+            members: Vec::new(),
+            completions: Vec::new(),
+            solved: 0,
         }
+    }
+
+    /// The limits the kernel runs under.
+    pub(crate) fn cfg(&self) -> &AnalysisConfig {
+        &self.cfg
+    }
+
+    /// Appends a cold kernel for `id` of `set`.
+    fn push_fresh(&mut self, set: &TaskSet, id: SubtaskId) {
+        let start = self.terms.len();
+        for s in set.interference_set(id).chain([set.subtask(id)]) {
+            let period = set.task(s.id().task()).period();
+            self.terms.push(DemandTerm::periodic(period, s.execution()));
+            self.members.push(s.id());
+        }
+        let period = set.task(id.task()).period();
+        self.subtasks.push(SubtaskKernel {
+            id,
+            period,
+            execution: set.subtask(id).execution(),
+            blocking: set.blocking_bound(id),
+            cap: self.cfg.cap_for_period(period),
+            terms: Span {
+                start,
+                len: self.terms.len() - start,
+            },
+            completions: Span {
+                start: self.completions.len(),
+                len: 0,
+            },
+            busy: Dur::ZERO,
+            last: None,
+        });
+    }
+
+    /// Rebuilds `self` as the kernel of `set`: `resident`'s task set with
+    /// one chain inserted at task position `pos_c`, where `resident` holds
+    /// the converged state of its last SA/DS run. Raises `seed` (a seed
+    /// of `set`) to each retained subtask's converged bound: the warm seed
+    /// of the admission run. `self`'s arenas are reused, so a warm steady
+    /// state allocates nothing.
+    ///
+    /// Resident subtasks above the candidate are copied as they are. Those
+    /// below it get the candidate's subtasks on their processor spliced
+    /// into their interference; the ones that gain a term are dirty. The
+    /// candidate's own subtasks start cold (see the module docs).
+    pub(crate) fn derive(
+        &mut self,
+        resident: &IeertKernel,
+        set: &TaskSet,
+        pos_c: usize,
+        seed: &mut IeerBounds,
+    ) {
+        self.cfg = resident.cfg;
+        self.clear();
+        let candidate = set.task(TaskId::new(pos_c));
+        let above = resident
+            .subtasks
+            .partition_point(|s| s.id.task().index() < pos_c);
+        for old in &resident.subtasks[..above] {
+            self.push_resident(resident, old, pos_c, None, seed);
+        }
+        for sub in candidate.subtasks() {
+            self.push_fresh(set, sub.id());
+        }
+        for old in &resident.subtasks[above..] {
+            let proc = set.subtask(shifted(old.id, pos_c)).processor();
+            self.push_resident(resident, old, pos_c, Some((candidate, proc)), seed);
+        }
+    }
+
+    /// Appends resident subtask `old`, renumbered for a chain inserted at
+    /// task position `pos_c`. `above` is that chain and `old`'s processor
+    /// when the chain sits above `old`: its subtasks there join `old`'s
+    /// interference, and a subtask that gains a term drops its cached
+    /// value but keeps its fixed points as warm hints (demand only grew).
+    fn push_resident(
+        &mut self,
+        resident: &IeertKernel,
+        old: &SubtaskKernel,
+        pos_c: usize,
+        above: Option<(&Task, ProcessorId)>,
+        seed: &mut IeerBounds,
+    ) {
+        let id = shifted(old.id, pos_c);
+        // An inserted chain could change a blocking term only through
+        // non-preemptive work or critical sections, which admitted chains
+        // cannot declare; the copy keeps the old term.
+        debug_assert_eq!(old.blocking, Dur::ZERO, "admitted chains never block");
+        let terms = &resident.terms[old.terms.range()];
+        let members = &resident.members[old.terms.range()];
+        // Interferers above the inserted chain keep their numbers.
+        let split = members.partition_point(|m| m.task().index() < pos_c);
+        let start = self.terms.len();
+        self.terms.extend_from_slice(&terms[..split]);
+        self.members.extend_from_slice(&members[..split]);
+        if let Some((chain, proc)) = above {
+            for sub in chain.subtasks().iter().filter(|s| s.processor() == proc) {
+                self.terms
+                    .push(DemandTerm::periodic(chain.period(), sub.execution()));
+                self.members.push(sub.id());
+            }
+        }
+        let dirty = self.terms.len() - start > split;
+        self.terms.extend_from_slice(&terms[split..]);
+        self.members
+            .extend(members[split..].iter().map(|&m| shifted(m, pos_c)));
+        let completions = Span {
+            start: self.completions.len(),
+            len: old.completions.len,
+        };
+        self.completions
+            .extend_from_slice(&resident.completions[old.completions.range()]);
+        if let Some(bound) = old.last {
+            seed.set(id, seed.get(id).max(bound));
+        }
+        self.subtasks.push(SubtaskKernel {
+            id,
+            terms: Span {
+                start,
+                len: self.terms.len() - start,
+            },
+            completions,
+            last: if dirty { None } else { old.last },
+            ..*old
+        });
     }
 
     /// One Jacobi sweep: `next[s] = IEERT(current)[s]` for every subtask.
@@ -278,83 +463,92 @@ impl IeertKernel {
         current: &IeerBounds,
         next: &mut IeerBounds,
     ) -> Result<(), AnalyzeError> {
-        for sub in &mut self.subtasks {
-            let value = sub.ieer(current, &self.cfg)?;
-            next.set(sub.id, value);
+        for k in 0..self.subtasks.len() {
+            let value = self.ieer(k, current)?;
+            next.set(self.subtasks[k].id, value);
         }
         Ok(())
     }
 
-    /// Subtask evaluations so far that ran the fixed points rather than
-    /// returning the last value under unchanged jitters.
+    /// Subtask evaluations since the kernel was built or derived that ran
+    /// the fixed points rather than returning the last value under
+    /// unchanged jitters.
     pub(crate) fn solved(&self) -> u64 {
-        self.subtasks.iter().map(|s| s.solved).sum()
+        self.solved
     }
-}
 
-impl SubtaskKernel {
-    /// Steps 1–4 of Figure 10 under the jitters in `bounds`.
-    fn ieer(&mut self, bounds: &IeerBounds, cfg: &AnalysisConfig) -> Result<Dur, AnalyzeError> {
+    /// Steps 1–4 of Figure 10 for subtask `k` under the jitters in
+    /// `bounds`.
+    fn ieer(&mut self, k: usize, bounds: &IeerBounds) -> Result<Dur, AnalyzeError> {
+        let sub = &mut self.subtasks[k];
+        let terms = &mut self.terms[sub.terms.range()];
+        let members = &self.members[sub.terms.range()];
         // Cached fixed points stay valid lower hints only while no jitter
         // they were solved under has since dropped.
         let mut warm = true;
         let mut unchanged = true;
-        for (term, source) in self.terms.iter_mut().zip(&self.jitter_sources) {
-            let jitter = source.map_or(Dur::ZERO, |p| bounds.get(p));
+        for (term, member) in terms.iter_mut().zip(members) {
+            let jitter = member.predecessor().map_or(Dur::ZERO, |p| bounds.get(p));
             warm &= jitter >= term.jitter;
             unchanged &= jitter == term.jitter;
             term.jitter = jitter;
         }
         // IEERT is a function of these jitters alone: the same inputs give
         // the last evaluation's value.
-        if let (true, Some(value)) = (unchanged, self.last) {
+        if let (true, Some(value)) = (unchanged, sub.last) {
             return Ok(value);
         }
         if !warm {
-            self.busy = Dur::ZERO;
-            self.completions.clear();
+            sub.busy = Dur::ZERO;
+            self.completions[sub.completions.range()].fill(Dur::ZERO);
         }
         self.solved += 1;
-        self.last = None;
-        let value = self.solve(cfg)?;
-        self.last = Some(value);
+        sub.last = None;
+        let value = sub.solve(terms, &mut self.completions, &self.cfg)?;
+        sub.last = Some(value);
         Ok(value)
     }
+}
 
+impl SubtaskKernel {
     /// The fixed points of steps 1–4 under the jitters in `terms`,
-    /// warm-started from `busy` and `completions`.
-    fn solve(&mut self, cfg: &AnalysisConfig) -> Result<Dur, AnalyzeError> {
+    /// warm-started from `busy` and this subtask's span of `completions`,
+    /// which moves to the arena's end when it needs more slots.
+    fn solve(
+        &mut self,
+        terms: &[DemandTerm],
+        completions: &mut Vec<Dur>,
+        cfg: &AnalysisConfig,
+    ) -> Result<Dur, AnalyzeError> {
         let id = self.id;
         let overflow = || AnalyzeError::ArithmeticOverflow { subtask: id };
-        let (own, interference) = self.terms.split_last().expect("own term is last");
+        let (own, interference) = terms.split_last().expect("own term is last");
         let own_jitter = own.jitter;
 
         // Step 1: busy-period duration with jittered demand.
-        let busy_cap = busy_period_cap(&self.terms, cfg);
+        let busy_cap = busy_period_cap(terms, cfg);
         let limits = FixedPointLimits::new(busy_cap, cfg.max_fixed_point_iterations);
-        let (duration, _) =
-            fixed_point_with_hint_counted(self.busy, self.blocking, &self.terms, limits).map_err(
-                |f| match f {
-                    FixedPointFailure::ExceedsCap => {
-                        let utilization_ppm = utilization_ppm(&self.terms);
-                        if utilization_ppm >= 1_000_000 {
-                            AnalyzeError::Overload {
-                                subtask: id,
-                                utilization_ppm,
-                            }
-                        } else {
-                            // Below capacity but the jitter terms alone exceed
-                            // the cap: the bounds have blown up — a failure,
-                            // not an overload.
-                            AnalyzeError::BoundExceedsCap {
-                                subtask: id,
-                                cap: busy_cap,
-                            }
+        let (duration, _) = fixed_point_with_hint_counted(self.busy, self.blocking, terms, limits)
+            .map_err(|f| match f {
+                FixedPointFailure::ExceedsCap => {
+                    let utilization_ppm = utilization_ppm(terms);
+                    if utilization_ppm >= 1_000_000 {
+                        AnalyzeError::Overload {
+                            subtask: id,
+                            utilization_ppm,
+                        }
+                    } else {
+                        // Below capacity but the jitter terms alone exceed
+                        // the cap: the bounds have blown up — a failure,
+                        // not an overload.
+                        AnalyzeError::BoundExceedsCap {
+                            subtask: id,
+                            cap: busy_cap,
                         }
                     }
-                    other => map_failure(other, id, busy_cap),
-                },
-            )?;
+                }
+                other => map_failure(other, id, busy_cap),
+            })?;
         self.busy = duration;
 
         // Step 2: instances to examine.
@@ -379,13 +573,21 @@ impl SubtaskKernel {
                 .and_then(|x| x.checked_add(self.blocking))
                 .ok_or_else(overflow)?;
             let slot = (m - 1) as usize;
-            let hint = prev_completion.max(self.completions.get(slot).copied().unwrap_or_default());
+            if slot == self.completions.len {
+                // Out of slots: move the span to the arena's end, doubled.
+                let start = completions.len();
+                completions.extend_from_within(self.completions.range());
+                completions.resize(start + (2 * slot).max(2), Dur::ZERO);
+                self.completions = Span {
+                    start,
+                    len: completions.len() - start,
+                };
+            }
+            let cached = &mut completions[self.completions.start + slot];
+            let hint = prev_completion.max(*cached);
             let (completion, _) = fixed_point_with_hint_counted(hint, offset, interference, limits)
                 .map_err(|f| map_failure(f, id, duration))?;
-            match self.completions.get_mut(slot) {
-                Some(cached) => *cached = completion,
-                None => self.completions.push(completion),
-            }
+            *cached = completion;
             prev_completion = completion;
             let ieer = completion.checked_add(own_jitter).ok_or_else(overflow)? - release;
             worst = worst.max(ieer);
@@ -401,6 +603,16 @@ impl SubtaskKernel {
         }
 
         Ok(worst)
+    }
+}
+
+/// `id` renumbered for a chain inserted at task position `pos_c`: chains
+/// at or below that position move one task index down.
+fn shifted(id: SubtaskId, pos_c: usize) -> SubtaskId {
+    if id.task().index() >= pos_c {
+        SubtaskId::new(TaskId::new(id.task().index() + 1), id.index())
+    } else {
+        id
     }
 }
 

@@ -103,8 +103,8 @@ pub fn analyze_ds(set: &TaskSet, cfg: &AnalysisConfig) -> Result<DsBounds, Analy
 }
 
 /// Runs Algorithm SA/DS from a caller-supplied seed instead of the
-/// optimistic one — the warm-start path of the incremental admission
-/// engine (build the seed with [`IeerBounds::seed_with`]).
+/// optimistic one: a warm start from the converged bounds of a smaller
+/// system (build the seed with [`IeerBounds::seed_with`]).
 ///
 /// The caller must guarantee the seed lies at or below the least fixed
 /// point of the IEERT sweep on `set` (entry-wise); any seed between the
@@ -120,15 +120,16 @@ pub fn analyze_ds_seeded(
     cfg: &AnalysisConfig,
     seed: IeerBounds,
 ) -> Result<DsBounds, AnalyzeError> {
-    sweep_to_fixed_point(set, cfg, seed, None)
+    sweep_to_fixed_point(&mut IeertKernel::new(set, cfg), set, seed, None)
 }
 
 /// The SA/DS outer loop behind every entry point: Jacobi IEERT sweeps of
-/// one [`IeertKernel`] from `seed` until the bounds repeat, recording each
-/// sweep into `trace` when one is given.
-fn sweep_to_fixed_point(
+/// `kernel`, a kernel of `set` (cold, or derived from a resident one by
+/// the admission engine), from `seed` until the bounds repeat, recording
+/// each sweep into `trace` when one is given.
+pub(crate) fn sweep_to_fixed_point(
+    kernel: &mut IeertKernel,
     set: &TaskSet,
-    cfg: &AnalysisConfig,
     seed: IeerBounds,
     mut trace: Option<&mut IeertReport>,
 ) -> Result<DsBounds, AnalyzeError> {
@@ -137,7 +138,7 @@ fn sweep_to_fixed_point(
             .map(|i| b.task_bound(TaskId::new(i)))
             .collect()
     };
-    let mut kernel = IeertKernel::new(set, cfg);
+    let cfg = *kernel.cfg();
     let mut bounds = seed;
     let mut next = bounds.clone();
     if let Some(report) = trace.as_deref_mut() {
@@ -271,7 +272,8 @@ pub fn analyze_ds_traced(
     cfg: &AnalysisConfig,
 ) -> Result<(Option<DsBounds>, IeertReport), AnalyzeError> {
     let mut report = IeertReport::default();
-    match sweep_to_fixed_point(set, cfg, IeerBounds::seed(set), Some(&mut report)) {
+    let mut kernel = IeertKernel::new(set, cfg);
+    match sweep_to_fixed_point(&mut kernel, set, IeerBounds::seed(set), Some(&mut report)) {
         Ok(bounds) => Ok((Some(bounds), report)),
         // The failure criterion fired (the bounds grew past
         // `failure_factor × period`) or the sweep budget ran out: the
@@ -486,7 +488,8 @@ mod tests {
         let cold = analyze_ds(&set, &cfg()).unwrap();
         let mut report = IeertReport::default();
         let seed = IeerBounds::seed_with(&set, |id| Some(cold.ieer(id)));
-        let warm = sweep_to_fixed_point(&set, &cfg(), seed, Some(&mut report)).unwrap();
+        let mut kernel = IeertKernel::new(&set, &cfg());
+        let warm = sweep_to_fixed_point(&mut kernel, &set, seed, Some(&mut report)).unwrap();
         assert_eq!(warm.bounds(), cold.bounds());
         assert_eq!(report.sweeps, 1);
         assert_eq!(report.solved, set.num_subtasks() as u64);

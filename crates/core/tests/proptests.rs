@@ -443,6 +443,29 @@ proptest! {
 /// subtasks)`, where op 0 retires and anything else admits.
 type AdmissionOp = (u8, i64, i64, u32, Vec<(usize, i64)>);
 
+/// One request to both engines of a replay.
+enum Step {
+    Admit(ChainRequest),
+    Retire(u64),
+}
+
+/// The chain `(period, deadline factor, rank, subtasks)` draws describe.
+fn drawn_request(
+    id: u64,
+    period: i64,
+    dfac: i64,
+    rank: u32,
+    subs: Vec<(usize, i64)>,
+) -> ChainRequest {
+    let subtasks = subs
+        .into_iter()
+        .map(|(proc, c)| (proc, Dur::from_ticks(c)))
+        .collect();
+    ChainRequest::new(id, Dur::from_ticks(period), subtasks)
+        .with_deadline(Dur::from_ticks(period * dfac))
+        .with_rank(rank)
+}
+
 /// Replays `ops` on a memoized and a from-scratch admission state over two
 /// processors and checks that every verdict and the resident state agree.
 /// Returns the from-scratch reject reason of each step (`None` for admits
@@ -451,41 +474,118 @@ fn replay_warm_and_cold(
     cfg: AdmissionConfig,
     ops: Vec<AdmissionOp>,
 ) -> Result<Vec<Option<RejectReason>>, TestCaseError> {
-    let mut warm = AdmissionState::new(2, cfg);
-    let mut cold = AdmissionState::new(2, cfg.with_memoization(false));
+    let steps = ops
+        .into_iter()
+        .enumerate()
+        .map(|(i, (op, period, dfac, rank, subs))| {
+            // A small id space so retires hit residents and duplicate
+            // admits genuinely occur.
+            let id = (i % 5) as u64;
+            if op == 0 {
+                Step::Retire(id)
+            } else {
+                Step::Admit(drawn_request(id, period, dfac, rank, subs))
+            }
+        })
+        .collect();
+    replay_steps(cfg, 2, steps)
+}
+
+/// Replays `steps` on a memoized and a from-scratch admission state over
+/// `procs` processors. After every step the verdicts, bounds, reject
+/// payloads and resident state must agree, and a rejected admit must leave
+/// the memoized state's resident bounds as they were.
+fn replay_steps(
+    cfg: AdmissionConfig,
+    procs: usize,
+    steps: Vec<Step>,
+) -> Result<Vec<Option<RejectReason>>, TestCaseError> {
+    let mut warm = AdmissionState::new(procs, cfg);
+    let mut cold = AdmissionState::new(procs, cfg.with_memoization(false));
     let mut rejects = Vec::new();
-    for (i, (op, period, dfac, rank, subs)) in ops.into_iter().enumerate() {
-        // A small id space so retires hit residents and duplicate
-        // admits genuinely occur.
-        let id = (i % 5) as u64;
-        if op == 0 {
-            // The reanalyzed/skipped work counters legitimately differ
-            // between the two configurations; the verdicts must not.
-            let a = warm.retire(id);
-            let b = cold.retire(id);
-            prop_assert_eq!(a.is_ok(), b.is_ok());
-            prop_assert_eq!(a.err(), b.err());
-            rejects.push(None);
-        } else {
-            let subtasks = subs
-                .into_iter()
-                .map(|(proc, c)| (proc, Dur::from_ticks(c)))
-                .collect();
-            let req = ChainRequest::new(id, Dur::from_ticks(period), subtasks)
-                .with_deadline(Dur::from_ticks(period * dfac))
-                .with_rank(rank);
-            let a = warm.admit(req.clone());
-            let b = cold.admit(req);
-            prop_assert_eq!(a.admitted, b.admitted);
-            prop_assert_eq!(a.bound, b.bound);
-            prop_assert_eq!(a.reject, b.reject);
-            prop_assert_eq!(a.residents, b.residents);
-            rejects.push(b.reject);
+    for step in steps {
+        match step {
+            Step::Retire(id) => {
+                // The reanalyzed/skipped work counters legitimately differ
+                // between the two configurations; the verdicts must not.
+                let a = warm.retire(id);
+                let b = cold.retire(id);
+                prop_assert_eq!(a.is_ok(), b.is_ok());
+                prop_assert_eq!(a.err(), b.err());
+                rejects.push(None);
+            }
+            Step::Admit(req) => {
+                let before = warm.resident_bounds();
+                let a = warm.admit(req.clone());
+                let b = cold.admit(req);
+                prop_assert_eq!(a.admitted, b.admitted);
+                prop_assert_eq!(a.bound, b.bound);
+                prop_assert_eq!(&a.reject, &b.reject);
+                prop_assert_eq!(a.residents, b.residents);
+                if !a.admitted {
+                    prop_assert_eq!(warm.resident_bounds(), before);
+                }
+                rejects.push(b.reject);
+            }
         }
         prop_assert_eq!(warm.resident_bounds(), cold.resident_bounds());
         prop_assert_eq!(warm.residents(), cold.residents());
     }
     Ok(rejects)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// DS admission on the resident IEERT kernel is bit-identical to the
+    /// from-scratch engine over long mixed admit/retire sequences on three
+    /// processors. Ranks share a small range with the residents', so
+    /// candidates land above, between and below them and dirty anything
+    /// from no resident subtask to all of them; chains of up to four
+    /// subtasks revisit processors. Tight failure factors make warm runs
+    /// diverge, and rejected admits are followed by further steps on the
+    /// rolled-back state.
+    #[test]
+    fn resident_ds_kernel_matches_batch(
+        quick_gate in prop::bool::ANY,
+        tight_cap in 0i64..6,
+        ops in prop::collection::vec(
+            (
+                0u8..4,                                            // 0 = retire, else admit
+                0u64..8,                                           // chain id
+                (4i64..80, 1i64..4),                               // period, deadline factor
+                0u32..8,                                           // rank
+                prop::collection::vec((0usize..3, 1i64..8), 1..5), // subtasks
+            ),
+            1..33,
+        ),
+    ) {
+        let mut cfg = AdmissionConfig::new(AdmissionMode::DirectSync).with_quick_gate(quick_gate);
+        if tight_cap > 0 {
+            cfg.analysis.failure_factor = tight_cap;
+        }
+        let steps = ops
+            .into_iter()
+            .map(|(op, id, (period, dfac), rank, subs)| {
+                if op == 0 {
+                    return Step::Retire(id);
+                }
+                // Consecutive subtasks move on when they would repeat a
+                // processor.
+                let mut prev = usize::MAX;
+                let subs = subs
+                    .into_iter()
+                    .map(|(proc, c)| {
+                        let proc = if proc == prev { (proc + 1) % 3 } else { proc };
+                        prev = proc;
+                        (proc, c)
+                    })
+                    .collect();
+                Step::Admit(drawn_request(id, period, dfac, rank, subs))
+            })
+            .collect();
+        replay_steps(cfg, 3, steps)?;
+    }
 }
 
 /// A DS admission whose sweeps diverge under a failure factor of 2 trips

@@ -517,6 +517,9 @@ pub struct ProtocolCounters {
     /// Guard-blocked jobs and when they blocked. Ordered, so `{:?}` of
     /// two identical runs prints the same text.
     blocked_at: BTreeMap<JobId, Time>,
+    /// Each subtask's processor, `[task][chain index]`: a crash cancels
+    /// the guard-blocked jobs of the subtasks it hosts.
+    hosts: Vec<Vec<usize>>,
 }
 
 impl ProtocolCounters {
@@ -701,6 +704,11 @@ impl Observer for ProtocolCounters {
         self.protocol = Some(protocol);
         self.tasks = vec![TaskCounters::default(); set.num_tasks()];
         self.procs = vec![ProcCounters::default(); set.num_processors()];
+        self.hosts = set
+            .tasks()
+            .iter()
+            .map(|t| t.subtasks().iter().map(|s| s.processor().index()).collect())
+            .collect();
     }
 
     fn on(&mut self, now: Time, note: Note) {
@@ -741,6 +749,16 @@ impl Observer for ProtocolCounters {
                 self.signal_delivers += 1;
                 self.signal_depth = self.signal_depth.saturating_sub(1);
             }
+            Note::Crash { proc, .. } => {
+                // Every deferred release on the node dies with it, and no
+                // release note will follow for those jobs.
+                let hosts = &self.hosts;
+                self.blocked_at
+                    .retain(|job, _| hosts[task(*job)][job.subtask().index()] != proc);
+            }
+            // Jobs still deferred when the run stops are never released;
+            // their guard delay is unknown and stays uncounted.
+            Note::RunEnd { .. } => self.blocked_at.clear(),
             _ => {}
         }
     }

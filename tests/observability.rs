@@ -361,12 +361,9 @@ fn counters_are_deterministic_across_repeated_seeded_runs() {
     }
 }
 
-/// `{:?}` of the counters of two identical runs prints the same text.
-/// The run leaves several guard-blocked jobs behind (crashes cancel
-/// them before their guards fire), so an unordered map inside the
-/// counters would print them in a different order each time.
-#[test]
-fn counters_debug_text_is_identical_across_identical_runs() {
+/// RG on a §5.1 system under random crashes: 1 656 guard blocks, and
+/// crashes that cancel deferred releases before their guards fire.
+fn crashing_rg_run() -> (rtsync::core::task::TaskSet, SimConfig) {
     let set = rtsync::workload::generate_seeded(
         &rtsync::workload::WorkloadSpec::paper(6, 0.8).with_random_phases(),
         11,
@@ -379,18 +376,73 @@ fn counters_debug_text_is_identical_across_identical_runs() {
             Dur::from_ticks(400_000),
             35,
         ));
+    (set, cfg)
+}
+
+/// [`ProtocolCounters`] that print themselves as each crash and the end
+/// of the run are reported, before they see the note.
+#[derive(Default)]
+struct Snapshots {
+    counters: ProtocolCounters,
+    texts: Vec<String>,
+}
+
+impl Observer for Snapshots {
+    fn on_run_start(&mut self, set: &rtsync::core::task::TaskSet, protocol: Protocol) {
+        self.counters.on_run_start(set, protocol);
+    }
+
+    fn on(&mut self, now: Time, note: Note) {
+        if matches!(note, Note::Crash { .. } | Note::RunEnd { .. }) {
+            self.texts.push(format!("{:?}", self.counters));
+        }
+        self.counters.on(now, note);
+    }
+}
+
+/// The jobs `{:?}` of some counters lists as guard-blocked.
+fn blocked_jobs(text: &str) -> usize {
+    text[text.find("blocked_at: {").expect("the field prints")..]
+        .matches("JobId {")
+        .count()
+}
+
+/// `{:?}` of the counters of two identical runs prints the same text.
+/// Printed as crashes strike, the counters hold several guard-blocked
+/// jobs, so an unordered map inside them would print those in a
+/// different order each time.
+#[test]
+fn counters_debug_text_is_identical_across_identical_runs() {
+    let (set, cfg) = crashing_rg_run();
     let run = || {
-        let mut counters = ProtocolCounters::default();
-        simulate_observed(&set, &cfg, &mut counters).unwrap();
-        format!("{counters:?}")
+        let mut snapshots = Snapshots::default();
+        simulate_observed(&set, &cfg, &mut snapshots).unwrap();
+        snapshots.texts.push(format!("{:?}", snapshots.counters));
+        snapshots.texts
     };
     let first = run();
-    let blocked = &first[first.find("blocked_at: {").expect("the field prints")..];
     assert!(
-        blocked.matches("JobId {").count() >= 2,
-        "the run must leave several blocked jobs to order: {blocked}"
+        first.iter().any(|text| blocked_jobs(text) >= 2),
+        "some crash must find several blocked jobs to order"
     );
     assert_eq!(first, run());
+}
+
+/// A crash cancels every guard-deferred release on its node, and no
+/// release note follows for those jobs: the counters forget them at the
+/// crash. Only the three jobs still deferred when the run stops are left
+/// for the run's end, which forgets them too. Before crashes were
+/// handled, this run ended with 54 jobs still marked blocked.
+#[test]
+fn crashes_clear_the_guard_blocks_they_cancel() {
+    let (set, cfg) = crashing_rg_run();
+    let mut snapshots = Snapshots::default();
+    let outcome = simulate_observed(&set, &cfg, &mut snapshots).unwrap();
+    assert_eq!(outcome.fault_stats.crashes, 131);
+    assert_eq!(snapshots.counters.total_guard_blocks(), 1_656);
+    let at_run_end = snapshots.texts.last().expect("the run ends");
+    assert_eq!(blocked_jobs(at_run_end), 3, "{at_run_end}");
+    assert_eq!(blocked_jobs(&format!("{:?}", snapshots.counters)), 0);
 }
 
 #[test]
