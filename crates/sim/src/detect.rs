@@ -1,8 +1,8 @@
 //! Heartbeat failure detection and graceful degradation.
 //!
-//! PR 3's recovery reconciliation is an oracle: the engine consults
-//! `FaultState::down` directly, so every processor "knows" about a crash
-//! the instant it happens. This module replaces that oracle with an
+//! The fault domain's recovery reconciliation is an oracle: the engine
+//! reads each processor's own down flag directly, so every processor
+//! "knows" about a crash the instant it happens. This module replaces that oracle with an
 //! endpoint protocol: every processor broadcasts a heartbeat each
 //! [`DetectorConfig::period`]; each *observer* processor keeps one
 //! suspicion deadline per peer and walks the peer through
@@ -498,11 +498,23 @@ pub(crate) struct DetectState {
     /// Per flat successor index: instances force-released from local
     /// information (late real signals for these are suppressed).
     forced: Vec<std::collections::BTreeSet<u64>>,
+    /// Consecutive measured end-to-end deadline misses per task (the
+    /// watchdog).
+    miss_streak: Vec<u32>,
+    /// Whether the watchdog already tripped for the current miss streak
+    /// (one trip per streak even when the budget moves under it: a
+    /// degraded-mode budget can shrink back below an ongoing streak).
+    watchdog_tripped: Vec<bool>,
     pub(crate) stats: DetectStats,
 }
 
 impl DetectState {
-    pub(crate) fn new(cfg: DetectorConfig, num_procs: usize, flat_len: usize) -> DetectState {
+    pub(crate) fn new(
+        cfg: DetectorConfig,
+        num_procs: usize,
+        flat_len: usize,
+        num_tasks: usize,
+    ) -> DetectState {
         let cfg = cfg.normalized();
         let phi = if cfg.phi.is_some() {
             vec![PhiState::new(); num_procs * num_procs]
@@ -515,6 +527,8 @@ impl DetectState {
             state: vec![PeerState::Alive; num_procs * num_procs],
             phi,
             forced: vec![std::collections::BTreeSet::new(); flat_len],
+            miss_streak: vec![0; num_tasks],
+            watchdog_tripped: vec![false; num_tasks],
             stats: DetectStats::default(),
         }
     }
@@ -705,6 +719,28 @@ impl DetectState {
         }
     }
 
+    /// Counts one measured end-to-end verdict of `task` toward the
+    /// consecutive-miss watchdog; returns the streak when it trips. Trips
+    /// once per streak: the budget is slowdown-aware (see
+    /// [`DetectState::watchdog_budget`]), and a moving budget can let the
+    /// streak skip over a threshold that shrinks back — hence `>=` plus a
+    /// one-trip latch (equivalent to `==` when the budget is static).
+    pub(crate) fn note_verdict(&mut self, task: usize, missed: bool) -> Option<u32> {
+        let threshold = self.watchdog_budget()?;
+        if !missed {
+            self.miss_streak[task] = 0;
+            self.watchdog_tripped[task] = false;
+            return None;
+        }
+        self.miss_streak[task] += 1;
+        if self.miss_streak[task] < threshold || self.watchdog_tripped[task] {
+            return None;
+        }
+        self.watchdog_tripped[task] = true;
+        self.stats.watchdog_trips += 1;
+        Some(self.miss_streak[task])
+    }
+
     /// Marks `instance` of flat successor `fi` as force-released; returns
     /// `false` if it already was.
     pub(crate) fn force(&mut self, fi: usize, instance: u64) -> bool {
@@ -773,7 +809,7 @@ mod tests {
     #[test]
     fn silence_walks_alive_suspect_dead_with_ground_truth_accounting() {
         let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 3, 2);
+        let mut st = DetectState::new(cfg, 3, 2, 1);
         assert_eq!(st.peer_state(0, 1), PeerState::Alive);
         // False suspicion: peer actually up.
         assert_eq!(
@@ -799,7 +835,7 @@ mod tests {
     #[test]
     fn heartbeats_revive_a_dead_peer() {
         let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 2, 1);
+        let mut st = DetectState::new(cfg, 2, 1, 1);
         assert!(!st.heard(0, 1, Time::from_ticks(10)));
         st.advance_suspicion(0, 1, true, false);
         st.advance_suspicion(0, 1, true, false);
@@ -818,7 +854,7 @@ mod tests {
     #[test]
     fn forcing_is_idempotent_per_instance() {
         let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 2, 3);
+        let mut st = DetectState::new(cfg, 2, 3, 1);
         assert!(st.force(1, 4));
         assert!(!st.force(1, 4));
         assert!(st.is_forced(1, 4));
@@ -878,7 +914,7 @@ mod tests {
             watchdog_misses: None,
             phi: None,
         };
-        let st = DetectState::new(cfg, 2, 1);
+        let st = DetectState::new(cfg, 2, 1, 1);
         assert!(st.cfg.dead_after > st.cfg.suspect_after);
         assert!(st.cfg.suspect_to_dead().is_positive());
         assert_eq!(st.arm_budget(0, 1), Some(d(30)), "suspect cliff intact");
@@ -892,9 +928,9 @@ mod tests {
     fn phi_suspicion_is_monotone_in_silence() {
         // The three threshold-crossing instants must be strictly ordered
         // for any mean: longer silence, higher suspicion level.
-        let st = DetectState::new(phi_cfg(), 2, 1);
+        let st = DetectState::new(phi_cfg(), 2, 1, 1);
         let degraded = st.arm_budget(0, 1).unwrap();
-        let mut st2 = DetectState::new(phi_cfg(), 2, 1);
+        let mut st2 = DetectState::new(phi_cfg(), 2, 1, 1);
         st2.advance_suspicion(0, 1, false, false); // -> Degraded
         let suspect_residue = st2.residue_budget(0, 1).unwrap();
         st2.advance_suspicion(0, 1, false, false); // -> Suspect
@@ -913,7 +949,7 @@ mod tests {
     fn phi_deadlines_stretch_with_the_observed_mean() {
         // A slowed peer doubles its inter-arrival mean; once past warmup
         // the degraded deadline doubles with it (±1 for ceiling).
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         let warm = st.arm_budget(0, 1).unwrap();
         // Feed 4 nominal beats (period 10), then check the deadline is
         // unchanged from warmup (mean == period).
@@ -943,7 +979,7 @@ mod tests {
         // Below min_samples the stand-in is max(period, observed mean):
         // *fast* early beats must not shrink the deadline below the
         // configured cadence…
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         let warm = st.arm_budget(0, 1).unwrap();
         st.heard(0, 1, Time::from_ticks(5));
         st.heard(0, 1, Time::from_ticks(7)); // interval 2 < period 10
@@ -953,7 +989,7 @@ mod tests {
             "fast early beats must not tighten the warmup deadline"
         );
         // …while a *slow* first interval stretches it immediately.
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         st.heard(0, 1, Time::from_ticks(5));
         st.heard(0, 1, Time::from_ticks(500)); // interval 495
         assert!(
@@ -992,7 +1028,7 @@ mod tests {
         // interval re-centers the deadlines and later gaps never reach
         // Dead.
         let slow = 160; // 16x the configured period of 10
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         st.heard(0, 1, Time::from_ticks(0));
         st.heard(0, 1, Time::from_ticks(slow)); // first slow interval recorded
         assert_eq!(st.stats.false_deads, 0);
@@ -1014,7 +1050,7 @@ mod tests {
 
     #[test]
     fn phi_hysteresis_requires_consecutive_on_time_beats() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         // Establish a nominal history, then degrade the pair.
         for k in 0..4 {
             st.heard(0, 1, Time::from_ticks(10 * (k + 1)));
@@ -1035,7 +1071,7 @@ mod tests {
 
     #[test]
     fn phi_late_beat_resets_the_hysteresis_streak() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         for k in 0..4 {
             st.heard(0, 1, Time::from_ticks(10 * (k + 1)));
         }
@@ -1053,7 +1089,7 @@ mod tests {
 
     #[test]
     fn phi_walk_counts_gray_ground_truth() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
         // Degraded on a genuinely gray peer: a gray hit.
         assert_eq!(
             st.advance_suspicion(0, 1, false, true),
@@ -1076,7 +1112,7 @@ mod tests {
         let cfg = DetectorConfig::new(d(10))
             .with_watchdog(3)
             .with_phi(PhiConfig::new());
-        let mut st = DetectState::new(cfg, 2, 1);
+        let mut st = DetectState::new(cfg, 2, 1, 1);
         assert_eq!(st.watchdog_budget(), Some(3));
         st.advance_suspicion(0, 1, false, true); // -> Degraded
         assert_eq!(st.watchdog_budget(), Some(6), "2x budget while degraded");

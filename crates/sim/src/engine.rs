@@ -5,6 +5,17 @@
 //! inter-processor signals (the paper's model), deterministic event
 //! ordering, and full metrics/trace collection.
 //!
+//! The engine dispatches events to the components it owns. Each
+//! [`Processor`] holds its scheduler state and its liveness (down,
+//! stalled, slowed), and keeps its next milestone in one keyed queue
+//! slot. The fault domain ([`crate::faults`]) is always present, built
+//! from the empty schedule when [`SimConfig::faults`] is `None`, and
+//! keeps only its next schedule edge queued, in the slot after the
+//! processors'. The optional layers (channel, transport, failure
+//! detector, clock sync) are `Option`s: a run without them never builds
+//! their state. The detector keeps one suspicion deadline per ordered
+//! processor pair in the slots after the fault edge.
+//!
 //! # Examples
 //!
 //! Reproduce the paper's Figure 3 observation — `T₃` misses its deadline
@@ -41,7 +52,7 @@ use crate::detect::{
 };
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{
-    BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, OverloadPolicy,
+    BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, GrayFamily, OverloadPolicy,
 };
 use crate::job::JobId;
 use crate::metrics::Metrics;
@@ -87,8 +98,8 @@ pub struct SimConfig {
     /// signal channel model. The default is the paper's ideal conditions,
     /// under which the engine takes the exact legacy code path.
     pub nonideal: NonidealConfig,
-    /// Processor crash/recovery faults (fail-stop). `None` — the default —
-    /// keeps the fault domain completely out of the run.
+    /// Processor crash/recovery, partition and gray faults. `None` — the
+    /// default — runs the empty schedule, which fires nothing.
     pub faults: Option<FaultConfig>,
     /// Endpoint-driven reliable signaling: sequence-numbered frames, acks,
     /// retransmission timers, and (optionally) heartbeat failure detection
@@ -281,6 +292,16 @@ pub enum SimulateError {
     /// The PM/MPM protocols need SA/PM response-time bounds, and the
     /// analysis failed (e.g. an overloaded processor).
     Analysis(AnalyzeError),
+    /// The run's horizon plus the largest single step it can schedule
+    /// does not fit in `i64` ticks, so event times would wrap.
+    TimeOverflow {
+        /// The run's horizon, after every padding.
+        horizon: Time,
+        /// The largest single step (see `cause`).
+        step: Dur,
+        /// What dominates the step, e.g. `"task period"`.
+        cause: &'static str,
+    },
 }
 
 impl fmt::Display for SimulateError {
@@ -289,6 +310,18 @@ impl fmt::Display for SimulateError {
             SimulateError::Analysis(e) => {
                 write!(f, "offline analysis required by the protocol failed: {e}")
             }
+            SimulateError::TimeOverflow {
+                horizon,
+                step,
+                cause,
+            } => write!(
+                f,
+                "time overflow: the run's horizon ({} ticks, from the task phases and \
+                 periods, the instance target and every delay padding) plus its largest \
+                 single step ({} ticks, set by the {cause}) does not fit in 64-bit ticks",
+                horizon.ticks(),
+                step.ticks()
+            ),
         }
     }
 }
@@ -297,6 +330,7 @@ impl Error for SimulateError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimulateError::Analysis(e) => Some(e),
+            SimulateError::TimeOverflow { .. } => None,
         }
     }
 }
@@ -312,7 +346,8 @@ impl From<AnalyzeError> for SimulateError {
 /// # Errors
 ///
 /// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
-/// analysis fails.
+/// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
+/// not fit in `i64` ticks.
 pub fn simulate(set: &TaskSet, cfg: &SimConfig) -> Result<SimOutcome, SimulateError> {
     // `NoopObserver` is zero-sized and every hook is an empty `#[inline]`
     // default, so this monomorphization is the exact unobserved engine.
@@ -328,7 +363,8 @@ pub fn simulate(set: &TaskSet, cfg: &SimConfig) -> Result<SimOutcome, SimulateEr
 /// # Errors
 ///
 /// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
-/// analysis fails.
+/// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
+/// not fit in `i64` ticks.
 pub fn simulate_observed(
     set: &TaskSet,
     cfg: &SimConfig,
@@ -346,7 +382,8 @@ pub fn simulate_observed(
 /// # Errors
 ///
 /// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
-/// analysis fails.
+/// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
+/// not fit in `i64` ticks.
 pub fn simulate_profiled(
     set: &TaskSet,
     cfg: &SimConfig,
@@ -356,20 +393,6 @@ pub fn simulate_profiled(
     let outcome = Engine::new(set, cfg, &mut obs, &mut prof)?.run()?;
     let profile = prof.finish(outcome.events);
     Ok((outcome, profile))
-}
-
-/// Which wire family a frame belongs to, for gray-link drop accounting.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GrayFamily {
-    /// Oracle signal path — pays latency and jitter but is never
-    /// gray-dropped (the channel model owns signal loss).
-    Signal,
-    /// Failure-detector heartbeats.
-    Heartbeat,
-    /// Reliable-transport payload frames.
-    Transport,
-    /// Clock-sync request/response frames.
-    Sync,
 }
 
 struct Engine<'a, O: Observer, P: Profiler> {
@@ -389,8 +412,6 @@ struct Engine<'a, O: Observer, P: Profiler> {
     /// Release times of in-flight instances per flat subtask index (FIFO —
     /// instances complete in release order), for response-time stats.
     inflight: Vec<std::collections::VecDeque<Time>>,
-    /// Previous source release time per task.
-    prev_source: Vec<Option<Time>>,
     /// Processors touched during the current instant, awaiting the
     /// end-of-instant reschedule.
     dirty: Vec<bool>,
@@ -403,8 +424,9 @@ struct Engine<'a, O: Observer, P: Profiler> {
     clocks: Option<Vec<LocalClock>>,
     /// Signal-channel state; `None` routes signals instantaneously.
     channel: Option<ChannelState>,
-    /// Crash/recovery fault state; `None` keeps the fail-free legacy path.
-    faults: Option<FaultState>,
+    /// The fault domain: the schedule's next edge, partitions, gray
+    /// links, recovery bookkeeping. Empty when no faults are configured.
+    faults: FaultState,
     /// Endpoint transport state; `None` keeps the oracle signal path.
     transport: Option<TransportState>,
     /// Failure-detector state; `None` runs no heartbeats.
@@ -414,12 +436,6 @@ struct Engine<'a, O: Observer, P: Profiler> {
     sync: Option<SyncState>,
     /// Structured degradation log (see [`SimOutcome::degradations`]).
     degradations: Vec<DegradationEvent>,
-    /// Consecutive end-to-end deadline misses per task (the watchdog).
-    miss_streak: Vec<u32>,
-    /// Whether the watchdog already tripped for the current miss streak
-    /// (one trip per streak even when the budget moves under it: a
-    /// degraded-mode budget can shrink back below an ongoing streak).
-    watchdog_tripped: Vec<bool>,
     horizon: Time,
     events: u64,
     now: Time,
@@ -464,9 +480,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             )),
             (None, false) => None,
         };
-        let (controller, pm_phases) = match cfg.protocol {
-            Protocol::DirectSync => (Controller::ds(), None),
-            Protocol::ReleaseGuard => {
+        // PM and MPM need SA/PM bounds before the first event; the
+        // profiler charges that analysis to its own scope.
+        let pm_bounds = if matches!(
+            cfg.protocol,
+            Protocol::PhaseModification | Protocol::ModifiedPhaseModification
+        ) {
+            prof.switch(PerfScope::Analysis);
+            let bounds = analyze_pm(set, &cfg.analysis);
+            prof.switch(PerfScope::Setup);
+            Some(bounds?)
+        } else {
+            None
+        };
+        let longest_bound = pm_bounds.as_ref().map_or(Dur::ZERO, |b| {
+            b.task_bounds().into_iter().max().unwrap_or(Dur::ZERO)
+        });
+        let (controller, pm_phases) = match (cfg.protocol, pm_bounds) {
+            (Protocol::DirectSync, _) => (Controller::ds(), None),
+            (Protocol::ReleaseGuard, _) => {
                 // Guards measure one task period on the host processor's
                 // clock; drift rescales that period in true time (offsets
                 // cancel — guards are pure durations).
@@ -480,74 +512,38 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 };
                 (controller, None)
             }
-            Protocol::PhaseModification => {
-                let bounds = analyze_pm(set, &cfg.analysis)?;
-                let phases = PmPhases::compute(set, &bounds);
-                (Controller::pm(), Some(phases))
+            (Protocol::PhaseModification, Some(bounds)) => {
+                (Controller::pm(), Some(PmPhases::compute(set, &bounds)))
             }
-            Protocol::ModifiedPhaseModification => {
-                let bounds = analyze_pm(set, &cfg.analysis)?;
-                (Controller::mpm(bounds), None)
-            }
+            (Protocol::ModifiedPhaseModification, Some(bounds)) => (Controller::mpm(bounds), None),
+            _ => unreachable!("PM and MPM ran the analysis above"),
         };
         let horizon = cfg.horizon.unwrap_or_else(|| default_horizon(set, cfg));
         // Resolve the fault schedule against the fail-free horizon, then
-        // extend the horizon by the total scheduled downtime so the
-        // instance target stays reachable despite the outages.
-        // The transport's give-up path resolves doomed instances through
-        // the fault domain's cancel machinery, so transport mode always
-        // carries a fault state — an empty schedule when none was asked
-        // for (behaviorally identical to no faults at all).
-        let faults = match (&cfg.faults, cfg.transport.is_some()) {
-            (Some(fc), _) => Some(FaultState::new(
-                fc,
-                set.num_processors(),
-                flat.len(),
+        // extend the horizon by what the schedule costs the run.
+        let faults = FaultState::new(
+            cfg.faults
+                .as_ref()
+                .unwrap_or(&FaultConfig::explicit(Vec::new())),
+            set.num_processors(),
+            set.num_subtasks(),
+            horizon,
+        );
+        let horizon = faults.pad_horizon(horizon, set);
+        let (step, cause) = max_step(
+            set,
+            cfg,
+            clocks.as_deref().unwrap_or(&[]),
+            &faults,
+            longest_bound,
+        );
+        if horizon.ticks().checked_add(step.ticks()).is_none() {
+            return Err(SimulateError::TimeOverflow {
                 horizon,
-            )),
-            (None, true) => Some(FaultState::new(
-                &FaultConfig::explicit(Vec::new()),
-                set.num_processors(),
-                flat.len(),
-                horizon,
-            )),
-            (None, false) => None,
-        };
-        // Gray windows retard without stopping: slowdowns stretch every
-        // service tick by their factor, stalls freeze their node outright,
-        // and degraded links tax every crossing frame. Pad the horizon by
-        // the worst-case stretch so the instance target stays reachable;
-        // the horizon is only a cap, so over-padding costs nothing on
-        // healthy runs.
-        let horizon = match &faults {
-            Some(fs) => {
-                let link: Dur = fs
-                    .link_windows
-                    .iter()
-                    .map(|w| w.extra_latency.saturating_add(w.jitter))
-                    .fold(Dur::ZERO, |a, b| a.saturating_add(b));
-                // Gray windows add demand without killing it: a slowed or
-                // stalled processor accumulates backlog that drains only
-                // at the idle capacity 1 - U, so the horizon must absorb
-                // extra_demand / (1 - U), not just the extra demand. The
-                // busy fraction is capped at 95% so a saturated set still
-                // gets a finite (if generous) drain allowance.
-                let extra = fs.gray_service_padding();
-                let drain = if extra.is_positive() {
-                    let busy_ppm = set.max_processor_utilization_ppm().min(950_000);
-                    let drained =
-                        (extra.ticks() as i128) * 1_000_000 / (1_000_000 - busy_ppm as i128);
-                    Dur::from_ticks(drained.min(i64::MAX as i128) as i64)
-                } else {
-                    Dur::ZERO
-                };
-                horizon
-                    .saturating_add(fs.total_downtime())
-                    .saturating_add(drain)
-                    .saturating_add(link)
-            }
-            None => horizon,
-        };
+                step,
+                cause,
+            });
+        }
         let transport = cfg
             .transport
             .as_ref()
@@ -556,7 +552,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .transport
             .as_ref()
             .and_then(|t| t.detector.as_ref())
-            .map(|dc| DetectState::new(dc.clone(), set.num_processors(), flat.len()));
+            .map(|dc| {
+                DetectState::new(
+                    dc.clone(),
+                    set.num_processors(),
+                    flat.len(),
+                    set.num_tasks(),
+                )
+            });
         // The sync layer knows each oscillator's rated drift (a spec
         // sheet bound every real node has), which sizes its NTP-style
         // drift-tolerance term; the actual offsets stay hidden from it.
@@ -567,15 +570,16 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 None => state,
             }
         });
-        // One milestone slot per processor, then one suspicion slot per
-        // ordered detector pair (see `suspicion_slot`).
+        // One milestone slot per processor, one for the fault domain's
+        // next edge, then one suspicion slot per ordered detector pair
+        // (see `suspicion_slot`).
         let procs = set.num_processors();
-        let slots = procs + if detect.is_some() { procs * procs } else { 0 };
+        let slots = procs + 1 + if detect.is_some() { procs * procs } else { 0 };
         Ok(Engine {
             set,
             cfg,
             queue: EventQueue::with_slots(slots),
-            procs: (0..set.num_processors())
+            procs: (0..procs)
                 .map(|i| Processor::new(ProcessorId::new(i)))
                 .collect(),
             controller,
@@ -587,14 +591,13 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .map(|t| t.chain_len())
                     .collect::<Vec<_>>(),
             ),
-            trace: cfg.record_trace.then(|| Trace::new(set.num_processors())),
+            trace: cfg.record_trace.then(|| Trace::new(procs)),
             violations: Vec::new(),
-            released: vec![0; flat_len(set)],
-            completed: vec![0; flat_len(set)],
-            inflight: vec![std::collections::VecDeque::new(); flat_len(set)],
-            prev_source: vec![None; set.num_tasks()],
-            dirty: vec![false; set.num_processors()],
-            busy_ticks: vec![Dur::ZERO; set.num_processors()],
+            released: vec![0; set.num_subtasks()],
+            completed: vec![0; set.num_subtasks()],
+            inflight: vec![std::collections::VecDeque::new(); set.num_subtasks()],
+            dirty: vec![false; procs],
+            busy_ticks: vec![Dur::ZERO; procs],
             profiles: set
                 .subtasks()
                 .map(|sub| PriorityProfile::for_subtask(set, sub))
@@ -606,8 +609,6 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             detect,
             sync,
             degradations: Vec::new(),
-            miss_streak: vec![0; set.num_tasks()],
-            watchdog_tripped: vec![false; set.num_tasks()],
             horizon,
             events: 0,
             now: Time::ZERO,
@@ -648,13 +649,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     // sync layer attached the read goes through the
                     // corrected clock (no correction exists yet at t = 0,
                     // but the code path must match the later firings).
-                    let at = if self.clocks.is_none() && self.sync.is_none() {
-                        phases.phase(sub.id())
-                    } else {
-                        self.eff_clock(sub.processor().index())
-                            .true_of_local(phases.phase(sub.id()))
-                            .max(Time::ZERO)
-                    };
+                    let at = self.pm_firing(sub.processor().index(), phases.phase(sub.id()));
                     self.queue.push(
                         at,
                         EventKind::TimedRelease {
@@ -666,102 +661,38 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         }
 
-        // Seed the resolved crash/recovery schedule. Crash ranks before
-        // every other kind at its instant (the node is gone before
-        // same-instant work happens); Recover ranks right after Crash.
-        let mut fault_events = Vec::new();
-        if let Some(fs) = &self.faults {
-            for (p, windows) in fs.windows.iter().enumerate() {
-                let proc = ProcessorId::new(p);
-                for w in windows {
-                    fault_events.push((w.at, EventKind::Crash { proc }));
-                    fault_events.push((w.recovers_at(), EventKind::Recover { proc }));
-                }
-            }
-            // Partition windows: the cut opens and heals with the same
-            // liveness-prologue ranking as crashes, so a cut at instant T
-            // severs every same-instant frame.
-            for (i, w) in fs.partition_windows.iter().enumerate() {
-                fault_events.push((w.at, EventKind::PartitionStart { idx: i as u32 }));
-                fault_events.push((w.heals_at(), EventKind::PartitionHeal { idx: i as u32 }));
-            }
-            // Gray degradations rank after the liveness prologue but
-            // before all payload work at their instant: a window opening
-            // at T already taxes same-instant service and frames.
-            for (p, windows) in fs.slow_windows.iter().enumerate() {
-                let proc = ProcessorId::new(p);
-                for (i, w) in windows.iter().enumerate() {
-                    fault_events.push((
-                        w.at,
-                        EventKind::SlowStart {
-                            proc,
-                            idx: i as u32,
-                        },
-                    ));
-                    fault_events.push((w.ends_at(), EventKind::SlowEnd { proc }));
-                }
-            }
-            for (p, windows) in fs.stall_windows.iter().enumerate() {
-                let proc = ProcessorId::new(p);
-                for w in windows {
-                    fault_events.push((w.at, EventKind::StallStart { proc }));
-                    fault_events.push((w.ends_at(), EventKind::StallEnd { proc }));
-                }
-            }
-            for (i, w) in fs.link_windows.iter().enumerate() {
-                fault_events.push((w.at, EventKind::LinkDegradeStart { idx: i as u32 }));
-                fault_events.push((w.ends_at(), EventKind::LinkDegradeEnd { idx: i as u32 }));
-            }
-        }
-        for (time, kind) in fault_events {
-            self.queue.push(time, kind);
-        }
+        // The fault domain keeps only its next schedule edge queued.
+        self.arm_fault_edge();
 
         // Seed the failure detector: one heartbeat broadcast chain per
         // processor, plus an initial suspicion deadline per ordered pair so
         // a processor that is down from t = 0 still gets detected (on
         // healthy pairs the first heartbeat lands well before
         // `suspect_after` and re-arms the deadline).
-        if let Some(dt) = &self.detect {
-            let period = dt.cfg.period;
-            let procs = self.set.num_processors();
+        let procs = self.procs.len();
+        if let Some(period) = self.detect.as_ref().map(|dt| dt.cfg.period) {
+            for proc in (0..procs).map(ProcessorId::new) {
+                self.queue
+                    .push(Time::ZERO + period, EventKind::HeartbeatSend { proc });
+            }
             // In φ mode the first escalation budget comes from the
             // detector's warmup prior; in fixed mode `arm_budget` is
             // exactly `suspect_after`, reproducing the legacy seeding.
-            let mut arms = Vec::new();
             for o in 0..procs {
-                for s in 0..procs {
-                    if o != s {
-                        if let Some(budget) = dt.arm_budget(o, s) {
-                            arms.push((o, s, budget));
-                        }
+                for s in (0..procs).filter(|&s| s != o) {
+                    if let Some(budget) = self.detect_mut().arm_budget(o, s) {
+                        self.arm_suspicion(o, s, Time::ZERO + budget);
                     }
                 }
-            }
-            for p in 0..procs {
-                self.queue.push(
-                    Time::ZERO + period,
-                    EventKind::HeartbeatSend {
-                        proc: ProcessorId::new(p),
-                    },
-                );
-            }
-            for (o, s, budget) in arms {
-                self.arm_suspicion(o, s, Time::ZERO + budget);
             }
         }
 
         // Seed the sync layer: one round chain per processor. The first
         // round fires a period in — there is nothing to settle at t = 0.
-        if let Some(sync) = &self.sync {
-            let period = sync.cfg.period;
-            for p in 0..self.set.num_processors() {
-                self.queue.push(
-                    Time::ZERO + period,
-                    EventKind::SyncRound {
-                        proc: ProcessorId::new(p),
-                    },
-                );
+        if let Some(period) = self.sync.as_ref().map(|sync| sync.cfg.period) {
+            for proc in (0..procs).map(ProcessorId::new) {
+                self.queue
+                    .push(Time::ZERO + period, EventKind::SyncRound { proc });
             }
         }
 
@@ -780,6 +711,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             debug_assert!(event.time >= self.now, "event queue went backwards");
             self.now = event.time;
             self.events += 1;
+            if event.kind.is_fault_edge() {
+                self.arm_fault_edge();
+            }
             self.prof.switch(PerfScope::Observer);
             self.note(Note::Event(event.kind));
             self.prof.switch(PerfScope::of(&event.kind));
@@ -787,13 +721,23 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 EventKind::Crash { proc } => self.on_crash(proc),
                 EventKind::Recover { proc } => self.on_recover(proc),
                 EventKind::PartitionStart { idx } => self.on_partition_start(idx),
-                EventKind::PartitionHeal { idx } => self.on_partition_heal(idx),
+                EventKind::PartitionHeal { .. } => self.on_partition_heal(),
                 EventKind::SlowStart { proc, idx } => self.on_slow_start(proc, idx),
-                EventKind::SlowEnd { proc } => self.on_slow_end(proc),
-                EventKind::StallStart { proc } => self.on_stall_start(proc),
-                EventKind::StallEnd { proc } => self.on_stall_end(proc),
-                EventKind::LinkDegradeStart { idx } => self.on_link_degrade_start(idx),
-                EventKind::LinkDegradeEnd { idx } => self.on_link_degrade_end(idx),
+                EventKind::SlowEnd { proc } => self.set_rate(proc, 1),
+                EventKind::StallStart { proc } => self.on_stall(proc, true),
+                EventKind::StallEnd { proc } => self.on_stall(proc, false),
+                EventKind::LinkDegradeStart { idx } => {
+                    let (from, to) = self.faults.open_link(idx);
+                    self.note(Note::LinkDegrade { from, to, on: true });
+                }
+                EventKind::LinkDegradeEnd { idx } => {
+                    let (from, to) = self.faults.close_link(idx);
+                    self.note(Note::LinkDegrade {
+                        from,
+                        to,
+                        on: false,
+                    });
+                }
                 EventKind::Completion { proc } => self.on_completion(proc),
                 EventKind::MpmTimer { job } => self.on_mpm_timer(job),
                 EventKind::SignalSend { job } => self.on_signal_send(job),
@@ -875,7 +819,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             reached_target,
             busy_ticks: self.busy_ticks,
             channel_stats: self.channel.map(|ch| ch.stats).unwrap_or_default(),
-            fault_stats: self.faults.map(|fs| fs.stats).unwrap_or_default(),
+            fault_stats: self.faults.stats,
             transport_stats: self.transport.map(|t| t.stats).unwrap_or_default(),
             detect_stats: self.detect.map(|d| d.stats).unwrap_or_default(),
             degradations: self.degradations,
@@ -897,12 +841,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let fi = self.flat.of(job.subtask());
         // Crash-cancelled instances never complete: normalize the in-order
         // counter over the gaps they left.
-        if let Some(fs) = &self.faults {
-            while self.completed[fi] < job.instance()
-                && fs.cancelled[fi].contains(&self.completed[fi])
-            {
-                self.completed[fi] += 1;
-            }
+        while self.completed[fi] < job.instance()
+            && self.faults.is_cancelled(fi, self.completed[fi])
+        {
+            self.completed[fi] += 1;
         }
         debug_assert_eq!(
             self.completed[fi],
@@ -983,10 +925,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // successor instance cancelled) at the crash — this firing is
         // stale.
         let timer_proc = self.set.subtask(job.subtask()).processor().index();
-        if let Some(fs) = &mut self.faults {
-            if !fs.take_mpm_pending(timer_proc, job) {
-                return;
-            }
+        if !self.faults.take_mpm_pending(timer_proc, job) {
+            return;
         }
         // The timer says job's response bound elapsed: signal the successor.
         let fi = self.flat.of(job.subtask());
@@ -996,11 +936,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // Overrun: the bound was violated (can happen under sporadic
             // sources or modeling error); record and release anyway, as a
             // real MPM scheduler driven purely by the timer would.
-            self.push_violation(Violation {
-                kind: ViolationKind::MpmOverrun,
-                job,
-                time: self.now,
-            });
+            self.push_violation(ViolationKind::MpmOverrun, job);
         }
         let succ = self
             .set
@@ -1046,16 +982,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // This sits *after* the channel's in-order cursor (the frame did
         // traverse the wire) so later instances don't stall forever behind
         // a severed one — mirroring the receiver-down path below.
-        if let Some(fs) = &mut self.faults {
-            if fs.partitioned {
-                if let Some(pred) = succ_job.predecessor() {
-                    let from = self.set.subtask(pred.subtask()).processor().index();
-                    let to = self.set.subtask(succ_job.subtask()).processor().index();
-                    if fs.island[from] != fs.island[to] {
-                        fs.stats.severed_signals += 1;
-                        fs.partition_backlog.push(succ_job);
-                        return;
-                    }
+        if self.faults.partitioned {
+            if let Some(pred) = succ_job.predecessor() {
+                let from = self.set.subtask(pred.subtask()).processor().index();
+                let to = self.set.subtask(succ_job.subtask()).processor().index();
+                if self.faults.park_severed(from, to, succ_job) {
+                    return;
                 }
             }
         }
@@ -1067,37 +999,23 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .as_ref()
             .is_some_and(|dt| dt.is_forced(self.flat.of(succ_job.subtask()), succ_job.instance()));
         if stale {
-            self.detect
-                .as_mut()
-                .expect("checked above")
-                .stats
-                .stale_signals_suppressed += 1;
+            self.detect_mut().stats.stale_signals_suppressed += 1;
             self.push_degradation(Degradation::StaleSignal { job: succ_job });
             return;
         }
         // Fault gate: a signal reaching a crashed receiver is backlogged
         // and resolved at recovery under the overload policy. The wire
         // worked — this is receiver-down, not signal-lost.
-        if self.faults.is_some() {
-            let succ_proc = self.set.subtask(succ_job.subtask()).processor().index();
-            if self.faults.as_ref().expect("checked above").down[succ_proc] {
-                if let Some(ch) = &mut self.channel {
-                    ch.stats.receiver_down += 1;
-                }
-                self.push_violation(Violation {
-                    kind: ViolationKind::SignalReceiverDown,
-                    job: succ_job,
-                    time: self.now,
-                });
-                let fs = self.faults.as_mut().expect("checked above");
-                fs.stats.receiver_down_signals += 1;
-                fs.backlog[succ_proc].push(BacklogItem {
-                    job: succ_job,
-                    arrival: self.now,
-                    kind: BacklogKind::Signal,
-                });
-                return;
-            }
+        let succ_proc = self.set.subtask(succ_job.subtask()).processor().index();
+        if self.procs[succ_proc].is_down() {
+            self.push_violation(ViolationKind::SignalReceiverDown, succ_job);
+            self.faults.stats.receiver_down_signals += 1;
+            self.faults.backlog[succ_proc].push(BacklogItem {
+                job: succ_job,
+                arrival: self.now,
+                kind: BacklogKind::Signal,
+            });
+            return;
         }
         if self.cfg.protocol == Protocol::ModifiedPhaseModification {
             // MPM's signal carries the release itself — its controller
@@ -1146,18 +1064,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// A signal leaves its sender: draw the channel's latency and faults
     /// and schedule the deliveries.
     fn on_signal_send(&mut self, job: JobId) {
-        let plan = self
-            .channel
-            .as_mut()
-            .expect("SignalSend only scheduled with a channel")
-            .send();
+        let plan = self.channel_mut().send();
         self.note(Note::SignalSend { job });
         if plan.dropped {
-            self.push_violation(Violation {
-                kind: ViolationKind::SignalLost,
-                job,
-                time: self.now,
-            });
+            self.push_violation(ViolationKind::SignalLost, job);
         }
         // Channel-routed signals always cross processors: bias the hop by
         // the link's directional extra delay when asymmetry is modeled.
@@ -1169,6 +1079,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             None => (0, 0),
         };
         let gray = self
+            .faults
             .gray_penalty(src, dst, GrayFamily::Signal)
             .expect("signals are never gray-dropped");
         for &delay in plan.deliveries() {
@@ -1184,9 +1095,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn on_signal_deliver(&mut self, job: JobId) {
         let fi = self.flat.of(job.subtask());
         let mut applicable = std::mem::take(&mut self.deliver_scratch);
-        self.channel
-            .as_mut()
-            .expect("SignalDeliver only scheduled with a channel")
+        self.channel_mut()
             .deliver(fi, job.instance(), &mut applicable);
         for &instance in &applicable {
             let delivered = JobId::new(job.subtask(), instance);
@@ -1206,11 +1115,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let (seq, attempt) = match resend {
             Some((seq, attempt)) => (seq, attempt),
             None => {
-                let seq = self
-                    .transport
-                    .as_mut()
-                    .expect("transport attached")
-                    .register_send(job, from, self.now);
+                let now = self.now;
+                let seq = self.transport_mut().register_send(job, from, now);
                 (seq, 0)
             }
         };
@@ -1220,29 +1126,24 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             retransmit: resend.is_some(),
         });
         let succ_proc = self.set.subtask(job.subtask()).processor().index();
-        if self.cut(from, succ_proc) {
+        if self.faults.cut(from, succ_proc) {
             // Severed at the cut: the frame never reaches the wire. The
             // retransmission timer below still arms, so attempts burn
             // through the outage (honest backoff) and a bounded budget can
             // abandon the chain — partitions are indistinguishable from
             // loss at the endpoints.
-            self.faults
-                .as_mut()
-                .expect("a cut implies faults")
-                .stats
-                .severed_transport += 1;
+            self.faults.stats.severed_transport += 1;
         } else {
             // The channel prices the wire per copy; in endpoint mode a
             // drop delivers nothing and the retransmission timer covers
             // the loss.
-            let plan = self
-                .channel
-                .as_mut()
-                .expect("transport implies a channel")
-                .send();
+            let plan = self.channel_mut().send();
             // A gray drop on top of the channel plan delivers nothing;
             // the retransmission timer below covers it like any loss.
-            if let Some(gray) = self.gray_penalty(from, succ_proc, GrayFamily::Transport) {
+            if let Some(gray) = self
+                .faults
+                .gray_penalty(from, succ_proc, GrayFamily::Transport)
+            {
                 for &delay in plan.deliveries() {
                     self.queue.push(
                         self.now + delay + self.link_extra(from, succ_proc) + gray,
@@ -1251,12 +1152,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 }
             }
         }
-        let rto = self
-            .transport
-            .as_ref()
-            .expect("transport attached")
-            .cfg
-            .rto(attempt);
+        let rto = self.transport_mut().cfg.rto(attempt);
         self.queue
             .push(self.now + rto, EventKind::RetransmitTimer { seq, attempt });
     }
@@ -1271,24 +1167,16 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // the delivery edge: no ack, so the sender's timer keeps burning.
         if let Some(pred) = job.predecessor() {
             let from = self.set.subtask(pred.subtask()).processor().index();
-            if self.cut(from, succ_proc) {
-                self.faults
-                    .as_mut()
-                    .expect("a cut implies faults")
-                    .stats
-                    .severed_transport += 1;
+            if self.faults.cut(from, succ_proc) {
+                self.faults.stats.severed_transport += 1;
                 return;
             }
         }
-        if self.faults.as_ref().is_some_and(|fs| fs.down[succ_proc]) {
-            self.transport
-                .as_mut()
-                .expect("transport attached")
-                .stats
-                .receiver_down += 1;
+        if self.procs[succ_proc].is_down() {
+            self.transport_mut().stats.receiver_down += 1;
             return;
         }
-        let tr = self.transport.as_mut().expect("transport attached");
+        let tr = self.transport_mut();
         let fresh = tr.on_deliver(seq);
         if !tr.ack_dropped() {
             self.queue.push(self.now, EventKind::AckDeliver { seq });
@@ -1299,51 +1187,29 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Fresh payload: hand it to the channel's in-order cursor (frames
         // can arrive instance-out-of-order under retransmission) and apply
         // whatever becomes applicable.
-        let fi = self.flat.of(job.subtask());
-        let mut applicable = std::mem::take(&mut self.deliver_scratch);
-        self.channel
-            .as_mut()
-            .expect("transport implies a channel")
-            .deliver(fi, job.instance(), &mut applicable);
-        for &instance in &applicable {
-            let delivered = JobId::new(job.subtask(), instance);
-            self.note(Note::SignalDeliver { job: delivered });
-            self.apply_signal(delivered);
-        }
-        applicable.clear();
-        self.deliver_scratch = applicable;
+        self.on_signal_deliver(job);
     }
 
     /// An ack reaches the frame's sender. Acks are accepted even while the
     /// sender is down: the window is journaled transport state, not
     /// volatile protocol state.
     fn on_ack_deliver(&mut self, seq: u64) {
-        let entry = self
-            .transport
-            .as_ref()
-            .expect("transport attached")
-            .in_flight(seq)
-            .copied();
+        let entry = self.transport_mut().in_flight(seq).copied();
         match entry {
             Some(e) => {
                 // The ack travels receiver → sender: sever it if the cut
                 // opened while it was in flight (the window stays open and
                 // the frame will be retransmitted after the heal).
                 let succ_proc = self.set.subtask(e.job.subtask()).processor().index();
-                if self.cut(succ_proc, e.from) {
-                    self.faults
-                        .as_mut()
-                        .expect("a cut implies faults")
-                        .stats
-                        .severed_transport += 1;
+                if self.faults.cut(succ_proc, e.from) {
+                    self.faults.stats.severed_transport += 1;
                     return;
                 }
                 let fi = self.flat.of(e.job.subtask());
+                let now = self.now;
                 let closed = self
-                    .transport
-                    .as_mut()
-                    .expect("transport attached")
-                    .on_ack(seq, self.now, fi)
+                    .transport_mut()
+                    .on_ack(seq, now, fi)
                     .expect("entry was in flight");
                 let rtt = self.now - closed.first_sent;
                 self.note(Note::TransportAck {
@@ -1354,10 +1220,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
             None => {
                 // The frame was already closed (or abandoned): a dup-ack.
-                self.transport
-                    .as_mut()
-                    .expect("transport attached")
-                    .on_ack(seq, self.now, 0);
+                let now = self.now;
+                self.transport_mut().on_ack(seq, now, 0);
                 self.note(Note::TransportAck {
                     seq,
                     rtt: None,
@@ -1371,12 +1235,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// frame was acked, abandoned, or already retransmitted under a newer
     /// timer) are no-ops.
     fn on_retransmit_timer(&mut self, seq: u64, attempt: u32) {
-        let entry = self
-            .transport
-            .as_ref()
-            .expect("transport attached")
-            .in_flight(seq)
-            .copied();
+        let entry = self.transport_mut().in_flight(seq).copied();
         let Some(entry) = entry else {
             return; // acked or abandoned
         };
@@ -1387,37 +1246,19 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // queue survives the outage: re-arm the same attempt so the
         // frame resumes once the node is back (this is what keeps the
         // unbounded-budget zero-loss guarantee alive across crashes).
-        if self.faults.as_ref().is_some_and(|fs| fs.down[entry.from]) {
-            let rto = self
-                .transport
-                .as_ref()
-                .expect("transport attached")
-                .cfg
-                .rto(attempt);
+        if self.procs[entry.from].is_down() {
+            let rto = self.transport_mut().cfg.rto(attempt);
             self.queue
                 .push(self.now + rto, EventKind::RetransmitTimer { seq, attempt });
             return;
         }
-        let budget = self
-            .transport
-            .as_ref()
-            .expect("transport attached")
-            .cfg
-            .retry_budget;
+        let budget = self.transport_mut().cfg.retry_budget;
         if budget.is_some_and(|b| entry.attempt >= b) {
             // Budget exhausted: abandon the frame. The signal it carried
             // was the instance's only release request — resolve the doomed
             // chain so bounded-budget runs still terminate.
-            let dead = self
-                .transport
-                .as_mut()
-                .expect("transport attached")
-                .give_up(seq);
-            self.push_violation(Violation {
-                kind: ViolationKind::SignalLost,
-                job: dead.job,
-                time: self.now,
-            });
+            let dead = self.transport_mut().give_up(seq);
+            self.push_violation(ViolationKind::SignalLost, dead.job);
             self.push_degradation(Degradation::SignalAbandoned {
                 job: dead.job,
                 attempts: dead.attempt + 1,
@@ -1432,11 +1273,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
             return;
         }
-        let next = self
-            .transport
-            .as_mut()
-            .expect("transport attached")
-            .bump_attempt(seq);
+        let next = self.transport_mut().bump_attempt(seq);
         self.transport_send(entry.from, entry.job, Some((seq, next)));
     }
 
@@ -1445,46 +1282,31 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// recovers.
     fn on_heartbeat_send(&mut self, proc: ProcessorId) {
         let p = proc.index();
-        let up = !self.faults.as_ref().is_some_and(|fs| fs.down[p]);
-        let stalled = self.faults.as_ref().is_some_and(|fs| fs.stalled[p]);
-        let rate = self.faults.as_ref().map_or(1, |fs| fs.rate[p]).max(1);
-        let period = self.detect.as_ref().expect("detector attached").cfg.period;
+        let up = !self.procs[p].is_down();
+        let stalled = self.procs[p].is_stalled();
+        let rate = self.procs[p].rate();
+        let period = self.detect_mut().cfg.period;
         // A stalled node's heartbeat daemon is as frozen as everything
         // else on it: the beat is skipped (this is exactly what makes a
         // stall look like a death from outside), but the chain keeps its
         // cadence so beats resume on time after the window.
         if up && !stalled {
-            for q in 0..self.set.num_processors() {
-                if q == p {
-                    continue;
-                }
+            for q in (0..self.procs.len()).filter(|&q| q != p) {
                 // A broadcast to the far side of an open cut dies at the
                 // boundary — the peer's detector starves honestly.
-                if self.cut(p, q) {
-                    self.faults
-                        .as_mut()
-                        .expect("a cut implies faults")
-                        .stats
-                        .severed_heartbeats += 1;
+                if self.faults.cut(p, q) {
+                    self.faults.stats.severed_heartbeats += 1;
                     continue;
                 }
-                self.detect
-                    .as_mut()
-                    .expect("detector attached")
-                    .stats
-                    .heartbeats_sent += 1;
+                self.detect_mut().stats.heartbeats_sent += 1;
                 // A degraded wire taxes the beat: extra latency and
                 // jitter stretch the observer's inter-arrival history, a
                 // drop starves it outright. Sent-counting stays above so
                 // drop accounting is visible in the send/deliver gap.
-                if let Some(extra) = self.gray_penalty(p, q, GrayFamily::Heartbeat) {
-                    self.queue.push(
-                        self.now + extra,
-                        EventKind::HeartbeatDeliver {
-                            from: proc,
-                            to: ProcessorId::new(q),
-                        },
-                    );
+                if let Some(extra) = self.faults.gray_penalty(p, q, GrayFamily::Heartbeat) {
+                    let (from, to) = (proc, ProcessorId::new(q));
+                    let beat = EventKind::HeartbeatDeliver { from, to };
+                    self.queue.push(self.now + extra, beat);
                 }
             }
         }
@@ -1495,9 +1317,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         } else {
             self.now + Dur::from_ticks(period.ticks().saturating_mul(rate as i64))
         };
-        if next <= self.horizon {
-            self.queue.push(next, EventKind::HeartbeatSend { proc });
-        }
+        self.push_by_horizon(next, EventKind::HeartbeatSend { proc });
     }
 
     /// A heartbeat lands on an observer: re-arm the pair's suspicion
@@ -1505,28 +1325,21 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// detector on a crashed node is frozen — it resumes with its
     /// pre-crash beliefs at recovery.
     fn on_heartbeat_deliver(&mut self, from: ProcessorId, to: ProcessorId) {
-        if self.faults.as_ref().is_some_and(|fs| fs.down[to.index()]) {
+        if self.procs[to.index()].is_down() {
             return;
         }
         // In-flight heartbeats caught by a cut opening mid-hop die here,
         // before the observer hears a cross-partition delivery.
-        if self.cut(from.index(), to.index()) {
-            self.faults
-                .as_mut()
-                .expect("a cut implies faults")
-                .stats
-                .severed_heartbeats += 1;
+        if self.faults.cut(from.index(), to.index()) {
+            self.faults.stats.severed_heartbeats += 1;
             return;
         }
         self.note(Note::Heartbeat {
             from: from.index(),
             to: to.index(),
         });
-        let revived = self.detect.as_mut().expect("detector attached").heard(
-            to.index(),
-            from.index(),
-            self.now,
-        );
+        let now = self.now;
+        let revived = self.detect_mut().heard(to.index(), from.index(), now);
         if revived {
             self.push_degradation(Degradation::PeerRevived {
                 observer: to.index(),
@@ -1536,12 +1349,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Fixed mode: the legacy `suspect_after` cliff. φ mode: the
         // budget to the next escalation threshold, scaled by the pair's
         // observed inter-arrival mean — a slowed peer earns longer rope.
-        match self
-            .detect
-            .as_ref()
-            .expect("detector attached")
-            .arm_budget(to.index(), from.index())
-        {
+        match self.detect_mut().arm_budget(to.index(), from.index()) {
             Some(budget) => self.arm_suspicion(to.index(), from.index(), self.now + budget),
             None => {
                 let slot = self.suspicion_slot(to.index(), from.index());
@@ -1551,23 +1359,28 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     }
 
     /// The queue slot of `observer`'s suspicion deadline on `subject`:
-    /// after the per-processor milestone slots, one per ordered pair.
+    /// after the per-processor milestone slots and the fault-edge slot,
+    /// one per ordered pair.
     fn suspicion_slot(&self, observer: usize, subject: usize) -> usize {
         let n = self.procs.len();
-        n + observer * n + subject
+        n + 1 + observer * n + subject
+    }
+
+    /// Queues the fault schedule's next edge in the fault-edge slot (slot
+    /// `n`, after the milestone slots). Called once at setup and again as
+    /// each edge pops, so the domain never holds more than one entry.
+    fn arm_fault_edge(&mut self) {
+        if let Some((at, kind)) = self.faults.next_edge() {
+            self.queue.arm(self.procs.len(), at, kind);
+        }
     }
 
     /// Arms (or moves) the pair's one suspicion deadline to `at`.
     fn arm_suspicion(&mut self, observer: usize, subject: usize, at: Time) {
         let slot = self.suspicion_slot(observer, subject);
-        self.queue.arm(
-            slot,
-            at,
-            EventKind::SuspectTimer {
-                observer: ProcessorId::new(observer),
-                subject: ProcessorId::new(subject),
-            },
-        );
+        let (observer, subject) = (ProcessorId::new(observer), ProcessorId::new(subject));
+        let deadline = EventKind::SuspectTimer { observer, subject };
+        self.queue.arm(slot, at, deadline);
     }
 
     /// A pair's suspicion deadline passed with no heartbeat since it was
@@ -1576,29 +1389,21 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// start degraded releases on a death.
     fn on_suspect_timer(&mut self, observer: ProcessorId, subject: ProcessorId) {
         let (o, s) = (observer.index(), subject.index());
-        if self.faults.as_ref().is_some_and(|fs| fs.down[o]) {
+        if self.procs[o].is_down() {
             return; // frozen detector
         }
         debug_assert_ne!(
-            self.detect
-                .as_ref()
-                .expect("detector attached")
-                .peer_state(o, s),
+            self.detect_mut().peer_state(o, s),
             PeerState::Dead,
             "a dead pair arms no suspicion deadline"
         );
-        let actually_down = self.faults.as_ref().is_some_and(|fs| fs.down[s]);
+        let actually_down = self.procs[s].is_down();
         // Gray ground truth: the subject is not down but *is* impaired —
         // stalled, slowed, or behind a degraded wire toward this
         // observer. Verdicts are scored against both truths.
-        let actually_gray = self
-            .faults
-            .as_ref()
-            .is_some_and(|fs| fs.actually_gray(o, s));
+        let actually_gray = self.faults.actually_gray(o, &self.procs[s]);
         let transition = self
-            .detect
-            .as_mut()
-            .expect("detector attached")
+            .detect_mut()
             .advance_suspicion(o, s, actually_down, actually_gray);
         match transition {
             Some(PeerState::Degraded) => {
@@ -1611,12 +1416,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     subject: s,
                     gray_truth: actually_gray,
                 });
-                if let Some(residue) = self
-                    .detect
-                    .as_ref()
-                    .expect("detector attached")
-                    .residue_budget(o, s)
-                {
+                if let Some(residue) = self.detect_mut().residue_budget(o, s) {
                     self.arm_suspicion(o, s, self.now + residue);
                 }
             }
@@ -1624,12 +1424,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // A suspect verdict on a live peer across an open cut is a
                 // false positive the partition *caused* — count it apart
                 // from plain latency-induced ones.
-                if !actually_down && self.cut(o, s) {
-                    self.detect
-                        .as_mut()
-                        .expect("detector attached")
-                        .stats
-                        .partition_false_suspects += 1;
+                if !actually_down && self.faults.cut(o, s) {
+                    self.detect_mut().stats.partition_false_suspects += 1;
                 }
                 self.push_degradation(Degradation::PeerSuspect {
                     observer: o,
@@ -1639,22 +1435,13 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // Fixed mode: the legacy `suspect_to_dead` residue. φ
                 // mode: the gap between the suspect and dead thresholds
                 // on the pair's observed inter-arrival scale.
-                if let Some(residue) = self
-                    .detect
-                    .as_ref()
-                    .expect("detector attached")
-                    .residue_budget(o, s)
-                {
+                if let Some(residue) = self.detect_mut().residue_budget(o, s) {
                     self.arm_suspicion(o, s, self.now + residue);
                 }
             }
             Some(PeerState::Dead) => {
-                if !actually_down && self.cut(o, s) {
-                    self.detect
-                        .as_mut()
-                        .expect("detector attached")
-                        .stats
-                        .partition_false_deads += 1;
+                if !actually_down && self.faults.cut(o, s) {
+                    self.detect_mut().stats.partition_false_deads += 1;
                 }
                 self.push_degradation(Degradation::PeerDead {
                     observer: o,
@@ -1672,12 +1459,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// lives on `dead`. RG and MPM only — DS has no local release rule to
     /// fall back on, and PM never waited for the signal to begin with.
     fn start_degradation(&mut self, observer: usize, dead: usize) {
-        let degrade = self
-            .detect
-            .as_ref()
-            .expect("detector attached")
-            .cfg
-            .degradation;
+        let degrade = self.detect_mut().cfg.degradation;
         if !degrade
             || !matches!(
                 self.cfg.protocol,
@@ -1698,7 +1480,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         }
         for subtask in targets {
-            self.schedule_degraded(subtask, dead);
+            self.schedule_degraded(subtask);
         }
     }
 
@@ -1706,35 +1488,20 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// cadence from the last *acked* signal of this successor,
     /// extrapolating one period per instance; RG releases now and lets the
     /// guard machinery enforce the period spacing `g`.
-    fn schedule_degraded(&mut self, subtask: SubtaskId, _dead_peer: usize) {
+    fn schedule_degraded(&mut self, subtask: SubtaskId) {
         let fi = self.flat.of(subtask);
-        let m = self.next_unreleased_instance(fi);
+        let instance = self.next_unreleased_instance(fi);
         let period = self.set.task(subtask.task()).period();
         let at = match self.cfg.protocol {
-            Protocol::ModifiedPhaseModification => {
-                match self
-                    .transport
-                    .as_ref()
-                    .expect("transport attached")
-                    .last_acked(fi)
-                {
-                    Some((sent, am)) if m > am => sent
-                        .saturating_add(period.saturating_mul((m - am) as i64))
-                        .max(self.now),
-                    _ => self.now,
-                }
-            }
+            Protocol::ModifiedPhaseModification => match self.transport_mut().last_acked(fi) {
+                Some((sent, am)) if instance > am => sent
+                    .saturating_add(period.saturating_mul((instance - am) as i64))
+                    .max(self.now),
+                _ => self.now,
+            },
             _ => self.now,
         };
-        if at <= self.horizon {
-            self.queue.push(
-                at,
-                EventKind::DegradedRelease {
-                    subtask,
-                    instance: m,
-                },
-            );
-        }
+        self.push_by_horizon(at, EventKind::DegradedRelease { subtask, instance });
     }
 
     /// The re-arm cadence of a degraded-release chain. Under MPM with
@@ -1767,52 +1534,31 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let pred_proc = task.subtasks()[subtask.index() - 1].processor().index();
         // The chain dies silently while its own node is down (recovery
         // restarts it) and on revival (real signals flow again).
-        if self.faults.as_ref().is_some_and(|fs| fs.down[proc]) {
+        if self.procs[proc].is_down() {
             return;
         }
-        let belief = self
-            .detect
-            .as_ref()
-            .expect("detector attached")
-            .peer_state(proc, pred_proc);
+        let belief = self.detect_mut().peer_state(proc, pred_proc);
         if belief != PeerState::Dead {
             return;
         }
         let fi = self.flat.of(subtask);
         let m = self.next_unreleased_instance(fi);
-        if m != instance {
-            // A late real signal (or recovery) already moved the head;
-            // re-aim the chain at the current head one period out.
+        // A late real signal (or recovery) may have moved the head:
+        // re-aim the chain at the current head one period out. Or the real
+        // signal arrived before the death verdict and sits deferred behind
+        // rule 1 — the guard will release it; forcing it too would
+        // double-queue the instance. Check back in a period.
+        if m != instance || self.controller.has_deferred(subtask, instance) {
             let at = self.now + self.degraded_cadence(task.period());
-            if at <= self.horizon {
-                self.queue.push(
-                    at,
-                    EventKind::DegradedRelease {
-                        subtask,
-                        instance: m,
-                    },
-                );
-            }
-            return;
-        }
-        if self.controller.has_deferred(subtask, instance) {
-            // The real signal arrived before the death verdict and sits
-            // deferred behind rule 1 — the guard will release it; forcing
-            // it too would double-queue the instance. Check back in a
-            // period.
-            let at = self.now + self.degraded_cadence(task.period());
-            if at <= self.horizon {
-                self.queue
-                    .push(at, EventKind::DegradedRelease { subtask, instance });
-            }
+            let retry = EventKind::DegradedRelease {
+                subtask,
+                instance: m,
+            };
+            self.push_by_horizon(at, retry);
             return;
         }
         let job = JobId::new(subtask, instance);
-        let fresh = self
-            .detect
-            .as_mut()
-            .expect("detector attached")
-            .force(fi, instance);
+        let fresh = self.detect_mut().force(fi, instance);
         if fresh {
             // Mark BEFORE releasing so the precedence checks (engine and
             // invariant observer) see the waiver.
@@ -1838,15 +1584,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         }
         let next_at = self.now + self.degraded_cadence(task.period());
-        if next_at <= self.horizon {
-            self.queue.push(
-                next_at,
-                EventKind::DegradedRelease {
-                    subtask,
-                    instance: instance + 1,
-                },
-            );
-        }
+        let next = EventKind::DegradedRelease {
+            subtask,
+            instance: instance + 1,
+        };
+        self.push_by_horizon(next_at, next);
     }
 
     /// The effective clock of processor `p`: the base nonideal clock
@@ -1866,6 +1608,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         clock
     }
 
+    /// The true instant `p`'s clock reads `local`: when a PM timer set for
+    /// that reading fires. Clamped to the origin (a clock running ahead
+    /// can place it earlier); ideal, unsynced clocks read true time.
+    fn pm_firing(&self, p: usize, local: Time) -> Time {
+        if self.clocks.is_none() && self.sync.is_none() {
+            local
+        } else {
+            self.eff_clock(p).true_of_local(local).max(Time::ZERO)
+        }
+    }
+
     /// A processor's periodic sync round: settle the previous round's
     /// samples into a correction, then send fresh timestamped requests to
     /// every peer and the external time reference. The chain ticks on the
@@ -1873,43 +1626,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// skips the body, like a silent heartbeat).
     fn on_sync_round(&mut self, proc: ProcessorId) {
         let p = proc.index();
-        let period = self
-            .sync
-            .as_ref()
-            .expect("SyncRound only scheduled with sync")
-            .cfg
-            .period;
+        let period = self.sync_mut().cfg.period;
         // A stalled node's sync daemon is as frozen as its scheduler: the
         // round is skipped (no settle, no fresh requests) but the chain
         // keeps ticking, so rounds resume after the window.
-        let up = !self
-            .faults
-            .as_ref()
-            .is_some_and(|fs| fs.down[p] || fs.stalled[p]);
-        if up {
+        if !self.procs[p].is_down() && !self.procs[p].is_stalled() {
             self.note(Note::SyncRound { proc: p });
-            self.sync.as_mut().expect("sync attached").stats.rounds += 1;
+            self.sync_mut().stats.rounds += 1;
             // Partition-aware estimate aging: with a cut open, samples
             // gathered *before* it opened from peers now on the far side
             // describe a cluster that no longer exists — feeding them to
             // Marzullo would anchor this island to stale cross-island
             // time. Discard them before the settle.
-            if let Some(fs) = &self.faults {
-                if fs.partitioned {
-                    if let Some(since) = fs.partition_since {
-                        self.sync
-                            .as_mut()
-                            .expect("sync attached")
-                            .discard_cross_island(p, since, &fs.island);
-                    }
-                }
+            if let (Some(since), Some(sync)) = (self.faults.partition_since, &mut self.sync) {
+                sync.discard_cross_island(p, since, &self.faults.island);
             }
             // Ground truth *before* the settle steps the clock: the
             // estimate about to land claims to measure exactly this.
             let true_off = self.now - self.eff_clock(p).local_of(self.now);
-            if let Some((offset, uncertainty, step)) =
-                self.sync.as_mut().expect("sync attached").settle(p)
-            {
+            if let Some((offset, uncertainty, step)) = self.sync_mut().settle(p) {
                 self.note(Note::SyncEstimate {
                     proc: p,
                     estimate: offset,
@@ -1923,10 +1658,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // observer decides whether a miss is a violation (it is
                 // only promised while liars stay a minority).
                 let hit = (offset.ticks() - true_off.ticks()).abs() <= uncertainty.ticks();
-                self.sync
-                    .as_mut()
-                    .expect("sync attached")
-                    .record_bracket(hit);
+                self.sync_mut().record_bracket(hit);
                 self.note(Note::SyncBracket {
                     proc: p,
                     estimate: offset,
@@ -1939,10 +1671,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             let err = (self.eff_clock(p).local_of(self.now) - self.now)
                 .ticks()
                 .abs();
-            self.sync
-                .as_mut()
-                .expect("sync attached")
-                .record_true_error(Dur::from_ticks(err));
+            self.sync_mut().record_true_error(Dur::from_ticks(err));
             // Fresh requests: every peer, plus the reference addressed as
             // `to == from` (a processor never syncs with itself).
             let t1 = self.eff_clock(p).local_of(self.now);
@@ -1960,9 +1689,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         }
         let next = self.now + period;
-        if next <= self.horizon {
-            self.queue.push(next, EventKind::SyncRound { proc });
-        }
+        self.push_by_horizon(next, EventKind::SyncRound { proc });
     }
 
     /// Sends one sync frame over the channel: a fire-and-forget datagram
@@ -1985,24 +1712,20 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.queue.push(self.now, kind);
             return;
         }
-        if self.cut(src, dst) {
+        if self.faults.cut(src, dst) {
             self.sever_sync_frame();
             return;
         }
         {
-            let stats = &mut self.sync.as_mut().expect("sync attached").stats;
+            let stats = &mut self.sync_mut().stats;
             stats.frames += 1;
             if attempt > 0 {
                 stats.retransmits += 1;
             }
         }
-        let plan = self
-            .channel
-            .as_mut()
-            .expect("sync implies a channel")
-            .send();
+        let plan = self.channel_mut().send();
         if plan.dropped {
-            let sync = self.sync.as_mut().expect("sync attached");
+            let sync = self.sync_mut();
             sync.stats.frames_lost += 1;
             if sync.cfg.over_transport && attempt < SYNC_RETRY_BUDGET {
                 // The retry carries the requester/responder pair in
@@ -2030,7 +1753,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         // A gray drop on top of the channel plan loses the sample like
         // any datagram loss — Marzullo tolerates a thinner round.
-        if let Some(gray) = self.gray_penalty(src, dst, GrayFamily::Sync) {
+        if let Some(gray) = self.faults.gray_penalty(src, dst, GrayFamily::Sync) {
             for &delay in plan.deliveries() {
                 self.queue
                     .push(self.now + delay + self.link_extra(src, dst) + gray, kind);
@@ -2040,16 +1763,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
 
     /// Accounts one sync frame severed at an open partition cut.
     fn sever_sync_frame(&mut self) {
-        self.sync
-            .as_mut()
-            .expect("sync attached")
-            .stats
-            .frames_severed += 1;
-        self.faults
-            .as_mut()
-            .expect("a cut implies faults")
-            .stats
-            .severed_sync += 1;
+        self.sync_mut().stats.frames_severed += 1;
     }
 
     /// Backoff before retrying a dropped sync frame: the transport's RTO
@@ -2085,18 +1799,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // processing of already-in-flight responses still runs — the
             // detector-daemon model keeps receive paths outside the
             // stalled userspace).
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|fs| fs.down[to.index()] || fs.stalled[to.index()])
-            {
+            if self.procs[to.index()].is_down() || self.procs[to.index()].is_stalled() {
                 return;
             }
             let honest_t2 = self.eff_clock(to.index()).local_of(self.now);
-            let sync = self.sync.as_mut().expect("sync attached");
+            let now = self.now;
+            let sync = self.sync_mut();
             let honest_disp = sync.dispersion(to.index());
             let lying = !sync.personas[to.index()].is_honest();
-            let (t2, disp) = sync.corrupt_response(to.index(), self.now, honest_t2, honest_disp);
+            let (t2, disp) = sync.corrupt_response(to.index(), now, honest_t2, honest_disp);
             if lying {
                 self.note(Note::SyncCorrupted {
                     responder: to.index(),
@@ -2121,7 +1832,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// A sync request lands on its responder. A partition opening while
     /// the frame was in flight severs it here, at the delivery edge.
     fn on_sync_request(&mut self, from: ProcessorId, to: ProcessorId, t1: Time) {
-        if from != to && self.cut(from.index(), to.index()) {
+        if from != to && self.faults.cut(from.index(), to.index()) {
             self.sever_sync_frame();
             return;
         }
@@ -2142,11 +1853,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         disp: Option<Dur>,
     ) {
         let p = to.index();
-        if from != to && self.cut(from.index(), p) {
+        if from != to && self.faults.cut(from.index(), p) {
             self.sever_sync_frame();
             return;
         }
-        if self.faults.as_ref().is_some_and(|fs| fs.down[p]) {
+        if self.procs[p].is_down() {
             return; // the requester crashed before the response landed
         }
         let Some(disp) = disp else {
@@ -2163,15 +1874,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             return;
         }
         let widened = disp + self.link_asym_bound(p, from.index());
-        self.sync.as_mut().expect("sync attached").record_exchange(
-            p,
-            from.index(),
-            t1,
-            t2,
-            t3,
-            widened,
-            self.now,
-        );
+        let now = self.now;
+        self.sync_mut()
+            .record_exchange(p, from.index(), t1, t2, t3, widened, now);
     }
 
     /// A sync retry timer fired: re-send the dropped frame. Responder
@@ -2190,7 +1895,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.serve_sync_response(from, to, t1, attempt);
             return;
         }
-        if self.faults.as_ref().is_some_and(|fs| fs.down[from.index()]) {
+        if self.procs[from.index()].is_down() {
             return; // the requester crashed while the retry was pending
         }
         let t1 = self.eff_clock(from.index()).local_of(self.now);
@@ -2206,45 +1911,21 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// got cancelled.
     fn next_unreleased_instance(&self, fi: usize) -> u64 {
         let mut m = self.released[fi];
-        if let Some(fs) = &self.faults {
-            while fs.cancelled[fi].contains(&m) {
-                m += 1;
-            }
+        while self.faults.is_cancelled(fi, m) {
+            m += 1;
         }
         m
     }
 
-    /// Deadline watchdog: count consecutive measured end-to-end misses per
-    /// task and trip exactly once per streak when it reaches the
-    /// configured threshold.
+    /// Deadline watchdog: feeds one measured end-to-end verdict of `task`
+    /// to the detector and logs a trip.
     fn note_watchdog(&mut self, task: usize, missed: bool) {
-        // The budget is slowdown-aware: while any peer is Degraded in φ
-        // mode it scales up, so a merely-slow cluster doesn't trip the
-        // watchdog on misses the detector already explains. A moving
-        // budget means the streak can *skip over* a threshold that
-        // shrinks back — hence `>=` plus a one-trip-per-streak latch
-        // (equivalent to the legacy `==` when the budget is static).
-        let threshold = self.detect.as_ref().and_then(DetectState::watchdog_budget);
-        let Some(threshold) = threshold else {
-            return;
-        };
-        if !missed {
-            self.miss_streak[task] = 0;
-            self.watchdog_tripped[task] = false;
-            return;
-        }
-        self.miss_streak[task] += 1;
-        if self.miss_streak[task] >= threshold && !self.watchdog_tripped[task] {
-            self.watchdog_tripped[task] = true;
-            self.detect
-                .as_mut()
-                .expect("checked above")
-                .stats
-                .watchdog_trips += 1;
-            self.push_degradation(Degradation::WatchdogTrip {
-                task,
-                streak: self.miss_streak[task],
-            });
+        let trip = self
+            .detect
+            .as_mut()
+            .and_then(|dt| dt.note_verdict(task, missed));
+        if let Some(streak) = trip {
+            self.push_degradation(Degradation::WatchdogTrip { task, streak });
         }
     }
 
@@ -2266,34 +1947,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn on_source_release(&mut self, task: rtsync_core::task::TaskId, instance: u64) {
         let t = self.set.task(task);
         let first = JobId::new(SubtaskId::new(task, 0), instance);
-        self.prev_source[task.index()] = Some(self.now);
         self.metrics.record_first_release(task, instance, self.now);
         // Fault gate: a source arrival during the first processor's outage
         // queues in the recovery backlog (the environment keeps producing
         // work whether the node is up or not).
         let first_proc = self.set.subtask(first.subtask()).processor().index();
-        match &mut self.faults {
-            Some(fs) if fs.down[first_proc] => fs.backlog[first_proc].push(BacklogItem {
+        if self.procs[first_proc].is_down() {
+            self.faults.backlog[first_proc].push(BacklogItem {
                 job: first,
                 arrival: self.now,
                 kind: BacklogKind::Source,
-            }),
-            _ => self.release(first),
+            });
+        } else {
+            self.release(first);
         }
         // Schedule the next arrival.
-        let next =
-            self.cfg
-                .source
-                .release_time(task, t.period(), t.phase(), instance + 1, Some(self.now));
-        if next <= self.horizon {
-            self.queue.push(
-                next,
-                EventKind::SourceRelease {
-                    task,
-                    instance: instance + 1,
-                },
-            );
-        }
+        let instance = instance + 1;
+        let source = &self.cfg.source;
+        let next = source.release_time(task, t.period(), t.phase(), instance, Some(self.now));
+        self.push_by_horizon(next, EventKind::SourceRelease { task, instance });
     }
 
     fn on_timed_release(&mut self, subtask: SubtaskId, instance: u64) {
@@ -2305,12 +1977,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // the live chain does.
         let proc = self.set.subtask(subtask).processor().index();
         let fi = self.flat.of(subtask);
-        if let Some(fs) = &mut self.faults {
-            if fs.down[proc] || fs.pm_next[fi] != instance {
-                return;
-            }
-            fs.pm_next[fi] = instance + 1;
+        if self.procs[proc].is_down() || self.faults.pm_next[fi] != instance {
+            return;
         }
+        self.faults.pm_next[fi] = instance + 1;
         // PM's clock-driven release of a later subtask.
         self.release(JobId::new(subtask, instance));
         let period = self.set.task(subtask.task()).period();
@@ -2330,15 +2000,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             let local_next = phases.phase(subtask) + period.saturating_mul(instance as i64 + 1);
             self.eff_clock(proc).true_of_local(local_next).max(self.now)
         };
-        if next <= self.horizon {
-            self.queue.push(
-                next,
-                EventKind::TimedRelease {
-                    subtask,
-                    instance: instance + 1,
-                },
-            );
-        }
+        let instance = instance + 1;
+        self.push_by_horizon(next, EventKind::TimedRelease { subtask, instance });
     }
 
     /// Fail-stop crash of `proc`: kill every in-flight job with its
@@ -2350,22 +2013,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // work happened (and is then lost), the processor was busy.
         self.advance_proc(proc);
         let mut killed = std::mem::take(&mut self.kill_scratch);
+        // The processor goes down; a crash also ends an open stall (the
+        // stall window's end then finds nothing to resume).
         self.procs[p].crash_into(&mut killed);
         self.drop_stale_milestone(proc);
-        {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("Crash only scheduled with faults");
-            debug_assert!(!fs.down[p], "crash of an already-down processor");
-            fs.down[p] = true;
-            // A crash supersedes an open stall: the fail-stop loses the
-            // state the stall was preserving, and the stall window's end
-            // event then finds nothing to resume.
-            fs.stalled[p] = false;
-            fs.stats.crashes += 1;
-            fs.stats.killed_jobs += killed.len() as u64;
-        }
+        self.faults.stats.crashes += 1;
+        self.faults.stats.killed_jobs += killed.len() as u64;
         self.note(Note::Crash {
             proc: p,
             killed: killed.len(),
@@ -2382,14 +2035,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         // MPM: every armed-but-unfired timer on this node dies, and each
         // one carried its successor's only release request.
-        let timers = std::mem::take(
-            &mut self
-                .faults
-                .as_mut()
-                .expect("Crash only scheduled with faults")
-                .mpm_pending[p],
-        );
-        for timer_job in timers {
+        for timer_job in self.faults.drain_mpm(p) {
             let succ = self
                 .set
                 .task(timer_job.task())
@@ -2405,16 +2051,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// under the overload policy.
     fn on_recover(&mut self, proc: ProcessorId) {
         let p = proc.index();
-        let backlog = {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("Recover only scheduled with faults");
-            debug_assert!(fs.down[p], "recovery of a processor that is up");
-            fs.down[p] = false;
-            fs.stats.recoveries += 1;
-            std::mem::take(&mut fs.backlog[p])
-        };
+        self.procs[p].recover();
+        self.faults.stats.recoveries += 1;
+        let backlog = std::mem::take(&mut self.faults.backlog[p]);
         // RG: re-initialize guards to the recovery instant (rule 2's
         // idle-point reasoning — a restarted node holds no incomplete
         // releases).
@@ -2435,14 +2074,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }));
         let released = decisions.iter().filter(|(_, keep)| *keep).count() as u64;
         let dropped = decisions.len() as u64 - released;
-        {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("Recover only scheduled with faults");
-            fs.stats.backlog_released += released;
-            fs.stats.backlog_dropped += dropped;
-        }
+        self.faults.stats.backlog_released += released;
+        self.faults.stats.backlog_dropped += dropped;
         self.note(Note::Recovery {
             proc: p,
             released,
@@ -2463,11 +2096,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // A restarted node's detector resumes with its pre-crash beliefs:
         // peers it still holds dead resume degraded releases right away
         // (the old chains died while the node was down).
-        if self.detect.is_some() {
-            let dead = self.detect.as_ref().expect("checked above").dead_peers(p);
-            for s in dead {
-                self.start_degradation(p, s);
-            }
+        let dead = self.detect.as_ref().map(|dt| dt.dead_peers(p));
+        for s in dead.into_iter().flatten() {
+            self.start_degradation(p, s);
         }
         self.mark_dirty(proc);
     }
@@ -2477,46 +2108,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// cross-cut traffic (signals, transport frames, acks, heartbeats,
     /// sync frames) is severed until the heal.
     fn on_partition_start(&mut self, idx: u32) {
-        {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("PartitionStart only scheduled with faults");
-            let w = &fs.partition_windows[idx as usize];
-            for (p, side) in fs.island.iter_mut().enumerate() {
-                *side = w.island.contains(&p);
-            }
-            fs.partitioned = true;
-            fs.partition_since = Some(self.now);
-            fs.stats.partitions += 1;
-        }
-        self.obs.on_partition_start(
-            self.now,
-            &self.faults.as_ref().expect("checked above").island,
-        );
+        self.faults.open_partition(idx, self.now);
+        self.obs.on_partition_start(self.now, &self.faults.island);
     }
 
     /// The partition heals: connectivity is whole again and every signal
     /// parked at the cut is replayed through the normal protocol path.
     /// Replays bypass the channel (the frames never entered the wire — the
     /// cut severed them before the send), so channel conservation holds.
-    fn on_partition_heal(&mut self, _idx: u32) {
-        let parked = {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("PartitionHeal only scheduled with faults");
-            fs.partitioned = false;
-            fs.partition_since = None;
-            fs.stats.heals += 1;
-            std::mem::take(&mut fs.partition_backlog)
-        };
+    fn on_partition_heal(&mut self) {
+        let parked = self.faults.heal_partition();
         self.note(Note::PartitionHeal);
-        self.faults
-            .as_mut()
-            .expect("checked above")
-            .stats
-            .partition_replayed += parked.len() as u64;
         for job in parked {
             self.apply_signal(job);
         }
@@ -2525,179 +2127,50 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// A slowdown window opens on `proc`: the slice executed up to now is
     /// settled at the old rate, then every remaining service tick costs
     /// `factor` wall ticks. Unlike a crash nothing is lost — jobs keep
-    /// their state and merely stretch. The rate is recorded even while
-    /// the processor is down, so a mid-window recovery resumes slow.
+    /// their state and merely stretch. The rate is set even while the
+    /// processor is down, so a mid-window recovery resumes slow.
     fn on_slow_start(&mut self, proc: ProcessorId, idx: u32) {
-        let p = proc.index();
+        let factor = self.faults.slow_factor(proc.index(), idx);
+        self.set_rate(proc, factor);
+    }
+
+    /// Settles `proc`'s slice at its old rate, then runs it at `factor`
+    /// (`1` restores full speed).
+    fn set_rate(&mut self, proc: ProcessorId, factor: u32) {
         self.advance_proc(proc);
-        let factor = {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("SlowStart only scheduled with faults");
-            let factor = fs.slow_windows[p][idx as usize].factor;
-            fs.rate[p] = factor;
-            fs.stats.slowdowns += 1;
-            factor
-        };
-        self.procs[p].set_rate(factor);
+        self.procs[proc.index()].set_rate(factor);
         self.drop_stale_milestone(proc);
-        self.note(Note::Slowdown { proc: p, factor });
+        self.note(Note::Slowdown {
+            proc: proc.index(),
+            factor,
+        });
         self.mark_dirty(proc);
     }
 
-    /// The slowdown window closes: settle the stretched slice, restore
-    /// full speed.
-    fn on_slow_end(&mut self, proc: ProcessorId) {
+    /// A GC-pause-style stall opens (`on`) or closes. While open, the
+    /// processor stops executing entirely but — unlike a crash — keeps its
+    /// in-flight jobs, guards and timers; only its pending milestone is
+    /// dropped. A stall landing on a down (or already-stalled) processor
+    /// is absorbed by the outage, and a close is a no-op when the stall
+    /// never took hold or a crash swallowed it mid-window (the recovery
+    /// path owns the restart then).
+    fn on_stall(&mut self, proc: ProcessorId, on: bool) {
         let p = proc.index();
-        self.advance_proc(proc);
-        self.faults
-            .as_mut()
-            .expect("SlowEnd only scheduled with faults")
-            .rate[p] = 1;
-        self.procs[p].set_rate(1);
-        self.drop_stale_milestone(proc);
-        self.note(Note::Slowdown { proc: p, factor: 1 });
-        self.mark_dirty(proc);
-    }
-
-    /// A GC-pause-style stall opens: the processor stops executing
-    /// entirely but — unlike a crash — keeps its in-flight jobs, guards
-    /// and timers; only its pending milestone is dropped. A stall landing
-    /// on a down (or already-stalled) processor is absorbed by the outage.
-    fn on_stall_start(&mut self, proc: ProcessorId) {
-        let p = proc.index();
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|fs| fs.down[p] || fs.stalled[p])
-        {
+        let open = self.procs[p].is_stalled();
+        if on == open || (on && self.procs[p].is_down()) {
             return;
         }
         self.advance_proc(proc);
-        {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("StallStart only scheduled with faults");
-            fs.stalled[p] = true;
-            fs.stats.stalls += 1;
+        if on {
+            self.faults.stats.stalls += 1;
         }
-        self.procs[p].set_stalled(true);
+        self.procs[p].set_stalled(on);
         self.drop_stale_milestone(proc);
         self.note(Note::Stall {
             proc: p,
-            stalled: true,
+            stalled: on,
         });
         self.mark_dirty(proc);
-    }
-
-    /// The stall window closes. A no-op when the stall never took hold
-    /// or a crash swallowed it mid-window (the recovery path owns the
-    /// restart then).
-    fn on_stall_end(&mut self, proc: ProcessorId) {
-        let p = proc.index();
-        if !self.faults.as_ref().is_some_and(|fs| fs.stalled[p]) {
-            return;
-        }
-        self.advance_proc(proc);
-        self.faults.as_mut().expect("checked above").stalled[p] = false;
-        self.procs[p].set_stalled(false);
-        self.drop_stale_milestone(proc);
-        self.note(Note::Stall {
-            proc: p,
-            stalled: false,
-        });
-        self.mark_dirty(proc);
-    }
-
-    /// A degradation window opens on a directed link: frames keep
-    /// flowing (the wire is live, unlike a partition) but pay extra
-    /// latency, seeded jitter and an elevated drop rate until the close.
-    fn on_link_degrade_start(&mut self, idx: u32) {
-        let (from, to) = {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("LinkDegradeStart only scheduled with faults");
-            let w = fs.link_windows[idx as usize];
-            let n = fs.rate.len();
-            fs.link_active[w.from * n + w.to] = idx + 1;
-            fs.stats.link_degrades += 1;
-            (w.from, w.to)
-        };
-        self.note(Note::LinkDegrade { from, to, on: true });
-    }
-
-    /// The link-degradation window closes. With overlapping windows on
-    /// one link, only the window that owns the active slot clears it.
-    fn on_link_degrade_end(&mut self, idx: u32) {
-        let (from, to) = {
-            let fs = self
-                .faults
-                .as_mut()
-                .expect("LinkDegradeEnd only scheduled with faults");
-            let w = fs.link_windows[idx as usize];
-            let n = fs.rate.len();
-            if fs.link_active[w.from * n + w.to] == idx + 1 {
-                fs.link_active[w.from * n + w.to] = 0;
-            }
-            (w.from, w.to)
-        };
-        self.note(Note::LinkDegrade {
-            from,
-            to,
-            on: false,
-        });
-    }
-
-    /// Is the `a`↔`b` link currently severed by a partition?
-    fn cut(&self, a: usize, b: usize) -> bool {
-        self.faults.as_ref().is_some_and(|fs| fs.cut(a, b))
-    }
-
-    /// Gray-link tax on one frame crossing `from → to`: `None` when the
-    /// degraded wire dropped it, otherwise the additional one-way latency
-    /// (window base plus a seeded jitter draw). A healthy link returns
-    /// `Some(ZERO)` without touching the draw stream, so runs with no
-    /// link windows stay bit-identical to the pre-gray engine. Called
-    /// *after* the channel draws its own plan, preserving the legacy
-    /// channel RNG stream.
-    fn gray_penalty(&mut self, from: usize, to: usize, family: GrayFamily) -> Option<Dur> {
-        let Some(fs) = self.faults.as_mut() else {
-            return Some(Dur::ZERO);
-        };
-        let Some(w) = fs.link_gray(from, to).copied() else {
-            return Some(Dur::ZERO);
-        };
-        // Jitter first, drop second: a dropped frame still consumed its
-        // jitter draw, keeping the stream aligned across arms that only
-        // differ in drop rate.
-        let jitter = if w.jitter.ticks() > 0 {
-            Dur::from_ticks((fs.frame_draw() % (w.jitter.ticks() as u64 + 1)) as i64)
-        } else {
-            Dur::ZERO
-        };
-        // Signals are never gray-dropped: loss on the oracle signal path
-        // is the channel model's contract (signal conservation), and the
-        // lossy families all carry their own recovery machinery —
-        // transport retransmits, heartbeats re-send every period, sync
-        // rounds retry.
-        if family != GrayFamily::Signal && w.drop_permille > 0 {
-            let dropped = fs.frame_draw() % 1000 < u64::from(w.drop_permille);
-            if dropped {
-                match family {
-                    GrayFamily::Signal => unreachable!("signals are never gray-dropped"),
-                    GrayFamily::Heartbeat => fs.stats.gray_dropped_heartbeats += 1,
-                    GrayFamily::Transport => fs.stats.gray_dropped_transport += 1,
-                    GrayFamily::Sync => fs.stats.gray_dropped_sync += 1,
-                }
-                return None;
-            }
-        }
-        let extra = w.extra_latency.saturating_add(jitter);
-        fs.stats.gray_extra_latency_ticks += extra.ticks() as u64;
-        Some(extra)
     }
 
     /// The configured one-way extra delay of the `from`→`to` link
@@ -2723,8 +2196,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// Does the overload policy keep this backlog item at recovery?
     fn keep_backlog_item(&self, item: &BacklogItem) -> bool {
         let task = self.set.task(item.job.task());
-        let policy = self.faults.as_ref().expect("faults active").policy;
-        match policy {
+        match self.faults.policy {
             OverloadPolicy::ReleaseAll => true,
             OverloadPolicy::DropStale => {
                 // Keep only if the end-to-end deadline has not passed yet:
@@ -2749,12 +2221,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// bookkeeping of a killed running/ready job.
     fn cancel_instance(&mut self, job: JobId, was_released: bool) {
         let fi = self.flat.of(job.subtask());
-        {
-            let fs = self.faults.as_mut().expect("faults active");
-            if !fs.cancelled[fi].insert(job.instance()) {
-                return; // already cancelled via another path
-            }
-            fs.stats.cancelled_instances += 1;
+        if !self.faults.cancel(fi, job.instance()) {
+            return; // already cancelled via another path
         }
         if was_released {
             self.inflight[fi].pop_front();
@@ -2763,15 +2231,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // now; unblock the channel's in-order cursor so later instances of
         // the same subtask are not stalled forever behind the gap, and
         // apply anything buffered behind it.
-        if self.channel.is_some() {
+        if let Some(channel) = &mut self.channel {
             // A local buffer, not a scratch field: cancellation recurses
             // down the chain, so a shared buffer could be taken twice.
             // Cancellations only happen on the (rare) fault paths.
             let mut freed = Vec::new();
-            self.channel
-                .as_mut()
-                .expect("checked above")
-                .note_cancelled(fi, job.instance(), &mut freed);
+            channel.note_cancelled(fi, job.instance(), &mut freed);
             for instance in freed {
                 let delivered = JobId::new(job.subtask(), instance);
                 self.note(Note::SignalDeliver { job: delivered });
@@ -2814,25 +2279,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let mut to_schedule = Vec::new();
         for task in self.set.tasks() {
             let period = task.period();
-            for sub in task.subtasks().iter().skip(1) {
-                if sub.processor() != proc {
-                    continue;
-                }
+            let hosted = task.subtasks().iter().skip(1);
+            for sub in hosted.filter(|sub| sub.processor() == proc) {
                 let fi = self.flat.of(sub.id());
                 let phases = self
                     .pm_phases
                     .as_ref()
                     .expect("timed releases only occur under PM");
-                let mut m = self.faults.as_ref().expect("faults active").pm_next[fi];
+                let mut m = self.faults.pm_next[fi];
                 loop {
                     let local = phases.phase(sub.id()) + period.saturating_mul(m as i64);
-                    let at = if self.clocks.is_none() && self.sync.is_none() {
-                        local
-                    } else {
-                        self.eff_clock(proc.index())
-                            .true_of_local(local)
-                            .max(Time::ZERO)
-                    };
+                    let at = self.pm_firing(proc.index(), local);
                     if at >= self.now {
                         to_schedule.push((at, sub.id(), m));
                         break;
@@ -2840,7 +2297,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     to_cancel.push(JobId::new(sub.id(), m));
                     m += 1;
                 }
-                self.faults.as_mut().expect("faults active").pm_next[fi] = m;
+                self.faults.pm_next[fi] = m;
             }
         }
         for job in to_cancel {
@@ -2850,10 +2307,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // queue; the `pm_next` instance match makes whichever copy pops
         // second a no-op.
         for (at, subtask, instance) in to_schedule {
-            if at <= self.horizon {
-                self.queue
-                    .push(at, EventKind::TimedRelease { subtask, instance });
-            }
+            self.push_by_horizon(at, EventKind::TimedRelease { subtask, instance });
         }
     }
 
@@ -2863,13 +2317,13 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let fi = self.flat.of(job.subtask());
         // Crash-cancelled instances never release: normalize the in-order
         // counter over the gaps they left.
-        if let Some(fs) = &self.faults {
-            debug_assert!(!fs.down[sub.processor().index()], "release on a down node");
-            while self.released[fi] < job.instance()
-                && fs.cancelled[fi].contains(&self.released[fi])
-            {
-                self.released[fi] += 1;
-            }
+        debug_assert!(
+            !self.procs[sub.processor().index()].is_down(),
+            "release on a down node"
+        );
+        while self.released[fi] < job.instance() && self.faults.is_cancelled(fi, self.released[fi])
+        {
+            self.released[fi] += 1;
         }
         debug_assert_eq!(
             self.released[fi],
@@ -2885,10 +2339,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // will never complete).
         if let Some(pred) = job.predecessor() {
             let pred_fi = self.flat.of(pred.subtask());
-            let pred_cancelled = self
-                .faults
-                .as_ref()
-                .is_some_and(|fs| fs.cancelled[pred_fi].contains(&pred.instance()));
+            let pred_cancelled = self.faults.is_cancelled(pred_fi, pred.instance());
             // A forced (degraded) release knowingly precedes its
             // predecessor's completion; it is a logged degradation event,
             // not a protocol violation.
@@ -2897,11 +2348,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 .as_ref()
                 .is_some_and(|dt| dt.is_forced(fi, job.instance()));
             if (self.completed[pred_fi] <= pred.instance() || pred_cancelled) && !forced {
-                self.push_violation(Violation {
-                    kind: ViolationKind::PrecedenceViolated,
-                    job,
-                    time: self.now,
-                });
+                self.push_violation(ViolationKind::PrecedenceViolated, job);
             }
         }
         if let Some(tr) = &mut self.trace {
@@ -2940,9 +2387,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // drain (and a stale firing can detect) the ones that died
                 // with it.
                 let timer_proc = self.set.subtask(timer_job.subtask()).processor().index();
-                if let Some(fs) = &mut self.faults {
-                    fs.mpm_pending[timer_proc].push(*timer_job);
-                }
+                self.faults.arm_mpm(timer_proc, *timer_job);
             }
             self.queue.push(time, kind);
         }
@@ -2986,13 +2431,49 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.dirty[proc.index()] = true;
     }
 
+    /// Queues `kind` at `at` unless that lies past the horizon, where the
+    /// run stops anyway.
+    fn push_by_horizon(&mut self, at: Time, kind: EventKind) {
+        if at <= self.horizon {
+            self.queue.push(at, kind);
+        }
+    }
+
+    /// The signal channel. Channel events exist only with a channel, and
+    /// the transport and sync layers always synthesize one.
+    fn channel_mut(&mut self) -> &mut ChannelState {
+        self.channel.as_mut().expect("a channel is attached")
+    }
+
+    /// The transport. Its events and frames exist only when it is
+    /// attached, so every caller runs with one.
+    fn transport_mut(&mut self) -> &mut TransportState {
+        self.transport.as_mut().expect("transport attached")
+    }
+
+    /// The failure detector, under the same contract as the transport.
+    fn detect_mut(&mut self) -> &mut DetectState {
+        self.detect.as_mut().expect("detector attached")
+    }
+
+    /// The sync layer, under the same contract as the transport.
+    fn sync_mut(&mut self) -> &mut SyncState {
+        self.sync.as_mut().expect("sync attached")
+    }
+
     /// Reports `note` to the observer at the current instant.
     #[inline]
     fn note(&mut self, note: Note) {
         self.obs.on(self.now, note);
     }
 
-    fn push_violation(&mut self, violation: Violation) {
+    /// Records a `kind` violation by `job` at the current instant.
+    fn push_violation(&mut self, kind: ViolationKind, job: JobId) {
+        let violation = Violation {
+            kind,
+            job,
+            time: self.now,
+        };
         self.note(Note::Violation(violation));
         self.violations.push(violation);
     }
@@ -3057,8 +2538,74 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     }
 }
 
-fn flat_len(set: &TaskSet) -> usize {
-    set.num_subtasks()
+/// The largest single step the run can schedule past the current instant,
+/// over-estimated, and what sets it: every local duration (a period with
+/// its sporadic slack, an execution, an SA/PM end-to-end bound, a
+/// heartbeat or sync period) stretched by the slowest clock and the
+/// deepest slowdown, plus every delay a frame or timer can stack on it.
+fn max_step(
+    set: &TaskSet,
+    cfg: &SimConfig,
+    clocks: &[LocalClock],
+    faults: &FaultState,
+    pm_bound: Dur,
+) -> (Dur, &'static str) {
+    let detector = cfg.transport.as_ref().and_then(|t| t.detector.as_ref());
+    let sporadic = match cfg.source {
+        SourceModel::Periodic => Dur::ZERO,
+        SourceModel::Sporadic { max_extra, .. } => max_extra,
+    };
+    let period = set.tasks().iter().map(|t| t.period()).max();
+    let execution = set.subtasks().map(|s| s.execution()).max();
+    // A clock slow by `d` ppm stretches a local duration by 10⁶ / (10⁶ + d).
+    let slowest = i128::from(clocks.iter().map(|c| c.drift_ppm).min().unwrap_or(0));
+    let stretch = |d: Option<Dur>| {
+        let ticks = i128::from(d.unwrap_or(Dur::ZERO).ticks()) * 1_000_000;
+        let ticks = ticks / (1_000_000 + slowest).max(1);
+        faults.slowed(Dur::from_ticks(ticks.min(i128::from(i64::MAX)) as i64))
+    };
+    let offset = clocks.iter().map(|c| c.offset.ticks().saturating_abs());
+    let thresholds = detector.map(|d| d.suspect_after.saturating_add(d.dead_after));
+    let terms = [
+        (
+            stretch(period.map(|p| p.saturating_add(sporadic))),
+            "task period",
+        ),
+        (stretch(execution), "subtask execution time"),
+        (stretch(Some(pm_bound)), "SA/PM end-to-end bound"),
+        (stretch(detector.map(|d| d.period)), "heartbeat period"),
+        (stretch(cfg.sync.as_ref().map(|s| s.period)), "sync period"),
+        (Dur::from_ticks(offset.max().unwrap_or(0)), "clock offset"),
+        (
+            cfg.nonideal
+                .channel
+                .map(|c| c.max_delay_bound())
+                .unwrap_or(Dur::ZERO),
+            "channel latency",
+        ),
+        (
+            cfg.nonideal
+                .asymmetry
+                .as_ref()
+                .map(|a| a.max_extra())
+                .unwrap_or(Dur::ZERO),
+            "link asymmetry",
+        ),
+        (faults.longest_link_delay(), "gray link delay"),
+        (
+            cfg.transport
+                .as_ref()
+                .map(|t| t.max_timeout)
+                .unwrap_or(Dur::ZERO),
+            "transport timeout",
+        ),
+        (thresholds.unwrap_or(Dur::ZERO), "detector thresholds"),
+    ];
+    let step = terms.iter().fold(Dur::ZERO, |acc, (d, _)| {
+        acc.saturating_add((*d).max(Dur::ZERO))
+    });
+    let (_, cause) = terms.iter().max_by_key(|(d, _)| *d).expect("terms");
+    (step, cause)
 }
 
 /// A horizon generous enough for every task to release
@@ -3087,6 +2634,17 @@ fn default_horizon(set: &TaskSet, cfg: &SimConfig) -> Time {
         Some(t) => base.saturating_add(t.horizon_slack()),
         None => base,
     };
+    let Some(f) = &cfg.faults else {
+        return base;
+    };
+    let max_period = set.tasks().iter().map(|t| t.period()).max();
+    let detector = cfg.transport.as_ref().and_then(|t| t.detector.as_ref());
+    let lag = max_period
+        .unwrap_or(Dur::ZERO)
+        .saturating_add(detector.map_or(Dur::ZERO, |d| d.dead_after));
+    let sum = |spans: &mut dyn Iterator<Item = Dur>| {
+        spans.fold(Dur::ZERO, |a, b| a.saturating_add(b.saturating_add(lag)))
+    };
     // Detector-led recovery is slower than the oracle replay of the
     // legacy fault path: after each outage the suspicion thresholds must
     // elapse before degraded releases resume progress, and forced chains
@@ -3094,53 +2652,20 @@ fn default_horizon(set: &TaskSet, cfg: &SimConfig) -> Time {
     // outage and detection lag per crash window. The horizon is only a
     // cap — runs still stop the moment every task resolves its instance
     // target — so over-padding costs nothing on healthy runs.
-    let base = match (&cfg.transport, &cfg.faults) {
-        (Some(t), Some(f)) => {
-            let max_period = set
-                .tasks()
-                .iter()
-                .map(|t| t.period())
-                .max()
-                .unwrap_or(Dur::ZERO);
-            let detect_lag = t.detector.as_ref().map_or(Dur::ZERO, |d| d.dead_after);
-            let per_window = max_period + detect_lag;
-            let downtime: Dur = f
-                .resolve(set.num_processors(), base)
-                .iter()
-                .flatten()
-                .map(|w| w.restart_delay + per_window)
-                .fold(Dur::ZERO, |a, b| a.saturating_add(b));
-            base.saturating_add(downtime)
+    let base = match &cfg.transport {
+        Some(_) => {
+            let windows = f.resolve(set.num_processors(), base);
+            base.saturating_add(sum(&mut windows.iter().flatten().map(|w| w.restart_delay)))
         }
-        _ => base,
+        None => base,
     };
     // A partition stalls every cross-cut chain for its whole open window:
     // severed signals park until the heal and transport frames burn their
     // backoff schedule against the cut. Pad by each window's span plus one
     // worst-case period (and the detector's death lag, whose degraded
     // machinery may engage mid-cut and unwind only after the heal).
-    match &cfg.faults {
-        Some(f) => {
-            let max_period = set
-                .tasks()
-                .iter()
-                .map(|t| t.period())
-                .max()
-                .unwrap_or(Dur::ZERO);
-            let detect_lag = cfg
-                .transport
-                .as_ref()
-                .and_then(|t| t.detector.as_ref())
-                .map_or(Dur::ZERO, |d| d.dead_after);
-            let stall: Dur = f
-                .resolve_partitions(set.num_processors(), base)
-                .iter()
-                .map(|w| (w.heals_at() - w.at) + max_period + detect_lag)
-                .fold(Dur::ZERO, |a, b| a.saturating_add(b));
-            base.saturating_add(stall)
-        }
-        None => base,
-    }
+    let cuts = f.resolve_partitions(set.num_processors(), base);
+    base.saturating_add(sum(&mut cuts.iter().map(|w| w.heals_at() - w.at)))
 }
 
 #[cfg(test)]
@@ -3151,6 +2676,15 @@ mod tests {
 
     fn t(x: i64) -> Time {
         Time::from_ticks(x)
+    }
+
+    /// One outage of P1 over `[at, at + delay)`.
+    fn p1_outage(at: i64, delay: i64) -> crate::faults::FaultConfig {
+        let window = crate::faults::CrashWindow {
+            at: t(at),
+            restart_delay: Dur::from_ticks(delay),
+        };
+        crate::faults::FaultConfig::explicit(vec![Vec::new(), vec![window]])
     }
 
     fn run(protocol: Protocol, instances: u64) -> SimOutcome {
@@ -3647,7 +3181,6 @@ mod tests {
 
     #[test]
     fn crash_kills_inflight_work_and_accounts_losses() {
-        use crate::faults::{CrashWindow, FaultConfig};
         // Crash P1 (hosting T2,2 and T3) at t=5 for 10 ticks under DS: the
         // running job dies, its chain instance is lost, and the run still
         // resolves every instance.
@@ -3655,13 +3188,7 @@ mod tests {
             &example2(),
             &SimConfig::new(Protocol::DirectSync)
                 .with_instances(20)
-                .with_faults(FaultConfig::explicit(vec![
-                    Vec::new(),
-                    vec![CrashWindow {
-                        at: t(5),
-                        restart_delay: Dur::from_ticks(10),
-                    }],
-                ])),
+                .with_faults(p1_outage(5, 10)),
         )
         .unwrap();
         assert_eq!(out.fault_stats.crashes, 1);
@@ -3679,61 +3206,30 @@ mod tests {
 
     #[test]
     fn signals_into_a_crashed_node_are_backlogged_and_replayed() {
-        use crate::faults::{CrashWindow, FaultConfig};
+        use crate::nonideal::ChannelModel;
         // T2's chain hops P0 → P1. With P1 down over [5, 15), completions
         // of T2,1 keep signalling a dead receiver: each is recorded as a
         // receiver-down violation (distinct from a channel drop) and
-        // queued; ReleaseAll replays the backlog at recovery.
-        let out = simulate(
-            &example2(),
-            &SimConfig::new(Protocol::DirectSync)
-                .with_instances(20)
-                .with_faults(FaultConfig::explicit(vec![
-                    Vec::new(),
-                    vec![CrashWindow {
-                        at: t(5),
-                        restart_delay: Dur::from_ticks(10),
-                    }],
-                ])),
-        )
-        .unwrap();
-        assert!(out.fault_stats.receiver_down_signals >= 1);
-        assert!(out.fault_stats.backlog_released >= 1);
-        assert!(out
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::SignalReceiverDown));
-        assert!(out.reached_target);
-    }
-
-    #[test]
-    fn receiver_down_is_distinguished_on_the_channel() {
-        use crate::faults::{CrashWindow, FaultConfig};
-        use crate::nonideal::ChannelModel;
-        // Same outage, but signals ride a lossless constant-latency
-        // channel: the receiver-down counter (the wire worked, the node
-        // did not) must tally separately from `dropped` (the wire failed).
-        let out = simulate(
-            &example2(),
-            &SimConfig::new(Protocol::DirectSync)
-                .with_instances(20)
-                .with_channel(ChannelModel::constant(Dur::from_ticks(1)))
-                .with_faults(FaultConfig::explicit(vec![
-                    Vec::new(),
-                    vec![CrashWindow {
-                        at: t(5),
-                        restart_delay: Dur::from_ticks(10),
-                    }],
-                ])),
-        )
-        .unwrap();
-        assert!(out.channel_stats.receiver_down >= 1);
-        assert_eq!(out.channel_stats.dropped, 0, "lossless channel");
-        assert_eq!(
-            out.channel_stats.receiver_down,
-            out.fault_stats.receiver_down_signals
-        );
-        assert!(out.reached_target);
+        // queued; ReleaseAll replays the backlog at recovery. Over a
+        // lossless channel the wire worked and only the node did not, so
+        // the channel drops nothing.
+        let direct = SimConfig::new(Protocol::DirectSync)
+            .with_instances(20)
+            .with_faults(p1_outage(5, 10));
+        let wired = direct
+            .clone()
+            .with_channel(ChannelModel::constant(Dur::from_ticks(1)));
+        for cfg in [direct, wired] {
+            let out = simulate(&example2(), &cfg).unwrap();
+            assert!(out.fault_stats.receiver_down_signals >= 1);
+            assert!(out.fault_stats.backlog_released >= 1);
+            assert!(out
+                .violations
+                .iter()
+                .any(|v| v.kind == ViolationKind::SignalReceiverDown));
+            assert_eq!(out.channel_stats.dropped, 0, "lossless channel");
+            assert!(out.reached_target);
+        }
     }
 
     #[test]
@@ -3767,7 +3263,6 @@ mod tests {
 
     #[test]
     fn rg_recovery_reinitializes_the_guard_from_now() {
-        use crate::faults::{CrashWindow, FaultConfig};
         // Figure-7 scenario with P1 crashing at 5 (T3 mid-execution) and
         // recovering at 8. The restarted node holds nothing incomplete, so
         // the first post-recovery release of T2,2 must not be deferred by
@@ -3777,13 +3272,7 @@ mod tests {
             &SimConfig::new(Protocol::ReleaseGuard)
                 .with_instances(12)
                 .with_trace()
-                .with_faults(FaultConfig::explicit(vec![
-                    Vec::new(),
-                    vec![CrashWindow {
-                        at: t(5),
-                        restart_delay: Dur::from_ticks(3),
-                    }],
-                ])),
+                .with_faults(p1_outage(5, 3)),
         )
         .unwrap();
         let tr = out.trace.as_ref().unwrap();
@@ -3806,7 +3295,6 @@ mod tests {
 
     #[test]
     fn pm_rederives_clock_releases_after_recovery() {
-        use crate::faults::{CrashWindow, FaultConfig};
         // PM's T2,2 fires at local 4 + 6m on P1. An outage over [9, 21)
         // swallows the firings at 10 and 16; recovery re-derives the
         // schedule from 22 and those two instances are lost, not stalled.
@@ -3815,13 +3303,7 @@ mod tests {
             &SimConfig::new(Protocol::PhaseModification)
                 .with_instances(20)
                 .with_trace()
-                .with_faults(FaultConfig::explicit(vec![
-                    Vec::new(),
-                    vec![CrashWindow {
-                        at: t(9),
-                        restart_delay: Dur::from_ticks(12),
-                    }],
-                ])),
+                .with_faults(p1_outage(9, 12)),
         )
         .unwrap();
         let tr = out.trace.as_ref().unwrap();

@@ -295,8 +295,15 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Whether this is a fault-schedule edge: a crash, recovery,
+    /// partition, slowdown, stall or link edge. These kinds own ranks
+    /// 0–9 and nothing else.
+    pub(crate) fn is_fault_edge(&self) -> bool {
+        self.rank() < 10
+    }
+
     /// Same-instant processing rank (lower fires first).
-    fn rank(&self) -> u8 {
+    pub(crate) fn rank(&self) -> u8 {
         // The relative order of the pre-existing kinds is load-bearing
         // (golden traces); the signal kinds slot in so a delivery lands
         // where the direct-path release used to happen — after completions

@@ -38,6 +38,15 @@
 //! * **DS** — stateless: releases follow completions, so recovery needs no
 //!   reconciliation beyond the backlog policy.
 //!
+//! # In the engine
+//!
+//! The engine owns one fault domain in every run; with no
+//! [`FaultConfig`] it carries the empty schedule, which fires nothing.
+//! The domain resolves the schedule once, lists every window edge in
+//! firing order, and keeps only the next edge in the event queue: one
+//! keyed slot, re-armed as each edge pops. Whether a processor is down,
+//! stalled or slowed is held by the processor itself, not here.
+//!
 //! # Accounting
 //!
 //! A killed or never-released instance is *cancelled*; cancellation
@@ -77,14 +86,16 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtsync_core::protocol::Protocol;
-use rtsync_core::task::TaskSet;
+use rtsync_core::task::{ProcessorId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
 use crate::controller::FlatIndex;
 use crate::detect::Degradation;
 use crate::engine::SimOutcome;
+use crate::event::EventKind;
 use crate::job::JobId;
 use crate::observe::{Note, Observer};
+use crate::processor::Processor;
 
 /// What a recovered processor does with the backlog of work (source
 /// releases and predecessor signals) that arrived while it was down.
@@ -432,9 +443,7 @@ impl FaultConfig {
                 restart_delay,
                 seed,
             },
-            policy: OverloadPolicy::ReleaseAll,
-            partitions: None,
-            gray: None,
+            ..FaultConfig::explicit(Vec::new())
         }
     }
 
@@ -479,32 +488,17 @@ impl FaultConfig {
     /// exist before it.
     pub fn resolve(&self, num_procs: usize, horizon: Time) -> Vec<Vec<CrashWindow>> {
         match &self.schedule {
-            CrashSchedule::Explicit(windows) => {
-                let mut out = windows.clone();
-                out.resize(num_procs, Vec::new());
-                out.truncate(num_procs);
-                for per_proc in &mut out {
-                    deoverlap(per_proc, horizon);
-                }
-                out
-            }
+            CrashSchedule::Explicit(windows) => explicit(windows, num_procs, horizon, |_| true),
             CrashSchedule::Random {
                 mean_uptime,
                 restart_delay,
                 seed,
-            } => (0..num_procs)
-                .map(|p| {
-                    renewal(mix(*seed, p as u64), *mean_uptime, horizon, |_, at, out| {
-                        push(
-                            out,
-                            CrashWindow {
-                                at,
-                                restart_delay: *restart_delay,
-                            },
-                        )
-                    })
-                })
-                .collect(),
+            } => random(*seed, 0, num_procs, *mean_uptime, horizon, |at| {
+                CrashWindow {
+                    at,
+                    restart_delay: *restart_delay,
+                }
+            }),
         }
     }
 
@@ -516,16 +510,9 @@ impl FaultConfig {
             return vec![Vec::new(); num_procs];
         };
         match schedule {
-            SlowSchedule::Explicit(windows) => {
-                let mut out = windows.clone();
-                out.resize(num_procs, Vec::new());
-                out.truncate(num_procs);
-                for per_proc in &mut out {
-                    per_proc.retain(|w| w.factor >= 2 && w.span.is_positive());
-                    deoverlap(per_proc, horizon);
-                }
-                out
-            }
+            SlowSchedule::Explicit(windows) => explicit(windows, num_procs, horizon, |w| {
+                w.factor >= 2 && w.span.is_positive()
+            }),
             SlowSchedule::Random {
                 mean_healthy,
                 span,
@@ -535,21 +522,13 @@ impl FaultConfig {
                 if *factor < 2 || !span.is_positive() {
                     return vec![Vec::new(); num_procs];
                 }
-                (0..num_procs)
-                    .map(|p| {
-                        let seed = mix(*seed, SLOW_SALT ^ p as u64);
-                        renewal(seed, *mean_healthy, horizon, |_, at, out| {
-                            push(
-                                out,
-                                SlowWindow {
-                                    at,
-                                    span: *span,
-                                    factor: *factor,
-                                },
-                            )
-                        })
-                    })
-                    .collect()
+                random(*seed, SLOW_SALT, num_procs, *mean_healthy, horizon, |at| {
+                    SlowWindow {
+                        at,
+                        span: *span,
+                        factor: *factor,
+                    }
+                })
             }
         }
     }
@@ -562,14 +541,7 @@ impl FaultConfig {
         };
         match schedule {
             StallSchedule::Explicit(windows) => {
-                let mut out = windows.clone();
-                out.resize(num_procs, Vec::new());
-                out.truncate(num_procs);
-                for per_proc in &mut out {
-                    per_proc.retain(|w| w.span.is_positive());
-                    deoverlap(per_proc, horizon);
-                }
-                out
+                explicit(windows, num_procs, horizon, |w| w.span.is_positive())
             }
             StallSchedule::Random {
                 mean_healthy,
@@ -579,14 +551,9 @@ impl FaultConfig {
                 if !span.is_positive() {
                     return vec![Vec::new(); num_procs];
                 }
-                (0..num_procs)
-                    .map(|p| {
-                        let seed = mix(*seed, STALL_SALT ^ p as u64);
-                        renewal(seed, *mean_healthy, horizon, |_, at, out| {
-                            push(out, StallWindow { at, span: *span })
-                        })
-                    })
-                    .collect()
+                random(*seed, STALL_SALT, num_procs, *mean_healthy, horizon, |at| {
+                    StallWindow { at, span: *span }
+                })
             }
         }
     }
@@ -830,6 +797,42 @@ fn renewal<W>(
     out
 }
 
+/// Explicit per-processor windows, sized to `num_procs`, filtered by
+/// `keep` and de-overlapped over `[0, horizon]`.
+fn explicit<W: FaultWindow + Clone>(
+    windows: &[Vec<W>],
+    num_procs: usize,
+    horizon: Time,
+    keep: impl Fn(&W) -> bool,
+) -> Vec<Vec<W>> {
+    let mut out = windows.to_vec();
+    out.resize(num_procs, Vec::new());
+    for per_proc in &mut out {
+        per_proc.retain(&keep);
+        deoverlap(per_proc, horizon);
+    }
+    out
+}
+
+/// Seeded per-processor renewal schedules: processor `p` draws from the
+/// stream of `mix(seed, salt ^ p)`, so its schedule does not depend on
+/// how many processors come before it, and `window(at)` opens each one.
+fn random<W: FaultWindow>(
+    seed: u64,
+    salt: u64,
+    num_procs: usize,
+    mean: Dur,
+    horizon: Time,
+    window: impl Fn(Time) -> W,
+) -> Vec<Vec<W>> {
+    let renew = |p: usize| {
+        renewal(mix(seed, salt ^ p as u64), mean, horizon, |_, at, out| {
+            push(out, window(at))
+        })
+    };
+    (0..num_procs).map(renew).collect()
+}
+
 /// Sorts `windows` by start (stably) and keeps each window that starts
 /// inside `[0, horizon]` after the last kept window closed.
 fn deoverlap<W: FaultWindow>(windows: &mut Vec<W>, horizon: Time) {
@@ -879,9 +882,6 @@ pub struct FaultStats {
     /// Transport frames and acks severed by a cut (lost on the wire; the
     /// sender's retransmit/backoff machinery carries the recovery).
     pub severed_transport: u64,
-    /// Sync request/response frames severed by a cut (a lost sample or a
-    /// retry, depending on the sync transport mode).
-    pub severed_sync: u64,
     /// Backlogged signals replayed when a cut healed.
     pub partition_replayed: u64,
     /// Slowdown windows entered.
@@ -918,52 +918,75 @@ pub(crate) struct BacklogItem {
     pub(crate) kind: BacklogKind,
 }
 
-/// Per-run mutable fault state owned by the engine.
+/// Which wire family a frame belongs to, for gray-link drop accounting.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GrayFamily {
+    /// Oracle signal path — pays latency and jitter but is never
+    /// gray-dropped (the channel model owns signal loss).
+    Signal,
+    /// Failure-detector heartbeats.
+    Heartbeat,
+    /// Reliable-transport payload frames.
+    Transport,
+    /// Clock-sync request/response frames.
+    Sync,
+}
+
+/// The per-run fault domain the engine owns: the resolved schedule, its
+/// firing cursor, the partition and gray-link state, the recovery
+/// bookkeeping and the counters. Always present — a run without faults
+/// carries the empty schedule, which fires nothing and changes nothing.
+/// Processor liveness (down, stalled, rate) lives on
+/// [`crate::processor::Processor`], not here.
 #[derive(Debug)]
 pub(crate) struct FaultState {
+    num_procs: usize,
     /// Resolved outage windows, per processor.
-    pub(crate) windows: Vec<Vec<CrashWindow>>,
+    windows: Vec<Vec<CrashWindow>>,
     pub(crate) policy: OverloadPolicy,
-    /// `true` while the processor is down.
-    pub(crate) down: Vec<bool>,
+    /// The edges of the resolved schedule not yet queued, last to fire
+    /// first. They fire by time, then kind rank, then the order the
+    /// streams list them in (crash windows per processor, partitions,
+    /// slowdowns and stalls per processor, link windows). The engine
+    /// keeps only the next one queued.
+    edges: Vec<(Time, EventKind)>,
     /// Work that arrived during the current outage, per processor.
     pub(crate) backlog: Vec<Vec<BacklogItem>>,
     /// Cancelled instances per flat subtask index; release/completion
     /// counters normalize lazily over these gaps.
-    pub(crate) cancelled: Vec<BTreeSet<u64>>,
+    cancelled: Vec<BTreeSet<u64>>,
+    /// `true` when the schedule holds a crash window: only a crash kills
+    /// MPM timers, so without one `mpm_pending` is never kept.
+    crashes: bool,
     /// Armed-but-unfired MPM timers per processor (the timer lives on the
     /// predecessor's node and dies with it).
-    pub(crate) mpm_pending: Vec<Vec<JobId>>,
+    mpm_pending: Vec<Vec<JobId>>,
     /// Next expected timed-release instance per flat subtask index (PM
     /// recovery re-derivation + stale-duplicate filtering).
     pub(crate) pm_next: Vec<u64>,
     /// Resolved partition cut windows (network-wide, non-overlapping).
-    pub(crate) partition_windows: Vec<PartitionWindow>,
+    partition_windows: Vec<PartitionWindow>,
     /// `true` while a cut is up.
     pub(crate) partitioned: bool,
     /// Current side of each processor; meaningful only while partitioned.
     pub(crate) island: Vec<bool>,
     /// Protocol signals severed by the current cut, in arrival order;
     /// replayed through the normal apply path at the heal.
-    pub(crate) partition_backlog: Vec<JobId>,
+    partition_backlog: Vec<JobId>,
     /// When the currently open cut went up (`None` while whole). The sync
     /// layer uses it to age out cross-island samples taken before the
     /// split.
     pub(crate) partition_since: Option<Time>,
     /// Resolved slowdown windows, per processor.
-    pub(crate) slow_windows: Vec<Vec<SlowWindow>>,
+    slow_windows: Vec<Vec<SlowWindow>>,
     /// Resolved stall windows, per processor.
-    pub(crate) stall_windows: Vec<Vec<StallWindow>>,
+    stall_windows: Vec<Vec<StallWindow>>,
     /// Resolved link-degradation windows (event `idx` indexes this).
-    pub(crate) link_windows: Vec<LinkDegradeWindow>,
-    /// Current execution-rate divisor per processor (1 = nominal).
-    pub(crate) rate: Vec<u32>,
-    /// `true` while the processor is gray-stalled.
-    pub(crate) stalled: Vec<bool>,
+    link_windows: Vec<LinkDegradeWindow>,
     /// Active link window per directed pair (`from * n + to`), stored as
     /// window index + 1 (`0` = healthy). Windows never overlap per pair,
     /// so one slot suffices.
-    pub(crate) link_active: Vec<u32>,
+    link_active: Vec<u32>,
     /// Seed and counter of the per-frame jitter/drop stream. A dedicated
     /// SplitMix64 counter stream keeps gray draws off the nonideal
     /// channel's RNG, so arming gray personas never perturbs the
@@ -980,10 +1003,13 @@ impl FaultState {
         flat_len: usize,
         horizon: Time,
     ) -> FaultState {
-        FaultState {
-            windows: cfg.resolve(num_procs, horizon),
+        let windows = cfg.resolve(num_procs, horizon);
+        let mut fs = FaultState {
+            num_procs,
+            crashes: windows.iter().any(|w| !w.is_empty()),
+            windows,
             policy: cfg.policy,
-            down: vec![false; num_procs],
+            edges: Vec::new(),
             backlog: vec![Vec::new(); num_procs],
             cancelled: vec![BTreeSet::new(); flat_len],
             mpm_pending: vec![Vec::new(); num_procs],
@@ -996,13 +1022,59 @@ impl FaultState {
             slow_windows: cfg.resolve_slow(num_procs, horizon),
             stall_windows: cfg.resolve_stalls(num_procs, horizon),
             link_windows: cfg.resolve_links(num_procs, horizon),
-            rate: vec![1; num_procs],
-            stalled: vec![false; num_procs],
             link_active: vec![0; num_procs * num_procs],
             frame_seed: cfg.gray.as_ref().map(|g| g.frame_seed).unwrap_or(0),
             frame_ctr: 0,
             stats: FaultStats::default(),
+        };
+        fs.edges = fs.schedule_edges();
+        fs
+    }
+
+    /// Lists every window edge stream by stream, sorts them stably by
+    /// `(time, rank)` so ties keep the stream order, and reverses them.
+    fn schedule_edges(&self) -> Vec<(Time, EventKind)> {
+        let mut edges = Vec::new();
+        for (p, windows) in self.windows.iter().enumerate() {
+            let proc = ProcessorId::new(p);
+            for w in windows {
+                edges.push((w.at, EventKind::Crash { proc }));
+                edges.push((w.recovers_at(), EventKind::Recover { proc }));
+            }
         }
+        for (i, w) in self.partition_windows.iter().enumerate() {
+            let idx = i as u32;
+            edges.push((w.at, EventKind::PartitionStart { idx }));
+            edges.push((w.heals_at(), EventKind::PartitionHeal { idx }));
+        }
+        for (p, windows) in self.slow_windows.iter().enumerate() {
+            let proc = ProcessorId::new(p);
+            for (i, w) in windows.iter().enumerate() {
+                let idx = i as u32;
+                edges.push((w.at, EventKind::SlowStart { proc, idx }));
+                edges.push((w.ends_at(), EventKind::SlowEnd { proc }));
+            }
+        }
+        for (p, windows) in self.stall_windows.iter().enumerate() {
+            let proc = ProcessorId::new(p);
+            for w in windows {
+                edges.push((w.at, EventKind::StallStart { proc }));
+                edges.push((w.ends_at(), EventKind::StallEnd { proc }));
+            }
+        }
+        for (i, w) in self.link_windows.iter().enumerate() {
+            let idx = i as u32;
+            edges.push((w.at, EventKind::LinkDegradeStart { idx }));
+            edges.push((w.ends_at(), EventKind::LinkDegradeEnd { idx }));
+        }
+        edges.sort_by_key(|(at, kind)| (*at, kind.rank()));
+        edges.reverse();
+        edges
+    }
+
+    /// Takes the next schedule edge to queue, in firing order.
+    pub(crate) fn next_edge(&mut self) -> Option<(Time, EventKind)> {
+        self.edges.pop()
     }
 
     /// Whether the current cut separates processors `a` and `b`.
@@ -1010,10 +1082,69 @@ impl FaultState {
         self.partitioned && self.island[a] != self.island[b]
     }
 
+    /// Parks a signal from `from` to `to` at the open cut, if one
+    /// separates them; `true` when it was parked.
+    pub(crate) fn park_severed(&mut self, from: usize, to: usize, job: JobId) -> bool {
+        if !self.cut(from, to) {
+            return false;
+        }
+        self.stats.severed_signals += 1;
+        self.partition_backlog.push(job);
+        true
+    }
+
+    /// Opens partition window `idx` at `now`: records which side of the
+    /// cut each processor lands on.
+    pub(crate) fn open_partition(&mut self, idx: u32, now: Time) {
+        let w = &self.partition_windows[idx as usize];
+        for (p, side) in self.island.iter_mut().enumerate() {
+            *side = w.island.contains(&p);
+        }
+        self.partitioned = true;
+        self.partition_since = Some(now);
+        self.stats.partitions += 1;
+    }
+
+    /// Heals the open cut and hands back the signals parked at it, in
+    /// arrival order.
+    pub(crate) fn heal_partition(&mut self) -> Vec<JobId> {
+        self.partitioned = false;
+        self.partition_since = None;
+        self.stats.heals += 1;
+        let parked = std::mem::take(&mut self.partition_backlog);
+        self.stats.partition_replayed += parked.len() as u64;
+        parked
+    }
+
+    /// The rate divisor slowdown window `idx` of `proc` imposes.
+    pub(crate) fn slow_factor(&mut self, proc: usize, idx: u32) -> u32 {
+        self.stats.slowdowns += 1;
+        self.slow_windows[proc][idx as usize].factor
+    }
+
+    /// Opens link window `idx`; returns its directed pair.
+    pub(crate) fn open_link(&mut self, idx: u32) -> (usize, usize) {
+        let w = self.link_windows[idx as usize];
+        self.link_active[w.from * self.num_procs + w.to] = idx + 1;
+        self.stats.link_degrades += 1;
+        (w.from, w.to)
+    }
+
+    /// Closes link window `idx`; returns its directed pair. With
+    /// overlapping windows on one link, only the window that owns the
+    /// active slot clears it.
+    pub(crate) fn close_link(&mut self, idx: u32) -> (usize, usize) {
+        let w = self.link_windows[idx as usize];
+        let active = &mut self.link_active[w.from * self.num_procs + w.to];
+        if *active == idx + 1 {
+            *active = 0;
+        }
+        (w.from, w.to)
+    }
+
     /// The active degraded window on the directed link `from -> to`.
-    pub(crate) fn link_gray(&self, from: usize, to: usize) -> Option<&LinkDegradeWindow> {
-        let n = self.rate.len();
-        match self.link_active[from * n + to] {
+    fn link_gray(&self, from: usize, to: usize) -> Option<&LinkDegradeWindow> {
+        match self.link_active[from * self.num_procs + to] {
             0 => None,
             idx => Some(&self.link_windows[idx as usize - 1]),
         }
@@ -1022,22 +1153,81 @@ impl FaultState {
     /// Gray ground truth for a verdict on `subject` as seen by
     /// `observer`: the subject is stalled, slowed, or its heartbeat path
     /// toward the observer runs over a degraded link.
-    pub(crate) fn actually_gray(&self, observer: usize, subject: usize) -> bool {
-        self.stalled[subject]
-            || self.rate[subject] > 1
-            || self.link_gray(subject, observer).is_some()
+    pub(crate) fn actually_gray(&self, observer: usize, subject: &Processor) -> bool {
+        subject.is_stalled()
+            || subject.rate() > 1
+            || self.link_gray(subject.id().index(), observer).is_some()
+    }
+
+    /// Gray-link tax on one frame crossing `from → to`: `None` when the
+    /// degraded wire dropped it, otherwise the additional one-way latency
+    /// (window base plus a seeded jitter draw). A healthy link returns
+    /// `Some(ZERO)` without touching the draw stream, so runs with no
+    /// link windows stay bit-identical to the pre-gray engine. Called
+    /// *after* the channel draws its own plan, preserving the legacy
+    /// channel RNG stream.
+    pub(crate) fn gray_penalty(
+        &mut self,
+        from: usize,
+        to: usize,
+        family: GrayFamily,
+    ) -> Option<Dur> {
+        if self.link_windows.is_empty() {
+            return Some(Dur::ZERO);
+        }
+        let Some(w) = self.link_gray(from, to).copied() else {
+            return Some(Dur::ZERO);
+        };
+        // Jitter first, drop second: a dropped frame still consumed its
+        // jitter draw, keeping the stream aligned across arms that only
+        // differ in drop rate.
+        let jitter = if w.jitter.ticks() > 0 {
+            Dur::from_ticks((self.frame_draw() % (w.jitter.ticks() as u64 + 1)) as i64)
+        } else {
+            Dur::ZERO
+        };
+        // Signals are never gray-dropped: loss on the oracle signal path
+        // is the channel model's contract (signal conservation), and the
+        // lossy families all carry their own recovery machinery —
+        // transport retransmits, heartbeats re-send every period, sync
+        // rounds retry.
+        if family != GrayFamily::Signal
+            && w.drop_permille > 0
+            && self.frame_draw() % 1000 < u64::from(w.drop_permille)
+        {
+            match family {
+                GrayFamily::Signal => unreachable!("signals are never gray-dropped"),
+                GrayFamily::Heartbeat => self.stats.gray_dropped_heartbeats += 1,
+                GrayFamily::Transport => self.stats.gray_dropped_transport += 1,
+                GrayFamily::Sync => self.stats.gray_dropped_sync += 1,
+            }
+            return None;
+        }
+        let extra = w.extra_latency.saturating_add(jitter);
+        self.stats.gray_extra_latency_ticks += extra.ticks() as u64;
+        Some(extra)
     }
 
     /// One draw from the dedicated per-frame gray stream.
-    pub(crate) fn frame_draw(&mut self) -> u64 {
+    fn frame_draw(&mut self) -> u64 {
         let v = mix(self.frame_seed, self.frame_ctr);
         self.frame_ctr += 1;
         v
     }
 
-    /// Extra tick-count a slowed processor stretches one nominal tick
-    /// into — the horizon padding each slow window costs.
-    pub(crate) fn gray_service_padding(&self) -> Dur {
+    /// Extends the fail-free `horizon` so the instance target stays
+    /// reachable despite the schedule: by the total downtime; by the
+    /// demand slow and stall windows add, which drains only at the idle
+    /// capacity `1 - U` of `set` (the busy fraction capped at 95% so a
+    /// saturated set still gets a finite allowance); and by every link
+    /// window's full extra latency and jitter. The horizon is only a cap,
+    /// so over-padding costs nothing on healthy runs.
+    pub(crate) fn pad_horizon(&self, horizon: Time, set: &TaskSet) -> Time {
+        let downtime = self
+            .windows
+            .iter()
+            .flatten()
+            .fold(Dur::ZERO, |acc, w| acc.saturating_add(w.restart_delay));
         let slow = self
             .slow_windows
             .iter()
@@ -1052,21 +1242,70 @@ impl FaultState {
             .iter()
             .flatten()
             .fold(Dur::ZERO, |acc, w| acc.saturating_add(w.span));
-        slow.saturating_add(stall)
+        let extra = slow.saturating_add(stall);
+        let drain = if extra.is_positive() {
+            let busy_ppm = set.max_processor_utilization_ppm().min(950_000) as i128;
+            let drained = (extra.ticks() as i128) * 1_000_000 / (1_000_000 - busy_ppm);
+            Dur::from_ticks(drained.min(i64::MAX as i128) as i64)
+        } else {
+            Dur::ZERO
+        };
+        let link = self
+            .link_windows
+            .iter()
+            .map(|w| w.extra_latency.saturating_add(w.jitter))
+            .fold(Dur::ZERO, |a, b| a.saturating_add(b));
+        horizon
+            .saturating_add(downtime)
+            .saturating_add(drain)
+            .saturating_add(link)
     }
 
-    /// Total scheduled downtime across all processors — the horizon
-    /// extension needed so the instance target stays reachable.
-    pub(crate) fn total_downtime(&self) -> Dur {
-        self.windows
-            .iter()
-            .flatten()
-            .fold(Dur::ZERO, |acc, w| acc.saturating_add(w.restart_delay))
+    /// `d` of work stretched by the deepest slowdown in the schedule.
+    pub(crate) fn slowed(&self, d: Dur) -> Dur {
+        let factor = self.slow_windows.iter().flatten().map(|w| w.factor).max();
+        Dur::from_ticks(d.ticks().saturating_mul(i64::from(factor.unwrap_or(1))))
+    }
+
+    /// The most one gray link window can delay a frame.
+    pub(crate) fn longest_link_delay(&self) -> Dur {
+        let delays = self.link_windows.iter();
+        delays
+            .map(|w| w.extra_latency.saturating_add(w.jitter))
+            .max()
+            .unwrap_or(Dur::ZERO)
+    }
+
+    /// Marks `instance` of flat subtask `fi` cancelled; `false` if it
+    /// already was.
+    pub(crate) fn cancel(&mut self, fi: usize, instance: u64) -> bool {
+        let fresh = self.cancelled[fi].insert(instance);
+        if fresh {
+            self.stats.cancelled_instances += 1;
+        }
+        fresh
+    }
+
+    /// Whether `instance` of flat subtask `fi` was cancelled. Checks the
+    /// counter first, so fault-free runs never touch the sets.
+    pub(crate) fn is_cancelled(&self, fi: usize, instance: u64) -> bool {
+        self.stats.cancelled_instances > 0 && self.cancelled[fi].contains(&instance)
+    }
+
+    /// Records an armed MPM timer of `job` on `proc`, so a crash can
+    /// drain it. Kept only when the schedule can crash.
+    pub(crate) fn arm_mpm(&mut self, proc: usize, job: JobId) {
+        if self.crashes {
+            self.mpm_pending[proc].push(job);
+        }
     }
 
     /// Removes `job` from the processor's armed-timer list; `false` means
     /// the timer died in a crash (stale firing).
     pub(crate) fn take_mpm_pending(&mut self, proc: usize, job: JobId) -> bool {
+        if !self.crashes {
+            return true;
+        }
         let pending = &mut self.mpm_pending[proc];
         match pending.iter().position(|j| *j == job) {
             Some(i) => {
@@ -1075,6 +1314,11 @@ impl FaultState {
             }
             None => false,
         }
+    }
+
+    /// Drains the MPM timers that die with `proc`.
+    pub(crate) fn drain_mpm(&mut self, proc: usize) -> Vec<JobId> {
+        std::mem::take(&mut self.mpm_pending[proc])
     }
 }
 

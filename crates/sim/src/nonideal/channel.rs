@@ -168,10 +168,6 @@ pub struct ChannelStats {
     /// Deliveries that arrived ahead of a missing earlier instance and had
     /// to be buffered (observed reordering).
     pub reordered: u64,
-    /// Deliveries that reached a crashed receiver (fault mode). Distinct
-    /// from `dropped`: the wire worked, the node did not. These signals go
-    /// to the node's recovery backlog, not onto the wire again.
-    pub receiver_down: u64,
     /// Largest send-to-delivery delay scheduled.
     pub max_delay: Dur,
 }

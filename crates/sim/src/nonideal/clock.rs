@@ -15,7 +15,6 @@
 //! local clock, so offsets cancel and only drift scales their intervals —
 //! exactly the robustness asymmetry §3 of the paper argues informally.
 
-use rtsync_core::task::ProcessorId;
 use rtsync_core::time::{Dur, Time};
 
 /// One processor's affine local clock.
@@ -148,6 +147,11 @@ impl ClockModel {
     }
 
     /// Resolves the model to one clock per processor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a random model's drift bound is ±100% or more (the bound
+    /// [`LocalClock::with_drift_ppm`] enforces).
     pub fn resolve(&self, num_processors: usize) -> Vec<LocalClock> {
         match self {
             ClockModel::Ideal => vec![LocalClock::IDEAL; num_processors],
@@ -159,6 +163,10 @@ impl ClockModel {
                 max_drift_ppm,
                 seed,
             } => {
+                assert!(
+                    max_drift_ppm.unsigned_abs() < PPM as u64,
+                    "drift must stay below ±100%"
+                );
                 use rand::rngs::StdRng;
                 use rand::{RngExt, SeedableRng};
                 let mut rng = StdRng::seed_from_u64(*seed);
@@ -180,11 +188,6 @@ impl ClockModel {
                     .collect()
             }
         }
-    }
-
-    /// The resolved clock of one processor.
-    pub fn clock_of(&self, proc: ProcessorId, num_processors: usize) -> LocalClock {
-        self.resolve(num_processors)[proc.index()]
     }
 }
 
@@ -284,6 +287,6 @@ mod tests {
         let clocks = m.resolve(3);
         assert_eq!(clocks[0], LocalClock::with_offset(d(3)));
         assert_eq!(clocks[1], LocalClock::IDEAL);
-        assert_eq!(m.clock_of(ProcessorId::new(2), 3), LocalClock::IDEAL);
+        assert_eq!(clocks[2], LocalClock::IDEAL);
     }
 }

@@ -64,7 +64,10 @@ pub struct EngineSample<'a> {
     /// The processors, for per-processor ready-queue backlog
     /// ([`Processor::backlog`]) and idle state.
     pub procs: &'a [Processor],
-    /// Events pending in the event queue.
+    /// Events pending in the event queue. An entry held in a keyed slot
+    /// counts once: a processor's next milestone, the fault domain's next
+    /// schedule edge (the rest of the schedule is not queued yet), a
+    /// detector pair's suspicion deadline.
     pub queue_len: usize,
     /// Unacked frames across all transport sender windows (0 when the
     /// endpoint transport is off).

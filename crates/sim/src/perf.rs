@@ -1,7 +1,7 @@
 //! Engine self-profiling: scoped wall-clock accounting of where engine
-//! time goes (setup, queue maintenance, protocol dispatch, channel
-//! delivery, transport, detector, sync, end-of-instant flush, observer
-//! overhead).
+//! time goes (setup, offline analysis, queue maintenance, protocol
+//! dispatch, channel delivery, transport, detector, sync, end-of-instant
+//! flush, observer overhead).
 //!
 //! The profiler mirrors the observer design: the engine is generic over
 //! a [`Profiler`] whose only operation, [`Profiler::switch`], is an
@@ -23,10 +23,13 @@ use crate::event::EventKind;
 /// event family gets one bucket; see [`PerfScope::of`] for the mapping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PerfScope {
-    /// Everything before the first pop: engine state build (including
-    /// the SA/PM analysis PM and MPM need), the source, PM and fault
-    /// pre-pushes, and the detector and sync seeding.
+    /// Everything before the first pop except the analysis: engine state
+    /// build, fault-schedule resolution, the source and PM pre-pushes,
+    /// and the detector and sync seeding.
     Setup,
+    /// The SA/PM analysis PM and MPM need before the first event (zero
+    /// for DS and RG).
+    Analysis,
     /// Event-queue maintenance: popping and stop checks — the loop's
     /// connective tissue between handlers.
     Queue,
@@ -51,11 +54,12 @@ pub enum PerfScope {
 
 impl PerfScope {
     /// Number of scopes (sizes the accumulator arrays).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every scope, in display order.
     pub const ALL: [PerfScope; PerfScope::COUNT] = [
         PerfScope::Setup,
+        PerfScope::Analysis,
         PerfScope::Queue,
         PerfScope::Dispatch,
         PerfScope::Delivery,
@@ -71,6 +75,7 @@ impl PerfScope {
     pub fn label(self) -> &'static str {
         match self {
             PerfScope::Setup => "setup",
+            PerfScope::Analysis => "analysis",
             PerfScope::Queue => "queue",
             PerfScope::Dispatch => "dispatch",
             PerfScope::Delivery => "delivery",
@@ -346,6 +351,19 @@ mod tests {
         assert!(profile.scope_time(PerfScope::Dispatch) > Duration::ZERO);
         assert!(profile.scope_time(PerfScope::Queue) > Duration::ZERO);
         assert!(profile.scope_time(PerfScope::Setup) > Duration::ZERO);
+    }
+
+    #[test]
+    fn analysis_scope_holds_the_pm_analysis_only() {
+        use rtsync_core::protocol::Protocol::{DirectSync, PhaseModification};
+        let analysis = |protocol| {
+            let cfg = crate::engine::SimConfig::new(protocol).with_instances(5);
+            let example = rtsync_core::examples::example2();
+            let (_, profile) = crate::engine::simulate_profiled(&example, &cfg).unwrap();
+            profile.scope_time(PerfScope::Analysis)
+        };
+        assert!(analysis(PhaseModification) > Duration::ZERO);
+        assert_eq!(analysis(DirectSync), Duration::ZERO);
     }
 
     #[test]

@@ -152,6 +152,9 @@ pub struct Processor {
     /// dispatch, no milestones — but, unlike a crash, every queued and
     /// running job survives with its partial execution intact.
     stalled: bool,
+    /// Fail-stop outage: set by [`Processor::crash_into`], cleared by
+    /// [`Processor::recover`].
+    down: bool,
 }
 
 impl Processor {
@@ -169,6 +172,7 @@ impl Processor {
             rate: 1,
             rate_rem: 0,
             stalled: false,
+            down: false,
         }
     }
 
@@ -359,9 +363,11 @@ impl Processor {
     /// jobs sorted by [`JobId`] so the caller's bookkeeping is
     /// deterministic regardless of heap layout. Writing into a
     /// caller-owned buffer keeps the engine's crash path allocation-free.
-    /// The processor itself stays usable — after the restart delay the
-    /// engine simply releases work onto it again.
+    /// The processor is down until [`Processor::recover`]; after the
+    /// restart delay the engine releases work onto it again.
     pub fn crash_into(&mut self, killed: &mut Vec<JobId>) {
+        debug_assert!(!self.down, "crash of an already-down {}", self.id);
+        self.down = true;
         self.milestone_armed = false;
         self.needs_milestone = false;
         killed.clear();
@@ -378,12 +384,15 @@ impl Processor {
         killed.sort_unstable();
     }
 
-    /// Convenience form of [`Processor::crash_into`] returning a fresh
-    /// vector; tests use it, the engine reuses a scratch buffer instead.
-    pub fn crash(&mut self) -> Vec<JobId> {
-        let mut killed = Vec::new();
-        self.crash_into(&mut killed);
-        killed
+    /// Ends the outage a crash began.
+    pub fn recover(&mut self) {
+        debug_assert!(self.down, "recovery of {}, which is up", self.id);
+        self.down = false;
+    }
+
+    /// `true` between a crash and its recovery.
+    pub fn is_down(&self) -> bool {
+        self.down
     }
 
     /// The current execution-rate divisor (1 = nominal speed).
@@ -747,7 +756,8 @@ mod tests {
         rel(&mut p, job(0, 0, 1), 0, 3);
         assert_eq!(p.reschedule(t(0)), Resched::NewMilestone { at: t(3) });
         p.advance(t(2));
-        let killed = p.crash();
+        let mut killed = Vec::new();
+        p.crash_into(&mut killed);
         assert_eq!(
             killed,
             vec![job(0, 0, 0), job(0, 0, 1), job(1, 0, 0)],
@@ -909,7 +919,8 @@ mod tests {
         p.set_rate(2);
         p.set_stalled(true);
         p.reschedule(t(0));
-        let killed = p.crash();
+        let mut killed = Vec::new();
+        p.crash_into(&mut killed);
         assert_eq!(killed, vec![job(0, 0, 0)]);
         assert!(!p.is_stalled(), "crash thaws the scheduler");
         assert_eq!(p.rate(), 2, "slow window outlives the crash");

@@ -225,8 +225,8 @@ fn sync_over_transport_retries_dropped_frames() {
     );
 }
 
-/// Partition-window cadence also severs sync frames and heartbeat-driven
-/// detector traffic, and the counters agree with the fault-side census.
+/// Partition-window cadence also severs sync frames: the sync layer's
+/// `frames_severed` is the one count of them.
 #[test]
 fn cut_severs_sync_frames_too() {
     let set = example2();
@@ -239,7 +239,6 @@ fn cut_severs_sync_frames_too() {
             .with_sync(SyncConfig::new(d(6))),
     )
     .unwrap();
-    let fs = &out.fault_stats;
+    assert!(out.fault_stats.partitions > 0, "{:?}", out.fault_stats);
     assert!(out.sync_stats.frames_severed > 0, "{:?}", out.sync_stats);
-    assert_eq!(out.sync_stats.frames_severed, fs.severed_sync, "{fs:?}");
 }

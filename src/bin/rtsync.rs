@@ -721,6 +721,12 @@ impl NonidealFlags {
         if let Some((name, _)) = nonnegative.iter().find(|(_, v)| *v < 0) {
             return Err(format!("{name} must not be negative"));
         }
+        if self.drift_ppm >= 1_000_000 {
+            return Err(format!(
+                "--drift must stay below 1000000 ppm (a clock cannot stop), got {}",
+                self.drift_ppm
+            ));
+        }
         if !(0.0..=1.0).contains(&self.drop) {
             return Err(format!("--drop must lie in [0, 1], got {}", self.drop));
         }

@@ -170,8 +170,9 @@ fn malformed_nonideal_flags_fail_loudly() {
     let file = file.to_str().unwrap();
 
     // Example 2 has two processors. Every case fails with exit code 1 and
-    // an error naming the flag, never a panic or a silent run.
-    let cases: [(&[&str], &str); 13] = [
+    // an error naming the flag or the time it overflows, never a panic, a
+    // wrapped clock or a runaway.
+    let cases: [(&[&str], &str); 18] = [
         (&["--transport", "--timeout", "0"], "--timeout"),
         (&["--transport", "--timeout", "-3"], "--timeout"),
         (&["--drop", "2", "--transport"], "--drop"),
@@ -185,6 +186,26 @@ fn malformed_nonideal_flags_fail_loudly() {
         (&["--slow", "9:10:5:4"], "--slow PROC 9"),
         (&["--stall", "0:-1:5"], "--stall"),
         (&["--slow", "1:10:0:4"], "--slow"),
+        (
+            &["--drift", "1000000"],
+            "--drift must stay below 1000000 ppm",
+        ),
+        (
+            &["--drift", "2000000"],
+            "--drift must stay below 1000000 ppm",
+        ),
+        (
+            &["--latency", "9223372036854775807"],
+            "set by the channel latency",
+        ),
+        (
+            &["--latency", "4611686018427387904"],
+            "set by the channel latency",
+        ),
+        (
+            &["--transport", "--timeout", "9223372036854775807"],
+            "set by the transport timeout",
+        ),
     ];
     for command in ["simulate", "report"] {
         for (flags, needle) in &cases {
@@ -197,7 +218,64 @@ fn malformed_nonideal_flags_fail_loudly() {
         &["trace", file, "--protocol", "rg", "--sporadic", "-1"],
         "--sporadic",
     );
+    // Just inside the bounds: the fastest clock a drift bound allows, and
+    // a timeout far past the run.
+    for flags in [
+        &["--drift", "999999"][..],
+        &["--transport", "--timeout", "1000000000000000"],
+    ] {
+        let mut args = vec!["simulate", file, "--protocol", "rg"];
+        args.extend_from_slice(flags);
+        let out = run(&args);
+        assert!(out.status.success(), "{flags:?}: {}", stderr(&out));
+    }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn times_that_overflow_the_tick_clock_fail_loudly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let example = stdout(&run(&["example", "2"]));
+    // Example 2's task periods are 4, 6 and 6; the third has phase 4.
+    let write = |name: &str, edits: &[(&str, String)]| {
+        let edit = |text: String, (from, to): &(&str, String)| text.replace(from, to);
+        let path = dir.join(name);
+        std::fs::write(&path, edits.iter().fold(example.clone(), edit)).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let period = write(
+        "period.rts",
+        &[("period=4\n", format!("period={}\n", 1i64 << 62))],
+    );
+    let phase = write("phase.rts", &[("phase=4", format!("phase={}", i64::MAX))]);
+    // `check` and `analyze` accept both files; only the run overflows.
+    for file in [&period, &phase] {
+        assert!(run(&["check", file]).status.success());
+        assert!(run(&["analyze", file]).status.success());
+        for protocol in ["pm", "mpm", "rg", "ds"] {
+            fails_with(&["simulate", file, "--protocol", protocol], "time overflow");
+        }
+    }
+    fails_with(
+        &["simulate", &period, "--protocol", "ds"],
+        "set by the task period",
+    );
+    // Just inside: every period and phase times 2^50, so the horizon of
+    // 105 of the longest periods plus one more still fits.
+    let inside = write(
+        "inside.rts",
+        &[
+            ("period=4\n", format!("period={}\n", 4i64 << 50)),
+            ("period=6", format!("period={}", 6i64 << 50)),
+            ("phase=4", format!("phase={}", 4i64 << 50)),
+        ],
+    );
+    for protocol in ["pm", "mpm", "rg", "ds"] {
+        let out = run(&["simulate", &inside, "--protocol", protocol]);
+        assert!(out.status.success(), "{protocol}: {}", stderr(&out));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

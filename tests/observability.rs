@@ -831,3 +831,116 @@ fn no_superseded_deadline_is_ever_popped() {
         assert!(run.suspect_pops > 0, "{ctx}: no suspicion deadline fired");
     }
 }
+
+/// Records every fault-schedule edge the engine pops, as `"time kind"`.
+#[derive(Default)]
+struct FaultEdgeLog(Vec<String>);
+
+impl Observer for FaultEdgeLog {
+    fn on(&mut self, now: Time, note: Note) {
+        if let Note::Event(kind) = note {
+            if rtsync::sim::PerfScope::of(&kind) == rtsync::sim::PerfScope::Faults {
+                let edge = format!("{} {kind:?}", now.ticks());
+                self.0.push(edge.replace("ProcessorId", "P"));
+            }
+        }
+    }
+}
+
+/// Same-instant fault edges from different streams pop in one fixed
+/// order: by kind rank (crash, recover, cut, heal, slow, fast, stall,
+/// thaw, link, unlink), then processor or window index. Two processors
+/// crash at one tick, slow and stall edges share ticks on different
+/// processors, two link windows open together, and the partition opens
+/// at the crash instant.
+#[test]
+fn same_instant_fault_edges_pop_in_stream_order() {
+    let (t, d) = (Time::from_ticks, Dur::from_ticks);
+    let slow = |factor| SlowWindow {
+        at: t(20),
+        span: d(10),
+        factor,
+    };
+    let stall = |at| StallWindow {
+        at: t(at),
+        span: d(5),
+    };
+    let link = |from, to| LinkDegradeWindow {
+        at: t(20),
+        span: d(10),
+        from,
+        to,
+        extra_latency: d(1),
+        jitter: d(0),
+        drop_permille: 0,
+    };
+    let crash = CrashWindow {
+        at: t(40),
+        restart_delay: d(5),
+    };
+    let cut = PartitionWindow {
+        at: t(40),
+        heal_delay: d(10),
+        island: vec![0],
+    };
+    let gray = GrayConfig::new()
+        .with_slow(SlowSchedule::Explicit(vec![vec![slow(2)], vec![slow(3)]]))
+        .with_stalls(StallSchedule::Explicit(vec![
+            vec![stall(30)],
+            vec![stall(20)],
+        ]))
+        .with_links(LinkSchedule::Explicit(vec![link(1, 0), link(0, 1)]));
+    let faults = FaultConfig::explicit(vec![vec![crash], vec![crash]])
+        .with_partitions(PartitionSchedule::Explicit(vec![cut]))
+        .with_gray(gray);
+    let cfg = SimConfig::new(Protocol::ReleaseGuard)
+        .with_instances(20)
+        .with_faults(faults);
+    let mut log = FaultEdgeLog::default();
+    simulate_observed(&example2(), &cfg, &mut log).unwrap();
+    assert_eq!(
+        log.0.join("; "),
+        "20 SlowStart { proc: P(0), idx: 0 }; 20 SlowStart { proc: P(1), idx: 0 }; \
+         20 StallStart { proc: P(1) }; 20 LinkDegradeStart { idx: 0 }; \
+         20 LinkDegradeStart { idx: 1 }; 25 StallEnd { proc: P(1) }; \
+         30 SlowEnd { proc: P(0) }; 30 SlowEnd { proc: P(1) }; 30 StallStart { proc: P(0) }; \
+         30 LinkDegradeEnd { idx: 0 }; 30 LinkDegradeEnd { idx: 1 }; 35 StallEnd { proc: P(0) }; \
+         40 Crash { proc: P(0) }; 40 Crash { proc: P(1) }; 40 PartitionStart { idx: 0 }; \
+         45 Recover { proc: P(0) }; 45 Recover { proc: P(1) }; 50 PartitionHeal { idx: 0 }"
+    );
+}
+
+/// The queue depth of the first end-of-instant sample, and the run.
+fn first_queue_len(cfg: &SimConfig) -> (usize, SimOutcome) {
+    struct FirstSample(Option<usize>);
+    impl Observer for FirstSample {
+        fn wants_samples(&self) -> bool {
+            true
+        }
+        fn on_sample(&mut self, _now: Time, sample: &rtsync::sim::EngineSample<'_>) {
+            self.0.get_or_insert(sample.queue_len);
+        }
+    }
+    let mut first = FirstSample(None);
+    let out = simulate_observed(&example2(), cfg, &mut first).unwrap();
+    (first.0.expect("the run took a sample"), out)
+}
+
+/// The fault domain queues only its next schedule edge: a thousand crash
+/// windows leave the queue as short as one does.
+#[test]
+fn fault_schedule_length_does_not_grow_the_queue() {
+    let windows = |n: i64| {
+        let outages = (0..n).map(|k| CrashWindow {
+            at: Time::from_ticks(100 + 2 * k),
+            restart_delay: Dur::from_ticks(1),
+        });
+        SimConfig::new(Protocol::DirectSync)
+            .with_instances(500)
+            .with_faults(FaultConfig::explicit(vec![Vec::new(), outages.collect()]))
+    };
+    let (one, _) = first_queue_len(&windows(1));
+    let (many, out) = first_queue_len(&windows(1_000));
+    assert_eq!(out.fault_stats.crashes, 1_000, "every window fired");
+    assert_eq!(one, many, "pending events at the first sample");
+}
