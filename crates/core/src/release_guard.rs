@@ -18,12 +18,14 @@
 //!
 //! [`ReleaseGuard`] is a pure, event-driven state machine: a simulator or a
 //! real scheduler feeds it signals, guard expiries and idle points, and
-//! acts on the returned decisions. Every mutation that queues or dequeues a
-//! deferred instance bumps a *generation* counter; a scheduled guard-expiry
-//! timer carries the generation it was scheduled under and is ignored if
-//! stale ([`ReleaseGuard::take_due`]). The discipline for the caller:
-//! after **every** call that returns or may create a pending head, consult
-//! [`ReleaseGuard::next_expiry`] and (re)schedule a timer for it.
+//! acts on the returned decisions. The guard holds the deferred instance
+//! numbers itself and hands each one back when it becomes releasable. At
+//! most one expiry is ever due per guard, so the caller keeps **one**
+//! deadline armed for [`ReleaseGuard::next_expiry`]: after every call that
+//! defers, releases or drops an instance it re-arms that deadline, or
+//! clears it when `next_expiry` is `None`. A deadline kept that way is
+//! always current, so [`ReleaseGuard::take_due`] releases the head when it
+//! fires.
 //!
 //! # Examples
 //!
@@ -39,16 +41,17 @@
 //! let mut g = ReleaseGuard::new(Dur::from_ticks(6));
 //! let t = Time::from_ticks;
 //!
-//! assert_eq!(g.offer(t(4)), GuardDecision::ReleaseNow);
+//! assert_eq!(g.offer(t(4), 0), GuardDecision::ReleaseNow);
 //! g.on_release(t(4)); // rule 1: guard = 10
-//! assert_eq!(g.offer(t(8)), GuardDecision::DeferUntil(t(10)));
-//! assert!(g.on_idle_point(t(9))); // rule 2 frees the deferred head at 9
+//! assert_eq!(g.offer(t(8), 1), GuardDecision::DeferUntil(t(10)));
+//! assert_eq!(g.next_expiry(), Some(t(10)));
+//! assert_eq!(g.on_idle_point(t(9)), Some(1)); // rule 2 frees instance 1 at 9
 //! g.on_release(t(9));
 //! assert_eq!(g.guard(), t(15));
 //! assert_eq!(g.next_expiry(), None);
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::fmt;
 
 use crate::time::{Dur, Time};
@@ -60,11 +63,10 @@ pub enum GuardDecision {
     /// now (then call [`ReleaseGuard::on_release`]).
     ReleaseNow,
     /// The instance became the queue head; it is due at the given instant —
-    /// schedule a guard-expiry timer for it (see
-    /// [`ReleaseGuard::next_expiry`]).
+    /// arm the guard's deadline for it (see [`ReleaseGuard::next_expiry`]).
     DeferUntil(Time),
-    /// The instance queued behind earlier deferred instances; no new timer
-    /// is needed beyond the one for the head.
+    /// The instance queued behind earlier deferred instances; the
+    /// deadline armed for the head still stands.
     Queued,
 }
 
@@ -73,10 +75,8 @@ pub enum GuardDecision {
 pub struct ReleaseGuard {
     period: Dur,
     guard: Time,
-    /// Signal times of deferred, not-yet-released instances (FIFO).
-    pending: VecDeque<Time>,
-    /// Bumped on every queue/dequeue; stamps scheduled expiries.
-    gen: u64,
+    /// Instance numbers of deferred, not-yet-released instances (FIFO).
+    pending: VecDeque<u64>,
     /// Instant of the most recent release (rule 1 application).
     armed_at: Option<Time>,
 }
@@ -97,7 +97,6 @@ impl ReleaseGuard {
             period,
             guard: Time::ZERO,
             pending: VecDeque::new(),
-            gen: 0,
             armed_at: None,
         }
     }
@@ -117,21 +116,23 @@ impl ReleaseGuard {
         self.pending.len()
     }
 
-    /// The timer the caller should have scheduled for the queue head:
-    /// `Some((due, generation))` while any instance is deferred. A fired
-    /// timer is only honored by [`ReleaseGuard::take_due`] if its
-    /// generation is still current.
-    pub fn next_expiry(&self) -> Option<(Time, u64)> {
-        (!self.pending.is_empty()).then_some((self.guard, self.gen))
+    /// `true` if `instance` is deferred behind the guard.
+    pub fn is_deferred(&self, instance: u64) -> bool {
+        self.pending.contains(&instance)
     }
 
-    /// A predecessor-completion signal arrives at `now`.
-    pub fn offer(&mut self, now: Time) -> GuardDecision {
+    /// When the queue head comes due: the one deadline the caller keeps
+    /// armed while any instance is deferred, `None` when none is.
+    pub fn next_expiry(&self) -> Option<Time> {
+        (!self.pending.is_empty()).then_some(self.guard)
+    }
+
+    /// The predecessor-completion signal for `instance` arrives at `now`.
+    pub fn offer(&mut self, now: Time, instance: u64) -> GuardDecision {
         if self.pending.is_empty() && now >= self.guard {
             return GuardDecision::ReleaseNow;
         }
-        self.pending.push_back(now);
-        self.gen += 1;
+        self.pending.push_back(instance);
         if self.pending.len() == 1 {
             GuardDecision::DeferUntil(self.guard)
         } else {
@@ -140,18 +141,17 @@ impl ReleaseGuard {
     }
 
     /// Rule 1: an instance was released at `now`; `g ← now + period`.
+    /// The head, if any, now comes due at the new guard.
     pub fn on_release(&mut self, now: Time) {
         self.guard = now + self.period;
         self.armed_at = Some(now);
-        self.gen += 1;
     }
 
     /// Rule 2: `now` is an idle point of the host processor; `g ← now`
     /// (the paper's literal rule — raising a guard that is already in the
     /// past is harmless, since future signals arrive at ≥ `now`). Returns
-    /// `true` if a deferred head instance becomes releasable *now*: the
-    /// caller must release it, call [`ReleaseGuard::on_release`], and
-    /// reschedule via [`ReleaseGuard::next_expiry`].
+    /// the deferred head if it becomes releasable *now*: the caller must
+    /// release it and call [`ReleaseGuard::on_release`].
     ///
     /// When an instance of this subtask was released at this very instant,
     /// rule 1 wins and the idle point leaves the guard armed: the two
@@ -160,24 +160,22 @@ impl ReleaseGuard {
     /// at least a period apart — the property the SA/PM bounds (Theorem 1)
     /// rest on. (The busy period around `now` begins *with* that release;
     /// the idle point marks the end of the previous one.)
-    pub fn on_idle_point(&mut self, now: Time) -> bool {
+    pub fn on_idle_point(&mut self, now: Time) -> Option<u64> {
         if self.armed_at == Some(now) {
-            return false; // rule 1 at the same instant takes precedence
+            return None; // rule 1 at the same instant takes precedence
         }
         self.guard = now;
-        self.gen += 1;
-        self.pending.pop_front().is_some()
+        self.pending.pop_front()
     }
 
     /// Fail-stop crash of the host processor: every deferred signal dies
-    /// with the node. Clears the pending queue and bumps the generation so
-    /// any in-flight guard-expiry timer is ignored on replay. The guard
-    /// value itself is left alone — it is re-derived at recovery by
+    /// with the node. Returns the deferred instances, oldest first, so the
+    /// caller can account each one and clear the guard's deadline. The
+    /// guard value itself is left alone — it is re-derived at recovery by
     /// [`ReleaseGuard::reinitialize`].
-    pub fn on_crash(&mut self) {
-        self.pending.clear();
-        self.gen += 1;
+    pub fn on_crash(&mut self) -> vec_deque::Drain<'_, u64> {
         self.armed_at = None;
+        self.pending.drain(..)
     }
 
     /// Recovery rule: `g ← now`. A processor that just rejoined holds no
@@ -190,21 +188,18 @@ impl ReleaseGuard {
     pub fn reinitialize(&mut self, now: Time) {
         self.guard = now;
         self.pending.clear();
-        self.gen += 1;
         self.armed_at = None;
     }
 
-    /// A guard-expiry timer stamped with `gen` fired at `now`. Returns
-    /// `true` if it is still current and a deferred head is due: the caller
-    /// releases it, calls [`ReleaseGuard::on_release`], and reschedules via
-    /// [`ReleaseGuard::next_expiry`]. Stale timers return `false`.
-    pub fn take_due(&mut self, now: Time, gen: u64) -> bool {
-        if gen != self.gen || self.pending.is_empty() || now < self.guard {
-            return false;
+    /// The guard's deadline fired at `now`. Returns the deferred head if
+    /// one is due: the caller releases it and calls
+    /// [`ReleaseGuard::on_release`]. `None` if nothing is deferred or the
+    /// guard has not passed yet.
+    pub fn take_due(&mut self, now: Time) -> Option<u64> {
+        if now < self.guard {
+            return None;
         }
-        self.pending.pop_front();
-        self.gen += 1;
-        true
+        self.pending.pop_front()
     }
 }
 
@@ -234,8 +229,8 @@ mod tests {
     fn first_instance_is_never_delayed() {
         let mut g = guard6();
         assert_eq!(g.guard(), Time::ZERO);
-        assert_eq!(g.offer(t(0)), GuardDecision::ReleaseNow);
-        assert_eq!(g.offer(t(3)), GuardDecision::ReleaseNow);
+        assert_eq!(g.offer(t(0), 0), GuardDecision::ReleaseNow);
+        assert_eq!(g.offer(t(3), 1), GuardDecision::ReleaseNow);
         assert_eq!(g.next_expiry(), None);
     }
 
@@ -245,12 +240,10 @@ mod tests {
         g.on_release(t(4));
         assert_eq!(g.guard(), t(10));
         // Early signal at 8 is deferred to 10.
-        assert_eq!(g.offer(t(8)), GuardDecision::DeferUntil(t(10)));
-        let (due, gen) = g.next_expiry().unwrap();
-        assert_eq!(due, t(10));
+        assert_eq!(g.offer(t(8), 1), GuardDecision::DeferUntil(t(10)));
+        assert_eq!(g.next_expiry(), Some(t(10)));
         // The deferral becomes due at 10.
-        assert!(!g.take_due(t(10), gen + 99), "stale generation ignored");
-        assert!(g.take_due(t(10), gen));
+        assert_eq!(g.take_due(t(10)), Some(1));
         g.on_release(t(10));
         assert_eq!(g.guard(), t(16));
         assert_eq!(g.next_expiry(), None);
@@ -262,40 +255,38 @@ mod tests {
         // deferred; idle point at 9 lowers the guard and frees the pending
         // instance at 9.
         let mut g = guard6();
-        assert_eq!(g.offer(t(4)), GuardDecision::ReleaseNow);
+        assert_eq!(g.offer(t(4), 0), GuardDecision::ReleaseNow);
         g.on_release(t(4));
-        let d = g.offer(t(8));
+        let d = g.offer(t(8), 1);
         assert_eq!(d, GuardDecision::DeferUntil(t(10)));
-        let stale = g.next_expiry().unwrap();
-        assert!(g.on_idle_point(t(9)));
+        assert_eq!(g.on_idle_point(t(9)), Some(1));
         g.on_release(t(9));
         assert_eq!(g.guard(), t(15));
-        // The timer scheduled for t=10 is now stale and must not fire a
-        // second release.
-        assert!(!g.take_due(t(10), stale.1));
+        // Nothing is left for the deadline once armed for 10: the caller
+        // clears it, and a late firing finds nothing to release.
+        assert_eq!(g.next_expiry(), None);
+        assert_eq!(g.take_due(t(10)), None);
     }
 
     #[test]
     fn clumped_signals_queue_fifo() {
         let mut g = guard6();
         g.on_release(t(0)); // guard 6
-        assert_eq!(g.offer(t(1)), GuardDecision::DeferUntil(t(6)));
-        assert_eq!(g.offer(t(2)), GuardDecision::Queued);
-        assert_eq!(g.offer(t(3)), GuardDecision::Queued);
+        assert_eq!(g.offer(t(1), 1), GuardDecision::DeferUntil(t(6)));
+        assert_eq!(g.offer(t(2), 2), GuardDecision::Queued);
+        assert_eq!(g.offer(t(3), 3), GuardDecision::Queued);
         assert_eq!(g.pending_len(), 3);
         // Head due at 6.
-        let (due, gen) = g.next_expiry().unwrap();
-        assert_eq!(due, t(6));
-        assert!(g.take_due(t(6), gen));
-        g.on_release(t(6)); // guard 12
-                            // Next head waits for the *new* guard.
-        let (due, gen) = g.next_expiry().unwrap();
-        assert_eq!(due, t(12));
-        assert!(g.take_due(t(12), gen));
+        assert_eq!(g.next_expiry(), Some(t(6)));
+        assert_eq!(g.take_due(t(6)), Some(1));
+        g.on_release(t(6));
+        // Guard 12: the next head waits for the *new* guard.
+        assert_eq!(g.next_expiry(), Some(t(12)));
+        assert_eq!(g.take_due(t(12)), Some(2));
         g.on_release(t(12));
         assert_eq!(g.pending_len(), 1);
         // Idle point releases the last one early.
-        assert!(g.on_idle_point(t(14)));
+        assert_eq!(g.on_idle_point(t(14)), Some(3));
         g.on_release(t(14));
         assert_eq!(g.pending_len(), 0);
         assert_eq!(g.next_expiry(), None);
@@ -305,48 +296,61 @@ mod tests {
     fn idle_point_sets_guard_to_now() {
         let mut g = guard6();
         g.on_release(t(0)); // guard 6
-        assert!(!g.on_idle_point(t(3)));
+        assert_eq!(g.on_idle_point(t(3)), None);
         assert_eq!(g.guard(), t(3));
-        assert!(!g.on_idle_point(t(5)));
+        assert_eq!(g.on_idle_point(t(5)), None);
         assert_eq!(g.guard(), t(5)); // rule 2 is literal: g := now
-                                     // Raising a past guard to now is harmless.
+
+        // Raising a past guard to now is harmless.
         let mut g2 = guard6();
         g2.on_release(t(10)); // guard 16
         g2.on_idle_point(t(20));
         assert_eq!(g2.guard(), t(20));
-        assert_eq!(g2.offer(t(20)), GuardDecision::ReleaseNow);
+        assert_eq!(g2.offer(t(20), 0), GuardDecision::ReleaseNow);
+    }
+
+    #[test]
+    fn rule1_wins_over_a_same_instant_idle_point() {
+        let mut g = guard6();
+        g.on_release(t(4)); // guard 10
+        assert_eq!(g.offer(t(4), 1), GuardDecision::DeferUntil(t(10)));
+        assert_eq!(g.on_idle_point(t(4)), None, "rule 1 at 4 stands");
+        assert_eq!(g.guard(), t(10));
+        assert_eq!(g.next_expiry(), Some(t(10)));
     }
 
     #[test]
     fn late_signal_releases_immediately() {
         let mut g = guard6();
         g.on_release(t(0)); // guard 6
-        assert_eq!(g.offer(t(7)), GuardDecision::ReleaseNow);
-        assert_eq!(g.offer(t(6)), GuardDecision::ReleaseNow, "boundary");
+        assert_eq!(g.offer(t(7), 1), GuardDecision::ReleaseNow);
+        assert_eq!(g.offer(t(6), 2), GuardDecision::ReleaseNow, "boundary");
     }
 
     #[test]
     fn signal_behind_nonempty_queue_defers_even_after_guard() {
         let mut g = guard6();
         g.on_release(t(0)); // guard 6
-        let _ = g.offer(t(1)); // deferred head
-                               // Guard passes, head not yet taken (timer in flight); a new signal
-                               // at 7 must queue behind, not jump ahead.
-        assert_eq!(g.offer(t(7)), GuardDecision::Queued);
+        let _ = g.offer(t(1), 1); // deferred head
+
+        // Guard passes, head not yet taken (deadline pending); a new signal
+        // at 7 must queue behind, not jump ahead.
+        assert_eq!(g.offer(t(7), 2), GuardDecision::Queued);
         assert_eq!(g.pending_len(), 2);
+        assert!(g.is_deferred(1) && g.is_deferred(2) && !g.is_deferred(3));
+        assert_eq!(g.take_due(t(7)), Some(1), "the head goes first");
     }
 
     #[test]
     fn take_due_respects_guard_time_and_emptiness() {
         let mut g = guard6();
         g.on_release(t(0));
-        let _ = g.offer(t(1));
-        let (_, gen) = g.next_expiry().unwrap();
-        assert!(!g.take_due(t(5), gen), "not due yet");
-        assert!(g.take_due(t(6), gen));
-        assert!(!g.take_due(t(6), gen), "generation consumed");
+        let _ = g.offer(t(1), 1);
+        assert_eq!(g.take_due(t(5)), None, "not due yet");
+        assert_eq!(g.take_due(t(6)), Some(1));
+        assert_eq!(g.take_due(t(6)), None, "head consumed");
         let mut empty = guard6();
-        assert!(!empty.take_due(t(0), 0), "nothing pending");
+        assert_eq!(empty.take_due(t(0)), None, "nothing pending");
     }
 
     #[test]
@@ -360,23 +364,22 @@ mod tests {
         let mut g = guard6();
         g.on_release(t(0));
         assert_eq!(g.to_string(), "guard@6");
-        let _ = g.offer(t(2));
-        let _ = g.offer(t(3));
+        let _ = g.offer(t(2), 1);
+        let _ = g.offer(t(3), 2);
         assert!(g.to_string().contains("2 pending"));
     }
 
     #[test]
-    fn crash_drops_deferred_signals_and_stales_timers() {
+    fn crash_drops_deferred_signals() {
         let mut g = guard6();
         g.on_release(t(0)); // guard 6
-        let _ = g.offer(t(1));
-        let _ = g.offer(t(2));
-        let (due, gen) = g.next_expiry().unwrap();
-        assert_eq!(due, t(6));
-        g.on_crash();
+        let _ = g.offer(t(1), 1);
+        let _ = g.offer(t(2), 2);
+        assert_eq!(g.next_expiry(), Some(t(6)));
+        assert_eq!(g.on_crash().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(g.pending_len(), 0);
         assert_eq!(g.next_expiry(), None);
-        assert!(!g.take_due(t(6), gen), "pre-crash timer must be stale");
+        assert_eq!(g.take_due(t(6)), None, "nothing survives the crash");
     }
 
     #[test]
@@ -385,11 +388,11 @@ mod tests {
         // releases immediately (the recovery instant is an idle point).
         let mut g = guard6();
         g.on_release(t(100)); // guard 106
-        let _ = g.offer(t(101)); // deferred, dies with the crash
+        let _ = g.offer(t(101), 1); // deferred, dies with the crash
         g.reinitialize(t(103));
         assert_eq!(g.guard(), t(103));
         assert_eq!(g.pending_len(), 0);
-        assert_eq!(g.offer(t(103)), GuardDecision::ReleaseNow);
+        assert_eq!(g.offer(t(103), 2), GuardDecision::ReleaseNow);
         // Past guard is raised to now (harmless, same as rule 2).
         let mut g2 = guard6();
         g2.reinitialize(t(50));
@@ -398,37 +401,39 @@ mod tests {
         // point at the recovery instant still applies rule 2.
         let mut g3 = guard6();
         g3.on_release(t(10));
-        g3.on_crash();
-        assert!(!g3.on_idle_point(t(10)), "nothing pending to free");
+        assert_eq!(g3.on_crash().count(), 0);
+        assert_eq!(g3.on_idle_point(t(10)), None, "nothing pending to free");
         assert_eq!(g3.guard(), t(10));
     }
 
     #[test]
     fn inter_release_separation_invariant() {
         // Drive a long signal sequence; consecutive releases must never be
-        // closer than the period unless an idle point intervened (rule 2).
+        // closer than the period unless an idle point intervened (rule 2),
+        // and instances must release in the order they were offered.
         let mut g = guard6();
-        let mut releases: Vec<(Time, bool)> = Vec::new(); // (time, via idle)
+        let mut releases: Vec<(Time, bool, u64)> = Vec::new(); // (time, via idle, instance)
         let mut now = Time::ZERO;
-        for step in 0..60 {
-            now += Dur::from_ticks(1 + (step % 5));
-            match g.offer(now) {
+        for step in 0..60u64 {
+            now += Dur::from_ticks(1 + (step as i64 % 5));
+            match g.offer(now, step) {
                 GuardDecision::ReleaseNow => {
                     g.on_release(now);
-                    releases.push((now, false));
+                    releases.push((now, false, step));
                 }
                 GuardDecision::DeferUntil(_) | GuardDecision::Queued => {
                     if step % 3 == 0 {
                         let idle = now + Dur::from_ticks(1);
-                        if g.on_idle_point(idle) {
+                        if let Some(m) = g.on_idle_point(idle) {
                             g.on_release(idle);
-                            releases.push((idle, true));
+                            releases.push((idle, true, m));
                         }
-                    } else if let Some((due, gen)) = g.next_expiry() {
-                        if due <= now + Dur::from_ticks(2) && g.take_due(due.max(now), gen) {
+                    } else if let Some(due) = g.next_expiry() {
+                        if due <= now + Dur::from_ticks(2) {
                             let at = due.max(now);
+                            let m = g.take_due(at).expect("an armed deadline is due");
                             g.on_release(at);
-                            releases.push((at, false));
+                            releases.push((at, false, m));
                         }
                     }
                 }
@@ -436,12 +441,13 @@ mod tests {
         }
         assert!(releases.len() > 5, "scenario exercised releases");
         for pair in releases.windows(2) {
-            let (prev, _) = pair[0];
-            let (next, via_idle) = pair[1];
+            let (prev, _, first) = pair[0];
+            let (next, via_idle, second) = pair[1];
             assert!(
                 next - prev >= Dur::from_ticks(6) || via_idle,
                 "release at {next:?} too close to {prev:?} without an idle point"
             );
+            assert!(first < second, "instance {second} released after {first}");
         }
     }
 }

@@ -127,8 +127,8 @@ proptest! {
     }
 
     /// Release-guard conservation: every offered signal is eventually
-    /// released exactly once (by ReleaseNow, expiry or idle point), and
-    /// never while an earlier signal still waits.
+    /// released exactly once (by ReleaseNow, expiry or idle point), never
+    /// while an earlier signal still waits, and in the order offered.
     #[test]
     fn guard_conserves_signals(
         period in 2i64..12,
@@ -136,37 +136,44 @@ proptest! {
     ) {
         let mut g = ReleaseGuard::new(Dur::from_ticks(period));
         let mut now = Time::ZERO;
-        let mut offered = 0usize;
-        let mut released = 0usize;
+        let mut offered = 0u64;
+        let mut released = Vec::new();
         for (advance, action) in script {
             now += Dur::from_ticks(advance);
             match action {
                 // A predecessor completion arrives.
                 0 => {
-                    offered += 1;
-                    if let GuardDecision::ReleaseNow = g.offer(now) {
+                    if let GuardDecision::ReleaseNow = g.offer(now, offered) {
                         g.on_release(now);
-                        released += 1;
+                        released.push(offered);
                     }
+                    offered += 1;
                 }
                 // The pending head comes due (if it is).
                 1 => {
-                    if let Some((due, gen)) = g.next_expiry() {
-                        if now >= due && g.take_due(now.max(due), gen) {
-                            g.on_release(now.max(due));
-                            released += 1;
+                    if let Some(due) = g.next_expiry() {
+                        if now >= due {
+                            let m = g.take_due(now);
+                            prop_assert!(m.is_some(), "a due head is released");
+                            g.on_release(now);
+                            released.extend(m);
                         }
                     }
                 }
                 // An idle point.
                 _ => {
-                    if g.on_idle_point(now) {
+                    if let Some(m) = g.on_idle_point(now) {
                         g.on_release(now);
-                        released += 1;
+                        released.push(m);
                     }
                 }
             }
-            prop_assert_eq!(offered, released + g.pending_len());
+            prop_assert_eq!(offered as usize, released.len() + g.pending_len());
+            prop_assert!(
+                released.iter().copied().eq(0..released.len() as u64),
+                "released out of offer order: {:?}",
+                released
+            );
         }
     }
 

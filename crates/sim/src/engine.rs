@@ -14,7 +14,10 @@
 //! processors'. The optional layers (channel, transport, failure
 //! detector, clock sync) are `Option`s: a run without them never builds
 //! their state. The detector keeps one suspicion deadline per ordered
-//! processor pair in the slots after the fault edge.
+//! processor pair in the slots after the fault edge, and under RG each
+//! subtask's release guard keeps its next expiry in the slots after
+//! those. Each protocol's release state lives in its controller
+//! (`crate::controller`).
 //!
 //! # Examples
 //!
@@ -46,7 +49,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::{ProcessorId, SubtaskId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
-use crate::controller::{CompletionDirective, Controller, FlatIndex};
+use crate::controller::{CompletionDirective, Controller, FlatIndex, ReleaseTimer};
 use crate::detect::{
     Degradation, DegradationEvent, DetectState, DetectStats, PeerState, MPM_STRETCH_PERMILLE,
 };
@@ -401,7 +404,6 @@ struct Engine<'a, O: Observer, P: Profiler> {
     queue: EventQueue,
     procs: Vec<Processor>,
     controller: Controller,
-    pm_phases: Option<PmPhases>,
     flat: FlatIndex,
     metrics: Metrics,
     trace: Option<Trace>,
@@ -496,26 +498,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let longest_bound = pm_bounds.as_ref().map_or(Dur::ZERO, |b| {
             b.task_bounds().into_iter().max().unwrap_or(Dur::ZERO)
         });
-        let (controller, pm_phases) = match (cfg.protocol, pm_bounds) {
-            (Protocol::DirectSync, _) => (Controller::ds(), None),
-            (Protocol::ReleaseGuard, _) => {
-                // Guards measure one task period on the host processor's
-                // clock; drift rescales that period in true time (offsets
-                // cancel — guards are pure durations).
-                let controller = match &clocks {
-                    None => Controller::rg(set, cfg.rg_apply_rule2),
-                    Some(clocks) => Controller::rg_with_guard_periods(
-                        set,
-                        cfg.rg_apply_rule2,
-                        |proc, period| clocks[proc.index()].true_dur(period),
-                    ),
-                };
-                (controller, None)
-            }
+        let controller = match (cfg.protocol, pm_bounds) {
+            (Protocol::DirectSync, _) => Controller::ds(),
+            // Guards measure one task period on the host processor's
+            // clock; drift rescales that period in true time (offsets
+            // cancel — guards are pure durations).
+            (Protocol::ReleaseGuard, _) => match &clocks {
+                None => Controller::rg(set, cfg.rg_apply_rule2),
+                Some(clocks) => {
+                    Controller::rg_with_guard_periods(set, cfg.rg_apply_rule2, |proc, period| {
+                        clocks[proc.index()].true_dur(period)
+                    })
+                }
+            },
             (Protocol::PhaseModification, Some(bounds)) => {
-                (Controller::pm(), Some(PmPhases::compute(set, &bounds)))
+                Controller::pm(PmPhases::compute(set, &bounds), flat.len())
             }
-            (Protocol::ModifiedPhaseModification, Some(bounds)) => (Controller::mpm(bounds), None),
+            (Protocol::ModifiedPhaseModification, Some(bounds)) => {
+                Controller::mpm(bounds, set.num_processors())
+            }
             _ => unreachable!("PM and MPM ran the analysis above"),
         };
         let horizon = cfg.horizon.unwrap_or_else(|| default_horizon(set, cfg));
@@ -571,10 +572,18 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             }
         });
         // One milestone slot per processor, one for the fault domain's
-        // next edge, then one suspicion slot per ordered detector pair
-        // (see `suspicion_slot`).
+        // next edge, one suspicion slot per ordered detector pair (see
+        // `suspicion_slot`), then under RG one guard slot per subtask (see
+        // `set_guard_deadline`).
         let procs = set.num_processors();
-        let slots = procs + 1 + if detect.is_some() { procs * procs } else { 0 };
+        let slots = procs
+            + 1
+            + if detect.is_some() { procs * procs } else { 0 }
+            + if cfg.protocol == Protocol::ReleaseGuard {
+                flat.len()
+            } else {
+                0
+            };
         Ok(Engine {
             set,
             cfg,
@@ -583,7 +592,6 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 .map(|i| Processor::new(ProcessorId::new(i)))
                 .collect(),
             controller,
-            pm_phases,
             flat,
             metrics: Metrics::with_chains(
                 &set.tasks()
@@ -638,7 +646,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 },
             );
         }
-        if let Some(phases) = &self.pm_phases {
+        if self.cfg.protocol == Protocol::PhaseModification {
             for task in self.set.tasks() {
                 for sub in task.subtasks().iter().skip(1) {
                     // PM timers fire when the *local* clock reads the
@@ -649,7 +657,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     // sync layer attached the read goes through the
                     // corrected clock (no correction exists yet at t = 0,
                     // but the code path must match the later firings).
-                    let at = self.pm_firing(sub.processor().index(), phases.phase(sub.id()));
+                    let phase = self.controller.pm_phase(sub.id());
+                    let at = self.pm_firing(sub.processor().index(), phase);
                     self.queue.push(
                         at,
                         EventKind::TimedRelease {
@@ -742,7 +751,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 EventKind::MpmTimer { job } => self.on_mpm_timer(job),
                 EventKind::SignalSend { job } => self.on_signal_send(job),
                 EventKind::SignalDeliver { job } => self.on_signal_deliver(job),
-                EventKind::GuardExpiry { subtask, gen } => self.on_guard_expiry(subtask, gen),
+                EventKind::GuardExpiry { subtask } => self.on_guard_expiry(subtask),
                 EventKind::SourceRelease { task, instance } => {
                     self.on_source_release(task, instance)
                 }
@@ -751,9 +760,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 }
                 EventKind::TransportDeliver { job, seq } => self.on_transport_deliver(job, seq),
                 EventKind::AckDeliver { seq } => self.on_ack_deliver(seq),
-                EventKind::RetransmitTimer { seq, attempt } => {
-                    self.on_retransmit_timer(seq, attempt)
-                }
+                EventKind::RetransmitTimer { seq } => self.on_retransmit_timer(seq),
                 EventKind::HeartbeatSend { proc } => self.on_heartbeat_send(proc),
                 EventKind::HeartbeatDeliver { from, to } => self.on_heartbeat_deliver(from, to),
                 EventKind::SuspectTimer { observer, subject } => {
@@ -905,18 +912,23 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // instant (e.g. a chain hop cascaded from another processor's
         // same-instant completion) do not prevent the idle point.
         if self.procs[proc.index()].is_idle_point(self.now) {
-            let now = self.now;
-            self.note(Note::IdlePoint { proc: proc.index() });
-            let mut freed = std::mem::take(&mut self.rule2_scratch);
-            self.controller.on_idle_point(proc, now, &mut freed);
-            for &job in &freed {
-                self.note(Note::Rule2Release { job });
-                self.release(job);
-            }
-            freed.clear();
-            self.rule2_scratch = freed;
+            self.on_idle_point(proc);
         }
         self.mark_dirty(proc);
+    }
+
+    /// `now` is an idle point of `proc`: RG's rule 2 releases every
+    /// deferred head the guards hosted there free.
+    fn on_idle_point(&mut self, proc: ProcessorId) {
+        self.note(Note::IdlePoint { proc: proc.index() });
+        let mut freed = std::mem::take(&mut self.rule2_scratch);
+        self.controller.on_idle_point(proc, self.now, &mut freed);
+        for &job in &freed {
+            self.note(Note::Rule2Release { job });
+            self.release(job);
+        }
+        freed.clear();
+        self.rule2_scratch = freed;
     }
 
     fn on_mpm_timer(&mut self, job: JobId) {
@@ -924,8 +936,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // that was pending when its node crashed was drained (and its
         // successor instance cancelled) at the crash — this firing is
         // stale.
-        let timer_proc = self.set.subtask(job.subtask()).processor().index();
-        if !self.faults.take_mpm_pending(timer_proc, job) {
+        let timer_proc = self.set.subtask(job.subtask()).processor();
+        if !self.controller.fire_mpm_timer(timer_proc, job) {
             return;
         }
         // The timer says job's response bound elapsed: signal the successor.
@@ -945,7 +957,6 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .expect("MPM timers are only scheduled for subtasks with successors");
         // The timer runs on the predecessor's processor; the release
         // request is a cross-processor signal like any other.
-        let timer_proc = self.set.subtask(job.subtask()).processor();
         self.signal_successor(timer_proc, JobId::new(succ, job.instance()));
     }
 
@@ -1023,42 +1034,29 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.release(succ_job);
             return;
         }
-        let succ = succ_job.subtask();
         match self.controller.on_predecessor_complete(succ_job, self.now) {
             CompletionDirective::ReleaseSuccessor => self.release(succ_job),
-            CompletionDirective::ScheduleExpiry { due, gen } => {
-                self.note(Note::GuardBlock { job: succ_job, due });
+            CompletionDirective::ScheduleExpiry { due } => {
+                self.defer(succ_job, due);
                 // Rule 2 applies at *every* idle instant (§3.2), not
                 // only at completion instants: a signal deferred
                 // onto an already-idle processor is released right
                 // away (the idle point resets the guard). With rule
                 // 2 disabled (the ablation) nothing is freed and the
-                // expiry timer proceeds as scheduled.
-                let succ_proc = self.set.subtask(succ).processor();
-                let mut freed = std::mem::take(&mut self.rule2_scratch);
-                if self.procs[succ_proc.index()].is_idle_point(self.now) {
-                    self.note(Note::IdlePoint {
-                        proc: succ_proc.index(),
-                    });
-                    self.controller
-                        .on_idle_point(succ_proc, self.now, &mut freed);
+                // guard's deadline stands.
+                if self.procs[succ_proc].is_idle_point(self.now) {
+                    self.on_idle_point(ProcessorId::new(succ_proc));
                 }
-                if freed.is_empty() {
-                    self.queue.push(
-                        due.max(self.now),
-                        EventKind::GuardExpiry { subtask: succ, gen },
-                    );
-                } else {
-                    for &job in &freed {
-                        self.note(Note::Rule2Release { job });
-                        self.release(job);
-                    }
-                }
-                freed.clear();
-                self.rule2_scratch = freed;
             }
             CompletionDirective::Nothing => {}
         }
+    }
+
+    /// RG deferred `job` behind its guard, due at `due`: (re)arm the
+    /// guard's deadline.
+    fn defer(&mut self, job: JobId, due: Time) {
+        self.note(Note::GuardBlock { job, due });
+        self.set_guard_deadline(job.subtask(), Some(due.max(self.now)));
     }
 
     /// A signal leaves its sender: draw the channel's latency and faults
@@ -1154,7 +1152,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         let rto = self.transport_mut().cfg.rto(attempt);
         self.queue
-            .push(self.now + rto, EventKind::RetransmitTimer { seq, attempt });
+            .push(self.now + rto, EventKind::RetransmitTimer { seq });
     }
 
     /// One copy of a frame reaches its receiver: ack every copy, apply the
@@ -1231,25 +1229,23 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
     }
 
-    /// The retransmission timer of one frame fired. Stale firings (the
-    /// frame was acked, abandoned, or already retransmitted under a newer
-    /// timer) are no-ops.
-    fn on_retransmit_timer(&mut self, seq: u64, attempt: u32) {
+    /// The retransmission timer of one frame fired. A frame has one
+    /// timer at a time (each firing arms at most the next), so the window
+    /// entry's attempt count is the timer's; a firing after the frame was
+    /// acked or abandoned is a no-op.
+    fn on_retransmit_timer(&mut self, seq: u64) {
         let entry = self.transport_mut().in_flight(seq).copied();
         let Some(entry) = entry else {
             return; // acked or abandoned
         };
-        if entry.attempt != attempt {
-            return; // superseded by a newer retransmission's timer
-        }
         // A crashed sender cannot retransmit, but its journaled send
         // queue survives the outage: re-arm the same attempt so the
         // frame resumes once the node is back (this is what keeps the
         // unbounded-budget zero-loss guarantee alive across crashes).
         if self.procs[entry.from].is_down() {
-            let rto = self.transport_mut().cfg.rto(attempt);
+            let rto = self.transport_mut().cfg.rto(entry.attempt);
             self.queue
-                .push(self.now + rto, EventKind::RetransmitTimer { seq, attempt });
+                .push(self.now + rto, EventKind::RetransmitTimer { seq });
             return;
         }
         let budget = self.transport_mut().cfg.retry_budget;
@@ -1372,6 +1368,20 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn arm_fault_edge(&mut self) {
         if let Some((at, kind)) = self.faults.next_edge() {
             self.queue.arm(self.procs.len(), at, kind);
+        }
+    }
+
+    /// Arms (or moves) `subtask`'s guard deadline to `due`, or clears it
+    /// when nothing is deferred: the one expiry a guard ever has due. RG
+    /// only; its slot follows the suspicion slots, one per subtask by its
+    /// flat index.
+    fn set_guard_deadline(&mut self, subtask: SubtaskId, due: Option<Time>) {
+        let n = self.procs.len();
+        let detect = if self.detect.is_some() { n * n } else { 0 };
+        let slot = n + 1 + detect + self.flat.of(subtask);
+        match due {
+            Some(at) => self.queue.arm(slot, at, EventKind::GuardExpiry { subtask }),
+            None => self.queue.disarm(slot),
         }
     }
 
@@ -1573,11 +1583,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     // so rule-1 spacing holds without the lost signal.
                     match self.controller.on_predecessor_complete(job, self.now) {
                         CompletionDirective::ReleaseSuccessor => self.release(job),
-                        CompletionDirective::ScheduleExpiry { due, gen } => {
-                            self.note(Note::GuardBlock { job, due });
-                            self.queue
-                                .push(due.max(self.now), EventKind::GuardExpiry { subtask, gen });
-                        }
+                        CompletionDirective::ScheduleExpiry { due } => self.defer(job, due),
                         CompletionDirective::Nothing => {}
                     }
                 }
@@ -1937,11 +1943,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .push(DegradationEvent { at: self.now, kind });
     }
 
-    fn on_guard_expiry(&mut self, subtask: SubtaskId, gen: u64) {
-        if let Some(job) = self.controller.on_guard_expiry(subtask, gen, self.now) {
-            self.note(Note::GuardExpiryRelease { job });
-            self.release(job);
-        }
+    fn on_guard_expiry(&mut self, subtask: SubtaskId) {
+        let job = self.controller.on_guard_expiry(subtask, self.now);
+        self.note(Note::GuardExpiryRelease { job });
+        self.release(job);
     }
 
     fn on_source_release(&mut self, task: rtsync_core::task::TaskId, instance: u64) {
@@ -1972,15 +1977,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Fault gates. A firing on a down processor is simply gone with
         // the node (recovery re-derives the schedule from the local
         // clock and cancels what fell in the outage); a firing whose
-        // instance does not match `pm_next` is a stale duplicate left
+        // instance is not the subtask's next is a stale duplicate left
         // behind by that re-derivation. Neither schedules a next firing —
         // the live chain does.
         let proc = self.set.subtask(subtask).processor().index();
-        let fi = self.flat.of(subtask);
-        if self.procs[proc].is_down() || self.faults.pm_next[fi] != instance {
+        let next = self.controller.pm_next(self.flat.of(subtask));
+        if self.procs[proc].is_down() || *next != instance {
             return;
         }
-        self.faults.pm_next[fi] = instance + 1;
+        *next = instance + 1;
         // PM's clock-driven release of a later subtask.
         self.release(JobId::new(subtask, instance));
         let period = self.set.task(subtask.task()).period();
@@ -1993,11 +1998,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // where sync corrections reach PM — each firing re-reads the
             // clock, so a correction applied at any round moves every
             // later firing.
-            let phases = self
-                .pm_phases
-                .as_ref()
-                .expect("timed releases only occur under PM");
-            let local_next = phases.phase(subtask) + period.saturating_mul(instance as i64 + 1);
+            let local_next =
+                self.controller.pm_phase(subtask) + period.saturating_mul(instance as i64 + 1);
             self.eff_clock(proc).true_of_local(local_next).max(self.now)
         };
         let instance = instance + 1;
@@ -2005,7 +2007,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     }
 
     /// Fail-stop crash of `proc`: kill every in-flight job with its
-    /// milestone, stale-drop the node's pending timers, and cancel
+    /// milestone, drop the node's pending timers, and cancel
     /// everything those deaths make unreachable downstream.
     fn on_crash(&mut self, proc: ProcessorId) {
         let p = proc.index();
@@ -2028,20 +2030,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         killed.clear();
         self.kill_scratch = killed;
-        // RG: guard-deferred signals on this node die with it; their
-        // instances were delivered but never released.
-        for job in self.controller.on_crash(proc) {
+        // RG's guard-deferred signals (delivered but never released) and
+        // MPM's armed-but-unfired timers die with the node; each carried
+        // its instance's only release request.
+        for job in self.controller.on_crash(proc, self.set) {
+            if self.cfg.protocol == Protocol::ReleaseGuard {
+                self.set_guard_deadline(job.subtask(), None);
+            }
             self.cancel_instance(job, false);
-        }
-        // MPM: every armed-but-unfired timer on this node dies, and each
-        // one carried its successor's only release request.
-        for timer_job in self.faults.drain_mpm(p) {
-            let succ = self
-                .set
-                .task(timer_job.task())
-                .successor_of(timer_job.subtask())
-                .expect("MPM timers are only armed for subtasks with successors");
-            self.cancel_instance(JobId::new(succ, timer_job.instance()), false);
         }
         self.mark_dirty(proc);
     }
@@ -2282,13 +2278,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             let hosted = task.subtasks().iter().skip(1);
             for sub in hosted.filter(|sub| sub.processor() == proc) {
                 let fi = self.flat.of(sub.id());
-                let phases = self
-                    .pm_phases
-                    .as_ref()
-                    .expect("timed releases only occur under PM");
-                let mut m = self.faults.pm_next[fi];
+                let phase = self.controller.pm_phase(sub.id());
+                let mut m = *self.controller.pm_next(fi);
                 loop {
-                    let local = phases.phase(sub.id()) + period.saturating_mul(m as i64);
+                    let local = phase + period.saturating_mul(m as i64);
                     let at = self.pm_firing(proc.index(), local);
                     if at >= self.now {
                         to_schedule.push((at, sub.id(), m));
@@ -2297,14 +2290,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     to_cancel.push(JobId::new(sub.id(), m));
                     m += 1;
                 }
-                self.faults.pm_next[fi] = m;
+                *self.controller.pm_next(fi) = m;
             }
         }
         for job in to_cancel {
             self.cancel_instance(job, false);
         }
         // A pre-crash firing for the same instance may still be in the
-        // queue; the `pm_next` instance match makes whichever copy pops
+        // queue; the next-instance match makes whichever copy pops
         // second a no-op.
         for (at, subtask, instance) in to_schedule {
             self.push_by_horizon(at, EventKind::TimedRelease { subtask, instance });
@@ -2370,28 +2363,20 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // duration on the host processor's clock: rescale it under drift
         // (RG guard durations were pre-scaled at construction instead,
         // because the guard compares its own internal due times).
-        if let Some((time, kind)) = self.controller.on_release(self.set, job, self.now) {
-            let time = match (&self.clocks, &kind) {
-                (Some(clocks), EventKind::MpmTimer { job }) => {
-                    let timer_proc = self.set.subtask(job.subtask()).processor();
-                    self.now + clocks[timer_proc.index()].true_dur(time - self.now)
-                }
-                _ => time,
-            };
-            if let EventKind::MpmTimer { job: timer_job } = &kind {
-                self.note(Note::MpmTimerArmed {
-                    job: *timer_job,
-                    fire_at: time,
-                });
-                // Fault domain: track armed timers per node so a crash can
-                // drain (and a stale firing can detect) the ones that died
-                // with it.
-                let timer_proc = self.set.subtask(timer_job.subtask()).processor().index();
-                self.faults.arm_mpm(timer_proc, *timer_job);
-            }
-            self.queue.push(time, kind);
-        }
         let proc = sub.processor();
+        match self.controller.on_release(self.set, job, self.now) {
+            Some(ReleaseTimer::Mpm(response)) => {
+                let response = match &self.clocks {
+                    Some(clocks) => clocks[proc.index()].true_dur(response),
+                    None => response,
+                };
+                let fire_at = self.now + response;
+                self.note(Note::MpmTimerArmed { job, fire_at });
+                self.queue.push(fire_at, EventKind::MpmTimer { job });
+            }
+            Some(ReleaseTimer::Guard(due)) => self.set_guard_deadline(job.subtask(), due),
+            None => {}
+        }
         self.advance_proc(proc);
         self.procs[proc.index()].release(
             job,

@@ -17,12 +17,15 @@
 //!
 //! # Keyed slots: one live deadline per component
 //!
-//! Most events fire exactly once. Two kinds are deadlines that their owner
+//! Most events fire exactly once. Some are deadlines that their owner
 //! keeps changing its mind about: a processor's next milestone
-//! ([`EventKind::Completion`]) moves on every preemption, and a detector
+//! ([`EventKind::Completion`]) moves on every preemption, a detector
 //! pair's suspicion deadline ([`EventKind::SuspectTimer`]) moves on every
-//! heartbeat. Pushing each new deadline into the heap would leave the old
-//! one behind as a superseded entry that the loop must pop and discard.
+//! heartbeat, and an RG guard's expiry ([`EventKind::GuardExpiry`]) moves
+//! on every release and clears when its last deferred instance goes.
+//! The fault schedule's next edge is kept the same way. Pushing each new
+//! deadline into the heap would leave the old one behind as a superseded
+//! entry that the loop must pop and discard.
 //! Instead each such deadline lives in a *slot*: [`EventQueue::arm`]
 //! replaces the slot's pending entry and [`EventQueue::disarm`] clears it,
 //! so a slot holds at most one entry and nothing superseded is ever
@@ -146,13 +149,12 @@ pub enum EventKind {
         /// The successor job the signal asks for.
         job: JobId,
     },
-    /// A deferred RG release reaches its guard time; valid only if `gen`
-    /// matches the guard's generation (idle points invalidate deferrals).
+    /// A deferred RG release reaches its guard time. Lives in the
+    /// subtask's guard slot, armed exactly while the guard defers an
+    /// instance, so it always releases the deferred head.
     GuardExpiry {
         /// The guarded subtask.
         subtask: SubtaskId,
-        /// Generation stamp for lazy invalidation.
-        gen: u64,
     },
     /// The external source releases the next instance of a task's first
     /// subtask.
@@ -187,13 +189,11 @@ pub enum EventKind {
         seq: u64,
     },
     /// The sender's retransmission timer for one frame fired (transport
-    /// mode only); valid only if `attempt` still matches the window entry
-    /// (an earlier ack or retransmission invalidates it).
+    /// mode only). A frame has one timer at a time; a firing after its
+    /// ack or abandonment is a no-op.
     RetransmitTimer {
         /// The unacked frame's sequence number.
         seq: u64,
-        /// The attempt count the timer was armed against.
-        attempt: u32,
     },
     /// A processor broadcasts its periodic heartbeat (detector mode
     /// only). Self-rescheduling; crashed processors stay silent.
@@ -812,7 +812,7 @@ mod tests {
                 proc: ProcessorId::new(0),
             },
         );
-        q.push(t(2), EventKind::RetransmitTimer { seq: 0, attempt: 0 });
+        q.push(t(2), EventKind::RetransmitTimer { seq: 0 });
         q.push(t(2), EventKind::AckDeliver { seq: 0 });
         q.push(
             t(2),
@@ -822,13 +822,7 @@ mod tests {
             },
         );
         q.push(t(2), source(0, 0));
-        q.push(
-            t(2),
-            EventKind::GuardExpiry {
-                subtask: sub,
-                gen: 0,
-            },
-        );
+        q.push(t(2), EventKind::GuardExpiry { subtask: sub });
         q.push(
             t(2),
             EventKind::TransportDeliver {
@@ -1086,7 +1080,7 @@ mod tests {
             (-3, source(2, 0)),
             (0, completion(1)),
             (7, EventKind::AckDeliver { seq: 4 }),
-            (7, EventKind::RetransmitTimer { seq: 4, attempt: 1 }),
+            (7, EventKind::RetransmitTimer { seq: 4 }),
         ];
         for &(ticks, kind) in &loads {
             q.push(t(ticks), kind);

@@ -6,8 +6,8 @@
 //!
 //! * **Crash** — the processor halts instantly. Every in-flight job
 //!   (running or ready) is killed along with its pending milestone,
-//!   pending local timers (MPM completion timers, RG guard expiries) are
-//!   stale-dropped, and the node stops accepting work.
+//!   pending local timers (MPM completion timers, RG guard expiries) die
+//!   with it, and the node stops accepting work.
 //! * **Recovery** — after a configurable restart delay the node rejoins.
 //!   Protocol release state is reconciled from what a restarted node can
 //!   actually know (see [`per-protocol recovery`](#per-protocol-recovery)),
@@ -45,7 +45,9 @@
 //! The domain resolves the schedule once, lists every window edge in
 //! firing order, and keeps only the next edge in the event queue: one
 //! keyed slot, re-armed as each edge pops. Whether a processor is down,
-//! stalled or slowed is held by the processor itself, not here.
+//! stalled or slowed is held by the processor itself, not here, and the
+//! release state the rules above reconcile (RG guards, MPM's armed
+//! timers, PM's next firings) by the engine's protocol controller.
 //!
 //! # Accounting
 //!
@@ -955,15 +957,6 @@ pub(crate) struct FaultState {
     /// Cancelled instances per flat subtask index; release/completion
     /// counters normalize lazily over these gaps.
     cancelled: Vec<BTreeSet<u64>>,
-    /// `true` when the schedule holds a crash window: only a crash kills
-    /// MPM timers, so without one `mpm_pending` is never kept.
-    crashes: bool,
-    /// Armed-but-unfired MPM timers per processor (the timer lives on the
-    /// predecessor's node and dies with it).
-    mpm_pending: Vec<Vec<JobId>>,
-    /// Next expected timed-release instance per flat subtask index (PM
-    /// recovery re-derivation + stale-duplicate filtering).
-    pub(crate) pm_next: Vec<u64>,
     /// Resolved partition cut windows (network-wide, non-overlapping).
     partition_windows: Vec<PartitionWindow>,
     /// `true` while a cut is up.
@@ -1006,14 +999,11 @@ impl FaultState {
         let windows = cfg.resolve(num_procs, horizon);
         let mut fs = FaultState {
             num_procs,
-            crashes: windows.iter().any(|w| !w.is_empty()),
             windows,
             policy: cfg.policy,
             edges: Vec::new(),
             backlog: vec![Vec::new(); num_procs],
             cancelled: vec![BTreeSet::new(); flat_len],
-            mpm_pending: vec![Vec::new(); num_procs],
-            pm_next: vec![0; flat_len],
             partition_windows: cfg.resolve_partitions(num_procs, horizon),
             partitioned: false,
             island: vec![false; num_procs],
@@ -1290,35 +1280,6 @@ impl FaultState {
     /// counter first, so fault-free runs never touch the sets.
     pub(crate) fn is_cancelled(&self, fi: usize, instance: u64) -> bool {
         self.stats.cancelled_instances > 0 && self.cancelled[fi].contains(&instance)
-    }
-
-    /// Records an armed MPM timer of `job` on `proc`, so a crash can
-    /// drain it. Kept only when the schedule can crash.
-    pub(crate) fn arm_mpm(&mut self, proc: usize, job: JobId) {
-        if self.crashes {
-            self.mpm_pending[proc].push(job);
-        }
-    }
-
-    /// Removes `job` from the processor's armed-timer list; `false` means
-    /// the timer died in a crash (stale firing).
-    pub(crate) fn take_mpm_pending(&mut self, proc: usize, job: JobId) -> bool {
-        if !self.crashes {
-            return true;
-        }
-        let pending = &mut self.mpm_pending[proc];
-        match pending.iter().position(|j| *j == job) {
-            Some(i) => {
-                pending.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drains the MPM timers that die with `proc`.
-    pub(crate) fn drain_mpm(&mut self, proc: usize) -> Vec<JobId> {
-        std::mem::take(&mut self.mpm_pending[proc])
     }
 }
 

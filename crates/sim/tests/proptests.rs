@@ -245,7 +245,7 @@ proptest! {
             // Fixed seqs so same-instant ack/retransmit pairs differ only
             // by kind rank and insertion order.
             4 => EventKind::AckDeliver { seq: 7 },
-            5 => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
+            5 => EventKind::RetransmitTimer { seq: 7 },
             6 => EventKind::SyncRound { proc: ProcessorId::new(1) },
             7 => EventKind::SuspectTimer {
                 observer: ProcessorId::new(0),

@@ -650,15 +650,20 @@ enum Due {
     /// A `SuspectTimer` pop on a live observer: the pair's belief
     /// escalates one step.
     Verdict(usize, usize),
+    /// A `GuardExpiry` pop: the guard releases its deferred head.
+    GuardRelease(rtsync::core::task::SubtaskId),
 }
 
-/// Audits every popped `Completion` and `SuspectTimer` against its
-/// visible effect. A live milestone completes its job (the audited
-/// systems hold no critical sections, so no milestone is a priority
-/// boundary), and a live suspicion deadline on an up observer escalates
-/// the pair. A superseded event — the milestone of a preempted, crashed,
-/// stalled or re-rated job, or a suspicion deadline a later heartbeat
-/// moved — changes nothing, so it shows up as a pop without its effect.
+/// Audits every popped `Completion`, `SuspectTimer` and `GuardExpiry`
+/// against its visible effect. A live milestone completes its job (the
+/// audited systems hold no critical sections, so no milestone is a
+/// priority boundary), a live suspicion deadline on an up observer
+/// escalates the pair, and a live guard expiry releases the guard's
+/// deferred head. A superseded event — the milestone of a preempted,
+/// crashed, stalled or re-rated job, a suspicion deadline a later
+/// heartbeat moved, or a guard expiry whose head rule 2 or a crash
+/// already took — changes nothing, so it shows up as a pop without its
+/// effect.
 /// Under the fixed cliff a live deadline also lies at least
 /// `suspect_after` past the pair's last heartbeat, which catches a
 /// superseded deadline even if the engine acted on it.
@@ -672,6 +677,7 @@ struct DeadlineAudit {
     due: Option<Due>,
     completion_pops: u64,
     suspect_pops: u64,
+    guard_pops: u64,
     superseded: Vec<(Time, Due)>,
     /// Everything that moves or clears a deadline: preemptions, crashes,
     /// stall and rate edges, heartbeats.
@@ -708,6 +714,10 @@ impl Observer for DeadlineAudit {
                         self.completion_pops += 1;
                         self.due = Some(Due::Completion(proc.index()));
                     }
+                    EventKind::GuardExpiry { subtask } => {
+                        self.guard_pops += 1;
+                        self.due = Some(Due::GuardRelease(subtask));
+                    }
                     EventKind::SuspectTimer { observer, subject } => {
                         self.suspect_pops += 1;
                         let (o, s) = (observer.index(), subject.index());
@@ -726,6 +736,11 @@ impl Observer for DeadlineAudit {
             }
             Note::Completion { proc, .. } => {
                 if matches!(self.due, Some(Due::Completion(p)) if p == proc) {
+                    self.due = None;
+                }
+            }
+            Note::GuardExpiryRelease { job } => {
+                if matches!(self.due, Some(Due::GuardRelease(s)) if s == job.subtask()) {
                     self.due = None;
                 }
             }
@@ -783,9 +798,10 @@ fn audit(set: &rtsync::core::task::TaskSet, cfg: &SimConfig, ctx: &str) -> Deadl
     audit
 }
 
-/// The engine never pops a superseded `Completion` or `SuspectTimer`:
-/// each processor's milestone and each detector pair's suspicion deadline
-/// is one slot that every change of plan re-arms or clears. Covered: the
+/// The engine never pops a superseded `Completion`, `SuspectTimer` or
+/// `GuardExpiry`: each processor's milestone, each detector pair's
+/// suspicion deadline and each RG guard's expiry is one slot that every
+/// change of plan re-arms or clears. Covered: the
 /// eight composed-fault runs of `every_note_reaches_the_exporters`
 /// (crash, partition, slowdown, stall, degraded link, lying timeserver,
 /// φ detector), and a §5.1 paper system under each protocol, both ideal
@@ -800,6 +816,9 @@ fn no_superseded_deadline_is_ever_popped() {
             let ctx = format!("composed {} transport={transport}", protocol.tag());
             let run = audit(&set, &composed(protocol, transport), &ctx);
             assert!(run.supersessions > 0, "{ctx}: nothing to supersede");
+            if protocol == Protocol::ReleaseGuard {
+                assert!(run.guard_pops > 0, "{ctx}: no guard expiry fired");
+            }
             composed_suspects += run.suspect_pops;
         }
     }
@@ -812,8 +831,12 @@ fn no_superseded_deadline_is_ever_popped() {
     .unwrap();
     for protocol in Protocol::ALL {
         let ideal = SimConfig::new(protocol).with_instances(20);
-        let run = audit(&paper, &ideal, &format!("§5.1 {}", protocol.tag()));
+        let ctx = format!("§5.1 {}", protocol.tag());
+        let run = audit(&paper, &ideal, &ctx);
         assert!(run.supersessions > 0, "no preemption in the §5.1 run");
+        if protocol == Protocol::ReleaseGuard {
+            assert!(run.guard_pops > 0, "{ctx}: no guard expiry fired");
+        }
         let faulted = ideal
             .with_channel(ChannelModel::constant(Dur::from_ticks(1_000)).with_seed(33))
             .with_transport(
@@ -829,6 +852,9 @@ fn no_superseded_deadline_is_ever_popped() {
         let ctx = format!("§5.1 {} with crashes and detector", protocol.tag());
         let run = audit(&paper, &faulted, &ctx);
         assert!(run.suspect_pops > 0, "{ctx}: no suspicion deadline fired");
+        if protocol == Protocol::ReleaseGuard {
+            assert!(run.guard_pops > 0, "{ctx}: no guard expiry fired");
+        }
     }
 }
 
