@@ -2880,11 +2880,13 @@ mod tests {
             .finish_task()
             .build()
             .unwrap();
-        let out = simulate(
+        let mut checker = crate::check::InvariantObserver::default();
+        let out = simulate_observed(
             &set,
             &SimConfig::new(Protocol::DirectSync)
                 .with_instances(3)
                 .with_trace(),
+            &mut checker,
         )
         .unwrap();
         let tr = out.trace.as_ref().unwrap();
@@ -2900,9 +2902,8 @@ mod tests {
         let bounds = analyze_pm(&set, &AnalysisConfig::default()).unwrap();
         assert_eq!(bounds.response(t0), d(6));
         assert_eq!(out.metrics.task(TaskId::new(0)).max_eer(), Some(d(5)));
-        // The CS-aware validator accepts the schedule.
-        let defects = crate::check::validate_schedule(&set, tr, true);
-        assert!(defects.is_empty(), "{defects:?}");
+        // The ceiling-aware schedule checker accepts the schedule.
+        assert!(checker.is_clean(), "{:?}", checker.violations());
     }
 
     #[test]
@@ -2961,11 +2962,13 @@ mod tests {
             .finish_task()
             .build()
             .unwrap();
-        let out = simulate(
+        let mut checker = crate::check::InvariantObserver::default();
+        let out = simulate_observed(
             &set,
             &SimConfig::new(Protocol::DirectSync)
                 .with_instances(3)
                 .with_trace(),
+            &mut checker,
         )
         .unwrap();
         let tr = out.trace.as_ref().unwrap();
@@ -2978,9 +2981,8 @@ mod tests {
         assert_eq!((t1_segs[0].start, t1_segs[0].end), (t(0), t(5)));
         let t0 = SubtaskId::new(TaskId::new(0), 0);
         assert_eq!(tr.completions_of(t0)[0], t(7));
-        // The independent validator accepts this as legitimate blocking.
-        let defects = crate::check::validate_schedule(&set, tr, true);
-        assert!(defects.is_empty(), "{defects:?}");
+        // The schedule checker accepts this as legitimate blocking.
+        assert!(checker.is_clean(), "{:?}", checker.violations());
         // The blocking-aware analysis covers the observed worst case:
         // B = 4, so R(T0) = 4 + 2 = 6 ≥ observed 7 − 1(phase-relative)…
         // observed response = 7 − 1 = 6 exactly.

@@ -60,6 +60,10 @@
 //! resolves the instance for the stop criterion, so runs terminate under
 //! arbitrary fault schedules.
 //!
+//! This module only injects faults. Whether a faulted run stays a legal
+//! schedule and keeps the protocol invariants is judged online by
+//! [`crate::check::InvariantObserver`].
+//!
 //! ```
 //! use rtsync_core::examples::example2;
 //! use rtsync_core::protocol::Protocol;
@@ -87,16 +91,11 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtsync_core::protocol::Protocol;
 use rtsync_core::task::{ProcessorId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
-use crate::controller::FlatIndex;
-use crate::detect::Degradation;
-use crate::engine::SimOutcome;
 use crate::event::EventKind;
 use crate::job::JobId;
-use crate::observe::{Note, Observer};
 use crate::processor::Processor;
 
 /// What a recovered processor does with the backlog of work (source
@@ -1283,493 +1282,9 @@ impl FaultState {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Invariant checking
-// ---------------------------------------------------------------------------
-
-/// The protocol invariants a chaos campaign checks on every run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InvariantKind {
-    /// A DS/RG release happened before its predecessor instance
-    /// completed. (PM/MPM releases without a completed predecessor are
-    /// *expected* under faults and recorded as honest engine violations,
-    /// not invariant breaks.)
-    PrecedenceOrder,
-    /// A Release-Guard release violated rule-1 separation without a
-    /// waiving idle point or recovery in between.
-    GuardSpacing,
-    /// A release, completion, or executed slice was observed on a crashed
-    /// processor.
-    DownProcessorActivity,
-    /// Channel conservation broke: the observer saw a different number of
-    /// applied deliveries than the channel counted, or more signals were
-    /// applied than ever entered the wire.
-    SignalConservation,
-    /// A processor's released-but-incomplete backlog exceeded the bound
-    /// implied by its outages (work is accumulating without limit).
-    UnboundedBacklog,
-    /// A signal or heartbeat was applied across an active partition cut:
-    /// the release (or heartbeat) implies information crossed a severed
-    /// link while the cut was up.
-    CrossPartitionDelivery,
-    /// A settled sync estimate's uncertainty interval failed to bracket
-    /// the oracle's true clock offset. Checked only while enabled (the
-    /// adversary campaign disables it for liar-majority cells, where
-    /// Marzullo's tolerance is exceeded by construction).
-    UncertaintyDishonest,
-}
-
-impl InvariantKind {
-    /// Short machine-readable tag (used in verdicts and repro bundles).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            InvariantKind::PrecedenceOrder => "precedence_order",
-            InvariantKind::GuardSpacing => "guard_spacing",
-            InvariantKind::DownProcessorActivity => "down_processor_activity",
-            InvariantKind::SignalConservation => "signal_conservation",
-            InvariantKind::UnboundedBacklog => "unbounded_backlog",
-            InvariantKind::CrossPartitionDelivery => "cross_partition_delivery",
-            InvariantKind::UncertaintyDishonest => "uncertainty_dishonest",
-        }
-    }
-}
-
-/// One invariant break observed by an [`InvariantObserver`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InvariantViolation {
-    /// Which invariant broke.
-    pub kind: InvariantKind,
-    /// When.
-    pub time: Time,
-    /// The job involved, when one is attributable.
-    pub job: Option<JobId>,
-    /// Human-readable specifics.
-    pub detail: String,
-}
-
-impl fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[t={}] {}: ", self.time.ticks(), self.kind.tag())?;
-        if let Some(job) = self.job {
-            write!(f, "{job}: ")?;
-        }
-        f.write_str(&self.detail)
-    }
-}
-
-/// An [`Observer`] that checks protocol invariants online, crash-aware.
-///
-/// Attach one per run (it sizes itself in
-/// [`Observer::on_run_start`]), then call
-/// [`InvariantObserver::check_outcome`] with the finished
-/// [`SimOutcome`] to run the end-of-run conservation checks.
-/// [`InvariantObserver::violations`] holds everything found.
-#[derive(Debug, Default)]
-pub struct InvariantObserver {
-    protocol: Option<Protocol>,
-    flat: Option<FlatIndex>,
-    // Static (sized in on_run_start), indexed by flat subtask.
-    proc_of: Vec<usize>,
-    period_of: Vec<Dur>,
-    is_first: Vec<bool>,
-    pred_of: Vec<Option<usize>>,
-    // Dynamic, indexed by flat subtask.
-    completed: Vec<BTreeSet<u64>>,
-    last_release: Vec<Option<Time>>,
-    // Dynamic, indexed by processor.
-    subtasks_on: Vec<i64>,
-    last_idle: Vec<Option<Time>>,
-    last_recovery: Vec<Option<Time>>,
-    down: Vec<bool>,
-    down_since: Vec<Option<Time>>,
-    inflight: Vec<i64>,
-    backlog_limit: Vec<i64>,
-    min_period: Dur,
-    delivers_seen: u64,
-    /// Jobs released from local information by the degradation controller
-    /// (detector declared the predecessor's processor dead). Such releases
-    /// deliberately precede the predecessor's completion, so the
-    /// precedence-order invariant is waived for them.
-    forced: BTreeSet<JobId>,
-    // Partition tracking: current side of each processor and when the
-    // active cut went up (`None` while whole).
-    side: Vec<bool>,
-    partitioned_since: Option<Time>,
-    /// Completion instants per flat subtask, recorded from the first cut
-    /// on (a completion never recorded happened before any partition and
-    /// cannot witness a cross-cut leak).
-    completed_when: Vec<std::collections::BTreeMap<u64, Time>>,
-    track_completion_times: bool,
-    /// Whether [`InvariantKind::UncertaintyDishonest`] is disarmed
-    /// (inverted so the derived `Default` arms the check). The adversary
-    /// campaign disarms it for liar-majority cells, where the
-    /// intersection's tolerance is exceeded by design.
-    uncertainty_disarmed: bool,
-    /// Fractional slack (ppm of the guard period) allowed on RG spacing.
-    /// The observer measures spacing in *true* time while RG times its
-    /// guards on the processor's corrected local clock, so a drifting
-    /// oscillator plus sync step corrections legitimately compress the
-    /// true-time gap by up to the clock-error rate. Zero (the default)
-    /// keeps the exact ideal-clock check.
-    spacing_slack_ppm: i64,
-    violations: Vec<InvariantViolation>,
-}
-
-impl InvariantObserver {
-    /// The breaks found so far.
-    pub fn violations(&self) -> &[InvariantViolation] {
-        &self.violations
-    }
-
-    /// Arms or disarms the sync uncertainty-honesty invariant (armed by
-    /// default). Disarm it for runs where a liar majority is *expected*
-    /// to defeat the intersection.
-    pub fn with_uncertainty_check(mut self, on: bool) -> InvariantObserver {
-        self.uncertainty_disarmed = !on;
-        self
-    }
-
-    /// Allows RG guard-spacing to fall short of the period by up to
-    /// `ppm` parts-per-million of the period — the tolerance for runs
-    /// on drifting, sync-corrected clocks, whose guard timers measure
-    /// local time while the observer measures true time. Pass roughly
-    /// twice the oscillator drift bound (rate error both ways plus the
-    /// honest step corrections it forces).
-    pub fn with_spacing_slack_ppm(mut self, ppm: i64) -> InvariantObserver {
-        assert!(ppm >= 0, "spacing slack must be non-negative");
-        self.spacing_slack_ppm = ppm;
-        self
-    }
-
-    /// `true` when no invariant broke.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// End-of-run conservation checks against the outcome's channel
-    /// statistics. Call once per run, after the simulation returns.
-    pub fn check_outcome(&mut self, outcome: &SimOutcome) {
-        let ch = &outcome.channel_stats;
-        if self.delivers_seen != ch.applied {
-            self.violations.push(InvariantViolation {
-                kind: InvariantKind::SignalConservation,
-                time: outcome.end_time,
-                job: None,
-                detail: format!(
-                    "observer saw {} applied deliveries, channel counted {}",
-                    self.delivers_seen, ch.applied
-                ),
-            });
-        }
-        if ch.applied > ch.sent + ch.duplicates_injected {
-            self.violations.push(InvariantViolation {
-                kind: InvariantKind::SignalConservation,
-                time: outcome.end_time,
-                job: None,
-                detail: format!(
-                    "{} deliveries applied but only {} signals ever entered the wire",
-                    ch.applied,
-                    ch.sent + ch.duplicates_injected
-                ),
-            });
-        }
-        let tr = &outcome.transport_stats;
-        if tr.delivered > tr.sent {
-            self.violations.push(InvariantViolation {
-                kind: InvariantKind::SignalConservation,
-                time: outcome.end_time,
-                job: None,
-                detail: format!(
-                    "{} transport frames delivered fresh but only {} were ever sent",
-                    tr.delivered, tr.sent
-                ),
-            });
-        }
-    }
-
-    fn fail(&mut self, kind: InvariantKind, time: Time, job: Option<JobId>, detail: String) {
-        self.violations.push(InvariantViolation {
-            kind,
-            time,
-            job,
-            detail,
-        });
-    }
-
-    /// An idle point or a recovery of `proc` strictly after `prev` and at
-    /// or before `now` waives RG rule-1 spacing: both re-initialize the
-    /// guard by the protocol's own rules.
-    fn spacing_waived(&self, proc: usize, prev: Time, now: Time) -> bool {
-        let within = |t: Option<Time>| t.is_some_and(|t| t > prev && t <= now);
-        within(self.last_idle[proc]) || within(self.last_recovery[proc])
-    }
-
-    /// The release checks: down-processor activity, precedence order, RG
-    /// guard spacing, cross-partition leaks and backlog growth.
-    fn check_release(&mut self, now: Time, job: JobId, proc: usize) {
-        if self.down[proc] {
-            self.fail(
-                InvariantKind::DownProcessorActivity,
-                now,
-                Some(job),
-                format!("release on crashed processor P{proc}"),
-            );
-        }
-        let fi = self
-            .flat
-            .as_ref()
-            .expect("on_run_start ran")
-            .of(job.subtask());
-        let protocol = self.protocol.expect("on_run_start ran");
-        if matches!(protocol, Protocol::DirectSync | Protocol::ReleaseGuard) {
-            if let Some(pfi) = self.pred_of[fi] {
-                if !self.completed[pfi].contains(&job.instance()) && !self.forced.contains(&job) {
-                    self.fail(
-                        InvariantKind::PrecedenceOrder,
-                        now,
-                        Some(job),
-                        "released before its predecessor instance completed".to_string(),
-                    );
-                }
-            }
-        }
-        if protocol == Protocol::ReleaseGuard && !self.is_first[fi] {
-            if let Some(prev) = self.last_release[fi] {
-                let gap = now - prev;
-                let period = self.period_of[fi];
-                let slack = Dur::from_ticks(period.ticks() * self.spacing_slack_ppm / 1_000_000);
-                if gap + slack < period && !self.spacing_waived(proc, prev, now) {
-                    self.fail(
-                        InvariantKind::GuardSpacing,
-                        now,
-                        Some(job),
-                        format!(
-                            "released {} ticks after the previous release (guard period {}, \
-                             clock slack {}), with no idle point or recovery in between",
-                            gap.ticks(),
-                            period.ticks(),
-                            slack.ticks()
-                        ),
-                    );
-                }
-            }
-        }
-        // Cross-partition leak: a release driven by predecessor
-        // information that could only have crossed an active cut. DS/RG
-        // releases follow completions, so the predecessor must have
-        // completed during the cut for the release to witness a leak
-        // (earlier completions signalled legitimately before the split).
-        // MPM releases fire the instant the timer signal is applied, so
-        // any cross-cut release while partitioned is a leak. PM is
-        // signalless and exempt.
-        if let (Some(t0), Some(pfi)) = (self.partitioned_since, self.pred_of[fi]) {
-            let pred_proc = self.proc_of[pfi];
-            if pred_proc != proc
-                && self.side[pred_proc] != self.side[proc]
-                && !self.forced.contains(&job)
-            {
-                let leaked = match protocol {
-                    Protocol::PhaseModification => false,
-                    Protocol::ModifiedPhaseModification => true,
-                    Protocol::DirectSync | Protocol::ReleaseGuard => self.completed_when[pfi]
-                        .get(&job.instance())
-                        .is_some_and(|&done| done >= t0),
-                };
-                if leaked {
-                    self.fail(
-                        InvariantKind::CrossPartitionDelivery,
-                        now,
-                        Some(job),
-                        format!(
-                            "released on P{proc} from predecessor information on P{pred_proc}, \
-                             across the cut up since t={}",
-                            t0.ticks()
-                        ),
-                    );
-                }
-            }
-        }
-        self.last_release[fi] = Some(now);
-        self.inflight[proc] += 1;
-        if self.inflight[proc] > self.backlog_limit[proc] {
-            self.fail(
-                InvariantKind::UnboundedBacklog,
-                now,
-                Some(job),
-                format!(
-                    "{} released-but-incomplete jobs on P{proc} exceed the bound {}",
-                    self.inflight[proc], self.backlog_limit[proc]
-                ),
-            );
-            // Report each processor's runaway once, not per release.
-            self.backlog_limit[proc] = i64::MAX;
-        }
-    }
-}
-
-impl Observer for InvariantObserver {
-    fn on_run_start(&mut self, set: &TaskSet, protocol: Protocol) {
-        let flat = FlatIndex::new(set);
-        let n = flat.len();
-        let procs = set.num_processors();
-        self.protocol = Some(protocol);
-        self.proc_of = vec![0; n];
-        self.period_of = vec![Dur::ZERO; n];
-        self.is_first = vec![false; n];
-        self.pred_of = vec![None; n];
-        self.subtasks_on = vec![0; procs];
-        let mut min_period: Option<Dur> = None;
-        for task in set.tasks() {
-            min_period = Some(min_period.map_or(task.period(), |m| m.min(task.period())));
-            for (i, sub) in task.subtasks().iter().enumerate() {
-                let fi = flat.of(sub.id());
-                self.proc_of[fi] = sub.processor().index();
-                self.period_of[fi] = task.period();
-                self.is_first[fi] = i == 0;
-                self.pred_of[fi] = (i > 0).then(|| fi - 1);
-                self.subtasks_on[sub.processor().index()] += 1;
-            }
-        }
-        self.min_period = min_period.unwrap_or(Dur::from_ticks(1));
-        self.completed = vec![BTreeSet::new(); n];
-        self.last_release = vec![None; n];
-        self.last_idle = vec![None; procs];
-        self.last_recovery = vec![None; procs];
-        self.down = vec![false; procs];
-        self.down_since = vec![None; procs];
-        self.inflight = vec![0; procs];
-        // Steady-state bound: a schedulable chain keeps only a handful of
-        // instances of each subtask in flight; outages add an allowance
-        // at each recovery, proportional to the downtime.
-        self.backlog_limit = self.subtasks_on.iter().map(|&s| 8 * s + 8).collect();
-        self.delivers_seen = 0;
-        self.forced.clear();
-        self.side = vec![false; procs];
-        self.partitioned_since = None;
-        self.completed_when = vec![std::collections::BTreeMap::new(); n];
-        self.track_completion_times = false;
-        self.violations.clear();
-        self.flat = Some(flat);
-    }
-
-    fn on_partition_start(&mut self, now: Time, island: &[bool]) {
-        self.side.clear();
-        self.side.extend_from_slice(island);
-        self.partitioned_since = Some(now);
-        // Completion instants only matter once a cut exists; start
-        // recording at the first cut so partition-free runs pay nothing.
-        self.track_completion_times = true;
-    }
-
-    #[inline]
-    fn on(&mut self, now: Time, note: Note) {
-        match note {
-            Note::PartitionHeal => self.partitioned_since = None,
-            Note::Heartbeat { from, to }
-                if self.partitioned_since.is_some()
-                    && from < self.side.len()
-                    && to < self.side.len()
-                    && self.side[from] != self.side[to] =>
-            {
-                self.fail(
-                    InvariantKind::CrossPartitionDelivery,
-                    now,
-                    None,
-                    format!("heartbeat P{from} -> P{to} applied across an active cut"),
-                );
-            }
-            Note::SyncBracket {
-                proc,
-                estimate,
-                uncertainty,
-                true_offset,
-            } => {
-                let err = Dur::from_ticks((estimate.ticks() - true_offset.ticks()).abs());
-                if !self.uncertainty_disarmed && err > uncertainty {
-                    self.fail(
-                        InvariantKind::UncertaintyDishonest,
-                        now,
-                        None,
-                        format!(
-                            "P{proc} settled estimate {} +/- {} ticks but the true offset was {} \
-                             ({} ticks outside the bracket)",
-                            estimate.ticks(),
-                            uncertainty.ticks(),
-                            true_offset.ticks(),
-                            (err - uncertainty).ticks()
-                        ),
-                    );
-                }
-            }
-            Note::Degradation(Degradation::ForcedRelease { job, .. }) => {
-                self.forced.insert(job);
-            }
-            Note::Release { job, proc } => self.check_release(now, job, proc),
-            Note::Completion { job, proc } => {
-                if self.down[proc] {
-                    self.fail(
-                        InvariantKind::DownProcessorActivity,
-                        now,
-                        Some(job),
-                        format!("completion on crashed processor P{proc}"),
-                    );
-                }
-                let fi = self
-                    .flat
-                    .as_ref()
-                    .expect("on_run_start ran")
-                    .of(job.subtask());
-                self.completed[fi].insert(job.instance());
-                if self.track_completion_times {
-                    self.completed_when[fi].insert(job.instance(), now);
-                }
-                self.inflight[proc] -= 1;
-            }
-            Note::Slice {
-                proc,
-                job,
-                start,
-                end,
-            } if self.down[proc] => {
-                self.fail(
-                    InvariantKind::DownProcessorActivity,
-                    start,
-                    Some(job),
-                    format!(
-                        "executed slice [{}, {}) on crashed processor P{proc}",
-                        start.ticks(),
-                        end.ticks()
-                    ),
-                );
-            }
-            Note::IdlePoint { proc } => self.last_idle[proc] = Some(now),
-            Note::SignalDeliver { .. } => self.delivers_seen += 1,
-            Note::Crash { proc, killed } => {
-                self.down[proc] = true;
-                self.down_since[proc] = Some(now);
-                self.inflight[proc] -= killed as i64;
-            }
-            Note::Recovery { proc, .. } => {
-                self.down[proc] = false;
-                self.last_recovery[proc] = Some(now);
-                if let Some(since) = self.down_since[proc].take() {
-                    // Allow the post-outage burst: roughly one instance per
-                    // subtask per elapsed period, plus slack for boundary
-                    // effects.
-                    let periods = (now - since).ticks() / self.min_period.ticks().max(1) + 2;
-                    self.backlog_limit[proc] =
-                        self.backlog_limit[proc].saturating_add(periods * self.subtasks_on[proc]);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtsync_core::examples::example2;
 
     fn t(x: i64) -> Time {
         Time::from_ticks(x)
@@ -1777,37 +1292,6 @@ mod tests {
 
     fn d(x: i64) -> Dur {
         Dur::from_ticks(x)
-    }
-
-    fn release(job: JobId, proc: usize) -> Note {
-        Note::Release { job, proc }
-    }
-
-    fn completion(job: JobId, proc: usize) -> Note {
-        Note::Completion { job, proc }
-    }
-
-    fn crash(proc: usize, killed: usize) -> Note {
-        Note::Crash { proc, killed }
-    }
-
-    fn recovery(proc: usize) -> Note {
-        Note::Recovery {
-            proc,
-            released: 0,
-            dropped: 0,
-        }
-    }
-
-    /// A settled sync round on P0: `estimate ± uncertainty` against the
-    /// true offset.
-    fn bracket(estimate: i64, uncertainty: i64, true_offset: i64) -> Note {
-        Note::SyncBracket {
-            proc: 0,
-            estimate: d(estimate),
-            uncertainty: d(uncertainty),
-            true_offset: d(true_offset),
-        }
     }
 
     #[test]
@@ -1906,175 +1390,5 @@ mod tests {
         }
         // A single node cannot split.
         assert!(cfg.resolve_partitions(1, t(50_000)).is_empty());
-    }
-
-    #[test]
-    fn cross_partition_release_is_flagged_only_for_cut_pairs() {
-        let set = example2();
-        // Find a cross-processor successor.
-        let (sub, pred, proc, pred_proc) = set
-            .tasks()
-            .iter()
-            .flat_map(|task| task.subtasks().windows(2))
-            .find_map(|pair| {
-                let (a, b) = (&pair[0], &pair[1]);
-                (a.processor() != b.processor())
-                    .then(|| (b.id(), a.id(), b.processor().index(), a.processor().index()))
-            })
-            .expect("example2 has a cross-processor hop");
-
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&set, Protocol::DirectSync);
-        let mut island = vec![false; set.num_processors()];
-        island[pred_proc] = true;
-        obs.on_partition_start(t(10), &island);
-        // Predecessor completes during the cut, successor releases: leak.
-        obs.on(t(11), release(JobId::new(pred, 0), pred_proc));
-        obs.on(t(12), completion(JobId::new(pred, 0), pred_proc));
-        obs.on(t(13), release(JobId::new(sub, 0), proc));
-        assert!(
-            obs.violations()
-                .iter()
-                .any(|v| v.kind == InvariantKind::CrossPartitionDelivery),
-            "cross-cut DS release must be flagged: {:?}",
-            obs.violations()
-        );
-
-        // Same sequence after the heal: clean.
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&set, Protocol::DirectSync);
-        obs.on_partition_start(t(10), &island);
-        obs.on(t(12), Note::PartitionHeal);
-        obs.on(t(13), release(JobId::new(pred, 1), pred_proc));
-        obs.on(t(14), completion(JobId::new(pred, 1), pred_proc));
-        obs.on(t(15), release(JobId::new(sub, 1), proc));
-        assert!(obs.is_clean(), "{:?}", obs.violations());
-    }
-
-    #[test]
-    fn cross_partition_heartbeat_is_flagged() {
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on_partition_start(t(5), &[true, false]);
-        obs.on(t(6), Note::Heartbeat { from: 0, to: 1 });
-        assert!(obs
-            .violations()
-            .iter()
-            .any(|v| v.kind == InvariantKind::CrossPartitionDelivery));
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on_partition_start(t(5), &[true, true]);
-        obs.on(t(6), Note::Heartbeat { from: 0, to: 1 });
-        assert!(obs.is_clean(), "same side: no break");
-    }
-
-    #[test]
-    fn dishonest_uncertainty_is_flagged_unless_disarmed() {
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on(t(5), bracket(100, 10, 50));
-        assert!(obs
-            .violations()
-            .iter()
-            .any(|v| v.kind == InvariantKind::UncertaintyDishonest));
-
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on(t(5), bracket(100, 60, 50));
-        assert!(obs.is_clean(), "true offset inside the bracket");
-
-        let mut obs = InvariantObserver::default().with_uncertainty_check(false);
-        obs.on_run_start(&example2(), Protocol::DirectSync);
-        obs.on(t(5), bracket(100, 10, 50));
-        assert!(obs.is_clean(), "disarmed: no break");
-    }
-
-    #[test]
-    fn invariant_observer_flags_activity_on_a_down_processor() {
-        use rtsync_core::task::{SubtaskId, TaskId};
-
-        let mut obs = InvariantObserver::default();
-        let set = example2();
-        obs.on_run_start(&set, Protocol::DirectSync);
-        let job = JobId::new(SubtaskId::new(TaskId::new(0), 0), 0);
-        obs.on(t(10), crash(0, 0));
-        obs.on(t(12), release(job, 0));
-        assert_eq!(obs.violations().len(), 1);
-        assert!(obs
-            .violations()
-            .iter()
-            .any(|v| v.kind == InvariantKind::DownProcessorActivity));
-        obs.on(t(20), recovery(0));
-        let next = JobId::new(SubtaskId::new(TaskId::new(0), 0), 1);
-        let before = obs.violations().len();
-        obs.on(t(22), release(next, 0));
-        assert_eq!(obs.violations().len(), before, "up again: no new break");
-    }
-
-    #[test]
-    fn guard_spacing_waived_by_recovery_but_not_otherwise() {
-        // T2 of example2 has period 6 and a second subtask; instance gaps
-        // below 6 need a waiver.
-        let set = example2();
-        let sub = set
-            .tasks()
-            .iter()
-            .find(|task| task.chain_len() > 1)
-            .map(|task| task.subtasks()[1].id())
-            .expect("example2 has a chain");
-        let proc = set.subtask(sub).processor().index();
-        let pred = sub.predecessor().expect("non-first subtask");
-        let pred_proc = set.subtask(pred).processor().index();
-
-        // Complete both predecessor instances up front so only the
-        // spacing rule is in play.
-        let feed_preds = |obs: &mut InvariantObserver| {
-            for m in 0..2 {
-                obs.on(t(0), release(JobId::new(pred, m), pred_proc));
-                obs.on(t(0), completion(JobId::new(pred, m), pred_proc));
-            }
-        };
-
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&set, Protocol::ReleaseGuard);
-        feed_preds(&mut obs);
-        obs.on(t(0), release(JobId::new(sub, 0), proc));
-        obs.on(t(1), completion(JobId::new(sub, 0), proc));
-        obs.on(t(2), release(JobId::new(sub, 1), proc));
-        assert!(
-            obs.violations()
-                .iter()
-                .any(|v| v.kind == InvariantKind::GuardSpacing),
-            "2-tick spacing with no waiver must be flagged"
-        );
-
-        let mut obs = InvariantObserver::default();
-        obs.on_run_start(&set, Protocol::ReleaseGuard);
-        feed_preds(&mut obs);
-        obs.on(t(0), release(JobId::new(sub, 0), proc));
-        obs.on(t(1), completion(JobId::new(sub, 0), proc));
-        obs.on(t(1), crash(proc, 0));
-        obs.on(t(2), recovery(proc));
-        obs.on(t(2), release(JobId::new(sub, 1), proc));
-        assert!(
-            obs.is_clean(),
-            "recovery re-initializes the guard: {:?}",
-            obs.violations()
-        );
-    }
-
-    #[test]
-    fn observer_hooks_absent_from_killed_jobs_balance_inflight() {
-        use rtsync_core::task::{SubtaskId, TaskId};
-
-        let mut obs = InvariantObserver::default();
-        let set = example2();
-        obs.on_run_start(&set, Protocol::DirectSync);
-        let job = JobId::new(SubtaskId::new(TaskId::new(0), 0), 0);
-        obs.on(t(0), release(job, 0));
-        obs.on(t(1), crash(0, 1));
-        obs.on(t(5), recovery(0));
-        assert_eq!(obs.inflight[0], 0, "killed jobs leave the backlog");
-        assert!(obs.is_clean());
     }
 }

@@ -59,9 +59,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod transport;
 
-pub use check::{
-    validate_fault_quiescence, validate_partition_quiescence, validate_schedule, ScheduleDefect,
-};
+pub use check::{InvariantKind, InvariantObserver, InvariantViolation};
 pub use detect::{
     Degradation, DegradationEvent, DetectStats, DetectorConfig, PeerState, PhiConfig,
 };
@@ -70,9 +68,9 @@ pub use engine::{
     Violation, ViolationKind,
 };
 pub use faults::{
-    CrashSchedule, CrashWindow, FaultConfig, FaultStats, GrayConfig, InvariantKind,
-    InvariantObserver, InvariantViolation, LinkDegradeWindow, LinkSchedule, OverloadPolicy,
-    PartitionSchedule, PartitionWindow, SlowSchedule, SlowWindow, StallSchedule, StallWindow,
+    CrashSchedule, CrashWindow, FaultConfig, FaultStats, GrayConfig, LinkDegradeWindow,
+    LinkSchedule, OverloadPolicy, PartitionSchedule, PartitionWindow, SlowSchedule, SlowWindow,
+    StallSchedule, StallWindow,
 };
 pub use job::JobId;
 pub use metrics::{Metrics, TaskStats};

@@ -6,9 +6,9 @@ use rtsync_core::examples::{example1, example2};
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::{Dur, Time};
 use rtsync_core::AnalysisConfig;
-use rtsync_sim::engine::{simulate, SimConfig};
+use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
 use rtsync_sim::nonideal::{ChannelModel, ClockModel, LocalClock, NonidealConfig};
-use rtsync_sim::{TransportConfig, ViolationKind};
+use rtsync_sim::{InvariantObserver, TransportConfig, ViolationKind};
 
 fn d(x: i64) -> Dur {
     Dur::from_ticks(x)
@@ -159,21 +159,22 @@ fn pm_offset_beyond_slack_violates_precedence_rg_does_not() {
     }
 }
 
-/// The independent validator finds the same precedence breaks in the
-/// recorded trace that the engine reported live: the new failure mode is
-/// detectable from the artifact alone.
+/// The engine reports every precedence break a clock offset beyond the
+/// slack causes, and the schedule checker agrees: it sees each early
+/// release arrive with the engine's report, and nothing else wrong.
 #[test]
-fn validator_detects_pm_precedence_breaks_from_trace() {
+fn checker_confirms_every_pm_precedence_break() {
     let set = example2();
     let slack = pm_slack(&set);
     let offset = Dur::from_ticks(slack.ticks() + 1);
     let clocks = ClockModel::Explicit(vec![LocalClock::with_offset(offset); 2]);
-    let out = simulate(
+    let mut checker = InvariantObserver::default();
+    let out = simulate_observed(
         &set,
         &SimConfig::new(Protocol::PhaseModification)
             .with_instances(20)
-            .with_trace()
             .with_nonideal(NonidealConfig::default().with_clocks(clocks)),
+        &mut checker,
     )
     .unwrap();
     let engine_count = out
@@ -182,14 +183,11 @@ fn validator_detects_pm_precedence_breaks_from_trace() {
         .filter(|v| v.kind == ViolationKind::PrecedenceViolated)
         .count();
     assert!(engine_count > 0);
-    let defects = rtsync_sim::validate_schedule(&set, out.trace.as_ref().unwrap(), true);
-    let validator_count = defects
-        .iter()
-        .filter(|d| matches!(d, rtsync_sim::ScheduleDefect::PrecedenceViolation { .. }))
-        .count();
-    assert_eq!(
-        validator_count, engine_count,
-        "validator and engine agree on every break: {defects:?}"
+    checker.check_outcome(&out);
+    assert!(
+        checker.is_clean(),
+        "checker and engine agree on every break: {:?}",
+        checker.violations()
     );
 }
 
@@ -283,7 +281,8 @@ fn faulty_channel_is_deterministic_and_lossless() {
         .with_trace()
         .with_channel(channel)
         .with_transport(TransportConfig::new(d(8)));
-    let a = simulate(&set, &cfg).unwrap();
+    let mut checker = InvariantObserver::default();
+    let a = simulate_observed(&set, &cfg, &mut checker).unwrap();
     let b = simulate(&set, &cfg).unwrap();
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.events, b.events);
@@ -303,10 +302,10 @@ fn faulty_channel_is_deterministic_and_lossless() {
         "{:?}",
         a.violations
     );
-    // The independent validator agrees: the delayed schedule is still a
+    // The schedule checker agrees: the delayed schedule is still a
     // correct preemptive fixed-priority schedule with precedence intact.
-    let defects = rtsync_sim::validate_schedule(&set, a.trace.as_ref().unwrap(), true);
-    assert!(defects.is_empty(), "{defects:?}");
+    checker.check_outcome(&a);
+    assert!(checker.is_clean(), "{:?}", checker.violations());
 }
 
 /// Even heavy loss (`p = 0.7`) cannot wedge the simulation: the endpoint

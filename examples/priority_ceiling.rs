@@ -17,7 +17,7 @@ use rtsync::core::analysis::sa_pm::analyze_pm;
 use rtsync::core::task::{Priority, TaskId, TaskSet};
 use rtsync::core::time::{Dur, Time};
 use rtsync::core::{AnalysisConfig, Protocol};
-use rtsync::sim::{simulate, validate_schedule, SimConfig};
+use rtsync::sim::{simulate, simulate_observed, InvariantObserver, SimConfig};
 
 fn build_system() -> TaskSet {
     let d = Dur::from_ticks;
@@ -69,12 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{report}\n");
 
     let bounds = analyze_pm(&system, &cfg)?;
-    let out = simulate(
+    let mut checker = InvariantObserver::default();
+    let out = simulate_observed(
         &system,
-        &SimConfig::new(Protocol::ReleaseGuard)
-            .with_instances(300)
-            .with_trace(),
+        &SimConfig::new(Protocol::ReleaseGuard).with_instances(300),
+        &mut checker,
     )?;
+    checker.check_outcome(&out);
     println!("simulated (300 instances/task):");
     for (i, s) in out.metrics.tasks().iter().enumerate() {
         println!(
@@ -86,15 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let defects = validate_schedule(&system, out.trace.as_ref().expect("trace on"), true);
-    println!(
-        "\nindependent schedule validation: {}",
-        if defects.is_empty() {
-            "clean".to_string()
-        } else {
-            format!("{} defects!", defects.len())
+    // The online schedule checker judged every slice as it ran: no
+    // overlap, exact budgets, and no inversion beyond the ceiling's.
+    if !checker.is_clean() {
+        for v in checker.violations() {
+            eprintln!("schedule violation: {v}");
         }
-    );
+        return Err(format!("{} schedule violations", checker.violations().len()).into());
+    }
+    println!("\nonline schedule check: clean");
 
     // Show the ceiling in action on a short trace.
     let short = simulate(

@@ -9,8 +9,9 @@ use rtsync::core::task::{SubtaskId, TaskId, TaskSet};
 use rtsync::core::time::{Dur, Time};
 use rtsync::core::{AnalysisConfig, Protocol};
 use rtsync::sim::{
-    simulate, simulate_observed, ClockModel, FaultConfig, InvariantObserver, JobId, NonidealConfig,
-    OverloadPolicy, SimConfig,
+    simulate, simulate_observed, ClockModel, FaultConfig, GrayConfig, InvariantKind,
+    InvariantObserver, JobId, NonidealConfig, OverloadPolicy, SimConfig, SlowSchedule,
+    StallSchedule,
 };
 
 /// A random small system: 2–3 processors, 2–4 tasks, chains of 1–3,
@@ -281,9 +282,9 @@ proptest! {
         }
     }
 
-    /// The independent schedule validator finds no defect in any engine
-    /// output, for any protocol, on any system: no overlap, exact budgets,
-    /// honest completions, no priority inversion, precedence intact.
+    /// The schedule checker finds no defect in any engine output, for any
+    /// protocol, on any system: no overlap, exact budgets, honest
+    /// completions, no priority inversion, precedence intact.
     #[test]
     fn schedules_validate_clean_under_every_protocol(set in arb_system()) {
         let analyzable = analyze_pm(&set, &AnalysisConfig::default()).is_ok();
@@ -294,16 +295,17 @@ proptest! {
             {
                 continue; // PM/MPM need SA/PM bounds; overloaded system
             }
-            let out = simulate(
+            let mut obs = InvariantObserver::default();
+            let out = simulate_observed(
                 &set,
-                &SimConfig::new(protocol).with_instances(8).with_trace(),
+                &SimConfig::new(protocol).with_instances(8),
+                &mut obs,
             ).unwrap();
-            let defects = rtsync::sim::validate_schedule(
-                &set,
-                out.trace.as_ref().unwrap(),
-                true, // periodic sources: even PM must preserve precedence
-            );
-            prop_assert!(defects.is_empty(), "{protocol:?}: {defects:?}");
+            obs.check_outcome(&out);
+            prop_assert!(obs.is_clean(), "{protocol:?}: {:?}", obs.violations());
+            // Periodic sources: even PM must preserve precedence, so the
+            // engine reports no early release for the checker to accept.
+            prop_assert!(out.violations.is_empty(), "{protocol:?}: {:?}", out.violations);
         }
     }
 
@@ -403,6 +405,66 @@ proptest! {
             prop_assert_eq!(a.events, b.events, "{:?}", protocol);
             prop_assert_eq!(a.end_time, b.end_time, "{:?}", protocol);
             prop_assert_eq!(a.fault_stats, b.fault_stats, "{:?}", protocol);
+        }
+    }
+
+    /// Crashes composed with random stalls and slowdowns keep every
+    /// schedule legal: slices never overlap or leave their job's window,
+    /// budgets and completions are exact (slowed jobs excepted), priority
+    /// is honoured up to non-preemption and Highest Locker ceilings, and
+    /// precedence holds. The backlog bound and the guard-spacing waivers
+    /// budget crash outages only, so under gray faults those two kinds
+    /// are recorded but not fatal, as in the gray campaign. A slowed
+    /// overloaded system may not finish by the horizon; that is load,
+    /// not an illegal schedule, so it is not checked here.
+    #[test]
+    fn composed_faults_keep_schedules_legal(
+        set in arb_system(),
+        mean_uptime in 20i64..=200,
+        restart in 2i64..=30,
+        stall_span in 1i64..=12,
+        slow_factor in 2u32..=4,
+        seed in 0u64..1_000,
+    ) {
+        let analyzable = analyze_pm(&set, &AnalysisConfig::default()).is_ok();
+        let gray = GrayConfig::new()
+            .with_stalls(StallSchedule::Random {
+                mean_healthy: Dur::from_ticks(40),
+                span: Dur::from_ticks(stall_span),
+                seed: seed ^ 0x57a1,
+            })
+            .with_slow(SlowSchedule::Random {
+                mean_healthy: Dur::from_ticks(60),
+                span: Dur::from_ticks(25),
+                factor: slow_factor,
+                seed: seed ^ 0x510e,
+            });
+        for protocol in Protocol::ALL {
+            if protocol.busy_period_analysis_applies()
+                && protocol != Protocol::ReleaseGuard
+                && !analyzable
+            {
+                continue; // PM/MPM need SA/PM bounds; overloaded system
+            }
+            let cfg = SimConfig::new(protocol).with_instances(6).with_faults(
+                FaultConfig::random(
+                    Dur::from_ticks(mean_uptime),
+                    Dur::from_ticks(restart),
+                    seed,
+                )
+                .with_gray(gray.clone()),
+            );
+            let mut obs = InvariantObserver::default();
+            let out = simulate_observed(&set, &cfg, &mut obs).unwrap();
+            obs.check_outcome(&out);
+            let fatal: Vec<_> = obs
+                .violations()
+                .iter()
+                .filter(|v| {
+                    !matches!(v.kind, InvariantKind::UnboundedBacklog | InvariantKind::GuardSpacing)
+                })
+                .collect();
+            prop_assert!(fatal.is_empty(), "{protocol:?}: {fatal:?}");
         }
     }
 
