@@ -110,6 +110,9 @@ pub(crate) enum Controller {
         guards: Vec<GuardSlot>,
         flat: FlatIndex,
         slot_of: Vec<Option<usize>>,
+        /// The event-queue slot of flat subtask 0's guard deadline; flat
+        /// subtask `fi` keys slot `slot_base + fi`.
+        slot_base: usize,
         /// Apply rule 2 (idle points reset guards). Disabling it is the
         /// DESIGN.md ablation quantifying how much of RG's short average
         /// EER time comes from rule 2.
@@ -138,17 +141,15 @@ impl Controller {
         }
     }
 
-    pub(crate) fn rg(set: &TaskSet, apply_rule2: bool) -> Controller {
-        Controller::rg_with_guard_periods(set, apply_rule2, |_, period| period)
-    }
-
     /// RG with per-subtask guard periods derived from the nominal task
-    /// period — the nonideal engine passes the host clock's drift scaling,
-    /// so a guard armed for one *local* period elapses correctly in true
-    /// time. Guards measure durations only, so clock offsets never appear.
+    /// period — the engine passes the host clock's drift scaling, so a
+    /// guard armed for one *local* period elapses correctly in true time.
+    /// Guards measure durations only, so clock offsets never appear. The
+    /// guard deadlines key queue slots from `slot_base` on.
     pub(crate) fn rg_with_guard_periods(
         set: &TaskSet,
         apply_rule2: bool,
+        slot_base: usize,
         period_of: impl Fn(ProcessorId, Dur) -> Dur,
     ) -> Controller {
         let flat = FlatIndex::new(set);
@@ -168,7 +169,18 @@ impl Controller {
             guards,
             flat,
             slot_of,
+            slot_base,
             apply_rule2,
+        }
+    }
+
+    /// RG: the queue slot of `subtask`'s guard deadline.
+    pub(crate) fn guard_slot(&self, subtask: SubtaskId) -> usize {
+        match self {
+            Controller::Rg {
+                flat, slot_base, ..
+            } => slot_base + flat.of(subtask),
+            _ => unreachable!("only RG guards keep deadlines"),
         }
     }
 
@@ -482,7 +494,7 @@ mod tests {
     fn rg_defers_and_frees_at_idle_point() {
         // Figure 7 flow on T1.1 (the paper's T2,2; period 6 on P1).
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let j0 = JobId::new(sid(1, 1), 0);
         // First signal at 4: release immediately.
         assert_eq!(
@@ -514,7 +526,7 @@ mod tests {
     #[test]
     fn rg_guard_expiry_releases_head() {
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let j0 = JobId::new(sid(1, 1), 0);
         assert_eq!(
             c.on_predecessor_complete(j0, t(0)),
@@ -534,7 +546,7 @@ mod tests {
     #[test]
     fn rg_clumped_signals_release_one_per_window() {
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let sub = sid(1, 1);
         let j = |m| JobId::new(sub, m);
         assert_eq!(
@@ -571,7 +583,7 @@ mod tests {
     #[test]
     fn rg_idle_point_only_touches_its_processor() {
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let j1 = JobId::new(sid(1, 1), 0);
         let _ = c.on_predecessor_complete(j1, t(0));
         let _ = c.on_release(&set, j1, t(0)); // guard 6 on P1
@@ -586,7 +598,7 @@ mod tests {
     #[test]
     fn rg_crash_drops_deferrals_and_recovery_reopens_the_guard() {
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let sub = sid(1, 1); // hosted on P1
         let j = |m| JobId::new(sub, m);
         let _ = c.on_predecessor_complete(j(0), t(0));
@@ -615,7 +627,7 @@ mod tests {
         // Guards inherit the parent task's period, exercised indirectly:
         // release at 0 defers the next signal until exactly period 6.
         let set = example2();
-        let mut c = Controller::rg(&set, true);
+        let mut c = Controller::rg_with_guard_periods(&set, true, 0, |_, p| p);
         let j0 = JobId::new(sid(1, 1), 0);
         let _ = c.on_predecessor_complete(j0, t(0));
         let _ = c.on_release(&set, j0, t(0));

@@ -7,7 +7,7 @@
 //! [`DetectorConfig::period`]; each *observer* processor keeps one
 //! suspicion deadline per peer and walks the peer through
 //! [`PeerState::Alive`] → [`PeerState::Suspect`] → [`PeerState::Dead`] as
-//! silence accumulates. The engine keeps each deadline in the pair's
+//! silence accumulates. The detector keeps each deadline in the pair's
 //! keyed slot of the event queue ([`crate::event::EventQueue::arm`]):
 //! every heartbeat re-arms it from the arrival, each escalation re-arms
 //! it with the residue to the next step, so a deadline that fires always
@@ -16,8 +16,8 @@
 //! false-positive accounting ([`DetectStats`]).
 //!
 //! When the detector declares a predecessor's processor dead (and
-//! [`DetectorConfig::degradation`] is on), the engine degrades gracefully
-//! instead of stalling:
+//! [`DetectorConfig::degradation`] is on), it marches degraded releases
+//! instead of stalling, and the engine makes each forced release:
 //!
 //! * **RG** releases the blocked successor from local information alone —
 //!   the release is still offered to the guard machinery, so rule 1's
@@ -31,9 +31,16 @@
 //!
 //! [`SimOutcome::degradations`]: crate::engine::SimOutcome::degradations
 
+use rtsync_core::protocol::Protocol;
+use rtsync_core::task::{ProcessorId, SubtaskId};
 use rtsync_core::time::{Dur, Time};
 
+use crate::event::EventKind;
+use crate::faults::GrayFamily;
 use crate::job::JobId;
+use crate::observe::{Note, Observer};
+use crate::transport::TransportState;
+use crate::wire::{Effect, Wire};
 
 /// Adaptive φ-accrual detector parameters (armed via
 /// [`DetectorConfig::with_phi`]).
@@ -82,7 +89,7 @@ pub struct PhiConfig {
 /// MPM response while a peer is Degraded under φ-accrual: the degraded
 /// re-arm cadence marches at `period · (1000 + stretch) / 1000` instead
 /// of one period.
-pub(crate) const MPM_STRETCH_PERMILLE: i64 = 250;
+const MPM_STRETCH_PERMILLE: i64 = 250;
 
 /// Deadline-watchdog response under φ-accrual: while any peer pair is
 /// Degraded the consecutive-miss budget is scaled by this permille, so a
@@ -214,19 +221,15 @@ impl DetectorConfig {
         self
     }
 
-    /// Arms the adaptive φ-accrual mode.
+    /// Arms the adaptive φ-accrual mode (validating `phi` as its own
+    /// builders do, since its fields are public).
     pub fn with_phi(mut self, phi: PhiConfig) -> DetectorConfig {
-        assert!(
-            phi.degraded_phi > 0.0
-                && phi.suspect_phi > phi.degraded_phi
-                && phi.dead_phi > phi.suspect_phi,
-            "need 0 < degraded_phi < suspect_phi < dead_phi"
+        let (degraded, suspect, dead) = (phi.degraded_phi, phi.suspect_phi, phi.dead_phi);
+        let (window, warmup) = (phi.window, phi.min_samples);
+        self.phi = Some(
+            phi.with_thresholds(degraded, suspect, dead)
+                .with_window(window, warmup),
         );
-        assert!(
-            phi.window >= 1 && phi.min_samples >= 1,
-            "window/warmup >= 1"
-        );
-        self.phi = Some(phi);
         self
     }
 
@@ -251,12 +254,6 @@ impl DetectorConfig {
             }
         }
         self
-    }
-
-    /// Residual silence a suspect must accumulate before it is declared
-    /// dead.
-    pub(crate) fn suspect_to_dead(&self) -> Dur {
-        self.dead_after - self.suspect_after
     }
 }
 
@@ -485,19 +482,19 @@ impl PhiState {
     }
 }
 
-/// Per-run detector state: one `(observer, subject)` belief matrix plus
-/// the forced-release bookkeeping of the degradation controller.
+/// Per-run detector state: one `(observer, subject)` belief matrix, the
+/// watchdog streaks, and the handlers of the detector's events.
 #[derive(Debug)]
 pub(crate) struct DetectState {
     pub(crate) cfg: DetectorConfig,
     num_procs: usize,
+    /// The event-queue slot of pair `(0, 0)`'s suspicion deadline; pair
+    /// `(o, s)` keys slot `slot_base + o·n + s`.
+    slot_base: usize,
     /// Current belief, per `observer × subject`.
     state: Vec<PeerState>,
     /// φ-accrual state per `observer × subject`; empty in fixed mode.
     phi: Vec<PhiState>,
-    /// Per flat successor index: instances force-released from local
-    /// information (late real signals for these are suppressed).
-    forced: Vec<std::collections::BTreeSet<u64>>,
     /// Consecutive measured end-to-end deadline misses per task (the
     /// watchdog).
     miss_streak: Vec<u32>,
@@ -512,8 +509,8 @@ impl DetectState {
     pub(crate) fn new(
         cfg: DetectorConfig,
         num_procs: usize,
-        flat_len: usize,
         num_tasks: usize,
+        slot_base: usize,
     ) -> DetectState {
         let cfg = cfg.normalized();
         let phi = if cfg.phi.is_some() {
@@ -524,16 +521,16 @@ impl DetectState {
         DetectState {
             cfg,
             num_procs,
+            slot_base,
             state: vec![PeerState::Alive; num_procs * num_procs],
             phi,
-            forced: vec![std::collections::BTreeSet::new(); flat_len],
             miss_streak: vec![0; num_tasks],
             watchdog_tripped: vec![false; num_tasks],
             stats: DetectStats::default(),
         }
     }
 
-    fn slot(&self, observer: usize, subject: usize) -> usize {
+    fn pair(&self, observer: usize, subject: usize) -> usize {
         observer * self.num_procs + subject
     }
 
@@ -543,23 +540,8 @@ impl DetectState {
     /// `dead_after` cliff; in φ mode it is the threshold-crossing
     /// instant of the next φ level under the pair's current mean.
     pub(crate) fn arm_budget(&self, observer: usize, subject: usize) -> Option<Dur> {
-        let slot = self.slot(observer, subject);
-        match &self.cfg.phi {
-            None => match self.state[slot] {
-                PeerState::Alive | PeerState::Degraded => Some(self.cfg.suspect_after),
-                PeerState::Suspect => Some(self.cfg.dead_after),
-                PeerState::Dead => None,
-            },
-            Some(phi) => {
-                let mean = self.phi[slot].mean(phi.min_samples, self.cfg.period);
-                match self.state[slot] {
-                    PeerState::Alive => Some(phi.deadline(phi.degraded_phi, mean)),
-                    PeerState::Degraded => Some(phi.deadline(phi.suspect_phi, mean)),
-                    PeerState::Suspect => Some(phi.deadline(phi.dead_phi, mean)),
-                    PeerState::Dead => None,
-                }
-            }
-        }
+        let slot = self.pair(observer, subject);
+        self.budget(slot, self.state[slot])
     }
 
     /// The residual silence from the verdict that just landed to the
@@ -567,30 +549,34 @@ impl DetectState {
     /// instants, so the residue is the difference of consecutive
     /// deadlines). `None` when the pair is Dead.
     pub(crate) fn residue_budget(&self, observer: usize, subject: usize) -> Option<Dur> {
-        let slot = self.slot(observer, subject);
-        match &self.cfg.phi {
-            None => match self.state[slot] {
-                PeerState::Suspect => Some(self.cfg.suspect_to_dead()),
-                _ => None,
-            },
-            Some(phi) => {
-                let mean = self.phi[slot].mean(phi.min_samples, self.cfg.period);
-                match self.state[slot] {
-                    PeerState::Degraded => Some(Dur::from_ticks(
-                        (phi.deadline(phi.suspect_phi, mean)
-                            - phi.deadline(phi.degraded_phi, mean))
-                        .ticks()
-                        .max(1),
-                    )),
-                    PeerState::Suspect => Some(Dur::from_ticks(
-                        (phi.deadline(phi.dead_phi, mean) - phi.deadline(phi.suspect_phi, mean))
-                            .ticks()
-                            .max(1),
-                    )),
-                    _ => None,
-                }
-            }
-        }
+        let slot = self.pair(observer, subject);
+        let previous = match self.state[slot] {
+            PeerState::Degraded => PeerState::Alive,
+            PeerState::Suspect if self.cfg.phi.is_some() => PeerState::Degraded,
+            PeerState::Suspect => PeerState::Alive,
+            _ => return None,
+        };
+        let residue = self.budget(slot, self.state[slot])? - self.budget(slot, previous)?;
+        Some(residue.max(Dur::from_ticks(1)))
+    }
+
+    /// The silence after which a pair in `state` takes its next verdict.
+    fn budget(&self, slot: usize, state: PeerState) -> Option<Dur> {
+        let Some(phi) = &self.cfg.phi else {
+            return match state {
+                PeerState::Alive | PeerState::Degraded => Some(self.cfg.suspect_after),
+                PeerState::Suspect => Some(self.cfg.dead_after),
+                PeerState::Dead => None,
+            };
+        };
+        let threshold = match state {
+            PeerState::Alive => phi.degraded_phi,
+            PeerState::Degraded => phi.suspect_phi,
+            PeerState::Suspect => phi.dead_phi,
+            PeerState::Dead => return None,
+        };
+        let mean = self.phi[slot].mean(phi.min_samples, self.cfg.period);
+        Some(phi.deadline(threshold, mean))
     }
 
     /// A heartbeat from `subject` reached `observer` at `now`: record the
@@ -600,7 +586,7 @@ impl DetectState {
     /// Returns whether this was a revival. The caller re-arms the pair's
     /// suspicion deadline from [`DetectState::arm_budget`].
     pub(crate) fn heard(&mut self, observer: usize, subject: usize, now: Time) -> bool {
-        let slot = self.slot(observer, subject);
+        let slot = self.pair(observer, subject);
         self.stats.heartbeats_delivered += 1;
         match self.cfg.phi.clone() {
             None => {
@@ -647,7 +633,7 @@ impl DetectState {
 
     /// Current belief of `observer` about `subject`.
     pub(crate) fn peer_state(&self, observer: usize, subject: usize) -> PeerState {
-        self.state[self.slot(observer, subject)]
+        self.state[self.pair(observer, subject)]
     }
 
     /// The pair's suspicion deadline passed: advance the belief one step — Alive → Suspect → Dead on the fixed cliff,
@@ -661,7 +647,7 @@ impl DetectState {
         actually_down: bool,
         actually_gray: bool,
     ) -> Option<PeerState> {
-        let slot = self.slot(observer, subject);
+        let slot = self.pair(observer, subject);
         let adaptive = self.cfg.phi.is_some();
         let next = match self.state[slot] {
             PeerState::Alive if adaptive => PeerState::Degraded,
@@ -741,49 +727,350 @@ impl DetectState {
         Some(self.miss_streak[task])
     }
 
-    /// Marks `instance` of flat successor `fi` as force-released; returns
-    /// `false` if it already was.
-    pub(crate) fn force(&mut self, fi: usize, instance: u64) -> bool {
-        if self.forced[fi].insert(instance) {
-            self.stats.forced_releases += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether `instance` of flat successor `fi` was force-released (its
-    /// late real signal must be suppressed).
-    pub(crate) fn is_forced(&self, fi: usize, instance: u64) -> bool {
-        self.forced[fi].contains(&instance)
-    }
-
     /// Census of current beliefs over all ordered `observer × subject`
     /// pairs (self-pairs excluded): `(alive, degraded, suspect, dead)`.
     /// Read-only; the telemetry layer samples it at end-of-instant.
     pub(crate) fn census(&self) -> (u32, u32, u32, u32) {
-        let (mut alive, mut degraded, mut suspect, mut dead) = (0, 0, 0, 0);
-        for o in 0..self.num_procs {
-            for s in 0..self.num_procs {
-                if o == s {
+        let mut counts = [0u32; 4];
+        for &belief in &self.state {
+            counts[belief as usize] += 1;
+        }
+        // Self-pairs never leave Alive.
+        let [alive, degraded, suspect, dead] = counts;
+        (alive - self.num_procs as u32, degraded, suspect, dead)
+    }
+
+    /// Arms (or moves) the pair's one suspicion deadline to `at`, or
+    /// clears it (`None`: a pair that stays Dead arms nothing).
+    fn set_suspicion<O: Observer>(
+        &self,
+        w: &mut Wire<'_, O>,
+        observer: usize,
+        subject: usize,
+        at: Option<Time>,
+    ) {
+        let slot = self.slot_base + self.pair(observer, subject);
+        let (observer, subject) = (ProcessorId::new(observer), ProcessorId::new(subject));
+        match at {
+            Some(at) => w
+                .queue
+                .arm(slot, at, EventKind::SuspectTimer { observer, subject }),
+            None => w.queue.disarm(slot),
+        }
+    }
+
+    /// Seeds the detector: one heartbeat broadcast chain per processor,
+    /// plus an initial suspicion deadline per ordered pair so a processor
+    /// that is down from t = 0 still gets detected (on healthy pairs the
+    /// first heartbeat lands well before the deadline and re-arms it). In
+    /// φ mode the first budget comes from the warmup prior; in fixed mode
+    /// it is exactly `suspect_after`.
+    pub(crate) fn start<O: Observer>(&self, w: &mut Wire<'_, O>) {
+        let n = self.num_procs;
+        for proc in (0..n).map(ProcessorId::new) {
+            w.queue.push(
+                Time::ZERO + self.cfg.period,
+                EventKind::HeartbeatSend { proc },
+            );
+        }
+        for o in 0..n {
+            for s in (0..n).filter(|&s| s != o) {
+                let deadline = self.arm_budget(o, s).map(|budget| Time::ZERO + budget);
+                self.set_suspicion(w, o, s, deadline);
+            }
+        }
+    }
+
+    /// The detector's event family: a heartbeat broadcast, a heartbeat
+    /// landing, a suspicion deadline passing. `transport` supplies the
+    /// last acked signals MPM's degraded releases re-arm from.
+    pub(crate) fn on_event<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        transport: Option<&TransportState>,
+        kind: EventKind,
+    ) {
+        match kind {
+            EventKind::HeartbeatSend { proc } => self.on_heartbeat_send(w, proc),
+            EventKind::HeartbeatDeliver { from, to } => {
+                self.on_heartbeat_deliver(w, from.index(), to.index())
+            }
+            EventKind::SuspectTimer { observer, subject } => {
+                self.on_suspect_timer(w, transport, observer.index(), subject.index())
+            }
+            _ => unreachable!("{kind:?} is not a detector event"),
+        }
+    }
+
+    /// A processor's periodic heartbeat broadcast. The chain ticks whether
+    /// the node is up or not — a crashed node simply stays silent until it
+    /// recovers.
+    fn on_heartbeat_send<O: Observer>(&mut self, w: &mut Wire<'_, O>, proc: ProcessorId) {
+        let p = proc.index();
+        let (stalled, rate) = (w.procs[p].is_stalled(), w.procs[p].rate());
+        // A stalled node's heartbeat daemon is as frozen as everything
+        // else on it: the beat is skipped (this is exactly what makes a
+        // stall look like a death from outside), but the chain keeps its
+        // cadence so beats resume on time after the window.
+        if !w.procs[p].is_down() && !stalled {
+            for q in (0..self.num_procs).filter(|&q| q != p) {
+                // A broadcast to the far side of an open cut dies at the
+                // boundary — the peer's detector starves honestly.
+                if w.faults.cut(p, q) {
+                    w.faults.stats.severed_heartbeats += 1;
                     continue;
                 }
-                match self.state[self.slot(o, s)] {
-                    PeerState::Alive => alive += 1,
-                    PeerState::Degraded => degraded += 1,
-                    PeerState::Suspect => suspect += 1,
-                    PeerState::Dead => dead += 1,
+                self.stats.heartbeats_sent += 1;
+                // A degraded wire taxes the beat: extra latency and
+                // jitter stretch the observer's inter-arrival history, a
+                // drop starves it outright. Sent-counting stays above so
+                // drop accounting is visible in the send/deliver gap.
+                if let Some(extra) = w.faults.gray_penalty(p, q, GrayFamily::Heartbeat) {
+                    let beat = EventKind::HeartbeatDeliver {
+                        from: proc,
+                        to: ProcessorId::new(q),
+                    };
+                    w.queue.push(w.now + extra, beat);
                 }
             }
         }
-        (alive, degraded, suspect, dead)
+        // A slowed node's daemon breathes at the stretched rate — the
+        // honest gray signature the φ detector is built to absorb.
+        let period = self.cfg.period;
+        let next = if stalled || rate == 1 {
+            w.now + period
+        } else {
+            w.now + Dur::from_ticks(period.ticks().saturating_mul(rate as i64))
+        };
+        w.push_by_horizon(next, EventKind::HeartbeatSend { proc });
     }
 
-    /// Subjects that `observer` currently believes dead.
-    pub(crate) fn dead_peers(&self, observer: usize) -> Vec<usize> {
-        (0..self.num_procs)
-            .filter(|&s| s != observer && self.peer_state(observer, s) == PeerState::Dead)
-            .collect()
+    /// A heartbeat from `from` lands on observer `to`: re-arm the pair's
+    /// suspicion deadline from now (or clear it, for a pair that stays
+    /// Dead). A detector on a crashed node is frozen — it resumes with its
+    /// pre-crash beliefs at recovery.
+    fn on_heartbeat_deliver<O: Observer>(&mut self, w: &mut Wire<'_, O>, from: usize, to: usize) {
+        if w.procs[to].is_down() {
+            return;
+        }
+        // In-flight heartbeats caught by a cut opening mid-hop die here,
+        // before the observer hears a cross-partition delivery.
+        if w.faults.cut(from, to) {
+            w.faults.stats.severed_heartbeats += 1;
+            return;
+        }
+        w.note(Note::Heartbeat { from, to });
+        if self.heard(to, from, w.now) {
+            w.degrade(Degradation::PeerRevived {
+                observer: to,
+                subject: from,
+            });
+        }
+        // Fixed mode: the `suspect_after` cliff. φ mode: the budget to the
+        // next escalation threshold, scaled by the pair's observed
+        // inter-arrival mean — a slowed peer earns longer rope.
+        let deadline = self.arm_budget(to, from).map(|budget| w.now + budget);
+        self.set_suspicion(w, to, from, deadline);
+    }
+
+    /// A pair's suspicion deadline passed with no heartbeat since it was
+    /// armed: walk the observer's belief one step (Alive → Suspect →
+    /// Dead), judging it against the ground-truth crash schedule, and
+    /// start degraded releases on a death.
+    fn on_suspect_timer<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        transport: Option<&TransportState>,
+        observer: usize,
+        subject: usize,
+    ) {
+        if w.procs[observer].is_down() {
+            return; // frozen detector
+        }
+        debug_assert_ne!(
+            self.peer_state(observer, subject),
+            PeerState::Dead,
+            "a dead pair arms no suspicion deadline"
+        );
+        let actually_down = w.procs[subject].is_down();
+        // Gray ground truth: the subject is not down but *is* impaired —
+        // stalled, slowed, or behind a degraded wire toward this
+        // observer. Verdicts are scored against both truths.
+        let actually_gray = w.faults.actually_gray(observer, &w.procs[subject]);
+        // A verdict on a live peer across an open cut is a false positive
+        // the partition *caused*: counted apart from latency-induced ones.
+        let partitioned = u64::from(!actually_down && w.faults.cut(observer, subject));
+        let false_positive = !actually_down;
+        match self.advance_suspicion(observer, subject, actually_down, actually_gray) {
+            Some(PeerState::Degraded) => {
+                // The φ detector's intermediate verdict: suspicious but
+                // not condemned. Protocol responses soften (MPM cadence
+                // stretch, watchdog budget scaling) instead of
+                // force-releasing.
+                w.degrade(Degradation::PeerDegraded {
+                    observer,
+                    subject,
+                    gray_truth: actually_gray,
+                });
+            }
+            Some(PeerState::Suspect) => {
+                self.stats.partition_false_suspects += partitioned;
+                w.degrade(Degradation::PeerSuspect {
+                    observer,
+                    subject,
+                    false_positive,
+                });
+            }
+            Some(PeerState::Dead) => {
+                self.stats.partition_false_deads += partitioned;
+                w.degrade(Degradation::PeerDead {
+                    observer,
+                    subject,
+                    false_positive,
+                });
+                self.start_degradation(w, transport, observer, subject);
+                return;
+            }
+            _ => return,
+        }
+        // Fixed mode: the `dead_after - suspect_after` residue. φ mode:
+        // the gap to the next threshold on the pair's observed
+        // inter-arrival scale.
+        let deadline = self.residue_budget(observer, subject).map(|r| w.now + r);
+        self.set_suspicion(w, observer, subject, deadline);
+    }
+
+    /// `observer` recovered: its detector resumes with its pre-crash
+    /// beliefs, so peers it still holds dead resume degraded releases right
+    /// away (the old chains died while the node was down).
+    pub(crate) fn resume<O: Observer>(
+        &self,
+        w: &mut Wire<'_, O>,
+        transport: Option<&TransportState>,
+        observer: usize,
+    ) {
+        for s in (0..self.num_procs).filter(|&s| s != observer) {
+            if self.peer_state(observer, s) == PeerState::Dead {
+                self.start_degradation(w, transport, observer, s);
+            }
+        }
+    }
+
+    /// The detector on `observer` declared `dead` dead: begin degraded
+    /// releases for every successor hosted on `observer` whose predecessor
+    /// lives on `dead`. RG and MPM only — DS has no local release rule to
+    /// fall back on, and PM never waited for the signal to begin with.
+    /// MPM re-arms its cadence from the last *acked* signal of the
+    /// successor, extrapolating one period per instance; RG releases now
+    /// and lets the guard machinery enforce the period spacing `g`.
+    fn start_degradation<O: Observer>(
+        &self,
+        w: &mut Wire<'_, O>,
+        transport: Option<&TransportState>,
+        observer: usize,
+        dead: usize,
+    ) {
+        let mpm = w.cfg.protocol == Protocol::ModifiedPhaseModification;
+        if !self.cfg.degradation || !(mpm || w.cfg.protocol == Protocol::ReleaseGuard) {
+            return;
+        }
+        let set = w.set;
+        for task in set.tasks() {
+            let (subs, period) = (task.subtasks(), task.period());
+            for i in 1..subs.len() {
+                if subs[i].processor().index() != observer
+                    || subs[i - 1].processor().index() != dead
+                {
+                    continue;
+                }
+                let subtask = subs[i].id();
+                let fi = w.flat.of(subtask);
+                let instance = w.next_unreleased(fi);
+                let at = match transport.and_then(|t| t.last_acked(fi)) {
+                    Some((sent, am)) if mpm && instance > am => sent
+                        .saturating_add(period.saturating_mul((instance - am) as i64))
+                        .max(w.now),
+                    _ => w.now,
+                };
+                w.push_by_horizon(at, EventKind::DegradedRelease { subtask, instance });
+            }
+        }
+    }
+
+    /// The re-arm cadence of a degraded-release chain. Under MPM with the
+    /// φ detector, any Degraded peer stretches the march by
+    /// [`MPM_STRETCH_PERMILLE`] — force-released instances back off while
+    /// a peer might merely be slow, trading a little lateness against
+    /// double-release pressure when the real signal catches up. RG keeps
+    /// the true period: its guard machinery owns the spacing.
+    fn cadence(&self, protocol: Protocol, period: Dur) -> Dur {
+        if protocol != Protocol::ModifiedPhaseModification
+            || self.cfg.phi.is_none()
+            || !self.any_degraded()
+        {
+            return period;
+        }
+        let t = period.ticks();
+        let stretched = t.saturating_add(t.saturating_mul(MPM_STRETCH_PERMILLE) / 1000);
+        Dur::from_ticks(stretched.max(1))
+    }
+
+    /// A degraded release of `subtask`'s `instance` fires: recheck
+    /// liveness and release progress (the event is lazily invalidated),
+    /// then force the instance from local information and march the chain
+    /// one period forward. `deferred` says whether RG's guard already
+    /// holds the instance back.
+    pub(crate) fn march<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        subtask: SubtaskId,
+        instance: u64,
+        deferred: bool,
+    ) -> Option<Effect> {
+        let set = w.set;
+        let proc = set.subtask(subtask).processor().index();
+        let task = set.task(subtask.task());
+        let pred_proc = task.subtasks()[subtask.index() - 1].processor().index();
+        // The chain dies silently while its own node is down (recovery
+        // restarts it) and on revival (real signals flow again).
+        if w.procs[proc].is_down() || self.peer_state(proc, pred_proc) != PeerState::Dead {
+            return None;
+        }
+        let fi = w.flat.of(subtask);
+        let head = w.next_unreleased(fi);
+        let next_at = w.now + self.cadence(w.cfg.protocol, task.period());
+        // A late real signal (or recovery) may have moved the head:
+        // re-aim the chain at the current head one period out. Or the real
+        // signal arrived before the death verdict and sits deferred behind
+        // rule 1 — the guard will release it; forcing it too would
+        // double-queue the instance. Check back in a period.
+        if head != instance || deferred {
+            let retry = EventKind::DegradedRelease {
+                subtask,
+                instance: head,
+            };
+            w.push_by_horizon(next_at, retry);
+            return None;
+        }
+        let job = JobId::new(subtask, instance);
+        let fresh = w.faults.force(job);
+        if fresh {
+            self.stats.forced_releases += 1;
+            // Logged before the release so the precedence checks (engine
+            // and invariant observer) see the waiver.
+            w.degrade(Degradation::ForcedRelease {
+                job,
+                dead_peer: pred_proc,
+            });
+        }
+        let next = EventKind::DegradedRelease {
+            subtask,
+            instance: instance + 1,
+        };
+        Some(Effect::March {
+            release: fresh.then_some(job),
+            next: (next_at, next),
+        })
     }
 }
 
@@ -801,7 +1088,7 @@ mod tests {
         let cfg = DetectorConfig::new(d(10));
         assert_eq!(cfg.suspect_after, d(30));
         assert_eq!(cfg.dead_after, d(60));
-        assert_eq!(cfg.suspect_to_dead(), d(30));
+        assert_eq!((cfg.dead_after - cfg.suspect_after), d(30));
         assert!(cfg.degradation);
         assert!(cfg.watchdog_misses.is_none());
     }
@@ -809,7 +1096,7 @@ mod tests {
     #[test]
     fn silence_walks_alive_suspect_dead_with_ground_truth_accounting() {
         let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 3, 2, 1);
+        let mut st = DetectState::new(cfg, 3, 1, 0);
         assert_eq!(st.peer_state(0, 1), PeerState::Alive);
         // False suspicion: peer actually up.
         assert_eq!(
@@ -828,14 +1115,14 @@ mod tests {
         assert_eq!(st.stats.deads, 1);
         assert_eq!(st.stats.false_deads, 0);
         assert_eq!(st.stats.false_positive_rate(), Some(0.0));
-        assert_eq!(st.dead_peers(0), vec![1]);
-        assert_eq!(st.dead_peers(1), Vec::<usize>::new());
+        assert_eq!(st.peer_state(0, 1), PeerState::Dead);
+        assert_eq!(st.peer_state(1, 0), PeerState::Alive);
     }
 
     #[test]
     fn heartbeats_revive_a_dead_peer() {
         let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 2, 1, 1);
+        let mut st = DetectState::new(cfg, 2, 1, 0);
         assert!(!st.heard(0, 1, Time::from_ticks(10)));
         st.advance_suspicion(0, 1, true, false);
         st.advance_suspicion(0, 1, true, false);
@@ -849,18 +1136,6 @@ mod tests {
         );
         assert_eq!(st.peer_state(0, 1), PeerState::Alive);
         assert_eq!(st.stats.revivals, 1);
-    }
-
-    #[test]
-    fn forcing_is_idempotent_per_instance() {
-        let cfg = DetectorConfig::new(d(10));
-        let mut st = DetectState::new(cfg, 2, 3, 1);
-        assert!(st.force(1, 4));
-        assert!(!st.force(1, 4));
-        assert!(st.is_forced(1, 4));
-        assert!(!st.is_forced(1, 5));
-        assert!(!st.is_forced(0, 4));
-        assert_eq!(st.stats.forced_releases, 1);
     }
 
     #[test]
@@ -890,7 +1165,7 @@ mod tests {
     fn saturated_default_thresholds_are_normalized() {
         // Regression: a period near the top of the tick range saturates
         // both `saturating_mul(3)` and `saturating_mul(6)`, collapsing
-        // `dead_after` onto `suspect_after` — `suspect_to_dead()` was
+        // `dead_after` onto `suspect_after` — `dead_after - suspect_after` was
         // zero and a silent peer jumped straight from Suspect to Dead at
         // the same instant.
         let cfg = DetectorConfig::new(Dur::from_ticks(i64::MAX / 4)).normalized();
@@ -898,7 +1173,7 @@ mod tests {
             cfg.dead_after > cfg.suspect_after,
             "normalization must restore the ordering"
         );
-        assert!(cfg.suspect_to_dead().is_positive());
+        assert!((cfg.dead_after - cfg.suspect_after).is_positive());
     }
 
     #[test]
@@ -914,9 +1189,9 @@ mod tests {
             watchdog_misses: None,
             phi: None,
         };
-        let st = DetectState::new(cfg, 2, 1, 1);
+        let st = DetectState::new(cfg, 2, 1, 0);
         assert!(st.cfg.dead_after > st.cfg.suspect_after);
-        assert!(st.cfg.suspect_to_dead().is_positive());
+        assert!((st.cfg.dead_after - st.cfg.suspect_after).is_positive());
         assert_eq!(st.arm_budget(0, 1), Some(d(30)), "suspect cliff intact");
     }
 
@@ -928,9 +1203,9 @@ mod tests {
     fn phi_suspicion_is_monotone_in_silence() {
         // The three threshold-crossing instants must be strictly ordered
         // for any mean: longer silence, higher suspicion level.
-        let st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let st = DetectState::new(phi_cfg(), 2, 1, 0);
         let degraded = st.arm_budget(0, 1).unwrap();
-        let mut st2 = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st2 = DetectState::new(phi_cfg(), 2, 1, 0);
         st2.advance_suspicion(0, 1, false, false); // -> Degraded
         let suspect_residue = st2.residue_budget(0, 1).unwrap();
         st2.advance_suspicion(0, 1, false, false); // -> Suspect
@@ -949,7 +1224,7 @@ mod tests {
     fn phi_deadlines_stretch_with_the_observed_mean() {
         // A slowed peer doubles its inter-arrival mean; once past warmup
         // the degraded deadline doubles with it (±1 for ceiling).
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         let warm = st.arm_budget(0, 1).unwrap();
         // Feed 4 nominal beats (period 10), then check the deadline is
         // unchanged from warmup (mean == period).
@@ -979,7 +1254,7 @@ mod tests {
         // Below min_samples the stand-in is max(period, observed mean):
         // *fast* early beats must not shrink the deadline below the
         // configured cadence…
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         let warm = st.arm_budget(0, 1).unwrap();
         st.heard(0, 1, Time::from_ticks(5));
         st.heard(0, 1, Time::from_ticks(7)); // interval 2 < period 10
@@ -989,7 +1264,7 @@ mod tests {
             "fast early beats must not tighten the warmup deadline"
         );
         // …while a *slow* first interval stretches it immediately.
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         st.heard(0, 1, Time::from_ticks(5));
         st.heard(0, 1, Time::from_ticks(500)); // interval 495
         assert!(
@@ -1028,7 +1303,7 @@ mod tests {
         // interval re-centers the deadlines and later gaps never reach
         // Dead.
         let slow = 160; // 16x the configured period of 10
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         st.heard(0, 1, Time::from_ticks(0));
         st.heard(0, 1, Time::from_ticks(slow)); // first slow interval recorded
         assert_eq!(st.stats.false_deads, 0);
@@ -1050,7 +1325,7 @@ mod tests {
 
     #[test]
     fn phi_hysteresis_requires_consecutive_on_time_beats() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         // Establish a nominal history, then degrade the pair.
         for k in 0..4 {
             st.heard(0, 1, Time::from_ticks(10 * (k + 1)));
@@ -1071,7 +1346,7 @@ mod tests {
 
     #[test]
     fn phi_late_beat_resets_the_hysteresis_streak() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         for k in 0..4 {
             st.heard(0, 1, Time::from_ticks(10 * (k + 1)));
         }
@@ -1089,7 +1364,7 @@ mod tests {
 
     #[test]
     fn phi_walk_counts_gray_ground_truth() {
-        let mut st = DetectState::new(phi_cfg(), 2, 1, 1);
+        let mut st = DetectState::new(phi_cfg(), 2, 1, 0);
         // Degraded on a genuinely gray peer: a gray hit.
         assert_eq!(
             st.advance_suspicion(0, 1, false, true),
@@ -1112,7 +1387,7 @@ mod tests {
         let cfg = DetectorConfig::new(d(10))
             .with_watchdog(3)
             .with_phi(PhiConfig::new());
-        let mut st = DetectState::new(cfg, 2, 1, 1);
+        let mut st = DetectState::new(cfg, 2, 1, 0);
         assert_eq!(st.watchdog_budget(), Some(3));
         st.advance_suspicion(0, 1, false, true); // -> Degraded
         assert_eq!(st.watchdog_budget(), Some(6), "2x budget while degraded");

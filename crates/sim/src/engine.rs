@@ -5,19 +5,23 @@
 //! inter-processor signals (the paper's model), deterministic event
 //! ordering, and full metrics/trace collection.
 //!
-//! The engine dispatches events to the components it owns. Each
+//! The engine keeps the event loop, the protocol and processor handlers,
+//! and every action that releases, cancels or delivers a job. Each
 //! [`Processor`] holds its scheduler state and its liveness (down,
-//! stalled, slowed), and keeps its next milestone in one keyed queue
-//! slot. The fault domain ([`crate::faults`]) is always present, built
-//! from the empty schedule when [`SimConfig::faults`] is `None`, and
-//! keeps only its next schedule edge queued, in the slot after the
-//! processors'. The optional layers (channel, transport, failure
-//! detector, clock sync) are `Option`s: a run without them never builds
-//! their state. The detector keeps one suspicion deadline per ordered
-//! processor pair in the slots after the fault edge, and under RG each
-//! subtask's release guard keeps its next expiry in the slots after
-//! those. Each protocol's release state lives in its controller
-//! (`crate::controller`).
+//! stalled, slowed) and reads one [`LocalClock`] (the ideal one unless a
+//! clock model says otherwise). The fault domain ([`crate::faults`]) is
+//! always present, built from the empty schedule when
+//! [`SimConfig::faults`] is `None`. The optional wire layers (transport,
+//! failure detector, clock sync) own the handlers of their event families
+//! and get the engine state they touch as one borrowed `Wire` (see
+//! `crate::wire`); a run without them never builds their state. Each
+//! protocol's release state lives in its controller (`crate::controller`).
+//!
+//! Deadlines that get replaced sit in keyed queue slots, laid out once at
+//! setup: one milestone per processor (slot `p`), then the fault domain's
+//! next edge, then the detector's suspicion deadlines (one per ordered
+//! processor pair), then RG's guard deadlines (one per subtask). Each
+//! component keeps its own base.
 //!
 //! # Examples
 //!
@@ -50,9 +54,7 @@ use rtsync_core::task::{ProcessorId, SubtaskId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
 use crate::controller::{CompletionDirective, Controller, FlatIndex, ReleaseTimer};
-use crate::detect::{
-    Degradation, DegradationEvent, DetectState, DetectStats, PeerState, MPM_STRETCH_PERMILLE,
-};
+use crate::detect::{Degradation, DegradationEvent, DetectState, DetectStats};
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{
     BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, GrayFamily, OverloadPolicy,
@@ -67,9 +69,10 @@ use crate::perf::{EngineProfile, NoopProfiler, PerfScope, Profiler, WallProfiler
 use crate::priority_profile::PriorityProfile;
 use crate::processor::{Milestone, Processor, Resched};
 use crate::source::SourceModel;
-use crate::sync::{SyncConfig, SyncState, SyncStats, SYNC_RETRY_BUDGET};
+use crate::sync::{SyncConfig, SyncState, SyncStats};
 use crate::trace::Trace;
 use crate::transport::{TransportConfig, TransportState, TransportStats};
+use crate::wire::{Effect, Layers, Wire};
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -98,21 +101,24 @@ pub struct SimConfig {
     /// removing the start-of-trace transient from average-EER estimates.
     pub warmup_instances: u64,
     /// Nonideal operating conditions: per-processor clock error and the
-    /// signal channel model. The default is the paper's ideal conditions,
-    /// under which the engine takes the exact legacy code path.
+    /// signal channel model. The default is the paper's ideal conditions:
+    /// every clock reads true time and signals arrive instantly, so the
+    /// outcome is bit-identical to a run that never models either.
     pub nonideal: NonidealConfig,
     /// Processor crash/recovery, partition and gray faults. `None` — the
     /// default — runs the empty schedule, which fires nothing.
     pub faults: Option<FaultConfig>,
     /// Endpoint-driven reliable signaling: sequence-numbered frames, acks,
     /// retransmission timers, and (optionally) heartbeat failure detection
-    /// with graceful degradation. `None` — the default — keeps the signal
-    /// path bit-for-bit identical to the legacy engine.
+    /// with graceful degradation. `None` — the default — builds no
+    /// transport state, and the outcome is bit-identical to a run without
+    /// the layer.
     pub transport: Option<TransportConfig>,
     /// The clock-synchronization layer: periodic NTP-style offset
     /// estimation over the signal channel with Marzullo intersection and
     /// a correction policy (see [`crate::sync`]). `None` — the default —
-    /// runs no sync traffic and reads clocks exactly as the legacy engine.
+    /// runs no sync traffic and never corrects a clock, and the outcome is
+    /// bit-identical to a run without the layer.
     pub sync: Option<SyncConfig>,
 }
 
@@ -421,21 +427,15 @@ struct Engine<'a, O: Observer, P: Profiler> {
     busy_ticks: Vec<Dur>,
     /// Effective-priority profile per flat subtask index (Highest Locker).
     profiles: Vec<PriorityProfile>,
-    /// Per-processor local clocks; `None` when all clocks are ideal (the
-    /// legacy code path, no conversions anywhere).
-    clocks: Option<Vec<LocalClock>>,
+    /// Each processor's local clock; a sync correction steps its offset.
+    clocks: Vec<LocalClock>,
     /// Signal-channel state; `None` routes signals instantaneously.
     channel: Option<ChannelState>,
     /// The fault domain: the schedule's next edge, partitions, gray
     /// links, recovery bookkeeping. Empty when no faults are configured.
     faults: FaultState,
-    /// Endpoint transport state; `None` keeps the oracle signal path.
-    transport: Option<TransportState>,
-    /// Failure-detector state; `None` runs no heartbeats.
-    detect: Option<DetectState>,
-    /// Clock-synchronization state; `None` runs no sync rounds and keeps
-    /// every clock read on the legacy path.
-    sync: Option<SyncState>,
+    /// The transport, failure detector and clock sync, each optional.
+    layers: Layers,
     /// Structured degradation log (see [`SimOutcome::degradations`]).
     degradations: Vec<DegradationEvent>,
     horizon: Time,
@@ -466,8 +466,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         prof: &'a mut P,
     ) -> Result<Engine<'a, O, P>, SimulateError> {
         let flat = FlatIndex::new(set);
-        let clocks = (!cfg.nonideal.clocks.is_ideal())
-            .then(|| cfg.nonideal.clocks.resolve(set.num_processors()));
+        let procs = set.num_processors();
+        let clocks = cfg.nonideal.clocks.resolve(procs);
         // The transport and the sync layer both ride the wire: with either
         // attached but no channel configured, a zero-latency loss-free
         // wire is synthesized so their frames still flow as events (and
@@ -482,6 +482,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             )),
             (None, false) => None,
         };
+        // The keyed slot layout (see the module docs), decided once.
+        let rg = cfg.protocol == Protocol::ReleaseGuard;
+        let detector = cfg.transport.as_ref().and_then(|t| t.detector.as_ref());
+        let (edge_slot, suspicion_base) = (procs, procs + 1);
+        let guard_base = suspicion_base + if detector.is_some() { procs * procs } else { 0 };
+        let slots = guard_base + if rg { flat.len() } else { 0 };
         // PM and MPM need SA/PM bounds before the first event; the
         // profiler charges that analysis to its own scope.
         let pm_bounds = if matches!(
@@ -503,41 +509,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // Guards measure one task period on the host processor's
             // clock; drift rescales that period in true time (offsets
             // cancel — guards are pure durations).
-            (Protocol::ReleaseGuard, _) => match &clocks {
-                None => Controller::rg(set, cfg.rg_apply_rule2),
-                Some(clocks) => {
-                    Controller::rg_with_guard_periods(set, cfg.rg_apply_rule2, |proc, period| {
-                        clocks[proc.index()].true_dur(period)
-                    })
-                }
-            },
+            (Protocol::ReleaseGuard, _) => {
+                Controller::rg_with_guard_periods(set, cfg.rg_apply_rule2, guard_base, |p, d| {
+                    clocks[p.index()].true_dur(d)
+                })
+            }
             (Protocol::PhaseModification, Some(bounds)) => {
                 Controller::pm(PmPhases::compute(set, &bounds), flat.len())
             }
-            (Protocol::ModifiedPhaseModification, Some(bounds)) => {
-                Controller::mpm(bounds, set.num_processors())
-            }
+            (Protocol::ModifiedPhaseModification, Some(bounds)) => Controller::mpm(bounds, procs),
             _ => unreachable!("PM and MPM ran the analysis above"),
         };
         let horizon = cfg.horizon.unwrap_or_else(|| default_horizon(set, cfg));
         // Resolve the fault schedule against the fail-free horizon, then
         // extend the horizon by what the schedule costs the run.
-        let faults = FaultState::new(
-            cfg.faults
-                .as_ref()
-                .unwrap_or(&FaultConfig::explicit(Vec::new())),
-            set.num_processors(),
-            set.num_subtasks(),
-            horizon,
-        );
+        let empty = FaultConfig::explicit(Vec::new());
+        let faults_cfg = cfg.faults.as_ref().unwrap_or(&empty);
+        let faults = FaultState::new(faults_cfg, procs, set.num_subtasks(), horizon, edge_slot);
         let horizon = faults.pad_horizon(horizon, set);
-        let (step, cause) = max_step(
-            set,
-            cfg,
-            clocks.as_deref().unwrap_or(&[]),
-            &faults,
-            longest_bound,
-        );
+        let (step, cause) = max_step(set, cfg, &clocks, &faults, longest_bound);
         if horizon.ticks().checked_add(step.ticks()).is_none() {
             return Err(SimulateError::TimeOverflow {
                 horizon,
@@ -545,45 +535,18 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 cause,
             });
         }
-        let transport = cfg
-            .transport
-            .as_ref()
-            .map(|t| TransportState::new(t.clone(), flat.len()));
-        let detect = cfg
-            .transport
-            .as_ref()
-            .and_then(|t| t.detector.as_ref())
-            .map(|dc| {
-                DetectState::new(
-                    dc.clone(),
-                    set.num_processors(),
-                    flat.len(),
-                    set.num_tasks(),
-                )
-            });
-        // The sync layer knows each oscillator's rated drift (a spec
-        // sheet bound every real node has), which sizes its NTP-style
-        // drift-tolerance term; the actual offsets stay hidden from it.
-        let sync = cfg.sync.clone().map(|sc| {
-            let state = SyncState::new(sc, set.num_processors());
-            match &clocks {
-                Some(cs) => state.with_drift_ppm(cs.iter().map(|c| c.drift_ppm)),
-                None => state,
-            }
-        });
-        // One milestone slot per processor, one for the fault domain's
-        // next edge, one suspicion slot per ordered detector pair (see
-        // `suspicion_slot`), then under RG one guard slot per subtask (see
-        // `set_guard_deadline`).
-        let procs = set.num_processors();
-        let slots = procs
-            + 1
-            + if detect.is_some() { procs * procs } else { 0 }
-            + if cfg.protocol == Protocol::ReleaseGuard {
-                flat.len()
-            } else {
-                0
-            };
+        let layers = Layers {
+            transport: cfg
+                .transport
+                .as_ref()
+                .map(|t| TransportState::new(t.clone(), flat.len())),
+            detect: detector
+                .map(|dc| DetectState::new(dc.clone(), procs, set.num_tasks(), suspicion_base)),
+            sync: cfg
+                .sync
+                .clone()
+                .map(|sc| SyncState::new(sc, &clocks, cfg.transport.as_ref())),
+        };
         Ok(Engine {
             set,
             cfg,
@@ -613,9 +576,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             clocks,
             channel,
             faults,
-            transport,
-            detect,
-            sync,
+            layers,
             degradations: Vec::new(),
             horizon,
             events: 0,
@@ -653,10 +614,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     // modified phase — this is the one place absolute clock
                     // error enters the protocols. A clock running ahead can
                     // place the firing before the origin; clamp to zero
-                    // (the release is maximally early either way). With a
-                    // sync layer attached the read goes through the
-                    // corrected clock (no correction exists yet at t = 0,
-                    // but the code path must match the later firings).
+                    // (the release is maximally early either way).
                     let phase = self.controller.pm_phase(sub.id());
                     let at = self.pm_firing(sub.processor().index(), phase);
                     self.queue.push(
@@ -671,39 +629,18 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
 
         // The fault domain keeps only its next schedule edge queued.
-        self.arm_fault_edge();
-
-        // Seed the failure detector: one heartbeat broadcast chain per
-        // processor, plus an initial suspicion deadline per ordered pair so
-        // a processor that is down from t = 0 still gets detected (on
-        // healthy pairs the first heartbeat lands well before
-        // `suspect_after` and re-arms the deadline).
-        let procs = self.procs.len();
-        if let Some(period) = self.detect.as_ref().map(|dt| dt.cfg.period) {
-            for proc in (0..procs).map(ProcessorId::new) {
-                self.queue
-                    .push(Time::ZERO + period, EventKind::HeartbeatSend { proc });
+        self.faults.arm_next_edge(&mut self.queue);
+        // Seed the failure detector's heartbeat chains and suspicion
+        // deadlines, then the sync layer's round chains.
+        self.on_layer(|l, w| {
+            if let Some(detect) = &l.detect {
+                detect.start(w);
             }
-            // In φ mode the first escalation budget comes from the
-            // detector's warmup prior; in fixed mode `arm_budget` is
-            // exactly `suspect_after`, reproducing the legacy seeding.
-            for o in 0..procs {
-                for s in (0..procs).filter(|&s| s != o) {
-                    if let Some(budget) = self.detect_mut().arm_budget(o, s) {
-                        self.arm_suspicion(o, s, Time::ZERO + budget);
-                    }
-                }
+            if let Some(sync) = &l.sync {
+                sync.start(w);
             }
-        }
-
-        // Seed the sync layer: one round chain per processor. The first
-        // round fires a period in — there is nothing to settle at t = 0.
-        if let Some(period) = self.sync.as_ref().map(|sync| sync.cfg.period) {
-            for proc in (0..procs).map(ProcessorId::new) {
-                self.queue
-                    .push(Time::ZERO + period, EventKind::SyncRound { proc });
-            }
-        }
+            None
+        });
 
         let mut reached_target = false;
         // Everything up to here was Setup. From here to loop exit every
@@ -721,7 +658,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.now = event.time;
             self.events += 1;
             if event.kind.is_fault_edge() {
-                self.arm_fault_edge();
+                self.faults.arm_next_edge(&mut self.queue);
             }
             self.prof.switch(PerfScope::Observer);
             self.note(Note::Event(event.kind));
@@ -758,33 +695,30 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 EventKind::TimedRelease { subtask, instance } => {
                     self.on_timed_release(subtask, instance)
                 }
-                EventKind::TransportDeliver { job, seq } => self.on_transport_deliver(job, seq),
-                EventKind::AckDeliver { seq } => self.on_ack_deliver(seq),
-                EventKind::RetransmitTimer { seq } => self.on_retransmit_timer(seq),
-                EventKind::HeartbeatSend { proc } => self.on_heartbeat_send(proc),
-                EventKind::HeartbeatDeliver { from, to } => self.on_heartbeat_deliver(from, to),
-                EventKind::SuspectTimer { observer, subject } => {
-                    self.on_suspect_timer(observer, subject)
+                // Each wire layer gets its event family once.
+                kind @ (EventKind::TransportDeliver { .. }
+                | EventKind::AckDeliver { .. }
+                | EventKind::RetransmitTimer { .. }) => {
+                    self.on_layer(|l, w| l.transport.as_mut()?.on_event(w, kind))
                 }
+                kind @ (EventKind::HeartbeatSend { .. }
+                | EventKind::HeartbeatDeliver { .. }
+                | EventKind::SuspectTimer { .. }) => self.on_layer(|l, w| {
+                    let transport = l.transport.as_ref();
+                    l.detect.as_mut()?.on_event(w, transport, kind);
+                    None
+                }),
                 EventKind::DegradedRelease { subtask, instance } => {
-                    self.on_degraded_release(subtask, instance)
+                    let deferred = self.controller.has_deferred(subtask, instance);
+                    self.on_layer(|l, w| l.detect.as_mut()?.march(w, subtask, instance, deferred))
                 }
-                EventKind::SyncRound { proc } => self.on_sync_round(proc),
-                EventKind::SyncRequest { from, to, t1 } => self.on_sync_request(from, to, t1),
-                EventKind::SyncResponse {
-                    from,
-                    to,
-                    t1,
-                    t2,
-                    disp,
-                } => self.on_sync_response(from, to, t1, t2, disp),
-                EventKind::SyncRetry {
-                    from,
-                    to,
-                    t1,
-                    respond,
-                    attempt,
-                } => self.on_sync_retry(from, to, t1, respond, attempt),
+                kind @ (EventKind::SyncRound { .. }
+                | EventKind::SyncRequest { .. }
+                | EventKind::SyncResponse { .. }
+                | EventKind::SyncRetry { .. }) => self.on_layer(|l, w| {
+                    l.sync.as_mut()?.on_event(w, kind);
+                    None
+                }),
             }
             // Dispatch decisions are made once per *instant*, after every
             // same-instant event has been absorbed: simultaneous releases
@@ -827,10 +761,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             busy_ticks: self.busy_ticks,
             channel_stats: self.channel.map(|ch| ch.stats).unwrap_or_default(),
             fault_stats: self.faults.stats,
-            transport_stats: self.transport.map(|t| t.stats).unwrap_or_default(),
-            detect_stats: self.detect.map(|d| d.stats).unwrap_or_default(),
+            transport_stats: self.layers.transport.map(|t| t.stats).unwrap_or_default(),
+            detect_stats: self.layers.detect.map(|d| d.stats).unwrap_or_default(),
             degradations: self.degradations,
-            sync_stats: self.sync.map(|s| s.stats).unwrap_or_default(),
+            sync_stats: self.layers.sync.map(|s| s.stats).unwrap_or_default(),
         })
     }
 
@@ -964,21 +898,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// the channel when one is configured and the hop crosses processors,
     /// directly (the paper's instantaneous signal) otherwise.
     fn signal_successor(&mut self, from: ProcessorId, succ_job: JobId) {
-        let succ_proc = self.set.subtask(succ_job.subtask()).processor();
+        let to = self.set.subtask(succ_job.subtask()).processor();
         // PM releases by clock alone — it sends no signals, so there is
         // nothing to price on the channel.
-        let signalless = self.cfg.protocol == Protocol::PhaseModification;
-        if succ_proc != from && !signalless {
-            self.note(Note::SyncInterrupt {
-                from: from.index(),
-                to: succ_proc.index(),
-                job: succ_job,
-            });
+        if to == from || self.cfg.protocol == Protocol::PhaseModification {
+            self.apply_signal(succ_job);
+            return;
         }
-        if self.transport.is_some() && succ_proc != from && !signalless {
+        self.note(Note::SyncInterrupt {
+            from: from.index(),
+            to: to.index(),
+            job: succ_job,
+        });
+        if self.layers.transport.is_some() {
             // Endpoint mode: the signal becomes a numbered, acked frame.
-            self.transport_send(from.index(), succ_job, None);
-        } else if self.channel.is_some() && succ_proc != from && !signalless {
+            self.on_layer(|l, w| {
+                l.transport.as_mut()?.send(w, from.index(), succ_job, None);
+                None
+            });
+        } else if self.channel.is_some() {
             self.queue
                 .push(self.now, EventKind::SignalSend { job: succ_job });
         } else {
@@ -989,35 +927,32 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// A successor-release signal has arrived at its processor (directly
     /// or via the channel): hand it to the protocol.
     fn apply_signal(&mut self, succ_job: JobId) {
+        let succ_proc = self.host(succ_job);
         // Partition gate: a cross-cut signal is parked until the heal.
         // This sits *after* the channel's in-order cursor (the frame did
         // traverse the wire) so later instances don't stall forever behind
         // a severed one — mirroring the receiver-down path below.
-        if self.faults.partitioned {
-            if let Some(pred) = succ_job.predecessor() {
-                let from = self.set.subtask(pred.subtask()).processor().index();
-                let to = self.set.subtask(succ_job.subtask()).processor().index();
-                if self.faults.park_severed(from, to, succ_job) {
-                    return;
-                }
+        if let Some(pred) = succ_job.predecessor().filter(|_| self.faults.partitioned) {
+            if self
+                .faults
+                .park_severed(self.host(pred), succ_proc, succ_job)
+            {
+                return;
             }
         }
         // Degradation gate: a late real signal for an instance the
         // controller already force-released carries nothing new — its
         // payload is suppressed (and logged) instead of double-releasing.
-        let stale = self
-            .detect
-            .as_ref()
-            .is_some_and(|dt| dt.is_forced(self.flat.of(succ_job.subtask()), succ_job.instance()));
-        if stale {
-            self.detect_mut().stats.stale_signals_suppressed += 1;
+        if self.faults.is_forced(succ_job) {
+            if let Some(detect) = &mut self.layers.detect {
+                detect.stats.stale_signals_suppressed += 1;
+            }
             self.push_degradation(Degradation::StaleSignal { job: succ_job });
             return;
         }
         // Fault gate: a signal reaching a crashed receiver is backlogged
         // and resolved at recovery under the overload policy. The wire
         // worked — this is receiver-down, not signal-lost.
-        let succ_proc = self.set.subtask(succ_job.subtask()).processor().index();
         if self.procs[succ_proc].is_down() {
             self.push_violation(ViolationKind::SignalReceiverDown, succ_job);
             self.faults.stats.receiver_down_signals += 1;
@@ -1028,28 +963,35 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             });
             return;
         }
-        if self.cfg.protocol == Protocol::ModifiedPhaseModification {
-            // MPM's signal carries the release itself — its controller
-            // deliberately ignores predecessor completions.
-            self.release(succ_job);
-            return;
+        // Rule 2 applies at *every* idle instant (§3.2), not only at
+        // completion instants: a signal deferred onto an already-idle
+        // processor is released right away (the idle point resets the
+        // guard). With rule 2 disabled (the ablation) nothing is freed and
+        // the guard's deadline stands.
+        if self.offer_release(succ_job) && self.procs[succ_proc].is_idle_point(self.now) {
+            self.on_idle_point(ProcessorId::new(succ_proc));
         }
-        match self.controller.on_predecessor_complete(succ_job, self.now) {
-            CompletionDirective::ReleaseSuccessor => self.release(succ_job),
+    }
+
+    /// Offers `job`'s release to the protocol as its predecessor's
+    /// completion signal; `true` when RG's guard deferred it. MPM's signal
+    /// carries the release itself — its controller deliberately ignores
+    /// predecessor completions. A degraded release enters here too, so
+    /// rule-1 spacing holds without the lost signal.
+    fn offer_release(&mut self, job: JobId) -> bool {
+        if self.cfg.protocol == Protocol::ModifiedPhaseModification {
+            self.release(job);
+            return false;
+        }
+        match self.controller.on_predecessor_complete(job, self.now) {
+            CompletionDirective::ReleaseSuccessor => self.release(job),
             CompletionDirective::ScheduleExpiry { due } => {
-                self.defer(succ_job, due);
-                // Rule 2 applies at *every* idle instant (§3.2), not
-                // only at completion instants: a signal deferred
-                // onto an already-idle processor is released right
-                // away (the idle point resets the guard). With rule
-                // 2 disabled (the ablation) nothing is freed and the
-                // guard's deadline stands.
-                if self.procs[succ_proc].is_idle_point(self.now) {
-                    self.on_idle_point(ProcessorId::new(succ_proc));
-                }
+                self.defer(job, due);
+                return true;
             }
             CompletionDirective::Nothing => {}
         }
+        false
     }
 
     /// RG deferred `job` behind its guard, due at `due`: (re)arm the
@@ -1059,33 +1001,32 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.set_guard_deadline(job.subtask(), Some(due.max(self.now)));
     }
 
+    /// Arms (or moves) `subtask`'s guard deadline to `due`, or clears it
+    /// when nothing is deferred: the one expiry a guard ever has due (RG
+    /// only).
+    fn set_guard_deadline(&mut self, subtask: SubtaskId, due: Option<Time>) {
+        let slot = self.controller.guard_slot(subtask);
+        match due {
+            Some(at) => self.queue.arm(slot, at, EventKind::GuardExpiry { subtask }),
+            None => self.queue.disarm(slot),
+        }
+    }
+
     /// A signal leaves its sender: draw the channel's latency and faults
     /// and schedule the deliveries.
     fn on_signal_send(&mut self, job: JobId) {
-        let plan = self.channel_mut().send();
-        self.note(Note::SignalSend { job });
-        if plan.dropped {
-            self.push_violation(ViolationKind::SignalLost, job);
-        }
         // Channel-routed signals always cross processors: bias the hop by
         // the link's directional extra delay when asymmetry is modeled.
-        let (src, dst) = match job.predecessor() {
-            Some(pred) => (
-                self.set.subtask(pred.subtask()).processor().index(),
-                self.set.subtask(job.subtask()).processor().index(),
-            ),
-            None => (0, 0),
-        };
-        let gray = self
-            .faults
-            .gray_penalty(src, dst, GrayFamily::Signal)
-            .expect("signals are never gray-dropped");
-        for &delay in plan.deliveries() {
-            self.queue.push(
-                self.now + delay + self.link_extra(src, dst) + gray,
-                EventKind::SignalDeliver { job },
-            );
-        }
+        let pred = job.predecessor().expect("a signal releases a successor");
+        let (src, dst) = (self.host(pred), self.host(job));
+        self.on_layer(|_, w| {
+            let plan = w.channel.send();
+            w.note(Note::SignalSend { job });
+            let delivery = EventKind::SignalDeliver { job };
+            let landed = w.land(&plan, src, dst, GrayFamily::Signal, delivery);
+            assert!(landed, "signals are never gray-dropped");
+            plan.dropped.then_some(Effect::Lost(job))
+        });
     }
 
     /// A signal reaches its receiver: apply it — and any earlier-buffered
@@ -1093,8 +1034,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn on_signal_deliver(&mut self, job: JobId) {
         let fi = self.flat.of(job.subtask());
         let mut applicable = std::mem::take(&mut self.deliver_scratch);
-        self.channel_mut()
-            .deliver(fi, job.instance(), &mut applicable);
+        if let Some(channel) = &mut self.channel {
+            channel.deliver(fi, job.instance(), &mut applicable);
+        }
         for &instance in &applicable {
             let delivered = JobId::new(job.subtask(), instance);
             self.note(Note::SignalDeliver { job: delivered });
@@ -1104,829 +1046,65 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.deliver_scratch = applicable;
     }
 
-    /// Transmits (or retransmits) the frame carrying `job`'s release
-    /// request: one wire draw per copy, plus a retransmission timer.
-    /// `resend` is `None` for a fresh frame, `Some((seq, attempt))` for a
-    /// retransmission reusing its original sequence number (so the
-    /// receiver can deduplicate every copy).
-    fn transport_send(&mut self, from: usize, job: JobId, resend: Option<(u64, u32)>) {
-        let (seq, attempt) = match resend {
-            Some((seq, attempt)) => (seq, attempt),
-            None => {
-                let now = self.now;
-                let seq = self.transport_mut().register_send(job, from, now);
-                (seq, 0)
-            }
+    /// Runs one wire-layer handler on the engine state it may touch (see
+    /// `crate::wire`), then applies the protocol effect it hands back.
+    /// Layers exist only with a channel: the transport and the sync layer
+    /// always synthesize one, and the detector rides the transport.
+    fn on_layer(&mut self, handler: impl FnOnce(&mut Layers, &mut Wire<'_, O>) -> Option<Effect>) {
+        let Some(channel) = &mut self.channel else {
+            return;
         };
-        self.note(Note::TransportSend {
-            job,
-            seq,
-            retransmit: resend.is_some(),
-        });
-        let succ_proc = self.set.subtask(job.subtask()).processor().index();
-        if self.faults.cut(from, succ_proc) {
-            // Severed at the cut: the frame never reaches the wire. The
-            // retransmission timer below still arms, so attempts burn
-            // through the outage (honest backoff) and a bounded budget can
-            // abandon the chain — partitions are indistinguishable from
-            // loss at the endpoints.
-            self.faults.stats.severed_transport += 1;
-        } else {
-            // The channel prices the wire per copy; in endpoint mode a
-            // drop delivers nothing and the retransmission timer covers
-            // the loss.
-            let plan = self.channel_mut().send();
-            // A gray drop on top of the channel plan delivers nothing;
-            // the retransmission timer below covers it like any loss.
-            if let Some(gray) = self
-                .faults
-                .gray_penalty(from, succ_proc, GrayFamily::Transport)
-            {
-                for &delay in plan.deliveries() {
-                    self.queue.push(
-                        self.now + delay + self.link_extra(from, succ_proc) + gray,
-                        EventKind::TransportDeliver { job, seq },
-                    );
-                }
-            }
-        }
-        let rto = self.transport_mut().cfg.rto(attempt);
-        self.queue
-            .push(self.now + rto, EventKind::RetransmitTimer { seq });
-    }
-
-    /// One copy of a frame reaches its receiver: ack every copy, apply the
-    /// first. A copy landing on a crashed node is simply gone — no ack and
-    /// no recovery backlog; the sender's retransmission timer replaces the
-    /// oracle replay of the legacy fault path.
-    fn on_transport_deliver(&mut self, job: JobId, seq: u64) {
-        let succ_proc = self.set.subtask(job.subtask()).processor().index();
-        // A partition opening while the frame was in flight severs it at
-        // the delivery edge: no ack, so the sender's timer keeps burning.
-        if let Some(pred) = job.predecessor() {
-            let from = self.set.subtask(pred.subtask()).processor().index();
-            if self.faults.cut(from, succ_proc) {
-                self.faults.stats.severed_transport += 1;
-                return;
-            }
-        }
-        if self.procs[succ_proc].is_down() {
-            self.transport_mut().stats.receiver_down += 1;
-            return;
-        }
-        let tr = self.transport_mut();
-        let fresh = tr.on_deliver(seq);
-        if !tr.ack_dropped() {
-            self.queue.push(self.now, EventKind::AckDeliver { seq });
-        }
-        if !fresh {
-            return;
-        }
-        // Fresh payload: hand it to the channel's in-order cursor (frames
-        // can arrive instance-out-of-order under retransmission) and apply
-        // whatever becomes applicable.
-        self.on_signal_deliver(job);
-    }
-
-    /// An ack reaches the frame's sender. Acks are accepted even while the
-    /// sender is down: the window is journaled transport state, not
-    /// volatile protocol state.
-    fn on_ack_deliver(&mut self, seq: u64) {
-        let entry = self.transport_mut().in_flight(seq).copied();
-        match entry {
-            Some(e) => {
-                // The ack travels receiver → sender: sever it if the cut
-                // opened while it was in flight (the window stays open and
-                // the frame will be retransmitted after the heal).
-                let succ_proc = self.set.subtask(e.job.subtask()).processor().index();
-                if self.faults.cut(succ_proc, e.from) {
-                    self.faults.stats.severed_transport += 1;
-                    return;
-                }
-                let fi = self.flat.of(e.job.subtask());
-                let now = self.now;
-                let closed = self
-                    .transport_mut()
-                    .on_ack(seq, now, fi)
-                    .expect("entry was in flight");
-                let rtt = self.now - closed.first_sent;
-                self.note(Note::TransportAck {
-                    seq,
-                    rtt: Some(rtt),
-                    dup: false,
-                });
-            }
-            None => {
-                // The frame was already closed (or abandoned): a dup-ack.
-                let now = self.now;
-                self.transport_mut().on_ack(seq, now, 0);
-                self.note(Note::TransportAck {
-                    seq,
-                    rtt: None,
-                    dup: true,
-                });
-            }
-        }
-    }
-
-    /// The retransmission timer of one frame fired. A frame has one
-    /// timer at a time (each firing arms at most the next), so the window
-    /// entry's attempt count is the timer's; a firing after the frame was
-    /// acked or abandoned is a no-op.
-    fn on_retransmit_timer(&mut self, seq: u64) {
-        let entry = self.transport_mut().in_flight(seq).copied();
-        let Some(entry) = entry else {
-            return; // acked or abandoned
+        let mut wire = Wire {
+            now: self.now,
+            horizon: self.horizon,
+            cfg: self.cfg,
+            set: self.set,
+            flat: &self.flat,
+            released: &self.released,
+            queue: &mut self.queue,
+            procs: &self.procs,
+            faults: &mut self.faults,
+            channel,
+            clocks: &mut self.clocks,
+            log: &mut self.degradations,
+            obs: &mut *self.obs,
         };
-        // A crashed sender cannot retransmit, but its journaled send
-        // queue survives the outage: re-arm the same attempt so the
-        // frame resumes once the node is back (this is what keeps the
-        // unbounded-budget zero-loss guarantee alive across crashes).
-        if self.procs[entry.from].is_down() {
-            let rto = self.transport_mut().cfg.rto(entry.attempt);
-            self.queue
-                .push(self.now + rto, EventKind::RetransmitTimer { seq });
-            return;
-        }
-        let budget = self.transport_mut().cfg.retry_budget;
-        if budget.is_some_and(|b| entry.attempt >= b) {
-            // Budget exhausted: abandon the frame. The signal it carried
-            // was the instance's only release request — resolve the doomed
-            // chain so bounded-budget runs still terminate.
-            let dead = self.transport_mut().give_up(seq);
-            self.push_violation(ViolationKind::SignalLost, dead.job);
-            self.push_degradation(Degradation::SignalAbandoned {
-                job: dead.job,
-                attempts: dead.attempt + 1,
-            });
-            let fi = self.flat.of(dead.job.subtask());
-            let forced = self
-                .detect
-                .as_ref()
-                .is_some_and(|dt| dt.is_forced(fi, dead.job.instance()));
-            if self.released[fi] <= dead.job.instance() && !forced {
-                self.cancel_instance(dead.job, false);
-            }
-            return;
-        }
-        let next = self.transport_mut().bump_attempt(seq);
-        self.transport_send(entry.from, entry.job, Some((seq, next)));
-    }
-
-    /// A processor's periodic heartbeat broadcast. The chain ticks whether
-    /// the node is up or not — a crashed node simply stays silent until it
-    /// recovers.
-    fn on_heartbeat_send(&mut self, proc: ProcessorId) {
-        let p = proc.index();
-        let up = !self.procs[p].is_down();
-        let stalled = self.procs[p].is_stalled();
-        let rate = self.procs[p].rate();
-        let period = self.detect_mut().cfg.period;
-        // A stalled node's heartbeat daemon is as frozen as everything
-        // else on it: the beat is skipped (this is exactly what makes a
-        // stall look like a death from outside), but the chain keeps its
-        // cadence so beats resume on time after the window.
-        if up && !stalled {
-            for q in (0..self.procs.len()).filter(|&q| q != p) {
-                // A broadcast to the far side of an open cut dies at the
-                // boundary — the peer's detector starves honestly.
-                if self.faults.cut(p, q) {
-                    self.faults.stats.severed_heartbeats += 1;
-                    continue;
-                }
-                self.detect_mut().stats.heartbeats_sent += 1;
-                // A degraded wire taxes the beat: extra latency and
-                // jitter stretch the observer's inter-arrival history, a
-                // drop starves it outright. Sent-counting stays above so
-                // drop accounting is visible in the send/deliver gap.
-                if let Some(extra) = self.faults.gray_penalty(p, q, GrayFamily::Heartbeat) {
-                    let (from, to) = (proc, ProcessorId::new(q));
-                    let beat = EventKind::HeartbeatDeliver { from, to };
-                    self.queue.push(self.now + extra, beat);
+        match handler(&mut self.layers, &mut wire) {
+            None => {}
+            Some(Effect::Deliver(job)) => self.on_signal_deliver(job),
+            Some(Effect::Lost(job)) => self.push_violation(ViolationKind::SignalLost, job),
+            Some(Effect::Abandon { job, attempts }) => {
+                // The abandoned frame carried the instance's only release
+                // request: resolve the doomed chain so bounded-budget runs
+                // still terminate.
+                self.push_violation(ViolationKind::SignalLost, job);
+                self.push_degradation(Degradation::SignalAbandoned { job, attempts });
+                let fi = self.flat.of(job.subtask());
+                if self.released[fi] <= job.instance() && !self.faults.is_forced(job) {
+                    self.cancel_instance(job, false);
                 }
             }
-        }
-        // A slowed node's daemon breathes at the stretched rate — the
-        // honest gray signature the φ detector is built to absorb.
-        let next = if stalled || rate == 1 {
-            self.now + period
-        } else {
-            self.now + Dur::from_ticks(period.ticks().saturating_mul(rate as i64))
-        };
-        self.push_by_horizon(next, EventKind::HeartbeatSend { proc });
-    }
-
-    /// A heartbeat lands on an observer: re-arm the pair's suspicion
-    /// deadline from now (or clear it, for a pair that stays Dead). A
-    /// detector on a crashed node is frozen — it resumes with its
-    /// pre-crash beliefs at recovery.
-    fn on_heartbeat_deliver(&mut self, from: ProcessorId, to: ProcessorId) {
-        if self.procs[to.index()].is_down() {
-            return;
-        }
-        // In-flight heartbeats caught by a cut opening mid-hop die here,
-        // before the observer hears a cross-partition delivery.
-        if self.faults.cut(from.index(), to.index()) {
-            self.faults.stats.severed_heartbeats += 1;
-            return;
-        }
-        self.note(Note::Heartbeat {
-            from: from.index(),
-            to: to.index(),
-        });
-        let now = self.now;
-        let revived = self.detect_mut().heard(to.index(), from.index(), now);
-        if revived {
-            self.push_degradation(Degradation::PeerRevived {
-                observer: to.index(),
-                subject: from.index(),
-            });
-        }
-        // Fixed mode: the legacy `suspect_after` cliff. φ mode: the
-        // budget to the next escalation threshold, scaled by the pair's
-        // observed inter-arrival mean — a slowed peer earns longer rope.
-        match self.detect_mut().arm_budget(to.index(), from.index()) {
-            Some(budget) => self.arm_suspicion(to.index(), from.index(), self.now + budget),
-            None => {
-                let slot = self.suspicion_slot(to.index(), from.index());
-                self.queue.disarm(slot);
+            Some(Effect::March { release, next }) => {
+                if let Some(job) = release {
+                    self.offer_release(job);
+                }
+                self.push_by_horizon(next.0, next.1);
             }
         }
-    }
-
-    /// The queue slot of `observer`'s suspicion deadline on `subject`:
-    /// after the per-processor milestone slots and the fault-edge slot,
-    /// one per ordered pair.
-    fn suspicion_slot(&self, observer: usize, subject: usize) -> usize {
-        let n = self.procs.len();
-        n + 1 + observer * n + subject
-    }
-
-    /// Queues the fault schedule's next edge in the fault-edge slot (slot
-    /// `n`, after the milestone slots). Called once at setup and again as
-    /// each edge pops, so the domain never holds more than one entry.
-    fn arm_fault_edge(&mut self) {
-        if let Some((at, kind)) = self.faults.next_edge() {
-            self.queue.arm(self.procs.len(), at, kind);
-        }
-    }
-
-    /// Arms (or moves) `subtask`'s guard deadline to `due`, or clears it
-    /// when nothing is deferred: the one expiry a guard ever has due. RG
-    /// only; its slot follows the suspicion slots, one per subtask by its
-    /// flat index.
-    fn set_guard_deadline(&mut self, subtask: SubtaskId, due: Option<Time>) {
-        let n = self.procs.len();
-        let detect = if self.detect.is_some() { n * n } else { 0 };
-        let slot = n + 1 + detect + self.flat.of(subtask);
-        match due {
-            Some(at) => self.queue.arm(slot, at, EventKind::GuardExpiry { subtask }),
-            None => self.queue.disarm(slot),
-        }
-    }
-
-    /// Arms (or moves) the pair's one suspicion deadline to `at`.
-    fn arm_suspicion(&mut self, observer: usize, subject: usize, at: Time) {
-        let slot = self.suspicion_slot(observer, subject);
-        let (observer, subject) = (ProcessorId::new(observer), ProcessorId::new(subject));
-        let deadline = EventKind::SuspectTimer { observer, subject };
-        self.queue.arm(slot, at, deadline);
-    }
-
-    /// A pair's suspicion deadline passed with no heartbeat since it was
-    /// armed: walk the observer's belief one step (Alive → Suspect →
-    /// Dead), judging it against the ground-truth crash schedule, and
-    /// start degraded releases on a death.
-    fn on_suspect_timer(&mut self, observer: ProcessorId, subject: ProcessorId) {
-        let (o, s) = (observer.index(), subject.index());
-        if self.procs[o].is_down() {
-            return; // frozen detector
-        }
-        debug_assert_ne!(
-            self.detect_mut().peer_state(o, s),
-            PeerState::Dead,
-            "a dead pair arms no suspicion deadline"
-        );
-        let actually_down = self.procs[s].is_down();
-        // Gray ground truth: the subject is not down but *is* impaired —
-        // stalled, slowed, or behind a degraded wire toward this
-        // observer. Verdicts are scored against both truths.
-        let actually_gray = self.faults.actually_gray(o, &self.procs[s]);
-        let transition = self
-            .detect_mut()
-            .advance_suspicion(o, s, actually_down, actually_gray);
-        match transition {
-            Some(PeerState::Degraded) => {
-                // The φ detector's intermediate verdict: suspicious but
-                // not condemned. Protocol responses soften (RG guard
-                // slack, MPM cadence stretch, watchdog budget scaling)
-                // instead of force-releasing.
-                self.push_degradation(Degradation::PeerDegraded {
-                    observer: o,
-                    subject: s,
-                    gray_truth: actually_gray,
-                });
-                if let Some(residue) = self.detect_mut().residue_budget(o, s) {
-                    self.arm_suspicion(o, s, self.now + residue);
-                }
-            }
-            Some(PeerState::Suspect) => {
-                // A suspect verdict on a live peer across an open cut is a
-                // false positive the partition *caused* — count it apart
-                // from plain latency-induced ones.
-                if !actually_down && self.faults.cut(o, s) {
-                    self.detect_mut().stats.partition_false_suspects += 1;
-                }
-                self.push_degradation(Degradation::PeerSuspect {
-                    observer: o,
-                    subject: s,
-                    false_positive: !actually_down,
-                });
-                // Fixed mode: the legacy `suspect_to_dead` residue. φ
-                // mode: the gap between the suspect and dead thresholds
-                // on the pair's observed inter-arrival scale.
-                if let Some(residue) = self.detect_mut().residue_budget(o, s) {
-                    self.arm_suspicion(o, s, self.now + residue);
-                }
-            }
-            Some(PeerState::Dead) => {
-                if !actually_down && self.faults.cut(o, s) {
-                    self.detect_mut().stats.partition_false_deads += 1;
-                }
-                self.push_degradation(Degradation::PeerDead {
-                    observer: o,
-                    subject: s,
-                    false_positive: !actually_down,
-                });
-                self.start_degradation(o, s);
-            }
-            _ => {}
-        }
-    }
-
-    /// The detector on `observer` declared `dead` dead: begin degraded
-    /// releases for every successor hosted on `observer` whose predecessor
-    /// lives on `dead`. RG and MPM only — DS has no local release rule to
-    /// fall back on, and PM never waited for the signal to begin with.
-    fn start_degradation(&mut self, observer: usize, dead: usize) {
-        let degrade = self.detect_mut().cfg.degradation;
-        if !degrade
-            || !matches!(
-                self.cfg.protocol,
-                Protocol::ReleaseGuard | Protocol::ModifiedPhaseModification
-            )
-        {
-            return;
-        }
-        let mut targets = Vec::new();
-        for task in self.set.tasks() {
-            let subs = task.subtasks();
-            for i in 1..subs.len() {
-                if subs[i].processor().index() == observer
-                    && subs[i - 1].processor().index() == dead
-                {
-                    targets.push(subs[i].id());
-                }
-            }
-        }
-        for subtask in targets {
-            self.schedule_degraded(subtask);
-        }
-    }
-
-    /// Schedules the next degraded release of `subtask`. MPM re-arms its
-    /// cadence from the last *acked* signal of this successor,
-    /// extrapolating one period per instance; RG releases now and lets the
-    /// guard machinery enforce the period spacing `g`.
-    fn schedule_degraded(&mut self, subtask: SubtaskId) {
-        let fi = self.flat.of(subtask);
-        let instance = self.next_unreleased_instance(fi);
-        let period = self.set.task(subtask.task()).period();
-        let at = match self.cfg.protocol {
-            Protocol::ModifiedPhaseModification => match self.transport_mut().last_acked(fi) {
-                Some((sent, am)) if instance > am => sent
-                    .saturating_add(period.saturating_mul((instance - am) as i64))
-                    .max(self.now),
-                _ => self.now,
-            },
-            _ => self.now,
-        };
-        self.push_by_horizon(at, EventKind::DegradedRelease { subtask, instance });
-    }
-
-    /// The re-arm cadence of a degraded-release chain. Under MPM with
-    /// the φ detector attached, any Degraded peer stretches the march by
-    /// [`MPM_STRETCH_PERMILLE`] — force-released instances back off while
-    /// a peer might merely be slow, trading a little lateness against
-    /// double-release pressure when the real signal catches up. RG keeps
-    /// the true period: its guard machinery owns the spacing.
-    fn degraded_cadence(&self, period: Dur) -> Dur {
-        if self.cfg.protocol != Protocol::ModifiedPhaseModification {
-            return period;
-        }
-        let Some(dt) = &self.detect else {
-            return period;
-        };
-        if dt.cfg.phi.is_none() || !dt.any_degraded() {
-            return period;
-        }
-        let t = period.ticks();
-        let stretched = t.saturating_add(t.saturating_mul(MPM_STRETCH_PERMILLE) / 1000);
-        Dur::from_ticks(stretched.max(1))
-    }
-
-    /// A degraded release fires: recheck liveness and release progress
-    /// (the event is lazily invalidated), then force-release the instance
-    /// from local information and march the chain one period forward.
-    fn on_degraded_release(&mut self, subtask: SubtaskId, instance: u64) {
-        let proc = self.set.subtask(subtask).processor().index();
-        let task = self.set.task(subtask.task());
-        let pred_proc = task.subtasks()[subtask.index() - 1].processor().index();
-        // The chain dies silently while its own node is down (recovery
-        // restarts it) and on revival (real signals flow again).
-        if self.procs[proc].is_down() {
-            return;
-        }
-        let belief = self.detect_mut().peer_state(proc, pred_proc);
-        if belief != PeerState::Dead {
-            return;
-        }
-        let fi = self.flat.of(subtask);
-        let m = self.next_unreleased_instance(fi);
-        // A late real signal (or recovery) may have moved the head:
-        // re-aim the chain at the current head one period out. Or the real
-        // signal arrived before the death verdict and sits deferred behind
-        // rule 1 — the guard will release it; forcing it too would
-        // double-queue the instance. Check back in a period.
-        if m != instance || self.controller.has_deferred(subtask, instance) {
-            let at = self.now + self.degraded_cadence(task.period());
-            let retry = EventKind::DegradedRelease {
-                subtask,
-                instance: m,
-            };
-            self.push_by_horizon(at, retry);
-            return;
-        }
-        let job = JobId::new(subtask, instance);
-        let fresh = self.detect_mut().force(fi, instance);
-        if fresh {
-            // Mark BEFORE releasing so the precedence checks (engine and
-            // invariant observer) see the waiver.
-            self.push_degradation(Degradation::ForcedRelease {
-                job,
-                dead_peer: pred_proc,
-            });
-            match self.cfg.protocol {
-                Protocol::ModifiedPhaseModification => self.release(job),
-                _ => {
-                    // RG: offer the forced release to the guard machinery
-                    // so rule-1 spacing holds without the lost signal.
-                    match self.controller.on_predecessor_complete(job, self.now) {
-                        CompletionDirective::ReleaseSuccessor => self.release(job),
-                        CompletionDirective::ScheduleExpiry { due } => self.defer(job, due),
-                        CompletionDirective::Nothing => {}
-                    }
-                }
-            }
-        }
-        let next_at = self.now + self.degraded_cadence(task.period());
-        let next = EventKind::DegradedRelease {
-            subtask,
-            instance: instance + 1,
-        };
-        self.push_by_horizon(next_at, next);
-    }
-
-    /// The effective clock of processor `p`: the base nonideal clock
-    /// (ideal when no clock model is configured) with the sync layer's
-    /// accumulated correction folded into the offset. Corrections shift
-    /// the *offset* only — RG guards and MPM timers measure durations, so
-    /// they see drift but never the correction, exactly as on real nodes
-    /// where an offset step does not change the oscillator rate.
-    fn eff_clock(&self, p: usize) -> LocalClock {
-        let mut clock = match &self.clocks {
-            Some(clocks) => clocks[p],
-            None => LocalClock::IDEAL,
-        };
-        if let Some(sync) = &self.sync {
-            clock.offset += sync.adj[p];
-        }
-        clock
     }
 
     /// The true instant `p`'s clock reads `local`: when a PM timer set for
     /// that reading fires. Clamped to the origin (a clock running ahead
-    /// can place it earlier); ideal, unsynced clocks read true time.
+    /// can place it earlier).
     fn pm_firing(&self, p: usize, local: Time) -> Time {
-        if self.clocks.is_none() && self.sync.is_none() {
-            local
-        } else {
-            self.eff_clock(p).true_of_local(local).max(Time::ZERO)
-        }
-    }
-
-    /// A processor's periodic sync round: settle the previous round's
-    /// samples into a correction, then send fresh timestamped requests to
-    /// every peer and the external time reference. The chain ticks on the
-    /// true-time cadence whether the node is up or not (a crashed node
-    /// skips the body, like a silent heartbeat).
-    fn on_sync_round(&mut self, proc: ProcessorId) {
-        let p = proc.index();
-        let period = self.sync_mut().cfg.period;
-        // A stalled node's sync daemon is as frozen as its scheduler: the
-        // round is skipped (no settle, no fresh requests) but the chain
-        // keeps ticking, so rounds resume after the window.
-        if !self.procs[p].is_down() && !self.procs[p].is_stalled() {
-            self.note(Note::SyncRound { proc: p });
-            self.sync_mut().stats.rounds += 1;
-            // Partition-aware estimate aging: with a cut open, samples
-            // gathered *before* it opened from peers now on the far side
-            // describe a cluster that no longer exists — feeding them to
-            // Marzullo would anchor this island to stale cross-island
-            // time. Discard them before the settle.
-            if let (Some(since), Some(sync)) = (self.faults.partition_since, &mut self.sync) {
-                sync.discard_cross_island(p, since, &self.faults.island);
-            }
-            // Ground truth *before* the settle steps the clock: the
-            // estimate about to land claims to measure exactly this.
-            let true_off = self.now - self.eff_clock(p).local_of(self.now);
-            if let Some((offset, uncertainty, step)) = self.sync_mut().settle(p) {
-                self.note(Note::SyncEstimate {
-                    proc: p,
-                    estimate: offset,
-                    uncertainty,
-                });
-                if step != Dur::ZERO {
-                    self.note(Note::SyncCorrection { proc: p, step });
-                }
-                // Uncertainty honesty: did the advertised interval bracket
-                // the true offset? Recorded per settle; the invariant
-                // observer decides whether a miss is a violation (it is
-                // only promised while liars stay a minority).
-                let hit = (offset.ticks() - true_off.ticks()).abs() <= uncertainty.ticks();
-                self.sync_mut().record_bracket(hit);
-                self.note(Note::SyncBracket {
-                    proc: p,
-                    estimate: offset,
-                    uncertainty,
-                    true_offset: true_off,
-                });
-            }
-            // Oracle ground-truth error sample, taken *after* the round's
-            // correction — this is what the experiments plot against EER.
-            let err = (self.eff_clock(p).local_of(self.now) - self.now)
-                .ticks()
-                .abs();
-            self.sync_mut().record_true_error(Dur::from_ticks(err));
-            // Fresh requests: every peer, plus the reference addressed as
-            // `to == from` (a processor never syncs with itself).
-            let t1 = self.eff_clock(p).local_of(self.now);
-            for q in 0..self.set.num_processors() {
-                self.send_sync_frame(
-                    p,
-                    q,
-                    EventKind::SyncRequest {
-                        from: proc,
-                        to: ProcessorId::new(q),
-                        t1,
-                    },
-                    0,
-                );
-            }
-        }
-        let next = self.now + period;
-        self.push_by_horizon(next, EventKind::SyncRound { proc });
-    }
-
-    /// Sends one sync frame over the channel: a fire-and-forget datagram
-    /// with one latency/fault draw per copy. A dropped frame just loses
-    /// one sample (the exchange is implicitly acked by its response);
-    /// a duplicated one repeats it — Marzullo tolerates both. In
-    /// sync-over-transport mode a channel drop instead arms a bounded
-    /// retry with the transport's backoff, so rounds survive lossy wires.
-    /// A frame whose endpoints sit on opposite sides of an open partition
-    /// never reaches the wire at all — severed, not dropped, and never
-    /// retried (the cut outlives any backoff; the heal restores rounds).
-    fn send_sync_frame(&mut self, src: usize, dst: usize, kind: EventKind, attempt: u8) {
-        if src == dst {
-            // The self-addressed reference exchange is a local read of
-            // the node's time source, not a network frame: it cannot be
-            // dropped, delayed, severed, or skewed. Guaranteeing the
-            // reference vote in every settle is what lets Marzullo's
-            // anchored tie-break hold the line against minority liars
-            // even when channel loss thins the honest sample set.
-            self.queue.push(self.now, kind);
-            return;
-        }
-        if self.faults.cut(src, dst) {
-            self.sever_sync_frame();
-            return;
-        }
-        {
-            let stats = &mut self.sync_mut().stats;
-            stats.frames += 1;
-            if attempt > 0 {
-                stats.retransmits += 1;
-            }
-        }
-        let plan = self.channel_mut().send();
-        if plan.dropped {
-            let sync = self.sync_mut();
-            sync.stats.frames_lost += 1;
-            if sync.cfg.over_transport && attempt < SYNC_RETRY_BUDGET {
-                // The retry carries the requester/responder pair in
-                // on_sync_request order: `from` asks, `to` answers.
-                let retry = match kind {
-                    EventKind::SyncRequest { from, to, t1 } => EventKind::SyncRetry {
-                        from,
-                        to,
-                        t1,
-                        respond: false,
-                        attempt: attempt + 1,
-                    },
-                    EventKind::SyncResponse { from, to, t1, .. } => EventKind::SyncRetry {
-                        from: to,
-                        to: from,
-                        t1,
-                        respond: true,
-                        attempt: attempt + 1,
-                    },
-                    _ => unreachable!("send_sync_frame only carries sync frames"),
-                };
-                let delay = self.sync_retry_delay(attempt);
-                self.queue.push(self.now + delay, retry);
-            }
-        }
-        // A gray drop on top of the channel plan loses the sample like
-        // any datagram loss — Marzullo tolerates a thinner round.
-        if let Some(gray) = self.faults.gray_penalty(src, dst, GrayFamily::Sync) {
-            for &delay in plan.deliveries() {
-                self.queue
-                    .push(self.now + delay + self.link_extra(src, dst) + gray, kind);
-            }
-        }
-    }
-
-    /// Accounts one sync frame severed at an open partition cut.
-    fn sever_sync_frame(&mut self) {
-        self.sync_mut().stats.frames_severed += 1;
-    }
-
-    /// Backoff before retrying a dropped sync frame: the transport's RTO
-    /// schedule when one is attached, else an eighth of the sync period.
-    fn sync_retry_delay(&self, attempt: u8) -> Dur {
-        match &self.transport {
-            Some(t) => t.cfg.rto(attempt as u32),
-            None => {
-                let period = self.sync.as_ref().expect("sync attached").cfg.period;
-                Dur::from_ticks((period.ticks() / 8).max(1))
-            }
-        }
-    }
-
-    /// The responder side of one exchange: stamp the clock (passing it
-    /// through the node's timeserver persona, which may lie) and answer
-    /// over the channel. The reference (`to == from`) lives outside both
-    /// the fault domain and the persona model and always answers with true
-    /// time and zero dispersion; a crashed peer stays silent and the
-    /// sample is simply lost. A live honest peer advertises its own error
-    /// bound against true time (its last settled uncertainty plus
-    /// uncorrected residual) so the requester can widen the sample
-    /// honestly — without this, two mutually-consistent peers could
-    /// out-vote the reference in Marzullo and the cluster would converge
-    /// to itself instead of true time. Liars corrupt exactly this
-    /// advertisement.
-    fn serve_sync_response(&mut self, from: ProcessorId, to: ProcessorId, t1: Time, attempt: u8) {
-        let (t2, disp) = if to == from {
-            (self.now, Some(Dur::ZERO))
-        } else {
-            // A stalled responder cannot stamp: like a crashed one it
-            // stays silent and the sample is lost (requester-side
-            // processing of already-in-flight responses still runs — the
-            // detector-daemon model keeps receive paths outside the
-            // stalled userspace).
-            if self.procs[to.index()].is_down() || self.procs[to.index()].is_stalled() {
-                return;
-            }
-            let honest_t2 = self.eff_clock(to.index()).local_of(self.now);
-            let now = self.now;
-            let sync = self.sync_mut();
-            let honest_disp = sync.dispersion(to.index());
-            let lying = !sync.personas[to.index()].is_honest();
-            let (t2, disp) = sync.corrupt_response(to.index(), now, honest_t2, honest_disp);
-            if lying {
-                self.note(Note::SyncCorrupted {
-                    responder: to.index(),
-                });
-            }
-            (t2, disp)
-        };
-        self.send_sync_frame(
-            to.index(),
-            from.index(),
-            EventKind::SyncResponse {
-                from: to,
-                to: from,
-                t1,
-                t2,
-                disp,
-            },
-            attempt,
-        );
-    }
-
-    /// A sync request lands on its responder. A partition opening while
-    /// the frame was in flight severs it here, at the delivery edge.
-    fn on_sync_request(&mut self, from: ProcessorId, to: ProcessorId, t1: Time) {
-        if from != to && self.faults.cut(from.index(), to.index()) {
-            self.sever_sync_frame();
-            return;
-        }
-        self.serve_sync_response(from, to, t1, 0);
-    }
-
-    /// A sync response returns to its requester, closing one exchange:
-    /// stamp the arrival, widen the advertised dispersion by the link's
-    /// asymmetry bound (NTP's midpoint is biased by up to half the one-way
-    /// imbalance), and buffer the offset interval for the next round's
-    /// settle.
-    fn on_sync_response(
-        &mut self,
-        from: ProcessorId,
-        to: ProcessorId,
-        t1: Time,
-        t2: Time,
-        disp: Option<Dur>,
-    ) {
-        let p = to.index();
-        if from != to && self.faults.cut(from.index(), p) {
-            self.sever_sync_frame();
-            return;
-        }
-        if self.procs[p].is_down() {
-            return; // the requester crashed before the response landed
-        }
-        let Some(disp) = disp else {
-            // The responder has never settled an estimate of its own and
-            // cannot bound its error against true time — the sample is
-            // unusable for an absolute-offset vote.
-            return;
-        };
-        let t3 = self.eff_clock(p).local_of(self.now);
-        if t3 < t1 {
-            // A backwards step correction between send and receive can
-            // pull the corrected clock behind the request stamp; the
-            // RTT estimate is meaningless — drop the sample.
-            return;
-        }
-        let widened = disp + self.link_asym_bound(p, from.index());
-        let now = self.now;
-        self.sync_mut()
-            .record_exchange(p, from.index(), t1, t2, t3, widened, now);
-    }
-
-    /// A sync retry timer fired: re-send the dropped frame. Responder
-    /// retries re-stamp `t2` at the current instant (a stale stamp would
-    /// poison the RTT bound); requester retries restart the exchange with
-    /// a fresh `t1` for the same reason.
-    fn on_sync_retry(
-        &mut self,
-        from: ProcessorId,
-        to: ProcessorId,
-        t1: Time,
-        respond: bool,
-        attempt: u8,
-    ) {
-        if respond {
-            self.serve_sync_response(from, to, t1, attempt);
-            return;
-        }
-        if self.procs[from.index()].is_down() {
-            return; // the requester crashed while the retry was pending
-        }
-        let t1 = self.eff_clock(from.index()).local_of(self.now);
-        self.send_sync_frame(
-            from.index(),
-            to.index(),
-            EventKind::SyncRequest { from, to, t1 },
-            attempt,
-        );
-    }
-
-    /// The next instance of flat subtask `fi` that neither released nor
-    /// got cancelled.
-    fn next_unreleased_instance(&self, fi: usize) -> u64 {
-        let mut m = self.released[fi];
-        while self.faults.is_cancelled(fi, m) {
-            m += 1;
-        }
-        m
+        self.clocks[p].true_of_local(local).max(Time::ZERO)
     }
 
     /// Deadline watchdog: feeds one measured end-to-end verdict of `task`
     /// to the detector and logs a trip.
     fn note_watchdog(&mut self, task: usize, missed: bool) {
         let trip = self
+            .layers
             .detect
             .as_mut()
             .and_then(|dt| dt.note_verdict(task, missed));
@@ -1956,7 +1134,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Fault gate: a source arrival during the first processor's outage
         // queues in the recovery backlog (the environment keeps producing
         // work whether the node is up or not).
-        let first_proc = self.set.subtask(first.subtask()).processor().index();
+        let first_proc = self.host(first);
         if self.procs[first_proc].is_down() {
             self.faults.backlog[first_proc].push(BacklogItem {
                 job: first,
@@ -1988,20 +1166,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         *next = instance + 1;
         // PM's clock-driven release of a later subtask.
         self.release(JobId::new(subtask, instance));
+        // The timer tracks the *local* schedule φ + m·p exactly (no
+        // accumulated rounding): convert the next local firing back to
+        // true time on the host's clock. This is where sync corrections
+        // reach PM — each firing re-reads the clock, so a correction
+        // applied at any round moves every later firing.
         let period = self.set.task(subtask.task()).period();
-        let next = if self.clocks.is_none() && self.sync.is_none() {
-            self.now + period
-        } else {
-            // The timer tracks the *local* schedule φ + m·p exactly
-            // (no accumulated rounding): convert the next local firing
-            // back to true time on the host's corrected clock. This is
-            // where sync corrections reach PM — each firing re-reads the
-            // clock, so a correction applied at any round moves every
-            // later firing.
-            let local_next =
-                self.controller.pm_phase(subtask) + period.saturating_mul(instance as i64 + 1);
-            self.eff_clock(proc).true_of_local(local_next).max(self.now)
-        };
+        let local_next =
+            self.controller.pm_phase(subtask) + period.saturating_mul(instance as i64 + 1);
+        let next = self.clocks[proc].true_of_local(local_next).max(self.now);
         let instance = instance + 1;
         self.push_by_horizon(next, EventKind::TimedRelease { subtask, instance });
     }
@@ -2092,10 +1265,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // A restarted node's detector resumes with its pre-crash beliefs:
         // peers it still holds dead resume degraded releases right away
         // (the old chains died while the node was down).
-        let dead = self.detect.as_ref().map(|dt| dt.dead_peers(p));
-        for s in dead.into_iter().flatten() {
-            self.start_degradation(p, s);
-        }
+        self.on_layer(|l, w| {
+            l.detect.as_ref()?.resume(w, l.transport.as_ref(), p);
+            None
+        });
         self.mark_dirty(proc);
     }
 
@@ -2167,26 +1340,6 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             stalled: on,
         });
         self.mark_dirty(proc);
-    }
-
-    /// The configured one-way extra delay of the `from`→`to` link
-    /// (zero without an asymmetry model).
-    fn link_extra(&self, from: usize, to: usize) -> Dur {
-        match &self.cfg.nonideal.asymmetry {
-            Some(asym) => asym.extra(from, to),
-            None => Dur::ZERO,
-        }
-    }
-
-    /// The advertised asymmetry bound of the `a`↔`b` link: half the
-    /// one-way imbalance, rounded up. NTP's midpoint estimate is biased by
-    /// exactly this much in the worst case, so sync widens every sample's
-    /// dispersion by it.
-    fn link_asym_bound(&self, a: usize, b: usize) -> Dur {
-        match &self.cfg.nonideal.asymmetry {
-            Some(asym) => asym.bound(a, b),
-            None => Dur::ZERO,
-        }
     }
 
     /// Does the overload policy keep this backlog item at recovery?
@@ -2336,10 +1489,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // A forced (degraded) release knowingly precedes its
             // predecessor's completion; it is a logged degradation event,
             // not a protocol violation.
-            let forced = self
-                .detect
-                .as_ref()
-                .is_some_and(|dt| dt.is_forced(fi, job.instance()));
+            let forced = self.faults.is_forced(job);
             if (self.completed[pred_fi] <= pred.instance() || pred_cancelled) && !forced {
                 self.push_violation(ViolationKind::PrecedenceViolated, job);
             }
@@ -2366,11 +1516,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let proc = sub.processor();
         match self.controller.on_release(self.set, job, self.now) {
             Some(ReleaseTimer::Mpm(response)) => {
-                let response = match &self.clocks {
-                    Some(clocks) => clocks[proc.index()].true_dur(response),
-                    None => response,
-                };
-                let fire_at = self.now + response;
+                let fire_at = self.now + self.clocks[proc.index()].true_dur(response);
                 self.note(Note::MpmTimerArmed { job, fire_at });
                 self.queue.push(fire_at, EventKind::MpmTimer { job });
             }
@@ -2424,26 +1570,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
     }
 
-    /// The signal channel. Channel events exist only with a channel, and
-    /// the transport and sync layers always synthesize one.
-    fn channel_mut(&mut self) -> &mut ChannelState {
-        self.channel.as_mut().expect("a channel is attached")
-    }
-
-    /// The transport. Its events and frames exist only when it is
-    /// attached, so every caller runs with one.
-    fn transport_mut(&mut self) -> &mut TransportState {
-        self.transport.as_mut().expect("transport attached")
-    }
-
-    /// The failure detector, under the same contract as the transport.
-    fn detect_mut(&mut self) -> &mut DetectState {
-        self.detect.as_mut().expect("detector attached")
-    }
-
-    /// The sync layer, under the same contract as the transport.
-    fn sync_mut(&mut self) -> &mut SyncState {
-        self.sync.as_mut().expect("sync attached")
+    /// The processor hosting `job`.
+    fn host(&self, job: JobId) -> usize {
+        self.set.subtask(job.subtask()).processor().index()
     }
 
     /// Reports `note` to the observer at the current instant.
@@ -2508,12 +1637,19 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// loop; everything read here is a plain gauge, so sampling cannot
     /// perturb the schedule.
     fn emit_sample(&mut self) {
-        let (peers_alive, peers_degraded, peers_suspect, peers_dead) =
-            self.detect.as_ref().map_or((0, 0, 0, 0), |d| d.census());
+        let (peers_alive, peers_degraded, peers_suspect, peers_dead) = self
+            .layers
+            .detect
+            .as_ref()
+            .map_or((0, 0, 0, 0), |d| d.census());
         let sample = EngineSample {
             procs: &self.procs,
             queue_len: self.queue.len(),
-            transport_in_flight: self.transport.as_ref().map_or(0, |t| t.in_flight_count()),
+            transport_in_flight: self
+                .layers
+                .transport
+                .as_ref()
+                .map_or(0, |t| t.in_flight_count()),
             peers_alive,
             peers_degraded,
             peers_suspect,

@@ -94,7 +94,7 @@ use rand::{RngExt, SeedableRng};
 use rtsync_core::task::{ProcessorId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
-use crate::event::EventKind;
+use crate::event::{EventKind, EventQueue};
 use crate::job::JobId;
 use crate::processor::Processor;
 
@@ -712,9 +712,10 @@ const SLOW_SALT: u64 = 0x510_3d0c;
 const STALL_SALT: u64 = 0x57a_11ed;
 const LINK_SALT: u64 = 0x11_4bad;
 
-/// SplitMix64 finalizer over `seed ^ f(salt)`: decorrelates per-processor
-/// streams drawn from one master seed.
-fn mix(seed: u64, salt: u64) -> u64 {
+/// SplitMix64 finalizer over `seed ^ f(salt)`: decorrelates streams drawn
+/// from one master seed (per-processor fault streams, gray frame draws,
+/// sync persona jitter).
+pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
     let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -942,6 +943,8 @@ pub(crate) enum GrayFamily {
 #[derive(Debug)]
 pub(crate) struct FaultState {
     num_procs: usize,
+    /// The event-queue slot the schedule's next edge waits in.
+    slot: usize,
     /// Resolved outage windows, per processor.
     windows: Vec<Vec<CrashWindow>>,
     pub(crate) policy: OverloadPolicy,
@@ -956,6 +959,10 @@ pub(crate) struct FaultState {
     /// Cancelled instances per flat subtask index; release/completion
     /// counters normalize lazily over these gaps.
     cancelled: Vec<BTreeSet<u64>>,
+    /// Instances the failure detector's degraded march force-released: a
+    /// late real signal for one is suppressed, and its release waives the
+    /// precedence check.
+    forced: BTreeSet<JobId>,
     /// Resolved partition cut windows (network-wide, non-overlapping).
     partition_windows: Vec<PartitionWindow>,
     /// `true` while a cut is up.
@@ -994,15 +1001,18 @@ impl FaultState {
         num_procs: usize,
         flat_len: usize,
         horizon: Time,
+        slot: usize,
     ) -> FaultState {
         let windows = cfg.resolve(num_procs, horizon);
         let mut fs = FaultState {
             num_procs,
+            slot,
             windows,
             policy: cfg.policy,
             edges: Vec::new(),
             backlog: vec![Vec::new(); num_procs],
             cancelled: vec![BTreeSet::new(); flat_len],
+            forced: BTreeSet::new(),
             partition_windows: cfg.resolve_partitions(num_procs, horizon),
             partitioned: false,
             island: vec![false; num_procs],
@@ -1061,9 +1071,13 @@ impl FaultState {
         edges
     }
 
-    /// Takes the next schedule edge to queue, in firing order.
-    pub(crate) fn next_edge(&mut self) -> Option<(Time, EventKind)> {
-        self.edges.pop()
+    /// Queues the schedule's next edge, in firing order, in the domain's
+    /// slot. Called once at setup and again as each edge pops, so the
+    /// domain never holds more than one queue entry.
+    pub(crate) fn arm_next_edge(&mut self, queue: &mut EventQueue) {
+        if let Some((at, kind)) = self.edges.pop() {
+            queue.arm(self.slot, at, kind);
+        }
     }
 
     /// Whether the current cut separates processors `a` and `b`.
@@ -1280,11 +1294,22 @@ impl FaultState {
     pub(crate) fn is_cancelled(&self, fi: usize, instance: u64) -> bool {
         self.stats.cancelled_instances > 0 && self.cancelled[fi].contains(&instance)
     }
+
+    /// Marks `job` force-released; `false` if it already was.
+    pub(crate) fn force(&mut self, job: JobId) -> bool {
+        self.forced.insert(job)
+    }
+
+    /// Whether `job` was force-released.
+    pub(crate) fn is_forced(&self, job: JobId) -> bool {
+        self.forced.contains(&job)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtsync_core::task::{SubtaskId, TaskId};
 
     fn t(x: i64) -> Time {
         Time::from_ticks(x)
@@ -1292,6 +1317,18 @@ mod tests {
 
     fn d(x: i64) -> Dur {
         Dur::from_ticks(x)
+    }
+
+    #[test]
+    fn forcing_is_idempotent_per_instance() {
+        let mut st = FaultState::new(&FaultConfig::explicit(Vec::new()), 2, 3, t(100), 2);
+        let job =
+            |sub: usize, instance: u64| JobId::new(SubtaskId::new(TaskId::new(0), sub), instance);
+        assert!(st.force(job(1, 4)));
+        assert!(!st.force(job(1, 4)));
+        assert!(st.is_forced(job(1, 4)));
+        assert!(!st.is_forced(job(1, 5)));
+        assert!(!st.is_forced(job(0, 4)));
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod sync;
 pub mod telemetry;
 pub mod trace;
 pub mod transport;
+mod wire;
 
 pub use check::{InvariantKind, InvariantObserver, InvariantViolation};
 pub use detect::{

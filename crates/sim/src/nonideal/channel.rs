@@ -60,7 +60,7 @@ impl LatencyModel {
 }
 
 /// Fault injection knobs. Defaults inject nothing.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct FaultPlan {
     /// Probability that a single transmission is lost on the wire. The
     /// dropped copy dies; recovery, if any, is the endpoint transport's
@@ -69,21 +69,6 @@ pub struct FaultPlan {
     /// Probability that a signal is delivered twice (the receiver counts
     /// and suppresses the duplicate).
     pub duplicate_probability: f64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> FaultPlan {
-        FaultPlan {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-        }
-    }
-}
-
-impl FaultPlan {
-    fn is_inert(&self) -> bool {
-        self.drop_probability == 0.0 && self.duplicate_probability == 0.0
-    }
 }
 
 /// The full channel specification: latency distribution, fault plan, and
@@ -277,8 +262,7 @@ impl ChannelState {
         if !dropped {
             plan.deliveries[0] = first;
             plan.n = 1;
-            if !faults.is_inert()
-                && faults.duplicate_probability > 0.0
+            if faults.duplicate_probability > 0.0
                 && self.rng.random_bool(faults.duplicate_probability)
             {
                 self.stats.duplicates_injected += 1;

@@ -84,6 +84,11 @@ impl LocalClock {
     /// The earliest true time at which this clock reads at least `local`
     /// (the firing instant of a timer set for local reading `local`).
     pub fn true_of_local(&self, local: Time) -> Time {
+        if self.drift_ppm == 0 {
+            // Exact at drift 0, where the map is a shift by the offset:
+            // every ideal clock's timer takes this path.
+            return local - self.offset;
+        }
         let target = local.since_origin().ticks() as i128 - self.offset.ticks() as i128;
         // First-order inverse of the affine map, then correct the rounding
         // by stepping to the exact first tick that satisfies the reading.
@@ -106,6 +111,9 @@ impl LocalClock {
     /// duration `d` (time-invariant for an affine clock): a guard or timer
     /// armed for `d` local ticks elapses in `true_dur(d)` true ticks.
     pub fn true_dur(&self, d: Dur) -> Dur {
+        if self.drift_ppm == 0 {
+            return d.max(Dur::ZERO); // exact, as for `true_of_local`
+        }
         let scaled = div_round(d.ticks() as i128 * PPM, PPM + self.drift_ppm as i128);
         Dur::from_ticks(scaled.max(0) as i64)
     }
@@ -258,6 +266,28 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// At drift 0 every conversion is an exact shift by the offset, and
+        /// at any drift a duration ignores the offset: an ideal clock reads
+        /// true time through the same conversions as any other, and a sync
+        /// step folded into the offset moves no guard or timer duration.
+        #[test]
+        fn zero_drift_shifts_exactly_and_durations_ignore_offset(
+            x in -(1i64 << 50)..(1i64 << 50),
+            off in -(1i64 << 40)..(1i64 << 40),
+            other in -(1i64 << 40)..(1i64 << 40),
+            ppm in -999_999i64..=999_999,
+            dur in 0i64..(1i64 << 50),
+        ) {
+            let c = LocalClock::with_offset(d(off));
+            proptest::prop_assert_eq!(c.local_of(t(x)), t(x + off));
+            proptest::prop_assert_eq!(c.true_of_local(t(x)), t(x - off));
+            proptest::prop_assert_eq!(c.true_dur(d(dur)), d(dur));
+            let drifted = |offset| LocalClock { offset: d(offset), drift_ppm: ppm };
+            proptest::prop_assert_eq!(drifted(off).true_dur(d(dur)), drifted(other).true_dur(d(dur)));
         }
     }
 

@@ -67,9 +67,16 @@
 //! out-votes a minority of such liars; the adversary campaign measures
 //! where the tolerance breaks as the liar fraction crosses n/2.
 
+use rtsync_core::task::ProcessorId;
 use rtsync_core::time::{Dur, Time};
 
+use crate::event::EventKind;
+use crate::faults::{mix, GrayFamily};
 use crate::histogram::SignedHistogram;
+use crate::nonideal::LocalClock;
+use crate::observe::{Note, Observer};
+use crate::transport::TransportConfig;
+use crate::wire::Wire;
 
 /// How a settled offset estimate is turned into a clock correction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -214,15 +221,6 @@ impl SyncConfig {
     }
 }
 
-/// SplitMix64 finalizer over `seed ^ f(ctr)`: the [`Persona::Noisy`]
-/// jitter stream, deterministic and independent of every other draw.
-fn mix64(seed: u64, ctr: u64) -> u64 {
-    let mut x = seed ^ ctr.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Marzullo's interval-intersection algorithm: given per-source intervals
 /// `[lo, hi]` each claiming to contain the true offset, returns the
 /// midpoint and half-width of the smallest region consistent with the
@@ -297,7 +295,7 @@ pub(crate) fn marzullo_anchored(
 }
 
 /// Aggregate statistics of one run's synchronization layer.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SyncStats {
     /// Sync round bodies executed (across all processors).
     pub rounds: u64,
@@ -349,31 +347,6 @@ pub struct SyncStats {
     pub max_sample_width: Dur,
 }
 
-impl Default for SyncStats {
-    fn default() -> SyncStats {
-        SyncStats {
-            rounds: 0,
-            frames: 0,
-            exchanges: 0,
-            estimates: 0,
-            max_uncertainty: Dur::ZERO,
-            sum_uncertainty: 0,
-            corrections: SignedHistogram::new(),
-            max_true_error: Dur::ZERO,
-            sum_true_error: 0,
-            true_error_samples: 0,
-            frames_lost: 0,
-            frames_severed: 0,
-            retransmits: 0,
-            stale_discards: 0,
-            corrupted_samples: 0,
-            bracket_samples: 0,
-            bracket_misses: 0,
-            max_sample_width: Dur::ZERO,
-        }
-    }
-}
-
 impl SyncStats {
     /// Mean Marzullo half-width over all estimates, if any settled.
     pub fn mean_uncertainty(&self) -> Option<f64> {
@@ -407,9 +380,8 @@ pub(crate) struct SyncSample {
 pub(crate) struct SyncState {
     /// The configuration.
     pub(crate) cfg: SyncConfig,
-    /// Per-processor accumulated clock correction, added to the base
-    /// clock's offset by the engine's effective-clock reads.
-    pub(crate) adj: Vec<Dur>,
+    /// Backoff before retry `a` of a dropped frame in the acked mode.
+    backoff: [Dur; SYNC_RETRY_BUDGET as usize],
     /// Per-processor offset intervals gathered since the last settle.
     pub(crate) samples: Vec<Vec<SyncSample>>,
     /// Per-processor interval of the round's *reference* self-exchange —
@@ -444,19 +416,36 @@ pub(crate) struct SyncState {
 }
 
 impl SyncState {
-    pub(crate) fn new(cfg: SyncConfig, num_processors: usize) -> SyncState {
+    /// The sync state for processors with `clocks`. The layer knows each
+    /// oscillator's rated drift (a spec-sheet bound every real node has,
+    /// not oracle knowledge), which sizes its drift tolerance; the actual
+    /// offsets stay hidden from it. Retries back off on `transport`'s RTO
+    /// schedule, else by an eighth of the sync period.
+    pub(crate) fn new(
+        cfg: SyncConfig,
+        clocks: &[LocalClock],
+        transport: Option<&TransportConfig>,
+    ) -> SyncState {
+        let n = clocks.len();
+        let period = cfg.period.ticks();
         let mut personas = cfg.personas.clone();
-        personas.resize(num_processors, Persona::Honest);
-        personas.truncate(num_processors);
+        personas.resize(n, Persona::Honest);
+        personas.truncate(n);
         SyncState {
+            backoff: std::array::from_fn(|attempt| match transport {
+                Some(t) => t.rto(attempt as u32),
+                None => Dur::from_ticks((period / 8).max(1)),
+            }),
             cfg,
-            adj: vec![Dur::ZERO; num_processors],
-            samples: vec![Vec::new(); num_processors],
-            ref_anchor: vec![None; num_processors],
-            disp: vec![None; num_processors],
-            drift_slack: vec![0; num_processors],
+            samples: vec![Vec::new(); n],
+            ref_anchor: vec![None; n],
+            disp: vec![None; n],
+            drift_slack: clocks
+                .iter()
+                .map(|c| (c.drift_ppm.abs() * period + 999_999) / 1_000_000)
+                .collect(),
             personas,
-            stuck_at: vec![None; num_processors],
+            stuck_at: vec![None; n],
             noise_ctr: 0,
             stats: SyncStats::default(),
         }
@@ -483,7 +472,7 @@ impl SyncState {
             Persona::Noisy { jitter } => {
                 self.stats.corrupted_samples += 1;
                 let j = jitter.ticks().max(0);
-                let draw = mix64(
+                let draw = mix(
                     self.cfg.persona_seed ^ ((responder as u64) << 32),
                     self.noise_ctr,
                 );
@@ -501,16 +490,6 @@ impl SyncState {
                 (now + target, Some(Dur::ZERO))
             }
         }
-    }
-
-    /// Sets the per-processor drift tolerances from the oscillators' rated
-    /// drift (in ppm): the node-visible spec bound, not oracle knowledge.
-    pub(crate) fn with_drift_ppm(mut self, drift_ppm: impl Iterator<Item = i64>) -> SyncState {
-        let period = self.cfg.period.ticks();
-        for (slack, ppm) in self.drift_slack.iter_mut().zip(drift_ppm) {
-            *slack = (ppm.abs() * period + 999_999) / 1_000_000;
-        }
-        self
     }
 
     /// Records one completed exchange for processor `p`: the NTP estimate
@@ -574,9 +553,9 @@ impl SyncState {
     }
 
     /// Settles processor `p`'s accumulated samples into a correction:
-    /// runs Marzullo, applies the policy, updates `adj` and the stats.
-    /// Returns `(estimate, uncertainty, applied_step)` if any sample was
-    /// gathered.
+    /// runs Marzullo, applies the policy and updates the stats. Returns
+    /// `(estimate, uncertainty, step)` if any sample was gathered; the
+    /// caller steps the clock's offset by `step`.
     pub(crate) fn settle(&mut self, p: usize) -> Option<(Dur, Dur, Dur)> {
         let mut samples = std::mem::take(&mut self.samples[p]);
         // Samples are up to one period old: the local clock has drifted
@@ -600,7 +579,6 @@ impl SyncState {
             }
             SyncPolicy::Observe => 0,
         };
-        self.adj[p] += Dur::from_ticks(step);
         // Advertised dispersion for the next exchanges this node answers:
         // the estimate's own half-width, plus whatever the policy chose
         // not to correct (the whole estimate under `Observe`), plus one
@@ -640,6 +618,283 @@ impl SyncState {
         self.stats.bracket_samples += 1;
         if !hit {
             self.stats.bracket_misses += 1;
+        }
+    }
+
+    /// Seeds one round chain per processor. The first round fires a
+    /// period in — there is nothing to settle at t = 0.
+    pub(crate) fn start<O: Observer>(&self, w: &mut Wire<'_, O>) {
+        for proc in (0..w.procs.len()).map(ProcessorId::new) {
+            w.queue
+                .push(Time::ZERO + self.cfg.period, EventKind::SyncRound { proc });
+        }
+    }
+
+    /// The sync layer's event family: a round, a request or a response
+    /// landing, a retry timer firing.
+    pub(crate) fn on_event<O: Observer>(&mut self, w: &mut Wire<'_, O>, kind: EventKind) {
+        match kind {
+            EventKind::SyncRound { proc } => self.on_round(w, proc),
+            // A partition opening while a frame was in flight severs it
+            // here, at the delivery edge.
+            EventKind::SyncRequest { from, to, .. } | EventKind::SyncResponse { from, to, .. }
+                if from != to && w.faults.cut(from.index(), to.index()) =>
+            {
+                self.stats.frames_severed += 1;
+            }
+            EventKind::SyncRequest { from, to, t1 } => self.serve(w, from, to, t1, 0),
+            EventKind::SyncResponse {
+                from,
+                to,
+                t1,
+                t2,
+                disp,
+            } => self.on_response(w, from.index(), to.index(), t1, t2, disp),
+            EventKind::SyncRetry {
+                from,
+                to,
+                t1,
+                respond,
+                attempt,
+            } => self.on_retry(w, from, to, t1, respond, attempt),
+            _ => unreachable!("{kind:?} is not a sync event"),
+        }
+    }
+
+    /// A processor's periodic sync round: settle the previous round's
+    /// samples into a correction, then send fresh timestamped requests to
+    /// every peer and the external time reference. The chain ticks on the
+    /// true-time cadence whether the node is up or not (a crashed node
+    /// skips the body, like a silent heartbeat).
+    fn on_round<O: Observer>(&mut self, w: &mut Wire<'_, O>, proc: ProcessorId) {
+        let p = proc.index();
+        // A stalled node's sync daemon is as frozen as its scheduler: the
+        // round is skipped (no settle, no fresh requests) but the chain
+        // keeps ticking, so rounds resume after the window.
+        if !w.procs[p].is_down() && !w.procs[p].is_stalled() {
+            w.note(Note::SyncRound { proc: p });
+            self.stats.rounds += 1;
+            // Partition-aware estimate aging: with a cut open, samples
+            // gathered *before* it opened from peers now on the far side
+            // describe a cluster that no longer exists — feeding them to
+            // Marzullo would anchor this island to stale cross-island
+            // time. Discard them before the settle.
+            if let Some(since) = w.faults.partition_since {
+                self.discard_cross_island(p, since, &w.faults.island);
+            }
+            // Ground truth *before* the settle steps the clock: the
+            // estimate about to land claims to measure exactly this.
+            let true_off = w.now - w.clocks[p].local_of(w.now);
+            if let Some((estimate, uncertainty, step)) = self.settle(p) {
+                w.clocks[p].offset += step;
+                w.note(Note::SyncEstimate {
+                    proc: p,
+                    estimate,
+                    uncertainty,
+                });
+                if step != Dur::ZERO {
+                    w.note(Note::SyncCorrection { proc: p, step });
+                }
+                // Uncertainty honesty: did the advertised interval bracket
+                // the true offset? Recorded per settle; the invariant
+                // observer decides whether a miss is a violation (it is
+                // only promised while liars stay a minority).
+                let miss = (estimate.ticks() - true_off.ticks()).abs();
+                self.record_bracket(miss <= uncertainty.ticks());
+                w.note(Note::SyncBracket {
+                    proc: p,
+                    estimate,
+                    uncertainty,
+                    true_offset: true_off,
+                });
+            }
+            // Oracle ground-truth error sample, taken *after* the round's
+            // correction — this is what the experiments plot against EER.
+            let t1 = w.clocks[p].local_of(w.now);
+            self.record_true_error(Dur::from_ticks((t1 - w.now).ticks().abs()));
+            // Fresh requests: every peer, plus the reference addressed as
+            // `to == from` (a processor never syncs with itself).
+            for q in 0..w.procs.len() {
+                let to = ProcessorId::new(q);
+                let request = EventKind::SyncRequest { from: proc, to, t1 };
+                self.send_frame(w, p, q, request, 0);
+            }
+        }
+        w.push_by_horizon(w.now + self.cfg.period, EventKind::SyncRound { proc });
+    }
+
+    /// Sends one sync frame over the channel: a fire-and-forget datagram
+    /// with one latency/fault draw per copy. A dropped frame just loses
+    /// one sample (the exchange is implicitly acked by its response);
+    /// a duplicated one repeats it — Marzullo tolerates both. In
+    /// sync-over-transport mode a channel drop instead arms a bounded
+    /// retry with the transport's backoff, so rounds survive lossy wires.
+    /// A frame whose endpoints sit on opposite sides of an open partition
+    /// never reaches the wire at all — severed, not dropped, and never
+    /// retried (the cut outlives any backoff; the heal restores rounds).
+    fn send_frame<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        src: usize,
+        dst: usize,
+        kind: EventKind,
+        attempt: u8,
+    ) {
+        if src == dst {
+            // The self-addressed reference exchange is a local read of
+            // the node's time source, not a network frame: it cannot be
+            // dropped, delayed, severed, or skewed. Guaranteeing the
+            // reference vote in every settle is what lets Marzullo's
+            // anchored tie-break hold the line against minority liars
+            // even when channel loss thins the honest sample set.
+            w.queue.push(w.now, kind);
+            return;
+        }
+        if w.faults.cut(src, dst) {
+            self.stats.frames_severed += 1;
+            return;
+        }
+        self.stats.frames += 1;
+        self.stats.retransmits += u64::from(attempt > 0);
+        let plan = w.channel.send();
+        if plan.dropped {
+            self.stats.frames_lost += 1;
+            if self.cfg.over_transport && attempt < SYNC_RETRY_BUDGET {
+                // The retry carries the requester/responder pair in
+                // request order: `from` asks, `to` answers.
+                let delay = self.backoff[usize::from(attempt)];
+                let attempt = attempt + 1;
+                let retry = match kind {
+                    EventKind::SyncRequest { from, to, t1 } => EventKind::SyncRetry {
+                        from,
+                        to,
+                        t1,
+                        respond: false,
+                        attempt,
+                    },
+                    EventKind::SyncResponse { from, to, t1, .. } => EventKind::SyncRetry {
+                        from: to,
+                        to: from,
+                        t1,
+                        respond: true,
+                        attempt,
+                    },
+                    _ => unreachable!("only sync frames are sent as sync frames"),
+                };
+                w.queue.push(w.now + delay, retry);
+            }
+        }
+        // A gray drop on top of the channel plan loses the sample like
+        // any datagram loss — Marzullo tolerates a thinner round.
+        w.land(&plan, src, dst, GrayFamily::Sync, kind);
+    }
+
+    /// The responder side of one exchange: stamp the clock (passing it
+    /// through the node's timeserver persona, which may lie) and answer
+    /// over the channel. The reference (`to == from`) lives outside both
+    /// the fault domain and the persona model and always answers with true
+    /// time and zero dispersion; a crashed peer stays silent and the
+    /// sample is simply lost. A live honest peer advertises its own error
+    /// bound against true time (its last settled uncertainty plus
+    /// uncorrected residual) so the requester can widen the sample
+    /// honestly — without this, two mutually-consistent peers could
+    /// out-vote the reference in Marzullo and the cluster would converge
+    /// to itself instead of true time. Liars corrupt exactly this
+    /// advertisement.
+    fn serve<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: ProcessorId,
+        to: ProcessorId,
+        t1: Time,
+        attempt: u8,
+    ) {
+        let r = to.index();
+        let (t2, disp) = if to == from {
+            (w.now, Some(Dur::ZERO))
+        } else {
+            // A stalled responder cannot stamp: like a crashed one it
+            // stays silent and the sample is lost (requester-side
+            // processing of already-in-flight responses still runs — the
+            // detector-daemon model keeps receive paths outside the
+            // stalled userspace).
+            if w.procs[r].is_down() || w.procs[r].is_stalled() {
+                return;
+            }
+            let honest_t2 = w.clocks[r].local_of(w.now);
+            let honest_disp = self.dispersion(r);
+            let served = self.corrupt_response(r, w.now, honest_t2, honest_disp);
+            if !self.personas[r].is_honest() {
+                w.note(Note::SyncCorrupted { responder: r });
+            }
+            served
+        };
+        let response = EventKind::SyncResponse {
+            from: to,
+            to: from,
+            t1,
+            t2,
+            disp,
+        };
+        self.send_frame(w, r, from.index(), response, attempt);
+    }
+
+    /// A response from `from` returns to requester `p`, closing one
+    /// exchange: stamp the arrival, widen the advertised dispersion by the
+    /// link's asymmetry bound (NTP's midpoint is biased by up to half the
+    /// one-way imbalance), and buffer the offset interval for the next
+    /// round's settle. `t1` and `t2` are the request and serve stamps.
+    fn on_response<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: usize,
+        p: usize,
+        t1: Time,
+        t2: Time,
+        disp: Option<Dur>,
+    ) {
+        if w.procs[p].is_down() {
+            return; // the requester crashed before the response landed
+        }
+        let Some(disp) = disp else {
+            // The responder has never settled an estimate of its own and
+            // cannot bound its error against true time — the sample is
+            // unusable for an absolute-offset vote.
+            return;
+        };
+        let t3 = w.clocks[p].local_of(w.now);
+        if t3 < t1 {
+            // A backwards step correction between send and receive can
+            // pull the corrected clock behind the request stamp; the
+            // RTT estimate is meaningless — drop the sample.
+            return;
+        }
+        let asymmetry = w.cfg.nonideal.asymmetry.as_ref();
+        let widened = disp + asymmetry.map_or(Dur::ZERO, |a| a.bound(p, from));
+        self.record_exchange(p, from, t1, t2, t3, widened, w.now);
+    }
+
+    /// A sync retry timer fired: re-send the dropped frame. Responder
+    /// retries re-stamp `t2` at the current instant (a stale stamp would
+    /// poison the RTT bound); requester retries restart the exchange with
+    /// a fresh `t1` for the same reason.
+    fn on_retry<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: ProcessorId,
+        to: ProcessorId,
+        t1: Time,
+        respond: bool,
+        attempt: u8,
+    ) {
+        if respond {
+            self.serve(w, from, to, t1, attempt);
+        } else if !w.procs[from.index()].is_down() {
+            // (A requester that crashed while the retry was pending stays
+            // silent.)
+            let t1 = w.clocks[from.index()].local_of(w.now);
+            let request = EventKind::SyncRequest { from, to, t1 };
+            self.send_frame(w, from.index(), to.index(), request, attempt);
         }
     }
 }
@@ -719,7 +974,7 @@ mod tests {
         // Responder's clock is 7 ahead of the requester's; request takes
         // 3, response takes 1 (asymmetric). t1=100 → arrives 103, reads
         // 110; response lands at t3=104.
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         s.record_exchange(0, 1, t(100), t(110), t(104), Dur::ZERO, t(104));
         let SyncSample { lo, hi, .. } = s.samples[0][0];
         assert!(lo <= 7 && 7 <= hi, "true offset 7 outside [{lo}, {hi}]");
@@ -732,7 +987,7 @@ mod tests {
     fn responder_dispersion_widens_the_interval() {
         // Same exchange, but the responder admits it may itself be up to
         // 3 ticks off true time: the interval grows by 3 on each side.
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         s.record_exchange(0, 1, t(100), t(110), t(104), Dur::ZERO, t(104));
         s.record_exchange(0, 1, t(100), t(110), t(104), d(3), t(104));
         let (tight, wide) = (s.samples[0][0], s.samples[0][1]);
@@ -746,30 +1001,32 @@ mod tests {
         let sample =
             |s: &mut SyncState| s.record_exchange(0, 1, t(100), t(105), t(100), Dur::ZERO, t(100));
 
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         assert_eq!(s.disp[0], None, "unsettled nodes advertise no bound");
         sample(&mut s);
         let (est, eps, step) = s.settle(0).unwrap();
         assert_eq!((est, eps, step), (d(5), d(0), d(5)));
-        assert_eq!(s.adj[0], d(5));
         assert_eq!(s.disp[0], Some(0), "a full step leaves no residual");
 
         let mut s = SyncState::new(
             SyncConfig::new(d(10)).with_policy(SyncPolicy::Slew { max_step: d(2) }),
-            1,
+            &[LocalClock::IDEAL; 1],
+            None,
         );
         sample(&mut s);
         let (_, _, step) = s.settle(0).unwrap();
         assert_eq!(step, d(2), "slew clamps the step");
-        assert_eq!(s.adj[0], d(2));
         assert_eq!(s.disp[0], Some(3), "the unapplied 3 ticks are admitted");
 
-        let mut s = SyncState::new(SyncConfig::new(d(10)).with_policy(SyncPolicy::Observe), 1);
+        let mut s = SyncState::new(
+            SyncConfig::new(d(10)).with_policy(SyncPolicy::Observe),
+            &[LocalClock::IDEAL; 1],
+            None,
+        );
         sample(&mut s);
         let (est, _, step) = s.settle(0).unwrap();
         assert_eq!(est, d(5));
         assert_eq!(step, Dur::ZERO, "observe never corrects");
-        assert_eq!(s.adj[0], Dur::ZERO);
         assert_eq!(s.disp[0], Some(5), "the whole estimate stays unapplied");
 
         // Settling with no samples is a no-op.
@@ -778,7 +1035,7 @@ mod tests {
 
     #[test]
     fn settle_clears_the_sample_buffer() {
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         s.record_exchange(0, 1, t(0), t(3), t(2), Dur::ZERO, t(2));
         assert!(s.settle(0).is_some());
         assert!(s.samples[0].is_empty());
@@ -791,7 +1048,7 @@ mod tests {
         // from peer 2 (far island, old) and from itself (reference). A
         // cut opening at t = 50 with {0, 1} on one side must age out
         // exactly the pre-cut sample from peer 2.
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 3);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 3], None);
         s.record_exchange(0, 1, t(10), t(12), t(14), Dur::ZERO, t(14));
         s.record_exchange(0, 2, t(10), t(13), t(14), Dur::ZERO, t(14));
         s.record_exchange(0, 0, t(20), t(20), t(20), Dur::ZERO, t(20));
@@ -815,7 +1072,7 @@ mod tests {
         stats.estimates = 4;
         stats.sum_uncertainty = 6;
         assert_eq!(stats.mean_uncertainty(), Some(1.5));
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         s.record_true_error(d(3));
         s.record_true_error(d(5));
         assert_eq!(s.stats.mean_true_error(), Some(4.0));
@@ -832,7 +1089,7 @@ mod tests {
     fn personas_pad_to_the_processor_count() {
         let cfg = SyncConfig::new(d(10)).with_personas(vec![Persona::StuckClock]);
         assert_eq!(cfg.liar_count(), 1);
-        let s = SyncState::new(cfg, 3);
+        let s = SyncState::new(cfg, &[LocalClock::IDEAL; 3], None);
         assert_eq!(s.personas[0], Persona::StuckClock);
         assert_eq!(s.personas[1], Persona::Honest);
         assert_eq!(s.personas[2], Persona::Honest);
@@ -842,7 +1099,7 @@ mod tests {
     fn fixed_liar_shifts_and_claims_perfection() {
         let cfg = SyncConfig::new(d(10))
             .with_personas(vec![Persona::Honest, Persona::FixedLiar { offset: d(500) }]);
-        let mut s = SyncState::new(cfg, 2);
+        let mut s = SyncState::new(cfg, &[LocalClock::IDEAL; 2], None);
         let honest = s.corrupt_response(0, t(50), t(40), Some(d(3)));
         assert_eq!(honest, (t(40), Some(d(3))), "honest responses untouched");
         assert_eq!(s.stats.corrupted_samples, 0);
@@ -854,7 +1111,7 @@ mod tests {
     #[test]
     fn stuck_clock_latches_its_first_answer() {
         let cfg = SyncConfig::new(d(10)).with_personas(vec![Persona::StuckClock]);
-        let mut s = SyncState::new(cfg, 1);
+        let mut s = SyncState::new(cfg, &[LocalClock::IDEAL; 1], None);
         assert_eq!(s.corrupt_response(0, t(10), t(12), None).0, t(12));
         assert_eq!(s.corrupt_response(0, t(90), t(95), None).0, t(12));
         assert_eq!(s.corrupt_response(0, t(900), t(907), None).0, t(12));
@@ -866,7 +1123,7 @@ mod tests {
             Persona::Colluder { target: d(-200) },
             Persona::Colluder { target: d(-200) },
         ]);
-        let mut s = SyncState::new(cfg, 2);
+        let mut s = SyncState::new(cfg, &[LocalClock::IDEAL; 2], None);
         // Different local stamps, identical served answers: a coherent
         // phantom cluster.
         let a = s.corrupt_response(0, t(100), t(137), Some(d(9)));
@@ -882,7 +1139,8 @@ mod tests {
                 SyncConfig::new(d(10))
                     .with_personas(vec![Persona::Noisy { jitter: d(4) }])
                     .with_persona_seed(seed),
-                1,
+                &[LocalClock::IDEAL; 1],
+                None,
             )
         };
         let (mut a, mut b, mut c) = (mk(7), mk(7), mk(8));
@@ -901,7 +1159,7 @@ mod tests {
 
     #[test]
     fn bracket_accounting() {
-        let mut s = SyncState::new(SyncConfig::new(d(10)), 1);
+        let mut s = SyncState::new(SyncConfig::new(d(10)), &[LocalClock::IDEAL; 1], None);
         s.record_bracket(true);
         s.record_bracket(false);
         s.record_bracket(true);

@@ -2,9 +2,8 @@
 //! retransmission timers and receive-side deduplication.
 //!
 //! The channel model ([`crate::nonideal::channel`]) prices the wire; this
-//! module prices the *endpoints*. Under the legacy oracle mode a dropped
-//! signal is retransmitted by the channel itself after a fixed delay — the
-//! protocols never notice. With a [`TransportConfig`] attached
+//! module prices the *endpoints*. Without it a dropped signal is simply
+//! lost. With a [`TransportConfig`] attached
 //! ([`SimConfig::with_transport`]) every cross-processor sync signal
 //! becomes a numbered frame:
 //!
@@ -21,10 +20,13 @@
 //!
 //! [`TransportStats`] surfaces retransmissions, dup-acks, an RTT histogram
 //! and the gave-up count; the per-pair failure detector that rides the
-//! same endpoints lives in [`crate::detect`].
+//! same endpoints lives in [`crate::detect`]. The handlers of the
+//! transport's events live here and touch the engine through
+//! `crate::wire`.
 //!
 //! [`SimConfig::with_transport`]: crate::engine::SimConfig::with_transport
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
@@ -32,8 +34,12 @@ use rand::{RngExt, SeedableRng};
 use rtsync_core::time::{Dur, Time};
 
 use crate::detect::DetectorConfig;
+use crate::event::EventKind;
+use crate::faults::GrayFamily;
 use crate::histogram::EerHistogram;
 use crate::job::JobId;
+use crate::observe::{Note, Observer};
+use crate::wire::{Effect, Wire};
 
 /// Retry rounds assumed when sizing the horizon for an *unbounded* retry
 /// budget (the budget itself stays unbounded; this only pads the default
@@ -41,8 +47,8 @@ use crate::job::JobId;
 const UNBOUNDED_SLACK_ROUNDS: u32 = 32;
 
 /// Endpoint transport parameters. Attach with
-/// [`SimConfig::with_transport`]; `None` (the default) keeps the engine's
-/// signal path bit-for-bit identical to the legacy code.
+/// [`SimConfig::with_transport`]; `None` (the default) builds no transport
+/// state, and the outcome is bit-identical to a run without the layer.
 ///
 /// [`SimConfig::with_transport`]: crate::engine::SimConfig::with_transport
 #[derive(Clone, Debug)]
@@ -234,11 +240,6 @@ impl TransportState {
         seq
     }
 
-    /// The in-flight entry of `seq`, if it is still unacked.
-    pub(crate) fn in_flight(&self, seq: u64) -> Option<&InFlight> {
-        self.window.get(&seq)
-    }
-
     /// Counts one more retransmission of `seq` and returns the new attempt
     /// number.
     pub(crate) fn bump_attempt(&mut self, seq: u64) -> u32 {
@@ -278,27 +279,174 @@ impl TransportState {
         }
     }
 
-    /// Sender side: an ack for `seq` arrived. Returns the closed entry
-    /// (recording its RTT) or `None` for a dup-ack.
-    pub(crate) fn on_ack(&mut self, seq: u64, now: Time, fi: usize) -> Option<InFlight> {
-        match self.window.remove(&seq) {
-            Some(entry) => {
-                self.stats.acks += 1;
-                self.stats.rtt.record(now - entry.first_sent);
-                self.last_acked[fi] = Some((entry.first_sent, entry.job.instance()));
-                Some(entry)
-            }
-            None => {
-                self.stats.dup_acks += 1;
-                None
-            }
-        }
+    /// Closes the acked frame `entry`, recording its round-trip time and,
+    /// for flat successor `fi`, the last acked frame.
+    fn close(&mut self, entry: InFlight, now: Time, fi: usize) -> Dur {
+        self.stats.acks += 1;
+        let rtt = now - entry.first_sent;
+        self.stats.rtt.record(rtt);
+        self.last_acked[fi] = Some((entry.first_sent, entry.job.instance()));
+        rtt
     }
 
     /// The last acked frame of flat successor `fi`: `(first_sent,
     /// instance)`.
     pub(crate) fn last_acked(&self, fi: usize) -> Option<(Time, u64)> {
         self.last_acked[fi]
+    }
+
+    /// Transmits (or retransmits) the frame carrying `job`'s release
+    /// request from processor `from`: one wire draw per copy, plus a
+    /// retransmission timer. `resend` is `None` for a fresh frame,
+    /// `Some((seq, attempt))` for a retransmission reusing its original
+    /// sequence number (so the receiver can deduplicate every copy).
+    pub(crate) fn send<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: usize,
+        job: JobId,
+        resend: Option<(u64, u32)>,
+    ) {
+        let (seq, attempt) = resend.unwrap_or_else(|| (self.register_send(job, from, w.now), 0));
+        w.note(Note::TransportSend {
+            job,
+            seq,
+            retransmit: resend.is_some(),
+        });
+        let to = w.host(job);
+        if w.faults.cut(from, to) {
+            // Severed at the cut: the frame never reaches the wire. The
+            // retransmission timer below still arms, so attempts burn
+            // through the outage (honest backoff) and a bounded budget can
+            // abandon the chain — partitions are indistinguishable from
+            // loss at the endpoints.
+            w.faults.stats.severed_transport += 1;
+        } else {
+            // A channel or gray drop delivers nothing; the retransmission
+            // timer below covers it like any loss.
+            let plan = w.channel.send();
+            let frame = EventKind::TransportDeliver { job, seq };
+            w.land(&plan, from, to, GrayFamily::Transport, frame);
+        }
+        let timer = EventKind::RetransmitTimer { seq };
+        w.queue.push(w.now + self.cfg.rto(attempt), timer);
+    }
+
+    /// The transport's event family: a frame copy landing, an ack landing,
+    /// a retransmission timer firing.
+    pub(crate) fn on_event<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        kind: EventKind,
+    ) -> Option<Effect> {
+        match kind {
+            EventKind::TransportDeliver { job, seq } => self.on_frame(w, job, seq),
+            EventKind::AckDeliver { seq } => {
+                self.on_ack(w, seq);
+                None
+            }
+            EventKind::RetransmitTimer { seq } => self.on_retransmit_timer(w, seq),
+            _ => unreachable!("{kind:?} is not a transport event"),
+        }
+    }
+
+    /// One copy of a frame reaches its receiver: ack every copy, deliver
+    /// the first. A copy landing on a crashed node is simply gone — no ack
+    /// and no recovery backlog; the sender's retransmission timer covers
+    /// it.
+    fn on_frame<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        job: JobId,
+        seq: u64,
+    ) -> Option<Effect> {
+        let to = w.host(job);
+        // A partition opening while the frame was in flight severs it at
+        // the delivery edge: no ack, so the sender's timer keeps burning.
+        if job
+            .predecessor()
+            .is_some_and(|pred| w.faults.cut(w.host(pred), to))
+        {
+            w.faults.stats.severed_transport += 1;
+            return None;
+        }
+        if w.procs[to].is_down() {
+            self.stats.receiver_down += 1;
+            return None;
+        }
+        let fresh = self.on_deliver(seq);
+        if !self.ack_dropped() {
+            w.queue.push(w.now, EventKind::AckDeliver { seq });
+        }
+        // A fresh payload goes to the channel's in-order cursor (frames
+        // can arrive instance-out-of-order under retransmission).
+        fresh.then_some(Effect::Deliver(job))
+    }
+
+    /// An ack reaches the frame's sender and closes the frame, found with
+    /// one window lookup. Acks are accepted even while the sender is down:
+    /// the window is journaled transport state, not volatile protocol
+    /// state.
+    fn on_ack<O: Observer>(&mut self, w: &mut Wire<'_, O>, seq: u64) {
+        let rtt = match self.window.entry(seq) {
+            Entry::Occupied(open) => {
+                let entry = *open.get();
+                // The ack travels receiver → sender: sever it if the cut
+                // opened while it was in flight (the window stays open and
+                // the frame will be retransmitted after the heal).
+                if w.faults.cut(w.host(entry.job), entry.from) {
+                    w.faults.stats.severed_transport += 1;
+                    return;
+                }
+                open.remove();
+                Some(self.close(entry, w.now, w.flat.of(entry.job.subtask())))
+            }
+            Entry::Vacant(_) => {
+                // The frame was already closed (or abandoned): a dup-ack.
+                self.stats.dup_acks += 1;
+                None
+            }
+        };
+        w.note(Note::TransportAck {
+            seq,
+            rtt,
+            dup: rtt.is_none(),
+        });
+    }
+
+    /// The retransmission timer of one frame fired. A frame has one timer
+    /// at a time (each firing arms at most the next), so the window
+    /// entry's attempt count is the timer's; a firing after the frame was
+    /// acked or abandoned is a no-op.
+    fn on_retransmit_timer<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        seq: u64,
+    ) -> Option<Effect> {
+        let entry = *self.window.get(&seq)?;
+        // A crashed sender cannot retransmit, but its journaled send queue
+        // survives the outage: re-arm the same attempt so the frame
+        // resumes once the node is back (this is what keeps the
+        // unbounded-budget zero-loss guarantee alive across crashes).
+        if w.procs[entry.from].is_down() {
+            let timer = EventKind::RetransmitTimer { seq };
+            w.queue.push(w.now + self.cfg.rto(entry.attempt), timer);
+            return None;
+        }
+        if self.cfg.retry_budget.is_some_and(|b| entry.attempt >= b) {
+            // Budget exhausted: abandon the frame. The signal it carried
+            // was the instance's only release request; the engine resolves
+            // the doomed chain so bounded-budget runs still terminate.
+            let dead = self.give_up(seq);
+            let attempts = dead.attempt + 1;
+            return Some(Effect::Abandon {
+                job: dead.job,
+                attempts,
+            });
+        }
+        let next = self.bump_attempt(seq);
+        self.send(w, entry.from, entry.job, Some((seq, next)));
+        None
     }
 }
 
@@ -340,19 +488,16 @@ mod tests {
         let mut st = TransportState::new(cfg, 4);
         let seq = st.register_send(job(0, 3), 0, Time::from_ticks(10));
         assert_eq!(seq, 0);
-        assert!(st.in_flight(seq).is_some());
+        assert!(st.window.contains_key(&seq));
         // First copy applies, a duplicate is recognized.
         assert!(st.on_deliver(seq));
         assert!(!st.on_deliver(seq));
-        // The ack closes the window and records the RTT.
-        let entry = st.on_ack(seq, Time::from_ticks(17), 2).expect("closed");
+        // Closing the frame records the RTT and the last acked frame.
+        let entry = st.window.remove(&seq).expect("in flight");
         assert_eq!(entry.job, job(0, 3));
+        assert_eq!(st.close(entry, Time::from_ticks(17), 2), d(7));
         assert_eq!(st.stats.rtt.len(), 1);
-        assert!(st.stats.rtt.quantile(1.0).unwrap() >= d(7));
         assert_eq!(st.last_acked(2), Some((Time::from_ticks(10), 3)));
-        // A second ack for the same frame is a dup-ack.
-        assert!(st.on_ack(seq, Time::from_ticks(18), 2).is_none());
-        assert_eq!(st.stats.dup_acks, 1);
     }
 
     #[test]
@@ -365,7 +510,7 @@ mod tests {
         let entry = st.give_up(seq);
         assert_eq!(entry.attempt, 2);
         assert_eq!(st.stats.gave_up, 1);
-        assert!(st.in_flight(seq).is_none());
+        assert!(!st.window.contains_key(&seq));
     }
 
     #[test]

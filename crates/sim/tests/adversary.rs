@@ -3,16 +3,21 @@
 //! signals across the cut, Byzantine timeserver personas corrupt samples
 //! without defeating a minority-tolerant Marzullo intersection (and
 //! visibly defeat it at a colluding majority), per-link asymmetry widens
-//! the advertised uncertainty honestly, and sync-over-transport retries
-//! dropped frames.
+//! the advertised uncertainty honestly, sync-over-transport retries
+//! dropped frames, and every severed frame counts once in its own
+//! family's counter.
 
 use rtsync_core::examples::{example1, example2};
 use rtsync_core::protocol::Protocol;
+use rtsync_core::task::{Task, TaskSet};
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
+use rtsync_sim::event::EventKind;
 use rtsync_sim::nonideal::{ChannelModel, ClockModel, LinkAsymmetry, NonidealConfig};
 use rtsync_sim::{
-    FaultConfig, InvariantObserver, PartitionSchedule, PartitionWindow, Persona, SyncConfig,
+    DetectorConfig, FaultConfig, GrayConfig, InvariantObserver, JobId, LinkDegradeWindow,
+    LinkSchedule, Note, Observer, PartitionSchedule, PartitionWindow, Persona, SyncConfig,
+    TransportConfig,
 };
 
 fn d(x: i64) -> Dur {
@@ -225,20 +230,149 @@ fn sync_over_transport_retries_dropped_frames() {
     );
 }
 
-/// Partition-window cadence also severs sync frames: the sync layer's
-/// `frames_severed` is the one count of them.
+/// Counts, from the event stream alone, what an open cut severs at send
+/// and at arrival: transport frames, heartbeats, sync frames.
+#[derive(Default)]
+struct CutLedger {
+    island: Option<Vec<bool>>,
+    hosts: Vec<Vec<usize>>,
+    /// Transport frames at send and at arrival.
+    transport: [u64; 2],
+    /// Heartbeats at send and at arrival.
+    heartbeat: [u64; 2],
+    /// Sync requests at send, requests at arrival, responses at arrival.
+    sync: [u64; 3],
+}
+
+impl CutLedger {
+    fn cut(&self, a: usize, b: usize) -> u64 {
+        u64::from(self.island.as_ref().is_some_and(|i| i[a] != i[b]))
+    }
+
+    fn peers_cut(&self, p: usize) -> u64 {
+        let procs = self.island.as_ref().map_or(0, Vec::len);
+        (0..procs).map(|q| self.cut(p, q)).sum()
+    }
+
+    fn hop_cut(&self, job: JobId) -> u64 {
+        let host = |j: JobId| self.hosts[j.task().index()][j.subtask().index()];
+        self.cut(host(job.predecessor().expect("a signal hop")), host(job))
+    }
+}
+
+impl Observer for CutLedger {
+    fn on_run_start(&mut self, set: &TaskSet, _: Protocol) {
+        let hosts = |t: &Task| t.subtasks().iter().map(|s| s.processor().index()).collect();
+        self.hosts = set.tasks().iter().map(hosts).collect();
+    }
+
+    fn on_partition_start(&mut self, _: Time, island: &[bool]) {
+        self.island = Some(island.to_vec());
+    }
+
+    fn on(&mut self, _: Time, note: Note) {
+        use EventKind::*;
+        match note {
+            Note::PartitionHeal => self.island = None,
+            Note::TransportSend { job, .. } => self.transport[0] += self.hop_cut(job),
+            Note::Event(TransportDeliver { job, .. }) => self.transport[1] += self.hop_cut(job),
+            Note::Event(HeartbeatSend { proc }) => {
+                self.heartbeat[0] += self.peers_cut(proc.index())
+            }
+            Note::Event(HeartbeatDeliver { from, to }) => {
+                self.heartbeat[1] += self.cut(from.index(), to.index())
+            }
+            Note::Event(SyncRound { proc }) => self.sync[0] += self.peers_cut(proc.index()),
+            Note::Event(SyncRequest { from, to, .. }) => {
+                self.sync[1] += self.cut(from.index(), to.index())
+            }
+            Note::Event(SyncResponse { from, to, .. }) => {
+                self.sync[2] += self.cut(from.index(), to.index())
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A gray window slowing (and, with `drop_permille`, dropping) both
+/// directions between P0 and P1 for the whole run.
+fn gray_links(extra: i64, drop_permille: u32) -> GrayConfig {
+    let window = |from, to| LinkDegradeWindow {
+        at: t(0),
+        span: d(1_000_000),
+        from,
+        to,
+        extra_latency: d(extra),
+        jitter: Dur::ZERO,
+        drop_permille,
+    };
+    GrayConfig::new().with_links(LinkSchedule::Explicit(vec![window(0, 1), window(1, 0)]))
+}
+
+/// Every frame an open cut severs counts exactly once, at send or at
+/// arrival, in its own family's counter: transport frames in
+/// `severed_transport`, heartbeats in `severed_heartbeats`, sync requests
+/// and responses in the sync layer's `frames_severed`. Sweeping the cut's
+/// start catches frames of every family both before and in flight. Acks
+/// land in the instant they are sent, so no cut ever severs one. Signals,
+/// in contrast, a gray link never drops.
 #[test]
-fn cut_severs_sync_frames_too() {
+fn severed_frames_count_once_in_their_own_family() {
     let set = example2();
-    let out = simulate(
-        &set,
-        &SimConfig::new(Protocol::ReleaseGuard)
-            .with_instances(60)
-            .with_channel(ChannelModel::constant(d(1)).with_seed(5))
-            .with_faults(one_cut(40))
-            .with_sync(SyncConfig::new(d(6))),
-    )
-    .unwrap();
-    assert!(out.fault_stats.partitions > 0, "{:?}", out.fault_stats);
-    assert!(out.sync_stats.frames_severed > 0, "{:?}", out.sync_stats);
+    let mut total = [0; 7];
+    for start in 10..22 {
+        let cut = PartitionWindow {
+            at: t(start),
+            heal_delay: d(30),
+            island: vec![0],
+        };
+        let faults = FaultConfig::gray_only(gray_links(2, 0))
+            .with_partitions(PartitionSchedule::Explicit(vec![cut]));
+        let cfg = SimConfig::new(Protocol::ReleaseGuard)
+            .with_instances(40)
+            .with_channel(ChannelModel::constant(d(3)))
+            .with_faults(faults)
+            .with_transport(TransportConfig::new(d(4)).with_detector(DetectorConfig::new(d(5))))
+            .with_sync(SyncConfig::new(d(7)));
+        let mut ledger = CutLedger::default();
+        let out = simulate_observed(&set, &cfg, &mut ledger).unwrap();
+        let (fs, sync) = (&out.fault_stats, &out.sync_stats);
+        assert_eq!(fs.partitions, 1, "{fs:?}");
+        assert_eq!(
+            fs.severed_transport,
+            ledger.transport.iter().sum(),
+            "at {start}"
+        );
+        assert_eq!(
+            fs.severed_heartbeats,
+            ledger.heartbeat.iter().sum(),
+            "at {start}"
+        );
+        assert_eq!(sync.frames_severed, ledger.sync.iter().sum(), "at {start}");
+        assert_eq!(fs.severed_signals, 0, "transport frames are not signals");
+        let counts = ledger
+            .transport
+            .iter()
+            .chain(&ledger.heartbeat)
+            .chain(&ledger.sync);
+        for (sum, n) in total.iter_mut().zip(counts) {
+            *sum += n;
+        }
+    }
+    assert!(
+        total.iter().all(|&n| n > 0),
+        "every path is exercised: {total:?}"
+    );
+    // A gray link taxes signals with latency but never drops one: the
+    // channel model alone owns signal loss.
+    let cfg = SimConfig::new(Protocol::DirectSync)
+        .with_instances(40)
+        .with_channel(ChannelModel::constant(d(1)))
+        .with_faults(FaultConfig::gray_only(gray_links(1, 1000)));
+    let out = simulate(&set, &cfg).unwrap();
+    assert!(out.reached_target);
+    assert!(out.fault_stats.gray_extra_latency_ticks > 0);
+    let ch = &out.channel_stats;
+    assert!(ch.sent > 0);
+    assert_eq!(ch.applied, ch.sent, "every signal lands: {ch:?}");
 }
