@@ -29,10 +29,11 @@
 
 use crate::campaign::run_grid;
 use crate::seeding::job_seed;
+use crate::table::{col, Agg::*, Rows, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::analysis::admission::{
-    requests_of, AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest,
+    requests_of, AdmissionConfig, AdmissionMode, AdmissionState, AdmissionStats, ChainRequest,
 };
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -84,31 +85,6 @@ impl AdmitStudyConfig {
     }
 }
 
-/// One arm's measurements out of one run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdmitArm {
-    /// Admit + retire operations served.
-    pub ops: u64,
-    /// Chains admitted (initial fill + churn re-admissions).
-    pub admitted: u64,
-    /// Admissions rejected.
-    pub rejected: u64,
-    /// Subtask analyses actually re-run.
-    pub reanalyzed: u64,
-    /// Subtask analyses skipped by memoization.
-    pub skipped: u64,
-}
-
-impl AdmitArm {
-    fn add(&mut self, other: &AdmitArm) {
-        self.ops += other.ops;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.reanalyzed += other.reanalyzed;
-        self.skipped += other.skipped;
-    }
-}
-
 /// The verdict of one run: both arms over the same operation sequence.
 #[derive(Clone, Debug)]
 pub struct AdmitVerdict {
@@ -122,38 +98,49 @@ pub struct AdmitVerdict {
     pub run_index: usize,
     /// Seed the synthetic system was generated from.
     pub system_seed: u64,
-    /// The memoizing arm.
-    pub warm: AdmitArm,
-    /// The from-scratch arm.
-    pub cold: AdmitArm,
+    /// The memoizing arm's engine counters.
+    pub warm: AdmissionStats,
+    /// The from-scratch arm's engine counters.
+    pub cold: AdmissionStats,
     /// Operations whose outcome differed between the arms (must be 0).
     pub disagreements: u64,
 }
 
-/// Aggregate of one `(N, U, mode)` cell.
-#[derive(Clone, Debug)]
-pub struct AdmitCell {
-    /// Subtasks per task.
-    pub n: usize,
-    /// Per-processor utilization.
-    pub u: f64,
-    /// Analysis mode.
-    pub mode: AdmissionMode,
-    /// Runs aggregated.
-    pub runs: usize,
-    /// Warm-arm totals.
-    pub warm: AdmitArm,
-    /// Cold-arm totals.
-    pub cold: AdmitArm,
-    /// Total operations that disagreed between the arms.
-    pub disagreements: u64,
-}
+/// The study's columns over its runs, folded per `(N, U, mode)` cell
+/// into `admit_grid.csv` and per mode into `admit_summary.csv`.
+#[rustfmt::skip]
+const TABLE: Table<AdmitVerdict> = Table(&[
+    col("n", Key, Key, |v| v.n.into()),
+    col("u", Key, Key, |v| Value::Fixed(v.u, 2)),
+    col("mode", Key, Key, |v| mode_tag(v.mode).into()),
+    col("runs", Count, Sum, |_| Value::None),
+    col("ops", Sum, Sum, |v| (v.warm.decisions + v.warm.retired).into()),
+    col("admitted", Sum, Sum, |v| v.warm.admitted.into()),
+    col("rejected", Sum, Sum, |v| v.warm.rejected.into()),
+    col("warm_reanalyzed", Sum, Sum, |v| v.warm.subtasks_reanalyzed.into()),
+    col("warm_skipped", Sum, Sum, |v| v.warm.subtasks_skipped.into()),
+    col("cold_reanalyzed", Sum, Sum, |v| v.cold.subtasks_reanalyzed.into()),
+    col("disagreements", Sum, Sum, |v| v.disagreements.into()),
+]);
+
+/// The header of `admit_grid.csv`, one row per `(N, U, mode)` cell.
+const GRID: &str = "n,u,mode,runs,ops,admitted,rejected,warm_reanalyzed,warm_skipped,\
+    cold_reanalyzed,disagreements";
+
+/// The header of `admit_summary.csv`: one row per mode plus the overall
+/// line (`mode=all`).
+const SUMMARY: &str = "mode,runs,ops,admitted,rejected,warm_reanalyzed,warm_skipped,\
+    cold_reanalyzed,disagreements";
 
 /// The whole study's outcome.
 #[derive(Clone, Debug)]
 pub struct AdmitOutcome {
-    /// Cell aggregates: shapes outer, modes inner.
-    pub cells: Vec<AdmitCell>,
+    /// One row per `(N, U, mode)` cell, shapes outer, modes inner: the
+    /// columns of `admit_grid.csv`.
+    pub cells: Rows,
+    /// One row per mode, then the overall row (`mode` reads `all`): the
+    /// columns of `admit_summary.csv`.
+    pub summary: Rows,
     /// Per-run verdicts in deterministic (cell, run) order.
     pub verdicts: Vec<AdmitVerdict>,
 }
@@ -168,7 +155,7 @@ impl AdmitOutcome {
 
 /// Drives one arm through the full sequence: admit every chain, then
 /// `churn_rounds` retire + re-admit rounds cycling over the admitted
-/// ids. Returns the measurements plus the per-operation outcome trace
+/// ids. Returns the engine's counters plus the per-operation outcome trace
 /// (admitted flag per admit, success flag per retire) for agreement
 /// checking.
 fn drive(
@@ -176,7 +163,7 @@ fn drive(
     requests: &[ChainRequest],
     churn_rounds: usize,
     cfg: AdmissionConfig,
-) -> (AdmitArm, Vec<bool>) {
+) -> (AdmissionStats, Vec<bool>) {
     let mut state = AdmissionState::new(processors, cfg);
     let mut outcomes = Vec::with_capacity(requests.len() + 2 * churn_rounds);
     let mut resident_ids: Vec<u64> = Vec::new();
@@ -204,15 +191,7 @@ fn drive(
             resident_ids.retain(|&r| r != id);
         }
     }
-    let stats = state.stats();
-    let arm = AdmitArm {
-        ops: stats.decisions + stats.retired,
-        admitted: stats.admitted,
-        rejected: stats.rejected,
-        reanalyzed: stats.subtasks_reanalyzed,
-        skipped: stats.subtasks_skipped,
-    };
-    (arm, outcomes)
+    (state.stats(), outcomes)
 }
 
 /// Evaluates one run of one cell: both arms over the same sequence.
@@ -278,36 +257,13 @@ pub fn run_admit_study(cfg: &AdmitStudyConfig) -> AdmitOutcome {
         evaluate_run(cells[c], r, system_seed, cfg.churn_rounds)
     });
 
-    let cells = cells
-        .iter()
-        .enumerate()
-        .map(|(c, &(n, u, mode))| {
-            let runs = &verdicts[c * cfg.systems_per_cell..(c + 1) * cfg.systems_per_cell];
-            let (warm, cold, disagreements) = totals(runs);
-            AdmitCell {
-                n,
-                u,
-                mode,
-                runs: runs.len(),
-                warm,
-                cold,
-                disagreements,
-            }
-        })
-        .collect();
-
-    AdmitOutcome { cells, verdicts }
-}
-
-/// Warm-arm totals, cold-arm totals and disagreements over `runs`.
-fn totals<'a>(runs: impl IntoIterator<Item = &'a AdmitVerdict>) -> (AdmitArm, AdmitArm, u64) {
-    let (mut warm, mut cold, mut disagreements) = (AdmitArm::default(), AdmitArm::default(), 0);
-    for v in runs {
-        warm.add(&v.warm);
-        cold.add(&v.cold);
-        disagreements += v.disagreements;
+    let cells = TABLE.cells(&verdicts, cfg.systems_per_cell);
+    let summary = TABLE.summary(&cells, "mode", Some("all"));
+    AdmitOutcome {
+        cells,
+        summary,
+        verdicts,
     }
-    (warm, cold, disagreements)
 }
 
 /// The mode's CSV/column tag.
@@ -318,60 +274,11 @@ fn mode_tag(mode: AdmissionMode) -> &'static str {
     }
 }
 
-/// The work columns shared by the grid and summary CSVs.
-const WORK_COLUMNS: &str =
-    "ops,admitted,rejected,warm_reanalyzed,warm_skipped,cold_reanalyzed,disagreements";
-
-/// One row's work columns, in [`WORK_COLUMNS`] order.
-fn work_row(warm: &AdmitArm, cold: &AdmitArm, disagreements: u64) -> String {
-    format!(
-        "{},{},{},{},{},{},{}",
-        warm.ops,
-        warm.admitted,
-        warm.rejected,
-        warm.reanalyzed,
-        warm.skipped,
-        cold.reanalyzed,
-        disagreements,
-    )
-}
-
-/// Cell-level CSV: one row per `(N, U, mode)` coordinate.
-pub fn grid_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = format!("n,u,mode,runs,{WORK_COLUMNS}\n");
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{:.2},{},{},{}\n",
-            c.n,
-            c.u,
-            mode_tag(c.mode),
-            c.runs,
-            work_row(&c.warm, &c.cold, c.disagreements),
-        ));
-    }
-    out
-}
-
-/// Headline CSV: one row per mode plus the overall line (`mode=all`).
-pub fn summary_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = format!("mode,runs,{WORK_COLUMNS}\n");
-    let mut rows: Vec<(&str, Vec<&AdmitVerdict>)> = Vec::new();
-    for mode in [AdmissionMode::PmFamily, AdmissionMode::DirectSync] {
-        let runs: Vec<&AdmitVerdict> = outcome.verdicts.iter().filter(|v| v.mode == mode).collect();
-        if !runs.is_empty() {
-            rows.push((mode_tag(mode), runs));
-        }
-    }
-    rows.push(("all", outcome.verdicts.iter().collect()));
-    for (tag, runs) in rows {
-        let (warm, cold, disagreements) = totals(runs.iter().copied());
-        out.push_str(&format!(
-            "{tag},{},{}\n",
-            runs.len(),
-            work_row(&warm, &cold, disagreements),
-        ));
-    }
-    out
+/// The study's records: `admit_grid.csv`, one row per `(N, U, mode)`
+/// coordinate, and `admit_summary.csv`, one row per mode plus the overall
+/// line.
+pub fn records(outcome: &AdmitOutcome) -> Vec<String> {
+    vec![outcome.cells.csv(GRID), outcome.summary.csv(SUMMARY)]
 }
 
 /// ASCII rendering of the grid.
@@ -391,29 +298,30 @@ pub fn render(outcome: &AdmitOutcome) -> String {
         "cold reanalyzed",
         "disagree"
     ));
-    for c in &outcome.cells {
+    for c in outcome.cells.iter() {
         out.push_str(&format!(
-            "{:<4}{:<6.2}{:<6}{:>10}{:>10}{:>10}{:>16}{:>14}{:>16}{:>10}\n",
-            c.n,
-            c.u,
-            mode_tag(c.mode),
-            c.warm.ops,
-            c.warm.admitted,
-            c.warm.rejected,
-            c.warm.reanalyzed,
-            c.warm.skipped,
-            c.cold.reanalyzed,
-            c.disagreements,
+            "{:<4}{:<6}{:<6}{:>10}{:>10}{:>10}{:>16}{:>14}{:>16}{:>10}\n",
+            c.get("n"),
+            c.get("u"),
+            c.get("mode"),
+            c.get("ops"),
+            c.get("admitted"),
+            c.get("rejected"),
+            c.get("warm_reanalyzed"),
+            c.get("warm_skipped"),
+            c.get("cold_reanalyzed"),
+            c.get("disagreements"),
         ));
     }
-    let (warm, cold, disagreements) = totals(&outcome.verdicts);
+    let all = outcome.summary.iter().last().expect("the overall row");
     out.push_str(&format!(
         "overall: {} ops over {} runs, memoization skipped {} of {} subtask analyses, \
-         {disagreements} disagreements\n",
-        warm.ops,
-        outcome.verdicts.len(),
-        warm.skipped,
-        cold.reanalyzed,
+         {} disagreements\n",
+        all.get("ops"),
+        all.get("runs"),
+        all.get("warm_skipped"),
+        all.get("cold_reanalyzed"),
+        all.get("disagreements"),
     ));
     out
 }
@@ -429,40 +337,32 @@ mod tests {
             ..AdmitStudyConfig::smoke()
         };
         let outcome = run_admit_study(&cfg);
-        assert_eq!(outcome.cells.len(), cfg.shapes.len() * cfg.modes.len());
+        assert_eq!(
+            outcome.cells.iter().count(),
+            cfg.shapes.len() * cfg.modes.len()
+        );
         assert_eq!(outcome.verdicts.len(), cfg.total_runs());
         assert!(outcome.is_clean(), "memoized and cold verdicts must agree");
         for v in &outcome.verdicts {
-            assert!(v.warm.ops > 0);
-            assert_eq!(v.warm.ops, v.cold.ops, "both arms serve the same sequence");
+            let ops = |arm: &AdmissionStats| arm.decisions + arm.retired;
+            assert!(ops(&v.warm) > 0);
+            assert_eq!(
+                ops(&v.warm),
+                ops(&v.cold),
+                "both arms serve the same sequence"
+            );
             assert_eq!(v.warm.admitted, v.cold.admitted);
             assert_eq!(v.warm.rejected, v.cold.rejected);
         }
         // The §5.1 chains are schedulable as generated: the fill admits
         // every chain and churn keeps re-admitting, so the memoizing arm
         // skips work the cold arm repeats.
-        let warm_skips: u64 = outcome.verdicts.iter().map(|v| v.warm.skipped).sum();
+        let warm_skips: u64 = outcome
+            .verdicts
+            .iter()
+            .map(|v| v.warm.subtasks_skipped)
+            .sum();
         assert!(warm_skips > 0, "memoization never skipped anything");
-    }
-
-    #[test]
-    fn deterministic_verdicts_across_thread_counts() {
-        let cfg1 = AdmitStudyConfig {
-            threads: 1,
-            ..AdmitStudyConfig::smoke()
-        };
-        let cfg4 = AdmitStudyConfig {
-            threads: 4,
-            ..AdmitStudyConfig::smoke()
-        };
-        let a = run_admit_study(&cfg1);
-        let b = run_admit_study(&cfg4);
-        for (x, y) in a.verdicts.iter().zip(&b.verdicts) {
-            assert_eq!(x.system_seed, y.system_seed);
-        }
-        // Every column is a count, so the records match byte for byte.
-        assert_eq!(grid_csv(&a), grid_csv(&b));
-        assert_eq!(summary_csv(&a), summary_csv(&b));
     }
 
     #[test]
@@ -474,9 +374,10 @@ mod tests {
             shapes: vec![(2, 0.25)],
             ..AdmitStudyConfig::smoke()
         });
-        let grid = grid_csv(&outcome);
-        assert_eq!(grid.lines().count(), 1 + outcome.cells.len());
-        let summary = summary_csv(&outcome);
+        let [grid, summary] = &records(&outcome)[..] else {
+            panic!("two records")
+        };
+        assert_eq!(grid.lines().count(), 1 + outcome.cells.iter().count());
         // pm + ds + all.
         assert_eq!(summary.lines().count(), 1 + 3);
         assert!(render(&outcome).contains("overall: "));

@@ -10,8 +10,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rtsync_core::task::TaskSet;
 use rtsync_sim::engine::SimOutcome;
 use rtsync_sim::nonideal::eer_inflation;
+use rtsync_workload::{generate, WorkloadSpec};
 
 /// Runs `f(cell, run)` for every `cell < cells` and `run < runs_per_cell`
 /// on up to `threads` worker threads (at least one; never more than there
@@ -49,14 +53,21 @@ where
         .collect()
 }
 
+/// The §5.1 synthetic system `seed` draws, with random phases: `n`
+/// subtasks per task at per-processor utilization `u`.
+pub(crate) fn paper_system(n: usize, u: f64, seed: u64) -> TaskSet {
+    let spec = WorkloadSpec::paper(n, u).with_random_phases();
+    generate(&spec, &mut StdRng::seed_from_u64(seed)).expect("paper spec always generates")
+}
+
 /// Mean-inflation accumulator: a running sum and count of EER-inflation
 /// ratios. Ratios are summed in the order they are absorbed, so merging
 /// per-run tallies in `(cell, run)` order gives the same float sum on
 /// every thread count.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct InflTally {
-    sum: f64,
-    count: u64,
+    pub(crate) sum: f64,
+    pub(crate) count: u64,
 }
 
 impl InflTally {
@@ -68,15 +79,6 @@ impl InflTally {
             .flatten()
         {
             self.sum += ratio;
-            self.count += 1;
-        }
-    }
-
-    /// Absorbs one run's mean inflation, skipping a run whose mean is
-    /// undefined (`NaN`: no task completed in both runs).
-    pub(crate) fn absorb_mean(&mut self, mean: f64) {
-        if mean.is_finite() {
-            self.sum += mean;
             self.count += 1;
         }
     }
@@ -93,6 +95,48 @@ impl InflTally {
             f64::NAN
         } else {
             self.sum / self.count as f64
+        }
+    }
+}
+
+/// A run's end-to-end instances: the ones measured, the measured ones
+/// that missed their deadline, and the ones lost to crashes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Instances {
+    /// Instances with a measured response time.
+    pub measured: u64,
+    /// Measured instances past their end-to-end deadline.
+    pub missed: u64,
+    /// Instances lost to crashes.
+    pub lost: u64,
+}
+
+impl Instances {
+    /// Counts the instances of `out`.
+    pub fn of(out: &SimOutcome) -> Instances {
+        let tasks = out.metrics.tasks();
+        Instances {
+            measured: tasks.iter().map(|t| t.measured()).sum(),
+            missed: tasks.iter().map(|t| t.deadline_misses()).sum(),
+            lost: out.metrics.total_lost(),
+        }
+    }
+
+    /// `missed + lost`: the instances that failed their deadline.
+    pub fn missed_or_lost(&self) -> u64 {
+        self.missed + self.lost
+    }
+
+    /// `measured + lost`: every resolved instance.
+    pub fn resolved(&self) -> u64 {
+        self.measured + self.lost
+    }
+
+    /// `(missed + lost) / (measured + lost)`; `NaN` with no instances.
+    pub fn miss_or_loss_ratio(&self) -> f64 {
+        match self.resolved() {
+            0 => f64::NAN,
+            n => self.missed_or_lost() as f64 / n as f64,
         }
     }
 }
@@ -152,16 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn tally_skips_undefined_means_and_merges_in_order() {
+    fn tally_merges_sums_and_counts() {
         let mut a = InflTally::default();
         assert!(a.mean().is_nan());
-        a.absorb_mean(f64::NAN);
-        assert!(a.mean().is_nan());
-        a.absorb_mean(1.0);
-        a.absorb_mean(2.0);
-        let mut b = InflTally::default();
-        b.absorb_mean(6.0);
-        a.merge(&b);
+        a.merge(&InflTally { sum: 3.0, count: 2 });
+        a.merge(&InflTally { sum: 6.0, count: 1 });
         assert_eq!(a.mean(), 3.0);
     }
 

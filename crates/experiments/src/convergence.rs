@@ -8,16 +8,19 @@
 //! recorded run, going from 20 to 80 instances moves the aggregate ratios
 //! by under ~2%.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rtsync_core::analysis::sa_ds::analyze_ds_traced;
 use rtsync_core::analysis::sa_pm::analyze_pm_traced;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig};
-use rtsync_workload::{generate, WorkloadSpec};
 
+use crate::campaign::paper_system;
 use crate::study::StudyConfig;
+
+/// The seed of the `index`-th system of configuration `(n, u)`.
+fn system_seed(cfg: &StudyConfig, n: usize, u: f64, index: usize) -> u64 {
+    cfg.seed ^ 0xC0BE_0000 ^ ((n as u64) << 24) ^ (((u * 100.0) as u64) << 8) ^ index as u64
+}
 
 /// Ratio estimates at one instance target.
 #[derive(Clone, Copy, Debug)]
@@ -39,7 +42,6 @@ pub fn convergence_study(
     cfg: &StudyConfig,
     targets: &[u64],
 ) -> Vec<ConvergenceRow> {
-    let spec = WorkloadSpec::paper(n, u).with_random_phases();
     targets
         .iter()
         .map(|&instances| {
@@ -47,14 +49,7 @@ pub fn convergence_study(
             let mut rg_ds_sum = 0.0;
             let mut count = 0usize;
             for index in 0..cfg.systems_per_config {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed
-                        ^ 0xC0BE_0000
-                        ^ ((n as u64) << 24)
-                        ^ (((u * 100.0) as u64) << 8)
-                        ^ index as u64,
-                );
-                let set = generate(&spec, &mut rng).expect("paper spec generates");
+                let set = paper_system(n, u, system_seed(cfg, n, u, index));
                 let run = |p| {
                     simulate(&set, &SimConfig::new(p).with_instances(instances))
                         .expect("study systems simulate")
@@ -117,17 +112,9 @@ pub fn analysis_convergence_study(
     u: f64,
     cfg: &StudyConfig,
 ) -> Vec<AnalysisConvergenceRow> {
-    let spec = WorkloadSpec::paper(n, u).with_random_phases();
     (0..cfg.systems_per_config)
         .map(|index| {
-            let mut rng = StdRng::seed_from_u64(
-                cfg.seed
-                    ^ 0xC0BE_0000
-                    ^ ((n as u64) << 24)
-                    ^ (((u * 100.0) as u64) << 8)
-                    ^ index as u64,
-            );
-            let set = generate(&spec, &mut rng).expect("paper spec generates");
+            let set = paper_system(n, u, system_seed(cfg, n, u, index));
             let (pm_converged, pm_iterations) = match analyze_pm_traced(&set, &cfg.analysis) {
                 Ok((_, report)) => (true, report.total_iterations()),
                 Err(_) => (false, 0),

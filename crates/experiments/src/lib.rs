@@ -2,23 +2,25 @@
 //!
 //! The reproduction harness for the evaluation of Sun & Liu (ICDCS 1996):
 //!
-//! * [`traces`] — the schedule-illustration figures (3, 5, 6, 7) replayed
-//!   exactly on the paper's running examples;
-//! * [`study`] — the §5 simulation study: synthetic systems per
-//!   configuration `(N, U)`, analyzed with SA/PM and SA/DS and simulated
-//!   under the DS, PM and RG protocols;
-//! * [`figures`] — the mapping from study outcomes to Figures 12–16;
-//! * [`robustness`] — the nonideal-conditions grid (clock drift ×
-//!   signal latency) measuring the paper's §6 robustness claims;
-//! * [`transport`] — the endpoint-transport study: miss/loss ratio and
-//!   EER inflation over drop rate × timeout × backoff, plus heartbeat
-//!   failure-detector accuracy against a ground-truth crash schedule;
-//! * [`sync`] — the clock-synchronization study: PM's EER inflation
-//!   over drift × latency × sync-period, the achieved clock error, and
-//!   the sync-accuracy threshold at which PM beats MPM/RG again;
-//! * [`grid`] — `(N, U)` result grids with CSV/ASCII rendering;
-//! * [`campaign`] — the one thread pool every study runs its
-//!   `(cell, run)` jobs on, deterministic in the thread count.
+//! * [`study`], [`figures`], [`grid`] — the §5 simulation study: §5.1
+//!   systems per `(N, U)`, analyzed with SA/PM and SA/DS, simulated
+//!   under DS, PM and RG, and mapped to Figures 12–16 as `(N, U)` grids;
+//! * [`traces`] — the schedule figures (3, 5, 6, 7) on the paper's
+//!   running examples;
+//! * [`ablation`], [`tightness`], [`convergence`], [`exact`],
+//!   [`compare`] — ablations of the paper's design choices, bound
+//!   tightness, estimate convergence, exhaustive worst cases of small
+//!   systems, and one system's protocols side by side;
+//! * [`robustness`] and [`sync`] — clock drift × signal latency, and
+//!   whether clock sync makes PM viable again;
+//! * [`chaos`], [`adversary`], [`gray`], [`transport`] — the crash,
+//!   Byzantine-time and partition, and gray-failure campaigns under the
+//!   protocol invariants, and reliable signaling over lossy channels;
+//! * [`admit`] — memoized admission verdicts against a from-scratch
+//!   oracle;
+//! * [`campaign`], [`seeding`], [`table`] — what every study shares: one
+//!   thread pool, deterministic in the thread count; one seed mixer; and
+//!   one column table that folds runs into grid and summary records.
 //!
 //! `rtsync study <name>` drives all of it from one table of studies, each
 //! at the configuration that wrote its committed record:
@@ -59,15 +61,16 @@ pub mod robustness;
 pub mod seeding;
 pub mod study;
 pub mod sync;
+pub mod table;
 pub mod tightness;
 pub mod traces;
 pub mod transport;
 
-pub use admit::{run_admit_study, AdmitCell, AdmitOutcome, AdmitStudyConfig, AdmitVerdict};
-pub use adversary::{run_adversary, AdversaryCell, AdversaryConfig, AdversaryOutcome};
+pub use admit::{run_admit_study, AdmitOutcome, AdmitStudyConfig, AdmitVerdict};
+pub use adversary::{run_adversary, AdversaryConfig, AdversaryOutcome};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosOutcome, ReproBundle};
 pub use figures::{figure_grid, Figure};
-pub use gray::{run_gray, GrayCell, GrayOutcome, GrayStudyConfig, GrayVerdict};
+pub use gray::{run_gray, GrayOutcome, GrayStudyConfig, GrayVerdict};
 pub use grid::Grid;
 pub use robustness::{run_robustness, RobustnessCell, RobustnessConfig};
 pub use study::{run_config, run_study, ConfigOutcome, StudyConfig};

@@ -18,10 +18,8 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! the thread count.
 
-use crate::campaign::{fmt_f64, run_grid, InflTally};
+use crate::campaign::{fmt_f64, paper_system, run_grid, InflTally};
 use crate::seeding::job_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rtsync_core::analysis::AnalysisConfig;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
@@ -29,7 +27,6 @@ use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig};
 use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::ViolationKind;
-use rtsync_workload::{generate, WorkloadSpec};
 
 /// Robustness-grid parameters.
 #[derive(Clone, Debug)]
@@ -184,7 +181,6 @@ fn evaluate_system(
 /// order (drift outer, latency inner). The same synthetic systems are
 /// reused in every cell, so cells differ only in the modeled conditions.
 pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
-    let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
     let system_seeds: Vec<u64> = (0..cfg.systems_per_config)
         .map(|i| job_seed(cfg.seed, 0, i))
         .collect();
@@ -197,8 +193,7 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
         .collect();
     let results = run_grid(cells.len(), cfg.systems_per_config, cfg.threads, |c, s| {
         let (eps, latency) = cells[c];
-        let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-        let set = generate(&spec, &mut rng).expect("paper spec always generates");
+        let set = paper_system(cfg.n, cfg.u, system_seeds[s]);
         let conditions = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
         evaluate_system(&set, cfg, &conditions)
     });

@@ -2,17 +2,14 @@
 //! configuration, under every protocol, collecting everything Figures
 //! 12–16 need in one pass per system.
 
-use crate::campaign::run_grid;
+use crate::campaign::{paper_system, run_grid};
 use crate::seeding::system_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rtsync_core::analysis::sa_ds::analyze_ds;
 use rtsync_core::analysis::sa_pm::analyze_pm;
 use rtsync_core::analysis::AnalysisConfig;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::{TaskId, TaskSet};
 use rtsync_sim::engine::{simulate, SimConfig};
-use rtsync_workload::{generate, WorkloadSpec};
 
 /// Study parameters. Defaults mirror the paper's setup with a reduced
 /// system count (the paper used 1000 systems per configuration; pass
@@ -210,14 +207,11 @@ pub fn run_study(cfg: &StudyConfig) -> Vec<ConfigOutcome> {
 }
 
 fn evaluate_many(n: usize, u: f64, cfg: &StudyConfig) -> Vec<SystemEval> {
-    let spec = WorkloadSpec::paper(n, u).with_random_phases();
     let seeds: Vec<u64> = (0..cfg.systems_per_config)
         .map(|i| system_seed(cfg.seed, n, u, i))
         .collect();
     run_grid(1, seeds.len(), cfg.threads, |_, i| {
-        let mut rng = StdRng::seed_from_u64(seeds[i]);
-        let set = generate(&spec, &mut rng).expect("paper spec always generates");
-        evaluate_system(&set, cfg)
+        evaluate_system(&paper_system(n, u, seeds[i]), cfg)
     })
 }
 
@@ -286,10 +280,7 @@ mod tests {
     #[test]
     fn evaluate_system_produces_ratios() {
         let cfg = tiny_cfg();
-        let spec = WorkloadSpec::paper(2, 0.5).with_random_phases();
-        let mut rng = StdRng::seed_from_u64(1);
-        let set = generate(&spec, &mut rng).unwrap();
-        let eval = evaluate_system(&set, &cfg);
+        let eval = evaluate_system(&paper_system(2, 0.5, 1), &cfg);
         assert!(!eval.ds_failed, "(2, 50) virtually never fails");
         assert_eq!(eval.bound_ratios.len(), 12);
         // SA/DS dominates SA/PM for every task.

@@ -29,10 +29,9 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! thread count.
 
-use crate::campaign::{fmt_f64, run_grid, InflTally};
+use crate::campaign::{paper_system, run_grid, InflTally};
 use crate::seeding::job_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::table::{col, Agg, Agg::*, Row, Rows, Table, Value};
 use rtsync_core::analysis::AnalysisConfig;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
@@ -40,7 +39,6 @@ use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig, SimOutcome};
 use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::{SyncConfig, SyncPolicy, SyncStats, ViolationKind};
-use rtsync_workload::{generate, WorkloadSpec};
 
 /// Sync-study parameters.
 #[derive(Clone, Debug)]
@@ -118,9 +116,12 @@ impl SyncStudyConfig {
     }
 }
 
-/// One synced PM run's contribution to a `(cell, period)` aggregate.
+/// One synced PM run of one system at one period.
 #[derive(Clone, Default)]
 struct PeriodTally {
+    drift_ppm: i64,
+    latency: i64,
+    sync_period: i64,
     inflation: InflTally,
     precedence_violations: u64,
     sync_error_sum: i64,
@@ -135,6 +136,8 @@ struct PeriodTally {
 /// One system's results in one `(drift, latency)` cell.
 #[derive(Clone, Default)]
 struct SystemTally {
+    drift_ppm: i64,
+    latency: i64,
     pm_unsynced: InflTally,
     pm_unsynced_precedence: u64,
     mpm: InflTally,
@@ -142,65 +145,78 @@ struct SystemTally {
     per_period: Vec<PeriodTally>,
 }
 
-/// One `(drift, latency, period)` row of the grid.
-#[derive(Clone, Debug)]
-pub struct SyncCell {
-    /// Clock drift bound ε in ppm.
-    pub drift_ppm: i64,
-    /// Signal latency bound L in ticks.
-    pub latency: i64,
-    /// Sync-round period in ticks.
-    pub sync_period: i64,
-    /// Mean per-task EER inflation of synced PM over ideal PM.
-    pub pm_synced_inflation: f64,
-    /// Synced PM precedence violations across the cell's systems.
-    pub pm_synced_precedence: u64,
-    /// Oracle mean `|corrected local − true|` at sync rounds (ticks).
-    pub mean_clock_error: f64,
-    /// Oracle worst clock error (ticks).
-    pub max_clock_error: i64,
-    /// Worst Marzullo half-width: the node-visible uncertainty bound.
-    pub max_uncertainty: i64,
-    /// Sync rounds executed across the cell's systems.
-    pub sync_rounds: u64,
-    /// Sync frames as a fraction of all channel sends.
-    pub sync_traffic_share: f64,
-}
+/// The grid's columns over synced PM runs, folded per `(drift, latency,
+/// period)` over the cell's systems. Inflation pools every system's
+/// per-task ratios: a sum of sums over a count of counts.
+#[rustfmt::skip]
+const GRID_TABLE: Table<PeriodTally> = Table(&[
+    col("drift_ppm", Key, Key, |t| t.drift_ppm.into()),
+    col("latency", Key, Key, |t| t.latency.into()),
+    col("sync_period", Key, Key, |t| t.sync_period.into()),
+    col("inflation_sum", Sum, Sum, |t| t.inflation.sum.into()),
+    col("inflation_count", Sum, Sum, |t| t.inflation.count.into()),
+    col("pm_synced_inflation", INFLATION, INFLATION, |_| Value::None),
+    col("pm_synced_precedence", Sum, Sum, |t| t.precedence_violations.into()),
+    col("clock_error_sum", Sum, Sum, |t| t.sync_error_sum.into()),
+    col("clock_error_samples", Sum, Sum, |t| t.sync_error_samples.into()),
+    col("mean_clock_error", CLOCK_ERROR, CLOCK_ERROR, |_| Value::None),
+    col("max_clock_error", Max, Max, |t| t.sync_max_error.into()),
+    col("max_uncertainty", Max, Max, |t| t.sync_max_uncertainty.into()),
+    col("sync_rounds", Sum, Sum, |t| t.sync_rounds.into()),
+    col("sync_frames", Sum, Sum, |t| t.sync_frames.into()),
+    col("channel_sent", Sum, Sum, |t| t.channel_sent.into()),
+    col("sync_traffic_share", TRAFFIC, TRAFFIC, |_| Value::None),
+]);
 
-/// The `(drift, latency)` summary: unsynced baselines and the viability
-/// threshold over the period axis.
-#[derive(Clone, Debug)]
-pub struct SyncSummary {
-    /// Clock drift bound ε in ppm.
-    pub drift_ppm: i64,
-    /// Signal latency bound L in ticks.
-    pub latency: i64,
-    /// Mean EER inflation of PM without sync (the 4–5x finding).
-    pub pm_unsynced_inflation: f64,
-    /// PM precedence violations without sync.
-    pub pm_unsynced_precedence: u64,
-    /// Mean EER inflation of MPM under the same conditions (no sync).
-    pub mpm_inflation: f64,
-    /// Mean EER inflation of RG under the same conditions (no sync).
-    pub rg_inflation: f64,
-    /// Coarsest swept sync period at which synced PM's inflation beats
-    /// `min(MPM, RG)`; `None` when no swept period does.
-    pub threshold_period: Option<i64>,
-    /// Achieved mean clock error at the threshold period (ticks) — the
-    /// sync accuracy PM needs to be competitive.
-    pub threshold_clock_error: Option<f64>,
-    /// Synced PM inflation at the threshold period.
-    pub threshold_pm_inflation: Option<f64>,
-}
+const INFLATION: Agg = Ratio("inflation_sum", "inflation_count");
+const CLOCK_ERROR: Agg = Ratio("clock_error_sum", "clock_error_samples");
+const TRAFFIC: Agg = Ratio("sync_frames", "channel_sent");
+
+/// The unsynced baselines' columns, pooled per `(drift, latency)` over
+/// the cell's systems like [`GRID_TABLE`]'s inflation.
+#[rustfmt::skip]
+const BASELINE_TABLE: Table<SystemTally> = Table(&[
+    col("drift_ppm", Key, Key, |t| t.drift_ppm.into()),
+    col("latency", Key, Key, |t| t.latency.into()),
+    col("pm_sum", Sum, Sum, |t| t.pm_unsynced.sum.into()),
+    col("pm_count", Sum, Sum, |t| t.pm_unsynced.count.into()),
+    col("pm_unsynced_inflation", PM, PM, |_| Value::None),
+    col("pm_unsynced_precedence", Sum, Sum, |t| t.pm_unsynced_precedence.into()),
+    col("mpm_sum", Sum, Sum, |t| t.mpm.sum.into()),
+    col("mpm_count", Sum, Sum, |t| t.mpm.count.into()),
+    col("mpm_inflation", MPM, MPM, |_| Value::None),
+    col("rg_sum", Sum, Sum, |t| t.rg.sum.into()),
+    col("rg_count", Sum, Sum, |t| t.rg.count.into()),
+    col("rg_inflation", RG, RG, |_| Value::None),
+]);
+
+const PM: Agg = Ratio("pm_sum", "pm_count");
+const MPM: Agg = Ratio("mpm_sum", "mpm_count");
+const RG: Agg = Ratio("rg_sum", "rg_count");
+
+/// The header of `sync_grid.csv`, one row per `(drift, latency, period)`.
+const GRID: &str = "drift_ppm,latency,sync_period,pm_synced_inflation,pm_synced_precedence,\
+    mean_clock_error,max_clock_error,max_uncertainty,sync_rounds,sync_traffic_share";
+
+/// The header of `sync_summary.csv`, one row per `(drift, latency)`.
+const SUMMARY: &str = "drift_ppm,latency,pm_unsynced_inflation,pm_unsynced_precedence,\
+    mpm_inflation,rg_inflation,threshold_period,threshold_clock_error,threshold_pm_inflation";
 
 /// The study outcome: the full grid plus its per-cell summary.
 #[derive(Clone, Debug)]
 pub struct SyncStudyOutcome {
-    /// One row per `(drift, latency, period)`, row-major (drift outer,
-    /// latency middle, period inner).
-    pub cells: Vec<SyncCell>,
-    /// One row per `(drift, latency)`.
-    pub summaries: Vec<SyncSummary>,
+    /// One row per `(drift, latency, period)`, drift outer, latency
+    /// middle, period inner: the columns of `sync_grid.csv`. Synced PM's
+    /// EER inflation over ideal PM, the oracle mean and worst clock
+    /// error at sync rounds (ticks), the worst Marzullo half-width, sync
+    /// rounds and the sync share of all channel sends.
+    pub cells: Rows,
+    /// One row per `(drift, latency)`: the columns of `sync_summary.csv`.
+    /// The unsynced PM, MPM and RG inflations, and the viability
+    /// threshold: the coarsest swept period at which synced PM beats
+    /// `min(MPM, RG)`, with its clock error and inflation (empty when no
+    /// swept period does).
+    pub summaries: Rows,
 }
 
 /// The nonideal conditions of one `(drift, latency)` cell.
@@ -236,12 +252,17 @@ fn precedence_count(out: &SimOutcome) -> u64 {
 fn evaluate_system(
     set: &TaskSet,
     cfg: &SyncStudyConfig,
+    (drift_ppm, latency): (i64, i64),
     conditions: &NonidealConfig,
 ) -> SystemTally {
     let base = |protocol: Protocol| SimConfig::new(protocol).with_instances(cfg.instances_per_task);
     let run = |simcfg: &SimConfig| simulate(set, simcfg).expect("study systems are analyzable");
 
-    let mut tally = SystemTally::default();
+    let mut tally = SystemTally {
+        drift_ppm,
+        latency,
+        ..SystemTally::default()
+    };
     for protocol in [
         Protocol::PhaseModification,
         Protocol::ModifiedPhaseModification,
@@ -266,6 +287,9 @@ fn evaluate_system(
             .with_sync(SyncConfig::new(Dur::from_ticks(period)).with_policy(cfg.policy)));
         let s: &SyncStats = &synced.sync_stats;
         let mut pt = PeriodTally {
+            drift_ppm,
+            latency,
+            sync_period: period,
             precedence_violations: precedence_count(&synced),
             sync_error_sum: s.sum_true_error,
             sync_error_samples: s.true_error_samples,
@@ -284,7 +308,6 @@ fn evaluate_system(
 
 /// Runs the whole study. See [`SyncStudyOutcome`] for the result layout.
 pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
-    let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
     let system_seeds: Vec<u64> = (0..cfg.systems_per_config)
         .map(|i| job_seed(cfg.seed, 0, i))
         .collect();
@@ -300,177 +323,89 @@ pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
         cfg.threads,
         |c, s| {
             let (eps, latency) = conditions[c];
-            let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-            let set = generate(&spec, &mut rng).expect("paper spec always generates");
+            let set = paper_system(cfg.n, cfg.u, system_seeds[s]);
             let cell = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
-            evaluate_system(&set, cfg, &cell)
+            evaluate_system(&set, cfg, conditions[c], &cell)
         },
     );
 
-    let mut cells = Vec::new();
-    let mut summaries = Vec::new();
-    for (c, &(eps, latency)) in conditions.iter().enumerate() {
-        let systems = &results[c * cfg.systems_per_config..(c + 1) * cfg.systems_per_config];
-        let mut pm_unsynced = InflTally::default();
-        let mut mpm = InflTally::default();
-        let mut rg = InflTally::default();
-        let mut pm_unsynced_precedence = 0;
-        for t in systems {
-            pm_unsynced.merge(&t.pm_unsynced);
-            mpm.merge(&t.mpm);
-            rg.merge(&t.rg);
-            pm_unsynced_precedence += t.pm_unsynced_precedence;
-        }
+    let (systems, periods) = (cfg.systems_per_config, cfg.sync_periods.len());
+    let results = &results;
+    let runs: Vec<PeriodTally> = (0..conditions.len() * periods)
+        .flat_map(|row| {
+            let (c, p) = (row / periods, row % periods);
+            (0..systems).map(move |s| results[c * systems + s].per_period[p].clone())
+        })
+        .collect();
+    let cells = GRID_TABLE.cells(&runs, systems);
+    let mut summaries = BASELINE_TABLE.cells(results, systems);
 
-        let mut cell_rows = Vec::new();
-        for (pi, &period) in cfg.sync_periods.iter().enumerate() {
-            let mut infl = InflTally::default();
-            let mut agg = PeriodTally::default();
-            for t in systems {
-                let pt = &t.per_period[pi];
-                infl.merge(&pt.inflation);
-                agg.precedence_violations += pt.precedence_violations;
-                agg.sync_error_sum += pt.sync_error_sum;
-                agg.sync_error_samples += pt.sync_error_samples;
-                agg.sync_max_error = agg.sync_max_error.max(pt.sync_max_error);
-                agg.sync_max_uncertainty = agg.sync_max_uncertainty.max(pt.sync_max_uncertainty);
-                agg.sync_rounds += pt.sync_rounds;
-                agg.sync_frames += pt.sync_frames;
-                agg.channel_sent += pt.channel_sent;
-            }
-            cell_rows.push(SyncCell {
-                drift_ppm: eps,
-                latency,
-                sync_period: period,
-                pm_synced_inflation: infl.mean(),
-                pm_synced_precedence: agg.precedence_violations,
-                mean_clock_error: if agg.sync_error_samples == 0 {
-                    f64::NAN
-                } else {
-                    agg.sync_error_sum as f64 / agg.sync_error_samples as f64
-                },
-                max_clock_error: agg.sync_max_error,
-                max_uncertainty: agg.sync_max_uncertainty,
-                sync_rounds: agg.sync_rounds,
-                sync_traffic_share: if agg.channel_sent == 0 {
-                    f64::NAN
-                } else {
-                    agg.sync_frames as f64 / agg.channel_sent as f64
-                },
-            });
-        }
-
-        // The viability threshold: the coarsest (cheapest) period whose
-        // synced PM still beats the better unsynced alternative.
-        let alternative = mpm.mean().min(rg.mean());
-        let threshold = cell_rows
+    // The viability threshold: the coarsest (cheapest) period whose
+    // synced PM still beats the better unsynced alternative.
+    let thresholds: Vec<_> = (summaries.iter().enumerate())
+        .map(|(c, s)| {
+            let alternative = s.real("mpm_inflation").min(s.real("rg_inflation"));
+            (c * periods..(c + 1) * periods)
+                .map(|i| cells.row(i))
+                .filter(|r| r.real("pm_synced_inflation") < alternative)
+                .max_by_key(|r| r.int("sync_period"))
+        })
+        .collect();
+    let column = |pick: fn(Row<'_>) -> Value| {
+        thresholds
             .iter()
-            .filter(|r| r.pm_synced_inflation < alternative)
-            .max_by_key(|r| r.sync_period);
-        summaries.push(SyncSummary {
-            drift_ppm: eps,
-            latency,
-            pm_unsynced_inflation: pm_unsynced.mean(),
-            pm_unsynced_precedence,
-            mpm_inflation: mpm.mean(),
-            rg_inflation: rg.mean(),
-            threshold_period: threshold.map(|r| r.sync_period),
-            threshold_clock_error: threshold.map(|r| r.mean_clock_error),
-            threshold_pm_inflation: threshold.map(|r| r.pm_synced_inflation),
-        });
-        cells.extend(cell_rows);
-    }
+            .map(|t| t.map_or(Value::None, pick))
+            .collect()
+    };
+    let period = column(|r| r.get("sync_period"));
+    let clock_error = column(|r| Value::Fixed(r.real("mean_clock_error"), 2));
+    let inflation = column(|r| Value::Fixed(r.real("pm_synced_inflation"), 4));
+    summaries.push_column("threshold_period", period);
+    summaries.push_column("threshold_clock_error", clock_error);
+    summaries.push_column("threshold_pm_inflation", inflation);
     SyncStudyOutcome { cells, summaries }
 }
 
-/// Long-format CSV of the grid: one row per `(drift, latency, period)`.
-pub fn grid_csv(outcome: &SyncStudyOutcome) -> String {
-    let mut out = String::from(
-        "drift_ppm,latency,sync_period,pm_synced_inflation,pm_synced_precedence,\
-         mean_clock_error,max_clock_error,max_uncertainty,sync_rounds,sync_traffic_share\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            c.drift_ppm,
-            c.latency,
-            c.sync_period,
-            fmt_f64(c.pm_synced_inflation),
-            c.pm_synced_precedence,
-            fmt_f64(c.mean_clock_error),
-            c.max_clock_error,
-            c.max_uncertainty,
-            c.sync_rounds,
-            fmt_f64(c.sync_traffic_share),
-        ));
-    }
-    out
-}
-
-/// Summary CSV: one row per `(drift, latency)` with the viability
-/// threshold.
-pub fn summary_csv(outcome: &SyncStudyOutcome) -> String {
-    let mut out = String::from(
-        "drift_ppm,latency,pm_unsynced_inflation,pm_unsynced_precedence,mpm_inflation,\
-         rg_inflation,threshold_period,threshold_clock_error,threshold_pm_inflation\n",
-    );
-    for s in &outcome.summaries {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            s.drift_ppm,
-            s.latency,
-            fmt_f64(s.pm_unsynced_inflation),
-            s.pm_unsynced_precedence,
-            fmt_f64(s.mpm_inflation),
-            fmt_f64(s.rg_inflation),
-            s.threshold_period.map_or(String::new(), |p| p.to_string()),
-            s.threshold_clock_error
-                .map_or(String::new(), |e| format!("{e:.2}")),
-            s.threshold_pm_inflation
-                .map_or(String::new(), |i| format!("{i:.4}")),
-        ));
-    }
-    out
+/// The study's records: `sync_grid.csv`, one row per `(drift, latency,
+/// period)`, and `sync_summary.csv`, one row per `(drift, latency)` with
+/// the viability threshold.
+pub fn records(outcome: &SyncStudyOutcome) -> Vec<String> {
+    vec![outcome.cells.csv(GRID), outcome.summaries.csv(SUMMARY)]
 }
 
 /// ASCII rendering for the terminal.
 pub fn render(outcome: &SyncStudyOutcome) -> String {
     let mut out = String::from("sync study: PM EER inflation vs sync period\n");
-    for s in &outcome.summaries {
+    for s in outcome.summaries.iter() {
         out.push_str(&format!(
             "  ε = {:>6} ppm, L = {:>6} ticks: PM x{} unsynced ({} violations), MPM x{}, RG x{}\n",
-            s.drift_ppm,
-            s.latency,
-            fmt_f64(s.pm_unsynced_inflation),
-            s.pm_unsynced_precedence,
-            fmt_f64(s.mpm_inflation),
-            fmt_f64(s.rg_inflation),
+            s.get("drift_ppm"),
+            s.get("latency"),
+            s.get("pm_unsynced_inflation"),
+            s.get("pm_unsynced_precedence"),
+            s.get("mpm_inflation"),
+            s.get("rg_inflation"),
         ));
-        for c in outcome
-            .cells
-            .iter()
-            .filter(|c| c.drift_ppm == s.drift_ppm && c.latency == s.latency)
-        {
+        for c in (outcome.cells.iter()).filter(|c| {
+            c.get("drift_ppm") == s.get("drift_ppm") && c.get("latency") == s.get("latency")
+        }) {
             out.push_str(&format!(
                 "    period {:>9}: x{:<8} clock err {:>8.1} (max {}), {} rounds, {:.1}% of wire{}\n",
-                c.sync_period,
-                fmt_f64(c.pm_synced_inflation),
-                c.mean_clock_error,
-                c.max_clock_error,
-                c.sync_rounds,
-                c.sync_traffic_share * 100.0,
-                if c.pm_synced_precedence > 0 {
-                    format!(", {} violations", c.pm_synced_precedence)
-                } else {
-                    String::new()
-                },
+                c.get("sync_period"),
+                c.get("pm_synced_inflation"),
+                c.real("mean_clock_error"),
+                c.get("max_clock_error"),
+                c.get("sync_rounds"),
+                c.real("sync_traffic_share") * 100.0,
+                c.note("pm_synced_precedence", "violations"),
             ));
         }
-        match (s.threshold_period, s.threshold_clock_error) {
-            (Some(p), Some(e)) => out.push_str(&format!(
-                "    -> PM beats min(MPM, RG) up to period {p} (clock error {e:.1} ticks)\n"
+        match s.get("threshold_period") {
+            Value::None => out.push_str("    -> no swept period makes PM competitive\n"),
+            p => out.push_str(&format!(
+                "    -> PM beats min(MPM, RG) up to period {p} (clock error {:.1} ticks)\n",
+                s.real("threshold_clock_error")
             )),
-            _ => out.push_str("    -> no swept period makes PM competitive\n"),
         }
     }
     out
@@ -485,7 +420,6 @@ pub fn robustness_pm_synced_csv(
     sync_period: i64,
     policy: SyncPolicy,
 ) -> String {
-    let spec = WorkloadSpec::paper(rcfg.n, rcfg.u).with_random_phases();
     let system_seeds: Vec<u64> = (0..rcfg.systems_per_config)
         .map(|i| job_seed(rcfg.seed, 0, i))
         .collect();
@@ -500,8 +434,7 @@ pub fn robustness_pm_synced_csv(
         rcfg.threads,
         |c, s| {
             let (eps, latency) = cells[c];
-            let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-            let set = generate(&spec, &mut rng).expect("paper spec always generates");
+            let set = paper_system(rcfg.n, rcfg.u, system_seeds[s]);
             // The unsynced robustness grid's own conditions (same derived
             // seeds), plus the sync layer.
             let ni = crate::robustness::cell_conditions(
@@ -571,44 +504,35 @@ mod tests {
     #[test]
     fn tight_sync_beats_loose_sync_and_no_sync() {
         let outcome = run_sync_study(&tiny_cfg());
-        assert_eq!(outcome.cells.len(), 2);
-        assert_eq!(outcome.summaries.len(), 1);
-        let (tight, loose) = (&outcome.cells[0], &outcome.cells[1]);
-        let summary = &outcome.summaries[0];
+        assert_eq!(outcome.cells.iter().count(), 2);
+        assert_eq!(outcome.summaries.iter().count(), 1);
+        let (tight, loose) = (outcome.cells.row(0), outcome.cells.row(1));
+        let unsynced = outcome.summaries.row(0).real("pm_unsynced_inflation");
+        let synced = tight.real("pm_synced_inflation");
         assert!(
-            summary.pm_unsynced_inflation > tight.pm_synced_inflation,
-            "sync must reclaim inflation: {} unsynced vs {} synced",
-            summary.pm_unsynced_inflation,
-            tight.pm_synced_inflation
+            unsynced > synced,
+            "sync must reclaim inflation: {unsynced} unsynced vs {synced} synced"
+        );
+        let (tight_error, loose_error) = (
+            tight.real("mean_clock_error"),
+            loose.real("mean_clock_error"),
         );
         assert!(
-            tight.mean_clock_error < loose.mean_clock_error,
+            tight_error < loose_error,
             "a 100x tighter period must achieve lower clock error \
-             ({} vs {})",
-            tight.mean_clock_error,
-            loose.mean_clock_error
+             ({tight_error} vs {loose_error})"
         );
-        assert!(tight.sync_rounds > loose.sync_rounds);
-        assert!(tight.sync_traffic_share > 0.0);
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let mut cfg = tiny_cfg();
-        cfg.threads = 1;
-        let a = run_sync_study(&cfg);
-        cfg.threads = 4;
-        let b = run_sync_study(&cfg);
-        assert_eq!(grid_csv(&a), grid_csv(&b));
-        assert_eq!(summary_csv(&a), summary_csv(&b));
+        assert!(tight.int("sync_rounds") > loose.int("sync_rounds"));
+        assert!(tight.real("sync_traffic_share") > 0.0);
     }
 
     #[test]
     fn csv_shapes() {
         let outcome = run_sync_study(&tiny_cfg());
-        let grid = grid_csv(&outcome);
+        let [grid, summary] = &records(&outcome)[..] else {
+            panic!("two records")
+        };
         assert_eq!(grid.lines().count(), 1 + 2); // header + 1 cell x 2 periods
-        let summary = summary_csv(&outcome);
         assert_eq!(summary.lines().count(), 1 + 1);
         assert!(summary.starts_with("drift_ppm,latency,pm_unsynced_inflation"));
     }

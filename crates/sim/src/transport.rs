@@ -390,15 +390,10 @@ impl TransportState {
     fn on_ack<O: Observer>(&mut self, w: &mut Wire<'_, O>, seq: u64) {
         let rtt = match self.window.entry(seq) {
             Entry::Occupied(open) => {
-                let entry = *open.get();
-                // The ack travels receiver → sender: sever it if the cut
-                // opened while it was in flight (the window stays open and
-                // the frame will be retransmitted after the heal).
-                if w.faults.cut(w.host(entry.job), entry.from) {
-                    w.faults.stats.severed_transport += 1;
-                    return;
-                }
-                open.remove();
+                // No cut can catch an ack: `on_frame` pushes it at the
+                // frame's delivery instant, and a partition edge at that
+                // instant pops first and severs the frame itself.
+                let entry = open.remove();
                 Some(self.close(entry, w.now, w.flat.of(entry.job.subtask())))
             }
             Entry::Vacant(_) => {

@@ -909,9 +909,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "{:<6}{:>10}{:>12}{:>10}{:>8}{:>8}{:>8}{:>10}{:>10}{:>8}",
         "task", "done", "avg EER", "min", "p50", "p95", "p99", "max", "jitter", "misses"
     );
+    // A quantile reads its histogram bucket's upper bound, which can
+    // pass the largest EER observed: print it clamped to that.
     let q = |s: &rtsync::sim::TaskStats, q: f64| -> String {
-        s.eer_quantile(q)
-            .map_or("-".into(), |v| v.ticks().to_string())
+        (s.eer_quantile(q).zip(s.max_eer()))
+            .map_or("-".into(), |(v, max)| v.min(max).ticks().to_string())
     };
     for task in set.tasks() {
         let s = outcome.metrics.task(task.id());
@@ -1695,11 +1697,8 @@ fn run_sync(a: &StudyArgs) -> Result<Ran, String> {
     let synced = sync::robustness_pm_synced_csv(&rcfg, 10_000, SyncPolicy::Step);
     print!("PM inflation matrix, synced (period 10000, step policy):\n{synced}");
     let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
-    let csvs = vec![
-        sync::grid_csv(&outcome),
-        sync::summary_csv(&outcome),
-        synced,
-    ];
+    let mut csvs = sync::records(&outcome);
+    csvs.push(synced);
     Ok(Ran(summary, csvs, None))
 }
 
@@ -1742,9 +1741,9 @@ fn run_chaos(a: &StudyArgs) -> Result<Ran, String> {
                     v.policy,
                     v.system_seed,
                     v.fault_seed,
-                    v.missed,
-                    v.lost,
-                    v.crashes
+                    v.instances.missed,
+                    v.instances.lost,
+                    v.faults.crashes
                 );
             }
             None => eprintln!("no chaos runs to capture telemetry from"),
@@ -1771,8 +1770,7 @@ fn run_chaos(a: &StudyArgs) -> Result<Ran, String> {
         )
     });
     let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
-    let csvs = vec![chaos::to_csv(&outcome), chaos::runs_csv(&outcome)];
-    Ok(Ran(summary, csvs, failure))
+    Ok(Ran(summary, chaos::records(&outcome), failure))
 }
 
 /// The adversarial-time campaign: lying and colluding clocks under sync.
@@ -1796,11 +1794,7 @@ fn run_adversary(a: &StudyArgs) -> Result<Ran, String> {
         )
     });
     let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
-    let csvs = vec![
-        adversary::grid_csv(&outcome),
-        adversary::summary_csv(&outcome),
-    ];
-    Ok(Ran(summary, csvs, failure))
+    Ok(Ran(summary, adversary::records(&outcome), failure))
 }
 
 /// The gray-failure campaign: slowdowns, stalls and degraded links.
@@ -1830,8 +1824,7 @@ fn run_gray(a: &StudyArgs) -> Result<Ran, String> {
         })
     };
     let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
-    let csvs = vec![gray::grid_csv(&outcome), gray::summary_csv(&outcome)];
-    Ok(Ran(summary, csvs, failure))
+    Ok(Ran(summary, gray::records(&outcome), failure))
 }
 
 /// The transport study: the ack/retransmit layer over lossy channels.
@@ -1854,11 +1847,7 @@ fn run_transport(a: &StudyArgs) -> Result<Ran, String> {
         cfg.protocols.len() * cfg.detector_runs,
         cfg.seed
     );
-    let csvs = vec![
-        transport::grid_csv(&outcome),
-        transport::summary_csv(&outcome),
-    ];
-    Ok(Ran(summary, csvs, failure))
+    Ok(Ran(summary, transport::records(&outcome), failure))
 }
 
 /// The admission study: memoized against from-scratch verdicts.
@@ -1877,8 +1866,7 @@ fn run_admit(a: &StudyArgs) -> Result<Ran, String> {
         "memoized and from-scratch admission verdicts disagreed on some operation".to_string()
     });
     let summary = format!("{} runs, seed {}", cfg.total_runs(), cfg.seed);
-    let csvs = vec![admit::grid_csv(&outcome), admit::summary_csv(&outcome)];
-    Ok(Ran(summary, csvs, failure))
+    Ok(Ran(summary, admit::records(&outcome), failure))
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {

@@ -525,7 +525,7 @@ proptest! {
     /// minimized schedules regardless of the worker-thread count.
     #[test]
     fn chaos_campaigns_are_byte_deterministic(seed in 0u64..1_000_000_000) {
-        use rtsync::experiments::chaos::{run_chaos, runs_csv, to_csv, ChaosConfig};
+        use rtsync::experiments::chaos::{records, run_chaos, ChaosConfig};
         let cfg = ChaosConfig {
             protocols: vec![Protocol::DirectSync, Protocol::ReleaseGuard],
             mean_uptimes: vec![5_000_000, 1_000_000],
@@ -537,8 +537,7 @@ proptest! {
         };
         let a = run_chaos(&cfg);
         let b = run_chaos(&ChaosConfig { threads: 4, ..cfg });
-        prop_assert_eq!(runs_csv(&a), runs_csv(&b));
-        prop_assert_eq!(to_csv(&a), to_csv(&b));
+        prop_assert_eq!(records(&a), records(&b));
         prop_assert_eq!(a.failures.len(), b.failures.len());
         for (fa, fb) in a.failures.iter().zip(&b.failures) {
             prop_assert_eq!(&fa.minimized, &fb.minimized);
