@@ -264,24 +264,32 @@ pub fn inflation_matrix_csv(cells: &[RobustnessCell], protocol: Protocol) -> Str
     let mut latencies: Vec<i64> = cells.iter().map(|c| c.latency).collect();
     latencies.sort_unstable();
     latencies.dedup();
+    matrix_csv(&drifts, &latencies, |d, l| {
+        let cell = cells
+            .iter()
+            .find(|c| c.drift_ppm == drifts[d] && c.latency == latencies[l])?;
+        let p = cell.protocols.iter().find(|p| p.protocol == protocol)?;
+        Some(p.mean_inflation)
+    })
+}
+
+/// A drift × latency matrix as CSV: a `drift_ppm,L=…` header, then one
+/// row per drift with `value(drift index, latency index)` to four places
+/// per latency, empty where it is missing or not finite.
+pub(crate) fn matrix_csv(
+    drifts: &[i64],
+    latencies: &[i64],
+    mut value: impl FnMut(usize, usize) -> Option<f64>,
+) -> String {
     let mut out = String::from("drift_ppm");
-    for l in &latencies {
+    for l in latencies {
         out.push_str(&format!(",L={l}"));
     }
     out.push('\n');
-    for eps in drifts {
+    for (d, eps) in drifts.iter().enumerate() {
         out.push_str(&eps.to_string());
-        for &l in &latencies {
-            let v = cells
-                .iter()
-                .find(|c| c.drift_ppm == eps && c.latency == l)
-                .and_then(|c| {
-                    c.protocols
-                        .iter()
-                        .find(|p| p.protocol == protocol)
-                        .map(|p| p.mean_inflation)
-                });
-            match v {
+        for l in 0..latencies.len() {
+            match value(d, l) {
                 Some(v) if v.is_finite() => out.push_str(&format!(",{v:.4}")),
                 _ => out.push(','),
             }
@@ -427,5 +435,16 @@ mod tests {
         let matrix = inflation_matrix_csv(&cells, Protocol::ReleaseGuard);
         assert_eq!(matrix.lines().count(), 1 + 2); // header + 2 drift rows
         assert!(matrix.starts_with("drift_ppm,L=0,L=50000"));
+    }
+
+    #[test]
+    fn matrix_cells_are_fixed_point_or_empty() {
+        let csv = matrix_csv(&[0, 50], &[0, 7], |d, l| match (d, l) {
+            (0, 0) => Some(1.0),
+            (0, 1) => Some(f64::NAN),
+            (1, 0) => None,
+            _ => Some(2.345_67),
+        });
+        assert_eq!(csv, "drift_ppm,L=0,L=7\n0,1.0000,\n50,,2.3457\n");
     }
 }

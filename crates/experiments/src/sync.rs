@@ -460,29 +460,16 @@ pub fn robustness_pm_synced_csv(
         },
     );
 
-    let mut out = String::from("drift_ppm");
-    for l in &rcfg.latency_values {
-        out.push_str(&format!(",L={l}"));
-    }
-    out.push('\n');
-    for (d, &eps) in rcfg.drift_ppm_values.iter().enumerate() {
-        out.push_str(&eps.to_string());
-        for l in 0..rcfg.latency_values.len() {
-            let c = d * rcfg.latency_values.len() + l;
-            let mut cell = InflTally::default();
-            for t in &results[c * rcfg.systems_per_config..(c + 1) * rcfg.systems_per_config] {
-                cell.merge(t);
-            }
-            let v = cell.mean();
-            if v.is_finite() {
-                out.push_str(&format!(",{v:.4}"));
-            } else {
-                out.push(',');
-            }
+    let per_cell = rcfg.systems_per_config;
+    let (drifts, latencies) = (&rcfg.drift_ppm_values, &rcfg.latency_values);
+    crate::robustness::matrix_csv(drifts, latencies, |d, l| {
+        let c = d * latencies.len() + l;
+        let mut cell = InflTally::default();
+        for t in &results[c * per_cell..(c + 1) * per_cell] {
+            cell.merge(t);
         }
-        out.push('\n');
-    }
-    out
+        Some(cell.mean())
+    })
 }
 
 #[cfg(test)]

@@ -781,31 +781,14 @@ impl DetectState {
         }
     }
 
-    /// The detector's event family: a heartbeat broadcast, a heartbeat
-    /// landing, a suspicion deadline passing. `transport` supplies the
-    /// last acked signals MPM's degraded releases re-arm from.
-    pub(crate) fn on_event<O: Observer>(
-        &mut self,
-        w: &mut Wire<'_, O>,
-        transport: Option<&TransportState>,
-        kind: EventKind,
-    ) {
-        match kind {
-            EventKind::HeartbeatSend { proc } => self.on_heartbeat_send(w, proc),
-            EventKind::HeartbeatDeliver { from, to } => {
-                self.on_heartbeat_deliver(w, from.index(), to.index())
-            }
-            EventKind::SuspectTimer { observer, subject } => {
-                self.on_suspect_timer(w, transport, observer.index(), subject.index())
-            }
-            _ => unreachable!("{kind:?} is not a detector event"),
-        }
-    }
-
     /// A processor's periodic heartbeat broadcast. The chain ticks whether
     /// the node is up or not — a crashed node simply stays silent until it
     /// recovers.
-    fn on_heartbeat_send<O: Observer>(&mut self, w: &mut Wire<'_, O>, proc: ProcessorId) {
+    pub(crate) fn on_heartbeat_send<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        proc: ProcessorId,
+    ) {
         let p = proc.index();
         let (stalled, rate) = (w.procs[p].is_stalled(), w.procs[p].rate());
         // A stalled node's heartbeat daemon is as frozen as everything
@@ -849,7 +832,13 @@ impl DetectState {
     /// suspicion deadline from now (or clear it, for a pair that stays
     /// Dead). A detector on a crashed node is frozen — it resumes with its
     /// pre-crash beliefs at recovery.
-    fn on_heartbeat_deliver<O: Observer>(&mut self, w: &mut Wire<'_, O>, from: usize, to: usize) {
+    pub(crate) fn on_heartbeat_deliver<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: ProcessorId,
+        to: ProcessorId,
+    ) {
+        let (from, to) = (from.index(), to.index());
         if w.procs[to].is_down() {
             return;
         }
@@ -877,13 +866,14 @@ impl DetectState {
     /// armed: walk the observer's belief one step (Alive → Suspect →
     /// Dead), judging it against the ground-truth crash schedule, and
     /// start degraded releases on a death.
-    fn on_suspect_timer<O: Observer>(
+    pub(crate) fn on_suspect_timer<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
         transport: Option<&TransportState>,
-        observer: usize,
-        subject: usize,
+        observer: ProcessorId,
+        subject: ProcessorId,
     ) {
+        let (observer, subject) = (observer.index(), subject.index());
         if w.procs[observer].is_down() {
             return; // frozen detector
         }

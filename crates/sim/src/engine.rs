@@ -6,15 +6,17 @@
 //! ordering, and full metrics/trace collection.
 //!
 //! The engine keeps the event loop, the protocol and processor handlers,
-//! and every action that releases, cancels or delivers a job. Each
-//! [`Processor`] holds its scheduler state and its liveness (down,
-//! stalled, slowed) and reads one [`LocalClock`] (the ideal one unless a
-//! clock model says otherwise). The fault domain ([`crate::faults`]) is
-//! always present, built from the empty schedule when
-//! [`SimConfig::faults`] is `None`. The optional wire layers (transport,
-//! failure detector, clock sync) own the handlers of their event families
-//! and get the engine state they touch as one borrowed `Wire` (see
-//! `crate::wire`); a run without them never builds their state. Each
+//! and every action that releases, cancels or delivers a job: crash,
+//! recovery and the partition heal among them, since they cancel or
+//! re-signal jobs. Each [`Processor`] holds its scheduler state and its
+//! liveness (down, stalled, slowed) and reads one [`LocalClock`] (the
+//! ideal one unless a clock model says otherwise). The fault domain
+//! ([`crate::faults`]) is always present, built from the empty schedule
+//! when [`SimConfig::faults`] is `None`. The state the other handlers
+//! touch too is one owned `Wire` field (see `crate::wire`): the wire
+//! layers (transport, failure detector, clock sync) and the gray fault
+//! edges take it by `&mut`, and the run loop calls each of their handlers
+//! directly. A run without a layer never builds its state. Each
 //! protocol's release state lives in its controller (`crate::controller`).
 //!
 //! Deadlines that get replaced sit in keyed queue slots, laid out once at
@@ -57,7 +59,7 @@ use crate::controller::{CompletionDirective, Controller, FlatIndex, ReleaseTimer
 use crate::detect::{Degradation, DegradationEvent, DetectState, DetectStats};
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{
-    BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, GrayFamily, OverloadPolicy,
+    self, BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, GrayFamily, OverloadPolicy,
 };
 use crate::job::JobId;
 use crate::metrics::Metrics;
@@ -405,42 +407,21 @@ pub fn simulate_profiled(
 }
 
 struct Engine<'a, O: Observer, P: Profiler> {
-    set: &'a TaskSet,
-    cfg: &'a SimConfig,
-    queue: EventQueue,
-    procs: Vec<Processor>,
+    /// The state the wire layers and the gray edges touch too.
+    w: Wire<'a, O>,
     controller: Controller,
-    flat: FlatIndex,
     metrics: Metrics,
-    trace: Option<Trace>,
     violations: Vec<Violation>,
-    /// Released / completed instance counts per flat subtask index.
-    released: Vec<u64>,
+    /// Completed instance counts per flat subtask index.
     completed: Vec<u64>,
     /// Release times of in-flight instances per flat subtask index (FIFO —
     /// instances complete in release order), for response-time stats.
     inflight: Vec<std::collections::VecDeque<Time>>,
-    /// Processors touched during the current instant, awaiting the
-    /// end-of-instant reschedule.
-    dirty: Vec<bool>,
-    /// Executed ticks per processor.
-    busy_ticks: Vec<Dur>,
     /// Effective-priority profile per flat subtask index (Highest Locker).
     profiles: Vec<PriorityProfile>,
-    /// Each processor's local clock; a sync correction steps its offset.
-    clocks: Vec<LocalClock>,
-    /// Signal-channel state; `None` routes signals instantaneously.
-    channel: Option<ChannelState>,
-    /// The fault domain: the schedule's next edge, partitions, gray
-    /// links, recovery bookkeeping. Empty when no faults are configured.
-    faults: FaultState,
     /// The transport, failure detector and clock sync, each optional.
     layers: Layers,
-    /// Structured degradation log (see [`SimOutcome::degradations`]).
-    degradations: Vec<DegradationEvent>,
-    horizon: Time,
     events: u64,
-    now: Time,
     /// Scratch buffers reused across dispatches so the steady-state event
     /// loop allocates nothing (DESIGN.md §11). Each is `mem::take`n for
     /// the duration of one handler and restored (cleared) afterwards; the
@@ -450,9 +431,6 @@ struct Engine<'a, O: Observer, P: Profiler> {
     rule2_scratch: Vec<JobId>,
     deliver_scratch: Vec<u64>,
     recover_scratch: Vec<(BacklogItem, bool)>,
-    /// Instrumentation hooks (see [`crate::observe`]); `NoopObserver`
-    /// for unobserved runs, compiled away by monomorphization.
-    obs: &'a mut O,
     /// Wall-clock scope accounting (see [`crate::perf`]); `NoopProfiler`
     /// for unprofiled runs, compiled away by monomorphization.
     prof: &'a mut P,
@@ -548,58 +526,60 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 .map(|sc| SyncState::new(sc, &clocks, cfg.transport.as_ref())),
         };
         Ok(Engine {
-            set,
-            cfg,
-            queue: EventQueue::with_slots(slots),
-            procs: (0..procs)
-                .map(|i| Processor::new(ProcessorId::new(i)))
-                .collect(),
+            w: Wire {
+                now: Time::ZERO,
+                horizon,
+                cfg,
+                set,
+                released: vec![0; set.num_subtasks()],
+                flat,
+                queue: EventQueue::with_slots(slots),
+                procs: (0..procs)
+                    .map(|i| Processor::new(ProcessorId::new(i)))
+                    .collect(),
+                faults,
+                channel,
+                clocks,
+                log: Vec::new(),
+                busy_ticks: vec![Dur::ZERO; procs],
+                trace: cfg.record_trace.then(|| Trace::new(procs)),
+                dirty: vec![false; procs],
+                obs,
+            },
             controller,
-            flat,
             metrics: Metrics::with_chains(
                 &set.tasks()
                     .iter()
                     .map(|t| t.chain_len())
                     .collect::<Vec<_>>(),
             ),
-            trace: cfg.record_trace.then(|| Trace::new(procs)),
             violations: Vec::new(),
-            released: vec![0; set.num_subtasks()],
             completed: vec![0; set.num_subtasks()],
             inflight: vec![std::collections::VecDeque::new(); set.num_subtasks()],
-            dirty: vec![false; procs],
-            busy_ticks: vec![Dur::ZERO; procs],
             profiles: set
                 .subtasks()
                 .map(|sub| PriorityProfile::for_subtask(set, sub))
                 .collect(),
-            clocks,
-            channel,
-            faults,
             layers,
-            degradations: Vec::new(),
-            horizon,
             events: 0,
-            now: Time::ZERO,
             kill_scratch: Vec::new(),
             rule2_scratch: Vec::new(),
             deliver_scratch: Vec::new(),
             recover_scratch: Vec::new(),
-            obs,
             prof,
         })
     }
 
     fn run(mut self) -> Result<SimOutcome, SimulateError> {
-        self.obs.on_run_start(self.set, self.cfg.protocol);
+        let (set, cfg) = (self.w.set, self.w.cfg);
+        self.w.obs.on_run_start(set, cfg.protocol);
         // Seed the queue: source releases for every task, clock-driven
         // releases for PM's later subtasks.
-        for task in self.set.tasks() {
-            let t0 = self
-                .cfg
+        for task in set.tasks() {
+            let t0 = cfg
                 .source
                 .release_time(task.id(), task.period(), task.phase(), 0, None);
-            self.queue.push(
+            self.w.queue.push(
                 t0,
                 EventKind::SourceRelease {
                     task: task.id(),
@@ -607,8 +587,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 },
             );
         }
-        if self.cfg.protocol == Protocol::PhaseModification {
-            for task in self.set.tasks() {
+        if cfg.protocol == Protocol::PhaseModification {
+            for task in set.tasks() {
                 for sub in task.subtasks().iter().skip(1) {
                     // PM timers fire when the *local* clock reads the
                     // modified phase — this is the one place absolute clock
@@ -617,7 +597,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     // (the release is maximally early either way).
                     let phase = self.controller.pm_phase(sub.id());
                     let at = self.pm_firing(sub.processor().index(), phase);
-                    self.queue.push(
+                    self.w.queue.push(
                         at,
                         EventKind::TimedRelease {
                             subtask: sub.id(),
@@ -629,18 +609,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
 
         // The fault domain keeps only its next schedule edge queued.
-        self.faults.arm_next_edge(&mut self.queue);
+        self.w.faults.arm_next_edge(&mut self.w.queue);
         // Seed the failure detector's heartbeat chains and suspicion
         // deadlines, then the sync layer's round chains.
-        self.on_layer(|l, w| {
-            if let Some(detect) = &l.detect {
-                detect.start(w);
-            }
-            if let Some(sync) = &l.sync {
-                sync.start(w);
-            }
-            None
-        });
+        if let Some(detect) = &self.layers.detect {
+            detect.start(&mut self.w);
+        }
+        if let Some(sync) = &self.layers.sync {
+            sync.start(&mut self.w);
+        }
 
         let mut reached_target = false;
         // Everything up to here was Setup. From here to loop exit every
@@ -650,40 +627,31 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // NoopProfiler is an empty inline default, so the unprofiled loop
         // is unchanged.
         self.prof.switch(PerfScope::Queue);
-        while let Some(event) = self.queue.pop() {
-            if event.time > self.horizon || self.events >= self.cfg.max_events {
+        while let Some(event) = self.w.queue.pop() {
+            if event.time > self.w.horizon || self.events >= cfg.max_events {
                 break;
             }
-            debug_assert!(event.time >= self.now, "event queue went backwards");
-            self.now = event.time;
+            debug_assert!(event.time >= self.w.now, "event queue went backwards");
+            self.w.now = event.time;
             self.events += 1;
             if event.kind.is_fault_edge() {
-                self.faults.arm_next_edge(&mut self.queue);
+                self.w.faults.arm_next_edge(&mut self.w.queue);
             }
             self.prof.switch(PerfScope::Observer);
-            self.note(Note::Event(event.kind));
+            self.w.note(Note::Event(event.kind));
             self.prof.switch(PerfScope::of(&event.kind));
             match event.kind {
                 EventKind::Crash { proc } => self.on_crash(proc),
                 EventKind::Recover { proc } => self.on_recover(proc),
-                EventKind::PartitionStart { idx } => self.on_partition_start(idx),
                 EventKind::PartitionHeal { .. } => self.on_partition_heal(),
-                EventKind::SlowStart { proc, idx } => self.on_slow_start(proc, idx),
-                EventKind::SlowEnd { proc } => self.set_rate(proc, 1),
-                EventKind::StallStart { proc } => self.on_stall(proc, true),
-                EventKind::StallEnd { proc } => self.on_stall(proc, false),
-                EventKind::LinkDegradeStart { idx } => {
-                    let (from, to) = self.faults.open_link(idx);
-                    self.note(Note::LinkDegrade { from, to, on: true });
-                }
-                EventKind::LinkDegradeEnd { idx } => {
-                    let (from, to) = self.faults.close_link(idx);
-                    self.note(Note::LinkDegrade {
-                        from,
-                        to,
-                        on: false,
-                    });
-                }
+                // Gray edges touch no protocol state.
+                kind @ (EventKind::PartitionStart { .. }
+                | EventKind::SlowStart { .. }
+                | EventKind::SlowEnd { .. }
+                | EventKind::StallStart { .. }
+                | EventKind::StallEnd { .. }
+                | EventKind::LinkDegradeStart { .. }
+                | EventKind::LinkDegradeEnd { .. }) => faults::on_gray_edge(&mut self.w, kind),
                 EventKind::Completion { proc } => self.on_completion(proc),
                 EventKind::MpmTimer { job } => self.on_mpm_timer(job),
                 EventKind::SignalSend { job } => self.on_signal_send(job),
@@ -695,28 +663,62 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 EventKind::TimedRelease { subtask, instance } => {
                     self.on_timed_release(subtask, instance)
                 }
-                // Each wire layer gets its event family once.
-                kind @ (EventKind::TransportDeliver { .. }
-                | EventKind::AckDeliver { .. }
-                | EventKind::RetransmitTimer { .. }) => {
-                    self.on_layer(|l, w| l.transport.as_mut()?.on_event(w, kind))
+                // Each wire-layer event goes straight to its handler.
+                EventKind::TransportDeliver { job, seq } => {
+                    self.on_layer(|l, w| l.transport.as_mut()?.on_frame(w, job, seq))
                 }
-                kind @ (EventKind::HeartbeatSend { .. }
-                | EventKind::HeartbeatDeliver { .. }
-                | EventKind::SuspectTimer { .. }) => self.on_layer(|l, w| {
+                EventKind::AckDeliver { seq } => self.on_layer(|l, w| {
+                    l.transport.as_mut()?.on_ack(w, seq);
+                    None
+                }),
+                EventKind::RetransmitTimer { seq } => {
+                    self.on_layer(|l, w| l.transport.as_mut()?.on_retransmit_timer(w, seq))
+                }
+                EventKind::HeartbeatSend { proc } => self.on_layer(|l, w| {
+                    l.detect.as_mut()?.on_heartbeat_send(w, proc);
+                    None
+                }),
+                EventKind::HeartbeatDeliver { from, to } => self.on_layer(|l, w| {
+                    l.detect.as_mut()?.on_heartbeat_deliver(w, from, to);
+                    None
+                }),
+                EventKind::SuspectTimer { observer, subject } => self.on_layer(|l, w| {
                     let transport = l.transport.as_ref();
-                    l.detect.as_mut()?.on_event(w, transport, kind);
+                    l.detect
+                        .as_mut()?
+                        .on_suspect_timer(w, transport, observer, subject);
                     None
                 }),
                 EventKind::DegradedRelease { subtask, instance } => {
                     let deferred = self.controller.has_deferred(subtask, instance);
                     self.on_layer(|l, w| l.detect.as_mut()?.march(w, subtask, instance, deferred))
                 }
-                kind @ (EventKind::SyncRound { .. }
-                | EventKind::SyncRequest { .. }
-                | EventKind::SyncResponse { .. }
-                | EventKind::SyncRetry { .. }) => self.on_layer(|l, w| {
-                    l.sync.as_mut()?.on_event(w, kind);
+                EventKind::SyncRound { proc } => self.on_layer(|l, w| {
+                    l.sync.as_mut()?.on_round(w, proc);
+                    None
+                }),
+                EventKind::SyncRequest { from, to, t1 } => self.on_layer(|l, w| {
+                    l.sync.as_mut()?.on_request(w, from, to, t1);
+                    None
+                }),
+                EventKind::SyncResponse {
+                    from,
+                    to,
+                    t1,
+                    t2,
+                    disp,
+                } => self.on_layer(|l, w| {
+                    l.sync.as_mut()?.on_response(w, from, to, t1, t2, disp);
+                    None
+                }),
+                EventKind::SyncRetry {
+                    from,
+                    to,
+                    t1,
+                    respond,
+                    attempt,
+                } => self.on_layer(|l, w| {
+                    l.sync.as_mut()?.on_retry(w, from, to, t1, respond, attempt);
                     None
                 }),
             }
@@ -725,14 +727,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // are arbitrated purely by priority, never by event order (a
             // non-preemptive job must not start ahead of a higher-priority
             // job released at the same instant).
-            if self.queue.peek_time() != Some(self.now) {
+            if self.w.queue.peek_time() != Some(self.w.now) {
                 self.prof.switch(PerfScope::Flush);
                 self.flush_dispatch();
                 // End-of-instant telemetry sample. `wants_samples` is a
                 // monomorphized constant: with NoopObserver the whole
                 // block — including assembling the sample — folds away,
                 // keeping the unobserved hot path untouched.
-                if self.obs.wants_samples() {
+                if self.w.obs.wants_samples() {
                     self.prof.switch(PerfScope::Observer);
                     self.emit_sample();
                 }
@@ -742,48 +744,48 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             // completing; both count toward the stop target (identical to
             // `min_completed` when the fault domain is off: nothing is ever
             // lost then).
-            if self.metrics.min_resolved() >= self.cfg.instances_per_task {
+            if self.metrics.min_resolved() >= cfg.instances_per_task {
                 reached_target = true;
                 break;
             }
         }
 
-        self.note(Note::RunEnd {
+        self.w.note(Note::RunEnd {
             events: self.events,
         });
         Ok(SimOutcome {
             metrics: self.metrics,
-            trace: self.trace,
+            trace: self.w.trace,
             violations: self.violations,
             events: self.events,
-            end_time: self.now,
+            end_time: self.w.now,
             reached_target,
-            busy_ticks: self.busy_ticks,
-            channel_stats: self.channel.map(|ch| ch.stats).unwrap_or_default(),
-            fault_stats: self.faults.stats,
+            busy_ticks: self.w.busy_ticks,
+            channel_stats: self.w.channel.map(|ch| ch.stats).unwrap_or_default(),
+            fault_stats: self.w.faults.stats,
             transport_stats: self.layers.transport.map(|t| t.stats).unwrap_or_default(),
             detect_stats: self.layers.detect.map(|d| d.stats).unwrap_or_default(),
-            degradations: self.degradations,
+            degradations: self.w.log,
             sync_stats: self.layers.sync.map(|s| s.stats).unwrap_or_default(),
         })
     }
 
     fn on_completion(&mut self, proc: ProcessorId) {
-        self.advance_proc(proc);
-        let job = match self.procs[proc.index()].take_milestone() {
+        self.w.advance_proc(proc);
+        let job = match self.w.procs[proc.index()].take_milestone() {
             Milestone::Boundary(_) => {
                 // A critical-section boundary: the effective priority
                 // changed; re-arbitrate at the end of this instant.
-                self.mark_dirty(proc);
+                self.w.mark_dirty(proc);
                 return;
             }
             Milestone::Completed(job) => job,
         };
-        let fi = self.flat.of(job.subtask());
+        let fi = self.w.flat.of(job.subtask());
         // Crash-cancelled instances never complete: normalize the in-order
         // counter over the gaps they left.
         while self.completed[fi] < job.instance()
-            && self.faults.is_cancelled(fi, self.completed[fi])
+            && self.w.faults.is_cancelled(fi, self.completed[fi])
         {
             self.completed[fi] += 1;
         }
@@ -795,25 +797,25 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         self.completed[fi] += 1;
         if let Some(released) = self.inflight[fi].pop_front() {
             self.metrics
-                .record_subtask_response(job.subtask(), self.now - released);
+                .record_subtask_response(job.subtask(), self.w.now - released);
         }
-        if let Some(tr) = &mut self.trace {
-            tr.push_completion(job, self.now);
+        if let Some(tr) = &mut self.w.trace {
+            tr.push_completion(job, self.w.now);
         }
-        self.note(Note::Completion {
+        self.w.note(Note::Completion {
             job,
             proc: proc.index(),
         });
-        let task = self.set.task(job.task());
+        let task = self.w.set.task(job.task());
         match task.successor_of(job.subtask()) {
             None => {
                 // End-to-end completion.
                 let verdict = self.metrics.record_task_completion(
                     job.task(),
                     job.instance(),
-                    self.now,
+                    self.w.now,
                     task.deadline(),
-                    job.instance() >= self.cfg.warmup_instances,
+                    job.instance() >= self.w.cfg.warmup_instances,
                 );
                 if let Some(missed) = verdict {
                     self.note_watchdog(job.task().index(), missed);
@@ -823,10 +825,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .task(job.task())
                     .first_release_time(job.instance())
                 {
-                    self.note(Note::TaskCompletion {
+                    self.w.note(Note::TaskCompletion {
                         task: job.task(),
                         instance: job.instance(),
-                        eer: self.now - released,
+                        eer: self.w.now - released,
                         measured: verdict.is_some(),
                     });
                 }
@@ -835,7 +837,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 // Under MPM (and PM) the completion itself carries no
                 // signal — MPM's release request travels with the
                 // MpmTimer firing instead, PM releases by clock alone.
-                if self.cfg.protocol != Protocol::ModifiedPhaseModification {
+                if self.w.cfg.protocol != Protocol::ModifiedPhaseModification {
                     let succ_job = JobId::new(succ, job.instance());
                     self.signal_successor(proc, succ_job);
                 }
@@ -845,20 +847,20 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Per the paper's definition, instances released *at* this very
         // instant (e.g. a chain hop cascaded from another processor's
         // same-instant completion) do not prevent the idle point.
-        if self.procs[proc.index()].is_idle_point(self.now) {
+        if self.w.procs[proc.index()].is_idle_point(self.w.now) {
             self.on_idle_point(proc);
         }
-        self.mark_dirty(proc);
+        self.w.mark_dirty(proc);
     }
 
     /// `now` is an idle point of `proc`: RG's rule 2 releases every
     /// deferred head the guards hosted there free.
     fn on_idle_point(&mut self, proc: ProcessorId) {
-        self.note(Note::IdlePoint { proc: proc.index() });
+        self.w.note(Note::IdlePoint { proc: proc.index() });
         let mut freed = std::mem::take(&mut self.rule2_scratch);
-        self.controller.on_idle_point(proc, self.now, &mut freed);
+        self.controller.on_idle_point(proc, self.w.now, &mut freed);
         for &job in &freed {
-            self.note(Note::Rule2Release { job });
+            self.w.note(Note::Rule2Release { job });
             self.release(job);
         }
         freed.clear();
@@ -870,14 +872,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // that was pending when its node crashed was drained (and its
         // successor instance cancelled) at the crash — this firing is
         // stale.
-        let timer_proc = self.set.subtask(job.subtask()).processor();
+        let timer_proc = self.w.set.subtask(job.subtask()).processor();
         if !self.controller.fire_mpm_timer(timer_proc, job) {
             return;
         }
         // The timer says job's response bound elapsed: signal the successor.
-        let fi = self.flat.of(job.subtask());
+        let fi = self.w.flat.of(job.subtask());
         let overrun = self.completed[fi] <= job.instance();
-        self.note(Note::MpmTimerFired { job, overrun });
+        self.w.note(Note::MpmTimerFired { job, overrun });
         if overrun {
             // Overrun: the bound was violated (can happen under sporadic
             // sources or modeling error); record and release anyway, as a
@@ -885,6 +887,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             self.push_violation(ViolationKind::MpmOverrun, job);
         }
         let succ = self
+            .w
             .set
             .task(job.task())
             .successor_of(job.subtask())
@@ -898,14 +901,14 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// the channel when one is configured and the hop crosses processors,
     /// directly (the paper's instantaneous signal) otherwise.
     fn signal_successor(&mut self, from: ProcessorId, succ_job: JobId) {
-        let to = self.set.subtask(succ_job.subtask()).processor();
+        let to = self.w.set.subtask(succ_job.subtask()).processor();
         // PM releases by clock alone — it sends no signals, so there is
         // nothing to price on the channel.
-        if to == from || self.cfg.protocol == Protocol::PhaseModification {
+        if to == from || self.w.cfg.protocol == Protocol::PhaseModification {
             self.apply_signal(succ_job);
             return;
         }
-        self.note(Note::SyncInterrupt {
+        self.w.note(Note::SyncInterrupt {
             from: from.index(),
             to: to.index(),
             job: succ_job,
@@ -916,9 +919,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 l.transport.as_mut()?.send(w, from.index(), succ_job, None);
                 None
             });
-        } else if self.channel.is_some() {
-            self.queue
-                .push(self.now, EventKind::SignalSend { job: succ_job });
+        } else if self.w.channel.is_some() {
+            self.w
+                .queue
+                .push(self.w.now, EventKind::SignalSend { job: succ_job });
         } else {
             self.apply_signal(succ_job);
         }
@@ -927,15 +931,16 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// A successor-release signal has arrived at its processor (directly
     /// or via the channel): hand it to the protocol.
     fn apply_signal(&mut self, succ_job: JobId) {
-        let succ_proc = self.host(succ_job);
+        let succ_proc = self.w.host(succ_job);
         // Partition gate: a cross-cut signal is parked until the heal.
         // This sits *after* the channel's in-order cursor (the frame did
         // traverse the wire) so later instances don't stall forever behind
         // a severed one — mirroring the receiver-down path below.
-        if let Some(pred) = succ_job.predecessor().filter(|_| self.faults.partitioned) {
+        if let Some(pred) = succ_job.predecessor().filter(|_| self.w.faults.partitioned) {
             if self
+                .w
                 .faults
-                .park_severed(self.host(pred), succ_proc, succ_job)
+                .park_severed(self.w.host(pred), succ_proc, succ_job)
             {
                 return;
             }
@@ -943,22 +948,22 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Degradation gate: a late real signal for an instance the
         // controller already force-released carries nothing new — its
         // payload is suppressed (and logged) instead of double-releasing.
-        if self.faults.is_forced(succ_job) {
+        if self.w.faults.is_forced(succ_job) {
             if let Some(detect) = &mut self.layers.detect {
                 detect.stats.stale_signals_suppressed += 1;
             }
-            self.push_degradation(Degradation::StaleSignal { job: succ_job });
+            self.w.degrade(Degradation::StaleSignal { job: succ_job });
             return;
         }
         // Fault gate: a signal reaching a crashed receiver is backlogged
         // and resolved at recovery under the overload policy. The wire
         // worked — this is receiver-down, not signal-lost.
-        if self.procs[succ_proc].is_down() {
+        if self.w.procs[succ_proc].is_down() {
             self.push_violation(ViolationKind::SignalReceiverDown, succ_job);
-            self.faults.stats.receiver_down_signals += 1;
-            self.faults.backlog[succ_proc].push(BacklogItem {
+            self.w.faults.stats.receiver_down_signals += 1;
+            self.w.faults.backlog[succ_proc].push(BacklogItem {
                 job: succ_job,
-                arrival: self.now,
+                arrival: self.w.now,
                 kind: BacklogKind::Signal,
             });
             return;
@@ -968,7 +973,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // processor is released right away (the idle point resets the
         // guard). With rule 2 disabled (the ablation) nothing is freed and
         // the guard's deadline stands.
-        if self.offer_release(succ_job) && self.procs[succ_proc].is_idle_point(self.now) {
+        if self.offer_release(succ_job) && self.w.procs[succ_proc].is_idle_point(self.w.now) {
             self.on_idle_point(ProcessorId::new(succ_proc));
         }
     }
@@ -979,11 +984,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// predecessor completions. A degraded release enters here too, so
     /// rule-1 spacing holds without the lost signal.
     fn offer_release(&mut self, job: JobId) -> bool {
-        if self.cfg.protocol == Protocol::ModifiedPhaseModification {
+        if self.w.cfg.protocol == Protocol::ModifiedPhaseModification {
             self.release(job);
             return false;
         }
-        match self.controller.on_predecessor_complete(job, self.now) {
+        match self.controller.on_predecessor_complete(job, self.w.now) {
             CompletionDirective::ReleaseSuccessor => self.release(job),
             CompletionDirective::ScheduleExpiry { due } => {
                 self.defer(job, due);
@@ -997,8 +1002,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// RG deferred `job` behind its guard, due at `due`: (re)arm the
     /// guard's deadline.
     fn defer(&mut self, job: JobId, due: Time) {
-        self.note(Note::GuardBlock { job, due });
-        self.set_guard_deadline(job.subtask(), Some(due.max(self.now)));
+        self.w.note(Note::GuardBlock { job, due });
+        self.set_guard_deadline(job.subtask(), Some(due.max(self.w.now)));
     }
 
     /// Arms (or moves) `subtask`'s guard deadline to `due`, or clears it
@@ -1007,8 +1012,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn set_guard_deadline(&mut self, subtask: SubtaskId, due: Option<Time>) {
         let slot = self.controller.guard_slot(subtask);
         match due {
-            Some(at) => self.queue.arm(slot, at, EventKind::GuardExpiry { subtask }),
-            None => self.queue.disarm(slot),
+            Some(at) => self
+                .w
+                .queue
+                .arm(slot, at, EventKind::GuardExpiry { subtask }),
+            None => self.w.queue.disarm(slot),
         }
     }
 
@@ -1018,69 +1026,50 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // Channel-routed signals always cross processors: bias the hop by
         // the link's directional extra delay when asymmetry is modeled.
         let pred = job.predecessor().expect("a signal releases a successor");
-        let (src, dst) = (self.host(pred), self.host(job));
-        self.on_layer(|_, w| {
-            let plan = w.channel.send();
-            w.note(Note::SignalSend { job });
-            let delivery = EventKind::SignalDeliver { job };
-            let landed = w.land(&plan, src, dst, GrayFamily::Signal, delivery);
-            assert!(landed, "signals are never gray-dropped");
-            plan.dropped.then_some(Effect::Lost(job))
-        });
+        let (src, dst) = (self.w.host(pred), self.w.host(job));
+        let plan = self.w.channel().send();
+        self.w.note(Note::SignalSend { job });
+        let delivery = EventKind::SignalDeliver { job };
+        let landed = self.w.land(&plan, src, dst, GrayFamily::Signal, delivery);
+        assert!(landed, "signals are never gray-dropped");
+        if plan.dropped {
+            self.push_violation(ViolationKind::SignalLost, job);
+        }
     }
 
     /// A signal reaches its receiver: apply it — and any earlier-buffered
     /// successors it unblocks — in instance order.
     fn on_signal_deliver(&mut self, job: JobId) {
-        let fi = self.flat.of(job.subtask());
+        let fi = self.w.flat.of(job.subtask());
         let mut applicable = std::mem::take(&mut self.deliver_scratch);
-        if let Some(channel) = &mut self.channel {
+        if let Some(channel) = &mut self.w.channel {
             channel.deliver(fi, job.instance(), &mut applicable);
         }
         for &instance in &applicable {
             let delivered = JobId::new(job.subtask(), instance);
-            self.note(Note::SignalDeliver { job: delivered });
+            self.w.note(Note::SignalDeliver { job: delivered });
             self.apply_signal(delivered);
         }
         applicable.clear();
         self.deliver_scratch = applicable;
     }
 
-    /// Runs one wire-layer handler on the engine state it may touch (see
-    /// `crate::wire`), then applies the protocol effect it hands back.
-    /// Layers exist only with a channel: the transport and the sync layer
-    /// always synthesize one, and the detector rides the transport.
-    fn on_layer(&mut self, handler: impl FnOnce(&mut Layers, &mut Wire<'_, O>) -> Option<Effect>) {
-        let Some(channel) = &mut self.channel else {
-            return;
-        };
-        let mut wire = Wire {
-            now: self.now,
-            horizon: self.horizon,
-            cfg: self.cfg,
-            set: self.set,
-            flat: &self.flat,
-            released: &self.released,
-            queue: &mut self.queue,
-            procs: &self.procs,
-            faults: &mut self.faults,
-            channel,
-            clocks: &mut self.clocks,
-            log: &mut self.degradations,
-            obs: &mut *self.obs,
-        };
-        match handler(&mut self.layers, &mut wire) {
+    /// Runs one wire-layer handler on the layers and the wire they ride
+    /// (see `crate::wire`), then applies the protocol effect it hands
+    /// back.
+    fn on_layer(&mut self, handler: impl FnOnce(&mut Layers, &mut Wire<'a, O>) -> Option<Effect>) {
+        match handler(&mut self.layers, &mut self.w) {
             None => {}
             Some(Effect::Deliver(job)) => self.on_signal_deliver(job),
-            Some(Effect::Lost(job)) => self.push_violation(ViolationKind::SignalLost, job),
             Some(Effect::Abandon { job, attempts }) => {
                 // The abandoned frame carried the instance's only release
                 // request: resolve the doomed chain so bounded-budget runs
                 // still terminate.
                 self.push_violation(ViolationKind::SignalLost, job);
-                self.push_degradation(Degradation::SignalAbandoned { job, attempts });
-                let fi = self.flat.of(job.subtask());
-                if self.released[fi] <= job.instance() && !self.faults.is_forced(job) {
+                self.w
+                    .degrade(Degradation::SignalAbandoned { job, attempts });
+                let fi = self.w.flat.of(job.subtask());
+                if self.w.released[fi] <= job.instance() && !self.w.faults.is_forced(job) {
                     self.cancel_instance(job, false);
                 }
             }
@@ -1088,7 +1077,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                 if let Some(job) = release {
                     self.offer_release(job);
                 }
-                self.push_by_horizon(next.0, next.1);
+                self.w.push_by_horizon(next.0, next.1);
             }
         }
     }
@@ -1097,7 +1086,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// that reading fires. Clamped to the origin (a clock running ahead
     /// can place it earlier).
     fn pm_firing(&self, p: usize, local: Time) -> Time {
-        self.clocks[p].true_of_local(local).max(Time::ZERO)
+        self.w.clocks[p].true_of_local(local).max(Time::ZERO)
     }
 
     /// Deadline watchdog: feeds one measured end-to-end verdict of `task`
@@ -1109,36 +1098,29 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .as_mut()
             .and_then(|dt| dt.note_verdict(task, missed));
         if let Some(streak) = trip {
-            self.push_degradation(Degradation::WatchdogTrip { task, streak });
+            self.w.degrade(Degradation::WatchdogTrip { task, streak });
         }
     }
 
-    /// Logs one structured degradation event (observer hook + outcome
-    /// record).
-    fn push_degradation(&mut self, kind: Degradation) {
-        self.note(Note::Degradation(kind));
-        self.degradations
-            .push(DegradationEvent { at: self.now, kind });
-    }
-
     fn on_guard_expiry(&mut self, subtask: SubtaskId) {
-        let job = self.controller.on_guard_expiry(subtask, self.now);
-        self.note(Note::GuardExpiryRelease { job });
+        let job = self.controller.on_guard_expiry(subtask, self.w.now);
+        self.w.note(Note::GuardExpiryRelease { job });
         self.release(job);
     }
 
     fn on_source_release(&mut self, task: rtsync_core::task::TaskId, instance: u64) {
-        let t = self.set.task(task);
+        let t = self.w.set.task(task);
         let first = JobId::new(SubtaskId::new(task, 0), instance);
-        self.metrics.record_first_release(task, instance, self.now);
+        self.metrics
+            .record_first_release(task, instance, self.w.now);
         // Fault gate: a source arrival during the first processor's outage
         // queues in the recovery backlog (the environment keeps producing
         // work whether the node is up or not).
-        let first_proc = self.host(first);
-        if self.procs[first_proc].is_down() {
-            self.faults.backlog[first_proc].push(BacklogItem {
+        let first_proc = self.w.host(first);
+        if self.w.procs[first_proc].is_down() {
+            self.w.faults.backlog[first_proc].push(BacklogItem {
                 job: first,
-                arrival: self.now,
+                arrival: self.w.now,
                 kind: BacklogKind::Source,
             });
         } else {
@@ -1146,9 +1128,10 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }
         // Schedule the next arrival.
         let instance = instance + 1;
-        let source = &self.cfg.source;
-        let next = source.release_time(task, t.period(), t.phase(), instance, Some(self.now));
-        self.push_by_horizon(next, EventKind::SourceRelease { task, instance });
+        let source = &self.w.cfg.source;
+        let next = source.release_time(task, t.period(), t.phase(), instance, Some(self.w.now));
+        self.w
+            .push_by_horizon(next, EventKind::SourceRelease { task, instance });
     }
 
     fn on_timed_release(&mut self, subtask: SubtaskId, instance: u64) {
@@ -1158,9 +1141,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // instance is not the subtask's next is a stale duplicate left
         // behind by that re-derivation. Neither schedules a next firing —
         // the live chain does.
-        let proc = self.set.subtask(subtask).processor().index();
-        let next = self.controller.pm_next(self.flat.of(subtask));
-        if self.procs[proc].is_down() || *next != instance {
+        let proc = self.w.set.subtask(subtask).processor().index();
+        let next = self.controller.pm_next(self.w.flat.of(subtask));
+        if self.w.procs[proc].is_down() || *next != instance {
             return;
         }
         *next = instance + 1;
@@ -1171,12 +1154,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // true time on the host's clock. This is where sync corrections
         // reach PM — each firing re-reads the clock, so a correction
         // applied at any round moves every later firing.
-        let period = self.set.task(subtask.task()).period();
+        let period = self.w.set.task(subtask.task()).period();
         let local_next =
             self.controller.pm_phase(subtask) + period.saturating_mul(instance as i64 + 1);
-        let next = self.clocks[proc].true_of_local(local_next).max(self.now);
+        let next = self.w.clocks[proc]
+            .true_of_local(local_next)
+            .max(self.w.now);
         let instance = instance + 1;
-        self.push_by_horizon(next, EventKind::TimedRelease { subtask, instance });
+        self.w
+            .push_by_horizon(next, EventKind::TimedRelease { subtask, instance });
     }
 
     /// Fail-stop crash of `proc`: kill every in-flight job with its
@@ -1186,15 +1172,15 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let p = proc.index();
         // Account the partial slice executed up to the crash instant: the
         // work happened (and is then lost), the processor was busy.
-        self.advance_proc(proc);
+        self.w.advance_proc(proc);
         let mut killed = std::mem::take(&mut self.kill_scratch);
         // The processor goes down; a crash also ends an open stall (the
         // stall window's end then finds nothing to resume).
-        self.procs[p].crash_into(&mut killed);
-        self.drop_stale_milestone(proc);
-        self.faults.stats.crashes += 1;
-        self.faults.stats.killed_jobs += killed.len() as u64;
-        self.note(Note::Crash {
+        self.w.procs[p].crash_into(&mut killed);
+        self.w.drop_stale_milestone(proc);
+        self.w.faults.stats.crashes += 1;
+        self.w.faults.stats.killed_jobs += killed.len() as u64;
+        self.w.note(Note::Crash {
             proc: p,
             killed: killed.len(),
         });
@@ -1206,13 +1192,13 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // RG's guard-deferred signals (delivered but never released) and
         // MPM's armed-but-unfired timers die with the node; each carried
         // its instance's only release request.
-        for job in self.controller.on_crash(proc, self.set) {
-            if self.cfg.protocol == Protocol::ReleaseGuard {
+        for job in self.controller.on_crash(proc, self.w.set) {
+            if self.w.cfg.protocol == Protocol::ReleaseGuard {
                 self.set_guard_deadline(job.subtask(), None);
             }
             self.cancel_instance(job, false);
         }
-        self.mark_dirty(proc);
+        self.w.mark_dirty(proc);
     }
 
     /// `proc` rejoins: reconcile protocol state from what a restarted node
@@ -1220,17 +1206,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// under the overload policy.
     fn on_recover(&mut self, proc: ProcessorId) {
         let p = proc.index();
-        self.procs[p].recover();
-        self.faults.stats.recoveries += 1;
-        let backlog = std::mem::take(&mut self.faults.backlog[p]);
+        self.w.procs[p].recover();
+        self.w.faults.stats.recoveries += 1;
+        let backlog = std::mem::take(&mut self.w.faults.backlog[p]);
         // RG: re-initialize guards to the recovery instant (rule 2's
         // idle-point reasoning — a restarted node holds no incomplete
         // releases).
-        self.controller.on_recovery(proc, self.now);
+        self.controller.on_recovery(proc, self.w.now);
         // PM: re-derive the clock-driven release schedule from the first
         // instance at or after now; instances inside the outage are lost
         // by that derivation.
-        if self.cfg.protocol == Protocol::PhaseModification {
+        if self.w.cfg.protocol == Protocol::PhaseModification {
             self.rederive_timed_releases(proc);
         }
         // Decide the whole backlog first so observers hear the recovery
@@ -1243,9 +1229,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         }));
         let released = decisions.iter().filter(|(_, keep)| *keep).count() as u64;
         let dropped = decisions.len() as u64 - released;
-        self.faults.stats.backlog_released += released;
-        self.faults.stats.backlog_dropped += dropped;
-        self.note(Note::Recovery {
+        self.w.faults.stats.backlog_released += released;
+        self.w.faults.stats.backlog_dropped += dropped;
+        self.w.note(Note::Recovery {
             proc: p,
             released,
             dropped,
@@ -1269,16 +1255,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             l.detect.as_ref()?.resume(w, l.transport.as_ref(), p);
             None
         });
-        self.mark_dirty(proc);
-    }
-
-    /// A partition window opens: record which side of the cut each
-    /// processor lands on. Every node stays up and keeps executing — only
-    /// cross-cut traffic (signals, transport frames, acks, heartbeats,
-    /// sync frames) is severed until the heal.
-    fn on_partition_start(&mut self, idx: u32) {
-        self.faults.open_partition(idx, self.now);
-        self.obs.on_partition_start(self.now, &self.faults.island);
+        self.w.mark_dirty(proc);
     }
 
     /// The partition heals: connectivity is whole again and every signal
@@ -1286,66 +1263,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// Replays bypass the channel (the frames never entered the wire — the
     /// cut severed them before the send), so channel conservation holds.
     fn on_partition_heal(&mut self) {
-        let parked = self.faults.heal_partition();
-        self.note(Note::PartitionHeal);
+        let parked = self.w.faults.heal_partition();
+        self.w.note(Note::PartitionHeal);
         for job in parked {
             self.apply_signal(job);
         }
     }
 
-    /// A slowdown window opens on `proc`: the slice executed up to now is
-    /// settled at the old rate, then every remaining service tick costs
-    /// `factor` wall ticks. Unlike a crash nothing is lost — jobs keep
-    /// their state and merely stretch. The rate is set even while the
-    /// processor is down, so a mid-window recovery resumes slow.
-    fn on_slow_start(&mut self, proc: ProcessorId, idx: u32) {
-        let factor = self.faults.slow_factor(proc.index(), idx);
-        self.set_rate(proc, factor);
-    }
-
-    /// Settles `proc`'s slice at its old rate, then runs it at `factor`
-    /// (`1` restores full speed).
-    fn set_rate(&mut self, proc: ProcessorId, factor: u32) {
-        self.advance_proc(proc);
-        self.procs[proc.index()].set_rate(factor);
-        self.drop_stale_milestone(proc);
-        self.note(Note::Slowdown {
-            proc: proc.index(),
-            factor,
-        });
-        self.mark_dirty(proc);
-    }
-
-    /// A GC-pause-style stall opens (`on`) or closes. While open, the
-    /// processor stops executing entirely but — unlike a crash — keeps its
-    /// in-flight jobs, guards and timers; only its pending milestone is
-    /// dropped. A stall landing on a down (or already-stalled) processor
-    /// is absorbed by the outage, and a close is a no-op when the stall
-    /// never took hold or a crash swallowed it mid-window (the recovery
-    /// path owns the restart then).
-    fn on_stall(&mut self, proc: ProcessorId, on: bool) {
-        let p = proc.index();
-        let open = self.procs[p].is_stalled();
-        if on == open || (on && self.procs[p].is_down()) {
-            return;
-        }
-        self.advance_proc(proc);
-        if on {
-            self.faults.stats.stalls += 1;
-        }
-        self.procs[p].set_stalled(on);
-        self.drop_stale_milestone(proc);
-        self.note(Note::Stall {
-            proc: p,
-            stalled: on,
-        });
-        self.mark_dirty(proc);
-    }
-
     /// Does the overload policy keep this backlog item at recovery?
     fn keep_backlog_item(&self, item: &BacklogItem) -> bool {
-        let task = self.set.task(item.job.task());
-        match self.faults.policy {
+        let task = self.w.set.task(item.job.task());
+        match self.w.faults.policy {
             OverloadPolicy::ReleaseAll => true,
             OverloadPolicy::DropStale => {
                 // Keep only if the end-to-end deadline has not passed yet:
@@ -1355,11 +1283,11 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
                     .task(item.job.task())
                     .first_release_time(item.job.instance())
                     .unwrap_or(item.arrival);
-                self.now < released + task.deadline()
+                self.w.now < released + task.deadline()
             }
             OverloadPolicy::SkipToCurrentPeriod => {
                 // Keep only items whose period window is still open.
-                self.now < item.arrival + task.period()
+                self.w.now < item.arrival + task.period()
             }
         }
     }
@@ -1369,8 +1297,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// stops propagating releases. `was_released` pops the in-flight
     /// bookkeeping of a killed running/ready job.
     fn cancel_instance(&mut self, job: JobId, was_released: bool) {
-        let fi = self.flat.of(job.subtask());
-        if !self.faults.cancel(fi, job.instance()) {
+        let fi = self.w.flat.of(job.subtask());
+        if !self.w.faults.cancel(fi, job.instance()) {
             return; // already cancelled via another path
         }
         if was_released {
@@ -1380,7 +1308,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // now; unblock the channel's in-order cursor so later instances of
         // the same subtask are not stalled forever behind the gap, and
         // apply anything buffered behind it.
-        if let Some(channel) = &mut self.channel {
+        if let Some(channel) = &mut self.w.channel {
             // A local buffer, not a scratch field: cancellation recurses
             // down the chain, so a shared buffer could be taken twice.
             // Cancellations only happen on the (rare) fault paths.
@@ -1388,7 +1316,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             channel.note_cancelled(fi, job.instance(), &mut freed);
             for instance in freed {
                 let delivered = JobId::new(job.subtask(), instance);
-                self.note(Note::SignalDeliver { job: delivered });
+                self.w.note(Note::SignalDeliver { job: delivered });
                 self.apply_signal(delivered);
             }
         }
@@ -1399,12 +1327,12 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // separately at the crash). PM releases successors from the clock
         // alone: the chain continues and the precedence violations are
         // recorded honestly at those releases.
-        let propagate = match self.cfg.protocol {
+        let propagate = match self.w.cfg.protocol {
             Protocol::DirectSync | Protocol::ReleaseGuard => true,
             Protocol::ModifiedPhaseModification => !was_released,
             Protocol::PhaseModification => false,
         };
-        match self.set.task(job.task()).successor_of(job.subtask()) {
+        match self.w.set.task(job.task()).successor_of(job.subtask()) {
             Some(succ) if propagate => {
                 self.cancel_instance(JobId::new(succ, job.instance()), false)
             }
@@ -1426,17 +1354,17 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     fn rederive_timed_releases(&mut self, proc: ProcessorId) {
         let mut to_cancel = Vec::new();
         let mut to_schedule = Vec::new();
-        for task in self.set.tasks() {
+        for task in self.w.set.tasks() {
             let period = task.period();
             let hosted = task.subtasks().iter().skip(1);
             for sub in hosted.filter(|sub| sub.processor() == proc) {
-                let fi = self.flat.of(sub.id());
+                let fi = self.w.flat.of(sub.id());
                 let phase = self.controller.pm_phase(sub.id());
                 let mut m = *self.controller.pm_next(fi);
                 loop {
                     let local = phase + period.saturating_mul(m as i64);
                     let at = self.pm_firing(proc.index(), local);
-                    if at >= self.now {
+                    if at >= self.w.now {
                         to_schedule.push((at, sub.id(), m));
                         break;
                     }
@@ -1453,59 +1381,61 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // queue; the next-instance match makes whichever copy pops
         // second a no-op.
         for (at, subtask, instance) in to_schedule {
-            self.push_by_horizon(at, EventKind::TimedRelease { subtask, instance });
+            self.w
+                .push_by_horizon(at, EventKind::TimedRelease { subtask, instance });
         }
     }
 
     /// Releases `job` on its host processor at the current instant.
     fn release(&mut self, job: JobId) {
-        let sub = self.set.subtask(job.subtask());
-        let fi = self.flat.of(job.subtask());
+        let sub = self.w.set.subtask(job.subtask());
+        let fi = self.w.flat.of(job.subtask());
         // Crash-cancelled instances never release: normalize the in-order
         // counter over the gaps they left.
         debug_assert!(
-            !self.procs[sub.processor().index()].is_down(),
+            !self.w.procs[sub.processor().index()].is_down(),
             "release on a down node"
         );
-        while self.released[fi] < job.instance() && self.faults.is_cancelled(fi, self.released[fi])
+        while self.w.released[fi] < job.instance()
+            && self.w.faults.is_cancelled(fi, self.w.released[fi])
         {
-            self.released[fi] += 1;
+            self.w.released[fi] += 1;
         }
         debug_assert_eq!(
-            self.released[fi],
+            self.w.released[fi],
             job.instance(),
             "same-subtask instances must release in order"
         );
-        self.released[fi] += 1;
-        self.inflight[fi].push_back(self.now);
+        self.w.released[fi] += 1;
+        self.inflight[fi].push_back(self.w.now);
         // Precedence check: the same instance of the predecessor must have
         // completed. Structurally guaranteed for DS/RG/MPM-in-bounds;
         // recorded as a violation when PM (or an overrunning MPM) breaks
         // it — including a predecessor instance that a crash killed (it
         // will never complete).
         if let Some(pred) = job.predecessor() {
-            let pred_fi = self.flat.of(pred.subtask());
-            let pred_cancelled = self.faults.is_cancelled(pred_fi, pred.instance());
+            let pred_fi = self.w.flat.of(pred.subtask());
+            let pred_cancelled = self.w.faults.is_cancelled(pred_fi, pred.instance());
             // A forced (degraded) release knowingly precedes its
             // predecessor's completion; it is a logged degradation event,
             // not a protocol violation.
-            let forced = self.faults.is_forced(job);
+            let forced = self.w.faults.is_forced(job);
             if (self.completed[pred_fi] <= pred.instance() || pred_cancelled) && !forced {
                 self.push_violation(ViolationKind::PrecedenceViolated, job);
             }
         }
-        if let Some(tr) = &mut self.trace {
-            tr.push_release(job, self.now);
+        if let Some(tr) = &mut self.w.trace {
+            tr.push_release(job, self.w.now);
         }
-        self.note(Note::Release {
+        self.w.note(Note::Release {
             job,
             proc: sub.processor().index(),
         });
         // RG's rule 1 updates the released subtask's own guard (guards
         // exist for every non-first subtask) as a side effect of
         // `Controller::on_release` below.
-        if self.cfg.protocol == Protocol::ReleaseGuard && !job.subtask().is_first() {
-            self.note(Note::Rule1Update {
+        if self.w.cfg.protocol == Protocol::ReleaseGuard && !job.subtask().is_first() {
+            self.w.note(Note::Rule1Update {
                 subtask: job.subtask(),
             });
         }
@@ -1514,71 +1444,23 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // (RG guard durations were pre-scaled at construction instead,
         // because the guard compares its own internal due times).
         let proc = sub.processor();
-        match self.controller.on_release(self.set, job, self.now) {
+        match self.controller.on_release(self.w.set, job, self.w.now) {
             Some(ReleaseTimer::Mpm(response)) => {
-                let fire_at = self.now + self.clocks[proc.index()].true_dur(response);
-                self.note(Note::MpmTimerArmed { job, fire_at });
-                self.queue.push(fire_at, EventKind::MpmTimer { job });
+                let fire_at = self.w.now + self.w.clocks[proc.index()].true_dur(response);
+                self.w.note(Note::MpmTimerArmed { job, fire_at });
+                self.w.queue.push(fire_at, EventKind::MpmTimer { job });
             }
             Some(ReleaseTimer::Guard(due)) => self.set_guard_deadline(job.subtask(), due),
             None => {}
         }
-        self.advance_proc(proc);
-        self.procs[proc.index()].release(
+        self.w.advance_proc(proc);
+        self.w.procs[proc.index()].release(
             job,
             self.profiles[fi].clone(),
             sub.execution(),
             sub.is_preemptible(),
         );
-        self.mark_dirty(proc);
-    }
-
-    fn advance_proc(&mut self, proc: ProcessorId) {
-        let slice = self.procs[proc.index()].advance(self.now);
-        if let Some(slice) = slice {
-            self.busy_ticks[proc.index()] += slice.end - slice.start;
-            self.note(Note::Slice {
-                proc: proc.index(),
-                job: slice.job,
-                start: slice.start,
-                end: slice.end,
-            });
-            if let Some(tr) = &mut self.trace {
-                tr.push_slice(proc, slice);
-            }
-        }
-    }
-
-    /// Clears `proc`'s milestone slot if the processor just invalidated
-    /// its milestone (crash, stall edge, rate change), so a superseded
-    /// milestone never fires.
-    fn drop_stale_milestone(&mut self, proc: ProcessorId) {
-        if !self.procs[proc.index()].has_milestone() {
-            self.queue.disarm(proc.index());
-        }
-    }
-
-    fn mark_dirty(&mut self, proc: ProcessorId) {
-        self.dirty[proc.index()] = true;
-    }
-
-    /// Queues `kind` at `at` unless that lies past the horizon, where the
-    /// run stops anyway.
-    fn push_by_horizon(&mut self, at: Time, kind: EventKind) {
-        if at <= self.horizon {
-            self.queue.push(at, kind);
-        }
-    }
-
-    /// The processor hosting `job`.
-    fn host(&self, job: JobId) -> usize {
-        self.set.subtask(job.subtask()).processor().index()
-    }
-
-    /// Reports `note` to the observer at the current instant.
-    #[inline]
-    fn note(&mut self, note: Note) {
-        self.obs.on(self.now, note);
+        self.w.mark_dirty(proc);
     }
 
     /// Records a `kind` violation by `job` at the current instant.
@@ -1586,9 +1468,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         let violation = Violation {
             kind,
             job,
-            time: self.now,
+            time: self.w.now,
         };
-        self.note(Note::Violation(violation));
+        self.w.note(Note::Violation(violation));
         self.violations.push(violation);
     }
 
@@ -1596,32 +1478,32 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
     /// the current instant and arms each one's fresh milestone in its
     /// slot (slot `p` is processor `p`'s).
     fn flush_dispatch(&mut self) {
-        for p in 0..self.dirty.len() {
-            if !std::mem::take(&mut self.dirty[p]) {
+        for p in 0..self.w.dirty.len() {
+            if !std::mem::take(&mut self.w.dirty[p]) {
                 continue;
             }
             let proc = ProcessorId::new(p);
             // Completed jobs already vacated the processor during the
             // instant, so a still-running `before` that differs from
             // `after` was displaced mid-execution: a preemption.
-            let before = self.procs[p].running_job();
-            match self.procs[p].reschedule(self.now) {
+            let before = self.w.procs[p].running_job();
+            match self.w.procs[p].reschedule(self.w.now) {
                 Resched::NewMilestone { at } => {
-                    self.queue.arm(p, at, EventKind::Completion { proc });
+                    self.w.queue.arm(p, at, EventKind::Completion { proc });
                 }
-                Resched::Idle => self.queue.disarm(p),
+                Resched::Idle => self.w.queue.disarm(p),
                 Resched::Unchanged => {}
             }
-            let after = self.procs[p].running_job();
+            let after = self.w.procs[p].running_job();
             if let Some(to) = after {
                 if before != Some(to) {
-                    self.note(Note::ContextSwitch {
+                    self.w.note(Note::ContextSwitch {
                         proc: p,
                         from: before,
                         to,
                     });
                     if let Some(preempted) = before {
-                        self.note(Note::Preemption {
+                        self.w.note(Note::Preemption {
                             proc: p,
                             preempted,
                             by: to,
@@ -1643,8 +1525,8 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             .as_ref()
             .map_or((0, 0, 0, 0), |d| d.census());
         let sample = EngineSample {
-            procs: &self.procs,
-            queue_len: self.queue.len(),
+            procs: &self.w.procs,
+            queue_len: self.w.queue.len(),
             transport_in_flight: self
                 .layers
                 .transport
@@ -1655,7 +1537,7 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
             peers_suspect,
             peers_dead,
         };
-        self.obs.on_sample(self.now, &sample);
+        self.w.obs.on_sample(self.w.now, &sample);
     }
 }
 

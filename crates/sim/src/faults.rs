@@ -49,6 +49,11 @@
 //! release state the rules above reconcile (RG guards, MPM's armed
 //! timers, PM's next firings) by the engine's protocol controller.
 //!
+//! The gray edges (partition start, slowdown, stall and link-degradation
+//! edges) touch no protocol state, so their one handler lives here and
+//! takes the engine's `Wire`. Crash, recovery and the partition heal
+//! stay in the engine: they release, cancel or re-signal jobs.
+//!
 //! # Accounting
 //!
 //! A killed or never-released instance is *cancelled*; cancellation
@@ -96,7 +101,9 @@ use rtsync_core::time::{Dur, Time};
 
 use crate::event::{EventKind, EventQueue};
 use crate::job::JobId;
+use crate::observe::{Note, Observer};
 use crate::processor::Processor;
+use crate::wire::Wire;
 
 /// What a recovered processor does with the backlog of work (source
 /// releases and predecessor signals) that arrived while it was down.
@@ -1096,18 +1103,6 @@ impl FaultState {
         true
     }
 
-    /// Opens partition window `idx` at `now`: records which side of the
-    /// cut each processor lands on.
-    pub(crate) fn open_partition(&mut self, idx: u32, now: Time) {
-        let w = &self.partition_windows[idx as usize];
-        for (p, side) in self.island.iter_mut().enumerate() {
-            *side = w.island.contains(&p);
-        }
-        self.partitioned = true;
-        self.partition_since = Some(now);
-        self.stats.partitions += 1;
-    }
-
     /// Heals the open cut and hands back the signals parked at it, in
     /// arrival order.
     pub(crate) fn heal_partition(&mut self) -> Vec<JobId> {
@@ -1117,32 +1112,6 @@ impl FaultState {
         let parked = std::mem::take(&mut self.partition_backlog);
         self.stats.partition_replayed += parked.len() as u64;
         parked
-    }
-
-    /// The rate divisor slowdown window `idx` of `proc` imposes.
-    pub(crate) fn slow_factor(&mut self, proc: usize, idx: u32) -> u32 {
-        self.stats.slowdowns += 1;
-        self.slow_windows[proc][idx as usize].factor
-    }
-
-    /// Opens link window `idx`; returns its directed pair.
-    pub(crate) fn open_link(&mut self, idx: u32) -> (usize, usize) {
-        let w = self.link_windows[idx as usize];
-        self.link_active[w.from * self.num_procs + w.to] = idx + 1;
-        self.stats.link_degrades += 1;
-        (w.from, w.to)
-    }
-
-    /// Closes link window `idx`; returns its directed pair. With
-    /// overlapping windows on one link, only the window that owns the
-    /// active slot clears it.
-    pub(crate) fn close_link(&mut self, idx: u32) -> (usize, usize) {
-        let w = self.link_windows[idx as usize];
-        let active = &mut self.link_active[w.from * self.num_procs + w.to];
-        if *active == idx + 1 {
-            *active = 0;
-        }
-        (w.from, w.to)
     }
 
     /// The active degraded window on the directed link `from -> to`.
@@ -1304,6 +1273,96 @@ impl FaultState {
     pub(crate) fn is_forced(&self, job: JobId) -> bool {
         self.forced.contains(&job)
     }
+}
+
+/// One gray edge of the schedule. Gray edges touch no protocol state:
+/// they open a partition cut, slow, stall or resume a processor, or
+/// degrade a link. (The heal replays parked signals, so the engine owns
+/// it, with the crash and recovery edges.)
+pub(crate) fn on_gray_edge<O: Observer>(w: &mut Wire<'_, O>, kind: EventKind) {
+    let f = &mut w.faults;
+    match kind {
+        // Record which side of the cut each processor lands on. Every
+        // node stays up and keeps executing: only cross-cut traffic
+        // (signals, transport frames, acks, heartbeats, sync frames) is
+        // severed until the heal.
+        EventKind::PartitionStart { idx } => {
+            let cut = &f.partition_windows[idx as usize];
+            for (p, side) in f.island.iter_mut().enumerate() {
+                *side = cut.island.contains(&p);
+            }
+            f.partitioned = true;
+            f.partition_since = Some(w.now);
+            f.stats.partitions += 1;
+            w.obs.on_partition_start(w.now, &f.island);
+        }
+        // Unlike a crash nothing is lost: jobs keep their state and merely
+        // stretch. The rate is set even while the processor is down, so a
+        // mid-window recovery resumes slow.
+        EventKind::SlowStart { proc, idx } => {
+            f.stats.slowdowns += 1;
+            let factor = f.slow_windows[proc.index()][idx as usize].factor;
+            set_rate(w, proc, factor);
+        }
+        EventKind::SlowEnd { proc } => set_rate(w, proc, 1),
+        EventKind::StallStart { proc } => stall(w, proc, true),
+        EventKind::StallEnd { proc } => stall(w, proc, false),
+        EventKind::LinkDegradeStart { idx } | EventKind::LinkDegradeEnd { idx } => {
+            let on = matches!(kind, EventKind::LinkDegradeStart { .. });
+            let LinkDegradeWindow { from, to, .. } = f.link_windows[idx as usize];
+            let active = &mut f.link_active[from * f.num_procs + to];
+            if on {
+                *active = idx + 1;
+                f.stats.link_degrades += 1;
+            } else if *active == idx + 1 {
+                // With overlapping windows on one link, only the window
+                // that owns the active slot clears it.
+                *active = 0;
+            }
+            w.note(Note::LinkDegrade { from, to, on });
+        }
+        _ => unreachable!("{kind:?} is not a gray edge"),
+    }
+}
+
+/// Settles `proc`'s slice at its old rate, then runs it at `factor`
+/// (`1` restores full speed): every remaining service tick costs
+/// `factor` wall ticks.
+fn set_rate<O: Observer>(w: &mut Wire<'_, O>, proc: ProcessorId, factor: u32) {
+    w.advance_proc(proc);
+    w.procs[proc.index()].set_rate(factor);
+    w.drop_stale_milestone(proc);
+    w.note(Note::Slowdown {
+        proc: proc.index(),
+        factor,
+    });
+    w.mark_dirty(proc);
+}
+
+/// A GC-pause-style stall opens (`on`) or closes. While open, the
+/// processor stops executing entirely but — unlike a crash — keeps its
+/// in-flight jobs, guards and timers; only its pending milestone is
+/// dropped. A stall landing on a down (or already-stalled) processor
+/// is absorbed by the outage, and a close is a no-op when the stall
+/// never took hold or a crash swallowed it mid-window (the recovery
+/// path owns the restart then).
+fn stall<O: Observer>(w: &mut Wire<'_, O>, proc: ProcessorId, on: bool) {
+    let p = proc.index();
+    let open = w.procs[p].is_stalled();
+    if on == open || (on && w.procs[p].is_down()) {
+        return;
+    }
+    w.advance_proc(proc);
+    if on {
+        w.faults.stats.stalls += 1;
+    }
+    w.procs[p].set_stalled(on);
+    w.drop_stale_milestone(proc);
+    w.note(Note::Stall {
+        proc: p,
+        stalled: on,
+    });
+    w.mark_dirty(proc);
 }
 
 #[cfg(test)]

@@ -630,43 +630,12 @@ impl SyncState {
         }
     }
 
-    /// The sync layer's event family: a round, a request or a response
-    /// landing, a retry timer firing.
-    pub(crate) fn on_event<O: Observer>(&mut self, w: &mut Wire<'_, O>, kind: EventKind) {
-        match kind {
-            EventKind::SyncRound { proc } => self.on_round(w, proc),
-            // A partition opening while a frame was in flight severs it
-            // here, at the delivery edge.
-            EventKind::SyncRequest { from, to, .. } | EventKind::SyncResponse { from, to, .. }
-                if from != to && w.faults.cut(from.index(), to.index()) =>
-            {
-                self.stats.frames_severed += 1;
-            }
-            EventKind::SyncRequest { from, to, t1 } => self.serve(w, from, to, t1, 0),
-            EventKind::SyncResponse {
-                from,
-                to,
-                t1,
-                t2,
-                disp,
-            } => self.on_response(w, from.index(), to.index(), t1, t2, disp),
-            EventKind::SyncRetry {
-                from,
-                to,
-                t1,
-                respond,
-                attempt,
-            } => self.on_retry(w, from, to, t1, respond, attempt),
-            _ => unreachable!("{kind:?} is not a sync event"),
-        }
-    }
-
     /// A processor's periodic sync round: settle the previous round's
     /// samples into a correction, then send fresh timestamped requests to
     /// every peer and the external time reference. The chain ticks on the
     /// true-time cadence whether the node is up or not (a crashed node
     /// skips the body, like a silent heartbeat).
-    fn on_round<O: Observer>(&mut self, w: &mut Wire<'_, O>, proc: ProcessorId) {
+    pub(crate) fn on_round<O: Observer>(&mut self, w: &mut Wire<'_, O>, proc: ProcessorId) {
         let p = proc.index();
         // A stalled node's sync daemon is as frozen as its scheduler: the
         // round is skipped (no settle, no fresh requests) but the chain
@@ -756,7 +725,7 @@ impl SyncState {
         }
         self.stats.frames += 1;
         self.stats.retransmits += u64::from(attempt > 0);
-        let plan = w.channel.send();
+        let plan = w.channel().send();
         if plan.dropped {
             self.stats.frames_lost += 1;
             if self.cfg.over_transport && attempt < SYNC_RETRY_BUDGET {
@@ -787,6 +756,29 @@ impl SyncState {
         // A gray drop on top of the channel plan loses the sample like
         // any datagram loss — Marzullo tolerates a thinner round.
         w.land(&plan, src, dst, GrayFamily::Sync, kind);
+    }
+
+    /// A request from `from` lands on responder `to` (the reference when
+    /// `to == from`).
+    pub(crate) fn on_request<O: Observer>(
+        &mut self,
+        w: &mut Wire<'_, O>,
+        from: ProcessorId,
+        to: ProcessorId,
+        t1: Time,
+    ) {
+        if !self.severed_in_flight(w, from.index(), to.index()) {
+            self.serve(w, from, to, t1, 0);
+        }
+    }
+
+    /// A partition opening while a frame from `from` to `to` was in
+    /// flight severs it here, at the delivery edge. The reference exchange
+    /// (`from == to`) is local and cannot be cut.
+    fn severed_in_flight<O: Observer>(&mut self, w: &Wire<'_, O>, from: usize, to: usize) -> bool {
+        let severed = from != to && w.faults.cut(from, to);
+        self.stats.frames_severed += u64::from(severed);
+        severed
     }
 
     /// The responder side of one exchange: stamp the clock (passing it
@@ -839,20 +831,24 @@ impl SyncState {
         self.send_frame(w, r, from.index(), response, attempt);
     }
 
-    /// A response from `from` returns to requester `p`, closing one
+    /// A response from `from` returns to requester `to`, closing one
     /// exchange: stamp the arrival, widen the advertised dispersion by the
     /// link's asymmetry bound (NTP's midpoint is biased by up to half the
     /// one-way imbalance), and buffer the offset interval for the next
     /// round's settle. `t1` and `t2` are the request and serve stamps.
-    fn on_response<O: Observer>(
+    pub(crate) fn on_response<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
-        from: usize,
-        p: usize,
+        from: ProcessorId,
+        to: ProcessorId,
         t1: Time,
         t2: Time,
         disp: Option<Dur>,
     ) {
+        let (from, p) = (from.index(), to.index());
+        if self.severed_in_flight(w, from, p) {
+            return;
+        }
         if w.procs[p].is_down() {
             return; // the requester crashed before the response landed
         }
@@ -878,7 +874,7 @@ impl SyncState {
     /// retries re-stamp `t2` at the current instant (a stale stamp would
     /// poison the RTT bound); requester retries restart the exchange with
     /// a fresh `t1` for the same reason.
-    fn on_retry<O: Observer>(
+    pub(crate) fn on_retry<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
         from: ProcessorId,

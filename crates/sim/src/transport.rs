@@ -324,7 +324,7 @@ impl TransportState {
         } else {
             // A channel or gray drop delivers nothing; the retransmission
             // timer below covers it like any loss.
-            let plan = w.channel.send();
+            let plan = w.channel().send();
             let frame = EventKind::TransportDeliver { job, seq };
             w.land(&plan, from, to, GrayFamily::Transport, frame);
         }
@@ -332,29 +332,11 @@ impl TransportState {
         w.queue.push(w.now + self.cfg.rto(attempt), timer);
     }
 
-    /// The transport's event family: a frame copy landing, an ack landing,
-    /// a retransmission timer firing.
-    pub(crate) fn on_event<O: Observer>(
-        &mut self,
-        w: &mut Wire<'_, O>,
-        kind: EventKind,
-    ) -> Option<Effect> {
-        match kind {
-            EventKind::TransportDeliver { job, seq } => self.on_frame(w, job, seq),
-            EventKind::AckDeliver { seq } => {
-                self.on_ack(w, seq);
-                None
-            }
-            EventKind::RetransmitTimer { seq } => self.on_retransmit_timer(w, seq),
-            _ => unreachable!("{kind:?} is not a transport event"),
-        }
-    }
-
     /// One copy of a frame reaches its receiver: ack every copy, deliver
     /// the first. A copy landing on a crashed node is simply gone — no ack
     /// and no recovery backlog; the sender's retransmission timer covers
     /// it.
-    fn on_frame<O: Observer>(
+    pub(crate) fn on_frame<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
         job: JobId,
@@ -387,7 +369,7 @@ impl TransportState {
     /// one window lookup. Acks are accepted even while the sender is down:
     /// the window is journaled transport state, not volatile protocol
     /// state.
-    fn on_ack<O: Observer>(&mut self, w: &mut Wire<'_, O>, seq: u64) {
+    pub(crate) fn on_ack<O: Observer>(&mut self, w: &mut Wire<'_, O>, seq: u64) {
         let rtt = match self.window.entry(seq) {
             Entry::Occupied(open) => {
                 // No cut can catch an ack: `on_frame` pushes it at the
@@ -413,7 +395,7 @@ impl TransportState {
     /// at a time (each firing arms at most the next), so the window
     /// entry's attempt count is the timer's; a firing after the frame was
     /// acked or abandoned is a no-op.
-    fn on_retransmit_timer<O: Observer>(
+    pub(crate) fn on_retransmit_timer<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
         seq: u64,

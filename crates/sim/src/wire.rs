@@ -1,13 +1,15 @@
 //! The boundary between the engine and the layers that ride the wire.
 //!
+//! The engine owns one [`Wire`]: the run's clock, queue, processors,
+//! fault domain, channel, clocks and observer, and the logs those feed.
 //! The transport ([`crate::transport`]), the failure detector
-//! ([`crate::detect`]) and clock sync ([`crate::sync`]) each own the
-//! handlers of their event family. The engine hands a handler the state
-//! it may touch as one borrowed [`Wire`], for one event, and the handler
-//! hands back the protocol work only the engine may do (deliver, release
-//! or cancel a job) as an [`Effect`]. No layer calls back into the engine.
+//! ([`crate::detect`]), clock sync ([`crate::sync`]) and the gray fault
+//! edges ([`crate::faults`]) each own the handlers of their event family
+//! and take `&mut Wire` beside their own state. A layer hands back the
+//! protocol work only the engine may do (deliver, release or cancel a
+//! job) as an [`Effect`]. No layer calls back into the engine.
 
-use rtsync_core::task::TaskSet;
+use rtsync_core::task::{ProcessorId, TaskSet};
 use rtsync_core::time::{Dur, Time};
 
 use crate::controller::FlatIndex;
@@ -21,6 +23,7 @@ use crate::nonideal::{ChannelState, LocalClock};
 use crate::observe::{Note, Observer};
 use crate::processor::Processor;
 use crate::sync::SyncState;
+use crate::trace::Trace;
 use crate::transport::TransportState;
 
 /// The optional layers. A run without them never builds their state.
@@ -33,24 +36,36 @@ pub(crate) struct Layers {
     pub(crate) sync: Option<SyncState>,
 }
 
-/// The engine state one wire-layer handler touches, borrowed for one
-/// event (the component shape of `tick(now, &mut System)`).
+/// The engine state a layer handler touches, owned by the engine (the
+/// component shape of `tick(now, &mut System)`).
 pub(crate) struct Wire<'a, O: Observer> {
     pub(crate) now: Time,
     pub(crate) horizon: Time,
     pub(crate) cfg: &'a SimConfig,
     pub(crate) set: &'a TaskSet,
-    pub(crate) flat: &'a FlatIndex,
+    pub(crate) flat: FlatIndex,
     /// Released instance counts per flat subtask index.
-    pub(crate) released: &'a [u64],
-    pub(crate) queue: &'a mut EventQueue,
-    pub(crate) procs: &'a [Processor],
-    pub(crate) faults: &'a mut FaultState,
-    pub(crate) channel: &'a mut ChannelState,
+    pub(crate) released: Vec<u64>,
+    pub(crate) queue: EventQueue,
+    pub(crate) procs: Vec<Processor>,
+    /// The fault domain: the schedule's next edge, partitions, gray
+    /// links, recovery bookkeeping. Empty when no faults are configured.
+    pub(crate) faults: FaultState,
+    /// Signal-channel state; `None` routes signals instantaneously.
+    pub(crate) channel: Option<ChannelState>,
     /// Each processor's clock; a sync correction steps its offset.
-    pub(crate) clocks: &'a mut [LocalClock],
+    pub(crate) clocks: Vec<LocalClock>,
     /// The structured degradation log.
-    pub(crate) log: &'a mut Vec<DegradationEvent>,
+    pub(crate) log: Vec<DegradationEvent>,
+    /// Executed ticks per processor.
+    pub(crate) busy_ticks: Vec<Dur>,
+    /// The schedule trace, when recorded.
+    pub(crate) trace: Option<Trace>,
+    /// Processors touched during the current instant, awaiting the
+    /// end-of-instant reschedule.
+    pub(crate) dirty: Vec<bool>,
+    /// Instrumentation hooks (see [`crate::observe`]); `NoopObserver`
+    /// for unobserved runs, compiled away by monomorphization.
     pub(crate) obs: &'a mut O,
 }
 
@@ -59,8 +74,6 @@ pub(crate) struct Wire<'a, O: Observer> {
 pub(crate) enum Effect {
     /// A fresh payload reached its receiver: deliver `job` in order.
     Deliver(JobId),
-    /// The channel dropped the signal releasing `job`.
-    Lost(JobId),
     /// The sender abandoned the frame carrying `job` after `attempts`
     /// transmissions.
     Abandon { job: JobId, attempts: u32 },
@@ -97,6 +110,47 @@ impl<O: Observer> Wire<'_, O> {
     /// The processor hosting `job`.
     pub(crate) fn host(&self, job: JobId) -> usize {
         self.set.subtask(job.subtask()).processor().index()
+    }
+
+    /// The signal channel. Layers exist only with one: the transport and
+    /// the sync layer always synthesize a channel, and the detector rides
+    /// the transport.
+    pub(crate) fn channel(&mut self) -> &mut ChannelState {
+        self.channel
+            .as_mut()
+            .expect("wire layers run only with a channel")
+    }
+
+    /// Settles `proc`'s execution up to now: busy time, the observer's
+    /// slice and the trace.
+    pub(crate) fn advance_proc(&mut self, proc: ProcessorId) {
+        let slice = self.procs[proc.index()].advance(self.now);
+        if let Some(slice) = slice {
+            self.busy_ticks[proc.index()] += slice.end - slice.start;
+            self.note(Note::Slice {
+                proc: proc.index(),
+                job: slice.job,
+                start: slice.start,
+                end: slice.end,
+            });
+            if let Some(tr) = &mut self.trace {
+                tr.push_slice(proc, slice);
+            }
+        }
+    }
+
+    /// Clears `proc`'s milestone slot if the processor just invalidated
+    /// its milestone (crash, stall edge, rate change), so a superseded
+    /// milestone never fires.
+    pub(crate) fn drop_stale_milestone(&mut self, proc: ProcessorId) {
+        if !self.procs[proc.index()].has_milestone() {
+            self.queue.disarm(proc.index());
+        }
+    }
+
+    /// Marks `proc` for the end-of-instant reschedule.
+    pub(crate) fn mark_dirty(&mut self, proc: ProcessorId) {
+        self.dirty[proc.index()] = true;
     }
 
     /// The end of every priced send: the gray-link tax on top of the

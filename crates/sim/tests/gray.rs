@@ -7,14 +7,18 @@
 //! its neutral position the engine is bit-identical to the pre-gray
 //! path.
 
+use std::ops::RangeInclusive;
+
 use proptest::prelude::*;
 use rtsync_core::examples::example2;
 use rtsync_core::protocol::Protocol;
+use rtsync_core::task::{SubtaskId, TaskId};
 use rtsync_core::time::{Dur, Time};
-use rtsync_sim::engine::{simulate, SimConfig};
+use rtsync_sim::engine::{simulate, simulate_observed, SimConfig, SimOutcome};
 use rtsync_sim::{
-    CrashWindow, DetectorConfig, FaultConfig, GrayConfig, LinkDegradeWindow, LinkSchedule,
-    PhiConfig, SlowSchedule, SlowWindow, StallSchedule, StallWindow, TransportConfig,
+    CrashWindow, DetectorConfig, FaultConfig, GrayConfig, InvariantObserver, LinkDegradeWindow,
+    LinkSchedule, Note, Observer, PhiConfig, SlowSchedule, SlowWindow, StallSchedule, StallWindow,
+    Tee, TransportConfig,
 };
 
 fn d(x: i64) -> Dur {
@@ -162,6 +166,119 @@ fn stall_preserves_in_flight_work_unlike_a_crash() {
             task.id()
         );
     }
+}
+
+/// The stall and slowdown notes of a run, with their instants.
+#[derive(Default)]
+struct GrayNotes(Vec<(i64, Note)>);
+
+impl Observer for GrayNotes {
+    fn on(&mut self, now: Time, note: Note) {
+        if matches!(note, Note::Stall { .. } | Note::Slowdown { .. }) {
+            self.0.push((now.ticks(), note));
+        }
+    }
+}
+
+/// Example 2 under DS with one P0 outage over `[at, at + delay)` and
+/// `gray` on top, checked online by the invariant observer. Returns the
+/// outcome, the gray notes and P0's completions of `T0` inside `window`.
+fn p0_outage_under(
+    at: i64,
+    delay: i64,
+    gray: GrayConfig,
+    window: RangeInclusive<i64>,
+) -> (SimOutcome, Vec<(i64, Note)>, Vec<i64>) {
+    let outage = vec![
+        vec![CrashWindow {
+            at: t(at),
+            restart_delay: d(delay),
+        }],
+        Vec::new(),
+    ];
+    let cfg = SimConfig::new(Protocol::DirectSync)
+        .with_instances(40)
+        .with_trace()
+        .with_faults(FaultConfig::explicit(outage).with_gray(gray));
+    let (mut checker, mut notes) = (InvariantObserver::default(), GrayNotes::default());
+    let out = simulate_observed(&example2(), &cfg, &mut Tee(&mut checker, &mut notes)).unwrap();
+    checker.check_outcome(&out);
+    assert!(checker.is_clean(), "{:?}", checker.violations());
+    let t0 = SubtaskId::new(TaskId::new(0), 0);
+    let trace = out.trace.as_ref().unwrap();
+    let done = trace.completions_of(t0).into_iter().map(|c| c.ticks());
+    let done = done.filter(|c| window.contains(c)).collect();
+    (out, notes.0, done)
+}
+
+fn p0_stall(at: i64, span: i64) -> GrayConfig {
+    GrayConfig::new().with_stalls(StallSchedule::Explicit(vec![
+        vec![StallWindow {
+            at: t(at),
+            span: d(span),
+        }],
+        Vec::new(),
+    ]))
+}
+
+/// A stall that opens while its processor is down is absorbed by the
+/// outage: no stall note, no stall counted, and the run matches the bare
+/// outage but for the two edges it popped.
+#[test]
+fn a_stall_opening_on_a_down_processor_is_absorbed() {
+    let (bare, _, bare_done) = p0_outage_under(50, 40, GrayConfig::new(), 40..=100);
+    let (out, notes, done) = p0_outage_under(50, 40, p0_stall(60, 10), 40..=100);
+    assert_eq!(out.fault_stats.stalls, 0, "{:?}", out.fault_stats);
+    assert_eq!(notes, [], "a swallowed stall sends no note");
+    assert_eq!(done, [42, 46, 92, 94, 96, 98, 100]);
+    assert_eq!(done, bare_done);
+    assert_eq!(out.events, bare.events + 2);
+}
+
+/// A crash in the middle of a stall ends it: the stall's own end is a
+/// no-op, and the recovery restarts the node before that end.
+#[test]
+fn a_crash_mid_stall_makes_its_end_a_no_op() {
+    let (out, notes, done) = p0_outage_under(60, 20, p0_stall(50, 40), 40..=100);
+    assert_eq!(out.fault_stats.stalls, 1, "{:?}", out.fault_stats);
+    assert_eq!(out.fault_stats.recoveries, 1, "{:?}", out.fault_stats);
+    let stalled = Note::Stall {
+        proc: 0,
+        stalled: true,
+    };
+    assert_eq!(
+        notes,
+        [(50, stalled)],
+        "the end at 90 finds no stall to close"
+    );
+    // P0 runs again from the recovery at 80, not from the stall's end.
+    assert_eq!(done, [42, 46, 82, 84, 86, 88, 90, 92, 94, 96, 98, 100]);
+}
+
+/// A slowdown that starts while its processor is down still sets the
+/// rate, so the recovery resumes the node slowed.
+#[test]
+fn a_recovery_mid_slowdown_resumes_slowed() {
+    let slow = GrayConfig::new().with_slow(SlowSchedule::Explicit(vec![
+        vec![SlowWindow {
+            at: t(60),
+            span: d(100),
+            factor: 4,
+        }],
+        Vec::new(),
+    ]));
+    let (_, _, nominal) = p0_outage_under(50, 20, GrayConfig::new(), 60..=110);
+    let (out, notes, done) = p0_outage_under(50, 20, slow, 60..=110);
+    assert_eq!(out.fault_stats.slowdowns, 1, "{:?}", out.fault_stats);
+    let slowed = |at, factor| (at, Note::Slowdown { proc: 0, factor });
+    assert_eq!(notes, [slowed(60, 4), slowed(160, 1)]);
+    // T0 runs 2 ticks a job: 8 at a quarter of the rate, from the
+    // recovery at 70 on.
+    assert_eq!(done, [78, 86, 94, 102, 110]);
+    assert_eq!(
+        nominal,
+        [72, 74, 76, 78, 80, 82, 84, 86, 88, 90, 94, 98, 102, 106, 110]
+    );
 }
 
 /// A degraded link is live but lossy: heartbeats crossing it pay extra

@@ -25,8 +25,8 @@ use rtsync::core::{AnalysisConfig, Protocol};
 use rtsync::experiments::{ablation, RobustnessConfig, StudyConfig};
 use rtsync::sim::{
     render_dashboard, simulate, simulate_observed, ChannelModel, EventLogObserver, FaultConfig,
-    GrayConfig, ProtocolCounters, SimConfig, SlowSchedule, SlowWindow, SourceModel, StallSchedule,
-    StallWindow, SyncConfig, SyncPolicy, Tee, TelemetryObserver, TransportConfig,
+    GrayConfig, ProtocolCounters, SimConfig, SimOutcome, SlowSchedule, SlowWindow, SourceModel,
+    StallSchedule, StallWindow, SyncConfig, SyncPolicy, Tee, TelemetryObserver, TransportConfig,
 };
 
 fn main() -> ExitCode {
@@ -899,11 +899,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         protocol.tag(),
         outcome.events,
         outcome.end_time.ticks(),
-        if outcome.reached_target {
-            ""
-        } else {
-            " (horizon reached before the instance target)"
-        }
+        stop_note(&set, &cfg, &outcome)
     );
     println!(
         "{:<6}{:>10}{:>12}{:>10}{:>8}{:>8}{:>8}{:>10}{:>10}{:>8}",
@@ -1018,6 +1014,33 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Why a run that missed its instance target stopped: the event cap when
+/// it popped `max_events`, the horizon otherwise. Names every task short
+/// of the target with its completed and lost instances.
+fn stop_note(set: &TaskSet, cfg: &SimConfig, outcome: &SimOutcome) -> String {
+    if outcome.reached_target {
+        return String::new();
+    }
+    let cause = if outcome.events >= cfg.max_events {
+        format!("event cap of {} reached", cfg.max_events)
+    } else {
+        "horizon reached".to_string()
+    };
+    let short: Vec<String> = set
+        .tasks()
+        .iter()
+        .filter_map(|task| {
+            let s = outcome.metrics.task(task.id());
+            (s.completed() + s.lost() < cfg.instances_per_task)
+                .then(|| format!("{} {} done, {} lost", task.id(), s.completed(), s.lost()))
+        })
+        .collect();
+    format!(
+        " ({cause} before the instance target: {})",
+        short.join("; ")
+    )
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {

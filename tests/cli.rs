@@ -508,6 +508,28 @@ fn simulate_quantiles_never_pass_the_observed_max() {
 }
 
 #[test]
+fn simulate_names_its_stop_and_the_tasks_short_of_the_target() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-stop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("overloaded.rts");
+    // T0 keeps the one processor busy, so T1 never runs.
+    let text = "processors 1\npriorities explicit\n\n\
+                task period=2\n  subtask proc=0 exec=2 prio=0\n\n\
+                task period=10\n  subtask proc=0 exec=1 prio=1\n";
+    std::fs::write(&file, text).unwrap();
+    let file = file.to_str().unwrap();
+    let out = run(&["simulate", file, "--protocol", "ds", "--instances", "5"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let first = stdout(&out).lines().next().unwrap_or_default().to_string();
+    assert_eq!(
+        first,
+        "DS protocol: 112 events, ended at t=100 \
+         (horizon reached before the instance target: T1 0 done, 0 lost)"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn campaign_records_keep_their_committed_headers() {
     let dir = std::env::temp_dir().join(format!("rtsync-cli-headers-{}", std::process::id()));
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
