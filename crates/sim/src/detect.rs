@@ -35,7 +35,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::{ProcessorId, SubtaskId};
 use rtsync_core::time::{Dur, Time};
 
-use crate::event::EventKind;
+use crate::event::{EventKind, PeerSet};
 use crate::faults::GrayFamily;
 use crate::job::JobId;
 use crate::observe::{Note, Observer};
@@ -783,7 +783,8 @@ impl DetectState {
 
     /// A processor's periodic heartbeat broadcast. The chain ticks whether
     /// the node is up or not — a crashed node simply stays silent until it
-    /// recovers.
+    /// recovers. Every peer the beat reaches in this very instant shares
+    /// one delivery event; a gray-delayed beat gets its own.
     pub(crate) fn on_heartbeat_send<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
@@ -796,6 +797,7 @@ impl DetectState {
         // stall look like a death from outside), but the chain keeps its
         // cadence so beats resume on time after the window.
         if !w.procs[p].is_down() && !stalled {
+            let mut instant = PeerSet::default();
             for q in (0..self.num_procs).filter(|&q| q != p) {
                 // A broadcast to the far side of an open cut dies at the
                 // boundary — the peer's detector starves honestly.
@@ -808,13 +810,28 @@ impl DetectState {
                 // jitter stretch the observer's inter-arrival history, a
                 // drop starves it outright. Sent-counting stays above so
                 // drop accounting is visible in the send/deliver gap.
-                if let Some(extra) = w.faults.gray_penalty(p, q, GrayFamily::Heartbeat) {
-                    let beat = EventKind::HeartbeatDeliver {
-                        from: proc,
-                        to: ProcessorId::new(q),
-                    };
-                    w.queue.push(w.now + extra, beat);
+                let peer = ProcessorId::new(q);
+                match w.faults.gray_penalty(p, q, GrayFamily::Heartbeat) {
+                    Some(extra) if extra.is_zero() => instant.insert(peer),
+                    Some(extra) => {
+                        let beat = EventKind::HeartbeatDeliver {
+                            from: proc,
+                            to: PeerSet::single(peer),
+                        };
+                        w.queue.push(w.now + extra, beat);
+                    }
+                    None => {}
                 }
+            }
+            // One event for every peer the beat reaches in this instant:
+            // per-peer events pushed in this loop would pop back to back,
+            // in this order, with nothing between them (DESIGN.md §11).
+            if !instant.is_empty() {
+                let beat = EventKind::HeartbeatDeliver {
+                    from: proc,
+                    to: instant,
+                };
+                w.queue.push(w.now, beat);
             }
         }
         // A slowed node's daemon breathes at the stretched rate — the
@@ -828,38 +845,40 @@ impl DetectState {
         w.push_by_horizon(next, EventKind::HeartbeatSend { proc });
     }
 
-    /// A heartbeat from `from` lands on observer `to`: re-arm the pair's
-    /// suspicion deadline from now (or clear it, for a pair that stays
-    /// Dead). A detector on a crashed node is frozen — it resumes with its
-    /// pre-crash beliefs at recovery.
+    /// A heartbeat from `from` lands on each observer in `to`, in
+    /// ascending order: re-arm the pair's suspicion deadline from now (or
+    /// clear it, for a pair that stays Dead). A detector on a crashed node
+    /// is frozen — it resumes with its pre-crash beliefs at recovery.
     pub(crate) fn on_heartbeat_deliver<O: Observer>(
         &mut self,
         w: &mut Wire<'_, O>,
         from: ProcessorId,
-        to: ProcessorId,
+        to: PeerSet,
     ) {
-        let (from, to) = (from.index(), to.index());
-        if w.procs[to].is_down() {
-            return;
+        let from = from.index();
+        for to in to.iter().map(ProcessorId::index) {
+            if w.procs[to].is_down() {
+                continue;
+            }
+            // In-flight heartbeats caught by a cut opening mid-hop die here,
+            // before the observer hears a cross-partition delivery.
+            if w.faults.cut(from, to) {
+                w.faults.stats.severed_heartbeats += 1;
+                continue;
+            }
+            w.note(Note::Heartbeat { from, to });
+            if self.heard(to, from, w.now) {
+                w.degrade(Degradation::PeerRevived {
+                    observer: to,
+                    subject: from,
+                });
+            }
+            // Fixed mode: the `suspect_after` cliff. φ mode: the budget to
+            // the next escalation threshold, scaled by the pair's observed
+            // inter-arrival mean — a slowed peer earns longer rope.
+            let deadline = self.arm_budget(to, from).map(|budget| w.now + budget);
+            self.set_suspicion(w, to, from, deadline);
         }
-        // In-flight heartbeats caught by a cut opening mid-hop die here,
-        // before the observer hears a cross-partition delivery.
-        if w.faults.cut(from, to) {
-            w.faults.stats.severed_heartbeats += 1;
-            return;
-        }
-        w.note(Note::Heartbeat { from, to });
-        if self.heard(to, from, w.now) {
-            w.degrade(Degradation::PeerRevived {
-                observer: to,
-                subject: from,
-            });
-        }
-        // Fixed mode: the `suspect_after` cliff. φ mode: the budget to the
-        // next escalation threshold, scaled by the pair's observed
-        // inter-arrival mean — a slowed peer earns longer rope.
-        let deadline = self.arm_budget(to, from).map(|budget| w.now + budget);
-        self.set_suspicion(w, to, from, deadline);
     }
 
     /// A pair's suspicion deadline passed with no heartbeat since it was

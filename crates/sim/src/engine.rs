@@ -57,7 +57,7 @@ use rtsync_core::time::{Dur, Time};
 
 use crate::controller::{CompletionDirective, Controller, FlatIndex, ReleaseTimer};
 use crate::detect::{Degradation, DegradationEvent, DetectState, DetectStats};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, PeerSet};
 use crate::faults::{
     self, BacklogItem, BacklogKind, FaultConfig, FaultState, FaultStats, GrayFamily, OverloadPolicy,
 };
@@ -313,6 +313,12 @@ pub enum SimulateError {
         /// What dominates the step, e.g. `"task period"`.
         cause: &'static str,
     },
+    /// The failure detector names a heartbeat's recipients in a
+    /// [`PeerSet`], which holds at most [`PeerSet::CAPACITY`] processors.
+    DetectorTooWide {
+        /// The system's processor count.
+        procs: usize,
+    },
 }
 
 impl fmt::Display for SimulateError {
@@ -333,6 +339,11 @@ impl fmt::Display for SimulateError {
                 horizon.ticks(),
                 step.ticks()
             ),
+            SimulateError::DetectorTooWide { procs } => write!(
+                f,
+                "the failure detector supports at most {} processors; the system has {procs}",
+                PeerSet::CAPACITY
+            ),
         }
     }
 }
@@ -341,7 +352,7 @@ impl Error for SimulateError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimulateError::Analysis(e) => Some(e),
-            SimulateError::TimeOverflow { .. } => None,
+            SimulateError::TimeOverflow { .. } | SimulateError::DetectorTooWide { .. } => None,
         }
     }
 }
@@ -358,7 +369,8 @@ impl From<AnalyzeError> for SimulateError {
 ///
 /// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
 /// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
-/// not fit in `i64` ticks.
+/// not fit in `i64` ticks; [`SimulateError::DetectorTooWide`] if a failure
+/// detector watches more than [`PeerSet::CAPACITY`] processors.
 pub fn simulate(set: &TaskSet, cfg: &SimConfig) -> Result<SimOutcome, SimulateError> {
     // `NoopObserver` is zero-sized and every hook is an empty `#[inline]`
     // default, so this monomorphization is the exact unobserved engine.
@@ -373,9 +385,7 @@ pub fn simulate(set: &TaskSet, cfg: &SimConfig) -> Result<SimOutcome, SimulateEr
 ///
 /// # Errors
 ///
-/// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
-/// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
-/// not fit in `i64` ticks.
+/// As [`simulate`].
 pub fn simulate_observed(
     set: &TaskSet,
     cfg: &SimConfig,
@@ -392,9 +402,7 @@ pub fn simulate_observed(
 ///
 /// # Errors
 ///
-/// [`SimulateError::Analysis`] if the protocol needs SA/PM bounds and the
-/// analysis fails; [`SimulateError::TimeOverflow`] if the run's times do
-/// not fit in `i64` ticks.
+/// As [`simulate`].
 pub fn simulate_profiled(
     set: &TaskSet,
     cfg: &SimConfig,
@@ -463,6 +471,9 @@ impl<'a, O: Observer, P: Profiler> Engine<'a, O, P> {
         // The keyed slot layout (see the module docs), decided once.
         let rg = cfg.protocol == Protocol::ReleaseGuard;
         let detector = cfg.transport.as_ref().and_then(|t| t.detector.as_ref());
+        if detector.is_some() && procs > PeerSet::CAPACITY {
+            return Err(SimulateError::DetectorTooWide { procs });
+        }
         let (edge_slot, suspicion_base) = (procs, procs + 1);
         let guard_base = suspicion_base + if detector.is_some() { procs * procs } else { 0 };
         let slots = guard_base + if rg { flat.len() } else { 0 };
@@ -2148,6 +2159,35 @@ mod tests {
         let out = simulate(&example2(), &cfg).unwrap();
         assert!(out.events <= 25);
         assert!(!out.reached_target);
+    }
+
+    #[test]
+    fn a_detector_wider_than_a_peer_set_is_an_error() {
+        use rtsync_core::task::Priority;
+        let spread = |procs: usize| {
+            let mut builder = TaskSet::builder(procs);
+            for proc in 0..procs {
+                builder = builder
+                    .task(Dur::from_ticks(100))
+                    .subtask(proc, Dur::from_ticks(1), Priority::new(0))
+                    .finish_task();
+            }
+            builder.build().unwrap()
+        };
+        let detector = TransportConfig::new(Dur::from_ticks(4))
+            .with_detector(crate::detect::DetectorConfig::new(Dur::from_ticks(10)));
+        let cfg = SimConfig::new(Protocol::DirectSync)
+            .with_instances(2)
+            .with_transport(detector);
+        let widest = simulate(&spread(PeerSet::CAPACITY), &cfg).unwrap();
+        assert!(widest.reached_target);
+        assert!(widest.detect_stats.heartbeats_delivered > 0);
+        let err = simulate(&spread(PeerSet::CAPACITY + 1), &cfg).unwrap_err();
+        assert_eq!(err, SimulateError::DetectorTooWide { procs: 65 });
+        assert!(err.to_string().contains("at most 64 processors"), "{err}");
+        // Without a detector the width does not matter.
+        let plain = SimConfig::new(Protocol::DirectSync).with_instances(2);
+        assert!(simulate(&spread(PeerSet::CAPACITY + 1), &plain).is_ok());
     }
 
     #[test]

@@ -201,13 +201,16 @@ pub enum EventKind {
         /// The broadcasting processor.
         proc: ProcessorId,
     },
-    /// A heartbeat from `from` reaches observer `to` (detector mode
-    /// only), re-arming the pair's suspicion deadline.
+    /// A heartbeat from `from` reaches every observer in `to` (detector
+    /// mode only), re-arming each pair's suspicion deadline in ascending
+    /// observer order. A broadcast queues one delivery for all the peers
+    /// it reaches in the instant it is sent, and one per gray-delayed
+    /// peer.
     HeartbeatDeliver {
         /// The broadcaster.
         from: ProcessorId,
-        /// The observing processor.
-        to: ProcessorId,
+        /// The observing processors.
+        to: PeerSet,
     },
     /// An observer's per-peer suspicion deadline passed (detector mode
     /// only). Lives in the pair's suspicion slot, which every heartbeat
@@ -292,6 +295,58 @@ pub enum EventKind {
         /// Attempt count already consumed, bounded by the retry budget.
         attempt: u8,
     },
+}
+
+/// A set of processors, one bit per processor index: the observers one
+/// [`EventKind::HeartbeatDeliver`] reaches. Holds indices below
+/// [`PeerSet::CAPACITY`]; a run whose detector would need more is
+/// rejected before its first event.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct PeerSet(u64);
+
+impl PeerSet {
+    /// The largest processor count a set can name.
+    pub const CAPACITY: usize = 64;
+
+    /// The set holding only `proc`.
+    pub(crate) fn single(proc: ProcessorId) -> PeerSet {
+        let mut set = PeerSet::default();
+        set.insert(proc);
+        set
+    }
+
+    /// Adds `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc`'s index is not below [`PeerSet::CAPACITY`].
+    pub(crate) fn insert(&mut self, proc: ProcessorId) {
+        assert!(proc.index() < PeerSet::CAPACITY, "{proc} exceeds a PeerSet");
+        self.0 |= 1 << proc.index();
+    }
+
+    /// Number of processors in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// `true` if the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members in ascending index order.
+    pub fn iter(self) -> impl Iterator<Item = ProcessorId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let index = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(ProcessorId::new(index))
+        })
+    }
 }
 
 impl EventKind {
@@ -803,7 +858,7 @@ mod tests {
             t(2),
             EventKind::HeartbeatDeliver {
                 from: ProcessorId::new(1),
-                to: ProcessorId::new(0),
+                to: PeerSet::single(ProcessorId::new(0)),
             },
         );
         q.push(
@@ -1096,6 +1151,21 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn peer_sets_iterate_in_ascending_order() {
+        let mut set = PeerSet::default();
+        assert!(set.is_empty());
+        for p in [63, 5, 0, 17] {
+            set.insert(ProcessorId::new(p));
+        }
+        set.insert(ProcessorId::new(5));
+        assert_eq!(set.len(), 4);
+        let members: Vec<usize> = set.iter().map(|p| p.index()).collect();
+        assert_eq!(members, vec![0, 5, 17, 63]);
+        let one = PeerSet::single(ProcessorId::new(2));
+        assert_eq!(one.iter().collect::<Vec<_>>(), vec![ProcessorId::new(2)]);
     }
 
     fn suspect(observer: usize, subject: usize) -> EventKind {

@@ -147,6 +147,12 @@ pub struct Metrics {
     tasks: Vec<TaskStats>,
     /// Flat per-subtask rows, `[task][chain index]`.
     subtasks: Vec<Vec<SubtaskStats>>,
+    /// The smallest resolved count (completed + lost) over all tasks,
+    /// kept up to date as counts grow: the engine reads it after every
+    /// event.
+    min_resolved: u64,
+    /// How many tasks sit at `min_resolved`.
+    at_min: usize,
 }
 
 impl Metrics {
@@ -159,6 +165,8 @@ impl Metrics {
                 .iter()
                 .map(|&n| vec![SubtaskStats::default(); n])
                 .collect(),
+            min_resolved: 0,
+            at_min: chain_lens.len(),
         }
     }
 
@@ -213,11 +221,35 @@ impl Metrics {
     /// would spin the engine to the horizon. Identical to
     /// [`Metrics::min_completed`] when nothing was lost.
     pub fn min_resolved(&self) -> u64 {
-        self.tasks
-            .iter()
-            .map(|t| t.completed + t.lost)
-            .min()
-            .unwrap_or(0)
+        debug_assert_eq!(
+            self.min_resolved,
+            self.tasks
+                .iter()
+                .map(|t| t.completed + t.lost)
+                .min()
+                .unwrap_or(0),
+            "running minimum out of sync"
+        );
+        self.min_resolved
+    }
+
+    /// Moves the running minimum after `task` resolved one more
+    /// instance. Counts only grow, so the minimum rises only when the
+    /// last task at it moves up, and then by exactly one level.
+    fn resolved_one(&mut self, task: usize) {
+        let resolved = self.tasks[task].completed + self.tasks[task].lost;
+        if resolved - 1 != self.min_resolved {
+            return;
+        }
+        self.at_min -= 1;
+        if self.at_min == 0 {
+            self.min_resolved += 1;
+            self.at_min = self
+                .tasks
+                .iter()
+                .filter(|t| t.completed + t.lost == self.min_resolved)
+                .count();
+        }
     }
 
     /// Total deadline misses across tasks.
@@ -235,6 +267,7 @@ impl Metrics {
     /// overload policy, so the end-to-end completion will never happen.
     pub fn record_instance_lost(&mut self, task: TaskId) {
         self.tasks[task.index()].lost += 1;
+        self.resolved_one(task.index());
     }
 
     /// Records the release of instance `instance` of a task's **first**
@@ -283,6 +316,8 @@ impl Metrics {
         };
         let eer = time - released;
         stats.completed += 1;
+        self.resolved_one(task.index());
+        let stats = &mut self.tasks[task.index()];
         if !record_stats {
             return None;
         }
@@ -409,6 +444,39 @@ mod tests {
         m.record_first_release(TaskId::new(1), 0, t(0));
         m.record_task_completion(TaskId::new(1), 0, t(2), d(5), true);
         assert_eq!(m.min_completed(), 1);
+    }
+
+    #[test]
+    fn running_min_resolved_follows_the_slowest_task() {
+        // Three tasks resolve at uneven paces, by completion and by loss;
+        // after every step the running minimum equals a fresh scan (the
+        // debug assertion inside `min_resolved` checks that too).
+        let mut m = Metrics::new(3);
+        let scan = |m: &Metrics| {
+            m.tasks()
+                .iter()
+                .map(|t| t.completed() + t.lost())
+                .min()
+                .unwrap()
+        };
+        let mut next = [0u64; 3]; // first releases per task
+        for (step, &task) in [0, 0, 1, 2, 2, 2, 1, 0, 1, 1, 2, 0].iter().enumerate() {
+            let id = TaskId::new(task);
+            if step % 3 == 2 {
+                m.record_instance_lost(id);
+            } else {
+                m.record_first_release(id, next[task], t(step as i64));
+                m.record_task_completion(id, next[task], t(step as i64 + 1), d(5), true);
+                next[task] += 1;
+            }
+            assert_eq!(m.min_resolved(), scan(&m), "after step {step}");
+        }
+        assert_eq!(m.min_resolved(), 4);
+        assert_eq!(
+            Metrics::new(0).min_resolved(),
+            0,
+            "no tasks: nothing to wait for"
+        );
     }
 
     #[test]

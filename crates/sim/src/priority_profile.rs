@@ -9,10 +9,16 @@
 //! fresh jobs at a ceiling would let arbitrarily many lower-priority jobs
 //! jump a queue and would break the blocked-at-most-once analysis).
 
+use std::sync::Arc;
+
 use rtsync_core::task::{Priority, Subtask, TaskSet};
 use rtsync_core::time::Dur;
 
 /// Piecewise-constant effective priority over executed ticks.
+///
+/// The change points are shared: every job released with a subtask's
+/// profile clones it, and a clone bumps a reference count instead of
+/// copying the points, so a release allocates nothing.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PriorityProfile {
     /// The subtask's own (no-locks-held) priority — what a never-started
@@ -20,7 +26,7 @@ pub struct PriorityProfile {
     base: Priority,
     /// `(offset, priority)`: the job runs at `priority` from `offset`
     /// until the next point. The first point is at offset 0.
-    points: Vec<(Dur, Priority)>,
+    points: Arc<[(Dur, Priority)]>,
 }
 
 impl PriorityProfile {
@@ -28,7 +34,7 @@ impl PriorityProfile {
     pub fn flat(priority: Priority) -> PriorityProfile {
         PriorityProfile {
             base: priority,
-            points: vec![(Dur::ZERO, priority)],
+            points: Arc::new([(Dur::ZERO, priority)]),
         }
     }
 
@@ -52,7 +58,10 @@ impl PriorityProfile {
                 push_point(&mut points, cs.end(), base);
             }
         }
-        PriorityProfile { base, points }
+        PriorityProfile {
+            base,
+            points: points.into(),
+        }
     }
 
     /// The subtask's own priority with no locks held — the level a job
@@ -108,7 +117,9 @@ fn push_point(points: &mut Vec<(Dur, Priority)>, offset: Dur, priority: Priority
 impl PriorityProfile {
     /// Test helper: append a change point.
     pub(crate) fn push_change(&mut self, offset: Dur, priority: Priority) {
-        push_point(&mut self.points, offset, priority);
+        let mut points = self.points.to_vec();
+        push_point(&mut points, offset, priority);
+        self.points = points.into();
     }
 }
 

@@ -69,7 +69,8 @@ pub struct TelemetryWindow {
     pub traffic_protocol: u64,
     /// Clock-sync frames (requests + responses) dispatched in the window.
     pub traffic_sync: u64,
-    /// Heartbeat events dispatched in the window.
+    /// Heartbeat broadcasts plus per-observer heartbeat deliveries
+    /// dispatched in the window.
     pub traffic_heartbeat: u64,
     /// Detector census at window close: pairs believed Alive.
     pub peers_alive: u32,
@@ -402,9 +403,9 @@ impl Observer for TelemetryObserver {
                 EventKind::SyncRequest { .. } | EventKind::SyncResponse { .. } => {
                     a.traffic_sync += 1
                 }
-                EventKind::HeartbeatSend { .. } | EventKind::HeartbeatDeliver { .. } => {
-                    a.traffic_heartbeat += 1
-                }
+                EventKind::HeartbeatSend { .. } => a.traffic_heartbeat += 1,
+                // One delivery event per broadcast instant: count the beats.
+                EventKind::HeartbeatDeliver { to, .. } => a.traffic_heartbeat += to.len() as u64,
                 _ => {}
             },
             Note::TransportSend { retransmit, .. } => {

@@ -9,7 +9,7 @@
 
 use rtsync_core::examples::{example1, example2};
 use rtsync_core::protocol::Protocol;
-use rtsync_core::task::{Task, TaskSet};
+use rtsync_core::task::{Priority, Task, TaskSet};
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
 use rtsync_sim::event::EventKind;
@@ -280,7 +280,10 @@ impl Observer for CutLedger {
                 self.heartbeat[0] += self.peers_cut(proc.index())
             }
             Note::Event(HeartbeatDeliver { from, to }) => {
-                self.heartbeat[1] += self.cut(from.index(), to.index())
+                self.heartbeat[1] += to
+                    .iter()
+                    .map(|q| self.cut(from.index(), q.index()))
+                    .sum::<u64>()
             }
             Note::Event(SyncRound { proc }) => self.sync[0] += self.peers_cut(proc.index()),
             Note::Event(SyncRequest { from, to, .. }) => {
@@ -292,6 +295,99 @@ impl Observer for CutLedger {
             _ => {}
         }
     }
+}
+
+/// Every heartbeat an observer hears, as `(time, from, to)`.
+#[derive(Default)]
+struct HeardLog(Vec<(i64, usize, usize)>);
+
+impl Observer for HeardLog {
+    fn on(&mut self, now: Time, note: Note) {
+        if let Note::Heartbeat { from, to } = note {
+            self.0.push((now.ticks(), from, to));
+        }
+    }
+}
+
+/// The order in which a broadcast's beats land is pinned. Four
+/// processors beat every 10 ticks from t = 10, in processor order. The
+/// link P2 → P3 is gray with exactly one period of extra latency, so
+/// each of its beats lands in the next broadcast instant, and a cut
+/// isolates P3 over `[25, 45)`. Within an instant the sends pop first
+/// (rank 19), then the deliveries (rank 20) in queue order: a delayed
+/// beat queued one period earlier, then each sender's same-instant beats
+/// in sender order, each to its observers in ascending order.
+#[test]
+fn heartbeat_fan_out_lands_in_a_pinned_order() {
+    let mut builder = TaskSet::builder(4);
+    for proc in 0..4 {
+        builder = builder
+            .task(d(100))
+            .subtask(proc, d(1), Priority::new(0))
+            .finish_task();
+    }
+    let set = builder.build().unwrap();
+    let gray = GrayConfig::new().with_links(LinkSchedule::Explicit(vec![LinkDegradeWindow {
+        at: t(0),
+        span: d(1_000),
+        from: 2,
+        to: 3,
+        extra_latency: d(10),
+        jitter: Dur::ZERO,
+        drop_permille: 0,
+    }]));
+    let cut = PartitionWindow {
+        at: t(25),
+        heal_delay: d(20),
+        island: vec![3],
+    };
+    let faults =
+        FaultConfig::gray_only(gray).with_partitions(PartitionSchedule::Explicit(vec![cut]));
+    let cfg = SimConfig::new(Protocol::DirectSync)
+        .with_instances(5)
+        .with_faults(faults)
+        .with_transport(TransportConfig::new(d(4)).with_detector(DetectorConfig::new(d(10))));
+    let mut log = HeardLog::default();
+    let out = simulate_observed(&set, &cfg, &mut log).unwrap();
+    assert!(out.reached_target);
+
+    // Every processor reaches every peer, P2 → P3 excepted: that beat
+    // lands a period later.
+    let full = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (1, 0),
+        (1, 2),
+        (1, 3),
+        (2, 0),
+        (2, 1),
+        (3, 0),
+        (3, 1),
+        (3, 2),
+    ];
+    // The cut is open: P3 neither sends nor hears, and the beat P2 sent
+    // it at t = 20 dies at the boundary on arrival.
+    let cut_off = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)];
+    let instants: [(i64, &[(usize, usize)]); 6] = [
+        (10, &full),
+        (20, &[(2, 3)]),
+        (20, &full),
+        (30, &cut_off),
+        (40, &cut_off),
+        (50, &full),
+    ];
+    let want: Vec<(i64, usize, usize)> = instants
+        .iter()
+        .flat_map(|&(at, pairs)| pairs.iter().map(move |&(f, o)| (at, f, o)))
+        .collect();
+    let got: Vec<_> = log.0.iter().copied().filter(|b| b.0 <= 50).collect();
+    assert_eq!(got, want);
+    // At t = 60 the beat P2 sent at 50 leads again.
+    assert_eq!(log.0.iter().find(|b| b.0 == 60), Some(&(60, 2, 3)));
+    // Severed: six beats at each cut instant (P3's three and the three
+    // sent to it), plus the one in flight at t = 30.
+    assert_eq!(out.fault_stats.severed_heartbeats, 13);
 }
 
 /// A gray window slowing (and, with `drop_permille`, dropping) both

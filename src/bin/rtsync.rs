@@ -550,7 +550,7 @@ fn cmd_exact(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--steps" => cfg.phase_steps = parsed(arg, grab(arg)?)?,
-            "--instances" => cfg.instances_per_task = parsed(arg, grab(arg)?)?,
+            "--instances" => cfg.instances_per_task = positive(arg, grab(arg)?)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -598,7 +598,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--instances" => {
-                instances = parsed(arg, it.next().ok_or("--instances needs a value")?)?
+                instances = positive(arg, it.next().ok_or("--instances needs a value")?)?
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -859,7 +859,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => instances = parsed(arg, grab(arg)?)?,
+            "--instances" => instances = positive(arg, grab(arg)?)?,
             "--gantt" => {
                 let until: i64 = parsed(arg, grab(arg)?)?;
                 if until < 0 {
@@ -1095,7 +1095,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => instances = parsed(arg, grab(arg)?)?,
+            "--instances" => instances = positive(arg, grab(arg)?)?,
             "--window" => window = Some(parsed(arg, grab(arg)?)?),
             "--out" => out = grab("--out")?.clone(),
             "--csv" => csv_out = Some(grab("--csv")?.clone()),
@@ -1210,7 +1210,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--protocol" => protocol = Some(parse_protocol(grab("--protocol")?)?),
-            "--instances" => instances = parsed(arg, grab(arg)?)?,
+            "--instances" => instances = positive(arg, grab(arg)?)?,
             "--format" => format = grab("--format")?.clone(),
             "--counters" => counters = true,
             "--telemetry" => telemetry = true,

@@ -162,6 +162,28 @@ fn malformed_study_flags_fail_loudly() {
 }
 
 #[test]
+fn zero_instances_fail_loudly_in_every_subcommand() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ex2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+    let file = file.to_str().unwrap();
+    // A run of zero instances has nothing to report: every subcommand that
+    // takes the flag rejects it as the studies do, before running anything.
+    let cases: [&[&str]; 5] = [
+        &["simulate", file, "--protocol", "ds", "--instances", "0"],
+        &["trace", file, "--protocol", "rg", "--instances", "0"],
+        &["report", file, "--protocol", "pm", "--instances", "0"],
+        &["compare", file, "--instances", "0"],
+        &["exact", file, "--instances", "0"],
+    ];
+    for args in cases {
+        fails_with(args, "--instances must be positive");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_nonideal_flags_fail_loudly() {
     let dir = std::env::temp_dir().join(format!("rtsync-cli-ni-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
