@@ -8,8 +8,14 @@
 //! [`admit`](AdmissionState::admit) / [`retire`](AdmissionState::retire)
 //! requests by re-running only the work an operation can actually change:
 //!
+//! * **In-place resident set** — the residents' [`TaskSet`] is edited,
+//!   not rebuilt: an admit inserts the candidate's chain
+//!   ([`TaskSet::insert_chain`]) and removes it again on any reject, and a
+//!   retire removes the retired chain ([`TaskSet::remove_chain`]).
 //! * **Quick-reject gate** — per-processor utilization, summed with
-//!   *truncating* division. The gate only ever rejects, so flooring is the
+//!   *truncating* division and kept as running per-processor totals, so a
+//!   decision divides only the candidate's terms. The gate only ever
+//!   rejects, so flooring is the
 //!   sound direction: `floor_sum > 10⁶ ⟹ true utilization > 1 ⟹` the
 //!   lowest level's busy period diverges and the full analysis would
 //!   reject anyway. (The *reporting* counterpart
@@ -48,7 +54,6 @@
 //! [`analyze_ds`]: crate::analysis::sa_ds::analyze_ds
 //! [`fixed_point_with_hint_counted`]: crate::analysis::busy_period::fixed_point_with_hint_counted
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::analysis::ieert::{IeerBounds, IeertKernel};
@@ -56,7 +61,7 @@ use crate::analysis::sa_ds::{sweep_to_fixed_point, DsBounds};
 use crate::analysis::sa_pm::{subtask_response_memo, SubtaskMemo};
 use crate::analysis::AnalysisConfig;
 use crate::error::{AnalyzeError, ValidateTaskSetError};
-use crate::task::{Priority, ProcessorId, SubtaskId, TaskId, TaskSet};
+use crate::task::{ProcessorId, Task, TaskId, TaskSet};
 use crate::time::Dur;
 
 /// Which analysis family backs the verdicts.
@@ -165,10 +170,6 @@ impl ChainRequest {
     pub fn with_rank(mut self, rank: u32) -> ChainRequest {
         self.rank = rank;
         self
-    }
-
-    fn uses_processor(&self, proc: usize) -> bool {
-        self.subtasks.iter().any(|&(p, _)| p == proc)
     }
 }
 
@@ -317,10 +318,14 @@ pub struct AdmissionStats {
     pub subtasks_skipped: u64,
 }
 
-/// One resident chain and its memoized analysis state.
+/// One resident chain and its memoized analysis state; its task lives in
+/// the engine's task set.
 #[derive(Clone, Debug)]
 struct Resident {
-    spec: ChainRequest,
+    /// Caller-assigned identity.
+    id: u64,
+    /// Importance rank, for placing later arrivals.
+    rank: u32,
     /// PM family: per-subtask fixed-point memos.
     memos: Vec<SubtaskMemo>,
     /// End-to-end bound under the current resident system.
@@ -331,13 +336,20 @@ struct Resident {
 #[derive(Clone, Debug)]
 pub struct AdmissionState {
     cfg: AdmissionConfig,
-    num_processors: usize,
-    residents: HashMap<u64, Resident>,
-    /// Resident ids in derived priority order: sorted by rank, with ties
-    /// broken by admission seniority (earlier admits sit higher).
-    order: Vec<u64>,
-    /// The task set of the current residents (`None` when empty).
-    set: Option<TaskSet>,
+    /// Resident chains in derived priority order: sorted by rank, with
+    /// ties broken by admission seniority (earlier admits sit higher).
+    /// Resident `pos` is task `pos` of `set`.
+    residents: Vec<Resident>,
+    /// The residents' task set in chain order, edited in place: an admit
+    /// inserts the candidate's chain and removes it again on a reject, a
+    /// retire removes the retired chain.
+    set: TaskSet,
+    /// Per processor, the sum of the residents' floor-rounded subtask
+    /// utilizations in ppm: the quick gate's running total.
+    load_ppm: Vec<u64>,
+    /// PM family: `(position, link, memo)` for each resident subtask the
+    /// admit in progress re-solved; written back only if it commits.
+    fresh: Vec<(usize, usize, SubtaskMemo)>,
     /// DS: the IEERT kernel of the last committed SA/DS run, at its
     /// converged bounds. `None` when no run describes the residents (no
     /// resident, or a failed retire); the next admit then runs cold.
@@ -349,15 +361,23 @@ pub struct AdmissionState {
     stats: AdmissionStats,
 }
 
+/// What one analysis of the grown system decided, and its work counts.
+struct Verdict {
+    /// The candidate's end-to-end bound, or why the chain is turned away.
+    outcome: Result<Dur, RejectReason>,
+    reanalyzed: usize,
+    skipped: usize,
+}
+
 impl AdmissionState {
     /// An empty engine over `num_processors` processors.
     pub fn new(num_processors: usize, cfg: AdmissionConfig) -> AdmissionState {
         AdmissionState {
             cfg,
-            num_processors,
-            residents: HashMap::new(),
-            order: Vec::new(),
-            set: None,
+            residents: Vec::new(),
+            set: TaskSet::empty(num_processors),
+            load_ppm: vec![0; num_processors],
+            fresh: Vec::new(),
             kernel: None,
             scratch: IeertKernel::empty(&cfg.analysis),
             stats: AdmissionStats::default(),
@@ -366,31 +386,28 @@ impl AdmissionState {
 
     /// Number of resident chains.
     pub fn residents(&self) -> usize {
-        self.order.len()
+        self.residents.len()
     }
 
     /// `true` if a chain with this id is resident.
     pub fn contains(&self, id: u64) -> bool {
-        self.residents.contains_key(&id)
+        self.position(id).is_some()
     }
 
     /// The end-to-end bound of a resident chain.
     pub fn bound(&self, id: u64) -> Option<Dur> {
-        self.residents.get(&id).map(|r| r.bound)
+        self.position(id).map(|pos| self.residents[pos].bound)
     }
 
     /// Resident `(id, end-to-end bound)` pairs in priority order — the
     /// snapshot compared by the incremental-vs-batch differential tests.
     pub fn resident_bounds(&self) -> Vec<(u64, Dur)> {
-        self.order
-            .iter()
-            .map(|id| (*id, self.residents[id].bound))
-            .collect()
+        self.residents.iter().map(|r| (r.id, r.bound)).collect()
     }
 
     /// The task set the residents currently form (`None` when empty).
     pub fn task_set(&self) -> Option<&TaskSet> {
-        self.set.as_ref()
+        (!self.residents.is_empty()).then_some(&self.set)
     }
 
     /// Lifetime counters.
@@ -402,7 +419,7 @@ impl AdmissionState {
     /// mutates the state; rejection leaves it untouched.
     pub fn admit(&mut self, req: ChainRequest) -> Decision {
         self.stats.decisions += 1;
-        let d = self.admit_inner(req);
+        let d = self.admit_inner(&req);
         if d.admitted {
             self.stats.admitted += 1;
         } else {
@@ -420,14 +437,17 @@ impl AdmissionState {
     ///
     /// [`RetireError::UnknownChain`] if no resident has the id.
     pub fn retire(&mut self, id: u64) -> Result<RetireOutcome, RetireError> {
-        if !self.residents.contains_key(&id) {
-            return Err(RetireError::UnknownChain(id));
-        }
-        let out = self.retire_inner(id)?;
+        let pos = self.position(id).ok_or(RetireError::UnknownChain(id))?;
+        let out = self.retire_inner(pos)?;
         self.stats.retired += 1;
         self.stats.subtasks_reanalyzed += out.reanalyzed as u64;
         self.stats.subtasks_skipped += out.skipped as u64;
         Ok(out)
+    }
+
+    /// The priority position of the resident with this id.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.residents.iter().position(|r| r.id == id)
     }
 
     fn reject(&self, reason: RejectReason, reanalyzed: usize, skipped: usize) -> Decision {
@@ -437,7 +457,7 @@ impl AdmissionState {
             reject: Some(reason),
             reanalyzed,
             skipped,
-            residents: self.order.len(),
+            residents: self.residents.len(),
         }
     }
 
@@ -445,155 +465,174 @@ impl AdmissionState {
     /// rank ≤ its own (seniority tie-break) and before strictly larger
     /// ranks.
     fn insertion_pos(&self, req: &ChainRequest) -> usize {
-        self.order
-            .iter()
-            .position(|id| self.residents[id].spec.rank > req.rank)
-            .unwrap_or(self.order.len())
+        self.residents.partition_point(|r| r.rank <= req.rank)
     }
 
-    fn admit_inner(&mut self, req: ChainRequest) -> Decision {
-        if self.residents.contains_key(&req.id) {
+    /// Inserts the candidate at its position, analyses the grown system
+    /// and either commits or removes the candidate again.
+    fn admit_inner(&mut self, req: &ChainRequest) -> Decision {
+        if self.contains(req.id) {
             return self.reject(RejectReason::DuplicateId, 0, 0);
         }
-        let pos_c = self.insertion_pos(&req);
-        let mut new_order: Vec<u64> = self.order.clone();
-        new_order.insert(pos_c, req.id);
-        let chains: Vec<&ChainRequest> = new_order
-            .iter()
-            .map(|id| {
-                if *id == req.id {
-                    &req
-                } else {
-                    &self.residents[id].spec
-                }
-            })
-            .collect();
-        let set = match build_task_set(self.num_processors, &chains) {
-            Ok(s) => s,
-            Err(e) => return self.reject(RejectReason::Invalid(e), 0, 0),
-        };
-        if self.cfg.quick_gate {
-            if let Some((processor, utilization_ppm)) = gate_overload(&set) {
-                self.stats.gate_rejects += 1;
-                return self.reject(
-                    RejectReason::UtilizationGate {
-                        processor,
-                        utilization_ppm,
-                    },
-                    0,
-                    0,
-                );
-            }
+        let pos_c = self.insertion_pos(req);
+        if let Err(e) = self
+            .set
+            .insert_chain(pos_c, req.period, req.deadline, &req.subtasks)
+        {
+            return self.reject(RejectReason::Invalid(e), 0, 0);
         }
-        match self.cfg.mode {
-            AdmissionMode::PmFamily => self.admit_pm(req, pos_c, new_order, set),
-            AdmissionMode::DirectSync => self.admit_ds(req, pos_c, new_order, set),
+        self.residents.insert(
+            pos_c,
+            Resident {
+                id: req.id,
+                rank: req.rank,
+                memos: Vec::new(),
+                bound: Dur::ZERO,
+            },
+        );
+        self.load(pos_c, u64::wrapping_add);
+        let Verdict {
+            outcome,
+            reanalyzed,
+            skipped,
+        } = match self.gate() {
+            Some(reason) => Verdict {
+                outcome: Err(reason),
+                reanalyzed: 0,
+                skipped: 0,
+            },
+            None => match self.cfg.mode {
+                AdmissionMode::PmFamily => self.admit_pm(pos_c),
+                AdmissionMode::DirectSync => self.admit_ds(pos_c),
+            },
+        };
+        match outcome {
+            Ok(bound) => Decision {
+                admitted: true,
+                bound: Some(bound),
+                reject: None,
+                reanalyzed,
+                skipped,
+                residents: self.residents.len(),
+            },
+            Err(reason) => {
+                // Roll back: the candidate leaves as it came in.
+                self.load(pos_c, u64::wrapping_sub);
+                self.residents.remove(pos_c);
+                self.set.remove_chain(pos_c);
+                self.reject(reason, reanalyzed, skipped)
+            }
         }
     }
 
-    fn admit_pm(
-        &mut self,
-        req: ChainRequest,
-        pos_c: usize,
-        new_order: Vec<u64>,
-        set: TaskSet,
-    ) -> Decision {
+    /// Adds (or subtracts) chain `pos`'s floor-rounded utilization terms
+    /// to the per-processor totals. Wrapping keeps an add and the
+    /// subtract that undoes it exact on any input.
+    fn load(&mut self, pos: usize, op: fn(u64, u64) -> u64) {
+        for (proc, ppm) in self.set.task(TaskId::new(pos)).utilization_terms_ppm() {
+            let total = &mut self.load_ppm[proc.index()];
+            *total = op(*total, ppm);
+        }
+    }
+
+    /// The quick-reject gate on the grown system's totals: the first
+    /// processor whose floor-rounded utilization strictly exceeds 100%,
+    /// if any. Flooring can only *under*state, so a hit proves true
+    /// utilization > 1 — the analysis would reject — while a set at
+    /// exactly 100% (which may be schedulable) is never gated.
+    fn gate(&mut self) -> Option<RejectReason> {
+        if !self.cfg.quick_gate {
+            return None;
+        }
+        let p = self.load_ppm.iter().position(|&ppm| ppm > 1_000_000)?;
+        self.stats.gate_rejects += 1;
+        Some(RejectReason::UtilizationGate {
+            processor: ProcessorId::new(p),
+            utilization_ppm: self.load_ppm[p],
+        })
+    }
+
+    /// SA/PM on the grown system with the candidate at `pos_c`. Resident
+    /// memos change only on commit, so a reject leaves them as they were.
+    fn admit_pm(&mut self, pos_c: usize) -> Verdict {
         let mut reanalyzed = 0usize;
         let mut skipped = 0usize;
-        // Scratch results per chain; committed only if every check passes,
-        // so a rejection leaves the resident state bit-identical.
-        let mut scratch: Vec<(Vec<SubtaskMemo>, Dur)> = Vec::with_capacity(new_order.len());
-        for (pos, &cid) in new_order.iter().enumerate() {
-            let is_candidate = cid == req.id;
-            let spec = if is_candidate {
-                &req
-            } else {
-                &self.residents[&cid].spec
-            };
-            let mut memos = Vec::with_capacity(spec.subtasks.len());
-            for (j, &(proc, _)) in spec.subtasks.iter().enumerate() {
-                let sid = SubtaskId::new(TaskId::new(pos), j);
+        let memoize = self.cfg.memoization;
+        let candidate = self.set.task(TaskId::new(pos_c));
+        self.residents[pos_c]
+            .memos
+            .reserve_exact(candidate.chain_len());
+        self.fresh.clear();
+        for (pos, task) in self.set.tasks().iter().enumerate() {
+            let is_candidate = pos == pos_c;
+            let mut bound = Dur::ZERO;
+            for (j, sub) in task.subtasks().iter().enumerate() {
                 // A resident subtask's interference set changes iff the
                 // candidate sits above it (pos > pos_c) and has a subtask
                 // on its processor. Everything else keeps its memo: same
                 // interference set ⟹ same fixed points.
-                let dirty = is_candidate
-                    || !self.cfg.memoization
-                    || (pos > pos_c && req.uses_processor(proc));
-                if dirty {
-                    // On growth every memoized fixed point is ≤ its new
-                    // value, so the stale memo is a valid warm start.
-                    let warm = (self.cfg.memoization && !is_candidate)
-                        .then(|| &self.residents[&cid].memos[j]);
-                    match subtask_response_memo(&set, sid, &self.cfg.analysis, warm) {
-                        Ok(m) => {
-                            reanalyzed += 1;
-                            memos.push(m);
-                        }
-                        Err(e) => {
-                            // Skipped (clean) subtasks converged before
-                            // under identical interference, so the first
-                            // error in order is the same one the cold
-                            // batch re-analysis hits.
-                            return self.reject(RejectReason::Analysis(e), reanalyzed, skipped);
+                let dirty =
+                    is_candidate || !memoize || (pos > pos_c && hosts(candidate, sub.processor()));
+                let held = &self.residents[pos].memos;
+                if !dirty {
+                    skipped += 1;
+                    bound += held[j].response;
+                    continue;
+                }
+                // On growth every memoized fixed point is ≤ its new value,
+                // so the stale memo is a valid warm start.
+                let warm = (memoize && !is_candidate).then(|| &held[j]);
+                match subtask_response_memo(&self.set, sub.id(), &self.cfg.analysis, warm) {
+                    Ok(m) => {
+                        reanalyzed += 1;
+                        bound += m.response;
+                        if is_candidate {
+                            self.residents[pos].memos.push(m);
+                        } else {
+                            self.fresh.push((pos, j, m));
                         }
                     }
-                } else {
-                    skipped += 1;
-                    memos.push(self.residents[&cid].memos[j].clone());
+                    Err(e) => {
+                        // Skipped (clean) subtasks converged before under
+                        // identical interference, so the first error in
+                        // order is the same one the cold batch
+                        // re-analysis hits.
+                        return Verdict {
+                            outcome: Err(RejectReason::Analysis(e)),
+                            reanalyzed,
+                            skipped,
+                        };
+                    }
                 }
             }
-            let bound: Dur = memos.iter().map(|m| m.response).sum();
-            if bound > spec.deadline {
-                return self.reject(
-                    RejectReason::DeadlineMiss {
-                        chain: cid,
+            if bound > task.deadline() {
+                return Verdict {
+                    outcome: Err(RejectReason::DeadlineMiss {
+                        chain: self.residents[pos].id,
                         bound,
-                        deadline: spec.deadline,
-                    },
+                        deadline: task.deadline(),
+                    }),
                     reanalyzed,
                     skipped,
-                );
+                };
             }
-            scratch.push((memos, bound));
         }
         // Commit.
-        let candidate_bound = scratch[pos_c].1;
-        for ((memos, bound), &cid) in scratch.into_iter().zip(new_order.iter()) {
-            if cid == req.id {
-                self.residents.insert(
-                    req.id,
-                    Resident {
-                        spec: req.clone(),
-                        memos,
-                        bound,
-                    },
-                );
-            } else {
-                let r = self.residents.get_mut(&cid).expect("resident");
-                r.memos = memos;
-                r.bound = bound;
-            }
+        for (pos, j, m) in self.fresh.drain(..) {
+            self.residents[pos].memos[j] = m;
         }
-        self.finish_admit(new_order, set);
-        Decision {
-            admitted: true,
-            bound: Some(candidate_bound),
-            reject: None,
+        self.store_pm_bounds();
+        Verdict {
+            outcome: Ok(self.residents[pos_c].bound),
             reanalyzed,
             skipped,
-            residents: self.order.len(),
         }
     }
 
-    fn admit_ds(
-        &mut self,
-        req: ChainRequest,
-        pos_c: usize,
-        new_order: Vec<u64>,
-        set: TaskSet,
-    ) -> Decision {
-        let reanalyzed = set.num_subtasks();
+    /// SA/DS on the grown system with the candidate at `pos_c`, warm from
+    /// the resident kernel when there is one.
+    fn admit_ds(&mut self, pos_c: usize) -> Verdict {
+        let reanalyzed = self.set.num_subtasks();
         let warm = match (&self.kernel, self.cfg.memoization) {
             (Some(resident), true) => {
                 // The resident kernel with the candidate spliced in: only
@@ -601,9 +640,9 @@ impl AdmissionState {
                 // retained subtasks' converged bounds seed the run (they
                 // are ≤ their values at the grown system's least fixed
                 // point).
-                let mut seed = IeerBounds::seed(&set);
-                self.scratch.derive(resident, &set, pos_c, &mut seed);
-                sweep_to_fixed_point(&mut self.scratch, &set, seed, None).ok()
+                let mut seed = IeerBounds::seed(&self.set);
+                self.scratch.derive(resident, &self.set, pos_c, &mut seed);
+                sweep_to_fixed_point(&mut self.scratch, &self.set, seed, None).ok()
             }
             _ => None,
         };
@@ -611,60 +650,50 @@ impl AdmissionState {
         // and the busy-period cap includes the jitters of that sweep, so a
         // warm failure's payload can differ from a cold one's. Report the
         // cold run's error.
-        let ds = match warm {
-            Some(ds) => ds,
-            None => match self.run_cold(&set) {
-                Ok(ds) => ds,
-                Err(e) => return self.reject(RejectReason::Analysis(e), reanalyzed, 0),
-            },
-        };
-        for (pos, &cid) in new_order.iter().enumerate() {
-            let spec = if cid == req.id {
-                &req
-            } else {
-                &self.residents[&cid].spec
-            };
-            let bound = ds.task_bound(TaskId::new(pos));
-            if bound > spec.deadline {
-                return self.reject(
-                    RejectReason::DeadlineMiss {
-                        chain: cid,
-                        bound,
-                        deadline: spec.deadline,
-                    },
+        let ds = match warm.map_or_else(|| self.run_cold(), Ok) {
+            Ok(ds) => ds,
+            Err(e) => {
+                return Verdict {
+                    outcome: Err(RejectReason::Analysis(e)),
                     reanalyzed,
-                    0,
-                );
+                    skipped: 0,
+                }
+            }
+        };
+        for (pos, task) in self.set.tasks().iter().enumerate() {
+            let bound = ds.task_bound(TaskId::new(pos));
+            if bound > task.deadline() {
+                return Verdict {
+                    outcome: Err(RejectReason::DeadlineMiss {
+                        chain: self.residents[pos].id,
+                        bound,
+                        deadline: task.deadline(),
+                    }),
+                    reanalyzed,
+                    skipped: 0,
+                };
             }
         }
         // Commit.
         self.keep_run();
-        let candidate_bound = ds.task_bound(TaskId::new(pos_c));
-        self.residents.insert(
-            req.id,
-            Resident {
-                spec: req,
-                memos: Vec::new(),
-                bound: candidate_bound,
-            },
-        );
-        self.finish_admit(new_order, set);
         self.store_ds_bounds(&ds);
-        Decision {
-            admitted: true,
-            bound: Some(candidate_bound),
-            reject: None,
+        Verdict {
+            outcome: Ok(self.residents[pos_c].bound),
             reanalyzed,
             skipped: 0,
-            residents: self.order.len(),
         }
     }
 
-    /// SA/DS on `set` from the optimistic seed, in a cold kernel built in
-    /// the scratch arenas.
-    fn run_cold(&mut self, set: &TaskSet) -> Result<DsBounds, AnalyzeError> {
-        self.scratch.rebuild(set);
-        sweep_to_fixed_point(&mut self.scratch, set, IeerBounds::seed(set), None)
+    /// SA/DS on the residents' set from the optimistic seed, in a cold
+    /// kernel built in the scratch arenas.
+    fn run_cold(&mut self) -> Result<DsBounds, AnalyzeError> {
+        self.scratch.rebuild(&self.set);
+        sweep_to_fixed_point(
+            &mut self.scratch,
+            &self.set,
+            IeerBounds::seed(&self.set),
+            None,
+        )
     }
 
     /// Makes the scratch kernel, whose run is being committed, the
@@ -676,30 +705,26 @@ impl AdmissionState {
         }
     }
 
+    /// Each resident's end-to-end bound: the sum of its memos.
+    fn store_pm_bounds(&mut self) {
+        for r in &mut self.residents {
+            r.bound = r.memos.iter().map(|m| m.response).sum();
+        }
+    }
+
     /// Each resident's end-to-end bound under `ds`, a run on the
     /// residents' task set.
     fn store_ds_bounds(&mut self, ds: &DsBounds) {
-        for (pos, cid) in self.order.iter().enumerate() {
-            let r = self.residents.get_mut(cid).expect("resident");
+        for (pos, r) in self.residents.iter_mut().enumerate() {
             r.bound = ds.task_bound(TaskId::new(pos));
         }
     }
 
-    fn finish_admit(&mut self, new_order: Vec<u64>, set: TaskSet) {
-        self.order = new_order;
-        self.set = Some(set);
-    }
-
-    fn retire_inner(&mut self, id: u64) -> Result<RetireOutcome, RetireError> {
-        let old_pos = self
-            .order
-            .iter()
-            .position(|&x| x == id)
-            .expect("checked resident");
-        let removed = self.residents.remove(&id).expect("checked resident");
-        self.order.remove(old_pos);
-        if self.order.is_empty() {
-            self.set = None;
+    fn retire_inner(&mut self, old_pos: usize) -> Result<RetireOutcome, RetireError> {
+        self.load(old_pos, u64::wrapping_sub);
+        self.residents.remove(old_pos);
+        let removed = self.set.remove_chain(old_pos);
+        if self.residents.is_empty() {
             self.kernel = None;
             return Ok(RetireOutcome {
                 reanalyzed: 0,
@@ -707,118 +732,60 @@ impl AdmissionState {
                 residents: 0,
             });
         }
-        let chains: Vec<&ChainRequest> = self
-            .order
-            .iter()
-            .map(|cid| &self.residents[cid].spec)
-            .collect();
-        let set = build_task_set(self.num_processors, &chains)
-            .expect("removing a chain keeps a valid set valid");
         let (reanalyzed, skipped) = match self.cfg.mode {
-            AdmissionMode::PmFamily => self.retire_pm(&removed, old_pos, &set)?,
-            AdmissionMode::DirectSync => self.retire_ds(&set)?,
+            AdmissionMode::PmFamily => self.retire_pm(&removed, old_pos)?,
+            AdmissionMode::DirectSync => self.retire_ds()?,
         };
-        self.set = Some(set);
         Ok(RetireOutcome {
             reanalyzed,
             skipped,
-            residents: self.order.len(),
+            residents: self.residents.len(),
         })
     }
 
-    fn retire_pm(
-        &mut self,
-        removed: &Resident,
-        old_pos: usize,
-        set: &TaskSet,
-    ) -> Result<(usize, usize), RetireError> {
-        let order = self.order.clone();
+    fn retire_pm(&mut self, removed: &Task, old_pos: usize) -> Result<(usize, usize), RetireError> {
         let mut reanalyzed = 0usize;
         let mut skipped = 0usize;
-        for (pos, &cid) in order.iter().enumerate() {
-            let spec = self.residents[&cid].spec.clone();
-            let mut memos = Vec::with_capacity(spec.subtasks.len());
-            for (j, &(proc, _)) in spec.subtasks.iter().enumerate() {
+        for (pos, task) in self.set.tasks().iter().enumerate() {
+            for (j, sub) in task.subtasks().iter().enumerate() {
                 // Chains that sat below the removed one (new pos ≥ its old
                 // pos) lose interference on shared processors. Their memos
                 // now overshoot the shrunk fixed points, so the re-run is
                 // cold — no hint.
                 let dirty =
-                    !self.cfg.memoization || (pos >= old_pos && removed.spec.uses_processor(proc));
+                    !self.cfg.memoization || (pos >= old_pos && hosts(removed, sub.processor()));
                 if dirty {
-                    let sid = SubtaskId::new(TaskId::new(pos), j);
-                    match subtask_response_memo(set, sid, &self.cfg.analysis, None) {
-                        Ok(m) => {
-                            reanalyzed += 1;
-                            memos.push(m);
-                        }
-                        Err(e) => return Err(RetireError::Analysis(e)),
-                    }
+                    let m = subtask_response_memo(&self.set, sub.id(), &self.cfg.analysis, None)
+                        .map_err(RetireError::Analysis)?;
+                    self.residents[pos].memos[j] = m;
+                    reanalyzed += 1;
                 } else {
                     skipped += 1;
-                    memos.push(self.residents[&cid].memos[j].clone());
                 }
             }
-            let bound: Dur = memos.iter().map(|m| m.response).sum();
-            let r = self.residents.get_mut(&cid).expect("resident");
-            r.memos = memos;
-            r.bound = bound;
         }
+        self.store_pm_bounds();
         Ok((reanalyzed, skipped))
     }
 
-    fn retire_ds(&mut self, set: &TaskSet) -> Result<(usize, usize), RetireError> {
+    fn retire_ds(&mut self) -> Result<(usize, usize), RetireError> {
         // Shrinking demand lowers the least fixed point, so the resident
         // kernel's bounds and hints overshoot it: run cold, and keep the
         // cold run's kernel. A failed run leaves no kernel that describes
         // the residents.
-        let ds = self.run_cold(set).map_err(|e| {
+        let ds = self.run_cold().map_err(|e| {
             self.kernel = None;
             RetireError::Analysis(e)
         })?;
         self.keep_run();
         self.store_ds_bounds(&ds);
-        Ok((set.num_subtasks(), 0))
+        Ok((self.set.num_subtasks(), 0))
     }
 }
 
-/// Builds the residents' [`TaskSet`] in priority order: the chain at
-/// position `pos` gets priorities `pos·stride + j`, which are unique per
-/// processor and order whole chains by position (every subtask of an
-/// earlier chain preempts every subtask of a later one on a shared
-/// processor).
-fn build_task_set(
-    num_processors: usize,
-    chains: &[&ChainRequest],
-) -> Result<TaskSet, ValidateTaskSetError> {
-    let stride = chains
-        .iter()
-        .map(|c| c.subtasks.len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let mut b = TaskSet::builder(num_processors);
-    for (pos, c) in chains.iter().enumerate() {
-        let mut tb = b.task(c.period).deadline(c.deadline);
-        for (j, &(proc, exec)) in c.subtasks.iter().enumerate() {
-            tb = tb.subtask(proc, exec, Priority::new((pos * stride + j) as u32));
-        }
-        b = tb.finish_task();
-    }
-    b.build()
-}
-
-/// The quick-reject gate: the first processor whose floor-rounded
-/// utilization strictly exceeds 100%, if any. Flooring can only *under*
-/// state, so a hit proves true utilization > 1 — the analysis would
-/// reject — while a set at exactly 100% (which may be schedulable) is
-/// never gated.
-fn gate_overload(set: &TaskSet) -> Option<(ProcessorId, u64)> {
-    (0..set.num_processors()).find_map(|p| {
-        let proc = ProcessorId::new(p);
-        let ppm = set.processor_utilization_ppm(proc);
-        (ppm > 1_000_000).then_some((proc, ppm))
-    })
+/// `true` if some subtask of `task` runs on `proc`.
+fn hosts(task: &Task, proc: ProcessorId) -> bool {
+    task.subtasks().iter().any(|s| s.processor() == proc)
 }
 
 #[cfg(test)]
@@ -826,6 +793,7 @@ mod tests {
     use super::*;
     use crate::analysis::sa_ds::analyze_ds;
     use crate::analysis::sa_pm::analyze_pm;
+    use crate::task::SubtaskId;
 
     fn d(t: i64) -> Dur {
         Dur::from_ticks(t)
@@ -1115,19 +1083,9 @@ mod tests {
         let req = ChainRequest::new(9, d(90), vec![(0, d(1)), (1, d(1))]).with_rank(3);
         let pos_c = st.insertion_pos(&req);
         assert_eq!(pos_c, 2);
-        let mut order = st.order.clone();
-        order.insert(pos_c, req.id);
-        let chains: Vec<&ChainRequest> = order
-            .iter()
-            .map(|id| {
-                if *id == req.id {
-                    &req
-                } else {
-                    &st.residents[id].spec
-                }
-            })
-            .collect();
-        let set = build_task_set(3, &chains).unwrap();
+        let mut set = st.set.clone();
+        set.insert_chain(pos_c, req.period, req.deadline, &req.subtasks)
+            .unwrap();
         // The derivation admit_ds runs, stopped after one sweep.
         let mut seed = IeerBounds::seed(&set);
         let mut kernel = IeertKernel::empty(&AnalysisConfig::DEFAULT);

@@ -268,10 +268,16 @@ pub fn subtask_response_memo(
 ) -> Result<SubtaskMemo, AnalyzeError> {
     let me = set.subtask(id);
     let period = set.task(id.task()).period();
-    let interference: Vec<DemandTerm> = set
-        .interference_set(id)
-        .map(|s| DemandTerm::periodic(set.task(s.id().task()).period(), s.execution()))
-        .collect();
+    // One buffer of demand terms: the interference set, then the subtask
+    // itself; the interference is its prefix.
+    let above = set.interference_set(id);
+    let mut with_self: Vec<DemandTerm> = Vec::with_capacity(above.len() + 1);
+    with_self.extend(
+        above.map(|s| DemandTerm::periodic(set.task(s.id().task()).period(), s.execution())),
+    );
+    let n_interfering = with_self.len();
+    with_self.push(DemandTerm::periodic(period, me.execution()));
+    let interference = &with_self[..n_interfering];
 
     // Blocking by lower-priority non-preemptive work (zero in the paper's
     // fully preemptive base model).
@@ -279,8 +285,6 @@ pub fn subtask_response_memo(
 
     // Step 1: D_{i,j} — level busy period duration, interference plus self
     // plus the blocking head start.
-    let mut with_self = interference.clone();
-    with_self.push(DemandTerm::periodic(period, me.execution()));
     let busy_cap = busy_period_cap(&with_self, cfg);
     let limits = FixedPointLimits::new(busy_cap, cfg.max_fixed_point_iterations);
     let duration_hint = warm.map_or(Dur::ZERO, |w| w.busy_period);
@@ -317,9 +321,8 @@ pub fn subtask_response_memo(
             .and_then(|w| w.completions.get((m - 1) as usize).copied())
             .unwrap_or(Dur::ZERO)
             .max(prev_completion);
-        let (completion, iters) =
-            fixed_point_with_hint_counted(hint, offset, &interference, limits)
-                .map_err(|f| map_failure(f, id, duration))?;
+        let (completion, iters) = fixed_point_with_hint_counted(hint, offset, interference, limits)
+            .map_err(|f| map_failure(f, id, duration))?;
         iterations += iters;
         prev_completion = completion;
         completions.push(completion);

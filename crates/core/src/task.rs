@@ -387,12 +387,21 @@ impl Task {
     pub fn nominal_release(&self, m: u64) -> Time {
         self.phase + self.period * (m as i64)
     }
+
+    /// Each subtask's processor and floor-rounded utilization in ppm, the
+    /// terms [`TaskSet::processor_utilization_ppm`] sums.
+    pub(crate) fn utilization_terms_ppm(&self) -> impl Iterator<Item = (ProcessorId, u64)> + '_ {
+        self.subtasks
+            .iter()
+            .map(|s| (s.processor, floor_ppm(s.execution, self.period)))
+    }
 }
 
 /// A complete distributed system description: processors plus tasks.
 ///
-/// `TaskSet` is immutable after construction and upholds the model
-/// invariants (validated by [`TaskSetBuilder::build`]):
+/// `TaskSet` upholds the model invariants (validated by
+/// [`TaskSetBuilder::build`], and for one chain at a time by
+/// [`insert_chain`](TaskSet::insert_chain)):
 ///
 /// * every chain is non-empty, periods/deadlines/execution times positive;
 /// * consecutive subtasks sit on different processors;
@@ -424,16 +433,18 @@ pub struct TaskSet {
 /// The per-processor priority order of a validated [`TaskSet`]. Every
 /// subtask is named by its number: its position in
 /// [`TaskSet::subtasks`] order. Sets are held by the thousand (a study's
-/// inputs), so the index stays a few bytes per subtask.
+/// inputs), so the index stays a few bytes per subtask; its buffers are
+/// vectors so that [`TaskSet::insert_chain`] and
+/// [`TaskSet::remove_chain`] refill them in place.
 #[derive(Clone, Default)]
 struct PriorityIndex {
     /// Subtask numbers grouped by processor, highest priority first within
     /// a processor.
-    order: Box<[u32]>,
+    order: Vec<u32>,
     /// Processor `p`'s subtasks are `order[proc_start[p]..proc_start[p + 1]]`.
-    proc_start: Box<[u32]>,
+    proc_start: Vec<u32>,
     /// The number of each task's first subtask, then the subtask count.
-    task_start: Box<[u32]>,
+    task_start: Vec<u32>,
     /// No subtask is non-preemptive or has a critical section.
     base_model: bool,
 }
@@ -553,7 +564,7 @@ impl TaskSet {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this set.
-    pub fn interference_set(&self, id: SubtaskId) -> impl Iterator<Item = &Subtask> + '_ {
+    pub fn interference_set(&self, id: SubtaskId) -> impl ExactSizeIterator<Item = &Subtask> + '_ {
         self.split_at_priority(id)
             .0
             .iter()
@@ -650,11 +661,7 @@ impl TaskSet {
     /// [`utilization_ppm`](crate::analysis::busy_period::utilization_ppm).
     pub fn processor_utilization_ppm(&self, proc: ProcessorId) -> u64 {
         self.subtasks_on(proc)
-            .map(|s| {
-                let c = s.execution().ticks() as i128 * 1_000_000;
-                let p = self.task(s.id().task()).period().ticks() as i128;
-                (c / p) as u64
-            })
+            .map(|s| floor_ppm(s.execution(), self.task(s.id().task()).period()))
             .sum()
     }
 
@@ -665,6 +672,117 @@ impl TaskSet {
             .max()
             .unwrap_or(0)
     }
+
+    /// A set of no tasks over `num_processors` processors, in chain order.
+    /// With zero processors every [`insert_chain`](TaskSet::insert_chain)
+    /// fails with [`ValidateTaskSetError::NoProcessors`].
+    pub(crate) fn empty(num_processors: usize) -> TaskSet {
+        let mut set = TaskSet {
+            num_processors,
+            tasks: Vec::new(),
+            index: PriorityIndex::default(),
+        };
+        set.index.fill_chain_ordered(num_processors, &set.tasks);
+        set
+    }
+
+    /// Inserts a chain as task `pos` of a set in **chain order**: the set
+    /// whose task at position `pos` has subtask `j` at priority
+    /// `pos·stride + j`, with `stride` the longest chain's length. Every
+    /// subtask of an earlier chain then preempts every subtask of a later
+    /// one on a shared processor, and priorities are unique per processor.
+    /// The chain gets phase zero and the given period, deadline and
+    /// `(processor, execution)` links; later tasks move up one position,
+    /// and priorities and the priority index are rewritten for the grown
+    /// set (a set in another priority order is put in chain order).
+    ///
+    /// Only the new chain is validated. On a valid set, the result equals
+    /// what [`TaskSet::builder`] makes from the same chains with the same
+    /// priorities, index included.
+    ///
+    /// # Errors
+    ///
+    /// The error [`TaskSetBuilder::build`] reports for this chain at
+    /// position `pos`; the set is then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos > num_tasks()`.
+    pub fn insert_chain(
+        &mut self,
+        pos: usize,
+        period: Dur,
+        deadline: Dur,
+        links: &[(usize, Dur)],
+    ) -> Result<(), ValidateTaskSetError> {
+        assert!(pos <= self.tasks.len(), "chain position {pos} out of range");
+        if self.num_processors == 0 {
+            return Err(ValidateTaskSetError::NoProcessors);
+        }
+        let id = TaskId::new(pos);
+        let task = Task {
+            id,
+            period,
+            phase: Time::ZERO,
+            deadline,
+            subtasks: links
+                .iter()
+                .enumerate()
+                .map(|(j, &(processor, execution))| Subtask {
+                    id: SubtaskId::new(id, j),
+                    processor: ProcessorId::new(processor),
+                    execution,
+                    priority: Priority::HIGHEST,
+                    preemptible: true,
+                    critical_sections: Vec::new(),
+                })
+                .collect(),
+        };
+        validate_chain(&task, self.num_processors)?;
+        self.tasks.insert(pos, task);
+        self.restride();
+        Ok(())
+    }
+
+    /// Removes task `pos` from a set in chain order (see
+    /// [`insert_chain`](TaskSet::insert_chain)) and returns it with the
+    /// ids and priorities it had. Later tasks move down one position, and
+    /// priorities and the priority index are rewritten for the shrunk set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= num_tasks()`.
+    pub fn remove_chain(&mut self, pos: usize) -> Task {
+        let task = self.tasks.remove(pos);
+        self.restride();
+        task
+    }
+
+    /// Renumbers every task by position, gives every subtask its
+    /// chain-order priority and refills the index.
+    fn restride(&mut self) {
+        let stride = self
+            .tasks
+            .iter()
+            .map(Task::chain_len)
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        for (i, task) in self.tasks.iter_mut().enumerate() {
+            task.id = TaskId::new(i);
+            for (j, sub) in task.subtasks.iter_mut().enumerate() {
+                sub.id = SubtaskId::new(task.id, j);
+                sub.priority = Priority::new((i * stride + j) as u32);
+            }
+        }
+        self.index
+            .fill_chain_ordered(self.num_processors, &self.tasks);
+    }
+}
+
+/// `execution / period` in ppm, rounded down.
+fn floor_ppm(execution: Dur, period: Dur) -> u64 {
+    (execution.ticks() as i128 * 1_000_000 / period.ticks() as i128) as u64
 }
 
 /// Builder for a [`TaskSet`]; see the [module docs](self) for an example.
@@ -814,46 +932,7 @@ fn validate(set: &TaskSet) -> Result<PriorityIndex, ValidateTaskSetError> {
         return Err(ValidateTaskSetError::NoProcessors);
     }
     for task in &set.tasks {
-        if task.subtasks.is_empty() {
-            return Err(ValidateTaskSetError::EmptyChain(task.id));
-        }
-        if !task.period.is_positive() {
-            return Err(ValidateTaskSetError::NonPositivePeriod(
-                task.id,
-                task.period,
-            ));
-        }
-        if !task.deadline.is_positive() {
-            return Err(ValidateTaskSetError::NonPositiveDeadline(
-                task.id,
-                task.deadline,
-            ));
-        }
-        if task.phase < Time::ZERO {
-            return Err(ValidateTaskSetError::NegativePhase(task.id));
-        }
-        let mut prev_proc: Option<ProcessorId> = None;
-        for sub in &task.subtasks {
-            if !sub.execution.is_positive() {
-                return Err(ValidateTaskSetError::NonPositiveExecution(
-                    sub.id,
-                    sub.execution,
-                ));
-            }
-            if sub.processor.index() >= set.num_processors {
-                return Err(ValidateTaskSetError::UnknownProcessor(
-                    sub.id,
-                    sub.processor,
-                ));
-            }
-            if prev_proc == Some(sub.processor) {
-                return Err(ValidateTaskSetError::ConsecutiveOnSameProcessor(
-                    sub.id,
-                    sub.processor,
-                ));
-            }
-            prev_proc = Some(sub.processor);
-        }
+        validate_chain(task, set.num_processors)?;
     }
     // Critical sections: positive length, inside the budget, disjoint and
     // sorted; resources local to one processor.
@@ -891,13 +970,17 @@ fn validate(set: &TaskSet) -> Result<PriorityIndex, ValidateTaskSetError> {
     }
 
     // Unique priorities per processor; the sorted lists are the index.
-    let number = |n: usize| u32::try_from(n).expect("a task set holds fewer than 2^32 subtasks");
     let mut on: Vec<Vec<(Priority, SubtaskId, u32)>> = vec![Vec::new(); set.num_processors];
     for (n, sub) in set.subtasks().enumerate() {
         on[sub.processor.index()].push((sub.priority, sub.id, number(n)));
     }
-    let mut order = Vec::with_capacity(set.num_subtasks());
-    let mut proc_start = vec![0];
+    let mut index = PriorityIndex {
+        order: Vec::with_capacity(set.num_subtasks()),
+        proc_start: Vec::with_capacity(set.num_processors + 1),
+        task_start: Vec::with_capacity(set.num_tasks() + 1),
+        base_model: true,
+    };
+    index.proc_start.push(0);
     for mut seen in on {
         seen.sort_unstable();
         for pair in seen.windows(2) {
@@ -907,24 +990,110 @@ fn validate(set: &TaskSet) -> Result<PriorityIndex, ValidateTaskSetError> {
                 ));
             }
         }
-        order.extend(seen.iter().map(|&(_, _, n)| n));
-        proc_start.push(number(order.len()));
+        index.order.extend(seen.iter().map(|&(_, _, n)| n));
+        index.proc_start.push(number(index.order.len()));
     }
-    let task_start = std::iter::once(0)
-        .chain(set.tasks.iter().scan(0, |n, t| {
-            *n += t.chain_len();
-            Some(*n)
-        }))
-        .map(number)
-        .collect();
-    Ok(PriorityIndex {
-        order: order.into(),
-        proc_start: proc_start.into(),
-        task_start,
-        base_model: set
-            .subtasks()
-            .all(|s| s.preemptible && s.critical_sections.is_empty()),
-    })
+    index.fill_task_starts(&set.tasks);
+    Ok(index)
+}
+
+/// The model checks of one chain, in the order [`TaskSetBuilder::build`]
+/// applies them.
+fn validate_chain(task: &Task, num_processors: usize) -> Result<(), ValidateTaskSetError> {
+    if task.subtasks.is_empty() {
+        return Err(ValidateTaskSetError::EmptyChain(task.id));
+    }
+    if !task.period.is_positive() {
+        return Err(ValidateTaskSetError::NonPositivePeriod(
+            task.id,
+            task.period,
+        ));
+    }
+    if !task.deadline.is_positive() {
+        return Err(ValidateTaskSetError::NonPositiveDeadline(
+            task.id,
+            task.deadline,
+        ));
+    }
+    if task.phase < Time::ZERO {
+        return Err(ValidateTaskSetError::NegativePhase(task.id));
+    }
+    let mut prev_proc: Option<ProcessorId> = None;
+    for sub in &task.subtasks {
+        if !sub.execution.is_positive() {
+            return Err(ValidateTaskSetError::NonPositiveExecution(
+                sub.id,
+                sub.execution,
+            ));
+        }
+        if sub.processor.index() >= num_processors {
+            return Err(ValidateTaskSetError::UnknownProcessor(
+                sub.id,
+                sub.processor,
+            ));
+        }
+        if prev_proc == Some(sub.processor) {
+            return Err(ValidateTaskSetError::ConsecutiveOnSameProcessor(
+                sub.id,
+                sub.processor,
+            ));
+        }
+        prev_proc = Some(sub.processor);
+    }
+    Ok(())
+}
+
+/// A subtask number as the index stores it.
+fn number(n: usize) -> u32 {
+    u32::try_from(n).expect("a task set holds fewer than 2^32 subtasks")
+}
+
+impl PriorityIndex {
+    /// Refills `task_start` and `base_model` from `tasks`.
+    fn fill_task_starts(&mut self, tasks: &[Task]) {
+        self.task_start.clear();
+        self.task_start.push(0);
+        let mut n = 0;
+        for task in tasks {
+            n += task.chain_len();
+            self.task_start.push(number(n));
+        }
+        self.base_model = tasks
+            .iter()
+            .flat_map(|t| &t.subtasks)
+            .all(|s| s.preemptible && s.critical_sections.is_empty());
+    }
+
+    /// Refills the index of a chain-ordered set in one counting pass: on
+    /// every processor, ascending subtask numbers are descending
+    /// priorities, so each processor's list is its subtasks in number
+    /// order and no sort is needed.
+    fn fill_chain_ordered(&mut self, num_processors: usize, tasks: &[Task]) {
+        let subtasks = || tasks.iter().flat_map(|t| &t.subtasks);
+        // proc_start[p + 1] counts processor p's subtasks; the prefix sum
+        // turns proc_start[p] into the first slot of processor p.
+        self.proc_start.clear();
+        self.proc_start.resize(num_processors + 1, 0);
+        for sub in subtasks() {
+            self.proc_start[sub.processor.index() + 1] += 1;
+        }
+        for p in 1..=num_processors {
+            self.proc_start[p] += self.proc_start[p - 1];
+        }
+        // Filling advances proc_start[p] to processor p's end, which is
+        // processor p + 1's start; shifting by one slot restores the starts.
+        self.order.clear();
+        self.order
+            .resize(self.proc_start[num_processors] as usize, 0);
+        for (n, sub) in subtasks().enumerate() {
+            let slot = &mut self.proc_start[sub.processor.index()];
+            self.order[*slot as usize] = number(n);
+            *slot += 1;
+        }
+        self.proc_start.copy_within(..num_processors, 1);
+        self.proc_start[0] = 0;
+        self.fill_task_starts(tasks);
+    }
 }
 
 #[cfg(test)]
@@ -1333,6 +1502,124 @@ mod tests {
             err,
             ValidateTaskSetError::ResourceSpansProcessors(..)
         ));
+    }
+
+    /// A `(period, deadline, links)` chain of the tests below.
+    type Chain = (i64, i64, &'static [(usize, i64)]);
+
+    /// What the builder makes of `chains` over three processors in chain
+    /// order: priorities `pos·stride + j`, `stride` the longest chain.
+    fn chain_ordered(chains: &[Chain]) -> Result<TaskSet, ValidateTaskSetError> {
+        let stride = chains.iter().map(|c| c.2.len()).max().unwrap_or(1);
+        let mut b = TaskSet::builder(3);
+        for (pos, &(period, deadline, links)) in chains.iter().enumerate() {
+            let mut tb = b.task(d(period)).deadline(d(deadline));
+            for (j, &(proc, exec)) in links.iter().enumerate() {
+                tb = tb.subtask(proc, d(exec), Priority::new((pos * stride + j) as u32));
+            }
+            b = tb.finish_task();
+        }
+        b.build()
+    }
+
+    const CHAINS: [Chain; 3] = [
+        (10, 20, &[(0, 1), (1, 2)]),
+        (20, 40, &[(1, 3), (2, 1), (0, 2)]),
+        (30, 60, &[(2, 4)]),
+    ];
+
+    /// `chain` inserted into `set` at `pos`.
+    fn insert(set: &mut TaskSet, pos: usize, chain: Chain) -> Result<(), ValidateTaskSetError> {
+        let (period, deadline, links) = chain;
+        let links: Vec<_> = links.iter().map(|&(p, e)| (p, d(e))).collect();
+        set.insert_chain(pos, d(period), d(deadline), &links)
+    }
+
+    /// `CHAINS` with `chain` inserted at `pos`.
+    fn grown(pos: usize, chain: Chain) -> Vec<Chain> {
+        let mut chains = CHAINS.to_vec();
+        chains.insert(pos, chain);
+        chains
+    }
+
+    /// Every index query of `set`, for comparing two sets' indexes.
+    fn index_queries(set: &TaskSet) -> Vec<Vec<SubtaskId>> {
+        let mut out: Vec<Vec<SubtaskId>> = (0..set.num_processors())
+            .map(|p| {
+                set.subtasks_on(ProcessorId::new(p))
+                    .map(Subtask::id)
+                    .collect()
+            })
+            .collect();
+        for sub in set.subtasks() {
+            out.push(set.interference_set(sub.id()).map(Subtask::id).collect());
+        }
+        out
+    }
+
+    #[test]
+    fn inserted_chains_match_the_builder_and_removal_restores_the_set() {
+        let original = chain_ordered(&CHAINS).unwrap();
+        for pos in 0..=CHAINS.len() {
+            // A four-link chain changes the stride of every other chain.
+            for new in [
+                (40, 80, &[(1, 1)][..]),
+                (40, 80, &[(0, 1), (2, 1), (1, 1), (0, 1)][..]),
+            ] {
+                let mut set = original.clone();
+                insert(&mut set, pos, new).unwrap();
+                let built = chain_ordered(&grown(pos, new)).unwrap();
+                assert_eq!(set, built, "insert at {pos}");
+                assert_eq!(index_queries(&set), index_queries(&built));
+
+                let removed = set.remove_chain(pos);
+                assert_eq!(removed.chain_len(), new.2.len());
+                assert_eq!(set, original, "remove at {pos}");
+                assert_eq!(index_queries(&set), index_queries(&original));
+            }
+        }
+        // Down to nothing and back up from an empty set.
+        let mut set = original.clone();
+        for _ in 0..CHAINS.len() {
+            set.remove_chain(0);
+        }
+        assert_eq!(set.num_tasks(), 0);
+        assert!(index_queries(&set).iter().all(Vec::is_empty));
+        let mut set = TaskSet::empty(3);
+        for (pos, chain) in CHAINS.into_iter().enumerate() {
+            insert(&mut set, pos, chain).unwrap();
+        }
+        assert_eq!(set, original);
+        assert_eq!(index_queries(&set), index_queries(&original));
+    }
+
+    #[test]
+    fn invalid_chains_are_refused_with_the_builders_error() {
+        let cases: [(&str, Chain); 7] = [
+            ("empty chain", (40, 40, &[])),
+            ("zero period", (0, 40, &[(0, 1)])),
+            ("negative deadline", (40, -1, &[(0, 1)])),
+            ("zero execution", (40, 40, &[(0, 1), (1, 0)])),
+            ("unknown processor", (40, 40, &[(0, 1), (3, 1)])),
+            ("same-processor hop", (40, 40, &[(2, 1), (2, 1)])),
+            (
+                "second hop onto the same processor",
+                (40, 40, &[(0, 1), (1, 1), (1, 1)]),
+            ),
+        ];
+        let original = chain_ordered(&CHAINS).unwrap();
+        for pos in 0..=CHAINS.len() {
+            for (what, chain) in cases {
+                let expected = chain_ordered(&grown(pos, chain)).unwrap_err();
+                let mut set = original.clone();
+                let err = insert(&mut set, pos, chain).unwrap_err();
+                assert_eq!(err, expected, "{what} at {pos}");
+                assert_eq!(set, original, "{what} at {pos} left the set changed");
+                assert_eq!(index_queries(&set), index_queries(&original));
+            }
+        }
+        let err = insert(&mut TaskSet::empty(0), 0, CHAINS[0]).unwrap_err();
+        assert_eq!(err, TaskSet::builder(0).build().unwrap_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rtsync_core::analysis::busy_period::{
 };
 use rtsync_core::analysis::sa_pm::analyze_pm;
 use rtsync_core::analysis::AnalysisConfig;
-use rtsync_core::error::AnalyzeError;
+use rtsync_core::error::{AnalyzeError, ValidateTaskSetError};
 use rtsync_core::priority::{
     build_with_policy, ChainSpec, PriorityKey, ProportionalDeadlineMonotonic,
 };
@@ -498,10 +498,64 @@ fn replay_warm_and_cold(
     replay_steps(cfg, 2, steps)
 }
 
+/// The task set the builder makes of `chains` in priority order, the
+/// chain at position `pos` with priorities `pos·stride + j` (`stride` the
+/// longest chain), as the admission engine orders them.
+fn built_from_chains(
+    procs: usize,
+    chains: &[ChainRequest],
+) -> Result<TaskSet, ValidateTaskSetError> {
+    let stride = chains
+        .iter()
+        .map(|c| c.subtasks.len())
+        .max()
+        .unwrap_or(1)
+        .max(1);
+    let mut b = TaskSet::builder(procs);
+    for (pos, c) in chains.iter().enumerate() {
+        let mut tb = b.task(c.period).deadline(c.deadline);
+        for (j, &(proc, exec)) in c.subtasks.iter().enumerate() {
+            tb = tb.subtask(proc, exec, Priority::new((pos * stride + j) as u32));
+        }
+        b = tb.finish_task();
+    }
+    b.build()
+}
+
+/// The reject the builder's grown set predicts before any analysis runs:
+/// the builder's error for an invalid candidate, else with the gate on the
+/// first processor whose floor-rounded utilization exceeds 100%.
+fn predicted_reject(
+    cfg: AdmissionConfig,
+    procs: usize,
+    chains: &[ChainRequest],
+    req: &ChainRequest,
+) -> Option<RejectReason> {
+    if chains.iter().any(|c| c.id == req.id) {
+        return Some(RejectReason::DuplicateId);
+    }
+    let mut grown = chains.to_vec();
+    grown.insert(chains.partition_point(|c| c.rank <= req.rank), req.clone());
+    match built_from_chains(procs, &grown) {
+        Err(e) => Some(RejectReason::Invalid(e)),
+        Ok(set) => (0..procs).filter(|_| cfg.quick_gate).find_map(|p| {
+            let ppm = set.processor_utilization_ppm(ProcessorId::new(p));
+            (ppm > 1_000_000).then_some(RejectReason::UtilizationGate {
+                processor: ProcessorId::new(p),
+                utilization_ppm: ppm,
+            })
+        }),
+    }
+}
+
 /// Replays `steps` on a memoized and a from-scratch admission state over
 /// `procs` processors. After every step the verdicts, bounds, reject
-/// payloads and resident state must agree, and a rejected admit must leave
-/// the memoized state's resident bounds as they were.
+/// payloads and resident state must agree, a rejected admit must leave
+/// the memoized state's resident bounds and task set as they were, and
+/// the memoized state's task set, which it edits in place, must equal the
+/// builder's set of the residents' chains, priority index included.
+/// Duplicate, invalid and gated admits must carry the reject the
+/// builder's grown set predicts, and no other admit may be gated.
 fn replay_steps(
     cfg: AdmissionConfig,
     procs: usize,
@@ -510,6 +564,8 @@ fn replay_steps(
     let mut warm = AdmissionState::new(procs, cfg);
     let mut cold = AdmissionState::new(procs, cfg.with_memoization(false));
     let mut rejects = Vec::new();
+    // The residents' chains in priority order: rank, then seniority.
+    let mut chains: Vec<ChainRequest> = Vec::new();
     for step in steps {
         match step {
             Step::Retire(id) => {
@@ -518,25 +574,64 @@ fn replay_steps(
                 let a = warm.retire(id);
                 let b = cold.retire(id);
                 prop_assert_eq!(a.is_ok(), b.is_ok());
+                if a.is_ok() {
+                    chains.retain(|c| c.id != id);
+                }
                 prop_assert_eq!(a.err(), b.err());
                 rejects.push(None);
             }
             Step::Admit(req) => {
                 let before = warm.resident_bounds();
+                let set_before = warm.task_set().cloned();
+                let predicted = predicted_reject(cfg, procs, &chains, &req);
                 let a = warm.admit(req.clone());
-                let b = cold.admit(req);
+                let b = cold.admit(req.clone());
+                match predicted {
+                    Some(reason) => prop_assert_eq!(a.reject.as_ref(), Some(&reason)),
+                    None => prop_assert!(!matches!(
+                        a.reject,
+                        Some(
+                            RejectReason::DuplicateId
+                                | RejectReason::Invalid(_)
+                                | RejectReason::UtilizationGate { .. }
+                        )
+                    )),
+                }
                 prop_assert_eq!(a.admitted, b.admitted);
                 prop_assert_eq!(a.bound, b.bound);
                 prop_assert_eq!(&a.reject, &b.reject);
                 prop_assert_eq!(a.residents, b.residents);
-                if !a.admitted {
+                if a.admitted {
+                    let pos = chains.partition_point(|c| c.rank <= req.rank);
+                    chains.insert(pos, req);
+                } else {
                     prop_assert_eq!(warm.resident_bounds(), before);
+                    prop_assert_eq!(warm.task_set(), set_before.as_ref());
                 }
                 rejects.push(b.reject);
             }
         }
         prop_assert_eq!(warm.resident_bounds(), cold.resident_bounds());
         prop_assert_eq!(warm.residents(), cold.residents());
+        let built = (!chains.is_empty())
+            .then(|| built_from_chains(procs, &chains).expect("residents form a valid set"));
+        prop_assert_eq!(warm.task_set(), built.as_ref());
+        if let (Some(edited), Some(built)) = (warm.task_set(), &built) {
+            for p in 0..procs {
+                let on = |set: &TaskSet| -> Vec<SubtaskId> {
+                    set.subtasks_on(ProcessorId::new(p))
+                        .map(|s| s.id())
+                        .collect()
+                };
+                prop_assert_eq!(on(edited), on(built));
+            }
+            for sub in built.subtasks() {
+                let h = |set: &TaskSet| -> Vec<SubtaskId> {
+                    set.interference_set(sub.id()).map(|s| s.id()).collect()
+                };
+                prop_assert_eq!(h(edited), h(built));
+            }
+        }
     }
     Ok(rejects)
 }

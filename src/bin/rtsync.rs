@@ -13,7 +13,7 @@
 //! Task sets use the plain-text format of `rtsync_core::textfmt` (see
 //! `rtsync example 2` for a template). Pass `-` to read from stdin.
 
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 
 use rtsync::core::analysis::report::analyze;
@@ -28,6 +28,37 @@ use rtsync::sim::{
     GrayConfig, ProtocolCounters, SimConfig, SimOutcome, SlowSchedule, SlowWindow, SourceModel,
     StallSchedule, StallWindow, SyncConfig, SyncPolicy, Tee, TelemetryObserver, TransportConfig,
 };
+
+// Standard output goes through `write_stdout`: these shadow the std
+// macros for the whole binary.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Writes to standard output. When the reader has gone (`rtsync … | head`)
+/// the process ends quietly; any other write error panics, as `print!`
+/// does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        let message = write_failed("printing to stdout", e);
+        panic!("{message}");
+    }
+}
+
+/// Describes a failed write of `what`, or, when the failure is a closed
+/// pipe, ends the process without a message and with the status a shell
+/// reports for a process that SIGPIPE ends (128 + 13).
+fn write_failed(what: &str, e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(141);
+    }
+    format!("{what}: {e}")
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -254,7 +285,7 @@ fn print_convergence(set: &TaskSet, cfg: &AnalysisConfig) -> Result<(), String> 
 fn cmd_admit(args: &[String]) -> Result<(), String> {
     use rtsync::bench::json;
     use rtsync::core::analysis::admission::{AdmissionConfig, AdmissionMode, AdmissionState};
-    use std::io::{BufRead as _, Write as _};
+    use std::io::BufRead as _;
 
     let path = args.first().ok_or_else(usage)?;
     let mut processors = 4usize;
@@ -335,7 +366,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
                 }
             }
             served += 1;
-            writeln!(sink, "{reply}").map_err(|e| format!("writing reply: {e}"))?;
+            writeln!(sink, "{reply}").map_err(|e| write_failed("writing reply", e))?;
             Ok(())
         };
         if path == "-" && !batch {
@@ -345,7 +376,8 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             for line in stdin.lock().lines() {
                 let line = line.map_err(|e| format!("reading stdin: {e}"))?;
                 serve(&line, &mut out)?;
-                out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
+                out.flush()
+                    .map_err(|e| write_failed("flushing stdout", e))?;
             }
         } else {
             let text = read_input(path)?;
@@ -355,7 +387,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             }
             std::io::stdout()
                 .write_all(&replies)
-                .map_err(|e| format!("writing replies: {e}"))?;
+                .map_err(|e| write_failed("writing replies", e))?;
         }
     }
     let elapsed = started.elapsed().as_secs_f64();

@@ -582,3 +582,39 @@ fn campaign_records_keep_their_committed_headers() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_reader_that_leaves_early_ends_every_subcommand_quietly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("example2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+    let file = file.to_str().unwrap();
+    let requests = dir.join("requests.jsonl");
+    std::fs::write(
+        &requests,
+        "{\"op\":\"admit\",\"id\":1,\"period\":10,\"subtasks\":[[0,2]]}\n",
+    )
+    .unwrap();
+    let requests = requests.to_str().unwrap();
+    for args in [
+        &["help"][..],
+        &["example", "2"],
+        &["check", file],
+        &["analyze", file],
+        &["exact", file, "--steps", "0"],
+        &["simulate", file, "--protocol", "rg", "--gantt", "24"],
+        &["admit", requests, "--processors", "2"],
+    ] {
+        // Standard output is a pipe whose reader is already closed, so the
+        // first write fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = rtsync().args(args).stdout(writer).output().unwrap();
+        let err = stderr(&out);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!err.contains("Broken pipe"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
