@@ -35,10 +35,12 @@
 //! * **Resident IEERT kernel** (DS mode) — the engine keeps the kernel of
 //!   its last committed SA/DS run at the converged bounds. An admit
 //!   derives the next run's kernel from it under the same dirty rule:
-//!   clean subtasks keep their cached values and are not solved again in
-//!   the first sweep, dirty ones keep their fixed points as warm hints,
-//!   and the converged bounds seed the run, skipping the sweeps that
-//!   would re-climb established ground (see [`crate::analysis::ieert`]).
+//!   clean subtasks keep their cached values, dirty ones keep their fixed
+//!   points as warm hints. Chain-major priorities make every jitter source
+//!   precede the subtask that reads it, so one pass in priority order
+//!   reaches the least fixed point with no Jacobi sweeps, solving each
+//!   subtask at most once; a retire rebuilds the kernel cold and runs the
+//!   same pass (see [`crate::analysis::ieert`]).
 //!
 //! Every shortcut above is *exact*: with memoization disabled the engine
 //! recomputes everything from scratch, and the two modes produce
@@ -57,7 +59,7 @@
 use std::fmt;
 
 use crate::analysis::ieert::{IeerBounds, IeertKernel};
-use crate::analysis::sa_ds::{sweep_to_fixed_point, DsBounds};
+use crate::analysis::sa_ds::sweep_to_fixed_point;
 use crate::analysis::sa_pm::{subtask_response_memo, SubtaskMemo};
 use crate::analysis::AnalysisConfig;
 use crate::error::{AnalyzeError, ValidateTaskSetError};
@@ -358,6 +360,9 @@ pub struct AdmissionState {
     /// becomes the resident kernel, and the old resident, arenas and all,
     /// becomes the scratch kernel.
     scratch: IeertKernel,
+    /// DS: the IEER bounds of the last run, reshaped in place to the
+    /// residents' task set before each ordered pass.
+    bounds: IeerBounds,
     stats: AdmissionStats,
 }
 
@@ -380,6 +385,7 @@ impl AdmissionState {
             fresh: Vec::new(),
             kernel: None,
             scratch: IeertKernel::empty(&cfg.analysis),
+            bounds: IeerBounds::from_raw(Vec::new()),
             stats: AdmissionStats::default(),
         }
     }
@@ -629,39 +635,21 @@ impl AdmissionState {
         }
     }
 
-    /// SA/DS on the grown system with the candidate at `pos_c`, warm from
-    /// the resident kernel when there is one.
+    /// SA/DS on the grown system with the candidate at `pos_c`, derived
+    /// from the resident kernel when there is one.
     fn admit_ds(&mut self, pos_c: usize) -> Verdict {
         let reanalyzed = self.set.num_subtasks();
-        let warm = match (&self.kernel, self.cfg.memoization) {
-            (Some(resident), true) => {
-                // The resident kernel with the candidate spliced in: only
-                // the subtasks whose demand grew are solved again, and the
-                // retained subtasks' converged bounds seed the run (they
-                // are ≤ their values at the grown system's least fixed
-                // point).
-                let mut seed = IeerBounds::seed(&self.set);
-                self.scratch.derive(resident, &self.set, pos_c, &mut seed);
-                sweep_to_fixed_point(&mut self.scratch, &self.set, seed, None).ok()
-            }
-            _ => None,
-        };
-        // A diverging run trips a cap at a sweep that depends on the seed,
-        // and the busy-period cap includes the jitters of that sweep, so a
-        // warm failure's payload can differ from a cold one's. Report the
-        // cold run's error.
-        let ds = match warm.map_or_else(|| self.run_cold(), Ok) {
-            Ok(ds) => ds,
-            Err(e) => {
-                return Verdict {
-                    outcome: Err(RejectReason::Analysis(e)),
-                    reanalyzed,
-                    skipped: 0,
-                }
-            }
-        };
+        if let Err(e) = self.solve_ds(Some(pos_c)) {
+            return Verdict {
+                outcome: Err(RejectReason::Analysis(e)),
+                reanalyzed,
+                skipped: 0,
+            };
+        }
+        // Deadlines are checked only once every bound is known: the batch
+        // verdict puts an analysis failure anywhere ahead of a miss.
         for (pos, task) in self.set.tasks().iter().enumerate() {
-            let bound = ds.task_bound(TaskId::new(pos));
+            let bound = self.bounds.task_bound(TaskId::new(pos));
             if bound > task.deadline() {
                 return Verdict {
                     outcome: Err(RejectReason::DeadlineMiss {
@@ -676,7 +664,7 @@ impl AdmissionState {
         }
         // Commit.
         self.keep_run();
-        self.store_ds_bounds(&ds);
+        self.store_ds_bounds();
         Verdict {
             outcome: Ok(self.residents[pos_c].bound),
             reanalyzed,
@@ -684,16 +672,38 @@ impl AdmissionState {
         }
     }
 
-    /// SA/DS on the residents' set from the optimistic seed, in a cold
-    /// kernel built in the scratch arenas.
-    fn run_cold(&mut self) -> Result<DsBounds, AnalyzeError> {
+    /// SA/DS on the residents' set into `self.bounds`, in the scratch
+    /// kernel. With memoization on, one ordered pass: of the resident
+    /// kernel with the candidate at `admitted_at` spliced in (only the
+    /// subtasks whose demand or jitters moved are solved again), or of a
+    /// cold kernel when there is no candidate or no resident kernel. The
+    /// pass needs the sweep budget to cover the `n + 1` sweeps cold Jacobi
+    /// may take on `n` subtasks, or it could converge where the batch
+    /// analysis runs out of sweeps. Otherwise, and to report the error of
+    /// a failed pass, cold Jacobi sweeps: a diverging run trips a cap at a
+    /// sweep that depends on its seed, and the busy-period cap includes
+    /// that sweep's jitters.
+    fn solve_ds(&mut self, admitted_at: Option<usize>) -> Result<(), AnalyzeError> {
+        let n = self.set.num_subtasks() as u64;
+        if self.cfg.memoization && n < self.cfg.analysis.max_outer_iterations {
+            match (&self.kernel, admitted_at) {
+                (Some(resident), Some(pos_c)) => self.scratch.derive(resident, &self.set, pos_c),
+                _ => self.scratch.rebuild(&self.set),
+            }
+            self.bounds.reshape(&self.set);
+            if self.scratch.ordered_pass(&mut self.bounds).is_ok() {
+                return Ok(());
+            }
+        }
         self.scratch.rebuild(&self.set);
-        sweep_to_fixed_point(
+        let ds = sweep_to_fixed_point(
             &mut self.scratch,
             &self.set,
             IeerBounds::seed(&self.set),
             None,
-        )
+        )?;
+        self.bounds = ds.bounds().clone();
+        Ok(())
     }
 
     /// Makes the scratch kernel, whose run is being committed, the
@@ -712,11 +722,10 @@ impl AdmissionState {
         }
     }
 
-    /// Each resident's end-to-end bound under `ds`, a run on the
-    /// residents' task set.
-    fn store_ds_bounds(&mut self, ds: &DsBounds) {
+    /// Each resident's end-to-end bound under the last run's bounds.
+    fn store_ds_bounds(&mut self) {
         for (pos, r) in self.residents.iter_mut().enumerate() {
-            r.bound = ds.task_bound(TaskId::new(pos));
+            r.bound = self.bounds.task_bound(TaskId::new(pos));
         }
     }
 
@@ -770,15 +779,15 @@ impl AdmissionState {
 
     fn retire_ds(&mut self) -> Result<(usize, usize), RetireError> {
         // Shrinking demand lowers the least fixed point, so the resident
-        // kernel's bounds and hints overshoot it: run cold, and keep the
-        // cold run's kernel. A failed run leaves no kernel that describes
-        // the residents.
-        let ds = self.run_cold().map_err(|e| {
+        // kernel's hints overshoot it: solve cold, and keep the new run's
+        // kernel. A failed run leaves no kernel that describes the
+        // residents.
+        self.solve_ds(None).map_err(|e| {
             self.kernel = None;
             RetireError::Analysis(e)
         })?;
         self.keep_run();
-        self.store_ds_bounds(&ds);
+        self.store_ds_bounds();
         Ok((self.set.num_subtasks(), 0))
     }
 }
@@ -1066,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_ds_first_sweep_solves_only_dirty_and_candidate_subtasks() {
+    fn warm_ds_pass_solves_only_dirty_and_candidate_subtasks() {
         let mut st = AdmissionState::new(3, AdmissionConfig::new(AdmissionMode::DirectSync));
         for req in [
             ChainRequest::new(1, d(40), vec![(0, d(2)), (1, d(2))]).with_rank(0),
@@ -1086,31 +1095,88 @@ mod tests {
         let mut set = st.set.clone();
         set.insert_chain(pos_c, req.period, req.deadline, &req.subtasks)
             .unwrap();
-        // The derivation admit_ds runs, stopped after one sweep.
-        let mut seed = IeerBounds::seed(&set);
+        // The derivation and the one ordered pass admit_ds runs. No clean
+        // subtask reads a bound that moved, so none is solved again.
         let mut kernel = IeertKernel::empty(&AnalysisConfig::DEFAULT);
-        kernel.derive(st.kernel.as_ref().unwrap(), &set, pos_c, &mut seed);
-        let mut next = seed.clone();
-        kernel.jacobi(&seed, &mut next).unwrap();
+        kernel.derive(st.kernel.as_ref().unwrap(), &set, pos_c);
+        let mut warm = IeerBounds::from_raw(Vec::new());
+        warm.reshape(&set);
+        kernel.ordered_pass(&mut warm).unwrap();
         assert_eq!(
             kernel.solved(),
             2 + 2,
             "two dirty subtasks, two candidate subtasks"
         );
-        // A cold kernel solves all ten subtasks from the same seed.
+        // A cold kernel solves all ten subtasks, each once, and the pass
+        // never reads the stale bounds its buffer held.
         let mut cold = IeertKernel::new(&set, &AnalysisConfig::DEFAULT);
-        let mut cold_next = seed.clone();
-        cold.jacobi(&seed, &mut cold_next).unwrap();
+        let mut cold_bounds = IeerBounds::seed_with(&set, |_| Some(d(1_000_000)));
+        cold.ordered_pass(&mut cold_bounds).unwrap();
         assert_eq!(cold.solved(), set.num_subtasks() as u64);
-        assert_eq!(next, cold_next);
-        // The derived run converges to the batch bounds, and so does the
-        // engine's own admit.
-        let warm = sweep_to_fixed_point(&mut kernel, &set, next, None).unwrap();
+        assert_eq!(warm, cold_bounds);
+        // Both are the batch bounds, and so is the engine's own admit.
         let batch = analyze_ds(&set, &AnalysisConfig::DEFAULT).unwrap();
-        assert_eq!(warm.bounds(), batch.bounds());
+        assert_eq!(&warm, batch.bounds());
         assert!(st.admit(req).admitted);
         let bounds: Vec<Dur> = st.resident_bounds().into_iter().map(|(_, b)| b).collect();
         assert_eq!(bounds, batch.task_bounds());
+    }
+
+    #[test]
+    fn ds_admits_and_retires_solve_no_subtask_twice() {
+        // A seeded stream of admits and retires over three processors.
+        // Every DS decision that reaches the analysis and ends in bounds
+        // (an admit, a deadline miss, a retire) solves each subtask of
+        // its system at most once; a retire, rebuilt cold, exactly once.
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut st = AdmissionState::new(3, AdmissionConfig::new(AdmissionMode::DirectSync));
+        let mut resident: Vec<u64> = Vec::new();
+        let (mut admits, mut misses, mut retires) = (0, 0, 0);
+        for id in 0..600u64 {
+            if resident.len() > 3 && draw(5) < 2 {
+                let gone = resident.swap_remove(draw(resident.len() as u64) as usize);
+                st.retire(gone).unwrap();
+                let n = st.set.num_subtasks() as u64;
+                if n > 0 {
+                    assert_eq!(st.kernel.as_ref().unwrap().solved(), n, "retire");
+                    retires += 1;
+                }
+                continue;
+            }
+            let period = 10 * (4 + draw(20) as i64);
+            let mut proc = draw(3) as usize;
+            let links: Vec<(usize, Dur)> = (0..=draw(3))
+                .map(|_| {
+                    proc = (proc + 1 + draw(2) as usize) % 3;
+                    (proc, d(1 + draw(period as u64 / 8) as i64))
+                })
+                .collect();
+            let len = links.len();
+            let req = ChainRequest::new(id, d(period), links)
+                .with_deadline(d(period * (1 + draw(3) as i64)))
+                .with_rank(draw(8) as u32);
+            let dec = st.admit(req);
+            if dec.admitted {
+                resident.push(id);
+                let n = st.set.num_subtasks() as u64;
+                assert!(st.kernel.as_ref().unwrap().solved() <= n, "admit {id}");
+                admits += 1;
+            } else if let Some(RejectReason::DeadlineMiss { .. }) = dec.reject {
+                let n = (st.set.num_subtasks() + len) as u64;
+                assert!(st.scratch.solved() <= n, "deadline miss {id}");
+                misses += 1;
+            }
+        }
+        assert!(
+            admits > 50 && misses > 50 && retires > 50,
+            "{admits} admits, {misses} misses, {retires} retires"
+        );
     }
 
     #[test]

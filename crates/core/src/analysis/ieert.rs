@@ -18,7 +18,8 @@
 //!
 //! `R_{u,0}` (the "IEER of the predecessor of a first subtask") is zero.
 //!
-//! [`crate::analysis::sa_ds`] iterates sweeps to the least fixed point.
+//! [`crate::analysis::sa_ds`] iterates sweeps to the least fixed point;
+//! the admission engine reaches it in one ordered pass (below).
 //!
 //! # The kernel
 //!
@@ -69,12 +70,59 @@
 //! `max_fixed_point_iterations` (10⁶ by default, a backstop) where the
 //! warm one converges.
 //!
+//! # The ordered pass
+//!
+//! [`crate::analysis::sa_ds`] runs Jacobi sweeps because under an
+//! arbitrary priority assignment a subtask's jitters can come from
+//! subtasks analysed after it. The admission engine
+//! ([`crate::analysis::admission`], DS mode) assigns *chain-major*
+//! priorities instead: task `pos`, link `j` sits at priority
+//! `pos·stride + j` ([`TaskSet::insert_chain`]), and kernel index order is
+//! task-then-link order, which is priority order. Every jitter source of
+//! subtask `T_{i,j}` then comes before it: its own predecessor
+//! `T_{i,j−1}`, and for each interferer `T_{u,v}` (higher priority, so
+//! `u < i`, or `u = i` and `v < j`) the predecessor `T_{u,v−1}`. The
+//! dependency graph is acyclic in index order, and one Gauss–Seidel pass
+//! in that order (`IeertKernel::ordered_pass`) gives each subtask the
+//! sweep operator's value at the values already written for its sources:
+//! by induction on the index, the unique, hence least, fixed point. Each
+//! subtask is evaluated once, under the hint and unchanged-inputs rules
+//! above: a clean subtask whose jitters did not move returns its cached
+//! value, one whose jitters grew re-solves warm, one whose jitters dropped
+//! re-solves cold. Three conditions keep the pass exact against the cold
+//! Jacobi run of `analyze_ds`, the engine's memo-off oracle:
+//!
+//! * **Acyclic order.** A `debug_assert` in the pass checks that every
+//!   term's jitter source (the member's predecessor) has a smaller kernel
+//!   index than the subtask being evaluated. Only the admission engine,
+//!   whose sets are chain-major, runs the pass; every other caller sweeps.
+//! * **Sweep budget.** From the optimistic seed, cold Jacobi fixes one
+//!   more level of the dependency graph per sweep, so it converges within
+//!   the longest dependency path plus one verifying sweep: at most
+//!   `n + 1` sweeps for `n` subtasks. The engine takes the pass only when
+//!   `n + 1 ≤ max_outer_iterations`; under a smaller budget the cold run
+//!   may report `IterationLimit`, and the engine runs it to report that
+//!   too.
+//! * **No early stop.** The pass does not stop at a chain that misses its
+//!   deadline: the batch verdict reports an analysis failure of *any*
+//!   chain ahead of a deadline miss, so the engine checks deadlines only
+//!   after the pass has finished.
+//!
+//! Where the pass converges, cold Jacobi evaluates every subtask at the
+//! same values in its verifying sweep and converges to them too, unless
+//! a busy-period cap, which grows with the jitters, trips at one of the
+//! lower jitters it passes on the way (the warm-seeded sweeps the pass
+//! replaced skipped those jitters just the same), or the iteration
+//! backstop noted above. Where the pass fails, the engine reruns cold
+//! Jacobi and reports that run's error: its payload depends on the sweep
+//! at which the run trips a cap.
+//!
 //! # The resident kernel
 //!
-//! The admission engine ([`crate::analysis::admission`], DS mode) keeps
-//! the kernel of its last committed run, converged, and derives the next
-//! run's kernel from it instead of building one cold. An admit inserts
-//! one chain at priority position `pos_c`, and only adds demand:
+//! The admission engine keeps the kernel of its last committed run,
+//! converged, and derives the next run's kernel from it instead of
+//! building one cold. An admit inserts one chain at priority position
+//! `pos_c`, and only adds demand:
 //!
 //! * A resident subtask is **dirty** when the candidate has a subtask on
 //!   its processor above it (its interference set grows), or when its
@@ -85,20 +133,22 @@
 //!   no larger jitters, they lie below the new least fixed points.
 //! * Every other resident subtask is **clean** and copied as it is,
 //!   with task indices past `pos_c` shifted by one. Its constants and
-//!   interference set are unchanged and the run is seeded at the
-//!   resident converged bounds, so the first sweep gives it exactly the
-//!   jitters its cached value was solved under, and the unchanged-inputs
+//!   interference set are unchanged, so when the ordered pass gives it
+//!   the jitters its cached value was solved under, the unchanged-inputs
 //!   rule returns that value. The value is exact: IEERT of a subtask is a
-//!   function of those jitters alone.
+//!   function of those jitters alone. A clean subtask whose jitter
+//!   sources grew re-solves warm.
 //! * The candidate's own subtasks start cold.
 //!
-//! The first sweep so solves only the dirty subtasks and the
-//! candidate's. Every bound and sweep count is that of a fresh kernel run
-//! from the same seed, and so is every error, up to the iteration
-//! backstop noted above. The engine derives into a scratch
-//! kernel whose arenas it reuses, and swaps it in on commit. A rejected
-//! admit abandons the scratch kernel and never wrote to the resident
-//! one, so rollback costs nothing.
+//! An admit is so one derivation and one ordered pass: every subtask is
+//! evaluated once and solved at most once, and only the dirty subtasks,
+//! the candidate's and those downstream of a bound that grew run the fixed
+//! points. A retire removes demand, so the resident hints overshoot; it
+//! rebuilds the kernel cold and runs one ordered pass, solving each
+//! subtask exactly once. The engine builds into a scratch kernel whose
+//! arenas it reuses, and swaps it in on commit. A rejected admit abandons
+//! the scratch kernel and never wrote to the resident one, so rollback
+//! costs nothing.
 
 use crate::analysis::busy_period::{
     fixed_point_with_hint_counted, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
@@ -207,6 +257,16 @@ impl IeerBounds {
     /// Raw bounds, `[task][chain index]`.
     pub fn as_slices(&self) -> &[Vec<Dur>] {
         &self.bounds
+    }
+
+    /// Reshapes `self` to one entry per subtask of `set`, reusing its rows
+    /// in place. Entries that survive keep stale values and new ones read
+    /// zero: a buffer for a pass that writes every entry before reading it.
+    pub(crate) fn reshape(&mut self, set: &TaskSet) {
+        self.bounds.resize_with(set.num_tasks(), Vec::new);
+        for (row, task) in self.bounds.iter_mut().zip(set.tasks()) {
+            row.resize(task.chain_len(), Dur::ZERO);
+        }
     }
 
     fn set(&mut self, id: SubtaskId, value: Dur) {
@@ -366,22 +426,14 @@ impl IeertKernel {
 
     /// Rebuilds `self` as the kernel of `set`: `resident`'s task set with
     /// one chain inserted at task position `pos_c`, where `resident` holds
-    /// the converged state of its last SA/DS run. Raises `seed` (a seed
-    /// of `set`) to each retained subtask's converged bound: the warm seed
-    /// of the admission run. `self`'s arenas are reused, so a warm steady
-    /// state allocates nothing.
+    /// the converged state of its last SA/DS run. `self`'s arenas are
+    /// reused, so a warm steady state allocates nothing.
     ///
     /// Resident subtasks above the candidate are copied as they are. Those
     /// below it get the candidate's subtasks on their processor spliced
     /// into their interference; the ones that gain a term are dirty. The
     /// candidate's own subtasks start cold (see the module docs).
-    pub(crate) fn derive(
-        &mut self,
-        resident: &IeertKernel,
-        set: &TaskSet,
-        pos_c: usize,
-        seed: &mut IeerBounds,
-    ) {
+    pub(crate) fn derive(&mut self, resident: &IeertKernel, set: &TaskSet, pos_c: usize) {
         self.cfg = resident.cfg;
         self.clear();
         let candidate = set.task(TaskId::new(pos_c));
@@ -389,14 +441,14 @@ impl IeertKernel {
             .subtasks
             .partition_point(|s| s.id.task().index() < pos_c);
         for old in &resident.subtasks[..above] {
-            self.push_resident(resident, old, pos_c, None, seed);
+            self.push_resident(resident, old, pos_c, None);
         }
         for sub in candidate.subtasks() {
             self.push_fresh(set, sub.id());
         }
         for old in &resident.subtasks[above..] {
             let proc = set.subtask(shifted(old.id, pos_c)).processor();
-            self.push_resident(resident, old, pos_c, Some((candidate, proc)), seed);
+            self.push_resident(resident, old, pos_c, Some((candidate, proc)));
         }
     }
 
@@ -411,7 +463,6 @@ impl IeertKernel {
         old: &SubtaskKernel,
         pos_c: usize,
         above: Option<(&Task, ProcessorId)>,
-        seed: &mut IeerBounds,
     ) {
         let id = shifted(old.id, pos_c);
         // An inserted chain could change a blocking term only through
@@ -442,9 +493,6 @@ impl IeertKernel {
         };
         self.completions
             .extend_from_slice(&resident.completions[old.completions.range()]);
-        if let Some(bound) = old.last {
-            seed.set(id, seed.get(id).max(bound));
-        }
         self.subtasks.push(SubtaskKernel {
             id,
             terms: Span {
@@ -466,6 +514,36 @@ impl IeertKernel {
         for k in 0..self.subtasks.len() {
             let value = self.ieer(k, current)?;
             next.set(self.subtasks[k].id, value);
+        }
+        Ok(())
+    }
+
+    /// One Gauss–Seidel pass in kernel index order: each subtask is
+    /// evaluated once, under the bounds this pass already wrote for the
+    /// subtasks before it, and its value is written to `bounds` in place.
+    /// Nothing in `bounds` is read before the pass writes it.
+    ///
+    /// On a kernel whose every jitter source precedes the subtask that
+    /// reads it (chain-major priorities, as the admission engine assigns
+    /// them), this is the least fixed point of the sweep operator, with
+    /// each subtask solved at most once (see "The ordered pass" in the
+    /// module docs). The first error ends the pass.
+    pub(crate) fn ordered_pass(&mut self, bounds: &mut IeerBounds) -> Result<(), AnalyzeError> {
+        for k in 0..self.subtasks.len() {
+            let id = self.subtasks[k].id;
+            debug_assert!(
+                k == 0 || self.subtasks[k - 1].id < id,
+                "kernel order is (task, link) order"
+            );
+            debug_assert!(
+                self.members[self.subtasks[k].terms.range()]
+                    .iter()
+                    .filter_map(|m| m.predecessor())
+                    .all(|source| source < id),
+                "a jitter source of {id:?} comes at or after it in kernel order"
+            );
+            let value = self.ieer(k, bounds)?;
+            bounds.set(id, value);
         }
         Ok(())
     }
@@ -782,6 +860,25 @@ mod tests {
             solved.push(kernel.solved());
         }
         assert_eq!(solved, vec![4, 6, 8, 8, 10]);
+    }
+
+    #[test]
+    fn one_ordered_pass_reaches_the_least_fixed_point() {
+        // Example 2's jitter sources all precede their readers: T1.1 and
+        // T2.0 read T1.0's bound. One pass gives the Jacobi fixed point,
+        // solving each subtask once; a second pass solves nothing.
+        let set = example2();
+        let cfg = AnalysisConfig::default();
+        let mut kernel = IeertKernel::new(&set, &cfg);
+        let mut bounds = IeerBounds::from_raw(Vec::new());
+        bounds.reshape(&set);
+        kernel.ordered_pass(&mut bounds).unwrap();
+        let sweeps = crate::analysis::sa_ds::analyze_ds(&set, &cfg).unwrap();
+        assert_eq!(&bounds, sweeps.bounds());
+        assert_eq!(kernel.solved(), 4);
+        kernel.ordered_pass(&mut bounds).unwrap();
+        assert_eq!(&bounds, sweeps.bounds());
+        assert_eq!(kernel.solved(), 4);
     }
 
     #[test]

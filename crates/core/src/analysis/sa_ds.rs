@@ -9,6 +9,16 @@
 //! `failure_factor × period` (300× by default) the analysis declares a
 //! *failure* — the paper's "bound is infinite for all practical purposes".
 //!
+//! The sweeps are needed because under an arbitrary priority assignment a
+//! subtask's release jitter can come from a subtask analysed after it.
+//! The admission engine ([`crate::analysis::admission`]) assigns
+//! chain-major priorities, under which every jitter source precedes the
+//! subtask that reads it, and reaches the same least fixed point in one
+//! ordered pass (see [`crate::analysis::ieert`]). The Jacobi sweeps here
+//! stay the only solver for [`analyze_ds`], [`analyze_ds_traced`] and the
+//! engine's memo-off oracle: they take any priority assignment, and the
+//! traced run reports the per-sweep trajectory.
+//!
 //! # Examples
 //!
 //! Example 2: the DS bound of `T₂` (the paper's `T₃`) exceeds its deadline
@@ -124,9 +134,11 @@ pub fn analyze_ds_seeded(
 }
 
 /// The SA/DS outer loop behind every entry point: Jacobi IEERT sweeps of
-/// `kernel`, a kernel of `set` (cold, or derived from a resident one by
-/// the admission engine), from `seed` until the bounds repeat, recording
-/// each sweep into `trace` when one is given.
+/// `kernel`, a kernel of `set`, from `seed` until the bounds repeat,
+/// recording each sweep into `trace` when one is given. The admission
+/// engine runs it on a cold kernel when memoization is off, when the
+/// sweep budget is too small for its ordered pass, and to report the
+/// error of a pass that failed.
 pub(crate) fn sweep_to_fixed_point(
     kernel: &mut IeertKernel,
     set: &TaskSet,

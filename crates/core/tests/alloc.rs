@@ -164,15 +164,18 @@ fn measure(mode: AdmissionMode, seed: u64) -> ([Tally; 3], f64) {
 /// Budgets in mean allocations per accepted admit, rejected admit and
 /// retire. A PM-family admit allocates the candidate's chain, its memo
 /// list and two buffers per subtask analysis, a retire two per
-/// reanalysis; a DS decision also allocates its sweeps' bounds. On these
-/// streams the engine spends 20–24 per PM admit, 16–18 per PM retire,
-/// 28–38 per DS admit and 25–28 per DS retire. Rebuilding the resident
-/// set and cloning the clean memos on every decision spent 118–137 per
-/// PM and 58–83 per DS decision, over every budget.
+/// reanalysis. A DS decision reuses its kernel arenas and its one bound
+/// table, so an admit allocates the candidate's chain and at most a
+/// bound row for it, and a retire nothing. On these streams the engine
+/// spends 20–24 per PM admit, 16–18 per PM retire, 1.8–2.0 per DS admit
+/// and 0 per DS retire. Rebuilding the resident set and cloning the clean
+/// memos on every decision spent 118–137 per PM and 58–83 per DS
+/// decision; a seed table and a Jacobi buffer per DS run spent 28–38 per
+/// DS admit and 25–28 per DS retire, over every budget.
 fn budget(mode: AdmissionMode) -> [f64; 3] {
     match mode {
         AdmissionMode::PmFamily => [30.0, 30.0, 25.0],
-        AdmissionMode::DirectSync => [50.0, 50.0, 40.0],
+        AdmissionMode::DirectSync => [3.0, 3.0, 1.0],
     }
 }
 

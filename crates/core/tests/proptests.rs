@@ -4,11 +4,12 @@
 
 use proptest::prelude::*;
 use rtsync_core::analysis::admission::{
-    AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest, RejectReason,
+    AdmissionConfig, AdmissionMode, AdmissionState, ChainRequest, RejectReason, RetireError,
 };
 use rtsync_core::analysis::busy_period::{
     fixed_point, fixed_point_with_hint_counted, DemandTerm, FixedPointLimits,
 };
+use rtsync_core::analysis::sa_ds::analyze_ds;
 use rtsync_core::analysis::sa_pm::analyze_pm;
 use rtsync_core::analysis::AnalysisConfig;
 use rtsync_core::error::{AnalyzeError, ValidateTaskSetError};
@@ -16,7 +17,7 @@ use rtsync_core::priority::{
     build_with_policy, ChainSpec, PriorityKey, ProportionalDeadlineMonotonic,
 };
 use rtsync_core::release_guard::{GuardDecision, ReleaseGuard};
-use rtsync_core::task::{Priority, ProcessorId, SubtaskId, TaskSet};
+use rtsync_core::task::{Priority, ProcessorId, SubtaskId, TaskId, TaskSet};
 use rtsync_core::textfmt;
 use rtsync_core::time::{Dur, Time};
 
@@ -548,6 +549,30 @@ fn predicted_reject(
     }
 }
 
+/// What batch SA/DS decides for an admit that grows `chains` (priority
+/// order) to `grown`, the candidate at `pos`: the first analysis error,
+/// else the first chain past its deadline, else the candidate's bound.
+fn batch_ds_verdict(
+    cfg: &AnalysisConfig,
+    procs: usize,
+    grown: &[ChainRequest],
+    pos: usize,
+) -> Result<Dur, RejectReason> {
+    let set = built_from_chains(procs, grown).expect("a valid grown set");
+    let ds = analyze_ds(&set, cfg).map_err(RejectReason::Analysis)?;
+    for (i, chain) in grown.iter().enumerate() {
+        let bound = ds.task_bound(TaskId::new(i));
+        if bound > chain.deadline {
+            return Err(RejectReason::DeadlineMiss {
+                chain: chain.id,
+                bound,
+                deadline: chain.deadline,
+            });
+        }
+    }
+    Ok(ds.task_bound(TaskId::new(pos)))
+}
+
 /// Replays `steps` on a memoized and a from-scratch admission state over
 /// `procs` processors. After every step the verdicts, bounds, reject
 /// payloads and resident state must agree, a rejected admit must leave
@@ -555,7 +580,10 @@ fn predicted_reject(
 /// the memoized state's task set, which it edits in place, must equal the
 /// builder's set of the residents' chains, priority index included.
 /// Duplicate, invalid and gated admits must carry the reject the
-/// builder's grown set predicts, and no other admit may be gated.
+/// builder's grown set predicts, and no other admit may be gated. In DS
+/// mode every admit that reaches the analysis must also carry the verdict
+/// batch [`analyze_ds`] gives on the builder's grown set, and every
+/// retire the outcome and bounds it gives on the shrunk set.
 fn replay_steps(
     cfg: AdmissionConfig,
     procs: usize,
@@ -563,6 +591,7 @@ fn replay_steps(
 ) -> Result<Vec<Option<RejectReason>>, TestCaseError> {
     let mut warm = AdmissionState::new(procs, cfg);
     let mut cold = AdmissionState::new(procs, cfg.with_memoization(false));
+    let direct_sync = cfg.mode == AdmissionMode::DirectSync;
     let mut rejects = Vec::new();
     // The residents' chains in priority order: rank, then seniority.
     let mut chains: Vec<ChainRequest> = Vec::new();
@@ -574,8 +603,24 @@ fn replay_steps(
                 let a = warm.retire(id);
                 let b = cold.retire(id);
                 prop_assert_eq!(a.is_ok(), b.is_ok());
-                if a.is_ok() {
+                // A retire that fails its re-analysis has still removed
+                // the chain.
+                if !matches!(a, Err(RetireError::UnknownChain(_))) {
                     chains.retain(|c| c.id != id);
+                    if direct_sync && !chains.is_empty() {
+                        let set = built_from_chains(procs, &chains).expect("a valid set");
+                        match analyze_ds(&set, &cfg.analysis) {
+                            Ok(ds) => {
+                                prop_assert!(a.is_ok());
+                                let bounds: Vec<Dur> =
+                                    warm.resident_bounds().iter().map(|r| r.1).collect();
+                                prop_assert_eq!(bounds, ds.task_bounds());
+                            }
+                            Err(e) => {
+                                prop_assert_eq!(a.as_ref().err(), Some(&RetireError::Analysis(e)))
+                            }
+                        }
+                    }
                 }
                 prop_assert_eq!(a.err(), b.err());
                 rejects.push(None);
@@ -586,8 +631,8 @@ fn replay_steps(
                 let predicted = predicted_reject(cfg, procs, &chains, &req);
                 let a = warm.admit(req.clone());
                 let b = cold.admit(req.clone());
-                match predicted {
-                    Some(reason) => prop_assert_eq!(a.reject.as_ref(), Some(&reason)),
+                match &predicted {
+                    Some(reason) => prop_assert_eq!(a.reject.as_ref(), Some(reason)),
                     None => prop_assert!(!matches!(
                         a.reject,
                         Some(
@@ -601,8 +646,15 @@ fn replay_steps(
                 prop_assert_eq!(a.bound, b.bound);
                 prop_assert_eq!(&a.reject, &b.reject);
                 prop_assert_eq!(a.residents, b.residents);
+                let pos = chains.partition_point(|c| c.rank <= req.rank);
+                if direct_sync && predicted.is_none() {
+                    let mut grown = chains.clone();
+                    grown.insert(pos, req.clone());
+                    let verdict = batch_ds_verdict(&cfg.analysis, procs, &grown, pos);
+                    prop_assert_eq!(a.bound, verdict.as_ref().ok().copied());
+                    prop_assert_eq!(a.reject.as_ref(), verdict.as_ref().err());
+                }
                 if a.admitted {
-                    let pos = chains.partition_point(|c| c.rank <= req.rank);
                     chains.insert(pos, req);
                 } else {
                     prop_assert_eq!(warm.resident_bounds(), before);
@@ -646,11 +698,15 @@ proptest! {
     /// from no resident subtask to all of them; chains of up to four
     /// subtasks revisit processors. Tight failure factors make warm runs
     /// diverge, and rejected admits are followed by further steps on the
-    /// rolled-back state.
+    /// rolled-back state. A sweep budget of 2, or of about the resident
+    /// subtask count, puts systems on both sides of the bound past which
+    /// the engine's one ordered pass could converge where the batch
+    /// sweeps run out.
     #[test]
     fn resident_ds_kernel_matches_batch(
         quick_gate in prop::bool::ANY,
         tight_cap in 0i64..6,
+        sweeps in (0u8..3, 4u64..24), // default, 2, or 4..24 sweeps
         ops in prop::collection::vec(
             (
                 0u8..4,                                            // 0 = retire, else admit
@@ -665,6 +721,11 @@ proptest! {
         let mut cfg = AdmissionConfig::new(AdmissionMode::DirectSync).with_quick_gate(quick_gate);
         if tight_cap > 0 {
             cfg.analysis.failure_factor = tight_cap;
+        }
+        match sweeps {
+            (0, _) => {}
+            (1, _) => cfg.analysis.max_outer_iterations = 2,
+            (_, n) => cfg.analysis.max_outer_iterations = n,
         }
         let steps = ops
             .into_iter()
