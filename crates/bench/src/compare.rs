@@ -199,11 +199,6 @@ pub struct CompareRow {
 pub struct Comparison {
     /// Every cell of the fresh run, in suite order.
     pub rows: Vec<CompareRow>,
-    /// Whether the baseline was a smoke run (mismatched smoke-ness makes
-    /// absolute numbers incomparable; flagged in the rendering).
-    pub baseline_smoke: bool,
-    /// Whether the fresh run was a smoke run.
-    pub current_smoke: bool,
 }
 
 impl Comparison {
@@ -222,14 +217,6 @@ impl Comparison {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        if self.baseline_smoke != self.current_smoke {
-            let _ = writeln!(
-                out,
-                "warning: comparing a {} run against a {} baseline — numbers are not comparable",
-                if self.current_smoke { "smoke" } else { "full" },
-                if self.baseline_smoke { "smoke" } else { "full" },
-            );
-        }
         let _ = writeln!(
             out,
             "{:<6}{:<18}{:>14}{:>14}{:>9}{:>9}{:>7}  verdict",
@@ -272,8 +259,41 @@ impl Comparison {
     }
 }
 
+impl Baseline {
+    /// Refuses a baseline whose smoke setting differs from the run's: a
+    /// smoke run measures a reduced workload, so its numbers say nothing
+    /// about a full run's, and no verdict can be drawn.
+    ///
+    /// # Errors
+    ///
+    /// When `smoke` differs from the baseline's.
+    pub fn comparable_with(&self, smoke: bool) -> Result<(), String> {
+        let kind = |smoke| if smoke { "smoke" } else { "full" };
+        if self.smoke == smoke {
+            Ok(())
+        } else {
+            Err(format!(
+                "the baseline is a {} run and this is a {} run; their numbers are not \
+                 comparable",
+                kind(self.smoke),
+                kind(smoke)
+            ))
+        }
+    }
+}
+
 /// Compares a fresh report against a parsed baseline.
-pub fn compare(current: &BenchReport, baseline: &Baseline, tol: &Tolerances) -> Comparison {
+///
+/// # Errors
+///
+/// When the two differ in their smoke setting
+/// ([`Baseline::comparable_with`]).
+pub fn compare(
+    current: &BenchReport,
+    baseline: &Baseline,
+    tol: &Tolerances,
+) -> Result<Comparison, String> {
+    baseline.comparable_with(current.smoke)?;
     let rows = current
         .results
         .iter()
@@ -329,11 +349,7 @@ pub fn compare(current: &BenchReport, baseline: &Baseline, tol: &Tolerances) -> 
             }
         })
         .collect();
-    Comparison {
-        rows,
-        baseline_smoke: baseline.smoke,
-        current_smoke: current.smoke,
-    }
+    Ok(Comparison { rows })
 }
 
 #[cfg(test)]
@@ -373,7 +389,7 @@ mod tests {
         assert_eq!(base.cells[0].protocol, "DS");
         assert!((base.cells[0].best_events_per_sec - 1_000_000.0).abs() < 1.0);
         assert_eq!(base.cells[0].best_secs_per_run, Some(0.00025));
-        let cmp = compare(&rep, &base, &Tolerances::default());
+        let cmp = compare(&rep, &base, &Tolerances::default()).unwrap();
         assert!(cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Ok);
         assert_eq!(cmp.rows[0].judged, Judged::SecsPerRun);
@@ -403,7 +419,7 @@ mod tests {
         r.events_per_iter /= 3;
         r.best_events_per_sec /= 2.0;
         r.best_secs_per_run *= 2.0 / 3.0;
-        let cmp = compare(&rep, &base, &Tolerances::default());
+        let cmp = compare(&rep, &base, &Tolerances::default()).unwrap();
         assert_eq!(cmp.rows[0].judged, Judged::SecsPerRun);
         assert_eq!(cmp.rows[0].verdict, Verdict::Improved);
         assert!((cmp.rows[0].delta_frac - 0.5).abs() < 1e-9);
@@ -412,7 +428,7 @@ mod tests {
         // Against a baseline without wall time per run, events/s decides.
         let mut old = base.clone();
         old.cells[0].best_secs_per_run = None;
-        let cmp = compare(&rep, &old, &Tolerances::default());
+        let cmp = compare(&rep, &old, &Tolerances::default()).unwrap();
         assert_eq!(cmp.rows[0].judged, Judged::EventsPerSec);
         assert_eq!(cmp.rows[0].verdict, Verdict::Regressed);
     }
@@ -429,14 +445,14 @@ mod tests {
         );
         let base = parse_baseline(&doctored).unwrap();
         assert!((base.cells[0].best_secs_per_run.unwrap() - 0.000025).abs() < 1e-12);
-        let cmp = compare(&rep, &base, &Tolerances::default());
+        let cmp = compare(&rep, &base, &Tolerances::default()).unwrap();
         assert!(!cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Regressed);
         assert!(cmp.render().contains("REGRESSED"));
 
         // ...and a per-scenario override can wave the same delta through.
         let lax = Tolerances::default().with_scenario("ideal", 0.95);
-        assert!(compare(&rep, &base, &lax).is_clean());
+        assert!(compare(&rep, &base, &lax).unwrap().is_clean());
     }
 
     #[test]
@@ -444,14 +460,41 @@ mod tests {
         let rep = report(1_000_000.0);
         let mut base = parse_baseline(&rep.to_json()).unwrap();
         base.cells[0].best_secs_per_run = Some(0.0025);
-        let cmp = compare(&rep, &base, &Tolerances::default());
+        let cmp = compare(&rep, &base, &Tolerances::default()).unwrap();
         assert!(cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::Improved);
 
         base.cells.clear();
-        let cmp = compare(&rep, &base, &Tolerances::default());
+        let cmp = compare(&rep, &base, &Tolerances::default()).unwrap();
         assert!(cmp.is_clean());
         assert_eq!(cmp.rows[0].verdict, Verdict::NewCell);
+    }
+
+    #[test]
+    fn a_smoke_run_and_a_full_baseline_get_no_verdict() {
+        // A smoke run is far slower per run than a full one: judged, it
+        // would read as a regression. Either mix is refused by name.
+        let rep = report(1_000_000.0);
+        let mut base = parse_baseline(&rep.to_json()).unwrap();
+        base.smoke = false;
+        let err = compare(&rep, &base, &Tolerances::default()).unwrap_err();
+        assert!(
+            err.contains("baseline is a full run and this is a smoke run"),
+            "{err}"
+        );
+        let mut full = report(1_000_000.0);
+        full.smoke = false;
+        base.smoke = true;
+        let err = compare(&full, &base, &Tolerances::default()).unwrap_err();
+        assert!(
+            err.contains("baseline is a smoke run and this is a full run"),
+            "{err}"
+        );
+        // Matching settings compare as before.
+        base.smoke = false;
+        assert!(compare(&full, &base, &Tolerances::default())
+            .unwrap()
+            .is_clean());
     }
 
     #[test]

@@ -363,6 +363,9 @@ pub struct AdmissionState {
     /// DS: the IEER bounds of the last run, reshaped in place to the
     /// residents' task set before each ordered pass.
     bounds: IeerBounds,
+    /// DS, debug builds: the cold kernel of the check that each ordered
+    /// pass ends at a fixed point.
+    dual: IeertKernel,
     stats: AdmissionStats,
 }
 
@@ -386,6 +389,7 @@ impl AdmissionState {
             kernel: None,
             scratch: IeertKernel::empty(&cfg.analysis),
             bounds: IeerBounds::from_raw(Vec::new()),
+            dual: IeertKernel::empty(&cfg.analysis),
             stats: AdmissionStats::default(),
         }
     }
@@ -680,9 +684,10 @@ impl AdmissionState {
     /// pass needs the sweep budget to cover the `n + 1` sweeps cold Jacobi
     /// may take on `n` subtasks, or it could converge where the batch
     /// analysis runs out of sweeps. Otherwise, and to report the error of
-    /// a failed pass, cold Jacobi sweeps: a diverging run trips a cap at a
-    /// sweep that depends on its seed, and the busy-period cap includes
-    /// that sweep's jitters.
+    /// a failed pass, the cold run of `analyze_ds`: the failure
+    /// certificate's error where it fires, else cold Jacobi's, where a
+    /// diverging run trips a cap at a sweep that depends on its seed, and
+    /// the busy-period cap includes that sweep's jitters.
     fn solve_ds(&mut self, admitted_at: Option<usize>) -> Result<(), AnalyzeError> {
         let n = self.set.num_subtasks() as u64;
         if self.cfg.memoization && n < self.cfg.analysis.max_outer_iterations {
@@ -692,6 +697,9 @@ impl AdmissionState {
             }
             self.bounds.reshape(&self.set);
             if self.scratch.ordered_pass(&mut self.bounds).is_ok() {
+                if cfg!(debug_assertions) {
+                    self.check_fixed_point();
+                }
                 return Ok(());
             }
         }
@@ -704,6 +712,20 @@ impl AdmissionState {
         )?;
         self.bounds = ds.bounds().clone();
         Ok(())
+    }
+
+    /// The dual check of an ordered pass, run in debug builds: at the least
+    /// fixed point one cold sweep returns the bounds unchanged. The cold
+    /// kernel's arenas are reused, so a warm engine allocates no more for
+    /// the check.
+    fn check_fixed_point(&mut self) {
+        self.dual.rebuild(&self.set);
+        let fixed = self.dual.fixes(&self.bounds);
+        assert_eq!(
+            fixed,
+            Ok(true),
+            "the ordered pass stopped short of a fixed point"
+        );
     }
 
     /// Makes the scratch kernel, whose run is being committed, the

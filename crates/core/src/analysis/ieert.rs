@@ -113,9 +113,40 @@
 //! a busy-period cap, which grows with the jitters, trips at one of the
 //! lower jitters it passes on the way (the warm-seeded sweeps the pass
 //! replaced skipped those jitters just the same), or the iteration
-//! backstop noted above. Where the pass fails, the engine reruns cold
-//! Jacobi and reports that run's error: its payload depends on the sweep
-//! at which the run trips a cap.
+//! backstop noted above. Where the pass fails, the engine reruns the cold
+//! SA/DS run of `analyze_ds` and reports its error: the failure
+//! certificate's (below) where that fires, else Jacobi's, whose payload
+//! depends on the sweep at which the run trips a cap.
+//!
+//! # The failure certificate
+//!
+//! Dropping the ceilings of step 3 at `m = 1` (`⌈y⌉ ≥ y`) bounds the sweep
+//! operator from below by an affine map `G`: with `u = c/p` and `U_H` the
+//! utilization of `H_s`,
+//!
+//! `R_s ≥ G(R)_s = R_{pred(s)} + (c_s + b_s + Σ_{h∈H_s} u_h·R_{pred(h)}) / (1 − U_{H_s})`.
+//!
+//! `IeertKernel::certify_failure` looks for an integer vector `x` with
+//! `x ≤ G(x)` above some cap, from the kernel's constants alone
+//! (periods, executions, blocking, interferer terms and members, caps):
+//!
+//! 1. Gauss–Seidel in `f64`, in kernel order, from zero, on `G` with each
+//!    row's constant lowered by `|H_s| + 3` ticks and clamped at zero. It
+//!    stops when no entry rises by a tick, when an entry passes four times
+//!    its cap, or after `max_outer_iterations` passes. A level whose
+//!    interference alone fills its processor (`U_{H_s} ≥ 1`) ends the
+//!    attempt: the first sweep reports that overload.
+//! 2. Each entry is floored to an integer.
+//! 3. Every row is checked in `i128`: with `d = x_s − x_{pred(s)}`,
+//!    `d ≤ 0` or `d ≤ c_s + b_s + Σ_h ⌊c_h·(d + x_{pred(h)}) / p_h⌋`. The
+//!    lowered constants leave room for the floors; without them converged
+//!    rows miss this by a few ticks.
+//!
+//! Only step 3 is part of the proof (see [`crate::analysis::sa_ds`]): if
+//! every row passes and some `x_s` exceeds its cap, no sweep can converge,
+//! and the error names the first such subtask in kernel order. Otherwise
+//! the certificate proves nothing and the sweeps run as before.
+//! [`relaxed_lower_bounds`] exposes the checked `x`.
 //!
 //! # The resident kernel
 //!
@@ -290,6 +321,24 @@ pub fn ieert_pass(
     let mut next = current.clone();
     IeertKernel::new(set, cfg).jacobi(current, &mut next)?;
     Ok(next)
+}
+
+/// The witness of the SA/DS failure certificate: per-subtask lower bounds
+/// on every fixed point of the IEERT sweep on `set`, from the linear
+/// relaxation of step 3 at `m = 1`, checked exactly (see "The failure
+/// certificate" in the module docs). Where SA/DS converges they lie at or
+/// below its bounds; where one passes its subtask's failure cap, SA/DS
+/// fails.
+///
+/// `None` when the relaxation gives no checked bound: a level whose
+/// interference alone fills its processor, or a failed check.
+pub fn relaxed_lower_bounds(set: &TaskSet, cfg: &AnalysisConfig) -> Option<IeerBounds> {
+    let x = IeertKernel::new(set, cfg).lower_bounds()?;
+    let mut bounds = IeerBounds::seed(set);
+    for (sub, x) in set.subtasks().zip(x) {
+        bounds.set(sub.id(), Dur::from_ticks(i64::try_from(x).ok()?));
+    }
+    Some(bounds)
 }
 
 /// The IEERT sweep operator of one SA/DS run, kept across its sweeps so
@@ -518,6 +567,18 @@ impl IeertKernel {
         Ok(())
     }
 
+    /// Whether one Jacobi sweep from `bounds` returns them unchanged,
+    /// checked subtask by subtask with no output buffer; the first error
+    /// ends the sweep.
+    pub(crate) fn fixes(&mut self, bounds: &IeerBounds) -> Result<bool, AnalyzeError> {
+        for k in 0..self.subtasks.len() {
+            if self.ieer(k, bounds)? != bounds.get(self.subtasks[k].id) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// One Gauss–Seidel pass in kernel index order: each subtask is
     /// evaluated once, under the bounds this pass already wrote for the
     /// subtasks before it, and its value is written to `bounds` in place.
@@ -546,6 +607,118 @@ impl IeertKernel {
             bounds.set(id, value);
         }
         Ok(())
+    }
+
+    /// A proof, before any sweep, that the sweep operator has no fixed
+    /// point under the failure caps: `BoundExceedsCap` at the first subtask,
+    /// in kernel index order, whose certified lower bound passes its cap,
+    /// or `None` when the relaxation proves nothing (see "The failure
+    /// certificate" in the module docs).
+    pub(crate) fn certify_failure(&self) -> Option<AnalyzeError> {
+        let x = self.lower_bounds()?;
+        let sub = self
+            .subtasks
+            .iter()
+            .zip(&x)
+            .find(|(sub, &x)| x > i128::from(sub.cap.ticks()))?
+            .0;
+        Some(AnalyzeError::BoundExceedsCap {
+            subtask: sub.id,
+            cap: sub.cap,
+        })
+    }
+
+    /// Integer lower bounds, in kernel order, on the IEER bounds of every
+    /// fixed point of the sweep operator: a solution of the linear
+    /// relaxation of IEERT step 3 at `m = 1`, checked exactly. `None` when
+    /// a level's interference alone fills its processor or the check
+    /// fails. Reads only the kernel's constants.
+    fn lower_bounds(&self) -> Option<Vec<i128>> {
+        let n = self.subtasks.len();
+        // Kernel order is (task, link) order: a subtask's index is its
+        // chain's first index plus its link.
+        let first: Vec<usize> = (0..n).filter(|&k| self.subtasks[k].id.is_first()).collect();
+        let index = |id: SubtaskId| first[id.task().index()] + id.index();
+        let ticks = |d: Dur| d.ticks() as f64;
+
+        // Row k, its constant lowered by |H| + 3 ticks so that the floors
+        // of the exact check below cannot undo it:
+        // x_k = x_pred + (c + b − |H| − 3 + Σ_h u_h·x_src(h)) / (1 − U_H),
+        // held as `konst[k]` plus weights on the sources in `sources`.
+        let mut konst = Vec::with_capacity(n);
+        let mut spans = Vec::with_capacity(n);
+        let mut sources: Vec<(usize, f64)> = Vec::new();
+        for sub in &self.subtasks {
+            let range = sub.terms.range();
+            let interference = &self.terms[range.start..range.end - 1];
+            let load: f64 = interference
+                .iter()
+                .map(|t| ticks(t.execution) / ticks(t.period))
+                .sum();
+            if load >= 1.0 {
+                // This level's busy period diverges: the first sweep
+                // reports the overload.
+                return None;
+            }
+            let scale = 1.0 / (1.0 - load);
+            let margin = interference.len() as f64 + 3.0;
+            konst.push((ticks(sub.execution) + ticks(sub.blocking) - margin) * scale);
+            let start = sources.len();
+            for (t, m) in interference.iter().zip(&self.members[range]) {
+                if let Some(p) = m.predecessor() {
+                    sources.push((index(p), ticks(t.execution) / ticks(t.period) * scale));
+                }
+            }
+            spans.push(start..sources.len());
+        }
+
+        // Gauss–Seidel from zero. The iterates only rise and each stays a
+        // sub-solution of the lowered rows, so stopping early is safe: stop
+        // once no entry rises by a tick or one passes four times its cap.
+        let mut x = vec![0.0_f64; n];
+        for _ in 0..self.cfg.max_outer_iterations {
+            let (mut moved, mut blown) = (false, false);
+            for (k, sub) in self.subtasks.iter().enumerate() {
+                let own = sub.id.predecessor().map_or(0.0, |p| x[index(p)]);
+                let value = sources[spans[k].clone()]
+                    .iter()
+                    .fold(own + konst[k], |acc, &(src, w)| acc + w * x[src])
+                    .max(0.0);
+                moved |= value >= x[k] + 1.0;
+                blown |= value > 4.0 * ticks(sub.cap);
+                x[k] = value;
+            }
+            if !moved || blown {
+                break;
+            }
+        }
+        if !x.iter().all(|v| v.is_finite()) {
+            return None;
+        }
+        let x: Vec<i128> = x.iter().map(|v| v.floor() as i128).collect();
+
+        // The exact check, in integers: with `d = x_k − x_pred`, every row
+        // has `d ≤ 0` or `d ≤ c + b + Σ_h ⌊c_h·(d + x_src(h))/p_h⌋`.
+        for (k, sub) in self.subtasks.iter().enumerate() {
+            let range = sub.terms.range();
+            let d = x[k] - sub.id.predecessor().map_or(0, |p| x[index(p)]);
+            if d <= 0 {
+                continue;
+            }
+            let mut rhs = i128::from(sub.execution.ticks()) + i128::from(sub.blocking.ticks());
+            for (t, m) in self.terms[range.start..range.end - 1]
+                .iter()
+                .zip(&self.members[range])
+            {
+                let window = d + m.predecessor().map_or(0, |p| x[index(p)]);
+                let demand = i128::from(t.execution.ticks()).checked_mul(window)?;
+                rhs = rhs.checked_add(demand / i128::from(t.period.ticks()))?;
+            }
+            if d > rhs {
+                return None;
+            }
+        }
+        Some(x)
     }
 
     /// Subtask evaluations since the kernel was built or derived that ran

@@ -19,6 +19,40 @@
 //! engine's memo-off oracle: they take any priority assignment, and the
 //! traced run reports the per-sweep trajectory.
 //!
+//! # The failure certificate
+//!
+//! A failing system would climb the sweeps until some bound passes its cap,
+//! which takes hundreds of sweeps. So every untraced run ([`analyze_ds`],
+//! [`analyze_ds_seeded`] and the admission engine's cold runs) first tries
+//! to prove failure outright with `IeertKernel::certify_failure`: an
+//! integer vector `x`, checked row by row against the ceiling-free
+//! relaxation `G` of IEERT step 3 at `m = 1` (`x ≤ G(x)`), with some
+//! `x_s` above its cap (see "The failure certificate" in
+//! [`crate::analysis::ieert`] for `G` and the check).
+//! [`analyze_ds_traced`] skips it and records the literal sweeps.
+//!
+//! **Soundness.** Suppose the sweeps return `Ok(R*)`. Then `R*` is a fixed
+//! point, and each entry is at most its cap, or that subtask's evaluation
+//! would have failed. Every step-1 busy period converged, so
+//! `U_{H_s} + u_s ≤ 1`, and with `c_s > 0` every level has
+//! `U_{H_s} < 1`: `G` is defined. Step 3 gives `R* ≥ G(R*)`. `G` is affine,
+//! `G(R) = AR + g` with `A ≥ 0` and `g > 0`, so `AR* ≤ R* − g < R*` and
+//! the spectral radius of `A` is below 1. A checked `x` satisfies
+//! `x ≤ G(x)`: the floors of the check are below the exact products, and
+//! since `x ≥ 0`, a row with `d ≤ 0` holds because `G` adds a positive
+//! term to `x_{pred(s)}`. Then `y = x − R*` has `y ≤ Ay`, so its positive part has
+//! `y⁺ ≤ Ay⁺ ≤ Aᵏy⁺ → 0`, and `x ≤ R*` ≤ the caps. An `x_s` above its cap
+//! contradicts that: the sweeps cannot return `Ok`, from any seed, and the
+//! verdict never changes.
+//!
+//! **The payload rule.** A certified failure is
+//! `BoundExceedsCap { subtask, cap }` at the first subtask, in (task, link)
+//! order, whose checked `x_s` passes its cap. It takes precedence over
+//! the sweep budget (`IterationLimit`) and over any error the sweeps
+//! would have met on the way. Failures the certificate misses keep the
+//! sweeps' payload: those that ceilings or a later instance drive, and
+//! overloaded busy periods, which step 3 cannot see.
+//!
 //! # Examples
 //!
 //! Example 2: the DS bound of `T₂` (the paper's `T₃`) exceeds its deadline
@@ -101,7 +135,8 @@ impl DsBounds {
     }
 }
 
-/// Runs Algorithm SA/DS with the literal Jacobi sweeps of Figure 11.
+/// Runs Algorithm SA/DS with the Jacobi sweeps of Figure 11, after the
+/// failure certificate (see the module docs) has had its try.
 ///
 /// # Errors
 ///
@@ -135,9 +170,10 @@ pub fn analyze_ds_seeded(
 
 /// The SA/DS outer loop behind every entry point: Jacobi IEERT sweeps of
 /// `kernel`, a kernel of `set`, from `seed` until the bounds repeat,
-/// recording each sweep into `trace` when one is given. The admission
-/// engine runs it on a cold kernel when memoization is off, when the
-/// sweep budget is too small for its ordered pass, and to report the
+/// recording each sweep into `trace` when one is given. Without a trace
+/// the failure certificate runs first, and its error ends the run. The
+/// admission engine runs it on a cold kernel when memoization is off, when
+/// the sweep budget is too small for its ordered pass, and to report the
 /// error of a pass that failed.
 pub(crate) fn sweep_to_fixed_point(
     kernel: &mut IeertKernel,
@@ -150,6 +186,11 @@ pub(crate) fn sweep_to_fixed_point(
             .map(|i| b.task_bound(TaskId::new(i)))
             .collect()
     };
+    if trace.is_none() {
+        if let Some(failure) = kernel.certify_failure() {
+            return Err(failure);
+        }
+    }
     let cfg = *kernel.cfg();
     let mut bounds = seed;
     let mut next = bounds.clone();
@@ -418,11 +459,8 @@ mod tests {
         assert!(partial.sweeps() <= cold.sweeps());
     }
 
-    #[test]
-    fn failure_on_saturated_chain_feedback() {
-        // Two chains ping-ponging across two processors at 100% load: the
-        // clumping feedback diverges and the failure criterion fires.
-        let set = TaskSet::builder(2)
+    fn ping_pong() -> TaskSet {
+        TaskSet::builder(2)
             .task(d(10))
             .subtask(0, d(5), Priority::new(0))
             .subtask(1, d(5), Priority::new(1))
@@ -432,9 +470,55 @@ mod tests {
             .subtask(0, d(5), Priority::new(1))
             .finish_task()
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn failure_on_saturated_chain_feedback() {
+        // Two chains ping-ponging across two processors at 100% load: the
+        // jittered busy period of T0.1 never drains. That is a step-1
+        // failure, which the step-3 relaxation cannot see (it settles far
+        // below the caps), so the certificate is silent and the first sweep
+        // reports the overload.
+        let set = ping_pong();
+        assert_eq!(IeertKernel::new(&set, &cfg()).certify_failure(), None);
         let err = analyze_ds(&set, &cfg()).unwrap_err();
-        assert!(err.is_failure(), "{err:?}");
+        assert!(
+            matches!(err, AnalyzeError::Overload { subtask, .. } if subtask == sid(0, 1)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn certificate_proves_chain_feedback_below_capacity() {
+        // Each chain's second link sits above the other's first link at
+        // 60% of a processor loaded to 70%: every IEER bound feeds the
+        // other chain's jitter with weight 1.5, so the relaxation diverges
+        // and the certificate fails the system before any sweep, at the
+        // first subtask in kernel order, where the sweeps take 15.
+        let set = TaskSet::builder(2)
+            .task(d(10_000))
+            .subtask(0, d(1_000), Priority::new(1))
+            .subtask(1, d(6_000), Priority::new(0))
+            .finish_task()
+            .task(d(10_000))
+            .subtask(1, d(1_000), Priority::new(1))
+            .subtask(0, d(6_000), Priority::new(0))
+            .finish_task()
+            .build()
+            .unwrap();
+        let certified = AnalyzeError::BoundExceedsCap {
+            subtask: sid(0, 0),
+            cap: d(3_000_000),
+        };
+        assert_eq!(
+            IeertKernel::new(&set, &cfg()).certify_failure(),
+            Some(certified.clone())
+        );
+        assert_eq!(analyze_ds(&set, &cfg()), Err(certified));
+        let (bounds, report) = analyze_ds_traced(&set, &cfg()).unwrap();
+        assert!(bounds.is_none());
+        assert_eq!(report.sweeps, 15);
     }
 
     #[test]
@@ -476,18 +560,7 @@ mod tests {
 
     #[test]
     fn traced_run_reports_failure_without_error() {
-        let set = TaskSet::builder(2)
-            .task(d(10))
-            .subtask(0, d(5), Priority::new(0))
-            .subtask(1, d(5), Priority::new(1))
-            .finish_task()
-            .task(d(10))
-            .subtask(1, d(5), Priority::new(0))
-            .subtask(0, d(5), Priority::new(1))
-            .finish_task()
-            .build()
-            .unwrap();
-        let (bounds, report) = analyze_ds_traced(&set, &cfg()).unwrap();
+        let (bounds, report) = analyze_ds_traced(&ping_pong(), &cfg()).unwrap();
         assert!(bounds.is_none());
         assert!(!report.converged);
         assert!(report.sweeps >= 1);

@@ -1629,7 +1629,11 @@ fn default_horizon(set: &TaskSet, cfg: &SimConfig) -> Time {
         SourceModel::Periodic => Dur::ZERO,
         SourceModel::Sporadic { max_extra, .. } => max_extra,
     };
-    let n = cfg.instances_per_task as i64 + 5;
+    // A target past `i64` saturates the horizon, which the caller's
+    // overflow check then reports as `SimulateError::TimeOverflow`.
+    let n = i64::try_from(cfg.instances_per_task)
+        .unwrap_or(i64::MAX)
+        .saturating_add(5);
     let base = set
         .tasks()
         .iter()
@@ -1709,6 +1713,18 @@ mod tests {
                 .with_trace(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn instance_targets_past_i64_overflow_instead_of_wrapping() {
+        for instances in [1 << 62, 1 << 63, u64::MAX] {
+            let cfg = SimConfig::new(Protocol::ReleaseGuard).with_instances(instances);
+            let err = simulate(&example2(), &cfg).unwrap_err();
+            assert!(
+                matches!(err, SimulateError::TimeOverflow { .. }),
+                "{instances}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -870,6 +870,9 @@ fn telemetry_width(window: Option<i64>, set: &TaskSet, cfg: &SimConfig) -> Resul
     }
 }
 
+/// The widest `simulate --gantt` chart, in ticks: one column per tick.
+const GANTT_MAX_TICKS: i64 = 100_000;
+
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
     let set = load(path)?;
@@ -896,6 +899,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 let until: i64 = parsed(arg, grab(arg)?)?;
                 if until < 0 {
                     return Err(format!("--gantt {until}: must be >= 0"));
+                }
+                if until > GANTT_MAX_TICKS {
+                    return Err(format!(
+                        "--gantt {until}: at most {GANTT_MAX_TICKS} ticks (one chart column \
+                         per tick); export longer traces with --trace-csv"
+                    ));
                 }
                 gantt = Some(until);
             }
@@ -1978,6 +1987,20 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Err("--tolerance only means something with --compare".to_string());
     }
 
+    // Read the baseline before the suite runs, so a file that cannot be
+    // compared fails at once.
+    let baseline = match &baseline_path {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let baseline = parse_baseline(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+            baseline
+                .comparable_with(smoke)
+                .map_err(|e| format!("--compare {path}: {e}"))?;
+            Some((path, baseline))
+        }
+        None => None,
+    };
+
     eprintln!(
         "bench suite: scenarios {} (every protocol; sa_ds DS only, sa_pm PM only){}",
         SCENARIOS.join(", "),
@@ -2029,10 +2052,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             print!("{}", prof.render_table());
         }
     }
-    if let Some(path) = &baseline_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let baseline = parse_baseline(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let cmp = compare(&report, &baseline, &tol);
+    if let Some((path, baseline)) = &baseline {
+        let cmp = compare(&report, baseline, &tol).map_err(|e| format!("--compare {path}: {e}"))?;
         print!("{}", cmp.render());
         if !cmp.is_clean() {
             return Err(format!(

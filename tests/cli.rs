@@ -302,6 +302,53 @@ fn times_that_overflow_the_tick_clock_fail_loudly() {
 }
 
 #[test]
+fn counts_and_widths_past_their_range_fail_loudly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ex2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+    let file = file.to_str().unwrap();
+    // An instance target past `i64` used to wrap to a short horizon and
+    // exit 0 after a few instances.
+    fails_with(
+        &[
+            "simulate",
+            file,
+            "--protocol",
+            "rg",
+            "--instances",
+            "18446744073709551615",
+        ],
+        "time overflow",
+    );
+    // A chart this wide used to abort on its allocation (exit 134).
+    fails_with(
+        &[
+            "simulate",
+            file,
+            "--protocol",
+            "rg",
+            "--gantt",
+            "99999999999",
+        ],
+        "--gantt 99999999999: at most 100000 ticks",
+    );
+    let out = run(&["simulate", file, "--protocol", "rg", "--gantt", "100000"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bench_refuses_a_baseline_of_the_other_kind() {
+    // The committed baseline is a full run: a smoke run gets no verdict
+    // against it, and fails before the suite runs.
+    fails_with(
+        &["bench", "--smoke", "--compare", "BENCH_sim.json"],
+        "--compare BENCH_sim.json: the baseline is a full run and this is a smoke run",
+    );
+}
+
+#[test]
 fn negative_gantt_and_unknown_tolerance_scenario_fail_loudly() {
     let dir = std::env::temp_dir().join(format!("rtsync-cli-gantt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

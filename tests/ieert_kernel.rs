@@ -11,6 +11,11 @@
 //! oracle-driven loop returns — bounds, sweep count, and the error variant
 //! with its payload — and a traced run must count as solved exactly the
 //! evaluations whose jitters differ from the subtask's previous ones.
+//!
+//! The one exception is the failure certificate the untraced entry points
+//! try before their first sweep: where its witness passes a cap, they
+//! report that instead, and the oracle-driven loop must fail too. The
+//! witness itself is re-checked here against the task set alone.
 
 use std::collections::HashMap;
 
@@ -18,7 +23,7 @@ use proptest::prelude::*;
 use rtsync::core::analysis::busy_period::{
     fixed_point, utilization_ppm, DemandTerm, FixedPointFailure, FixedPointLimits,
 };
-use rtsync::core::analysis::ieert::{ieert_pass, IeerBounds};
+use rtsync::core::analysis::ieert::{ieert_pass, relaxed_lower_bounds, IeerBounds};
 use rtsync::core::analysis::sa_ds::{
     analyze_ds, analyze_ds_seeded, analyze_ds_traced, IeertReport,
 };
@@ -281,12 +286,63 @@ fn oracle_ds(
     (Err(err), report)
 }
 
+/// The failure the certificate reports, if its witness passes a cap: at
+/// the first subtask in (task, link) order that it passes. Panics if the
+/// witness does not hold.
+fn certified_failure(set: &TaskSet, cfg: &AnalysisConfig) -> Option<AnalyzeError> {
+    let witness = relaxed_lower_bounds(set, cfg)?;
+    assert!(
+        witness_holds(set, &witness),
+        "a witness that fails its check on\n{set:?}"
+    );
+    set.subtasks().find_map(|s| {
+        let cap = cfg.cap_for_period(set.task(s.id().task()).period());
+        (witness.get(s.id()) > cap).then_some(AnalyzeError::BoundExceedsCap {
+            subtask: s.id(),
+            cap,
+        })
+    })
+}
+
+/// The certificate's check, rebuilt from the task set: every entry of `w`
+/// is non-negative and, with `d = w_s − w_pred(s)`, every subtask has
+/// `d ≤ 0` or `d ≤ c_s + B_s + Σ_{h ∈ H_s} ⌊c_h·(d + w_pred(h))/p_h⌋`,
+/// in exact integers.
+fn witness_holds(set: &TaskSet, w: &IeerBounds) -> bool {
+    let at = |s: SubtaskId| i128::from(w.predecessor_bound(s).ticks());
+    set.subtasks().all(|sub| {
+        let id = sub.id();
+        let d = i128::from(w.get(id).ticks()) - at(id);
+        let rhs = i128::from(sub.execution().ticks())
+            + i128::from(oracle_blocking(set, id).ticks())
+            + oracle_interference(set, id)
+                .into_iter()
+                .map(|h| {
+                    let c = i128::from(set.subtask(h).execution().ticks());
+                    let p = i128::from(set.task(h.task()).period().ticks());
+                    c * (d + at(h)) / p
+                })
+                .sum::<i128>();
+        w.get(id) >= Dur::ZERO && (d <= 0 || d <= rhs)
+    })
+}
+
 /// Asserts that the kernel-driven SA/DS run from `seed` returns exactly
-/// what the oracle-driven loop returns.
+/// what the oracle-driven loop returns, or, where the failure certificate
+/// fires, its error on a system the loop also fails.
 fn assert_matches_oracle(set: &TaskSet, cfg: &AnalysisConfig, seed: IeerBounds) {
     let (expected, _) = oracle_ds(set, cfg, seed.clone());
     let got = analyze_ds_seeded(set, cfg, seed).map(|b| (b.bounds().clone(), b.sweeps()));
-    assert_eq!(got, expected, "on\n{set:?}");
+    match certified_failure(set, cfg) {
+        Some(e) => {
+            assert!(
+                expected.as_ref().is_err_and(AnalyzeError::is_failure),
+                "certified a system the oracle passes:\n{set:?}"
+            );
+            assert_eq!(got, Err(e), "on\n{set:?}");
+        }
+        None => assert_eq!(got, expected, "on\n{set:?}"),
+    }
 }
 
 /// The first `k` tasks of `set`, with their priorities unchanged.
@@ -324,7 +380,9 @@ proptest! {
     /// §5.1 systems across N = 2..8 × U = 0.5..0.9 (failing cells
     /// included): a cold run, a traced run, a run whose sweep budget runs
     /// out, and a run warm-started from the converged bounds of a prefix
-    /// system (the admission path) all equal the oracle-driven loop.
+    /// system (the admission path) all equal the oracle-driven loop, except
+    /// that an untraced run reports the certificate's failure where it
+    /// fires.
     #[test]
     fn kernel_matches_the_figure_10_oracle(
         n in 2usize..=8,
@@ -343,7 +401,14 @@ proptest! {
         let (jacobi, report) = oracle_ds(&set, &cfg, IeerBounds::seed(&set));
         let got = analyze_ds(&set, &cfg)
             .map(|b| (b.bounds().clone(), b.sweeps()));
-        prop_assert_eq!(&got, &jacobi);
+        match certified_failure(&set, &cfg) {
+            Some(e) => {
+                prop_assert!(jacobi.as_ref().is_err_and(AnalyzeError::is_failure));
+                prop_assert_eq!(&got, &Err(e));
+            }
+            None => prop_assert_eq!(&got, &jacobi),
+        }
+        // The traced run stays on the literal sweeps.
         let traced = analyze_ds_traced(&set, &cfg)
             .map(|(b, r)| (b.map(|b| (b.bounds().clone(), b.sweeps())), r));
         let expected = match jacobi {
@@ -354,7 +419,7 @@ proptest! {
         prop_assert_eq!(traced, expected);
 
         // A sweep budget too small to converge: the IterationLimit payload
-        // names the same subtask.
+        // names the same subtask, unless the certificate fires first.
         let short = AnalysisConfig { max_outer_iterations: 2, ..cfg };
         assert_matches_oracle(&set, &short, IeerBounds::seed(&set));
 
@@ -373,6 +438,58 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// §5.1 systems across N = 2..8 × U = 0.5..0.9, with and without
+    /// non-preemptive subtasks: the certificate's witness holds, it fires
+    /// only where the oracle-driven loop fails, and where the loop
+    /// converges the witness lies at or below its bounds entry-wise.
+    #[test]
+    fn certificate_fires_only_on_failing_systems(
+        n in 2usize..=8,
+        u in 0usize..5,
+        seed in 0u64..1_000_000,
+        nonpreemptive in 0u8..2,
+    ) {
+        let mut spec = WorkloadSpec::paper(n, UTILIZATIONS[u]);
+        if nonpreemptive == 1 {
+            spec = spec.with_nonpreemptive_fraction(0.25);
+        }
+        let set = generate_seeded(&spec, seed).expect("paper spec generates");
+        let cfg = AnalysisConfig::default();
+        let certified = certified_failure(&set, &cfg);
+        match oracle_ds(&set, &cfg, IeerBounds::seed(&set)).0 {
+            Ok((bounds, _)) => {
+                prop_assert!(certified.is_none());
+                let witness = relaxed_lower_bounds(&set, &cfg)
+                    .expect("a converging system has a witness");
+                for s in set.subtasks() {
+                    prop_assert!(witness.get(s.id()) <= bounds.get(s.id()), "{}", s.id());
+                }
+            }
+            Err(e) => prop_assert!(e.is_failure(), "{e:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_failure_only_the_ceilings_cause_is_left_to_the_sweeps() {
+    // A §5.1 system (N = 7, U = 0.8, random phases) that SA/DS fails while
+    // the ceiling-free relaxation stays below every cap: the certificate
+    // is silent and the sweeps report their own failure.
+    let spec = WorkloadSpec::paper(7, 0.8).with_random_phases();
+    let set = generate_seeded(&spec, 13_116_614_591_677_756_881).expect("paper spec generates");
+    let cfg = AnalysisConfig::default();
+    let witness = relaxed_lower_bounds(&set, &cfg).expect("the relaxation converges");
+    assert!(witness_holds(&set, &witness));
+    assert_eq!(certified_failure(&set, &cfg), None);
+    let (expected, _) = oracle_ds(&set, &cfg, IeerBounds::seed(&set));
+    assert!(expected.as_ref().is_err_and(AnalyzeError::is_failure));
+    let got = analyze_ds(&set, &cfg).map(|b| (b.bounds().clone(), b.sweeps()));
+    assert_eq!(got, expected);
 }
 
 /// A two-processor system in which the analyzed subtask `T0.1` inherits a
